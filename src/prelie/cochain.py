@@ -7,6 +7,12 @@ a strictly increasing (n-1)-tuple of basis indices plus a free last
 index, in lexicographic order.  Degree-1 cochains are plain linear maps;
 degree-2 cochains are arbitrary bilinear maps.
 
+Coboundary matrices are built from the same formula as `coboundary`:
+`coboundary_at` is evaluated once per output key on a generic cochain,
+whose coordinates are sparse linear forms instead of scalars, and each
+output coordinate is then one sparse matrix row.  `cohomology` keeps
+those rows sparse for its exact ranks and its d o d = 0 check.
+
 Everything here is graded in a single degree per slot, so the Koszul
 sign of a permutation reduces to its parity; a graded extension would
 have to generalize `enumerate_unshuffles`.
@@ -23,10 +29,11 @@ from .errors import ShapeError
 from .linalg import (
     Matrix,
     add_vec,
-    basis_vec,
     is_zero_vec,
     neg_vec,
     scale_vec,
+    sparse_mul,
+    sparse_rank,
     sub_vec,
     zero_vec,
 )
@@ -348,25 +355,97 @@ def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Repo
     return direct
 
 
+class _Form:
+    """A sparse linear form {column: nonzero coefficient} over one field.
+
+    The coordinates of the generic cochain are forms, so the scalar code
+    of the coboundary formula, run on it, returns rows of the coboundary
+    matrix.  That code starts from zero vectors and multiplies by zero
+    scalars without skipping them: adding a zero scalar to a form leaves
+    it unchanged, and a zero scalar times a form is that scalar.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other):
+        if not isinstance(other, _Form):
+            if other:
+                raise TypeError("cannot add a nonzero scalar to a linear form")
+            return self
+        terms = dict(self.terms)
+        for col, c in other.terms.items():
+            s = terms.get(col)
+            if s is None:
+                terms[col] = c
+            else:
+                s = s + c
+                if s:
+                    terms[col] = s
+                else:
+                    del terms[col]
+        return _Form(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Form({col: -c for col, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, c):
+        if not c:
+            return c
+        return _Form({col: c * v for col, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+def _generic_cochain(field, degree: int, dim_source: int, dim_target: int) -> Cochain:
+    """The cochain whose coordinate (key p, target t) is the form {p*m + t: 1}.
+
+    Column p*m + t is the canonical basis cochain at that coordinate, so
+    any linear expression in f evaluated here gives, per output
+    coordinate, its coefficients on the degree-n basis.
+    """
+    one = field.one
+    m = dim_target
+    values = tuple(tuple(_Form({p * m + t: one}) for t in range(m))
+                   for p in range(len(cochain_keys(dim_source, degree))))
+    f = object.__new__(Cochain)
+    for name, value in zip(Cochain.__slots__,
+                           (field, degree, dim_source, dim_target, values)):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list:
+    """Sparse rows of the coboundary matrix, one {column: coefficient} each.
+
+    `coboundary_at` runs once per degree-(n+1) key, on the generic cochain.
+    """
+    f = _generic_cochain(a.field, degree, a.dim, rep.dim_v)
+    return [x.terms if isinstance(x, _Form) else {}
+            for fb, last in cochain_keys(a.dim, degree + 1)
+            for x in coboundary_at(a, rep, f, fb + (last,))]
+
+
 def coboundary_matrix(a: PreLieAlgebra, rep: Representation, degree: int) -> Matrix:
     """Matrix of the coboundary on canonical cochain bases.
 
     Columns follow the degree-n basis (key-major, then target coordinate),
     rows the degree-(n+1) basis, both in canonical lexicographic order.
     """
-    field = a.field
-    keys_n = cochain_keys(a.dim, degree)
-    m = rep.dim_v
-    columns = []
-    for key_pos in range(len(keys_n)):
-        for t in range(m):
-            entries = {keys_n[key_pos]: basis_vec(field, m, t)}
-            basis_cochain = Cochain.from_entries(field, degree, a.dim, m, entries)
-            image = coboundary(a, rep, basis_cochain)
-            col = [x for v in image.values for x in v]
-            columns.append(col)
-    rows = cochain_space_dim(a.dim, m, degree + 1)
-    return Matrix.from_columns(field, columns, rows)
+    cols = cochain_space_dim(a.dim, rep.dim_v, degree)
+    zero = a.field.zero
+    return Matrix(a.field, [[row.get(j, zero) for j in range(cols)]
+                            for row in _coboundary_rows(a, rep, degree)], cols=cols)
 
 
 @dataclass(frozen=True)
@@ -386,15 +465,13 @@ def cohomology(a: PreLieAlgebra, rep: Representation, degree: int) -> Cohomology
     """
     if degree < 1:
         raise ShapeError("degree must be >= 1")
-    d_n = coboundary_matrix(a, rep, degree)
-    dim_cn = cochain_space_dim(a.dim, rep.dim_v, degree)
-    rank_n = d_n.rank()
-    dim_z = dim_cn - rank_n
+    d_n = _coboundary_rows(a, rep, degree)
+    dim_z = cochain_space_dim(a.dim, rep.dim_v, degree) - sparse_rank(d_n)
     if degree == 1:
         dim_b = 0
     else:
-        d_prev = coboundary_matrix(a, rep, degree - 1)
-        if not (d_n * d_prev).is_zero():
+        d_prev = _coboundary_rows(a, rep, degree - 1)
+        if any(sparse_mul(d_n, d_prev)):
             raise AssertionError("coboundary does not square to zero")
-        dim_b = d_prev.rank()
+        dim_b = sparse_rank(d_prev)
     return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b)

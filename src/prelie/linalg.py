@@ -1,14 +1,19 @@
-"""Deterministic dense exact linear algebra over Q or F_p.
+"""Deterministic exact linear algebra over Q or F_p.
 
-Matrices are immutable, stored row-major, and every entry lives in one
-field.  Elimination pivots on the first nonzero entry in column order, so
-identical inputs always produce identical echelon forms, kernels, and
-solutions.  Kernel bases are read off the reduced row echelon form, which
-is unique, so equal kernels yield identical bases.
+Matrices are immutable, stored dense and row-major, and every entry lives
+in one field.  Elimination pivots on the first nonzero entry in column
+order, so identical inputs always produce identical echelon forms,
+kernels, and solutions.  Kernel bases are read off the reduced row
+echelon form, which is unique, so equal kernels yield identical bases.
+
+Coboundary matrices are mostly zeros, so their rank and products also
+have a sparse form: a matrix given as a list of rows, each a dict
+{column: nonzero scalar}.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, FieldMismatchError, NotSquareError, ShapeError
@@ -250,3 +255,67 @@ def scale_vec(c, u) -> tuple:
 
 def is_zero_vec(u) -> bool:
     return all(not a for a in u)
+
+
+# sparse rows; a row is a dict {column: nonzero scalar}
+
+def sparse_mul(a_rows, b_rows) -> list:
+    """The product of two matrices given as sparse rows, as sparse rows."""
+    out = []
+    for row in a_rows:
+        acc = {}
+        for k, c in row.items():
+            for j, v in b_rows[k].items():
+                s = acc.get(j)
+                acc[j] = c * v if s is None else s + c * v
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def sparse_rank(rows) -> int:
+    """Exact rank of a matrix given as sparse rows, over its own scalars.
+
+    Forward elimination in column order: the pivot of a column is the
+    first row, in row order, that is nonzero there among the rows not yet
+    used as pivots, and it clears that column from the others.  Only rows
+    sharing the pivot's leading column are touched.
+    """
+    work = {}
+    by_lead = {}   # leading column -> indices of the rows that start there
+    for i, row in enumerate(rows):
+        if row:
+            work[i] = row
+            by_lead.setdefault(min(row), []).append(i)
+    heap = list(by_lead)
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        c = heapq.heappop(heap)
+        bucket = by_lead.pop(c)
+        p = min(bucket)
+        pivot = work.pop(p)
+        rank += 1
+        pc = pivot[c]
+        for i in bucket:
+            if i == p:
+                continue
+            row = dict(work.pop(i))
+            f = row[c] / pc
+            for j, v in pivot.items():
+                s = row.get(j)
+                if s is None:
+                    row[j] = -f * v
+                else:
+                    s = s - f * v
+                    if s:
+                        row[j] = s
+                    else:
+                        del row[j]
+            if row:
+                work[i] = row
+                lead = min(row)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heapq.heappush(heap, lead)
+                by_lead[lead].append(i)
+    return rank

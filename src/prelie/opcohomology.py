@@ -75,11 +75,13 @@ def operator_coboundary(data: ReynoldsData, f: Cochain) -> Cochain:
     g, rep = data.algebra, data.rep
     if f.dim_source != rep.dim_v or f.dim_target != g.dim:
         raise ShapeError("cochain must map the module to the algebra")
-    return coboundary(induced_product(data), induced_representation(data), f)
+    induced = induced_representation(data)
+    return coboundary(induced.algebra, induced, f)
 
 
 def operator_coboundary_matrix(data: ReynoldsData, degree: int) -> Matrix:
-    return coboundary_matrix(induced_product(data), induced_representation(data), degree)
+    induced = induced_representation(data)
+    return coboundary_matrix(induced.algebra, induced, degree)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,8 @@ def operator_cohomology(data: ReynoldsData, degree: int) -> OperatorCohomologyRe
     """
     from .cochain import cohomology
 
-    base = cohomology(induced_product(data), induced_representation(data), degree)
+    induced = induced_representation(data)
+    base = cohomology(induced.algebra, induced, degree)
     return OperatorCohomologyReport(base.degree, base.dim_z, base.dim_b, base.dim_h,
                                     data.fingerprint())
 

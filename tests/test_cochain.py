@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import g3_algebra, g3_cocycle, random_cochain, random_pair
-from prelie.algebra import PreLieAlgebra, regular_representation, zero_representation
+from prelie.algebra import (
+    PreLieAlgebra,
+    Representation,
+    regular_representation,
+    zero_representation,
+)
 from prelie.cochain import (
     Cochain,
     check_two_cocycle,
@@ -19,8 +24,8 @@ from prelie.cochain import (
     enumerate_unshuffles,
 )
 from prelie.errors import ShapeError
-from prelie.linalg import Matrix, basis_vec, is_zero_vec
-from prelie.scalars import QQ
+from prelie.linalg import Matrix, basis_vec, is_zero_vec, sparse_rank
+from prelie.scalars import QQ, PrimeField
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +310,82 @@ def test_cohomology_ranks_cross_checked_by_independent_elimination():
         d = coboundary_matrix(a, rep, degree)
         rows = [[x for x in row] for row in d.data]
         assert d.rank() == _independent_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# sparse coboundary assembly against the per-column reference
+
+
+def _reference_coboundary_matrix(a, rep, degree):
+    """One full coboundary per basis cochain, one column each."""
+    field = a.field
+    keys_n = cochain_keys(a.dim, degree)
+    m = rep.dim_v
+    columns = []
+    for key in keys_n:
+        for t in range(m):
+            basis_cochain = Cochain.from_entries(field, degree, a.dim, m,
+                                                 {key: basis_vec(field, m, t)})
+            image = coboundary(a, rep, basis_cochain)
+            columns.append([x for v in image.values for x in v])
+    return Matrix.from_columns(field, columns, cochain_space_dim(a.dim, m, degree + 1))
+
+
+def _sparse_rows(d):
+    return [{j: x for j, x in enumerate(row) if x} for row in d.data]
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_coboundary_matrix_matches_per_column_reference(field):
+    rng = random.Random(10 + field.char)
+    for _ in range(8):
+        a, rep = random_pair(rng, field)
+        for degree in (1, 2, 3):
+            d = coboundary_matrix(a, rep, degree)
+            assert d == _reference_coboundary_matrix(a, rep, degree)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_sparse_rank_of_coboundary_matches_dense_ranks(field):
+    rng = random.Random(20 + field.char)
+    for _ in range(6):
+        a, rep = random_pair(rng, field)
+        for degree in (1, 2, 3):
+            d = coboundary_matrix(a, rep, degree)
+            rank = sparse_rank(_sparse_rows(d))
+            assert rank == d.rank()
+            if field == QQ:
+                assert rank == _independent_rank(d.data)
+
+
+def test_cohomology_raises_when_coboundary_does_not_square_to_zero():
+    # the actions violate the representation identities, so d o d != 0
+    for field in (QQ, PrimeField(3)):
+        g = PreLieAlgebra.build(field, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+        L = [Matrix(field, [[1, 1], [0, 1]]), Matrix(field, [[0, 1], [0, 0]])]
+        R = [Matrix(field, [[0, 0], [1, 0]]), Matrix(field, [[1, 0], [0, 0]])]
+        rep = Representation(g, 2, L, R, check=False)
+        with pytest.raises(AssertionError, match="coboundary does not square to zero"):
+            cohomology(g, rep, 2)
+
+
+def _truncated_polynomial(n):
+    """k[x]/(x^n) over Q on the basis 1, x, ..., x^(n-1)."""
+    entries = {(i, j, i + j): 1 for i in range(n) for j in range(n) if i + j < n}
+    return PreLieAlgebra.build(QQ, n, entries)
+
+
+@pytest.mark.parametrize("n, degree, expected", [
+    (5, 2, (41, 21, 20)),
+    (4, 3, (57, 39, 18)),
+    (4, 4, (51, 39, 12)),
+    (6, 2, (61, 31, 30)),
+    (5, 3, (124, 84, 40)),
+])
+def test_truncated_polynomial_ladder(n, degree, expected):
+    a = _truncated_polynomial(n)
+    report = cohomology(a, regular_representation(a), degree)
+    assert (report.dim_z, report.dim_b, report.dim_h) == expected

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prelie.errors import DimensionMismatchError, NotSquareError
-from prelie.linalg import Matrix, basis_vec, is_zero_vec
+from prelie.linalg import Matrix, basis_vec, is_zero_vec, sparse_mul, sparse_rank
 from prelie.scalars import QQ, PrimeField
 
 
@@ -142,3 +142,30 @@ def test_determinism_bitwise():
     b = Matrix(QQ, data)
     assert a.rref()[0] == b.rref()[0]
     assert a.kernel() == b.kernel()
+
+
+def _sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m.data]
+
+
+@given(q_matrices(max_dim=6), st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+@settings(max_examples=80, deadline=None)
+def test_sparse_rank_matches_dense_rank(m, field):
+    m = Matrix(field, m.data)
+    assert sparse_rank(_sparse(m)) == m.rank()
+
+
+@given(q_matrices(max_dim=5), st.sampled_from([QQ, PrimeField(3)]))
+@settings(max_examples=60, deadline=None)
+def test_sparse_mul_matches_dense_product(m, field):
+    m = Matrix(field, m.data)
+    rng = random.Random(m.rows * 7 + m.cols)
+    other = Matrix(field, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(m.cols)])
+    assert sparse_mul(_sparse(m), _sparse(other)) == _sparse(m * other)
+
+
+def test_sparse_rank_leaves_its_rows_unchanged():
+    rows = [{0: QQ(1), 1: QQ(2)}, {0: QQ(2), 1: QQ(4)}, {}, {1: QQ(1)}]
+    before = [dict(r) for r in rows]
+    assert sparse_rank(rows) == 2
+    assert rows == before

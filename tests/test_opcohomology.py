@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import g2_algebra, random_cochain, random_reynolds_data
+from prelie import opcohomology
 from prelie.algebra import check_representation, regular_representation
 from prelie.cochain import Cochain, cochain_space_dim
 from prelie.linalg import Matrix
@@ -170,3 +171,20 @@ def test_explicit_variant_can_coincide_on_degenerate_data(g3_data):
     verdict = compare_explicit_paths(g3_data, f)
     assert verdict["expanded"] is True
     assert verdict["right_slot"] is True
+
+
+def test_induced_product_built_once_per_call(g3_data, monkeypatch):
+    calls = []
+
+    def counting(data):
+        calls.append(data)
+        return induced_product(data)
+
+    monkeypatch.setattr(opcohomology, "induced_product", counting)
+    f = Cochain.zero(QQ, 1, 3, 3)
+    for call in (lambda: operator_coboundary(g3_data, f),
+                 lambda: operator_coboundary_matrix(g3_data, 1),
+                 lambda: operator_cohomology(g3_data, 2)):
+        calls.clear()
+        call()
+        assert len(calls) == 1
