@@ -61,7 +61,6 @@ from .nsprelie import (
     subadjacent,
 )
 from .opcohomology import (
-    InducedRepresentation,
     OperatorCohomologyReport,
     induced_representation,
     operator_coboundary,
@@ -69,7 +68,6 @@ from .opcohomology import (
 )
 from .reynolds import (
     ReynoldsData,
-    WeightedReynoldsData,
     check_d_reynolds,
     check_graph_subalgebra,
     check_rcw_morphism,

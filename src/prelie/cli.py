@@ -240,20 +240,35 @@ def _cmd_construct(args) -> int:
 # search
 
 
-def _parse_fix(text: str) -> dict:
+def _parse_shape(text: str) -> tuple:
+    try:
+        rows, cols = (int(t) for t in text.lower().split("x"))
+    except ValueError:
+        raise SchemaError("/shape", f"expected ROWSxCOLS, got {text!r}") from None
+    if rows < 1 or cols < 1:
+        raise SchemaError("/shape", f"{text!r} has no entries")
+    return rows, cols
+
+
+def _parse_fix(text: str, field, shape) -> dict:
+    """Fixed entries {(row, col): scalar}, 0-based, from "r,c=v;r,c=v"."""
     fixed = {}
-    if not text:
-        return fixed
     for clause in text.split(";"):
         clause = clause.strip()
         if not clause:
             continue
-        pos, _, value = clause.partition("=")
+        pos, eq, value = clause.partition("=")
         try:
             r, c = (int(t) for t in pos.split(","))
-        except ValueError:
+            if not eq:
+                raise ValueError
+            scalar = field.parse(value)
+        except (ValueError, ZeroDivisionError):
             raise SchemaError("/fix", f"bad clause {clause!r}") from None
-        fixed[(r - 1, c - 1)] = value.strip()
+        if not (1 <= r <= shape[0] and 1 <= c <= shape[1]):
+            raise SchemaError("/fix", f"position {r},{c} lies outside the "
+                                      f"{shape[0]}x{shape[1]} shape")
+        fixed[(r - 1, c - 1)] = scalar
     return fixed
 
 
@@ -274,12 +289,15 @@ def _cmd_search(args) -> int:
                     f"{field_name(field)}")
             domain = tuple(field.elements())
         else:
-            domain = tuple(field.parse(t.strip()) for t in args.domain.split(","))
+            try:
+                domain = tuple(field.parse(t.strip()) for t in args.domain.split(","))
+            except (ValueError, ZeroDivisionError):
+                raise SchemaError("/domain", f"bad scalar list {args.domain!r}") from None
     else:
         domain = tuple(field.elements())
 
-    rows, cols = (int(t) for t in args.shape.lower().split("x"))
-    fixed = {pos: field.parse(v) for pos, v in _parse_fix(args.fix or "").items()}
+    rows, cols = _parse_shape(args.shape)
+    fixed = _parse_fix(args.fix or "", field, (rows, cols))
 
     if args.predicate == "rcw-reynolds":
         spec_bundle = {"algebra": bundle.algebra(), "rep": bundle.representation(),

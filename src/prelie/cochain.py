@@ -9,9 +9,10 @@ degree-2 cochains are arbitrary bilinear maps.
 
 Coboundary matrices are built from the same formula as `coboundary`:
 `coboundary_at` is evaluated once per output key on a generic cochain,
-whose coordinates are sparse linear forms instead of scalars, and each
-output coordinate is then one sparse matrix row.  `cohomology` keeps
-those rows sparse for its exact ranks and its d o d = 0 check.
+whose coordinates are polynomial variables (`scalars.Poly`) instead of
+scalars; each output coordinate is then a linear polynomial, that is,
+one sparse matrix row.  `cohomology` keeps those rows sparse for its
+exact ranks and its d o d = 0 check.
 
 Everything here is graded in a single degree per slot, so the Koszul
 sign of a permutation reduces to its parity; a graded extension would
@@ -37,6 +38,7 @@ from .linalg import (
     sub_vec,
     zero_vec,
 )
+from .scalars import Poly
 
 
 @dataclass(frozen=True)
@@ -355,74 +357,19 @@ def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Repo
     return direct
 
 
-class _Form:
-    """A sparse linear form {column: nonzero coefficient} over one field.
-
-    The coordinates of the generic cochain are forms, so the scalar code
-    of the coboundary formula, run on it, returns rows of the coboundary
-    matrix.  That code starts from zero vectors and multiplies by zero
-    scalars without skipping them: adding a zero scalar to a form leaves
-    it unchanged, and a zero scalar times a form is that scalar.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-
-    def __add__(self, other):
-        if not isinstance(other, _Form):
-            if other:
-                raise TypeError("cannot add a nonzero scalar to a linear form")
-            return self
-        terms = dict(self.terms)
-        for col, c in other.terms.items():
-            s = terms.get(col)
-            if s is None:
-                terms[col] = c
-            else:
-                s = s + c
-                if s:
-                    terms[col] = s
-                else:
-                    del terms[col]
-        return _Form(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Form({col: -c for col, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, c):
-        if not c:
-            return c
-        return _Form({col: c * v for col, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-
 def _generic_cochain(field, degree: int, dim_source: int, dim_target: int) -> Cochain:
-    """The cochain whose coordinate (key p, target t) is the form {p*m + t: 1}.
+    """The cochain whose coordinate (key p, target t) is the variable x_{p*m+t}.
 
     Column p*m + t is the canonical basis cochain at that coordinate, so
     any linear expression in f evaluated here gives, per output
-    coordinate, its coefficients on the degree-n basis.
+    coordinate, a degree-1 `Poly` whose coefficients are the expression's
+    coefficients on the degree-n basis.
     """
     one = field.one
     m = dim_target
-    values = tuple(tuple(_Form({p * m + t: one}) for t in range(m))
-                   for p in range(len(cochain_keys(dim_source, degree))))
-    f = object.__new__(Cochain)
-    for name, value in zip(Cochain.__slots__,
-                           (field, degree, dim_source, dim_target, values)):
-        object.__setattr__(f, name, value)
-    return f
+    return Cochain(field, degree, dim_source, dim_target,
+                   [[Poly({(p * m + t,): one}) for t in range(m)]
+                    for p in range(len(cochain_keys(dim_source, degree)))])
 
 
 def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list:
@@ -431,7 +378,7 @@ def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list
     `coboundary_at` runs once per degree-(n+1) key, on the generic cochain.
     """
     f = _generic_cochain(a.field, degree, a.dim, rep.dim_v)
-    return [x.terms if isinstance(x, _Form) else {}
+    return [{mono[0]: c for mono, c in x.terms.items()} if isinstance(x, Poly) else {}
             for fb, last in cochain_keys(a.dim, degree + 1)
             for x in coboundary_at(a, rep, f, fb + (last,))]
 

@@ -18,7 +18,8 @@ morphism requirement in powers of t (the two modes can disagree on some
 groups; both verdicts are reported, see `check_equivalence_data`).
 Nijenhuis elements are the x satisfying the closed-form groups plus
 x . Rbar_u(x) = Rbar_u(x) . x; over a prime field
-they can be enumerated exhaustively, which powers the rigidity probe:
+they are enumerated by `search.exhaustive_search`, which powers the
+rigidity probe:
 K is rigid when every operator 1-cocycle is the coboundary of a
 Nijenhuis element.
 """
@@ -330,24 +331,26 @@ def _rederived_groups(data: ReynoldsData, x, K1: Matrix | None = None,
     alg_map = Report(not viol, viol)
 
     viol_l, viol_r = [], []
+    s_basis = [S(_vbasis(rep, u)) for u in range(m)]
     for y in range(g.dim):
         ey = g.basis(y)
+        pey = P(ey)
         for u in range(m):
             eu = _vbasis(rep, u)
             # t: S(L_y u) = L_y S(u) + L_{P(y)} u
             r1 = sub_vec(S(rep.act_L(ey, eu)),
-                         add_vec(rep.act_L(ey, S(eu)), rep.act_L(P(ey), eu)))
+                         add_vec(rep.act_L(ey, s_basis[u]), rep.act_L(pey, eu)))
             if not is_zero_vec(r1):
                 viol_l.append((("t1", y, u), r1))
             # t^2: L_{P(y)} S(u) = 0
-            r2 = rep.act_L(P(ey), S(eu))
+            r2 = rep.act_L(pey, s_basis[u])
             if not is_zero_vec(r2):
                 viol_l.append((("t2", y, u), r2))
             r1 = sub_vec(S(rep.act_R(ey, eu)),
-                         add_vec(rep.act_R(ey, S(eu)), rep.act_R(P(ey), eu)))
+                         add_vec(rep.act_R(ey, s_basis[u]), rep.act_R(pey, eu)))
             if not is_zero_vec(r1):
                 viol_r.append((("t1", y, u), r1))
-            r2 = rep.act_R(P(ey), S(eu))
+            r2 = rep.act_R(pey, s_basis[u])
             if not is_zero_vec(r2):
                 viol_r.append((("t2", y, u), r2))
     left = Report(not viol_l, viol_l)
@@ -464,24 +467,17 @@ def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
 
 
 def nijenhuis_elements(data: ReynoldsData) -> list:
-    """All Nijenhuis elements over a prime field, in lexicographic order."""
+    """All Nijenhuis elements over a prime field, in lexicographic order.
+
+    The elements are the solutions of an exhaustive search, so the
+    enumeration is bounded by the search budget.
+    """
+    from .search import SearchSpec, exhaustive_search  # search imports this module
+
     field = data.field
-    if not isinstance(field, PrimeField):
-        raise InfiniteFieldError("exhaustive enumeration needs a finite field")
-    n = data.algebra.dim
-    elements = field.elements()
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            if check_nijenhuis_element(data, tuple(prefix)).ok:
-                out.append(tuple(prefix))
-            return
-        for e in elements:
-            rec(prefix + [e])
-
-    rec([])
-    return out
+    spec = SearchSpec("nijenhuis-element", {"data": data}, (data.algebra.dim, 1),
+                      tuple(field.elements()))
+    return [x.column(0) for x in exhaustive_search(spec, field).solutions]
 
 
 @dataclass(frozen=True)

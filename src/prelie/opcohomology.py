@@ -36,17 +36,7 @@ from .linalg import Matrix, add_vec, basis_vec, sub_vec, zero_vec
 from .reynolds import ReynoldsData, induced_product
 
 
-class InducedRepresentation(Representation):
-    """The induced representation, remembering the bundle it came from."""
-
-    __slots__ = ("provenance",)
-
-    def __init__(self, base, dim_v, L, R, provenance, *, check=True):
-        super().__init__(base, dim_v, L, R, check=check)
-        object.__setattr__(self, "provenance", provenance)
-
-
-def induced_representation(data: ReynoldsData) -> InducedRepresentation:
+def induced_representation(data: ReynoldsData) -> Representation:
     """The representation of the induced algebra (V, ._K) on g."""
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     n, m = g.dim, rep.dim_v
@@ -67,7 +57,7 @@ def induced_representation(data: ReynoldsData) -> InducedRepresentation:
             rcols.append(rv)
         Lbar.append(Matrix.from_columns(field, lcols, n))
         Rbar.append(Matrix.from_columns(field, rcols, n))
-    return InducedRepresentation(base, n, Lbar, Rbar, data, check=True)
+    return Representation(base, n, Lbar, Rbar, check=True)
 
 
 def operator_coboundary(data: ReynoldsData, f: Cochain) -> Cochain:

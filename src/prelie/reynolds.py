@@ -144,22 +144,6 @@ def check_weighted_reynolds(g: PreLieAlgebra, K: Matrix, weight) -> Report:
     return Report(not violations, violations)
 
 
-@dataclass(frozen=True)
-class WeightedReynoldsData:
-    algebra: PreLieAlgebra
-    operator: Matrix
-    weight: object
-
-    @classmethod
-    def build(cls, algebra: PreLieAlgebra, operator: Matrix, weight):
-        weight = algebra.field(weight)
-        report = check_weighted_reynolds(algebra, operator, weight)
-        if not report.ok:
-            raise UnverifiedOperatorError(
-                "operator fails the weighted Reynolds identity:\n" + report.describe())
-        return cls(algebra, operator, weight)
-
-
 def check_d_reynolds(g: PreLieAlgebra, D: Matrix, K: Matrix) -> Report:
     """K(x).K(y) = K(K(x).y + x.K(y) - (K(x).D(1)).K(y)) on basis pairs.
 

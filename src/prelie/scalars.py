@@ -9,6 +9,11 @@ knowing the field.
 
 Serialized form: rationals as "n" or "n/d" (e.g. "3", "-1/2"),
 prime-field values as "r mod p" (e.g. "2 mod 3").
+
+`Poly` is a polynomial with coefficients in one of these fields.  It
+mixes with scalars under +, - and *, and both fields pass it through
+unchanged, so the package's ordinary scalar code (matrices, cochains,
+checkers) can run on polynomial entries and return polynomials.
 """
 
 from __future__ import annotations
@@ -112,6 +117,78 @@ class FpElement:
         return f"{self.value} mod {self.p}"
 
 
+class Poly:
+    """A sparse polynomial {monomial: nonzero coefficient} over one field.
+
+    A monomial is the sorted tuple of its variable indices, one index per
+    power: (0, 0, 2) is x0^2 x2 and () is the constant monomial.  A Poly
+    is falsy when it is zero, so code that skips zero scalars skips zero
+    polynomials too; a zero scalar times a Poly is that scalar, which
+    adds as zero.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not isinstance(other, Poly):
+            if not other:
+                return self
+            other = Poly({(): other})
+        terms = dict(self.terms)
+        for mono, c in other.terms.items():
+            s = terms.get(mono)
+            if s is None:
+                terms[mono] = c
+            else:
+                s = s + c
+                if s:
+                    terms[mono] = s
+                else:
+                    del terms[mono]
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({mono: -c for mono, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly):
+            if not other:
+                return other
+            return Poly({mono: v for mono, c in self.terms.items() if (v := other * c)})
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(sorted(m1 + m2))
+                s = terms.get(mono)
+                terms[mono] = c1 * c2 if s is None else s + c1 * c2
+        return Poly({mono: c for mono, c in terms.items() if c})
+
+    __rmul__ = __mul__
+
+    def at(self, values, zero):
+        """The value at x_i = values[i]; ``zero`` is the field's zero."""
+        total = zero
+        for mono, c in self.terms.items():
+            for i in mono:
+                c = c * values[i]
+            total = total + c
+        return total
+
+
 class RationalField:
     """The field of rational numbers; elements are `fractions.Fraction`."""
 
@@ -125,6 +202,8 @@ class RationalField:
             return Fraction(v)
         if isinstance(v, str):
             return self.parse(v)
+        if isinstance(v, Poly):
+            return v
         raise TypeError(f"cannot coerce {v!r} into Q")
 
     @property
@@ -184,6 +263,8 @@ class PrimeField:
             return FpElement(v.numerator, self.p) / FpElement(v.denominator, self.p)
         if isinstance(v, str):
             return self.parse(v)
+        if isinstance(v, Poly):
+            return v
         raise TypeError(f"cannot coerce {v!r} into F_{self.p}")
 
     @property

@@ -2,29 +2,38 @@
 
 Candidates are dense matrices (or vectors) whose free entries range over
 a finite scalar list; enumeration is lexicographic in row-major entry
-order, so results are reproducible and independent of how the space is
-split across workers.  Over a prime field the hot loop runs on plain
-integer residues with early exit at the first failing basis pair; every
-solution found that way is re-verified through the ordinary checkers
-before it is returned.
+order, so results are reproducible.
 
-The predicate registry maps an id to the bundle sections it needs and the
-shape of its unknown, so new checkers become searchable without touching
-the enumeration code.
+The predicate's own checker is run once, on the *generic candidate*: free
+entry k is the polynomial variable x_k (`scalars.Poly`) and fixed entries
+keep their scalars.  The checker's arithmetic is polynomial in the
+entries, so each nonzero residual coordinate it reports is one
+polynomial equation, and a candidate passes the checker exactly when
+every equation vanishes at its entries.  That needs every registered
+checker to use only +, - and * on the candidate's entries and to branch
+on them only to skip zero terms, which the checkers here do.  The sweep
+evaluates the equations in the field's own scalars, stopping at the
+first that does not vanish; every solution is then re-verified through
+the ordinary checker before it is returned.
+
+The predicate registry maps an id to a function of the bundle sections
+returning the checker (candidate -> `Report`), so new checkers become
+searchable without touching the enumeration code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
-from .algebra import PreLieAlgebra, Representation
+from .algebra import PreLieAlgebra, regular_representation
 from .cochain import Cochain
 from .deformation import check_nijenhuis_element
 from .errors import BudgetExceededError, ShapeError
 from .linalg import Matrix
 from .nsprelie import check_nijenhuis
 from .reynolds import check_d_reynolds, check_rcw_reynolds, check_weighted_reynolds
-from .scalars import PrimeField
+from .scalars import Poly, PrimeField
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -54,71 +63,44 @@ class SearchSpec:
         return len(self.domain) ** len(self.free_positions())
 
 
-def _candidate(spec: SearchSpec, index: int, field) -> Matrix:
+def _candidate(spec: SearchSpec, values, field) -> Matrix:
+    """The candidate whose free entries, in row-major order, are ``values``."""
     rows, cols = spec.shape
-    free = spec.free_positions()
-    base = len(spec.domain)
     entries = [[None] * cols for _ in range(rows)]
     for (i, j), v in spec.fixed.items():
-        entries[i][j] = field(v)
-    digits = []
-    for _ in free:
-        digits.append(spec.domain[index % base])
-        index //= base
-    # most significant digit first: reverse so lexicographic order matches
-    for (i, j), v in zip(free, reversed(digits)):
-        entries[i][j] = field(v)
+        entries[i][j] = v
+    for (i, j), v in zip(spec.free_positions(), values):
+        entries[i][j] = v
     return Matrix(field, entries)
 
 
 # ---------------------------------------------------------------------------
-# predicate registry
+# predicate registry: bundle sections -> checker of one candidate
 
 
 def _rcw_predicate(bundle):
     g, rep, H = bundle["algebra"], bundle["rep"], bundle["cocycle"]
-
-    def full(K: Matrix) -> bool:
-        return check_rcw_reynolds(g, rep, H, K).ok
-
-    fast = _compile_rcw_fast(g, rep, H)
-    return full, fast
+    return lambda K: check_rcw_reynolds(g, rep, H, K)
 
 
 def _weighted_predicate(bundle):
     g, lam = bundle["algebra"], bundle["weight"]
-
-    def full(K: Matrix) -> bool:
-        return check_weighted_reynolds(g, K, lam).ok
-
-    return full, None
+    return lambda K: check_weighted_reynolds(g, K, lam)
 
 
 def _nijenhuis_predicate(bundle):
     g = bundle["algebra"]
-
-    def full(N: Matrix) -> bool:
-        return check_nijenhuis(g, N).ok
-
-    return full, None
+    return lambda N: check_nijenhuis(g, N)
 
 
 def _d_reynolds_predicate(bundle):
     g, D = bundle["algebra"], bundle["operatorD"]
-
-    def full(K: Matrix) -> bool:
-        return check_d_reynolds(g, D, K).ok
-
-    return full, None
+    return lambda K: check_d_reynolds(g, D, K)
 
 
 def _nijenhuis_element_predicate(bundle):
     data = bundle["data"]
-
-    def full(x: Matrix) -> bool:
-        return check_nijenhuis_element(data, x.column(0)).ok
-
-    return full, None
+    return lambda x: check_nijenhuis_element(data, x.column(0))
 
 
 PREDICATES = {
@@ -130,89 +112,25 @@ PREDICATES = {
 }
 
 
-def _compile_rcw_fast(g: PreLieAlgebra, rep: Representation, H: Cochain):
-    """Integer-residue evaluator of the Reynolds identity over F_p.
+def _compile(spec: SearchSpec, field):
+    """The checker of ``spec`` and its equations in the free entries.
 
-    Returns None unless the bundle lives over a prime field.  Candidates
-    are flat row-major residue tuples; evaluation stops at the first
-    failing basis pair, in lexicographic pair order.
+    The checker runs once on the generic candidate; its nonzero residual
+    coordinates are the equations.  A residual that is a nonzero scalar
+    becomes a constant polynomial, which no candidate satisfies.
     """
-    field = g.field
-    if not isinstance(field, PrimeField):
-        return None
-    p = field.p
-    n, m = g.dim, rep.dim_v
-    prod = [[[c.value for c in g.product[i][j]] for j in range(n)] for i in range(n)]
-    L = [[[x.value for x in row] for row in M.data] for M in rep.L]
-    R = [[[x.value for x in row] for row in M.data] for M in rep.R]
-    Htab = [[[c.value for c in H.eval_basis((i, j))] for j in range(n)] for i in range(n)]
+    check = PREDICATES[spec.predicate](spec.bundle)
+    one = field.one
+    generic = _candidate(spec, [Poly({(k,): one}) for k in range(len(spec.free_positions()))],
+                         field)
+    residuals = (x if isinstance(x, Poly) else Poly({(): x})
+                 for _, residual in check(generic).violations for x in residual if x)
+    # one equation per distinct polynomial, in the order the checker found them
+    return check, list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
 
-    def mulg(x, y):
-        out = [0] * n
-        for i in range(n):
-            if x[i]:
-                for j in range(n):
-                    if y[j]:
-                        c = x[i] * y[j]
-                        row = prod[i][j]
-                        for k in range(n):
-                            if row[k]:
-                                out[k] = (out[k] + c * row[k]) % p
-        return out
 
-    def act(mats, x, u):
-        out = [0] * m
-        for i in range(n):
-            if x[i]:
-                mat = mats[i]
-                for r in range(m):
-                    s = 0
-                    row = mat[r]
-                    for c_ in range(m):
-                        if u[c_]:
-                            s += row[c_] * u[c_]
-                    if s:
-                        out[r] = (out[r] + x[i] * s) % p
-        return out
-
-    def heval(x, y):
-        out = [0] * m
-        for i in range(n):
-            if x[i]:
-                for j in range(n):
-                    if y[j]:
-                        c = x[i] * y[j]
-                        row = Htab[i][j]
-                        for k in range(m):
-                            if row[k]:
-                                out[k] = (out[k] + c * row[k]) % p
-        return out
-
-    def passes(flat) -> bool:
-        # flat: row-major residues of the n x m matrix K
-        cols = [[flat[r * m + u] for r in range(n)] for u in range(m)]
-        for u in range(m):
-            Ku = cols[u]
-            for v in range(m):
-                Kv = cols[v]
-                lhs = mulg(Ku, Kv)
-                ev = [1 if t == v else 0 for t in range(m)]
-                eu = [1 if t == u else 0 for t in range(m)]
-                inner = act(L, Ku, ev)
-                rterm = act(R, Kv, eu)
-                hterm = heval(Ku, Kv)
-                for t in range(m):
-                    inner[t] = (inner[t] + rterm[t] + hterm[t]) % p
-                for r in range(n):
-                    s = 0
-                    for t in range(m):
-                        if inner[t]:
-                            s += flat[r * m + t] * inner[t]
-                    if (lhs[r] - s) % p:
-                        return False
-        return True
-
-    return passes
+def _vanish(equations, values, zero) -> bool:
+    return all(not eq.at(values, zero) for eq in equations)
 
 
 @dataclass(frozen=True)
@@ -225,62 +143,34 @@ class SearchResult:
 def exhaustive_search(spec: SearchSpec, field, workers: int = 1) -> SearchResult:
     """Enumerate the whole candidate space and keep verified solutions.
 
-    Solutions come back in lexicographic enumeration order regardless of
-    ``workers``: the index space is split into contiguous blocks and the
-    per-block results are concatenated in block order.
+    Solutions come back in lexicographic enumeration order.  The sweep
+    runs in one process; ``workers`` is accepted and does not change the
+    result.
     """
     if spec.predicate not in PREDICATES:
         raise ShapeError(f"unknown predicate {spec.predicate!r}")
+    rows, cols = spec.shape
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"shape {rows}x{cols} has no entries")
+    outside = sorted(pos for pos in spec.fixed
+                     if not (0 <= pos[0] < rows and 0 <= pos[1] < cols))
+    if outside:
+        raise ShapeError(f"fixed positions {outside} lie outside the {rows}x{cols} shape")
     total = spec.count()
     if total > spec.budget:
         raise BudgetExceededError(
             f"{total} candidates exceed the budget of {spec.budget}")
-    full, fast = PREDICATES[spec.predicate](spec.bundle)
-
-    rows, cols = spec.shape
-    free = spec.free_positions()
-    use_fast = fast is not None and not spec.fixed and len(free) == rows * cols \
-        and isinstance(field, PrimeField)
-
-    def run_block(lo: int, hi: int):
-        found = []
-        if use_fast:
-            p = field.p
-            base = len(spec.domain)
-            dom_vals = [field(v).value for v in spec.domain]
-            nfree = len(free)
-            for index in range(lo, hi):
-                digits = []
-                ix = index
-                for _ in range(nfree):
-                    digits.append(dom_vals[ix % base])
-                    ix //= base
-                flat = tuple(reversed(digits))
-                if fast(flat):
-                    found.append(index)
-        else:
-            for index in range(lo, hi):
-                if full(_candidate(spec, index, field)):
-                    found.append(index)
-        return found
-
-    blocks = []
-    step = max(1, -(-total // max(1, workers)))
-    lo = 0
-    while lo < total:
-        hi = min(total, lo + step)
-        blocks.append((lo, hi))
-        lo = hi
-    indices = []
-    for lo, hi in blocks:
-        indices.extend(run_block(lo, hi))
-
+    check, equations = _compile(spec, field)
+    zero = field.zero
+    domain = [field(v) for v in spec.domain]
     solutions = []
-    for index in indices:
-        K = _candidate(spec, index, field)
-        if not full(K):
-            raise AssertionError("fast path accepted a candidate the checker rejects")
-        solutions.append(K)
+    for values in product(domain, repeat=len(spec.free_positions())):
+        if _vanish(equations, values, zero):
+            K = _candidate(spec, values, field)
+            if not check(K).ok:
+                raise AssertionError(
+                    "the compiled equations accepted a candidate the checker rejects")
+            solutions.append(K)
     return SearchResult(tuple(solutions), total, len(solutions))
 
 
@@ -331,33 +221,29 @@ def verify_polynomial_system(field: PrimeField,
     """predicate(K) <=> the 18-equation polynomial system, exhaustively.
 
     Enumerates every 3x3 matrix over F_p on the worked 3-dimensional
-    bundle and evaluates both the Reynolds checker and the closed
-    polynomial system; any disagreement is returned (none are expected).
+    bundle and evaluates both the equations compiled from the Reynolds
+    checker and the hand-derived polynomial system; any disagreement is
+    returned (none are expected).
     """
     if not isinstance(field, PrimeField):
         raise ShapeError("the polynomial sweep needs a prime field")
     g = PreLieAlgebra.build(field, 3, {(2, 2, 1): 1})
-    from .algebra import regular_representation
-
-    rep = regular_representation(g)
     H = Cochain.from_entries(field, 2, 3, 3, {((2,), 2): (0, 0, 1)})
-    total = field.p ** 9
+    spec = SearchSpec("rcw-reynolds",
+                      {"algebra": g, "rep": regular_representation(g), "cocycle": H},
+                      (3, 3), tuple(field.elements()))
+    total = spec.count()
     if total > budget:
         raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
-    fast = _compile_rcw_fast(g, rep, H)
-    p = field.p
+    _, equations = _compile(spec, field)
+    p, zero = field.p, field.zero
     mismatches = []
     solutions = 0
-    for index in range(total):
-        digits = []
-        ix = index
-        for _ in range(9):
-            digits.append(ix % p)
-            ix //= p
-        flat = tuple(reversed(digits))
+    for values in product(spec.domain, repeat=9):
+        flat = tuple(x.value for x in values)
         a = [flat[0:3], flat[3:6], flat[6:9]]
         polys_ok = all(v % p == 0 for v in _g3_polynomials(a))
-        pred_ok = fast(flat)
+        pred_ok = _vanish(equations, values, zero)
         if pred_ok:
             solutions += 1
         if polys_ok != pred_ok:

@@ -325,6 +325,32 @@ def test_cli_search_fixed_slice():
     assert summary["solutions"] == 64 == summary["checked"]
 
 
+SEARCH_G3_F2 = ("search", "--predicate", "rcw-reynolds", "--bundle",
+                str(CORPUS / "g3.json"), "--field", "f2")
+
+
+@pytest.mark.parametrize("args, path", [
+    (("--shape", "3by3"), "/shape"),
+    (("--shape", "0x3"), "/shape"),
+    (("--shape", "3x3", "--fix", "3,1=abc"), "/fix"),
+    (("--shape", "3x3", "--fix", "3,1"), "/fix"),
+    (("--shape", "3x3", "--fix", "5,5=0"), "/fix"),
+    (("--shape", "3x3", "--domain", "a,b"), "/domain"),
+])
+def test_cli_search_bad_arguments_are_exit_2(args, path):
+    code, out, _ = run_cli(*SEARCH_G3_F2, *args)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaError"
+    assert doc["message"].startswith(path + ":")
+
+
+def test_cli_search_wrong_shape_for_the_bundle_is_exit_2():
+    code, out, _ = run_cli(*SEARCH_G3_F2, "--shape", "2x2")
+    assert code == 2
+    assert json.loads(out)["error"] == "ShapeError"
+
+
 def test_cli_deform_rigidity_golden():
     code, out, _ = run_cli("deform", "rigidity", "--bundle",
                            str(CORPUS / "g3-f2-e11.json"))

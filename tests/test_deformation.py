@@ -278,3 +278,20 @@ def test_rigidity_probe_deterministic():
     a = rigidity_probe(_f2_fixture())
     b = rigidity_probe(_f2_fixture())
     assert a == b
+
+
+def test_nijenhuis_elements_equal_brute_force():
+    # on g3b with the zero operator only some elements pass
+    from itertools import product
+
+    from conftest import g3b_algebra
+
+    for p in (2, 3):
+        F = PrimeField(p)
+        a = g3b_algebra(F)
+        data = ReynoldsData.build(a, regular_representation(a), Cochain.zero(F, 2, 3, 3),
+                                  Matrix.zero(F, 3, 3))
+        expected = [x for x in product(F.elements(), repeat=3)
+                    if check_nijenhuis_element(data, x).ok]
+        assert 0 < len(expected) < p ** 3
+        assert nijenhuis_elements(data) == expected

@@ -7,6 +7,7 @@ from prelie.errors import FieldMismatchError
 from prelie.scalars import (
     QQ,
     FpElement,
+    Poly,
     PrimeField,
     field_by_name,
     field_name,
@@ -88,3 +89,83 @@ def test_fp_add_sub_inverse(a, b):
 @given(st.fractions(max_denominator=30), st.fractions(max_denominator=30))
 def test_rational_exactness(a, b):
     assert QQ(a) + QQ(b) - QQ(b) == QQ(a)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over a field
+
+
+def _var(k, field=QQ):
+    return Poly({(k,): field.one})
+
+
+def test_poly_zero_is_falsy_and_cancels():
+    x = _var(0)
+    assert not Poly({})
+    assert x and not (x - x)
+    assert (x + x - x).terms == x.terms
+    assert not (-x + x).terms
+
+
+def test_poly_mixes_with_scalars():
+    x = _var(0)
+    assert x + 0 is x and 0 + x is x
+    assert (x + 2).terms == {(0,): 1, (): 2}
+    assert (2 - x).terms == {(): 2, (0,): -1}
+    assert (Fraction(1, 2) * x).terms == {(0,): Fraction(1, 2)}
+    zero = QQ.zero
+    assert zero * x is zero and x * zero is zero
+
+
+def test_poly_product_sorts_monomials_and_drops_zeros():
+    x, y = _var(0), _var(1)
+    assert (y * x).terms == (x * y).terms == {(0, 1): 1}
+    assert ((x + y) * (x - y)).terms == {(0, 0): 1, (1, 1): -1}
+    F2 = PrimeField(2)
+    a, b = _var(0, F2), _var(1, F2)
+    assert ((a + b) * (a + b)).terms == {(0, 0): F2(1), (1, 1): F2(1)}
+    assert not (F2(1) * (a + a))
+
+
+def test_poly_passes_through_fields_and_containers():
+    from prelie.cochain import Cochain
+    from prelie.linalg import Matrix
+
+    F3 = PrimeField(3)
+    x = _var(0, F3)
+    y = _var(0)
+    assert QQ(y) is y and F3(x) is x
+    M = Matrix(F3, [[x, 1], [0, x]])
+    assert M.data[0][0] is x and M.data[0][1] == F3(1)
+    assert M.apply((F3(1), F3(2)))[0].at((F3(1),), F3.zero) == F3(0)
+    f = Cochain(F3, 1, 1, 1, [[x]])
+    assert f.values[0][0] is x
+
+
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       st.lists(st.integers(0, 6), min_size=2, max_size=2))
+def test_poly_evaluation_is_a_ring_map(cp, cq, point):
+    F7 = PrimeField(7)
+    x, y = _var(0, F7), _var(1, F7)
+    monomials = [F7.one, x, y, x * y]
+
+    def poly(coeffs):
+        out = F7.zero
+        for c, m in zip(coeffs, monomials):
+            out = out + F7(c) * m
+        return out
+
+    p, q = poly(cp), poly(cq)
+    values = tuple(F7(v) for v in point)
+
+    def at(r):
+        return r.at(values, F7.zero) if isinstance(r, Poly) else r
+
+    assert at(p + q) == at(p) + at(q)
+    assert at(p - q) == at(p) - at(q)
+    assert at(p * q) == at(p) * at(q)
+    expected = sum((F7(c) * w for c, w in
+                    zip(cp, (F7.one, values[0], values[1], values[0] * values[1]))),
+                   F7.zero)
+    assert at(p) == expected

@@ -1,12 +1,21 @@
+import itertools
+
 import pytest
 
-from conftest import g2_algebra
+from conftest import g2_algebra, g3_algebra, g3_cocycle, g3b_algebra
 from prelie.algebra import PreLieAlgebra, regular_representation
-from prelie.cochain import Cochain
-from prelie.errors import BudgetExceededError
+from prelie.cochain import Cochain, coboundary
+from prelie.deformation import check_nijenhuis_element
+from prelie.errors import BudgetExceededError, ShapeError
 from prelie.linalg import Matrix
-from prelie.reynolds import check_rcw_reynolds
-from prelie.scalars import QQ, PrimeField
+from prelie.nsprelie import check_nijenhuis
+from prelie.reynolds import (
+    ReynoldsData,
+    check_d_reynolds,
+    check_rcw_reynolds,
+    check_weighted_reynolds,
+)
+from prelie.scalars import PrimeField
 from prelie.search import (
     SearchSpec,
     exhaustive_search,
@@ -159,3 +168,141 @@ def test_graph_checker_agrees_on_f2_sweep():
             continue
         assert not check_graph_subalgebra(a, rep, H, K).ok
         rejected += 1
+
+
+# ---------------------------------------------------------------------------
+# the compiled equations against a brute-force sweep of the checkers
+
+
+def _brute_force(spec, field, check):
+    """[K for K in all candidates if check(K).ok], enumerated independently."""
+    rows, cols = spec.shape
+    free = [(i, j) for i in range(rows) for j in range(cols) if (i, j) not in spec.fixed]
+    found = []
+    for values in itertools.product(spec.domain, repeat=len(free)):
+        entries = [[None] * cols for _ in range(rows)]
+        for (i, j), v in list(spec.fixed.items()) + list(zip(free, values)):
+            entries[i][j] = v
+        K = Matrix(field, entries)
+        if check(K).ok:
+            found.append(K)
+    return found
+
+
+def _predicate_cases(field):
+    """(predicate, bundle, shape, fixed, checker of one candidate) tuples."""
+    F = field
+    g2 = g2_algebra(F)
+    rep2 = regular_representation(g2)
+    H2 = coboundary(g2, rep2, Cochain.from_matrix(Matrix(F, [[1, 0], [1, 1]])))
+    g3 = g3_algebra(F)
+    rep3 = regular_representation(g3)
+    H3 = g3_cocycle(F)
+    g3b = g3b_algebra(F)
+    unital = PreLieAlgebra.build(F, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
+                                 unit=(1, 0))
+    D = Matrix(F, [[0, 0], [1, 0]])
+    data = ReynoldsData.build(g3b, regular_representation(g3b), Cochain.zero(F, 2, 3, 3),
+                              Matrix.zero(F, 3, 3))
+    rows_fixed = {(i, j): F(v) for (i, j), v in
+                  {(0, 0): 1, (0, 1): 0, (0, 2): 1, (1, 0): 0, (1, 1): 1, (1, 2): 0}.items()}
+
+    def rcw(g, rep, H):
+        return lambda K: check_rcw_reynolds(g, rep, H, K)
+
+    return [
+        ("rcw-reynolds", {"algebra": g2, "rep": rep2, "cocycle": H2}, (2, 2), {},
+         rcw(g2, rep2, H2)),
+        ("rcw-reynolds", {"algebra": g3, "rep": rep3, "cocycle": H3}, (3, 3), rows_fixed,
+         rcw(g3, rep3, H3)),
+        ("weighted-reynolds", {"algebra": g2, "weight": F(-1)}, (2, 2), {},
+         lambda K: check_weighted_reynolds(g2, K, F(-1))),
+        ("weighted-reynolds", {"algebra": g2, "weight": F(1)}, (2, 2), {(1, 0): F(0)},
+         lambda K: check_weighted_reynolds(g2, K, F(1))),
+        ("nijenhuis", {"algebra": g2}, (2, 2), {}, lambda N: check_nijenhuis(g2, N)),
+        ("nijenhuis", {"algebra": g3b}, (3, 3), rows_fixed,
+         lambda N: check_nijenhuis(g3b, N)),
+        ("d-reynolds", {"algebra": unital, "operatorD": D}, (2, 2), {},
+         lambda K: check_d_reynolds(unital, D, K)),
+        ("d-reynolds", {"algebra": unital, "operatorD": D}, (2, 2), {(0, 1): F(1)},
+         lambda K: check_d_reynolds(unital, D, K)),
+        ("nijenhuis-element", {"data": data}, (3, 1), {},
+         lambda x: check_nijenhuis_element(data, x.column(0))),
+        ("nijenhuis-element", {"data": data}, (3, 1), {(0, 0): F(1)},
+         lambda x: check_nijenhuis_element(data, x.column(0))),
+    ]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("case", range(10))
+def test_search_equals_brute_force(p, case):
+    F = PrimeField(p)
+    predicate, bundle, shape, fixed, check = _predicate_cases(F)[case]
+    spec = SearchSpec(predicate, bundle, shape, tuple(F.elements()), fixed=fixed)
+    result = exhaustive_search(spec, F)
+    assert list(result.solutions) == _brute_force(spec, F, check)
+    assert result.count_checked == p ** (shape[0] * shape[1] - len(fixed))
+
+
+def test_brute_force_cases_are_not_trivial():
+    # over both fields, most cases keep some candidates and reject others
+    for p in (2, 3):
+        F = PrimeField(p)
+        mixed = 0
+        for predicate, bundle, shape, fixed, check in _predicate_cases(F):
+            spec = SearchSpec(predicate, bundle, shape, tuple(F.elements()), fixed=fixed)
+            found = exhaustive_search(spec, F).count_solutions
+            mixed += 0 < found < spec.count()
+        assert mixed >= 8
+
+
+def test_rcw_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
+    import prelie.search as search_module
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return check_rcw_reynolds(*args)
+
+    monkeypatch.setattr(search_module, "check_rcw_reynolds", counting)
+    F2, bundle = f2_g3_bundle()
+    spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()),
+                      fixed={(0, 0): F2(0)})
+    result = exhaustive_search(spec, F2)
+    assert (result.count_checked, result.count_solutions) == (256, 34)
+    assert len(calls) == 1 + result.count_solutions
+    assert list(result.solutions) == calls[1:]
+
+
+@pytest.mark.parametrize("shape, fixed", [
+    ((3, 3), {(3, 0): 0}),
+    ((3, 3), {(0, -1): 0}),
+    ((0, 3), {}),
+    ((3, 0), {}),
+])
+def test_search_rejects_shapes_and_fixed_positions_outside(shape, fixed):
+    F2, bundle = f2_g3_bundle()
+    spec = SearchSpec("rcw-reynolds", bundle, shape, tuple(F2.elements()),
+                      fixed={pos: F2(v) for pos, v in fixed.items()})
+    with pytest.raises(ShapeError):
+        exhaustive_search(spec, F2)
+
+
+def test_search_shape_mismatch_is_a_shape_error():
+    F2, bundle = f2_g3_bundle()
+    spec = SearchSpec("rcw-reynolds", bundle, (2, 2), tuple(F2.elements()))
+    with pytest.raises(ShapeError):
+        exhaustive_search(spec, F2)
+
+
+def test_search_with_every_entry_fixed():
+    # no free entry: the residuals are scalars, and a nonzero one rejects
+    F2, bundle = f2_g3_bundle()
+    for rows, solutions in (([[0, 0, 0], [0, 0, 0], [1, 0, 0]], 0),
+                            ([[1, 1, 0], [0, 1, 1], [0, 0, 0]], 1)):
+        fixed = {(i, j): F2(v) for i, row in enumerate(rows) for j, v in enumerate(row)}
+        spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()),
+                          fixed=fixed)
+        result = exhaustive_search(spec, F2)
+        assert (result.count_checked, result.count_solutions) == (1, solutions)
