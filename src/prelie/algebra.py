@@ -6,14 +6,18 @@ associator (x.y).z - x.(y.z) is symmetric in x, y.  All axioms are checked
 on basis tuples; multilinearity extends them to the whole space.
 
 Checkers accept raw tensors and return a `Report` listing every violated
-tuple with its residual vector.  Constructors (`PreLieAlgebra.build`,
-`Representation.build`) verify by default, so any instance passed around
-the package has survived its axioms.
+tuple with its residual vector.  Every checker in the package states its
+identity once, as a stream of (where, residual) pairs, and hands the
+stream to `residual_report`, which keeps the nonzero residuals in order.
+The constructors of `PreLieAlgebra` and `Representation` verify by
+default, so any instance passed around the package has survived its
+axioms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Optional
 
 from .errors import (
@@ -48,6 +52,12 @@ class Report:
             res = "(" + ", ".join(scalar_to_str(x) for x in residual) + ")"
             lines.append(f"  at {where}: residual {res}")
         return "\n".join(lines)
+
+
+def residual_report(pairs) -> Report:
+    """The report of the nonzero (where, residual) pairs, kept in order."""
+    violations = [(where, r) for where, r in pairs if not is_zero_vec(r)]
+    return Report(not violations, violations)
 
 
 def _combine(parts: dict) -> Report:
@@ -100,23 +110,19 @@ def check_prelie(field, tensor) -> Report:
     """
     t = _as_tensor(field, tensor)
     n = len(t)
-    violations = []
     basis = [basis_vec(field, n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):  # symmetric in (i, j); i == j is trivial
-            for k in range(n):
-                lhs = sub_vec(
-                    tensor_mul(field, t, tensor_mul(field, t, basis[i], basis[j]), basis[k]),
-                    tensor_mul(field, t, basis[i], tensor_mul(field, t, basis[j], basis[k])),
-                )
-                rhs = sub_vec(
-                    tensor_mul(field, t, tensor_mul(field, t, basis[j], basis[i]), basis[k]),
-                    tensor_mul(field, t, basis[j], tensor_mul(field, t, basis[i], basis[k])),
-                )
-                residual = sub_vec(lhs, rhs)
-                if not is_zero_vec(residual):
-                    violations.append(((i, j, k), residual))
-    return Report(not violations, violations)
+
+    def mul(x, y):
+        return tensor_mul(field, t, x, y)
+
+    def associator(x, y, z):
+        return sub_vec(mul(mul(x, y), z), mul(x, mul(y, z)))
+
+    # symmetric in (i, j); i == j is trivial
+    return residual_report(
+        ((i, j, k), sub_vec(associator(basis[i], basis[j], basis[k]),
+                            associator(basis[j], basis[i], basis[k])))
+        for i in range(n) for j in range(i + 1, n) for k in range(n))
 
 
 class PreLieAlgebra:
@@ -227,23 +233,14 @@ def check_jacobi(field, bracket_tensor) -> Report:
     def br(x, y):
         return tensor_mul(field, t, x, y)
 
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            r = add_vec(t[i][j], t[j][i])
-            if not is_zero_vec(r):
-                violations.append((("antisym", i, j), r))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                r = add_vec(
-                    add_vec(br(basis[i], br(basis[j], basis[k])),
-                            br(basis[j], br(basis[k], basis[i]))),
-                    br(basis[k], br(basis[i], basis[j])),
-                )
-                if not is_zero_vec(r):
-                    violations.append((("jacobi", i, j, k), r))
-    return Report(not violations, violations)
+    def jacobiator(x, y, z):
+        return add_vec(add_vec(br(x, br(y, z)), br(y, br(z, x))), br(z, br(x, y)))
+
+    antisym = ((("antisym", i, j), add_vec(t[i][j], t[j][i]))
+               for i in range(n) for j in range(n))
+    jacobi = ((("jacobi", i, j, k), jacobiator(basis[i], basis[j], basis[k]))
+              for i in range(n) for j in range(n) for k in range(n))
+    return residual_report(chain(antisym, jacobi))
 
 
 def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
@@ -269,22 +266,18 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
                 out = out + M.scale(c)
         return out
 
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            l_ij = combo(L, algebra.mul_basis(i, j))
-            l_ji = combo(L, algebra.mul_basis(j, i))
-            r_ij = combo(R, algebra.mul_basis(i, j))
-            d1 = (L[i] * L[j] - l_ij) - (L[j] * L[i] - l_ji)
-            d2 = (L[i] * R[j] - R[j] * L[i]) - (r_ij - R[j] * R[i])
-            for u in range(dim_v):
-                c1 = d1.column(u)
-                if not is_zero_vec(c1):
-                    violations.append((("left", i, j, u), c1))
-                c2 = d2.column(u)
-                if not is_zero_vec(c2):
-                    violations.append((("mixed", i, j, u), c2))
-    return Report(not violations, violations)
+    def defects(i, j):
+        l_ij = combo(L, algebra.mul_basis(i, j))
+        l_ji = combo(L, algebra.mul_basis(j, i))
+        r_ij = combo(R, algebra.mul_basis(i, j))
+        d1 = (L[i] * L[j] - l_ij) - (L[j] * L[i] - l_ji)
+        d2 = (L[i] * R[j] - R[j] * L[i]) - (r_ij - R[j] * R[i])
+        for u in range(dim_v):
+            yield ("left", i, j, u), d1.column(u)
+            yield ("mixed", i, j, u), d2.column(u)
+
+    return residual_report(pair for i in range(n) for j in range(n)
+                           for pair in defects(i, j))
 
 
 class Representation:
@@ -367,15 +360,11 @@ def check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
     """d(x.y) = d(x).y + x.d(y) on all basis pairs."""
     if d.rows != a.dim or d.cols != a.dim:
         raise ShapeError(f"derivation candidate is {d.rows}x{d.cols}, algebra dim {a.dim}")
-    violations = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = d.apply(a.mul_basis(i, j))
-            rhs = add_vec(a.mul(d.column(i), a.basis(j)), a.mul(a.basis(i), d.column(j)))
-            r = sub_vec(lhs, rhs)
-            if not is_zero_vec(r):
-                violations.append(((i, j), r))
-    return Report(not violations, violations)
+    return residual_report(
+        ((i, j), sub_vec(d.apply(a.mul_basis(i, j)),
+                         add_vec(a.mul(d.column(i), a.basis(j)),
+                                 a.mul(a.basis(i), d.column(j)))))
+        for i in range(a.dim) for j in range(a.dim))
 
 
 def check_morphism(a: PreLieAlgebra, b: PreLieAlgebra, f: Matrix) -> Report:
@@ -384,12 +373,6 @@ def check_morphism(a: PreLieAlgebra, b: PreLieAlgebra, f: Matrix) -> Report:
         raise DimensionMismatchError("algebras live over different fields")
     if f.cols != a.dim or f.rows != b.dim:
         raise ShapeError(f"map is {f.rows}x{f.cols}, expected {b.dim}x{a.dim}")
-    violations = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = f.apply(a.mul_basis(i, j))
-            rhs = b.mul(f.column(i), f.column(j))
-            r = sub_vec(lhs, rhs)
-            if not is_zero_vec(r):
-                violations.append(((i, j), r))
-    return Report(not violations, violations)
+    return residual_report(
+        ((i, j), sub_vec(f.apply(a.mul_basis(i, j)), b.mul(f.column(i), f.column(j))))
+        for i in range(a.dim) for j in range(a.dim))

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import PreLieAlgebra, Report, Representation
+from .algebra import PreLieAlgebra, Report, Representation, residual_report
 from .cochain import Cochain, _unshuffles, cochain_keys
 from .errors import ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
@@ -112,15 +112,15 @@ def tensor_cochain(field, tensor) -> Cochain:
     return Cochain(field, 2, dim, dim, values)
 
 
+def _cochain_report(c: Cochain) -> Report:
+    """The report of the nonzero values of c, each at its canonical key."""
+    return residual_report((fb + (last,), v) for (fb, last), v in zip(c.keys(), c.values))
+
+
 def check_prelie_via_bracket(field, tensor) -> Report:
     """pi is pre-Lie iff [pi, pi] = 0; an independent route to the axiom."""
     pi = tensor_cochain(field, tensor)
-    sq = mn_bracket(pi, pi)
-    violations = []
-    for (fb, last), v in zip(sq.keys(), sq.values):
-        if not is_zero_vec(v):
-            violations.append((fb + (last,), v))
-    return Report(not violations, violations)
+    return _cochain_report(mn_bracket(pi, pi))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +312,7 @@ def check_maurer_cartan(g: PreLieAlgebra, rep: Representation, H: Cochain,
     """
     if K.rows != g.dim or K.cols != rep.dim_v:
         raise ShapeError("operator has the wrong shape")
-    resid = mc_residual(g, rep, H, K)
-    violations = []
-    for (fb, last), v in zip(resid.keys(), resid.values):
-        if not is_zero_vec(v):
-            violations.append((fb + (last,), v))
-    return Report(not violations, violations)
+    return _cochain_report(mc_residual(g, rep, H, K))
 
 
 def d_K(data: ReynoldsData, f: Cochain) -> Cochain:
@@ -396,9 +391,4 @@ def check_twisted_mc(data: ReynoldsData, K2: Matrix) -> Report:
 
     Passes iff K + K' is again a Reynolds operator for the same weight.
     """
-    resid = twisted_mc_residual(data, K2)
-    violations = []
-    for (fb, last), v in zip(resid.keys(), resid.values):
-        if not is_zero_vec(v):
-            violations.append((fb + (last,), v))
-    return Report(not violations, violations)
+    return _cochain_report(twisted_mc_residual(data, K2))

@@ -198,9 +198,8 @@ def _cmd_construct(args) -> int:
     doc = {"command": f"construct {what}", "field": field_name(bundle.field)}
 
     if what == "semidirect":
-        sd = reynolds.semidirect(bundle.algebra(), bundle.representation(),
-                                 bundle.cocycle())
-        doc["result"] = algebra_to_json(sd.algebra)
+        doc["result"] = algebra_to_json(
+            reynolds.semidirect(bundle.algebra(), bundle.representation(), bundle.cocycle()))
     elif what == "induced":
         doc["result"] = algebra_to_json(reynolds.induced_product(bundle.reynolds_data()))
     elif what == "star":
@@ -272,6 +271,23 @@ def _parse_fix(text: str, field, shape) -> dict:
     return fixed
 
 
+def _parse_budget(flag) -> int:
+    """The candidate budget: --budget, else PRELIE_BUDGET, else the default."""
+    if flag is not None:
+        budget = flag
+    else:
+        text = os.environ.get("PRELIE_BUDGET")
+        if text is None:
+            return search.DEFAULT_BUDGET
+        try:
+            budget = int(text)
+        except ValueError:
+            raise SchemaError("/budget", f"PRELIE_BUDGET={text!r} is not an integer") from None
+    if budget < 1:
+        raise SchemaError("/budget", f"budget {budget} is not positive")
+    return budget
+
+
 def _cmd_search(args) -> int:
     bundle = parse_bundle(args.bundle, args.field)
     field = bundle.field
@@ -298,6 +314,7 @@ def _cmd_search(args) -> int:
 
     rows, cols = _parse_shape(args.shape)
     fixed = _parse_fix(args.fix or "", field, (rows, cols))
+    budget = _parse_budget(args.budget)
 
     if args.predicate == "rcw-reynolds":
         spec_bundle = {"algebra": bundle.algebra(), "rep": bundle.representation(),
@@ -314,10 +331,9 @@ def _cmd_search(args) -> int:
     else:
         raise SchemaError("/predicate", f"unknown predicate {args.predicate!r}")
 
-    budget = args.budget or int(os.environ.get("PRELIE_BUDGET", search.DEFAULT_BUDGET))
     spec = search.SearchSpec(args.predicate, spec_bundle, (rows, cols), domain,
                              fixed=fixed, budget=budget)
-    result = search.exhaustive_search(spec, field, workers=args.workers)
+    result = search.exhaustive_search(spec, field)
     for sol in result.solutions:
         sys.stdout.write(json.dumps({"solution": matrix_to_json(sol)}) + "\n")
     summary = {"command": "search", "predicate": args.predicate,
@@ -462,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
                                            "of scalars")
     p_search.add_argument("--shape", required=True, help="ROWSxCOLS, e.g. 3x3")
     p_search.add_argument("--fix", help="fixed entries: \"r,c=v;r,c=v\" (1-based)")
-    p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--budget", type=int)
     p_search.set_defaults(func=_cmd_search)
 
@@ -471,8 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_def.add_argument("--bundle", required=True)
     p_def.add_argument("--series", help="bundle file providing /series")
     p_def.add_argument("--order", type=int)
-    p_def.add_argument("--enumerate", action="store_true",
-                       help="accepted for symmetry; enumeration is the default")
     p_def.set_defaults(func=_cmd_deform)
 
     p_mc = sub.add_parser("mc-check", help="Maurer-Cartan test for the bundle operator", parents=[common])

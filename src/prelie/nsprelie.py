@@ -25,11 +25,12 @@ from .algebra import (
     Representation,
     _as_tensor,
     _combine,
+    residual_report,
     tensor_mul,
 )
 from .cochain import Cochain, cochain_keys
 from .errors import ShapeError, SingularError, UnverifiedNSError, UnverifiedOperatorError
-from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
+from .linalg import Matrix, add_vec, basis_vec, sub_vec
 from .reynolds import ReynoldsData, induced_product
 
 
@@ -48,38 +49,31 @@ def check_ns_prelie(field, tri, trl, circ) -> Report:
     def star(x, y):
         return add_vec(add_vec(mul(t_tri, x, y), mul(t_trl, x, y)), mul(t_circ, x, y))
 
+    def a1_side(x, y, z):  # (x*y)|>z - x|>(y|>z)
+        return sub_vec(mul(t_tri, star(x, y), z), mul(t_tri, x, mul(t_tri, y, z)))
+
+    def a1(x, y, z):
+        return sub_vec(a1_side(x, y, z), a1_side(y, x, z))
+
+    def a2(x, y, z):
+        lhs = sub_vec(mul(t_tri, x, mul(t_trl, y, z)), mul(t_trl, mul(t_tri, x, y), z))
+        rhs = sub_vec(mul(t_trl, y, star(x, z)), mul(t_trl, mul(t_trl, y, x), z))
+        return sub_vec(lhs, rhs)
+
+    def a3_side(x, y, z):  # (x*y)oz - xo(y*z) + (xoy)<|z - x|>(yoz)
+        side = sub_vec(mul(t_circ, star(x, y), z), mul(t_circ, x, star(y, z)))
+        side = add_vec(side, mul(t_trl, mul(t_circ, x, y), z))
+        return sub_vec(side, mul(t_tri, x, mul(t_circ, y, z)))
+
+    def a3(x, y, z):
+        return sub_vec(a3_side(x, y, z), a3_side(y, x, z))
+
     basis = [basis_vec(field, n, i) for i in range(n)]
-    a1, a2, a3 = [], [], []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                x, y, z = basis[i], basis[j], basis[k]
-                lhs = sub_vec(mul(t_tri, star(x, y), z), mul(t_tri, x, mul(t_tri, y, z)))
-                rhs = sub_vec(mul(t_tri, star(y, x), z), mul(t_tri, y, mul(t_tri, x, z)))
-                r = sub_vec(lhs, rhs)
-                if not is_zero_vec(r):
-                    a1.append(((i, j, k), r))
-
-                lhs = sub_vec(mul(t_tri, x, mul(t_trl, y, z)), mul(t_trl, mul(t_tri, x, y), z))
-                rhs = sub_vec(mul(t_trl, y, star(x, z)), mul(t_trl, mul(t_trl, y, x), z))
-                r = sub_vec(lhs, rhs)
-                if not is_zero_vec(r):
-                    a2.append(((i, j, k), r))
-
-                lhs = sub_vec(mul(t_circ, star(x, y), z), mul(t_circ, x, star(y, z)))
-                lhs = add_vec(lhs, mul(t_trl, mul(t_circ, x, y), z))
-                lhs = sub_vec(lhs, mul(t_tri, x, mul(t_circ, y, z)))
-                rhs = sub_vec(mul(t_circ, star(y, x), z), mul(t_circ, y, star(x, z)))
-                rhs = add_vec(rhs, mul(t_trl, mul(t_circ, y, x), z))
-                rhs = sub_vec(rhs, mul(t_tri, y, mul(t_circ, x, z)))
-                r = sub_vec(lhs, rhs)
-                if not is_zero_vec(r):
-                    a3.append(((i, j, k), r))
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     return _combine({
-        "A1": Report(not a1, a1),
-        "A2": Report(not a2, a2),
-        "A3": Report(not a3, a3),
-    })
+        name: residual_report(((i, j, k), axiom(basis[i], basis[j], basis[k]))
+                              for i, j, k in triples)
+        for name, axiom in (("A1", a1), ("A2", a2), ("A3", a3))})
 
 
 class NSPreLie:
@@ -125,21 +119,19 @@ def subadjacent(ns: NSPreLie) -> PreLieAlgebra:
     return PreLieAlgebra(ns.field, ns.star_tensor(), check=True)
 
 
+def _deformed_mul(g: PreLieAlgebra, N: Matrix, i: int, j: int) -> tuple:
+    """The deformed product x ._N y = Nx.y + x.Ny - N(x.y) on basis indices."""
+    val = add_vec(g.mul(N.column(i), g.basis(j)), g.mul(g.basis(i), N.column(j)))
+    return sub_vec(val, N.apply(g.mul_basis(i, j)))
+
+
 def check_nijenhuis(g: PreLieAlgebra, N: Matrix) -> Report:
-    """Nx.Ny = N(Nx.y + x.Ny - N(x.y)) on all basis pairs."""
+    """Nx.Ny = N(x ._N y) on all basis pairs."""
     if N.rows != g.dim or N.cols != g.dim:
         raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {g.dim}")
-    violations = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            Nx, Ny = N.column(i), N.column(j)
-            lhs = g.mul(Nx, Ny)
-            inner = add_vec(g.mul(Nx, g.basis(j)), g.mul(g.basis(i), Ny))
-            inner = sub_vec(inner, N.apply(g.mul_basis(i, j)))
-            r = sub_vec(lhs, N.apply(inner))
-            if not is_zero_vec(r):
-                violations.append(((i, j), r))
-    return Report(not violations, violations)
+    return residual_report(
+        ((i, j), sub_vec(g.mul(N.column(i), N.column(j)), N.apply(_deformed_mul(g, N, i, j))))
+        for i in range(g.dim) for j in range(g.dim))
 
 
 def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
@@ -151,14 +143,7 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
     if not check_nijenhuis(g, N).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     n = g.dim
-    tensor = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            val = add_vec(g.mul(N.column(i), g.basis(j)), g.mul(g.basis(i), N.column(j)))
-            val = sub_vec(val, N.apply(g.mul_basis(i, j)))
-            plane.append(val)
-        tensor.append(plane)
+    tensor = [[_deformed_mul(g, N, i, j) for j in range(n)] for i in range(n)]
     deformed = PreLieAlgebra(g.field, tensor, check=True)
     total = tuple(
         tuple(add_vec(g.product[i][j], deformed.product[i][j]) for j in range(n))

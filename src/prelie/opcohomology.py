@@ -36,6 +36,14 @@ from .linalg import Matrix, add_vec, basis_vec, sub_vec, zero_vec
 from .reynolds import ReynoldsData, induced_product
 
 
+def rbar(data: ReynoldsData, u: int, x) -> tuple:
+    """Rbar_u x = x.Ku - K(L_x u) - K H(x, Ku), for a V-basis index u."""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    Ku = K.column(u)
+    rv = sub_vec(g.mul(x, Ku), K.apply(rep.act_L(x, basis_vec(g.field, rep.dim_v, u))))
+    return sub_vec(rv, K.apply(H.eval([x, Ku])))
+
+
 def induced_representation(data: ReynoldsData) -> Representation:
     """The representation of the induced algebra (V, ._K) on g."""
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
@@ -46,17 +54,13 @@ def induced_representation(data: ReynoldsData) -> Representation:
     for u in range(m):
         Ku = K.column(u)
         eu = basis_vec(field, m, u)
-        lcols, rcols = [], []
+        lcols = []
         for x in range(n):
             ex = g.basis(x)
             lv = sub_vec(g.mul(Ku, ex), K.apply(rep.act_R(ex, eu)))
-            lv = sub_vec(lv, K.apply(H.eval([Ku, ex])))
-            lcols.append(lv)
-            rv = sub_vec(g.mul(ex, Ku), K.apply(rep.act_L(ex, eu)))
-            rv = sub_vec(rv, K.apply(H.eval([ex, Ku])))
-            rcols.append(rv)
+            lcols.append(sub_vec(lv, K.apply(H.eval([Ku, ex]))))
         Lbar.append(Matrix.from_columns(field, lcols, n))
-        Rbar.append(Matrix.from_columns(field, rcols, n))
+        Rbar.append(Matrix.from_columns(field, [rbar(data, u, g.basis(x)) for x in range(n)], n))
     return Representation(base, n, Lbar, Rbar, check=True)
 
 

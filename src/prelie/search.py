@@ -7,11 +7,13 @@ order, so results are reproducible.
 The predicate's own checker is run once, on the *generic candidate*: free
 entry k is the polynomial variable x_k (`scalars.Poly`) and fixed entries
 keep their scalars.  The checker's arithmetic is polynomial in the
-entries, so each nonzero residual coordinate it reports is one
-polynomial equation, and a candidate passes the checker exactly when
-every equation vanishes at its entries.  That needs every registered
-checker to use only +, - and * on the candidate's entries and to branch
-on them only to skip zero terms, which the checkers here do.  The sweep
+entries, and every checker reports through `algebra.residual_report`,
+which keeps each residual with a nonzero coordinate; so each nonzero
+residual coordinate is one polynomial equation, and a candidate passes
+the checker exactly when every equation vanishes at its entries.  That
+needs every registered checker to use only +, - and * on the
+candidate's entries and to branch on them only to skip zero terms, which
+the checkers here do.  The sweep
 evaluates the equations in the field's own scalars, stopping at the
 first that does not vanish; every solution is then re-verified through
 the ordinary checker before it is returned.
@@ -140,12 +142,10 @@ class SearchResult:
     count_solutions: int
 
 
-def exhaustive_search(spec: SearchSpec, field, workers: int = 1) -> SearchResult:
+def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
     """Enumerate the whole candidate space and keep verified solutions.
 
-    Solutions come back in lexicographic enumeration order.  The sweep
-    runs in one process; ``workers`` is accepted and does not change the
-    result.
+    Solutions come back in lexicographic enumeration order.
     """
     if spec.predicate not in PREDICATES:
         raise ShapeError(f"unknown predicate {spec.predicate!r}")

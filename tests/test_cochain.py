@@ -24,7 +24,7 @@ from prelie.cochain import (
     enumerate_unshuffles,
 )
 from prelie.errors import ShapeError
-from prelie.linalg import Matrix, basis_vec, is_zero_vec, sparse_rank
+from prelie.linalg import Matrix, add_vec, basis_vec, is_zero_vec, neg_vec, sparse_rank
 from prelie.scalars import QQ, PrimeField
 
 
@@ -212,6 +212,52 @@ def test_non_cocycle_detected():
     H = Cochain.from_entries(QQ, 2, 3, 3, {((2,), 1): (0, 0, 1)})
     report = check_two_cocycle(a, rep, H)
     assert not report.ok and report.violations
+
+
+def _closed_form_two_cocycle_violations(a, rep, H):
+    """The 2-cocycle condition expanded by hand, on every basis triple:
+
+        L_x H(y,z) - L_y H(x,z) + R_z H(y,x) - R_z H(x,y)
+          - H(y, x.z) + H(x, y.z) - H([x,y], z) = 0
+    """
+    violations = []
+    for x in range(a.dim):
+        for y in range(a.dim):
+            for z in range(a.dim):
+                ex, ey, ez = a.basis(x), a.basis(y), a.basis(z)
+                terms = [
+                    rep.act_L(ex, H.eval_basis((y, z))),
+                    neg_vec(rep.act_L(ey, H.eval_basis((x, z)))),
+                    rep.act_R(ez, H.eval_basis((y, x))),
+                    neg_vec(rep.act_R(ez, H.eval_basis((x, y)))),
+                    neg_vec(H.eval([y, a.mul_basis(x, z)])),
+                    H.eval([x, a.mul_basis(y, z)]),
+                    neg_vec(H.eval([a.bracket(ex, ey), z])),
+                ]
+                total = terms[0]
+                for t in terms[1:]:
+                    total = add_vec(total, t)
+                if not is_zero_vec(total):
+                    violations.append(((x, y, z), total))
+    return violations
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_two_cocycle_report_matches_closed_form(field):
+    rng = random.Random(81)
+    failing = 0
+    for _ in range(40):
+        a, rep = random_pair(rng, field)
+        if rng.random() < 0.5:
+            H = -coboundary(a, rep, random_cochain(rng, field, 1, a.dim, rep.dim_v))
+        else:
+            H = random_cochain(rng, field, 2, a.dim, rep.dim_v, -1, 1)
+        report = check_two_cocycle(a, rep, H)
+        expected = _closed_form_two_cocycle_violations(a, rep, H)
+        assert report.violations == expected
+        assert report.ok == (not expected)
+        failing += not report.ok
+    assert 5 <= failing <= 35
 
 
 # ---------------------------------------------------------------------------

@@ -46,14 +46,6 @@ def test_rcw_search_f2_counts_and_reverification():
                                   bundle["cocycle"], K).ok
 
 
-def test_search_worker_invariance():
-    F2, bundle = f2_g3_bundle()
-    spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()))
-    r1 = exhaustive_search(spec, F2, workers=1)
-    r4 = exhaustive_search(spec, F2, workers=4)
-    assert r1.solutions == r4.solutions
-
-
 def test_search_with_fixed_entries():
     F2, bundle = f2_g3_bundle()
     fixed = {(2, 0): F2(0), (2, 1): F2(0), (2, 2): F2(0)}
