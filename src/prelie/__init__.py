@@ -84,7 +84,7 @@ from .reynolds import (
     star_product,
 )
 from .scalars import QQ, FpElement, PrimeField, RationalField
-from .search import SearchSpec, exhaustive_search, verify_polynomial_system
+from .search import SearchSpec, exhaustive_search
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

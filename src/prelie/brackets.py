@@ -255,52 +255,35 @@ def _reduce_cochain(c: Cochain, field) -> Cochain:
     return Cochain(field, c.degree, c.dim_source, c.dim_target, values)
 
 
-def _needs_lift(field) -> bool:
-    return isinstance(field, PrimeField) and field.p in (2, 3)
+def _combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
+                 cochains: list, terms: list) -> Cochain:
+    """The sum of coefficient * bracket over ``terms``, evaluated exactly.
 
-
-def _combination(g, rep, H, terms, field):
-    """Evaluate sum of (coeff, bracket thunk) with exact division.
-
-    ``terms`` is a list of (Fraction coefficient, callable(g, rep, H))
-    producing cochains; over F_2/F_3 everything runs on the integer lift
-    and is reduced afterwards.
+    Each term is (Fraction coefficient, indices into ``cochains``): two
+    indices name a binary bracket, three a ternary one.  Over F_2/F_3 the
+    data and the cochains are lifted to Q once, and the sum is reduced
+    afterwards.
     """
-    if _needs_lift(field):
-        g_q, rep_q, H_q = _lift_bundle(g, rep, H)
-        acc = None
-        for coeff, thunk in terms:
-            c = thunk(g_q, rep_q, H_q).scale(coeff)
-            acc = c if acc is None else acc + c
-        return _reduce_cochain(acc, field)
+    field = g.field
+    lift = isinstance(field, PrimeField) and field.p in (2, 3)
+    if lift:
+        g, rep, H = _lift_bundle(g, rep, H)
+        cochains = [_lift_cochain(c) for c in cochains]
     acc = None
-    for coeff, thunk in terms:
-        c = thunk(g, rep, H).scale(field(coeff))
+    for coeff, idxs in terms:
+        args = [cochains[i] for i in idxs]
+        c = derived_bracket(g, rep, *args) if len(args) == 2 else \
+            ternary_bracket(g, rep, H, *args)
+        c = c.scale(g.field(coeff))
         acc = c if acc is None else acc + c
-    return acc
-
-
-def _as_degree1(field, K: Matrix) -> Cochain:
-    return Cochain.from_matrix(K)
+    return _reduce_cochain(acc, field) if lift else acc
 
 
 def mc_residual(g: PreLieAlgebra, rep: Representation, H: Cochain,
                 K: Matrix) -> Cochain:
     """The Maurer-Cartan functional 1/2 [[K,K]] - 1/6 [[K,K,K]] at K."""
-    field = g.field
-    lift = _needs_lift(field)
-
-    def binary(gg, rr, hh):
-        kc = Cochain.from_matrix(_lift_matrix(K)) if lift else Cochain.from_matrix(K)
-        return derived_bracket(gg, rr, kc, kc)
-
-    def ternary(gg, rr, hh):
-        kc = Cochain.from_matrix(_lift_matrix(K)) if lift else Cochain.from_matrix(K)
-        return ternary_bracket(gg, rr, hh, kc, kc, kc)
-
-    return _combination(g, rep, H,
-                        [(Fraction(1, 2), binary), (Fraction(-1, 6), ternary)],
-                        field)
+    return _combination(g, rep, H, [Cochain.from_matrix(K)],
+                        [(Fraction(1, 2), (0, 0)), (Fraction(-1, 6), (0, 0, 0))])
 
 
 def check_maurer_cartan(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -324,22 +307,9 @@ def d_K(data: ReynoldsData, f: Cochain) -> Cochain:
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     if f.dim_source != rep.dim_v or f.dim_target != g.dim:
         raise ShapeError("cochain must map the module to the algebra")
-    field = g.field
-    lift = _needs_lift(field)
-
-    def binary(gg, rr, hh):
-        kc = Cochain.from_matrix(_lift_matrix(K)) if lift else Cochain.from_matrix(K)
-        fc = _lift_cochain(f) if lift else f
-        return derived_bracket(gg, rr, kc, fc)
-
-    def ternary(gg, rr, hh):
-        kc = Cochain.from_matrix(_lift_matrix(K)) if lift else Cochain.from_matrix(K)
-        fc = _lift_cochain(f) if lift else f
-        return ternary_bracket(gg, rr, hh, kc, kc, fc)
-
-    return _combination(g, rep, H,
-                        [(Fraction(1), binary), (Fraction(-1, 2), ternary)],
-                        field)
+    # cochains: 0 = K, 1 = f
+    return _combination(g, rep, H, [Cochain.from_matrix(K), f],
+                        [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1))])
 
 
 def twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
@@ -351,39 +321,12 @@ def twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     if K2.rows != g.dim or K2.cols != rep.dim_v:
         raise ShapeError("operator has the wrong shape")
-    field = g.field
-    lift = _needs_lift(field)
-
-    def mk(gg):
-        return (Cochain.from_matrix(_lift_matrix(K)) if lift else Cochain.from_matrix(K),
-                Cochain.from_matrix(_lift_matrix(K2)) if lift else Cochain.from_matrix(K2))
-
-    def t_dk_bin(gg, rr, hh):
-        kc, kc2 = mk(gg)
-        return derived_bracket(gg, rr, kc, kc2)
-
-    def t_dk_ter(gg, rr, hh):
-        kc, kc2 = mk(gg)
-        return ternary_bracket(gg, rr, hh, kc, kc, kc2)
-
-    def t_bin22(gg, rr, hh):
-        kc, kc2 = mk(gg)
-        return derived_bracket(gg, rr, kc2, kc2)
-
-    def t_ter122(gg, rr, hh):
-        kc, kc2 = mk(gg)
-        return ternary_bracket(gg, rr, hh, kc, kc2, kc2)
-
-    def t_ter222(gg, rr, hh):
-        kc, kc2 = mk(gg)
-        return ternary_bracket(gg, rr, hh, kc2, kc2, kc2)
-
+    # cochains: 0 = K, 1 = K'
     return _combination(
-        data.algebra, data.rep, data.cocycle,
-        [(Fraction(1), t_dk_bin), (Fraction(-1, 2), t_dk_ter),
-         (Fraction(1, 2), t_bin22), (Fraction(-1, 2), t_ter122),
-         (Fraction(-1, 6), t_ter222)],
-        field)
+        g, rep, H, [Cochain.from_matrix(K), Cochain.from_matrix(K2)],
+        [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1)),
+         (Fraction(1, 2), (1, 1)), (Fraction(-1, 2), (0, 1, 1)),
+         (Fraction(-1, 6), (1, 1, 1))])
 
 
 def check_twisted_mc(data: ReynoldsData, K2: Matrix) -> Report:

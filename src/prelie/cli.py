@@ -207,14 +207,10 @@ def _cmd_construct(args) -> int:
             reynolds.star_product(bundle.algebra(), bundle.matrix("operatorK"),
                                   bundle.weight()))
     elif what == "gauge":
-        data = bundle.reynolds_data()
-        gauged = reynolds.gauge_transform(data.algebra, data.rep, data.cocycle,
-                                          data.operator, bundle.named_cochain("B"))
+        gauged = reynolds.gauge_transform(bundle.reynolds_data(), bundle.named_cochain("B"))
         doc["result"] = matrix_to_json(gauged)
     elif what == "shift":
-        data = bundle.reynolds_data()
-        shifted = reynolds.shift_operator(data.algebra, data.rep, data.cocycle,
-                                          data.operator, bundle.named_cochain("h"))
+        shifted = reynolds.shift_operator(bundle.reynolds_data(), bundle.named_cochain("h"))
         doc["result"] = matrix_to_json(shifted)
     elif what == "ns-from-nijenhuis":
         ns = nsprelie.ns_from_nijenhuis(bundle.algebra(), bundle.matrix("operatorN"))
@@ -405,28 +401,18 @@ def _cmd_dk_consistency(args) -> int:
     from .cochain import cochain_keys
     from .linalg import basis_vec
 
-    max_residual = "0"
-    ok = True
-    for key in cochain_keys(m, n):
-        for t in range(dim_g):
-            f = Cochain.from_entries(data.field, n, m, dim_g,
-                                     {key: basis_vec(data.field, dim_g, t)})
-            dk = brackets.d_K(data, f)
-            pd = opcohomology.operator_coboundary(data, f)
-            expected = pd if (n - 1) % 2 == 0 else -pd
-            diff = dk - expected
-            if not diff.is_zero():
-                ok = False
-                for v in diff.values:
-                    for x in v:
-                        if x:
-                            max_residual = scalar_to_str(x)
-                            break
-                    if max_residual != "0":
-                        break
-            if not ok:
-                break
-        if not ok:
+    # d_K f = (-1)^{n-1} d f on each basis cochain f; d f is the column of f in d
+    d = opcohomology.operator_coboundary_matrix(data, n)
+    basis = ((key, t) for key in cochain_keys(m, n) for t in range(dim_g))
+    max_residual, ok = "0", True
+    for c, (key, t) in enumerate(basis):
+        f = Cochain.from_entries(data.field, n, m, dim_g,
+                                 {key: basis_vec(data.field, dim_g, t)})
+        dk = (x for v in brackets.d_K(data, f).values for x in v)
+        expected = d.column(c) if n % 2 else [-e for e in d.column(c)]
+        diff = next((x - e for x, e in zip(dk, expected) if x != e), None)
+        if diff is not None:
+            max_residual, ok = scalar_to_str(diff), False
             break
     doc = {"command": "dk-consistency", "degree": n, "max_residual": max_residual,
            "ok": ok}

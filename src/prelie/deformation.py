@@ -96,18 +96,13 @@ def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
     """Does K1 generate a linear deformation K + t K1?
 
     Sub-verdicts per coefficient order; ``order_t1`` alone is the
-    1-cocycle condition, cross-checked against the cohomology matrix.
+    1-cocycle condition.  Its agreement with `is_cocycle`, the cohomology
+    matrix route, is a test, not a runtime check.
     """
     g, rep = data.algebra, data.rep
     if K1.rows != g.dim or K1.cols != rep.dim_v:
         raise ShapeError("deformation direction has the wrong shape")
-    parts = _linear_conditions(data, K1)
-    matrix_route = is_cocycle(data, K1)
-    if parts["order_t1"].ok != matrix_route:
-        raise AssertionError(
-            "order-t condition and the cohomology matrix disagree on the "
-            "1-cocycle verdict")
-    return _combine(parts)
+    return _combine(_linear_conditions(data, K1))
 
 
 def is_cocycle(data: ReynoldsData, K1: Matrix) -> bool:

@@ -173,7 +173,8 @@ def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
         trl.append(p2)
         circ.append(p3)
     ns = NSPreLie(g.field, tri, trl, circ, check=True)
-    if ns.star_tensor() != deformed_product(g, N).product:
+    deformed = tuple(tuple(_deformed_mul(g, N, i, j) for j in range(n)) for i in range(n))
+    if ns.star_tensor() != deformed:
         raise AssertionError("subadjacent product differs from the deformed product")
     return ns
 

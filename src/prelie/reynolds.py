@@ -79,6 +79,7 @@ def _basis(rep: Representation, i: int) -> tuple:
 def _reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
                      K: Matrix) -> Report:
     """The Reynolds identity on all V-basis pairs, for an already verified H."""
+    _check_operator_shape(g, rep, K)
     m = rep.dim_v
     return residual_report(((u, v), rcw_residual(g, rep, H, K, u, v))
                            for u in range(m) for v in range(m))
@@ -87,7 +88,6 @@ def _reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
 def check_rcw_reynolds(g: PreLieAlgebra, rep: Representation, H: Cochain,
                        K: Matrix) -> Report:
     """The cocycle-weighted Reynolds identity on all V-basis pairs."""
-    _check_operator_shape(g, rep, K)
     _require_cocycle(g, rep, H)
     return _reynolds_report(g, rep, H, K)
 
@@ -328,12 +328,13 @@ def shift_isomorphism(g: PreLieAlgebra, rep: Representation, H: Cochain,
     return first, second, psi
 
 
-def shift_operator(g: PreLieAlgebra, rep: Representation, H: Cochain,
-                   K: Matrix, h: Cochain) -> Matrix:
-    """K composed with (id - h K)^{-1}: a Reynolds operator for weight H + dh."""
-    report = check_rcw_reynolds(g, rep, H, K)
-    if not report.ok:
-        raise UnverifiedOperatorError("operator fails the Reynolds identity")
+def shift_operator(data: ReynoldsData, h: Cochain) -> Matrix:
+    """K composed with (id - h K)^{-1}: a Reynolds operator for weight H + dh.
+
+    The bundle is trusted as verified; the shifted weight and operator are
+    re-verified together.
+    """
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     if h.degree != 1 or h.dim_source != g.dim or h.dim_target != rep.dim_v:
         raise ShapeError("shift must be a linear map from the algebra to the module")
     hm = h.as_matrix()
@@ -351,17 +352,15 @@ def shift_operator(g: PreLieAlgebra, rep: Representation, H: Cochain,
     return shifted
 
 
-def gauge_transform(g: PreLieAlgebra, rep: Representation, H: Cochain,
-                    K: Matrix, B: Cochain) -> Matrix:
+def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
     """Gauge transformation K_B = K (id + B K)^{-1} by an admissible 1-cocycle.
 
-    B must satisfy dB = 0; the result satisfies the Reynolds identity for
-    the same weight H, and id + B K is an isomorphism between the pre-Lie
-    products induced on V by K and by K_B (both re-verified).
+    The bundle is trusted as verified.  B must satisfy dB = 0; the result
+    satisfies the Reynolds identity for the same weight H, and id + B K is
+    an isomorphism between the pre-Lie products induced on V by K and by
+    K_B (both re-verified).
     """
-    report = check_rcw_reynolds(g, rep, H, K)
-    if not report.ok:
-        raise UnverifiedOperatorError("operator fails the Reynolds identity")
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     if B.degree != 1 or B.dim_source != g.dim or B.dim_target != rep.dim_v:
         raise ShapeError("gauge must be a linear map from the algebra to the module")
     if not coboundary(g, rep, B).is_zero():
@@ -374,8 +373,8 @@ def gauge_transform(g: PreLieAlgebra, rep: Representation, H: Cochain,
     gauged = K * inv
     if not _reynolds_report(g, rep, H, gauged).ok:
         raise AssertionError("gauged operator fails the Reynolds identity")
-    # both bundles are verified above: H and K on entry, the gauged operator here
-    before = induced_product(ReynoldsData(g, rep, H, K))
+    # H is verified with the bundle, the gauged operator just above
+    before = induced_product(data)
     after = induced_product(ReynoldsData(g, rep, H, gauged))
     iso = check_morphism(before, after, bundle)
     if not iso.ok:

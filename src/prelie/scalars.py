@@ -222,9 +222,6 @@ class RationalField:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
 
-    def contains(self, x) -> bool:
-        return isinstance(x, Fraction)
-
     def elements(self):
         from .errors import InfiniteFieldError
 
@@ -286,12 +283,6 @@ class PrimeField:
         # field-generic fixtures store plain integers or fractions
         return self(Fraction(s))
 
-    def format(self, x: FpElement) -> str:
-        return f"{x.value} mod {self.p}"
-
-    def contains(self, x) -> bool:
-        return isinstance(x, FpElement) and x.p == self.p
-
     def elements(self):
         return [FpElement(i, self.p) for i in range(self.p)]
 
@@ -333,11 +324,3 @@ def scalar_to_str(x) -> str:
         return f"{x.value} mod {x.p}"
     raise TypeError(f"not a scalar: {x!r}")
 
-
-def field_of(x):
-    """The field a scalar belongs to."""
-    if isinstance(x, Fraction):
-        return QQ
-    if isinstance(x, FpElement):
-        return PrimeField(x.p)
-    raise TypeError(f"not a scalar: {x!r}")

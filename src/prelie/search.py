@@ -16,11 +16,15 @@ candidate's entries and to branch on them only to skip zero terms, which
 the checkers here do.  The sweep
 evaluates the equations in the field's own scalars, stopping at the
 first that does not vanish; every solution is then re-verified through
-the ordinary checker before it is returned.
+the predicate's checker before it is returned.
 
 The predicate registry maps an id to a function of the bundle sections
 returning the checker (candidate -> `Report`), so new checkers become
-searchable without touching the enumeration code.
+searchable without touching the enumeration code.  A registry entry
+verifies the fixed bundle data once, when it builds the checker: the
+rcw-reynolds entry checks that H is a 2-cocycle there, so its checker,
+and with it every solution's re-verification, evaluates only the
+Reynolds identity for that verified H.
 """
 
 from __future__ import annotations
@@ -28,14 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .algebra import PreLieAlgebra, regular_representation
-from .cochain import Cochain
 from .deformation import check_nijenhuis_element
 from .errors import BudgetExceededError, ShapeError
 from .linalg import Matrix
 from .nsprelie import check_nijenhuis
-from .reynolds import check_d_reynolds, check_rcw_reynolds, check_weighted_reynolds
-from .scalars import Poly, PrimeField
+from .reynolds import (
+    _require_cocycle,
+    _reynolds_report,
+    check_d_reynolds,
+    check_weighted_reynolds,
+)
+from .scalars import Poly
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -81,8 +88,10 @@ def _candidate(spec: SearchSpec, values, field) -> Matrix:
 
 
 def _rcw_predicate(bundle):
+    """H is checked here, once per search; the checker evaluates only the identity."""
     g, rep, H = bundle["algebra"], bundle["rep"], bundle["cocycle"]
-    return lambda K: check_rcw_reynolds(g, rep, H, K)
+    _require_cocycle(g, rep, H)
+    return lambda K: _reynolds_report(g, rep, H, K)
 
 
 def _weighted_predicate(bundle):
@@ -172,80 +181,3 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
                     "the compiled equations accepted a candidate the checker rejects")
             solutions.append(K)
     return SearchResult(tuple(solutions), total, len(solutions))
-
-
-# ---------------------------------------------------------------------------
-# the 3-dimensional worked example: predicate vs. its polynomial system
-
-# Polynomial system satisfied by K = (a_rc) on the algebra with
-# e3.e3 = e2, regular representation, and weight H(e3,e3) = e3; one group
-# of three component equations per unordered basis pair.  Variables are
-# 0-based: a[r][c] is the entry in row r, column c.
-
-def _g3_polynomials(a):
-    a11, a12, a13 = a[0]
-    a21, a22, a23 = a[1]
-    a31, a32, a33 = a[2]
-    return [
-        a31 * a31 * a13,
-        a31 * a31 - a31 * a31 * a23,
-        a31 * a31 * a33,
-        a32 * a32 * a13,
-        a32 * a32 - a32 * a32 * a23,
-        a32 * a32 * a33,
-        a33 * a33 * a13 + 2 * a33 * a12,
-        a33 * a33 - (a33 * a33 * a23 + 2 * a33 * a22),
-        a33 * a33 * a33 + 2 * a33 * a32,
-        a31 * a32 * a13,
-        a31 * a32 - a31 * a32 * a23,
-        a31 * a32 * a33,
-        a31 * a33 * a13 + a31 * a12,
-        a31 * a33 - (a31 * a33 * a23 + a31 * a22),
-        a31 * a33 * a33 + a31 * a32,
-        a32 * a33 * a13 + a32 * a12,
-        a32 * a33 - (a32 * a33 * a23 + a32 * a22),
-        a32 * a33 * a33 + a32 * a32,
-    ]
-
-
-@dataclass(frozen=True)
-class PolynomialSystemReport:
-    total: int
-    solutions: int
-    equivalent: bool
-    mismatches: tuple
-
-
-def verify_polynomial_system(field: PrimeField,
-                             budget: int = DEFAULT_BUDGET) -> PolynomialSystemReport:
-    """predicate(K) <=> the 18-equation polynomial system, exhaustively.
-
-    Enumerates every 3x3 matrix over F_p on the worked 3-dimensional
-    bundle and evaluates both the equations compiled from the Reynolds
-    checker and the hand-derived polynomial system; any disagreement is
-    returned (none are expected).
-    """
-    if not isinstance(field, PrimeField):
-        raise ShapeError("the polynomial sweep needs a prime field")
-    g = PreLieAlgebra.build(field, 3, {(2, 2, 1): 1})
-    H = Cochain.from_entries(field, 2, 3, 3, {((2,), 2): (0, 0, 1)})
-    spec = SearchSpec("rcw-reynolds",
-                      {"algebra": g, "rep": regular_representation(g), "cocycle": H},
-                      (3, 3), tuple(field.elements()))
-    total = spec.count()
-    if total > budget:
-        raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
-    _, equations = _compile(spec, field)
-    p, zero = field.p, field.zero
-    mismatches = []
-    solutions = 0
-    for values in product(spec.domain, repeat=9):
-        flat = tuple(x.value for x in values)
-        a = [flat[0:3], flat[3:6], flat[6:9]]
-        polys_ok = all(v % p == 0 for v in _g3_polynomials(a))
-        pred_ok = _vanish(equations, values, zero)
-        if pred_ok:
-            solutions += 1
-        if polys_ok != pred_ok:
-            mismatches.append((flat, pred_ok, polys_ok))
-    return PolynomialSystemReport(total, solutions, not mismatches, tuple(mismatches))

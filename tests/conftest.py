@@ -11,6 +11,7 @@ exactly verified instances.
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,25 @@ from prelie.reynolds import ReynoldsData, reynolds_from_invertible_cochain
 from prelie.scalars import QQ, PrimeField
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name``.
+
+    Modules bind names with ``from .cochain import ...``, so every
+    ``prelie`` module attribute that is the original function is replaced.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "prelie" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,230 @@
+"""Test-only oracles: hand-expanded comparators the library does not need.
+
+`explicit_coboundary` expands the operator differential into one closed
+formula.  Hand-expanding it is error-prone in exactly three spots: the
+action fed into the last slot of f (left versus right), the summation
+over the omitted slot in the Rbar group (easily collapsed to its last
+term), and the range and sign of the bracket double sum.  It implements
+both readings of each spot, and `compare_explicit_paths` reports which
+readings match the generic path, so a wrong expansion is localized to the
+term group that caused it.
+
+`verify_polynomial_system` sweeps every 3x3 operator over F_p on the
+worked 3-dimensional bundle and compares the equations that the search
+compiles from the Reynolds checker with a hand-derived polynomial system.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+
+from prelie.algebra import PreLieAlgebra, regular_representation
+from prelie.cochain import Cochain, cochain_keys
+from prelie.errors import BudgetExceededError, ShapeError
+from prelie.linalg import add_vec, basis_vec, sub_vec, zero_vec
+from prelie.opcohomology import operator_coboundary
+from prelie.reynolds import ReynoldsData
+from prelie.scalars import PrimeField
+from prelie.search import DEFAULT_BUDGET, SearchSpec, _compile, _vanish
+
+
+def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
+                        right_slot: str = "expanded",
+                        collapsed_group: str = "expanded",
+                        bracket_group: str = "expanded") -> Cochain:
+    """Closed-form expansion of the operator differential, term by term.
+
+    Each flag selects a reading of one fragile spot ("expanded" is the
+    faithful expansion of the generic path, "variant" the alternate
+    reading that a hand expansion can slip into):
+
+    * ``right_slot``: the product fed into f's last slot is
+      L_{Ku_i} u_{n+1} + R_{Ku_{n+1}} u_i + H(Ku_i, Ku_{n+1}) when
+      expanded; the variant swaps the middle term to L_{Ku_{n+1}} u_i.
+    * ``collapsed_group``: the terms produced by Rbar carry a sum over
+      the omitted slot i with sign (-1)^{i+1} when expanded; the variant
+      keeps only the i = n slice.
+    * ``bracket_group``: the double sum runs over 1 <= i < j <= n with
+      sign (-1)^{i+j} when expanded; the variant runs to n+1 with
+      sign (-1)^i.
+    """
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    if f.dim_source != rep.dim_v or f.dim_target != g.dim:
+        raise ShapeError("cochain must map the module to the algebra")
+    field = g.field
+    n = f.degree
+    m = rep.dim_v
+
+    def kcol(u):
+        return K.column(u)
+
+    def ev(u):
+        return basis_vec(field, m, u)
+
+    def prod_k(u_idx, v_idx):
+        # u ._K v as a vector in V for basis indices
+        val = add_vec(rep.act_L(kcol(u_idx), ev(v_idx)),
+                      rep.act_R(kcol(v_idx), ev(u_idx)))
+        return add_vec(val, H.eval([kcol(u_idx), kcol(v_idx)]))
+
+    values = []
+    for fb, last in cochain_keys(m, n + 1):
+        head = list(fb)
+        out = zero_vec(field, g.dim)
+
+        # group coming from Lbar: three sums over the omitted slot
+        for i in range(n):
+            sgn = 1 if i % 2 == 0 else -1
+            omitted = head[:i] + head[i + 1:]
+            fv = f.eval_basis(tuple(omitted) + (last,))
+            term = g.mul(kcol(head[i]), fv)
+            term = sub_vec(term, K.apply(rep.act_R(fv, ev(head[i]))))
+            term = sub_vec(term, K.apply(H.eval([kcol(head[i]), fv])))
+            out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
+
+        # group coming from Rbar
+        if collapsed_group == "expanded":
+            slots = range(n)
+        else:
+            slots = [n - 1]
+        for i in slots:
+            sgn = 1 if i % 2 == 0 else -1
+            omitted = head[:i] + head[i + 1:]
+            fv = f.eval_basis(tuple(omitted) + (head[i],))
+            term = g.mul(fv, kcol(last))
+            term = sub_vec(term, K.apply(rep.act_L(fv, ev(last))))
+            term = sub_vec(term, K.apply(H.eval([fv, kcol(last)])))
+            out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
+
+        # the product pushed into f's last slot
+        for i in range(n):
+            sgn = 1 if i % 2 == 0 else -1
+            omitted = head[:i] + head[i + 1:]
+            if right_slot == "expanded":
+                prod = prod_k(head[i], last)
+            else:
+                prod = add_vec(rep.act_L(kcol(head[i]), ev(last)),
+                               rep.act_L(kcol(last), ev(head[i])))
+                prod = add_vec(prod, H.eval([kcol(head[i]), kcol(last)]))
+            term = f.eval(list(omitted) + [prod])
+            out = sub_vec(out, term) if sgn == 1 else add_vec(out, term)
+
+        # the bracket double sum, into f's first slot
+        full = head + [last]
+        if bracket_group == "expanded":
+            for i in range(n):
+                for j in range(i + 1, n):
+                    sgn = 1 if (i + j) % 2 == 0 else -1
+                    br = sub_vec(prod_k(head[i], head[j]), prod_k(head[j], head[i]))
+                    rest = [head[k] for k in range(n) if k not in (i, j)]
+                    term = f.eval([br] + rest + [last])
+                    out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
+        else:
+            for i in range(n + 1):
+                for j in range(i + 1, n + 1):
+                    sgn = -1 if i % 2 == 0 else 1  # (-1)^{i+1} for 1-based i
+                    br = sub_vec(prod_k(full[i], full[j]), prod_k(full[j], full[i]))
+                    rest = [full[k] for k in range(n + 1) if k not in (i, j)]
+                    term = f.eval([br] + rest)
+                    out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
+        values.append(out)
+    return Cochain(field, n + 1, m, g.dim, values)
+
+
+def compare_explicit_paths(data: ReynoldsData, f: Cochain) -> dict:
+    """Which closed-form term groups agree with the generic differential?
+
+    Returns {"expanded": bool, "all_variants": bool, <group>: bool, ...}
+    where a group entry is True when flipping only that group to its
+    variant reading still matches the generic path (degenerate bundles
+    can hide a variant; richer ones expose it).
+    """
+    generic = operator_coboundary(data, f)
+    out = {
+        "expanded": explicit_coboundary(data, f) == generic,
+        "all_variants": explicit_coboundary(
+            data, f, right_slot="variant", collapsed_group="variant",
+            bracket_group="variant") == generic,
+    }
+    for group in ("right_slot", "collapsed_group", "bracket_group"):
+        kwargs = {group: "variant"}
+        out[group] = explicit_coboundary(data, f, **kwargs) == generic
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the 3-dimensional worked example: predicate vs. its polynomial system
+
+# Polynomial system satisfied by K = (a_rc) on the algebra with
+# e3.e3 = e2, regular representation, and weight H(e3,e3) = e3; one group
+# of three component equations per unordered basis pair.  Variables are
+# 0-based: a[r][c] is the entry in row r, column c.
+
+def _g3_polynomials(a):
+    a11, a12, a13 = a[0]
+    a21, a22, a23 = a[1]
+    a31, a32, a33 = a[2]
+    return [
+        a31 * a31 * a13,
+        a31 * a31 - a31 * a31 * a23,
+        a31 * a31 * a33,
+        a32 * a32 * a13,
+        a32 * a32 - a32 * a32 * a23,
+        a32 * a32 * a33,
+        a33 * a33 * a13 + 2 * a33 * a12,
+        a33 * a33 - (a33 * a33 * a23 + 2 * a33 * a22),
+        a33 * a33 * a33 + 2 * a33 * a32,
+        a31 * a32 * a13,
+        a31 * a32 - a31 * a32 * a23,
+        a31 * a32 * a33,
+        a31 * a33 * a13 + a31 * a12,
+        a31 * a33 - (a31 * a33 * a23 + a31 * a22),
+        a31 * a33 * a33 + a31 * a32,
+        a32 * a33 * a13 + a32 * a12,
+        a32 * a33 - (a32 * a33 * a23 + a32 * a22),
+        a32 * a33 * a33 + a32 * a32,
+    ]
+
+
+@dataclass(frozen=True)
+class PolynomialSystemReport:
+    total: int
+    solutions: int
+    equivalent: bool
+    mismatches: tuple
+
+
+def verify_polynomial_system(field: PrimeField,
+                             budget: int = DEFAULT_BUDGET) -> PolynomialSystemReport:
+    """predicate(K) <=> the 18-equation polynomial system, exhaustively.
+
+    Enumerates every 3x3 matrix over F_p on the worked 3-dimensional
+    bundle and evaluates both the equations compiled from the Reynolds
+    checker and the hand-derived polynomial system; any disagreement is
+    returned (none are expected).
+    """
+    if not isinstance(field, PrimeField):
+        raise ShapeError("the polynomial sweep needs a prime field")
+    g = PreLieAlgebra.build(field, 3, {(2, 2, 1): 1})
+    H = Cochain.from_entries(field, 2, 3, 3, {((2,), 2): (0, 0, 1)})
+    spec = SearchSpec("rcw-reynolds",
+                      {"algebra": g, "rep": regular_representation(g), "cocycle": H},
+                      (3, 3), tuple(field.elements()))
+    total = spec.count()
+    if total > budget:
+        raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
+    _, equations = _compile(spec, field)
+    p, zero = field.p, field.zero
+    mismatches = []
+    solutions = 0
+    for values in product(spec.domain, repeat=9):
+        flat = tuple(x.value for x in values)
+        a = [flat[0:3], flat[3:6], flat[6:9]]
+        polys_ok = all(v % p == 0 for v in _g3_polynomials(a))
+        pred_ok = _vanish(equations, values, zero)
+        if pred_ok:
+            solutions += 1
+        if polys_ok != pred_ok:
+            mismatches.append((flat, pred_ok, polys_ok))
+    return PolynomialSystemReport(total, solutions, not mismatches, tuple(mismatches))

@@ -21,6 +21,7 @@ from conftest import (
     random_reynolds_data,
     unimodular,
 )
+from oracles import verify_polynomial_system
 from prelie.algebra import (
     PreLieAlgebra,
     check_derivation,
@@ -71,7 +72,7 @@ from prelie.reynolds import (
     star_product,
 )
 from prelie.scalars import QQ, PrimeField
-from prelie.search import SearchSpec, exhaustive_search, verify_polynomial_system
+from prelie.search import SearchSpec, exhaustive_search
 
 
 def report(n, ok, text):
@@ -349,14 +350,14 @@ def test_criterion_6_construction_reverification():
             chosen = Matrix.zero(QQ, m, a.dim)
         if not (chosen * K).is_zero():
             gauge_nontrivial += 1
-        gauge_transform(a, rep, H, K, Cochain.from_matrix(chosen))
+        gauge_transform(data, Cochain.from_matrix(chosen))
 
         # shift by a random h with id - hK invertible
         for _ in range(6):
             h = random_cochain(rng, QQ, 1, a.dim, m, -1, 1)
             hk = h.as_matrix() * K
             if (Matrix.identity(QQ, m) - hk).inverse() is not None:
-                shift_operator(a, rep, H, K, h)
+                shift_operator(data, h)
                 if not hk.is_zero():
                     shift_nontrivial += 1
                 break

@@ -4,7 +4,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, count_calls
+from prelie import cochain, nsprelie, opcohomology
 from prelie.bundle import (
     algebra_from_json,
     algebra_to_json,
@@ -264,6 +265,22 @@ def test_cli_construct_gauge_and_shift():
     assert code == 0
 
 
+@pytest.mark.parametrize("what, checks", [("gauge", 1), ("shift", 2)])
+def test_cli_construct_gauge_and_shift_verify_the_input_once(monkeypatch, what, checks):
+    # gauge: the input H only; shift: the input H and the shifted weight H + dh
+    calls = count_calls(monkeypatch, cochain, "check_two_cocycle")
+    code, _, _ = run_cli("construct", what, str(CORPUS / "g3-gauge-shift.json"))
+    assert code == 0
+    assert len(calls) == checks
+
+
+def test_cli_construct_ns_from_nijenhuis_checks_the_operator_once(monkeypatch):
+    calls = count_calls(monkeypatch, nsprelie, "check_nijenhuis")
+    code, _, _ = run_cli("construct", "ns-from-nijenhuis", str(CORPUS / "nijenhuis3.json"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_cli_construct_compatible_ns():
     code, out, _ = run_cli("construct", "compatible-ns",
                            str(CORPUS / "g3-k-invertible.json"))
@@ -415,6 +432,15 @@ def test_cli_dk_consistency_degrees():
         assert code == 0
         doc = json.loads(out)
         assert doc["max_residual"] == "0"
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_cli_dk_consistency_builds_the_induced_representation_once(monkeypatch, degree):
+    calls = count_calls(monkeypatch, opcohomology, "induced_representation")
+    code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-rowzero.json"),
+                           "--degree", str(degree))
+    assert code == 0 and json.loads(out)["ok"]
+    assert len(calls) == 1
 
 
 def test_cli_linear_deform():

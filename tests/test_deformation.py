@@ -64,6 +64,23 @@ def test_non_cocycle_fails_order_t1(g3_data):
     assert not report.parts["order_t1"].ok and not report.ok
 
 
+def test_order_t1_agrees_with_the_cohomology_matrix_over_f3():
+    F3 = PrimeField(3)
+    rng = random.Random(33)
+    verdicts = []
+    for _ in range(12):
+        data = random_reynolds_data(rng, F3, max_dim=3)
+        n, m = data.algebra.dim, data.rep.dim_v
+        draws = [Matrix(F3, [[rng.randint(0, 2) for _ in range(m)] for _ in range(n)])
+                 for _ in range(3)]
+        draws += [sum(cocycle_space(data), Matrix.zero(F3, n, m))]
+        for K1 in draws:
+            verdict = is_cocycle(data, K1)
+            assert check_linear_deformation(data, K1).parts["order_t1"].ok == verdict
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 def test_self_deformation_of_rota_baxter():
     # K = 0 and H = 0: K1 generates a deformation iff K1 is itself a
     # weight-zero operator (K1 u . K1 v = K1(L_{K1 u} v + R_{K1 v} u))

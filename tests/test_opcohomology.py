@@ -3,13 +3,12 @@ import random
 import pytest
 
 from conftest import g2_algebra, random_cochain, random_reynolds_data
+from oracles import compare_explicit_paths, explicit_coboundary
 from prelie import opcohomology
 from prelie.algebra import check_representation, regular_representation
 from prelie.cochain import Cochain, cochain_space_dim
 from prelie.linalg import Matrix
 from prelie.opcohomology import (
-    compare_explicit_paths,
-    explicit_coboundary,
     induced_representation,
     operator_coboundary,
     operator_coboundary_matrix,

@@ -277,7 +277,7 @@ def test_shift_isomorphism_g3_value(g3_bundle):
 def test_shift_operator_trivial(g3_data):
     data = g3_data
     h = Cochain.zero(QQ, 1, 3, 3)
-    out = shift_operator(data.algebra, data.rep, data.cocycle, data.operator, h)
+    out = shift_operator(data, h)
     assert out == data.operator
 
 
@@ -287,7 +287,7 @@ def test_shift_operator_nilpotent(g3_data):
     h = Cochain.from_matrix(Matrix(QQ, [[0, 0, 0], [0, 0, 0], [-2, 1, 0]]))
     hk = h.as_matrix() * data.operator
     assert not hk.is_zero() and (hk * hk).is_zero()
-    out = shift_operator(data.algebra, data.rep, data.cocycle, data.operator, h)
+    out = shift_operator(data, h)
     # nilpotent inverse: (id - hK)^{-1} = id + hK
     expected = data.operator * (Matrix.identity(QQ, 3) + hk)
     assert out == expected
@@ -301,8 +301,9 @@ def test_shift_operator_singular(g3_bundle):
     assert check_rcw_reynolds(a, rep, H, K).ok
     # h K = id on the operator's column space: id - h K singular
     h = Cochain.from_matrix(Matrix(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    data = ReynoldsData.build(a, rep, H, K)
     with pytest.raises(SingularError):
-        shift_operator(a, rep, H, K, h)
+        shift_operator(data, h)
 
 
 def _one_cocycles(a, rep):
@@ -319,7 +320,7 @@ def _one_cocycles(a, rep):
 def test_gauge_transform_trivial(g3_data):
     data = g3_data
     B = Cochain.zero(QQ, 1, 3, 3)
-    out = gauge_transform(data.algebra, data.rep, data.cocycle, data.operator, B)
+    out = gauge_transform(data, B)
     assert out == data.operator
 
 
@@ -336,7 +337,7 @@ def test_gauge_transform_nilpotent(g3_data):
     data = g3_data
     a, rep = data.algebra, data.rep
     B = nilpotent_gauge_cocycle(data)
-    out = gauge_transform(a, rep, data.cocycle, data.operator, Cochain.from_matrix(B))
+    out = gauge_transform(data, Cochain.from_matrix(B))
     # nilpotent inverse: (id + BK)^{-1} = id - BK
     assert out == data.operator * (Matrix.identity(QQ, 3) - B * data.operator)
     assert check_rcw_reynolds(a, rep, data.cocycle, out).ok
@@ -349,7 +350,7 @@ def test_gauge_transform_rejects_non_cocycle(g3_data):
     if d.is_zero():
         pytest.skip("chosen B unexpectedly a cocycle")
     with pytest.raises(NotCocycleError):
-        gauge_transform(data.algebra, data.rep, data.cocycle, data.operator, B)
+        gauge_transform(data, B)
 
 
 def test_gauge_transform_not_admissible():
@@ -360,8 +361,9 @@ def test_gauge_transform_not_admissible():
     K = Matrix.identity(QQ, 2)
     assert check_rcw_reynolds(a, rep, H, K).ok
     B = Cochain.from_matrix(Matrix(QQ, [[-1, 0], [0, -1]]))
+    data = ReynoldsData.build(a, rep, H, K)
     with pytest.raises(NotAdmissibleError):
-        gauge_transform(a, rep, H, K, B)
+        gauge_transform(data, B)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +419,7 @@ def test_gauge_is_not_a_morphism(g3_data):
     data = g3_data
     a, rep = data.algebra, data.rep
     B = nilpotent_gauge_cocycle(data)
-    gauged = gauge_transform(a, rep, data.cocycle, data.operator,
-                             Cochain.from_matrix(B))
+    gauged = gauge_transform(data, Cochain.from_matrix(B))
     data2 = ReynoldsData.build(a, rep, data.cocycle, gauged)
     bundle_map = Matrix.identity(QQ, 3) + B * data.operator
     report = check_rcw_morphism(data, data2, Matrix.identity(QQ, 3), bundle_map)

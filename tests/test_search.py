@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import g2_algebra, g3_algebra, g3_cocycle, g3b_algebra
+from conftest import count_calls, g2_algebra, g3_algebra, g3_cocycle, g3b_algebra
+from oracles import verify_polynomial_system
 from prelie.algebra import PreLieAlgebra, regular_representation
 from prelie.cochain import Cochain, coboundary
 from prelie.deformation import check_nijenhuis_element
@@ -16,11 +17,7 @@ from prelie.reynolds import (
     check_weighted_reynolds,
 )
 from prelie.scalars import PrimeField
-from prelie.search import (
-    SearchSpec,
-    exhaustive_search,
-    verify_polynomial_system,
-)
+from prelie.search import SearchSpec, exhaustive_search
 
 
 def f2_g3_bundle():
@@ -251,20 +248,26 @@ def test_brute_force_cases_are_not_trivial():
 def test_rcw_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
     import prelie.search as search_module
 
-    calls = []
-
-    def counting(*args):
-        calls.append(args[3])
-        return check_rcw_reynolds(*args)
-
-    monkeypatch.setattr(search_module, "check_rcw_reynolds", counting)
+    calls = count_calls(monkeypatch, search_module, "_reynolds_report")
     F2, bundle = f2_g3_bundle()
     spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()),
                       fixed={(0, 0): F2(0)})
     result = exhaustive_search(spec, F2)
     assert (result.count_checked, result.count_solutions) == (256, 34)
     assert len(calls) == 1 + result.count_solutions
-    assert list(result.solutions) == calls[1:]
+    assert list(result.solutions) == [args[3] for args in calls[1:]]
+
+
+def test_rcw_search_checks_the_cocycle_once(monkeypatch):
+    import prelie.cochain as cochain_module
+
+    checks = count_calls(monkeypatch, cochain_module, "check_two_cocycle")
+    F2, bundle = f2_g3_bundle()
+    spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()),
+                      fixed={(0, 0): F2(0)})
+    result = exhaustive_search(spec, F2)
+    assert result.count_solutions == 34
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize("shape, fixed", [
