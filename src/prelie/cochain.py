@@ -268,6 +268,8 @@ class Cochain:
 
 
 def cochain_space_dim(dim_source: int, dim_target: int, degree: int) -> int:
+    if degree < 1:
+        raise ShapeError("degree must be >= 1")
     return len(cochain_keys(dim_source, degree)) * dim_target
 
 

@@ -434,6 +434,17 @@ def test_cli_dk_consistency_degrees():
         assert doc["max_residual"] == "0"
 
 
+@pytest.mark.parametrize("command", [
+    ("dk-consistency", str(CORPUS / "g3-k-rowzero.json")),
+    ("cohomology", "--of", "operator", str(CORPUS / "g3-k-rowzero.json")),
+], ids=["dk-consistency", "cohomology"])
+@pytest.mark.parametrize("degree", [0, -1])
+def test_cli_degree_below_one_is_an_input_error(command, degree):
+    code, out, _ = run_cli(*command, "--degree", str(degree))
+    assert code == 2
+    assert json.loads(out) == {"error": "ShapeError", "message": "degree must be >= 1"}
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_cli_dk_consistency_builds_the_induced_representation_once(monkeypatch, degree):
     calls = count_calls(monkeypatch, opcohomology, "induced_representation")

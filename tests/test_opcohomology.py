@@ -5,7 +5,7 @@ import pytest
 from conftest import g2_algebra, random_cochain, random_reynolds_data
 from oracles import compare_explicit_paths, explicit_coboundary
 from prelie import opcohomology
-from prelie.algebra import check_representation, regular_representation
+from prelie.algebra import PreLieAlgebra, check_representation, regular_representation
 from prelie.cochain import Cochain, cochain_space_dim
 from prelie.linalg import Matrix
 from prelie.opcohomology import (
@@ -102,6 +102,27 @@ def test_cohomology_golden_values(g3_bundle):
     assert (r2.dim_z, r2.dim_b, r2.dim_h) == (6, 0, 6)
     r3 = operator_cohomology(rowzero, 2)
     assert r3.dim_h == r3.dim_z - r3.dim_b >= 0
+
+
+def _unipotent_operator_data(n):
+    """k[x]/(x^n) over Q with the operator built from h = I + superdiagonal."""
+    a = PreLieAlgebra.build(QQ, n, {(i, j, i + j): 1 for i in range(n) for j in range(n)
+                                    if i + j < n})
+    h = Matrix(QQ, [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+    return reynolds_from_invertible_cochain(a, regular_representation(a),
+                                            Cochain.from_matrix(h))
+
+
+@pytest.mark.parametrize("n, degree, expected", [
+    (4, 3, (57, 39, 18)),
+    (4, 4, (51, 39, 12)),
+    (5, 2, (41, 21, 20)),
+    (5, 3, (124, 84, 40)),
+    (6, 2, (61, 31, 30)),
+])
+def test_operator_cohomology_ladder(n, degree, expected):
+    report = operator_cohomology(_unipotent_operator_data(n), degree)
+    assert (report.dim_z, report.dim_b, report.dim_h) == expected
 
 
 def test_cohomology_report_carries_fingerprint(g3_data):
