@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UnverifiedError,
 )
-from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec, zero_vec
+from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, scale_vec, sub_vec, zero_vec
 from .scalars import scalar_to_str
 
 
@@ -319,14 +319,14 @@ class Representation:
         out = zero_vec(self.field, self.dim_v)
         for i, xi in enumerate(x):
             if xi:
-                out = add_vec(out, tuple(xi * c for c in self.L[i].apply(u)))
+                out = add_vec(out, scale_vec(xi, self.L[i].apply(u)))
         return out
 
     def act_R(self, x, u) -> tuple:
         out = zero_vec(self.field, self.dim_v)
         for i, xi in enumerate(x):
             if xi:
-                out = add_vec(out, tuple(xi * c for c in self.R[i].apply(u)))
+                out = add_vec(out, scale_vec(xi, self.R[i].apply(u)))
         return out
 
     def L_of(self, x) -> Matrix:

@@ -11,8 +11,8 @@ Coboundary matrices are built from the same formula as `coboundary`:
 `coboundary_at` is evaluated once per output key on a generic cochain,
 whose coordinates are polynomial variables (`scalars.Poly`) instead of
 scalars; each output coordinate is then a linear polynomial, that is,
-one sparse matrix row.  `cohomology` keeps those rows sparse for its
-exact ranks and its d o d = 0 check.
+one sparse matrix row.  `cohomology` keeps those rows sparse and turns
+them into integer rows once, for its exact ranks and its d o d = 0 check.
 
 `check_two_cocycle` is the same formula once more: H is a 2-cocycle
 exactly when `coboundary` of H vanishes, and the report lists dH on
@@ -34,11 +34,12 @@ from .errors import ShapeError
 from .linalg import (
     Matrix,
     add_vec,
+    integer_rank,
+    integer_rows,
     is_zero_vec,
     neg_vec,
     scale_vec,
     sparse_mul,
-    sparse_rank,
     sub_vec,
     zero_vec,
 )
@@ -392,17 +393,19 @@ def cohomology(a: PreLieAlgebra, rep: Representation, degree: int) -> Cohomology
 
     dim B at degree 1 is 0 by convention: the complex starts at degree 1,
     so H^1 = Z^1.  The composite of consecutive differentials is verified
-    to vanish before the dimensions are reported.
+    to vanish before the dimensions are reported, on the same integer rows
+    that the ranks are taken of: d_n scaled row by row, d_{n-1} by one
+    common denominator.
     """
-    if degree < 1:
-        raise ShapeError("degree must be >= 1")
-    d_n = _coboundary_rows(a, rep, degree)
-    dim_z = cochain_space_dim(a.dim, rep.dim_v, degree) - sparse_rank(d_n)
+    dim = cochain_space_dim(a.dim, rep.dim_v, degree)
+    p = a.field.char
+    d_n = integer_rows(_coboundary_rows(a, rep, degree), p)
+    dim_z = dim - integer_rank(d_n, p)
     if degree == 1:
         dim_b = 0
     else:
-        d_prev = _coboundary_rows(a, rep, degree - 1)
-        if any(sparse_mul(d_n, d_prev)):
+        d_prev = integer_rows(_coboundary_rows(a, rep, degree - 1), p, common=True)
+        if any(sparse_mul(d_n, d_prev, p)):
             raise AssertionError("coboundary does not square to zero")
-        dim_b = sparse_rank(d_prev)
+        dim_b = integer_rank(d_prev, p)
     return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b)

@@ -1,22 +1,54 @@
 """Deterministic exact linear algebra over Q or F_p.
 
 Matrices are immutable, stored dense and row-major, and every entry lives
-in one field.  Elimination pivots on the first nonzero entry in column
-order, so identical inputs always produce identical echelon forms,
-kernels, and solutions.  Kernel bases are read off the reduced row
-echelon form, which is unique, so equal kernels yield identical bases.
+in one field.  Their arithmetic does work only on nonzero entries: a
+product multiplies only pairs of nonzero entries, and a sum, difference
+or scaling passes a zero operand through untouched.  Results of matrix
+arithmetic are built from entries that are already field elements; only
+`Matrix(field, data)` coerces and shape-checks data from outside.
 
-Coboundary matrices are mostly zeros, so their rank and products also
-have a sparse form: a matrix given as a list of rows, each a dict
-{column: nonzero scalar}.
+Coboundary matrices are mostly zeros, so they also have a sparse form: a
+matrix given as a list of rows, each a dict {column: nonzero scalar}.
+
+Elimination has one engine, `_echelon`, and it runs on Python ints.
+Over Q each sparse row is first multiplied by the lcm of its
+denominators.  A row operation is row <- a*row - b*pivot, where a and b
+are the pivot's and the row's entries in the pivot column divided by
+their gcd, and the new row is divided by its content, so entries stay
+small (fraction-free elimination in the manner of Bareiss 1968).  Over
+F_p the rows are residues in [0, p) and each pivot row is made monic.
+The pivot of a leading column is the shortest row that starts there
+(Markowitz), ties going to the lower row index.
+
+Each step multiplies a row by a nonzero scalar or adds a multiple of one
+row to another, so the row space never changes, and with it neither the
+rank nor the reduced row echelon form: the pivot rule changes the work,
+not the answer.  `Matrix.rref` reduces the echelon rows further on the
+same integers (back-substitution) and divides by the pivots only at the
+end.  The reduced row echelon form is unique, so the kernels, solutions
+and inverses read off it are canonical: equal kernels yield identical
+bases.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, NotSquareError, ShapeError
+from .scalars import FpElement
+
+
+def _matrix(field, data: tuple, cols: int) -> "Matrix":
+    """A matrix on rows of entries that are already field elements."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "field", field)
+    object.__setattr__(m, "rows", len(data))
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "data", data)
+    return m
 
 
 class Matrix:
@@ -41,13 +73,13 @@ class Matrix:
 
     @classmethod
     def zero(cls, field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
+        return _matrix(field, ((field.zero,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return _matrix(field, tuple(tuple(o if i == j else z for j in range(n))
+                                    for i in range(n)), n)
 
     @classmethod
     def from_columns(cls, field, columns, rows: int) -> "Matrix":
@@ -74,26 +106,22 @@ class Matrix:
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("matrix addition shape mismatch")
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return _matrix(self.field, tuple(add_vec(r1, r2)
+                                         for r1, r2 in zip(self.data, other.data)), self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatchError("matrix subtraction shape mismatch")
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return _matrix(self.field, tuple(sub_vec(r1, r2)
+                                         for r1, r2 in zip(self.data, other.data)), self.cols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-a for a in row] for row in self.data],
-                      cols=self.cols)
+        return _matrix(self.field, tuple(neg_vec(row) for row in self.data), self.cols)
 
     def scale(self, c) -> "Matrix":
         c = self.field(c)
-        return Matrix(self.field, [[c * a for a in row] for row in self.data],
-                      cols=self.cols)
+        return _matrix(self.field, tuple(scale_vec(c, row) for row in self.data), self.cols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -101,66 +129,72 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         zero = self.field.zero
+        n = other.cols
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = zero
-                for k in range(self.cols):
-                    s = s + self.data[i][k] * other.data[k][j]
-                row.append(s)
-            out.append(row)
-        return Matrix(self.field, out, cols=other.cols)
+        for row in self.data:
+            acc = [None] * n
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        s = acc[j]
+                        acc[j] = a * b if s is None else s + a * b
+            out.append(tuple(zero if s is None else s for s in acc))
+        return _matrix(self.field, tuple(out), n)
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product; ``vec`` is a coordinate sequence."""
         if len(vec) != self.cols:
             raise DimensionMismatchError(f"vector length {len(vec)} != cols {self.cols}")
         zero = self.field.zero
+        nonzero = [(k, x) for k, x in enumerate(vec) if x]
         out = []
-        for i in range(self.rows):
-            s = zero
-            for k in range(self.cols):
-                s = s + self.data[i][k] * vec[k]
-            out.append(s)
+        for row in self.data:
+            s = None
+            for k, x in nonzero:
+                a = row[k]
+                if a:
+                    s = a * x if s is None else s + a * x
+            out.append(zero if s is None else s)
         return tuple(out)
 
     def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [[self.data[i][j] for i in range(self.rows)]
-                                   for j in range(self.cols)], cols=self.rows)
+        return _matrix(self.field, tuple(zip(*self.data)) if self.rows
+                       else ((),) * self.cols, self.rows)
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 
     def rref(self):
         """Reduced row echelon form and the list of pivot columns."""
-        m = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                m[r], m[pr] = m[pr], m[r]
-            inv = self.field.one / m[r][c]
-            m[r] = [inv * x for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(self.field, m, cols=self.cols), pivots
+        field, p = self.field, self.field.char
+        echelon = _echelon(integer_rows([{j: x for j, x in enumerate(row) if x}
+                                         for row in self.data], p), p)
+        pivots = sorted(echelon)
+        reduced = {}
+        for c in reversed(pivots):
+            row = echelon[c]
+            for c2 in sorted(j for j in row if j in reduced):
+                row = _clear(row, reduced[c2], c2, p)
+            reduced[c] = row
+        zero = field.zero
+        data = []
+        for c in pivots:
+            dense = [zero] * self.cols
+            row = reduced[c]
+            if p:
+                for j, v in row.items():
+                    dense[j] = FpElement(v, p)
+            else:
+                lead = row[c]
+                for j, v in row.items():
+                    dense[j] = Fraction(v, lead)
+            data.append(tuple(dense))
+        data.extend([(zero,) * self.cols] * (self.rows - len(pivots)))
+        return _matrix(field, tuple(data), self.cols), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -185,32 +219,29 @@ class Matrix:
         self._check_same_field(b)
         if b.rows != self.rows:
             raise DimensionMismatchError(f"rhs has {b.rows} rows, lhs has {self.rows}")
-        aug = Matrix(self.field, [list(r1) + list(r2)
-                                  for r1, r2 in zip(self.data, b.data)],
-                     cols=self.cols + b.cols)
+        aug = _matrix(self.field, tuple(r1 + r2 for r1, r2 in zip(self.data, b.data)),
+                      self.cols + b.cols)
         red, pivots = aug.rref()
         n = self.cols
         if any(p >= n for p in pivots):
             return None
         zero = self.field.zero
-        x = [[zero] * b.cols for _ in range(n)]
+        x = [(zero,) * b.cols] * n
         for r, pc in enumerate(pivots):
-            for j in range(b.cols):
-                x[pc][j] = red.data[r][n + j]
-        return Matrix(self.field, x, cols=b.cols)
+            x[pc] = red.data[r][n:]
+        return _matrix(self.field, tuple(x), b.cols)
 
     def inverse(self):
         """Exact inverse, or None if singular."""
         if self.rows != self.cols:
             raise NotSquareError(f"{self.rows}x{self.cols} matrix has no inverse")
         n = self.rows
-        aug = Matrix(self.field, [list(row) + [self.field.one if i == j else self.field.zero
-                                               for j in range(n)]
-                                  for i, row in enumerate(self.data)])
+        eye = Matrix.identity(self.field, n).data
+        aug = _matrix(self.field, tuple(r1 + r2 for r1, r2 in zip(self.data, eye)), 2 * n)
         red, pivots = aug.rref()
         if len(pivots) != n or any(p >= n for p in pivots):
             return None
-        return Matrix(self.field, [row[n:] for row in red.data])
+        return _matrix(self.field, tuple(row[n:] for row in red.data), n)
 
 
 @dataclass(frozen=True)
@@ -227,7 +258,8 @@ class KernelBasis:
         return iter(self.vectors)
 
 
-# vector helpers; vectors are tuples of scalars
+# vector helpers; vectors are tuples of scalars, and a zero operand is
+# passed through instead of being added or multiplied
 
 def zero_vec(field, n: int) -> tuple:
     return tuple([field.zero] * n)
@@ -238,19 +270,19 @@ def basis_vec(field, n: int, i: int) -> tuple:
 
 
 def add_vec(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(b if not a else a if not b else a + b for a, b in zip(u, v, strict=True))
 
 
 def sub_vec(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    return tuple(a if not b else -b if not a else a - b for a, b in zip(u, v, strict=True))
 
 
 def neg_vec(u) -> tuple:
-    return tuple(-a for a in u)
+    return tuple(-a if a else a for a in u)
 
 
 def scale_vec(c, u) -> tuple:
-    return tuple(c * a for a in u)
+    return tuple(c * a if a else a for a in u)
 
 
 def is_zero_vec(u) -> bool:
@@ -259,63 +291,120 @@ def is_zero_vec(u) -> bool:
 
 # sparse rows; a row is a dict {column: nonzero scalar}
 
-def sparse_mul(a_rows, b_rows) -> list:
-    """The product of two matrices given as sparse rows, as sparse rows."""
+def sparse_mul(a_rows, b_rows, p: int = 0) -> list:
+    """The product of two matrices given as sparse rows, as sparse rows.
+
+    With ``p`` > 0 the entries are ints taken mod p.
+    """
     out = []
     for row in a_rows:
         acc = {}
         for k, c in row.items():
             for j, v in b_rows[k].items():
-                s = acc.get(j)
-                acc[j] = c * v if s is None else s + c * v
-        out.append({j: v for j, v in acc.items() if v})
+                acc[j] = acc.get(j, 0) + c * v
+        if p:
+            out.append({j: r for j, v in acc.items() if (r := v % p)})
+        else:
+            out.append({j: v for j, v in acc.items() if v})
     return out
 
 
-def sparse_rank(rows) -> int:
-    """Exact rank of a matrix given as sparse rows, over its own scalars.
+def integer_rows(rows, p: int, *, common: bool = False) -> list:
+    """Sparse rows over Q (p = 0) or F_p, as sparse rows of Python ints.
 
-    Forward elimination in column order: the pivot of a column is the
-    first row, in row order, that is nonzero there among the rows not yet
-    used as pivots, and it clears that column from the others.  Only rows
-    sharing the pivot's leading column are touched.
+    Over F_p an entry becomes its residue.  Over Q each row is multiplied
+    by the lcm of its own denominators, which keeps its span; with
+    ``common`` every row is multiplied by the lcm of all denominators
+    instead.  A product A*B is zero exactly when it was zero if A's rows
+    are scaled one by one, but B must be scaled as a whole: scaling B's
+    rows by different factors changes the product.
     """
-    work = {}
-    by_lead = {}   # leading column -> indices of the rows that start there
+    if p:
+        return [{j: x.value for j, x in row.items()} for row in rows]
+    dens = [lcm(*(x.denominator for x in row.values())) for row in rows]
+    if common:
+        dens = [lcm(*dens)] * len(rows)
+    return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+            for row, d in zip(rows, dens)]
+
+
+def _clear(row: dict, pivot: dict, c: int, p: int) -> dict:
+    """A nonzero multiple of ``row`` minus a multiple of ``pivot``, zero at column c.
+
+    Over F_p the pivot is monic at c.  Over Q the result is divided by its
+    content.  Neither argument is changed.
+    """
+    if p:
+        f = row[c]
+        out = dict(row)
+        for j, v in pivot.items():
+            s = (out.get(j, 0) - f * v) % p
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+        return out
+    a, b = pivot[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in pivot.items():
+        s = out.get(j, 0) - b * v
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    if out:
+        g = gcd(*out.values())
+        if g != 1:
+            out = {j: v // g for j, v in out.items()}
+    return out
+
+
+def _echelon(rows, p: int) -> dict:
+    """An echelon form of integer rows: {leading column: row}, one per pivot.
+
+    Forward elimination over the leading columns in increasing order.  The
+    pivot of a column is the shortest row starting there, ties going to
+    the lower row index, and it clears that column from the other rows
+    starting there; over F_p it is made monic first.  The input rows are
+    not changed.
+    """
+    by_lead = {}   # leading column -> (length, row index, row) of the rows starting there
     for i, row in enumerate(rows):
         if row:
-            work[i] = row
-            by_lead.setdefault(min(row), []).append(i)
+            by_lead.setdefault(min(row), []).append((len(row), i, row))
     heap = list(by_lead)
     heapq.heapify(heap)
-    rank = 0
+    echelon = {}
     while heap:
         c = heapq.heappop(heap)
         bucket = by_lead.pop(c)
-        p = min(bucket)
-        pivot = work.pop(p)
-        rank += 1
-        pc = pivot[c]
-        for i in bucket:
-            if i == p:
+        _, first, pivot = min(bucket)
+        if p and pivot[c] != 1:
+            inv = pow(pivot[c], -1, p)
+            pivot = {j: v * inv % p for j, v in pivot.items()}
+        echelon[c] = pivot
+        for _, i, row in bucket:
+            if i == first:
                 continue
-            row = dict(work.pop(i))
-            f = row[c] / pc
-            for j, v in pivot.items():
-                s = row.get(j)
-                if s is None:
-                    row[j] = -f * v
-                else:
-                    s = s - f * v
-                    if s:
-                        row[j] = s
-                    else:
-                        del row[j]
+            row = _clear(row, pivot, c, p)
             if row:
-                work[i] = row
                 lead = min(row)
                 if lead not in by_lead:
                     by_lead[lead] = []
                     heapq.heappush(heap, lead)
-                by_lead[lead].append(i)
-    return rank
+                by_lead[lead].append((len(row), i, row))
+    return echelon
+
+
+def integer_rank(rows, p: int) -> int:
+    """Exact rank of integer rows over Q (p = 0) or over F_p."""
+    return len(_echelon(rows, p))
+
+
+def sparse_rank(rows) -> int:
+    """Exact rank of a matrix given as sparse rows, over its own scalars."""
+    x = next((x for row in rows for x in row.values()), None)
+    p = x.p if isinstance(x, FpElement) else 0
+    return integer_rank(integer_rows(rows, p), p)

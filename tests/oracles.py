@@ -12,17 +12,23 @@ term group that caused it.
 `verify_polynomial_system` sweeps every 3x3 operator over F_p on the
 worked 3-dimensional bundle and compares the equations that the search
 compiles from the Reynolds checker with a hand-derived polynomial system.
+
+`dense_rref` and `scalar_sparse_rank` are the elimination loops the
+library ran before its integer engine: Gauss-Jordan on the dense field
+scalars, and sparse forward elimination on them.  `dense_kernel`,
+`dense_solve` and `dense_inverse` read their answers off `dense_rref`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product
 
 from prelie.algebra import PreLieAlgebra, regular_representation
 from prelie.cochain import Cochain, cochain_keys
 from prelie.errors import BudgetExceededError, ShapeError
-from prelie.linalg import add_vec, basis_vec, sub_vec, zero_vec
+from prelie.linalg import Matrix, add_vec, basis_vec, sub_vec, zero_vec
 from prelie.opcohomology import operator_coboundary
 from prelie.reynolds import ReynoldsData
 from prelie.scalars import PrimeField
@@ -228,3 +234,110 @@ def verify_polynomial_system(field: PrimeField,
         if polys_ok != pred_ok:
             mismatches.append((flat, pred_ok, polys_ok))
     return PolynomialSystemReport(total, solutions, not mismatches, tuple(mismatches))
+
+
+# ---------------------------------------------------------------------------
+# reference elimination on field scalars
+
+
+def dense_rref(m: Matrix):
+    """Reduced row echelon form by Gauss-Jordan on the dense entries.
+
+    The pivot of a column is the first nonzero entry at or below the
+    current row.  Returns (reduced rows as tuples, pivot columns).
+    """
+    rows = [list(row) for row in m.data]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r >= m.rows:
+            break
+        pr = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = m.field.one / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in rows], pivots
+
+
+def dense_kernel(m: Matrix) -> tuple:
+    red, pivots = dense_rref(m)
+    vectors = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [m.field.zero] * m.cols
+        v[fc] = m.field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        vectors.append(tuple(v))
+    return tuple(vectors)
+
+
+def dense_solve(m: Matrix, b: Matrix):
+    red, pivots = dense_rref(Matrix(m.field, [r1 + r2 for r1, r2 in zip(m.data, b.data)],
+                                    cols=m.cols + b.cols))
+    if any(pc >= m.cols for pc in pivots):
+        return None
+    x = [[m.field.zero] * b.cols for _ in range(m.cols)]
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][m.cols:]
+    return Matrix(m.field, x, cols=b.cols)
+
+
+def dense_inverse(m: Matrix):
+    n = m.rows
+    eye = Matrix.identity(m.field, n)
+    red, pivots = dense_rref(Matrix(m.field, [r1 + r2 for r1, r2 in zip(m.data, eye.data)],
+                                    cols=2 * n))
+    if pivots != list(range(n)):
+        return None
+    return Matrix(m.field, [row[n:] for row in red], cols=n)
+
+
+def scalar_sparse_rank(rows) -> int:
+    """Rank of sparse rows {column: scalar} by elimination on the scalars.
+
+    Forward elimination in column order: the pivot of a column is the
+    first row, in row order, nonzero there among the rows not yet used as
+    pivots, and it clears that column from the rows starting there.
+    """
+    work = {}
+    by_lead = {}
+    for i, row in enumerate(rows):
+        if row:
+            work[i] = row
+            by_lead.setdefault(min(row), []).append(i)
+    heap = list(by_lead)
+    heapq.heapify(heap)
+    rank = 0
+    while heap:
+        c = heapq.heappop(heap)
+        bucket = by_lead.pop(c)
+        p = min(bucket)
+        pivot = work.pop(p)
+        rank += 1
+        for i in bucket:
+            if i == p:
+                continue
+            row = dict(work.pop(i))
+            f = row[c] / pivot[c]
+            for j, v in pivot.items():
+                s = row.get(j, 0) - f * v
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+            if row:
+                work[i] = row
+                lead = min(row)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heapq.heappush(heap, lead)
+                by_lead[lead].append(i)
+    return rank

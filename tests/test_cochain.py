@@ -5,7 +5,13 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import g3_algebra, g3_cocycle, random_cochain, random_pair
+from conftest import (
+    conjugate_algebra,
+    g3_algebra,
+    g3_cocycle,
+    random_cochain,
+    random_pair,
+)
 from prelie.algebra import (
     PreLieAlgebra,
     Representation,
@@ -416,6 +422,41 @@ def test_cohomology_raises_when_coboundary_does_not_square_to_zero():
         rep = Representation(g, 2, L, R, check=False)
         with pytest.raises(AssertionError, match="coboundary does not square to zero"):
             cohomology(g, rep, 2)
+
+
+def test_cohomology_with_unequal_denominators():
+    # rescaling the basis of k[x]/(x^4) by 1, 2, 3, 5 gives structure
+    # constants and coboundary rows with unequal denominators; the
+    # dimensions are invariants, and d o d = 0 must still be seen as zero
+    a = _truncated_polynomial(4)
+    b = conjugate_algebra(a, Matrix(QQ, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0],
+                                          [0, 0, 0, 5]]))
+    assert any(x.denominator > 1 for plane in b.product for row in plane for x in row)
+    rep_a, rep_b = regular_representation(a), regular_representation(b)
+    for degree in (2, 3):
+        ra, rb = cohomology(a, rep_a, degree), cohomology(b, rep_b, degree)
+        assert (ra.dim_z, ra.dim_b, ra.dim_h) == (rb.dim_z, rb.dim_b, rb.dim_h)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=repr)
+def test_cohomology_over_prime_fields_checks_d_squared_mod_p(field):
+    # the integer product of the residue rows is nonzero; only mod p is it zero
+    a = PreLieAlgebra.build(field, 4, {(i, j, i + j): 1 for i in range(4) for j in range(4)
+                                       if i + j < 4})
+    rep = regular_representation(a)
+    for degree in (2, 3):
+        report = cohomology(a, rep, degree)
+        assert report.dim_h == report.dim_z - report.dim_b >= 0
+
+
+def test_cohomology_sees_a_fractional_nonzero_composite():
+    half, third = "1/2", "-1/3"
+    g = PreLieAlgebra.build(QQ, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1})
+    L = [Matrix(QQ, [[1, half], [0, 1]]), Matrix(QQ, [[0, third], [0, 0]])]
+    R = [Matrix(QQ, [[0, 0], [half, 0]]), Matrix(QQ, [[third, 0], [0, 0]])]
+    rep = Representation(g, 2, L, R, check=False)
+    with pytest.raises(AssertionError, match="coboundary does not square to zero"):
+        cohomology(g, rep, 2)
 
 
 def _truncated_polynomial(n):

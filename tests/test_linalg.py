@@ -1,11 +1,24 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dense_inverse, dense_kernel, dense_rref, dense_solve, scalar_sparse_rank
 from prelie.errors import DimensionMismatchError, NotSquareError
-from prelie.linalg import Matrix, basis_vec, is_zero_vec, sparse_mul, sparse_rank
-from prelie.scalars import QQ, PrimeField
+from prelie.linalg import (
+    Matrix,
+    add_vec,
+    basis_vec,
+    integer_rows,
+    is_zero_vec,
+    neg_vec,
+    scale_vec,
+    sparse_mul,
+    sparse_rank,
+    sub_vec,
+)
+from prelie.scalars import QQ, FpElement, Poly, PrimeField, scalar_to_str
 
 
 def qmat(rows):
@@ -169,3 +182,236 @@ def test_sparse_rank_leaves_its_rows_unchanged():
     before = [dict(r) for r in rows]
     assert sparse_rank(rows) == 2
     assert rows == before
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination engine against the scalar reference loops
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
+# unequal denominators on purpose: only these tests clear them
+Q_ENTRIES = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6),
+             Fraction(7, 3), Fraction(-2, 5)]
+
+
+@st.composite
+def field_matrices(draw, field, max_rows=5, max_cols=5, square=False, shape=None):
+    """Matrices with zero rows, empty shapes and unequal denominators."""
+    if shape is None:
+        rows = draw(st.integers(0, max_rows))
+        cols = rows if square else draw(st.integers(0, max_cols))
+    else:
+        rows, cols = shape
+    entries = (st.sampled_from(Q_ENTRIES) if field == QQ else st.integers(-6, 6))
+    data = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=2)):
+        if rows:
+            data[i] = [0] * cols
+    return Matrix(field, data, cols=cols)
+
+
+def field_and_matrix(**kwargs):
+    return st.sampled_from(FIELDS).flatmap(
+        lambda f: st.tuples(st.just(f), field_matrices(f, **kwargs)))
+
+
+def _entry_type(field):
+    return Fraction if field == QQ else FpElement
+
+
+def _all_field_elements(field, rows):
+    kind = _entry_type(field)
+    for row in rows:
+        for x in row:
+            assert type(x) is kind
+            scalar_to_str(x)
+
+
+@given(field_and_matrix(max_rows=7, max_cols=7))
+@settings(max_examples=150, deadline=None)
+def test_sparse_rank_matches_scalar_reference(fm):
+    _, m = fm
+    rows = _sparse(m)
+    assert sparse_rank(rows) == scalar_sparse_rank(rows) == len(dense_rref(m)[1])
+
+
+@given(field_and_matrix())
+@settings(max_examples=150, deadline=None)
+def test_rref_and_rank_match_dense_reference(fm):
+    field, m = fm
+    red, pivots = m.rref()
+    ref_rows, ref_pivots = dense_rref(m)
+    assert pivots == ref_pivots
+    assert list(red.data) == ref_rows
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    _all_field_elements(field, red.data)
+    assert m.rank() == len(ref_pivots)
+
+
+@given(field_and_matrix())
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_dense_reference(fm):
+    field, m = fm
+    kb = m.kernel()
+    assert kb.vectors == dense_kernel(m)
+    _all_field_elements(field, kb.vectors)
+
+
+@given(field_and_matrix(), st.integers(0, 2), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_solve_matches_dense_reference(fm, k, rng):
+    # random right-hand sides are mostly inconsistent for rank-deficient m
+    field, m = fm
+    b = Matrix(field, [[rng.choice(Q_ENTRIES) if field == QQ else rng.randint(-4, 4)
+                        for _ in range(k)] for _ in range(m.rows)], cols=k)
+    x = m.solve(b)
+    assert x == dense_solve(m, b)
+    if x is not None:
+        assert m * x == b
+        _all_field_elements(field, x.data)
+
+
+@given(field_and_matrix(square=True))
+@settings(max_examples=120, deadline=None)
+def test_inverse_matches_dense_reference(fm):
+    field, m = fm
+    inv = m.inverse()
+    assert inv == dense_inverse(m)
+    if inv is not None:
+        _all_field_elements(field, inv.data)
+
+
+def test_engine_on_unequal_denominators():
+    rows = [{0: Fraction(1, 2), 1: Fraction(-3, 4), 2: Fraction(5, 6)},
+            {0: Fraction(1, 3), 1: Fraction(-1, 2), 2: Fraction(5, 9)},
+            {},
+            {1: Fraction(1, 7), 2: Fraction(-2, 5)}]
+    # row 1 is 2/3 of row 0
+    assert sparse_rank(rows) == scalar_sparse_rank(rows) == 2
+    m = Matrix(QQ, [[row.get(j, 0) for j in range(3)] for row in rows])
+    assert m.rref()[0].data == tuple(dense_rref(m)[0])
+
+
+def test_singular_and_inconsistent_systems():
+    for field in FIELDS:
+        m = Matrix(field, [[1, 2, 3], [2, 4, 6], [0, 0, 0]])
+        assert m.inverse() is None and dense_inverse(m) is None
+        assert m.solve(Matrix(field, [[1], [3], [0]])) is None
+        b = Matrix(field, [[1], [2], [0]])
+        assert m.solve(b) == dense_solve(m, b)
+    assert Matrix(QQ, [], cols=3).kernel().vectors == dense_kernel(Matrix(QQ, [], cols=3))
+    assert Matrix(QQ, [[], []]).rref() == (Matrix(QQ, [[], []]), [])
+    assert sparse_rank([]) == sparse_rank([{}, {}]) == 0
+
+
+# ---------------------------------------------------------------------------
+# zero-skipping kernels against the dense loops they replace
+
+
+def _dense_mul(a, b):
+    zero = a.field.zero
+    return [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), zero)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def _dense_apply(a, v):
+    zero = a.field.zero
+    return tuple(sum((a.data[i][k] * v[k] for k in range(a.cols)), zero)
+                 for i in range(a.rows))
+
+
+@st.composite
+def matrix_triples(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(3)]))
+    n, k, m = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    a = draw(field_matrices(field, shape=(n, k)))
+    b = draw(field_matrices(field, shape=(k, m)))
+    c = draw(field_matrices(field, shape=(n, k)))
+    scalar = draw(st.sampled_from(Q_ENTRIES if field == QQ else [0, 1, 2]))
+    return field, a, b, c, field(scalar)
+
+
+@given(matrix_triples())
+@settings(max_examples=120, deadline=None)
+def test_matrix_arithmetic_matches_dense_loops(t):
+    field, a, b, c, s = t
+    cases = [
+        (a * b, _dense_mul(a, b)),
+        (a + c, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.data, c.data)]),
+        (a - c, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a.data, c.data)]),
+        (-a, [[-x for x in row] for row in a.data]),
+        (a.scale(s), [[s * x for x in row] for row in a.data]),
+        (a.transpose(), [list(col) for col in zip(*a.data)] if a.rows
+         else [[] for _ in range(a.cols)]),
+    ]
+    for got, expected in cases:
+        assert [list(row) for row in got.data] == expected
+        _all_field_elements(field, got.data)
+    v = b.column(0) if b.cols else tuple(field.zero for _ in range(b.rows))
+    got = a.apply(v)
+    assert got == _dense_apply(a, v)
+    _all_field_elements(field, [got])
+
+
+@given(st.sampled_from([QQ, PrimeField(3)]).flatmap(
+    lambda f: st.integers(0, 4).flatmap(
+        lambda n: st.tuples(st.just(f), field_matrices(f, shape=(3, n))))))
+@settings(max_examples=80, deadline=None)
+def test_vector_helpers_match_dense_loops(fm):
+    field, m = fm
+    u, v, s = m.data[0], m.data[1], m.data[2][0] if m.cols else field.one
+    for got, expected in [(add_vec(u, v), [x + y for x, y in zip(u, v)]),
+                          (sub_vec(u, v), [x - y for x, y in zip(u, v)]),
+                          (neg_vec(u), [-x for x in u]),
+                          (scale_vec(s, u), [s * x for x in u]),
+                          (scale_vec(field.zero, u), [field.zero * x for x in u])]:
+        assert list(got) == expected
+        _all_field_elements(field, [got])
+
+
+def test_poly_entries_pass_through_matrix():
+    # the search compiler runs checkers on matrices of polynomial entries
+    x0, x1 = Poly({(0,): QQ(1)}), Poly({(1,): QQ(2)})
+    generic = Matrix(QQ, [[x0, 0], [1, x1]])
+    numeric = Matrix(QQ, [[3, 0], [1, 10]])
+    other = Matrix(QQ, [["1/2", 1], [0, -1]])
+    values = (QQ(3), QQ(5))
+
+    def at(m):
+        return [[x.at(values, QQ(0)) if isinstance(x, Poly) else x for x in row]
+                for row in m.data]
+
+    assert at(generic * other) == [list(r) for r in (numeric * other).data]
+    assert at(other * generic) == [list(r) for r in (other * numeric).data]
+    assert at(generic + other) == [list(r) for r in (numeric + other).data]
+    assert at(generic - other) == [list(r) for r in (numeric - other).data]
+    assert at(generic.scale(2)) == [list(r) for r in numeric.scale(2).data]
+    got = generic.apply((QQ(1), QQ(-1)))
+    assert [x.at(values, QQ(0)) if isinstance(x, Poly) else x for x in got] == \
+        list(numeric.apply((QQ(1), QQ(-1))))
+    assert isinstance(generic.apply((QQ(0), QQ(1)))[0], Fraction)
+
+
+# ---------------------------------------------------------------------------
+# d o d on integer rows
+
+
+def test_nonzero_product_with_fractions_stays_nonzero():
+    a = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {1: Fraction(-5, 6)}]
+    b = [{0: Fraction(3, 4)}, {0: Fraction(-1, 2), 2: Fraction(2, 7)}]
+    assert any(sparse_mul(a, b))
+    assert any(sparse_mul(integer_rows(a, 0), integer_rows(b, 0, common=True), 0))
+    for field in (PrimeField(5), PrimeField(11)):
+        fa = [{j: field(x) for j, x in row.items()} for row in a]
+        fb = [{j: field(x) for j, x in row.items()} for row in b]
+        assert any(sparse_mul(fa, fb)) == any(
+            sparse_mul(integer_rows(fa, field.p), integer_rows(fb, field.p), field.p))
+
+
+def test_zero_product_needs_one_common_scale_on_the_right():
+    # a*b = b0 - 2 b1 = 0, but b0 and b1 have different denominators
+    a = [{0: Fraction(1), 1: Fraction(-2)}]
+    b = [{0: Fraction(1, 2)}, {0: Fraction(1, 4)}]
+    assert not any(sparse_mul(a, b))
+    assert not any(sparse_mul(integer_rows(a, 0), integer_rows(b, 0, common=True), 0))
+    # scaling b row by row would have reported a nonzero composite
+    assert any(sparse_mul(integer_rows(a, 0), integer_rows(b, 0), 0))
