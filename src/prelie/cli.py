@@ -356,6 +356,8 @@ def _cmd_deform(args) -> int:
         else:
             coefficients = bundle.series()
         if args.order is not None:
+            if args.order < 0:
+                raise SchemaError("/order", f"order must be >= 0, got {args.order}")
             coefficients = coefficients[:args.order + 1]
         series = deformation.DeformationSeries(data, tuple(coefficients))
         report = deformation.check_formal_deformation(series)

@@ -1,27 +1,32 @@
 """Deformations of cocycle-weighted Reynolds operators.
 
-Linear deformations K + t K1 are governed by three coefficient identities
-(orders t, t^2, t^3 of the Reynolds identity); the order-t condition alone
-says K1 is a 1-cocycle of the operator cohomology.  Truncated series
-K_0 + K_1 t + ... + K_N t^N are checked as polynomial deformations: the
-order-n identity is evaluated for every n up to 3N, beyond which all
-contributions vanish identically.
+A deformation K_t = K_0 + K_1 t + ... + K_N t^N is built once, as a
+matrix whose entries are polynomials in one variable t (`scalars.Poly`),
+and the Reynolds identity is evaluated on it by the same residual kernel
+that checks a single operator (`reynolds.rcw_residual`).  The t^k
+coefficient of each residual is the order-k condition: a truncated series
+is checked at every order 0..3N, beyond which all contributions vanish
+identically, and a linear deformation K + t K1 at orders t, t^2, t^3.
+The order-t condition alone says K1 is a 1-cocycle of the operator
+cohomology.
 
 Equivalences of deformations are mediated by an algebra element x through
 the pair of maps
 
     phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)).
 
-The element conditions are implemented twice: as fixed closed-form
-condition groups, and re-derived from first principles by expanding every
-morphism requirement in powers of t (the two modes can disagree on some
-groups; both verdicts are reported, see `check_equivalence_data`).
+The operator intertwining phi_t K_t - K'_t psi_t is likewise one product
+of polynomial matrices, read off at orders t and t^2.  The remaining
+element conditions are implemented twice: as fixed closed-form condition
+groups, and re-derived from first principles by expanding every morphism
+requirement in powers of t (the two modes can disagree on some groups;
+both verdicts are reported, see `check_equivalence_data`).
 Nijenhuis elements are the x satisfying the closed-form groups plus
-x . Rbar_u(x) = Rbar_u(x) . x; over a prime field
-they are enumerated by `search.exhaustive_search`, which powers the
-rigidity probe:
-K is rigid when every operator 1-cocycle is the coboundary of a
-Nijenhuis element.
+x . Rbar_u(x) = Rbar_u(x) . x; over a prime field they are enumerated by
+`search.exhaustive_search`, which powers the rigidity probe: K is rigid
+when every operator 1-cocycle is the coboundary of a Nijenhuis element.
+The probe counts Z^1 from the dimension of the kernel of the degree-1
+differential instead of listing it.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Report, Representation, _combine, residual_report
-from .cochain import Cochain, cochain_space_dim
+from .cochain import Cochain
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, add_vec, basis_vec, sub_vec, zero_vec
-from .opcohomology import operator_coboundary_matrix, rbar
-from .reynolds import ReynoldsData, induced_mul
-from .scalars import PrimeField
+from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
+from .opcohomology import operator_coboundary, operator_coboundary_matrix, rbar
+from .reynolds import ReynoldsData, rcw_residual
+from .scalars import Poly, PrimeField
 
 
 def _vbasis(rep: Representation, i: int) -> tuple:
@@ -46,6 +51,33 @@ def _psi1(data: ReynoldsData, x, u_vec) -> tuple:
     rep = data.rep
     out = sub_vec(rep.act_L(x, u_vec), rep.act_R(x, u_vec))
     return add_vec(out, data.cocycle.eval([x, data.operator.apply(u_vec)]))
+
+
+def _in_t(matrices) -> Matrix:
+    """The matrix M_0 + M_1 t + M_2 t^2 + ... with entries polynomial in t."""
+    field = matrices[0].field
+    total = matrices[0]
+    for i, M in enumerate(matrices[1:], 1):
+        total = total + M.scale(Poly({(0,) * i: field.one}))
+    return total
+
+
+def _order(vec, k: int, zero) -> tuple:
+    """The t^k coefficient of every coordinate of a vector polynomial in t.
+
+    A coordinate that is a scalar is a constant polynomial.
+    """
+    mono = (0,) * k
+    return tuple(x.terms.get(mono, zero) if isinstance(x, Poly)
+                 else x if k == 0 else zero for x in vec)
+
+
+def _reynolds_in_t(data: ReynoldsData, coefficients) -> list:
+    """The Reynolds residual of K_t = sum K_i t^i at every V-basis pair (u, v)."""
+    g, rep, H = data.algebra, data.rep, data.cocycle
+    K_t = _in_t(coefficients)
+    m = rep.dim_v
+    return [((u, v), rcw_residual(g, rep, H, K_t, u, v)) for u in range(m) for v in range(m)]
 
 
 def element_coboundary(data: ReynoldsData, x) -> Matrix:
@@ -67,50 +99,26 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
     return Matrix.from_columns(g.field, cols, g.dim)
 
 
-def _linear_conditions(data: ReynoldsData, K1: Matrix) -> dict:
-    """Reports of the three coefficient identities of K + t K1, by order."""
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    m = rep.dim_v
-
-    def residuals(u, v):
-        eu, ev = _vbasis(rep, u), _vbasis(rep, v)
-        Ku, Kv = K.column(u), K.column(v)
-        K1u, K1v = K1.column(u), K1.column(v)
-        mixed = add_vec(rep.act_L(K1u, ev), rep.act_R(K1v, eu))
-        h_mixed = add_vec(H.eval([K1u, Kv]), H.eval([Ku, K1v]))
-
-        lhs = add_vec(g.mul(Ku, K1v), g.mul(K1u, Kv))
-        r1 = sub_vec(lhs, add_vec(K1.apply(induced_mul(rep, H, K, u, v)),
-                                  K.apply(add_vec(mixed, h_mixed))))
-        r2 = sub_vec(g.mul(K1u, K1v), add_vec(K1.apply(add_vec(mixed, h_mixed)),
-                                              K.apply(H.eval([K1u, K1v]))))
-        r3 = K1.apply(H.eval([K1u, K1v]))
-        return r1, r2, r3
-
-    table = [((u, v), residuals(u, v)) for u in range(m) for v in range(m)]
-    return {f"order_t{k + 1}": residual_report((where, rs[k]) for where, rs in table)
-            for k in range(3)}
-
-
 def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
     """Does K1 generate a linear deformation K + t K1?
 
-    Sub-verdicts per coefficient order; ``order_t1`` alone is the
-    1-cocycle condition.  Its agreement with `is_cocycle`, the cohomology
-    matrix route, is a test, not a runtime check.
+    Sub-verdicts per coefficient order t, t^2, t^3; ``order_t1`` alone is
+    the 1-cocycle condition.  Its agreement with `is_cocycle`, the
+    coboundary route, is a test, not a runtime check.
     """
     g, rep = data.algebra, data.rep
     if K1.rows != g.dim or K1.cols != rep.dim_v:
         raise ShapeError("deformation direction has the wrong shape")
-    return _combine(_linear_conditions(data, K1))
+    table = _reynolds_in_t(data, (data.operator, K1))
+    zero = g.field.zero
+    return _combine({f"order_t{k}": residual_report((where, _order(r, k, zero))
+                                                    for where, r in table)
+                     for k in (1, 2, 3)})
 
 
 def is_cocycle(data: ReynoldsData, K1: Matrix) -> bool:
     """Is a linear map V -> g killed by the operator differential?"""
-    d1 = operator_coboundary_matrix(data, 1)
-    flat = [x for v in Cochain.from_matrix(K1).values for x in v]
-    col = Matrix.from_columns(data.field, [flat], len(flat))
-    return (d1 * col).is_zero()
+    return operator_coboundary(data, Cochain.from_matrix(K1)).is_zero()
 
 
 @dataclass(frozen=True)
@@ -123,7 +131,12 @@ class DeformationSeries:
     def __post_init__(self):
         if not self.coefficients:
             raise ShapeError("series needs at least the constant coefficient")
-        if self.coefficients[0] != self.base.operator:
+        K = self.base.operator
+        for i, c in enumerate(self.coefficients):
+            if (c.rows, c.cols) != (K.rows, K.cols):
+                raise ShapeError(f"coefficient {i} is {c.rows}x{c.cols}, "
+                                 f"expected {K.rows}x{K.cols}")
+        if self.coefficients[0] != K:
             raise ShapeError("constant coefficient must equal the base operator")
 
     @property
@@ -138,36 +151,11 @@ def check_formal_deformation(series: DeformationSeries) -> Report:
     identically, so orders 0..3N decide the whole polynomial identity;
     the checked range is recorded in ``parts``.
     """
-    data = series.base
-    g, rep, H = data.algebra, data.rep, data.cocycle
-    m = rep.dim_v
-    ks = series.coefficients
-    N = series.order
-
-    def coefficient(order, u, v):
-        """The t^order coefficient of the Reynolds identity at (u, v)."""
-        eu, ev = _vbasis(rep, u), _vbasis(rep, v)
-        total = zero_vec(g.field, g.dim)
-        for i in range(0, order + 1):
-            j = order - i
-            if i <= N and j <= N:
-                total = add_vec(total, g.mul(ks[i].column(u), ks[j].column(v)))
-                inner = add_vec(rep.act_L(ks[j].column(u), ev),
-                                rep.act_R(ks[j].column(v), eu))
-                total = sub_vec(total, ks[i].apply(inner))
-        for i in range(0, min(order, N) + 1):
-            for j in range(0, order - i + 1):
-                k = order - i - j
-                if j <= N and k <= N:
-                    hv = H.eval([ks[j].column(u), ks[k].column(v)])
-                    total = sub_vec(total, ks[i].apply(hv))
-        return total
-
-    # the part keys state the determined range: orders 0 .. 3N inclusive
-    return _combine({
-        f"order_{order}": residual_report(((order, u, v), coefficient(order, u, v))
-                                          for u in range(m) for v in range(m))
-        for order in range(0, 3 * N + 1 if N else 1)})
+    table = _reynolds_in_t(series.base, series.coefficients)
+    zero = series.base.field.zero
+    return _combine({f"order_{k}": residual_report(((k, *where), _order(r, k, zero))
+                                                   for where, r in table)
+                     for k in range(3 * series.order + 1)})
 
 
 def infinitesimal(series: DeformationSeries):
@@ -185,7 +173,7 @@ def infinitesimal(series: DeformationSeries):
 
 
 # ---------------------------------------------------------------------------
-# element condition groups (literal and re-derived)
+# element condition groups (literal and re-derived) and the intertwining
 
 
 def _grid_report(pairs_at, rows: int, cols: int) -> Report:
@@ -228,15 +216,15 @@ def _literal_groups(data: ReynoldsData, x) -> dict:
     }
 
 
-def _rederived_groups(data: ReynoldsData, x, K1: Matrix | None = None,
-                      K1p: Matrix | None = None) -> dict:
+def _rederived_groups(data: ReynoldsData, x) -> dict:
     """Expand every morphism requirement of (phi_t, psi_t) in powers of t.
 
     phi_t = id + t P with P = L_x - R_x on g; psi_t = id + t S with
     S u = L_x u - R_x u + H(x, Ku) on V.  Each requirement is a polynomial
-    identity in t; all coefficients must vanish.
+    identity in t; all coefficients must vanish.  The operator
+    intertwining is `_intertwining`.
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    g, rep, H = data.algebra, data.rep, data.cocycle
     field = g.field
     x = tuple(field(c) for c in x)
     n, m = g.dim, rep.dim_v
@@ -274,25 +262,29 @@ def _rederived_groups(data: ReynoldsData, x, K1: Matrix | None = None,
         # t^2: H(P(y), P(z)) = 0
         yield ("t2", y, z), H.eval([p_basis[y], p_basis[z]])
 
-    out = {
+    return {
         "algebra_morphism": _grid_report(alg_map, n, n),
         "left_action": _grid_report(lambda y, u: action(rep.act_L, y, u), n, m),
         "right_action": _grid_report(lambda y, u: action(rep.act_R, y, u), n, m),
         "weight_compat": _grid_report(weight, n, n),
     }
 
-    if K1 is not None and K1p is not None:
-        # phi_t K_t = K'_t psi_t, coefficients of t and t^2
-        def intertwining(u):
-            # t: K1(u) + P(Ku) = K(S(u)) + K1'(u)
-            yield ("t1", u), sub_vec(add_vec(K1.column(u), P(K.column(u))),
-                                     add_vec(K.apply(s_basis[u]), K1p.column(u)))
-            # t^2: P(K1 u) = K1'(S(u))
-            yield ("t2", u), sub_vec(P(K1.column(u)), K1p.apply(s_basis[u]))
 
-        out["intertwines_operator"] = residual_report(
-            p for u in range(m) for p in intertwining(u))
-    return out
+def _intertwining(data: ReynoldsData, x, K1: Matrix, K1p: Matrix) -> list:
+    """The t and t^2 coefficients of (phi_t K_t - K'_t psi_t) e_u, for each u.
+
+    K_t = K + t K1 and K'_t = K + t K1'; phi_t = id + t P and psi_t =
+    id + t S as in `_rederived_groups`.  The constant term is K - K = 0.
+    """
+    g, rep, K = data.algebra, data.rep, data.operator
+    field, n, m = g.field, g.dim, rep.dim_v
+    P = Matrix.from_columns(field, [g.bracket(x, g.basis(y)) for y in range(n)], n)
+    S = Matrix.from_columns(field, [_psi1(data, x, _vbasis(rep, u)) for u in range(m)], m)
+    defect = (_in_t((Matrix.identity(field, n), P)) * _in_t((K, K1))
+              - _in_t((K, K1p)) * _in_t((Matrix.identity(field, m), S)))
+    zero = field.zero
+    return [(_order(col, 1, zero), _order(col, 2, zero))
+            for col in (defect.column(u) for u in range(m))]
 
 
 def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Report:
@@ -302,22 +294,19 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     operator-intertwining identities; the re-derived expansion is attached
     under ``parts["rederived"]`` for comparison.
     """
-    g, rep, K = data.algebra, data.rep, data.operator
+    g = data.algebra
     x = tuple(g.field(c) for c in x)
+    columns = _intertwining(data, x, K1, K1p)
+
+    def intertwining(t1_tag, t2_tag):
+        return residual_report(p for u, (t1, t2) in enumerate(columns)
+                               for p in (((t1_tag, u), t1), ((t2_tag, u), t2)))
+
     parts = dict(_literal_groups(data, x))
-
-    def intertwining(u):
-        Ku, K1u = K.column(u), K1.column(u)
-        s = _psi1(data, x, _vbasis(rep, u))
-        lhs = add_vec(K1u, sub_vec(g.mul(x, Ku), g.mul(Ku, x)))
-        yield ("difference", u), sub_vec(lhs, add_vec(K.apply(s), K1p.column(u)))
-        yield ("conjugate", u), sub_vec(sub_vec(g.mul(x, K1u), g.mul(K1u, x)), K1p.apply(s))
-
-    parts["intertwines_operator"] = residual_report(
-        p for u in range(rep.dim_v) for p in intertwining(u))
-
+    parts["intertwines_operator"] = intertwining("difference", "conjugate")
     report = _combine(parts)
-    rederived = _rederived_groups(data, x, K1, K1p)
+    rederived = _rederived_groups(data, x)
+    rederived["intertwines_operator"] = intertwining("t1", "t2")
     report.parts["rederived"] = _combine(rederived)
     report.parts["modes_agree"] = Report(
         all(parts[k].ok == rederived[k].ok for k in
@@ -374,38 +363,22 @@ class RigidityReport:
 def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     """Decide the sufficient rigidity criterion over a prime field.
 
-    Enumerates the full space of operator 1-cocycles Z^1 (as the span of
-    the kernel of the degree-1 differential) and the coboundaries of all
-    Nijenhuis elements, and reports whether the two sets coincide.  The
-    verdict is a probe of the sufficient condition only: Z^1 = d_K(Nij)
-    implies rigidity.
+    Counts the operator 1-cocycles Z^1 as p^dim, dim the kernel dimension
+    of the degree-1 differential, and collects the coboundaries of all
+    Nijenhuis elements.  The criterion Z^1 = d_K(Nij) holds exactly when
+    every such coboundary is killed by the differential and there are
+    p^dim of them; d_K x need not be a cocycle for an arbitrary element
+    x, so membership is checked, not assumed.  The verdict is a probe of
+    the sufficient condition only: Z^1 = d_K(Nij) implies rigidity.
     """
     field = data.field
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the rigidity probe needs a finite field")
-    g, rep = data.algebra, data.rep
     d1 = operator_coboundary_matrix(data, 1)
-    basis = d1.kernel().vectors
-    elements = field.elements()
-
-    cocycles = set()
-
-    def span(prefix, acc):
-        if len(prefix) == len(basis):
-            cocycles.add(tuple(acc))
-            return
-        for c in elements:
-            nxt = [a + c * b for a, b in zip(acc, basis[len(prefix)])]
-            span(prefix + [c], nxt)
-
-    zero_flat = [field.zero] * cochain_space_dim(rep.dim_v, g.dim, 1)
-    span([], zero_flat)
-
-    image = set()
+    cocycle_count = field.p ** len(d1.kernel())
     nij = nijenhuis_elements(data)
-    for x in nij:
-        mat = element_coboundary(data, x)
-        flat = tuple(x for v in Cochain.from_matrix(mat).values for x in v)
-        image.add(flat)
-
-    return RigidityReport(len(cocycles), len(nij), len(image), cocycles == image)
+    image = {tuple(c for v in Cochain.from_matrix(element_coboundary(data, x)).values
+                   for c in v) for x in nij}
+    closed = all(is_zero_vec(d1.apply(flat)) for flat in image)
+    return RigidityReport(cocycle_count, len(nij), len(image),
+                          closed and len(image) == cocycle_count)

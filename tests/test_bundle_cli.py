@@ -425,6 +425,30 @@ def test_cli_deform_check_series(tmp_path):
     assert parsed["order"] == 1 and parsed["checked_orders"] == [0, 3]
 
 
+@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 4), (4, 3)])
+def test_cli_formal_deform_misfit_coefficient_is_a_shape_error(rows, cols):
+    doc = json.loads((CORPUS / "g3-k-rowzero.json").read_text())
+    doc["series"] = [doc["operatorK"], {"rows": rows, "cols": cols,
+                                        "entries": [["0"] * cols] * rows}]
+    code, out, _ = run_cli("check", "formal-deform", json.dumps(doc))
+    assert code == 2
+    assert json.loads(out) == {"error": "ShapeError",
+                               "message": f"coefficient 1 is {rows}x{cols}, expected 3x3"}
+
+
+@pytest.mark.parametrize("order", [-1, -2])
+def test_cli_deform_check_negative_order_is_a_schema_error(tmp_path, order):
+    doc = json.loads((CORPUS / "g3-k-rowzero.json").read_text())
+    zero = {"rows": 3, "cols": 3, "entries": [["0"] * 3] * 3}
+    doc["series"] = [doc["operatorK"], zero, zero]
+    p = tmp_path / "series.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run_cli("deform", "check", "--bundle", str(p), "--order", str(order))
+    assert code == 2
+    assert json.loads(out) == {"error": "SchemaError",
+                               "message": f"/order: order must be >= 0, got {order}"}
+
+
 def test_cli_dk_consistency_degrees():
     for degree in (1, 2):
         code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-rowzero.json"),

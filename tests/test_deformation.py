@@ -139,6 +139,26 @@ def test_linear_and_formal_checkers_agree_at_order_one(g3_data):
         assert formal.parts["order_3"].ok == linear.parts["order_t3"].ok
 
 
+def test_linear_and_formal_checkers_report_the_same_residuals():
+    # the linear checker is the formal one on (K, K1): same pairs, same residuals
+    orders_seen = set()
+    for field in (QQ, PrimeField(3)):
+        rng = random.Random(34)
+        for _ in range(6):
+            data = random_reynolds_data(rng, field, max_dim=3)
+            n, m = data.algebra.dim, data.rep.dim_v
+            K1 = Matrix(field, [[rng.randint(-1, 1) for _ in range(m)] for _ in range(n)])
+            linear = check_linear_deformation(data, K1)
+            formal = check_formal_deformation(DeformationSeries(data, (data.operator, K1)))
+            for k in (1, 2, 3):
+                got = linear.parts[f"order_t{k}"].violations
+                want = [(where[1:], r) for where, r in formal.parts[f"order_{k}"].violations]
+                assert got == want
+                if got:
+                    orders_seen.add(k)
+    assert orders_seen == {1, 2, 3}
+
+
 def test_formal_checker_reports_first_failure(g3_data):
     bad = Matrix(QQ, [[0, 0, 0], [0, 0, 0], [1, 0, 0]])
     series = DeformationSeries(g3_data, (g3_data.operator, bad))
@@ -284,6 +304,22 @@ def test_rigidity_probe_golden_dim1():
     report = rigidity_probe(data)
     assert (report.cocycle_count, report.nijenhuis_count,
             report.image_count, report.criterion_holds) == (2, 2, 1, False)
+
+
+def _abelian_zero_bundle(dim):
+    F2 = PrimeField(2)
+    a = PreLieAlgebra.abelian(F2, dim)
+    return ReynoldsData.build(a, regular_representation(a), Cochain.zero(F2, 2, dim, dim),
+                              Matrix.zero(F2, dim, dim))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_rigidity_probe_counts_z1_without_listing_it(dim):
+    # H = 0 and K = 0 on abelian F_2^dim: all of Hom(V, g) is Z^1, every
+    # element is Nijenhuis, and every d_K x vanishes
+    report = rigidity_probe(_abelian_zero_bundle(dim))
+    assert (report.cocycle_count, report.nijenhuis_count,
+            report.image_count, report.criterion_holds) == (2 ** (dim * dim), 2 ** dim, 1, False)
 
 
 def test_rigidity_probe_rejects_rationals(g3_data):

@@ -269,7 +269,7 @@ DIGESTS = {
     "formal_deformation": "6a72eaa52663c7ff",
     "graph_subalgebra": "89ab64e13437d29d",
     "jacobi": "85494a527bceda55",
-    "linear_deformation": "cce01b0600e2cd6d",
+    "linear_deformation": "0031d1759e37f1d8",
     "maurer_cartan": "9c419346609dc01f",
     "morphism": "de0cd1ded4c94526",
     "nijenhuis": "5260950a9483aad5",
