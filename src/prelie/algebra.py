@@ -12,6 +12,17 @@ stream to `residual_report`, which keeps the nonzero residuals in order.
 The constructors of `PreLieAlgebra` and `Representation` verify by
 default, so any instance passed around the package has survived its
 axioms.
+
+The axiom checkers `check_prelie`, `check_jacobi`, `check_representation`
+and `nsprelie.check_ns_prelie` evaluate their formulas on Python ints:
+each lifts all the structure constants it reads with one
+`scalars.lift`, scaled by one common denominator D over Q and reduced to
+residues over F_p, runs the formula unchanged on `scalars.INTEGERS`, and
+maps every residual back to the field.  Each axiom is homogeneous in the
+constants (of degree 2, antisymmetry of degree 1), so a residual r is
+r / D^2 (or r / D) over Q and r mod p over F_p, and the reports are the
+ones the field arithmetic gives.  Polynomial entries cannot be lifted and
+raise TypeError there.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from .errors import (
     UnverifiedError,
 )
 from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, scale_vec, sub_vec, zero_vec
-from .scalars import scalar_to_str
+from .scalars import INTEGERS, lift, scalar_to_str
 
 
 @dataclass
@@ -108,20 +119,20 @@ def check_prelie(field, tensor) -> Report:
     Passes iff (ei.ej).ek - ei.(ej.ek) = (ej.ei).ek - ej.(ei.ek) for every
     (i, j, k); failures carry the residual vector of the difference.
     """
-    t = _as_tensor(field, tensor)
+    (t,), down = lift(field, (_as_tensor(field, tensor),))
     n = len(t)
-    basis = [basis_vec(field, n, i) for i in range(n)]
+    basis = [basis_vec(INTEGERS, n, i) for i in range(n)]
 
     def mul(x, y):
-        return tensor_mul(field, t, x, y)
+        return tensor_mul(INTEGERS, t, x, y)
 
     def associator(x, y, z):
         return sub_vec(mul(mul(x, y), z), mul(x, mul(y, z)))
 
     # symmetric in (i, j); i == j is trivial
     return residual_report(
-        ((i, j, k), sub_vec(associator(basis[i], basis[j], basis[k]),
-                            associator(basis[j], basis[i], basis[k])))
+        ((i, j, k), down(sub_vec(associator(basis[i], basis[j], basis[k]),
+                                 associator(basis[j], basis[i], basis[k])), 2))
         for i in range(n) for j in range(i + 1, n) for k in range(n))
 
 
@@ -226,19 +237,19 @@ def subadjacent_lie(a: PreLieAlgebra):
 
 def check_jacobi(field, bracket_tensor) -> Report:
     """Antisymmetry and Jacobi identity for a raw bracket tensor."""
-    t = _as_tensor(field, bracket_tensor)
+    (t,), down = lift(field, (_as_tensor(field, bracket_tensor),))
     n = len(t)
-    basis = [basis_vec(field, n, i) for i in range(n)]
+    basis = [basis_vec(INTEGERS, n, i) for i in range(n)]
 
     def br(x, y):
-        return tensor_mul(field, t, x, y)
+        return tensor_mul(INTEGERS, t, x, y)
 
     def jacobiator(x, y, z):
         return add_vec(add_vec(br(x, br(y, z)), br(y, br(z, x))), br(z, br(x, y)))
 
-    antisym = ((("antisym", i, j), add_vec(t[i][j], t[j][i]))
+    antisym = ((("antisym", i, j), down(add_vec(t[i][j], t[j][i]), 1))
                for i in range(n) for j in range(n))
-    jacobi = ((("jacobi", i, j, k), jacobiator(basis[i], basis[j], basis[k]))
+    jacobi = ((("jacobi", i, j, k), down(jacobiator(basis[i], basis[j], basis[k]), 2))
               for i in range(n) for j in range(n) for k in range(n))
     return residual_report(chain(antisym, jacobi))
 
@@ -252,15 +263,16 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
     Violations are reported per (identity, x, y, u) with u a V-basis index.
     """
     n = algebra.dim
-    field = algebra.field
     if len(L) != n or len(R) != n:
         raise ShapeError(f"need {n} action matrices, got {len(L)} and {len(R)}")
     for M in list(L) + list(R):
         if M.rows != dim_v or M.cols != dim_v:
             raise ShapeError(f"action matrix is {M.rows}x{M.cols}, expected {dim_v}x{dim_v}")
+    lifted, down = lifted_representation(algebra, dim_v, L, R)
+    algebra, L, R = lifted.algebra, lifted.L, lifted.R
 
     def combo(mats, coeffs) -> Matrix:
-        out = Matrix.zero(field, dim_v, dim_v)
+        out = Matrix.zero(INTEGERS, dim_v, dim_v)
         for c, M in zip(coeffs, mats):
             if c:
                 out = out + M.scale(c)
@@ -273,8 +285,8 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
         d1 = (L[i] * L[j] - l_ij) - (L[j] * L[i] - l_ji)
         d2 = (L[i] * R[j] - R[j] * L[i]) - (r_ij - R[j] * R[i])
         for u in range(dim_v):
-            yield ("left", i, j, u), d1.column(u)
-            yield ("mixed", i, j, u), d2.column(u)
+            yield ("left", i, j, u), down(d1.column(u), 2)
+            yield ("mixed", i, j, u), down(d2.column(u), 2)
 
     return residual_report(pair for i in range(n) for j in range(n)
                            for pair in defects(i, j))
@@ -342,6 +354,22 @@ class Representation:
             if xi:
                 out = out + self.R[i].scale(xi)
         return out
+
+
+def lifted_representation(algebra: PreLieAlgebra, dim_v: int, L, R):
+    """The algebra and actions (L, R) with their constants lifted to ints together.
+
+    One `scalars.lift` covers the structure constants and every action
+    matrix, so all of them are scaled by the same D.  Returns the
+    unverified `Representation` over `scalars.INTEGERS` and the lift's
+    ``down``.
+    """
+    (product, L, R), down = lift(algebra.field, (algebra.product, [M.data for M in L],
+                                                 [M.data for M in R]))
+    a = PreLieAlgebra(INTEGERS, product, check=False)
+    lifted = Representation(a, dim_v, [Matrix(INTEGERS, d, cols=dim_v) for d in L],
+                            [Matrix(INTEGERS, d, cols=dim_v) for d in R], check=False)
+    return lifted, down
 
 
 def regular_representation(a: PreLieAlgebra) -> Representation:

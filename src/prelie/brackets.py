@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .algebra import PreLieAlgebra, Report, Representation, residual_report
 from .cochain import Cochain, _unshuffles, cochain_keys
-from .errors import ShapeError
+from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
 from .reynolds import ReynoldsData, semidirect_tensor
 from .scalars import FpElement, PrimeField, QQ
@@ -249,7 +249,7 @@ def _reduce_cochain(c: Cochain, field) -> Cochain:
         row = []
         for x in v:
             if x.denominator != 1:
-                raise AssertionError("integer lift produced a non-integer entry")
+                raise InvariantError("integer lift produced a non-integer entry")
             row.append(field(x.numerator))
         values.append(row)
     return Cochain(field, c.degree, c.dim_source, c.dim_target, values)

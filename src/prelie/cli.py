@@ -4,7 +4,9 @@ One binary, subcommand style.  Reports are single JSON documents on
 stdout with stable key order (the `search` command emits one JSON line
 per solution followed by a summary line); human-readable summaries go to
 stderr.  Exit codes: 0 pass/success, 1 checked-and-failed, 2 input
-error, 3 budget or resource error.  The environment variable
+error, 3 budget or resource error, 4 a failed re-verification of the
+package's own output (an internal invariant; a fault in the package, not
+in the input).  The environment variable
 PRELIE_BUDGET overrides the default search budget; --field re-reads a
 field-generic bundle over another scalar field.
 """
@@ -45,6 +47,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INVARIANT = 4
 
 
 def _violations_json(report, limit=50):
@@ -505,6 +508,13 @@ def main(argv=None) -> int:
             {"error": type(exc).__name__, "message": str(exc)}) + "\n")
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
+    except AssertionError as exc:
+        # InvariantError, or any other assertion inside the package
+        message = str(exc)
+        sys.stdout.write(json.dumps({"error": "InvariantError", "message": message}) + "\n")
+        first_line = message.splitlines()[0] if message else ""
+        sys.stderr.write(f"internal invariant failed: {first_line}\n")
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,8 +11,12 @@ Coboundary matrices are built from the same formula as `coboundary`:
 `coboundary_at` is evaluated once per output key on a generic cochain,
 whose coordinates are polynomial variables (`scalars.Poly`) instead of
 scalars; each output coordinate is then a linear polynomial, that is,
-one sparse matrix row.  `cohomology` keeps those rows sparse and turns
-them into integer rows once, for its exact ranks and its d o d = 0 check.
+one sparse matrix row.  `cohomology` runs the same assembly on the
+algebra and representation lifted to Python ints once
+(`algebra.lifted_representation`): the formula is linear in the
+structure constants, so over Q the rows come out as D times the field
+rows, with the same ranks, and over F_p they are reduced mod p once.
+Its exact ranks and its d o d = 0 check read those integer rows.
 
 `check_two_cocycle` is the same formula once more: H is a 2-cocycle
 exactly when `coboundary` of H vanishes, and the report lists dH on
@@ -29,13 +33,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .algebra import PreLieAlgebra, Report, Representation, residual_report
-from .errors import ShapeError
+from .algebra import (
+    PreLieAlgebra,
+    Report,
+    Representation,
+    lifted_representation,
+    residual_report,
+)
+from .errors import InvariantError, ShapeError
 from .linalg import (
     Matrix,
     add_vec,
     integer_rank,
-    integer_rows,
     is_zero_vec,
     neg_vec,
     scale_vec,
@@ -380,6 +389,26 @@ def coboundary_matrix(a: PreLieAlgebra, rep: Representation, degree: int) -> Mat
                             for row in _coboundary_rows(a, rep, degree)], cols=cols)
 
 
+def integer_coboundary_rows(a: PreLieAlgebra, rep: Representation, degrees) -> list:
+    """Sparse integer rows of the coboundary at each of ``degrees``, from one lift.
+
+    The rows are assembled on (a, rep) lifted to ints by one common
+    denominator D: over Q they are D times the rows of `coboundary_matrix`,
+    over F_p they are reduced to residues.  Either way they have the
+    field rows' ranks and kernels, and a product of two of them is zero
+    exactly when the field product is (it is scaled by D^2).
+    """
+    lifted, _ = lifted_representation(a, rep.dim_v, rep.L, rep.R)
+    p = a.field.char
+    out = []
+    for degree in degrees:
+        rows = _coboundary_rows(lifted.algebra, lifted, degree)
+        if p:
+            rows = [{j: r for j, v in row.items() if (r := v % p)} for row in rows]
+        out.append(rows)
+    return out
+
+
 @dataclass(frozen=True)
 class CohomologyReport:
     degree: int
@@ -394,18 +423,17 @@ def cohomology(a: PreLieAlgebra, rep: Representation, degree: int) -> Cohomology
     dim B at degree 1 is 0 by convention: the complex starts at degree 1,
     so H^1 = Z^1.  The composite of consecutive differentials is verified
     to vanish before the dimensions are reported, on the same integer rows
-    that the ranks are taken of: d_n scaled row by row, d_{n-1} by one
-    common denominator.
+    that the ranks are taken of (`integer_coboundary_rows`).
     """
     dim = cochain_space_dim(a.dim, rep.dim_v, degree)
     p = a.field.char
-    d_n = integer_rows(_coboundary_rows(a, rep, degree), p)
-    dim_z = dim - integer_rank(d_n, p)
     if degree == 1:
+        (d_n,) = integer_coboundary_rows(a, rep, (1,))
         dim_b = 0
     else:
-        d_prev = integer_rows(_coboundary_rows(a, rep, degree - 1), p, common=True)
+        d_n, d_prev = integer_coboundary_rows(a, rep, (degree, degree - 1))
         if any(sparse_mul(d_n, d_prev, p)):
-            raise AssertionError("coboundary does not square to zero")
+            raise InvariantError("coboundary does not square to zero")
         dim_b = integer_rank(d_prev, p)
+    dim_z = dim - integer_rank(d_n, p)
     return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b)

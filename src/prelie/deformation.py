@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Report, Representation, _combine, residual_report
-from .cochain import Cochain
+from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
-from .opcohomology import operator_coboundary, operator_coboundary_matrix, rbar
+from .linalg import Matrix, add_vec, basis_vec, integer_rank, sparse_mul, sub_vec
+from .opcohomology import induced_representation, operator_coboundary, rbar
 from .reynolds import ReynoldsData, rcw_residual
 from .scalars import Poly, PrimeField
 
@@ -51,6 +51,14 @@ def _psi1(data: ReynoldsData, x, u_vec) -> tuple:
     rep = data.rep
     out = sub_vec(rep.act_L(x, u_vec), rep.act_R(x, u_vec))
     return add_vec(out, data.cocycle.eval([x, data.operator.apply(u_vec)]))
+
+
+def _element(g, x) -> tuple:
+    """The coordinates of an algebra element, coerced into the field."""
+    x = tuple(g.field(c) for c in x)
+    if len(x) != g.dim:
+        raise ShapeError("element has the wrong length")
+    return x
 
 
 def _in_t(matrices) -> Matrix:
@@ -88,9 +96,7 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
     g, rep, K = data.algebra, data.rep, data.operator
-    x = tuple(g.field(c) for c in x)
-    if len(x) != g.dim:
-        raise ShapeError("element has the wrong length")
+    x = _element(g, x)
     cols = []
     for u in range(rep.dim_v):
         Ku = K.column(u)
@@ -295,7 +301,7 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     under ``parts["rederived"]`` for comparison.
     """
     g = data.algebra
-    x = tuple(g.field(c) for c in x)
+    x = _element(g, x)
     columns = _intertwining(data, x, K1, K1p)
 
     def intertwining(t1_tag, t2_tag):
@@ -322,9 +328,7 @@ def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
     ride along in ``parts["rederived"]``.
     """
     g = data.algebra
-    x = tuple(g.field(c) for c in x)
-    if len(x) != g.dim:
-        raise ShapeError("element has the wrong length")
+    x = _element(g, x)
 
     def commutator(u):
         r = rbar(data, u, x)
@@ -364,8 +368,9 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     """Decide the sufficient rigidity criterion over a prime field.
 
     Counts the operator 1-cocycles Z^1 as p^dim, dim the kernel dimension
-    of the degree-1 differential, and collects the coboundaries of all
-    Nijenhuis elements.  The criterion Z^1 = d_K(Nij) holds exactly when
+    of the degree-1 differential read off the integer rank of its sparse
+    rows (`cochain.integer_coboundary_rows`), and collects the
+    coboundaries of all Nijenhuis elements.  The criterion Z^1 = d_K(Nij) holds exactly when
     every such coboundary is killed by the differential and there are
     p^dim of them; d_K x need not be a cocycle for an arbitrary element
     x, so membership is checked, not assumed.  The verdict is a probe of
@@ -374,11 +379,16 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     field = data.field
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the rigidity probe needs a finite field")
-    d1 = operator_coboundary_matrix(data, 1)
-    cocycle_count = field.p ** len(d1.kernel())
+    p = field.p
+    induced = induced_representation(data)
+    (d1,) = integer_coboundary_rows(induced.algebra, induced, (1,))
+    cols = cochain_space_dim(induced.algebra.dim, induced.dim_v, 1)
+    cocycle_count = p ** (cols - integer_rank(d1, p))
     nij = nijenhuis_elements(data)
-    image = {tuple(c for v in Cochain.from_matrix(element_coboundary(data, x)).values
+    image = {tuple(c.value for v in Cochain.from_matrix(element_coboundary(data, x)).values
                    for c in v) for x in nij}
-    closed = all(is_zero_vec(d1.apply(flat)) for flat in image)
+    # the image vectors as the columns of one sparse matrix, all killed by d1 or not
+    columns = [{i: vec[j] for i, vec in enumerate(image) if vec[j]} for j in range(cols)]
+    closed = not any(sparse_mul(d1, columns, p))
     return RigidityReport(cocycle_count, len(nij), len(image),
                           closed and len(image) == cocycle_count)

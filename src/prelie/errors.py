@@ -45,6 +45,15 @@ class UnverifiedNSError(UnverifiedError):
     """The supplied triple of products is not an NS-pre-Lie structure."""
 
 
+class InvariantError(AssertionError):
+    """A re-verification of the package's own output failed.
+
+    Constructions re-check the theorems behind them; this names the one
+    that did not hold, which points at a fault in the package, not in
+    the input.
+    """
+
+
 class NotCocycleError(ValueError):
     """A 1-cocycle was required and the cocycle condition fails."""
 

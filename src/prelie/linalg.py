@@ -309,21 +309,15 @@ def sparse_mul(a_rows, b_rows, p: int = 0) -> list:
     return out
 
 
-def integer_rows(rows, p: int, *, common: bool = False) -> list:
+def integer_rows(rows, p: int) -> list:
     """Sparse rows over Q (p = 0) or F_p, as sparse rows of Python ints.
 
     Over F_p an entry becomes its residue.  Over Q each row is multiplied
-    by the lcm of its own denominators, which keeps its span; with
-    ``common`` every row is multiplied by the lcm of all denominators
-    instead.  A product A*B is zero exactly when it was zero if A's rows
-    are scaled one by one, but B must be scaled as a whole: scaling B's
-    rows by different factors changes the product.
+    by the lcm of its own denominators, which keeps its span.
     """
     if p:
         return [{j: x.value for j, x in row.items()} for row in rows]
     dens = [lcm(*(x.denominator for x in row.values())) for row in rows]
-    if common:
-        dens = [lcm(*dens)] * len(rows)
     return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
             for row, d in zip(rows, dens)]
 

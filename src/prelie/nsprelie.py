@@ -29,22 +29,34 @@ from .algebra import (
     tensor_mul,
 )
 from .cochain import Cochain, cochain_keys
-from .errors import ShapeError, SingularError, UnverifiedNSError, UnverifiedOperatorError
+from .errors import (
+    InvariantError,
+    ShapeError,
+    SingularError,
+    UnverifiedNSError,
+    UnverifiedOperatorError,
+)
 from .linalg import Matrix, add_vec, basis_vec, sub_vec
 from .reynolds import ReynoldsData, induced_product
+from .scalars import INTEGERS, lift
 
 
 def check_ns_prelie(field, tri, trl, circ) -> Report:
-    """Axioms A1, A2, A3 on all basis triples, with per-axiom verdicts."""
+    """Axioms A1, A2, A3 on all basis triples, with per-axiom verdicts.
+
+    The three tensors are lifted to ints together (`scalars.lift`); each
+    axiom is homogeneous of degree 2 in them.
+    """
     t_tri = _as_tensor(field, tri)
     t_trl = _as_tensor(field, trl)
     t_circ = _as_tensor(field, circ)
     n = len(t_tri)
     if len(t_trl) != n or len(t_circ) != n:
         raise ShapeError("the three tensors must share one dimension")
+    (t_tri, t_trl, t_circ), down = lift(field, (t_tri, t_trl, t_circ))
 
     def mul(tensor, x, y):
-        return tensor_mul(field, tensor, x, y)
+        return tensor_mul(INTEGERS, tensor, x, y)
 
     def star(x, y):
         return add_vec(add_vec(mul(t_tri, x, y), mul(t_trl, x, y)), mul(t_circ, x, y))
@@ -68,10 +80,10 @@ def check_ns_prelie(field, tri, trl, circ) -> Report:
     def a3(x, y, z):
         return sub_vec(a3_side(x, y, z), a3_side(y, x, z))
 
-    basis = [basis_vec(field, n, i) for i in range(n)]
+    basis = [basis_vec(INTEGERS, n, i) for i in range(n)]
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     return _combine({
-        name: residual_report(((i, j, k), axiom(basis[i], basis[j], basis[k]))
+        name: residual_report(((i, j, k), down(axiom(basis[i], basis[j], basis[k]), 2))
                               for i, j, k in triples)
         for name, axiom in (("A1", a1), ("A2", a2), ("A3", a3))})
 
@@ -175,7 +187,7 @@ def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     ns = NSPreLie(g.field, tri, trl, circ, check=True)
     deformed = tuple(tuple(_deformed_mul(g, N, i, j) for j in range(n)) for i in range(n))
     if ns.star_tensor() != deformed:
-        raise AssertionError("subadjacent product differs from the deformed product")
+        raise InvariantError("subadjacent product differs from the deformed product")
     return ns
 
 
@@ -202,7 +214,7 @@ def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
         circ.append(p3)
     ns = NSPreLie(field, tri, trl, circ, check=True)
     if ns.star_tensor() != induced_product(data).product:
-        raise AssertionError("subadjacent product differs from the induced product")
+        raise InvariantError("subadjacent product differs from the induced product")
     return ns
 
 
@@ -255,5 +267,5 @@ def compatible_ns_from_invertible(data: ReynoldsData) -> NSPreLie:
         circ.append(p3)
     ns = NSPreLie(field, tri, trl, circ, check=True)
     if ns.star_tensor() != g.product:
-        raise AssertionError("transported NS-structure is not compatible with the product")
+        raise InvariantError("transported NS-structure is not compatible with the product")
     return ns

@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .cochain import Cochain, check_two_cocycle, coboundary
 from .errors import (
+    InvariantError,
     NotAdmissibleError,
     NotCocycleError,
     ShapeError,
@@ -184,9 +185,9 @@ def star_product(g: PreLieAlgebra, K: Matrix, weight) -> PreLieAlgebra:
     tensor = [[_star_mul(g, K, lam, i, j) for j in range(n)] for i in range(n)]
     star = PreLieAlgebra(g.field, tensor, check=True)
     if not check_weighted_reynolds(star, K, lam).ok:
-        raise AssertionError("K is not a weighted Reynolds operator on the new product")
+        raise InvariantError("K is not a weighted Reynolds operator on the new product")
     if not check_morphism(star, g, K).ok:
-        raise AssertionError("K is not a morphism from the new product to the old one")
+        raise InvariantError("K is not a morphism from the new product to the old one")
     return star
 
 
@@ -201,7 +202,7 @@ def derivation_from_reynolds(g: PreLieAlgebra, K: Matrix, weight) -> Matrix:
     D = inv + Matrix.identity(g.field, g.dim).scale(lam)
     report = check_derivation(g, D)
     if not report.ok:
-        raise AssertionError("derived map is not a derivation:\n" + report.describe())
+        raise InvariantError("derived map is not a derivation:\n" + report.describe())
     return D
 
 
@@ -216,7 +217,7 @@ def reynolds_from_derivation(g: PreLieAlgebra, D: Matrix, weight) -> Matrix:
     if K is None:
         raise SingularError("D - weight*id is not invertible")
     if not check_weighted_reynolds(g, K, lam).ok:
-        raise AssertionError("inverse fails the weighted Reynolds identity")
+        raise InvariantError("inverse fails the weighted Reynolds identity")
     return K
 
 
@@ -292,7 +293,7 @@ def induced_product(data: ReynoldsData) -> PreLieAlgebra:
     tensor = [[induced_mul(rep, H, K, u, v) for v in range(m)] for u in range(m)]
     out = PreLieAlgebra(data.field, tensor, check=True)
     if not check_morphism(out, data.algebra, K).ok:
-        raise AssertionError("operator is not a morphism from the induced product")
+        raise InvariantError("operator is not a morphism from the induced product")
     return out
 
 
@@ -321,10 +322,10 @@ def shift_isomorphism(g: PreLieAlgebra, rep: Representation, H: Cochain,
                     + [field.one if j == i else field.zero for j in range(m)])
     psi = Matrix(field, rows)
     if psi.inverse() is None:
-        raise AssertionError("shift isomorphism is singular")
+        raise InvariantError("shift isomorphism is singular")
     report = check_morphism(first, second, psi)
     if not report.ok:
-        raise AssertionError("shift map is not a morphism:\n" + report.describe())
+        raise InvariantError("shift map is not a morphism:\n" + report.describe())
     return first, second, psi
 
 
@@ -346,7 +347,7 @@ def shift_operator(data: ReynoldsData, h: Cochain) -> Matrix:
     new_cocycle = H + coboundary(g, rep, h)
     out = check_rcw_reynolds(g, rep, new_cocycle, shifted)
     if not out.ok:
-        raise AssertionError(
+        raise InvariantError(
             "shifted operator fails the identity for the shifted weight:\n"
             + out.describe())
     return shifted
@@ -372,13 +373,13 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
         raise NotAdmissibleError("id + B K is singular; B is not admissible")
     gauged = K * inv
     if not _reynolds_report(g, rep, H, gauged).ok:
-        raise AssertionError("gauged operator fails the Reynolds identity")
+        raise InvariantError("gauged operator fails the Reynolds identity")
     # H is verified with the bundle, the gauged operator just above
     before = induced_product(data)
     after = induced_product(ReynoldsData(g, rep, H, gauged))
     iso = check_morphism(before, after, bundle)
     if not iso.ok:
-        raise AssertionError("id + B K is not an isomorphism of induced products")
+        raise InvariantError("id + B K is not an isomorphism of induced products")
     return gauged
 
 

@@ -10,6 +10,15 @@ knowing the field.
 Serialized form: rationals as "n" or "n/d" (e.g. "3", "-1/2"),
 prime-field values as "r mod p" (e.g. "2 mod 3").
 
+`lift` turns a batch of one field's scalars into Python ints: over Q
+every scalar is multiplied by D, the lcm of the batch's denominators;
+over F_p each becomes its residue and D = 1.  An identity homogeneous of
+degree k in the batch then evaluates on the ints to D^k times its field
+value (over F_p, to an integer congruent to it), so the package's
+checkers run their formulas on `INTEGERS`, a bare evaluation ring with
+identity coercion, and map each residual back.  `INTEGERS` has no name,
+parser or printer, so bundles and the command line never see it.
+
 `Poly` is a polynomial with coefficients in one of these fields.  It
 mixes with scalars under +, - and *, and both fields pass it through
 unchanged, so the package's ordinary scalar code (matrices, cochains,
@@ -19,6 +28,7 @@ checkers) can run on polynomial entries and return polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatchError
 
@@ -297,6 +307,71 @@ class PrimeField:
 
 
 QQ = RationalField()
+
+
+class _Integers:
+    """Python ints as scalars: the ring that lifted identities evaluate in.
+
+    Coercion is the identity; there is no division, parser or printer.
+    """
+
+    zero = 0
+    one = 1
+
+    def __call__(self, v):
+        return v
+
+    def __repr__(self):
+        return "Z"
+
+
+INTEGERS = _Integers()
+
+
+def _leaves(arrays):
+    for a in arrays:
+        if isinstance(a, (tuple, list)):
+            yield from _leaves(a)
+        else:
+            yield a
+
+
+def _nested(f, arrays) -> tuple:
+    return tuple(_nested(f, a) if isinstance(a, (tuple, list)) else f(a) for a in arrays)
+
+
+def lift(field, arrays):
+    """The scalars of ``arrays`` as Python ints, with the way back to the field.
+
+    ``arrays`` nests tuples and lists of scalars of ``field``; the lifted
+    copy keeps the nesting, as tuples.  Over Q every scalar is multiplied
+    by D, the lcm of all their denominators; over F_p each becomes its
+    residue and D = 1.  Returns the lifted arrays and ``down``:
+    ``down(r, k)`` is the field value of an integer vector r that an
+    identity homogeneous of degree k in these scalars evaluated to, that
+    is r / D^k over Q and r mod p over F_p.  Anything else, such as a
+    `Poly` entry, raises TypeError.
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+
+        def residue(x):
+            if isinstance(x, FpElement) and x.p == p:
+                return x.value
+            raise TypeError(f"cannot lift {x!r} from F_{p}")
+
+        lifted = _nested(residue, arrays)
+        return lifted, lambda r, k: tuple(FpElement(x, p) for x in r)
+    dens = set()
+    for x in _leaves(arrays):
+        if not isinstance(x, Fraction):
+            raise TypeError(f"cannot lift {x!r} from Q")
+        dens.add(x.denominator)
+    D = lcm(*dens)
+    lifted = _nested(lambda x: x.numerator * (D // x.denominator), arrays)
+    zero = field.zero
+    return lifted, lambda r, k: tuple(Fraction(x, D ** k) if x else zero for x in r)
+
 
 _FIELD_NAMES = {"q": QQ}
 

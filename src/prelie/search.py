@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .deformation import check_nijenhuis_element
-from .errors import BudgetExceededError, ShapeError
+from .errors import BudgetExceededError, InvariantError, ShapeError
 from .linalg import Matrix
 from .nsprelie import check_nijenhuis
 from .reynolds import (
@@ -177,7 +177,7 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
         if _vanish(equations, values, zero):
             K = _candidate(spec, values, field)
             if not check(K).ok:
-                raise AssertionError(
+                raise InvariantError(
                     "the compiled equations accepted a candidate the checker rejects")
             solutions.append(K)
     return SearchResult(tuple(solutions), total, len(solutions))

@@ -17,6 +17,11 @@ compiles from the Reynolds checker with a hand-derived polynomial system.
 library ran before its integer engine: Gauss-Jordan on the dense field
 scalars, and sparse forward elimination on them.  `dense_kernel`,
 `dense_solve` and `dense_inverse` read their answers off `dense_rref`.
+
+`field_check_prelie`, `field_check_jacobi`, `field_check_representation`
+and `field_check_ns_prelie` are the axiom checkers as the library wrote
+them before it lifted the structure constants to integers: the same
+formulas evaluated directly on the field scalars.
 """
 
 from __future__ import annotations
@@ -25,7 +30,15 @@ import heapq
 from dataclasses import dataclass
 from itertools import product
 
-from prelie.algebra import PreLieAlgebra, regular_representation
+from prelie.algebra import (
+    PreLieAlgebra,
+    Report,
+    _as_tensor,
+    _combine,
+    regular_representation,
+    residual_report,
+    tensor_mul,
+)
 from prelie.cochain import Cochain, cochain_keys
 from prelie.errors import BudgetExceededError, ShapeError
 from prelie.linalg import Matrix, add_vec, basis_vec, sub_vec, zero_vec
@@ -341,3 +354,106 @@ def scalar_sparse_rank(rows) -> int:
                     heapq.heappush(heap, lead)
                 by_lead[lead].append(i)
     return rank
+
+
+# ---------------------------------------------------------------------------
+# axiom checkers on the field scalars
+
+
+def field_check_prelie(field, tensor) -> Report:
+    t = _as_tensor(field, tensor)
+    n = len(t)
+    basis = [basis_vec(field, n, i) for i in range(n)]
+
+    def mul(x, y):
+        return tensor_mul(field, t, x, y)
+
+    def associator(x, y, z):
+        return sub_vec(mul(mul(x, y), z), mul(x, mul(y, z)))
+
+    return residual_report(
+        ((i, j, k), sub_vec(associator(basis[i], basis[j], basis[k]),
+                            associator(basis[j], basis[i], basis[k])))
+        for i in range(n) for j in range(i + 1, n) for k in range(n))
+
+
+def field_check_jacobi(field, bracket_tensor) -> Report:
+    t = _as_tensor(field, bracket_tensor)
+    n = len(t)
+    basis = [basis_vec(field, n, i) for i in range(n)]
+
+    def br(x, y):
+        return tensor_mul(field, t, x, y)
+
+    def jacobiator(x, y, z):
+        return add_vec(add_vec(br(x, br(y, z)), br(y, br(z, x))), br(z, br(x, y)))
+
+    antisym = [(("antisym", i, j), add_vec(t[i][j], t[j][i]))
+               for i in range(n) for j in range(n)]
+    jacobi = [(("jacobi", i, j, k), jacobiator(basis[i], basis[j], basis[k]))
+              for i in range(n) for j in range(n) for k in range(n)]
+    return residual_report(antisym + jacobi)
+
+
+def field_check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
+    field = algebra.field
+
+    def combo(mats, coeffs) -> Matrix:
+        out = Matrix.zero(field, dim_v, dim_v)
+        for c, M in zip(coeffs, mats):
+            if c:
+                out = out + M.scale(c)
+        return out
+
+    def defects(i, j):
+        l_ij = combo(L, algebra.mul_basis(i, j))
+        l_ji = combo(L, algebra.mul_basis(j, i))
+        r_ij = combo(R, algebra.mul_basis(i, j))
+        d1 = (L[i] * L[j] - l_ij) - (L[j] * L[i] - l_ji)
+        d2 = (L[i] * R[j] - R[j] * L[i]) - (r_ij - R[j] * R[i])
+        for u in range(dim_v):
+            yield ("left", i, j, u), d1.column(u)
+            yield ("mixed", i, j, u), d2.column(u)
+
+    n = algebra.dim
+    return residual_report(pair for i in range(n) for j in range(n)
+                           for pair in defects(i, j))
+
+
+def field_check_ns_prelie(field, tri, trl, circ) -> Report:
+    t_tri = _as_tensor(field, tri)
+    t_trl = _as_tensor(field, trl)
+    t_circ = _as_tensor(field, circ)
+    n = len(t_tri)
+
+    def mul(tensor, x, y):
+        return tensor_mul(field, tensor, x, y)
+
+    def star(x, y):
+        return add_vec(add_vec(mul(t_tri, x, y), mul(t_trl, x, y)), mul(t_circ, x, y))
+
+    def a1_side(x, y, z):
+        return sub_vec(mul(t_tri, star(x, y), z), mul(t_tri, x, mul(t_tri, y, z)))
+
+    def a1(x, y, z):
+        return sub_vec(a1_side(x, y, z), a1_side(y, x, z))
+
+    def a2(x, y, z):
+        lhs = sub_vec(mul(t_tri, x, mul(t_trl, y, z)), mul(t_trl, mul(t_tri, x, y), z))
+        rhs = sub_vec(mul(t_trl, y, star(x, z)), mul(t_trl, mul(t_trl, y, x), z))
+        return sub_vec(lhs, rhs)
+
+    def a3_side(x, y, z):
+        side = sub_vec(mul(t_circ, star(x, y), z), mul(t_circ, x, star(y, z)))
+        side = add_vec(side, mul(t_trl, mul(t_circ, x, y), z))
+        return sub_vec(side, mul(t_tri, x, mul(t_circ, y, z)))
+
+    def a3(x, y, z):
+        return sub_vec(a3_side(x, y, z), a3_side(y, x, z))
+
+    basis = [basis_vec(field, n, i) for i in range(n)]
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    return _combine({
+        name: residual_report(((i, j, k), axiom(basis[i], basis[j], basis[k]))
+                              for i, j, k in triples)
+        for name, axiom in (("A1", a1), ("A2", a2), ("A3", a3))})

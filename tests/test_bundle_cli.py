@@ -5,7 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from conftest import CORPUS, count_calls
-from prelie import cochain, nsprelie, opcohomology
+from prelie import cochain, nsprelie, opcohomology, reynolds
+from prelie.algebra import Report
 from prelie.bundle import (
     algebra_from_json,
     algebra_to_json,
@@ -19,7 +20,7 @@ from prelie.bundle import (
     representation_to_json,
 )
 from prelie.cli import main
-from prelie.errors import FieldMismatchError, SchemaError
+from prelie.errors import FieldMismatchError, InvariantError, SchemaError
 from prelie.linalg import Matrix
 from prelie.scalars import QQ, PrimeField
 
@@ -184,6 +185,38 @@ def test_cli_budget_is_exit_3():
                            "--field", "f3", "--shape", "3x3", "--budget", "10")
     assert code == 3
     assert json.loads(out.splitlines()[0])["error"] == "budget"
+
+
+def test_cli_failed_squaring_invariant_is_exit_4(monkeypatch):
+    monkeypatch.setattr(cochain, "sparse_mul", lambda *args: [{0: 1}])
+    code, out, err = run_cli("cohomology", "--of", "algebra", "--degree", "2",
+                             str(CORPUS / "g3.json"))
+    assert code == 4
+    assert json.loads(out) == {"error": "InvariantError",
+                               "message": "coboundary does not square to zero"}
+    assert err == "internal invariant failed: coboundary does not square to zero\n"
+
+
+def test_cli_failed_construction_reverification_is_exit_4(monkeypatch):
+    # the induced product must make K a morphism; a multi-line failure
+    # message stays whole in the JSON and takes one line on stderr
+    failed = Report(False, [((0, 0), (QQ(1), QQ(0), QQ(0)))])
+    monkeypatch.setattr(reynolds, "check_morphism", lambda *args: failed)
+    code, out, err = run_cli("construct", "induced", str(CORPUS / "g3-k-rowzero.json"))
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["error"] == "InvariantError"
+    assert doc["message"] == "operator is not a morphism from the induced product"
+    assert err.count("\n") == 1 and err.startswith("internal invariant failed: ")
+
+    def broken(*args):
+        raise InvariantError("first line\nsecond line")
+
+    monkeypatch.setattr(reynolds, "check_morphism", broken)
+    code, out, err = run_cli("construct", "induced", str(CORPUS / "g3-k-rowzero.json"))
+    assert code == 4
+    assert json.loads(out)["message"] == "first line\nsecond line"
+    assert err == "internal invariant failed: first line\n"
 
 
 def test_cli_mc_check():

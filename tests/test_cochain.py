@@ -12,6 +12,7 @@ from conftest import (
     random_cochain,
     random_pair,
 )
+from oracles import scalar_sparse_rank
 from prelie.algebra import (
     PreLieAlgebra,
     Representation,
@@ -471,8 +472,30 @@ def _truncated_polynomial(n):
     (4, 4, (51, 39, 12)),
     (6, 2, (61, 31, 30)),
     (5, 3, (124, 84, 40)),
+    (6, 3, (230, 155, 75)),
+    (6, 4, (410, 310, 100)),
 ])
 def test_truncated_polynomial_ladder(n, degree, expected):
     a = _truncated_polynomial(n)
     report = cohomology(a, regular_representation(a), degree)
+    assert (report.dim_z, report.dim_b, report.dim_h) == expected
+
+
+@pytest.mark.parametrize("n, degree, expected", [
+    (3, 2, (15, 6, 9)),   # (13, 7, 6) over Q
+    (4, 3, (57, 39, 18)),
+    (5, 3, (124, 84, 40)),
+])
+def test_truncated_polynomial_over_f3_matches_the_field_rank_oracle(n, degree, expected):
+    # the lifted rows reduced mod 3 against the field rows of coboundary_matrix,
+    # ranked by the elimination on F_3 scalars
+    F3 = PrimeField(3)
+    a = PreLieAlgebra.build(F3, n, {(i, j, i + j): 1 for i in range(n) for j in range(n)
+                                    if i + j < n})
+    rep = regular_representation(a)
+    dim = cochain_space_dim(n, n, degree)
+    rank_n = scalar_sparse_rank(_sparse_rows(coboundary_matrix(a, rep, degree)))
+    rank_prev = scalar_sparse_rank(_sparse_rows(coboundary_matrix(a, rep, degree - 1)))
+    report = cohomology(a, rep, degree)
+    assert (report.dim_z, report.dim_b) == (dim - rank_n, rank_prev)
     assert (report.dim_z, report.dim_b, report.dim_h) == expected

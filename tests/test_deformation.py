@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from conftest import g3_algebra, g3_cocycle, random_reynolds_data
+from conftest import CORPUS, g3_algebra, g3_cocycle, random_reynolds_data
+from prelie import deformation
 from prelie.algebra import PreLieAlgebra, regular_representation, zero_representation
+from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain
 from prelie.deformation import (
     DeformationSeries,
@@ -20,7 +22,7 @@ from prelie.deformation import (
 from prelie.errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
 from prelie.linalg import Matrix
 from prelie.opcohomology import operator_coboundary_matrix
-from prelie.reynolds import ReynoldsData
+from prelie.reynolds import ReynoldsData, reynolds_from_invertible_cochain
 from prelie.scalars import QQ, PrimeField
 
 
@@ -228,6 +230,14 @@ def test_equivalence_abelian_everything_passes():
         assert report.ok
 
 
+@pytest.mark.parametrize("x", [(1, 0), (1, 0, 0, 0)])
+def test_equivalence_element_of_the_wrong_length_is_a_shape_error(x):
+    data = parse_bundle(str(CORPUS / "g3-k0.json")).reynolds_data()
+    K1 = Matrix.zero(QQ, 3, 3)
+    with pytest.raises(ShapeError, match="element has the wrong length"):
+        check_equivalence_data(data, K1, K1, x)
+
+
 def test_element_coboundary_zero_element(g3_data):
     assert element_coboundary(g3_data, (0, 0, 0)).is_zero()
 
@@ -320,6 +330,39 @@ def test_rigidity_probe_counts_z1_without_listing_it(dim):
     report = rigidity_probe(_abelian_zero_bundle(dim))
     assert (report.cocycle_count, report.nijenhuis_count,
             report.image_count, report.criterion_holds) == (2 ** (dim * dim), 2 ** dim, 1, False)
+
+
+def _unital_line(field):
+    """k with e.e = e, acting on itself, and K = id (weight -d(id))."""
+    a = PreLieAlgebra.build(field, 1, {(0, 0, 0): 1})
+    return reynolds_from_invertible_cochain(a, regular_representation(a),
+                                            Cochain.from_matrix(Matrix.identity(field, 1)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rigidity_probe_criterion_holds_on_the_unital_line(p):
+    # Z^1 = 0 and the only Nijenhuis element is 0
+    report = rigidity_probe(_unital_line(PrimeField(p)))
+    assert (report.cocycle_count, report.nijenhuis_count,
+            report.image_count, report.criterion_holds) == (1, 1, 1, True)
+
+
+def test_rigidity_probe_checks_that_the_image_is_closed(monkeypatch):
+    # the counts still match, but the one coboundary is not killed by d1
+    F2 = PrimeField(2)
+    monkeypatch.setattr(deformation, "element_coboundary",
+                        lambda data, x: Matrix.identity(F2, 1))
+    report = rigidity_probe(_unital_line(F2))
+    assert (report.cocycle_count, report.image_count, report.criterion_holds) == (1, 1, False)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rigidity_probe_counts_z1_like_the_dense_kernel(p):
+    rng = random.Random(40 + p)
+    for _ in range(6):
+        data = random_reynolds_data(rng, PrimeField(p), max_dim=2)
+        dense = len(operator_coboundary_matrix(data, 1).kernel())
+        assert rigidity_probe(data).cocycle_count == p ** dense
 
 
 def test_rigidity_probe_rejects_rationals(g3_data):

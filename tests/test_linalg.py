@@ -18,7 +18,7 @@ from prelie.linalg import (
     sparse_rank,
     sub_vec,
 )
-from prelie.scalars import QQ, FpElement, Poly, PrimeField, scalar_to_str
+from prelie.scalars import QQ, FpElement, Poly, PrimeField, lift, scalar_to_str
 
 
 def qmat(rows):
@@ -395,11 +395,20 @@ def test_poly_entries_pass_through_matrix():
 # d o d on integer rows
 
 
+def _lift_together(field, *matrices):
+    """Sparse rows lifted to ints by one `scalars.lift` over all the matrices."""
+    width = 1 + max((j for rows in matrices for row in rows for j in row), default=0)
+    dense = [[[row.get(j, field.zero) for j in range(width)] for row in rows]
+             for rows in matrices]
+    lifted, _ = lift(field, dense)
+    return [[{j: v for j, v in enumerate(row) if v} for row in rows] for rows in lifted]
+
+
 def test_nonzero_product_with_fractions_stays_nonzero():
     a = [{0: Fraction(1, 2), 1: Fraction(1, 3)}, {1: Fraction(-5, 6)}]
     b = [{0: Fraction(3, 4)}, {0: Fraction(-1, 2), 2: Fraction(2, 7)}]
     assert any(sparse_mul(a, b))
-    assert any(sparse_mul(integer_rows(a, 0), integer_rows(b, 0, common=True), 0))
+    assert any(sparse_mul(*_lift_together(QQ, a, b), 0))
     for field in (PrimeField(5), PrimeField(11)):
         fa = [{j: field(x) for j, x in row.items()} for row in a]
         fb = [{j: field(x) for j, x in row.items()} for row in b]
@@ -412,6 +421,6 @@ def test_zero_product_needs_one_common_scale_on_the_right():
     a = [{0: Fraction(1), 1: Fraction(-2)}]
     b = [{0: Fraction(1, 2)}, {0: Fraction(1, 4)}]
     assert not any(sparse_mul(a, b))
-    assert not any(sparse_mul(integer_rows(a, 0), integer_rows(b, 0, common=True), 0))
+    assert not any(sparse_mul(*_lift_together(QQ, a, b), 0))
     # scaling b row by row would have reported a nonzero composite
     assert any(sparse_mul(integer_rows(a, 0), integer_rows(b, 0), 0))

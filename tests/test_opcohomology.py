@@ -119,6 +119,8 @@ def _unipotent_operator_data(n):
     (5, 2, (41, 21, 20)),
     (5, 3, (124, 84, 40)),
     (6, 2, (61, 31, 30)),
+    (6, 3, (230, 155, 75)),
+    (6, 4, (410, 310, 100)),
 ])
 def test_operator_cohomology_ladder(n, degree, expected):
     report = operator_cohomology(_unipotent_operator_data(n), degree)
