@@ -96,6 +96,9 @@ def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
         unit = tuple(_parse_scalar(field, v, f"{path}/unit/{t}")
                      for t, v in enumerate(raw))
     labels = obj.get("labels")
+    if labels is not None and not (isinstance(labels, list) and len(labels) == dim
+                                   and all(isinstance(s, str) for s in labels)):
+        raise SchemaError(f"{path}/labels", f"expected a list of {dim} strings")
     from .errors import UnverifiedError
 
     try:

@@ -15,16 +15,18 @@ the pair of maps
 
     phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)).
 
-The operator intertwining phi_t K_t - K'_t psi_t is likewise one product
-of polynomial matrices, read off at orders t and t^2.  The remaining
-element conditions are implemented twice: as fixed closed-form condition
-groups, and re-derived from first principles by expanding every morphism
-requirement in powers of t (the two modes can disagree on some groups;
-both verdicts are reported, see `check_equivalence_data`).
-Nijenhuis elements are the x satisfying the closed-form groups plus
-x . Rbar_u(x) = Rbar_u(x) . x; over a prime field they are enumerated by
-`search.exhaustive_search`, which powers the rigidity probe: K is rigid
-when every operator 1-cocycle is the coboundary of a Nijenhuis element.
+K + t K1 and K + t K1' are equivalent through x when (phi_t, psi_t) is a
+morphism of Reynolds operators from one to the other.  This is the one
+definition: `reynolds.check_rcw_morphism` is evaluated once on the
+polynomial matrices, and every condition, of degree at most 2 in t and
+zero at t = 0, is read off at orders t and t^2.  A Nijenhuis element is an
+x for which (phi_t, psi_t) satisfies the four morphism conditions that do
+not involve the operator, together with x . Rbar_u(x) = Rbar_u(x) . x.
+t is the variable of index -1, so the checkers also run on a generic x
+whose entries are the search's variables x_0, x_1, ...  Over a prime
+field the Nijenhuis elements are enumerated by `search.exhaustive_search`,
+which powers the rigidity probe: K is rigid when every operator 1-cocycle
+is the coboundary of a Nijenhuis element.
 The probe counts Z^1 from the dimension of the kernel of the degree-1
 differential instead of listing it.
 """
@@ -33,24 +35,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Report, Representation, _combine, residual_report
+from .algebra import Report, _combine, residual_report
 from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, add_vec, basis_vec, integer_rank, sparse_mul, sub_vec
+from .linalg import Matrix, integer_rank, sparse_mul, sub_vec
 from .opcohomology import induced_representation, operator_coboundary, rbar
-from .reynolds import ReynoldsData, rcw_residual
+from .reynolds import ReynoldsData, check_rcw_morphism, rcw_residual
 from .scalars import Poly, PrimeField
 
 
-def _vbasis(rep: Representation, i: int) -> tuple:
-    return basis_vec(rep.field, rep.dim_v, i)
+def _linear_terms(data: ReynoldsData, x) -> tuple:
+    """The t-terms of phi_t = id + t P and psi_t = id + t S:
 
-
-def _psi1(data: ReynoldsData, x, u_vec) -> tuple:
-    """The linear term of psi_t: psi1(u) = L_x u - R_x u + H(x, Ku)."""
-    rep = data.rep
-    out = sub_vec(rep.act_L(x, u_vec), rep.act_R(x, u_vec))
-    return add_vec(out, data.cocycle.eval([x, data.operator.apply(u_vec)]))
+    P = L_x - R_x on g and S u = L_x u - R_x u + H(x, Ku) on V.
+    """
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    m = rep.dim_v
+    HxK = Matrix.from_columns(g.field, [H.eval([x, K.column(u)]) for u in range(m)], m)
+    return g.left_mult(x) - g.right_mult(x), rep.L_of(x) - rep.R_of(x) + HxK
 
 
 def _element(g, x) -> tuple:
@@ -61,23 +63,35 @@ def _element(g, x) -> tuple:
     return x
 
 
+T = -1  # the variable index of t; it sorts before the search's variables x_0, x_1, ...
+
+
 def _in_t(matrices) -> Matrix:
     """The matrix M_0 + M_1 t + M_2 t^2 + ... with entries polynomial in t."""
     field = matrices[0].field
     total = matrices[0]
     for i, M in enumerate(matrices[1:], 1):
-        total = total + M.scale(Poly({(0,) * i: field.one}))
+        total = total + M.scale(Poly({(T,) * i: field.one}))
     return total
 
 
-def _order(vec, k: int, zero) -> tuple:
-    """The t^k coefficient of every coordinate of a vector polynomial in t.
+def _coefficient(x, k: int, zero):
+    """The t^k coefficient of a scalar or a polynomial.
 
-    A coordinate that is a scalar is a constant polynomial.
+    It is a `Poly` in the remaining variables, or a scalar when none
+    remain; a scalar is a constant polynomial.
     """
-    mono = (0,) * k
-    return tuple(x.terms.get(mono, zero) if isinstance(x, Poly)
-                 else x if k == 0 else zero for x in vec)
+    if not isinstance(x, Poly):
+        return x if k == 0 else zero
+    terms = {mono[k:]: c for mono, c in x.terms.items() if mono.count(T) == k}
+    if any(terms):  # some monomial besides the constant () remains
+        return Poly(terms)
+    return terms.get((), zero)
+
+
+def _order(vec, k: int, zero) -> tuple:
+    """The t^k coefficient of every coordinate of a vector polynomial in t."""
+    return tuple(_coefficient(x, k, zero) for x in vec)
 
 
 def _reynolds_in_t(data: ReynoldsData, coefficients) -> list:
@@ -95,14 +109,8 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
 
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
-    g, rep, K = data.algebra, data.rep, data.operator
-    x = _element(g, x)
-    cols = []
-    for u in range(rep.dim_v):
-        Ku = K.column(u)
-        col = sub_vec(K.apply(_psi1(data, x, _vbasis(rep, u))), g.mul(x, Ku))
-        cols.append(add_vec(col, g.mul(Ku, x)))
-    return Matrix.from_columns(g.field, cols, g.dim)
+    P, S = _linear_terms(data, _element(data.algebra, x))
+    return data.operator * S - P * data.operator
 
 
 def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
@@ -179,153 +187,43 @@ def infinitesimal(series: DeformationSeries):
 
 
 # ---------------------------------------------------------------------------
-# element condition groups (literal and re-derived) and the intertwining
+# equivalences and Nijenhuis elements: one morphism of operators in t
 
 
-def _grid_report(pairs_at, rows: int, cols: int) -> Report:
-    """The report of every pair that ``pairs_at(a, b)`` yields, a < rows, b < cols."""
-    return residual_report(p for a in range(rows) for b in range(cols) for p in pairs_at(a, b))
+def _element_morphism(data: ReynoldsData, x, K1: Matrix, K1p: Matrix) -> dict:
+    """The parts of `check_rcw_morphism` for (phi_t, psi_t) from K + t K1 to K + t K1'.
 
-
-def _literal_groups(data: ReynoldsData, x) -> dict:
-    """The fixed closed-form element condition groups."""
+    Every condition is a polynomial of degree at most 2 in t that
+    vanishes at t = 0; its t^k coefficient is reported at ``(k, *where)``.
+    """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    field = g.field
-    x = tuple(field(c) for c in x)
-    n, m = g.dim, rep.dim_v
-    psi1_basis = [_psi1(data, x, _vbasis(rep, u)) for u in range(m)]
-
-    def alg_map(y, z):
-        ey, ez = g.basis(y), g.basis(z)
-        yield ("comm-product", y, z), g.mul(g.bracket(x, ey), g.bracket(x, ez))
-        yield ("product-by-x", y, z), g.mul(g.mul_basis(y, z), x)
-
-    def action(side, act, y, u):
-        ey, eu = g.basis(y), _vbasis(rep, u)
-        yield ((f"{side}-cocycle", y, u),
-               sub_vec(H.eval([x, K.apply(act(ey, eu))]), act(ey, H.eval([x, K.column(u)]))))
-        yield (f"{side}-second", y, u), act(g.bracket(x, ey), psi1_basis[u])
-
-    def weight(y, z):
-        ey, ez = g.basis(y), g.basis(z)
-        hyz = H.eval_basis((y, z))
-        lhs = add_vec(sub_vec(rep.act_L(x, hyz), rep.act_R(x, hyz)), H.eval([x, K.apply(hyz)]))
-        rhs = add_vec(H.eval([g.bracket(x, ey), ez]), H.eval([ey, g.bracket(x, ez)]))
-        yield ("weight-cocycle", y, z), sub_vec(lhs, rhs)
-        yield ("weight-second", y, z), H.eval([g.bracket(x, ey), g.bracket(x, ez)])
-
-    return {
-        "algebra_morphism": _grid_report(alg_map, n, n),
-        "left_action": _grid_report(lambda y, u: action("left", rep.act_L, y, u), n, m),
-        "right_action": _grid_report(lambda y, u: action("right", rep.act_R, y, u), n, m),
-        "weight_compat": _grid_report(weight, n, n),
-    }
-
-
-def _rederived_groups(data: ReynoldsData, x) -> dict:
-    """Expand every morphism requirement of (phi_t, psi_t) in powers of t.
-
-    phi_t = id + t P with P = L_x - R_x on g; psi_t = id + t S with
-    S u = L_x u - R_x u + H(x, Ku) on V.  Each requirement is a polynomial
-    identity in t; all coefficients must vanish.  The operator
-    intertwining is `_intertwining`.
-    """
-    g, rep, H = data.algebra, data.rep, data.cocycle
-    field = g.field
-    x = tuple(field(c) for c in x)
-    n, m = g.dim, rep.dim_v
-
-    def P(vec):  # phi_t linear term
-        return g.bracket(x, vec)
-
-    def S(u_vec):  # psi_t linear term
-        return _psi1(data, x, u_vec)
-
-    p_basis = [P(g.basis(y)) for y in range(n)]
-    s_basis = [S(_vbasis(rep, u)) for u in range(m)]
-
-    def alg_map(y, z):
-        ey, ez = g.basis(y), g.basis(z)
-        # t: P(y.z) = P(y).z + y.P(z)
-        yield ("t1", y, z), sub_vec(P(g.mul_basis(y, z)),
-                                    add_vec(g.mul(p_basis[y], ez), g.mul(ey, p_basis[z])))
-        # t^2: P(y).P(z) = 0
-        yield ("t2", y, z), g.mul(p_basis[y], p_basis[z])
-
-    def action(act, y, u):
-        ey, eu = g.basis(y), _vbasis(rep, u)
-        # t: S(L_y u) = L_y S(u) + L_{P(y)} u, and likewise for R
-        yield ("t1", y, u), sub_vec(S(act(ey, eu)),
-                                    add_vec(act(ey, s_basis[u]), act(p_basis[y], eu)))
-        # t^2: L_{P(y)} S(u) = 0
-        yield ("t2", y, u), act(p_basis[y], s_basis[u])
-
-    def weight(y, z):
-        ey, ez = g.basis(y), g.basis(z)
-        # t: S(H(y,z)) = H(P(y), z) + H(y, P(z))
-        yield ("t1", y, z), sub_vec(S(H.eval_basis((y, z))),
-                                    add_vec(H.eval([p_basis[y], ez]), H.eval([ey, p_basis[z]])))
-        # t^2: H(P(y), P(z)) = 0
-        yield ("t2", y, z), H.eval([p_basis[y], p_basis[z]])
-
-    return {
-        "algebra_morphism": _grid_report(alg_map, n, n),
-        "left_action": _grid_report(lambda y, u: action(rep.act_L, y, u), n, m),
-        "right_action": _grid_report(lambda y, u: action(rep.act_R, y, u), n, m),
-        "weight_compat": _grid_report(weight, n, n),
-    }
-
-
-def _intertwining(data: ReynoldsData, x, K1: Matrix, K1p: Matrix) -> list:
-    """The t and t^2 coefficients of (phi_t K_t - K'_t psi_t) e_u, for each u.
-
-    K_t = K + t K1 and K'_t = K + t K1'; phi_t = id + t P and psi_t =
-    id + t S as in `_rederived_groups`.  The constant term is K - K = 0.
-    """
-    g, rep, K = data.algebra, data.rep, data.operator
     field, n, m = g.field, g.dim, rep.dim_v
-    P = Matrix.from_columns(field, [g.bracket(x, g.basis(y)) for y in range(n)], n)
-    S = Matrix.from_columns(field, [_psi1(data, x, _vbasis(rep, u)) for u in range(m)], m)
-    defect = (_in_t((Matrix.identity(field, n), P)) * _in_t((K, K1))
-              - _in_t((K, K1p)) * _in_t((Matrix.identity(field, m), S)))
+    P, S = _linear_terms(data, x)
+    report = check_rcw_morphism(ReynoldsData(g, rep, H, _in_t((K, K1))),
+                                ReynoldsData(g, rep, H, _in_t((K, K1p))),
+                                _in_t((Matrix.identity(field, n), P)),
+                                _in_t((Matrix.identity(field, m), S)))
     zero = field.zero
-    return [(_order(col, 1, zero), _order(col, 2, zero))
-            for col in (defect.column(u) for u in range(m))]
+    return {name: residual_report(((k, *where), _order(r, k, zero))
+                                  for k in (1, 2) for where, r in part.violations)
+            for name, part in report.parts.items()}
 
 
 def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Report:
     """Are K + t K1 and K + t K1' equivalent through the element x?
 
-    The overall verdict follows the literal condition groups plus the two
-    operator-intertwining identities; the re-derived expansion is attached
-    under ``parts["rederived"]`` for comparison.
+    That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
+    first to the second?  One sub-verdict per part of `check_rcw_morphism`.
     """
-    g = data.algebra
-    x = _element(g, x)
-    columns = _intertwining(data, x, K1, K1p)
-
-    def intertwining(t1_tag, t2_tag):
-        return residual_report(p for u, (t1, t2) in enumerate(columns)
-                               for p in (((t1_tag, u), t1), ((t2_tag, u), t2)))
-
-    parts = dict(_literal_groups(data, x))
-    parts["intertwines_operator"] = intertwining("difference", "conjugate")
-    report = _combine(parts)
-    rederived = _rederived_groups(data, x)
-    rederived["intertwines_operator"] = intertwining("t1", "t2")
-    report.parts["rederived"] = _combine(rederived)
-    report.parts["modes_agree"] = Report(
-        all(parts[k].ok == rederived[k].ok for k in
-            ("algebra_morphism", "left_action", "right_action", "weight_compat")), [])
-    return report
+    return _combine(_element_morphism(data, _element(data.algebra, x), K1, K1p))
 
 
 def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
     """Is x a Nijenhuis element for the operator?
 
-    Requires x . Rbar_u(x) = Rbar_u(x) . x for every module basis vector
-    plus the literal element condition groups.  The re-derived verdicts
-    ride along in ``parts["rederived"]``.
+    Requires x . Rbar_u(x) = Rbar_u(x) . x for every module basis vector,
+    and that (phi_t, psi_t) satisfy the four morphism conditions of
+    `check_rcw_morphism` that do not involve the operator.
     """
     g = data.algebra
     x = _element(g, x)
@@ -336,10 +234,10 @@ def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
 
     parts = {"rbar_condition": residual_report(
         (("rbar-commutes", u), commutator(u)) for u in range(data.rep.dim_v))}
-    parts.update(_literal_groups(data, x))
-    report = _combine(parts)
-    report.parts["rederived"] = _combine(_rederived_groups(data, x))
-    return report
+    zero = Matrix.zero(g.field, g.dim, data.rep.dim_v)
+    parts.update(_element_morphism(data, x, zero, zero))
+    del parts["intertwines_operator"]
+    return _combine(parts)
 
 
 def nijenhuis_elements(data: ReynoldsData) -> list:

@@ -111,7 +111,13 @@ def _d_reynolds_predicate(bundle):
 
 def _nijenhuis_element_predicate(bundle):
     data = bundle["data"]
-    return lambda x: check_nijenhuis_element(data, x.column(0))
+
+    def check(x):
+        if x.cols != 1:
+            raise ShapeError(f"an element is one column, not {x.cols}")
+        return check_nijenhuis_element(data, x.column(0))
+
+    return check
 
 
 PREDICATES = {

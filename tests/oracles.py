@@ -22,6 +22,14 @@ scalars, and sparse forward elimination on them.  `dense_kernel`,
 and `field_check_ns_prelie` are the axiom checkers as the library wrote
 them before it lifted the structure constants to integers: the same
 formulas evaluated directly on the field scalars.
+
+`literal_element_groups` is the paper's closed form of the Nijenhuis
+element conditions, which the library decided with before it read them
+off `check_rcw_morphism` in t.  On the algebra part at order t it
+demands (y.z).x = 0, where the morphism condition asks only
+P(y.z) - P(y).z - y.P(z) = -((y.z).x - y.(z.x)) = 0 with P = L_x - R_x.
+Every element it accepts (with the Rbar condition) must still be a
+Nijenhuis element.
 """
 
 from __future__ import annotations
@@ -457,3 +465,50 @@ def field_check_ns_prelie(field, tri, trl, circ) -> Report:
         name: residual_report(((i, j, k), axiom(basis[i], basis[j], basis[k]))
                               for i, j, k in triples)
         for name, axiom in (("A1", a1), ("A2", a2), ("A3", a3))})
+
+
+def literal_element_groups(data: ReynoldsData, x) -> dict:
+    """The closed-form element condition groups of the paper, one report each."""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    field = g.field
+    x = tuple(field(c) for c in x)
+    n, m = g.dim, rep.dim_v
+
+    def vbasis(u):
+        return basis_vec(field, m, u)
+
+    def psi1(u_vec):
+        out = sub_vec(rep.act_L(x, u_vec), rep.act_R(x, u_vec))
+        return add_vec(out, H.eval([x, K.apply(u_vec)]))
+
+    psi1_basis = [psi1(vbasis(u)) for u in range(m)]
+
+    def grid(pairs_at, rows, cols):
+        return residual_report(p for a in range(rows) for b in range(cols)
+                               for p in pairs_at(a, b))
+
+    def alg_map(y, z):
+        ey, ez = g.basis(y), g.basis(z)
+        yield ("comm-product", y, z), g.mul(g.bracket(x, ey), g.bracket(x, ez))
+        yield ("product-by-x", y, z), g.mul(g.mul_basis(y, z), x)
+
+    def action(side, act, y, u):
+        ey, eu = g.basis(y), vbasis(u)
+        yield ((f"{side}-cocycle", y, u),
+               sub_vec(H.eval([x, K.apply(act(ey, eu))]), act(ey, H.eval([x, K.column(u)]))))
+        yield (f"{side}-second", y, u), act(g.bracket(x, ey), psi1_basis[u])
+
+    def weight(y, z):
+        ey, ez = g.basis(y), g.basis(z)
+        hyz = H.eval_basis((y, z))
+        lhs = add_vec(sub_vec(rep.act_L(x, hyz), rep.act_R(x, hyz)), H.eval([x, K.apply(hyz)]))
+        rhs = add_vec(H.eval([g.bracket(x, ey), ez]), H.eval([ey, g.bracket(x, ez)]))
+        yield ("weight-cocycle", y, z), sub_vec(lhs, rhs)
+        yield ("weight-second", y, z), H.eval([g.bracket(x, ey), g.bracket(x, ez)])
+
+    return {
+        "algebra_morphism": grid(alg_map, n, n),
+        "left_action": grid(lambda y, u: action("left", rep.act_L, y, u), n, m),
+        "right_action": grid(lambda y, u: action("right", rep.act_R, y, u), n, m),
+        "weight_compat": grid(weight, n, n),
+    }

@@ -3,6 +3,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, count_calls
 from prelie import cochain, nsprelie, opcohomology, reynolds
@@ -420,6 +421,13 @@ def test_cli_search_wrong_shape_for_the_bundle_is_exit_2():
     assert json.loads(out)["error"] == "ShapeError"
 
 
+def test_cli_nijenhuis_element_search_with_two_columns_is_exit_2():
+    code, out, _ = run_cli("search", "--predicate", "nijenhuis-element", "--bundle",
+                           str(CORPUS / "g3-f2-e11.json"), "--shape", "3x2")
+    assert code == 2
+    assert json.loads(out)["error"] == "ShapeError"
+
+
 def test_cli_deform_rigidity_golden():
     code, out, _ = run_cli("deform", "rigidity", "--bundle",
                            str(CORPUS / "g3-f2-e11.json"))
@@ -519,6 +527,42 @@ def test_cli_linear_deform():
     code, out, _ = run_cli("check", "linear-deform", json.dumps(doc))
     assert code in (0, 1)
     assert "order_t1" in json.loads(out)["parts"]
+
+
+@pytest.mark.parametrize("labels", [5, "abc", ["a", "b"], ["a", "b", 3], {"a": 1}])
+@pytest.mark.parametrize("what", ["rep", "cocycle"])
+def test_cli_bad_algebra_labels_are_exit_2(what, labels):
+    doc = json.loads((CORPUS / "g3.json").read_text())
+    doc["algebra"]["labels"] = labels
+    code, out, _ = run_cli("check", what, json.dumps(doc))
+    assert code == 2
+    assert json.loads(out) == {"error": "SchemaError",
+                               "message": "/algebra/labels: expected a list of 3 strings"}
+
+
+def test_algebra_labels_list_of_strings_round_trips():
+    doc = json.loads((CORPUS / "g3.json").read_text())["algebra"]
+    doc["labels"] = ["e1", "e2", "e3"]
+    a = algebra_from_json(QQ, doc)
+    assert a.labels == ("e1", "e2", "e3")
+    assert algebra_to_json(a)["labels"] == ["e1", "e2", "e3"]
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 70) | st.text(max_size=4),
+                    lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+                    max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(["dim", "product", "unit", "labels"]), value=JSON,
+       what=st.sampled_from(["rep", "cocycle"]))
+def test_cli_arbitrary_algebra_section_values_never_raise(key, value, what):
+    doc = json.loads((CORPUS / "g3.json").read_text())
+    doc["algebra"][key] = value
+    code, out, _ = run_cli("check", what, json.dumps(doc))
+    assert code in (0, 1, 2)
+    json.loads(out)
 
 
 def test_cli_nijenhuis_element():

@@ -265,7 +265,7 @@ CASES = {name[len("case_"):]: fn for name, fn in list(globals().items())
 DIGESTS = {
     "d_reynolds": "eb6567792e7633db",
     "derivation": "521b11e381ca5846",
-    "equivalence_data": "89355f4fcbcf8ff3",
+    "equivalence_data": "d08789f0677c74eb",
     "formal_deformation": "6a72eaa52663c7ff",
     "graph_subalgebra": "89ab64e13437d29d",
     "jacobi": "85494a527bceda55",
@@ -273,7 +273,7 @@ DIGESTS = {
     "maurer_cartan": "9c419346609dc01f",
     "morphism": "de0cd1ded4c94526",
     "nijenhuis": "5260950a9483aad5",
-    "nijenhuis_element": "8f27fa93942f326d",
+    "nijenhuis_element": "02a87857cc62cf34",
     "ns_prelie": "fb4cca10bd37b2fd",
     "prelie": "0b6f24b3be132280",
     "prelie_via_bracket": "9e66f29d5b72c371",

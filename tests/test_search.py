@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
-from conftest import count_calls, g2_algebra, g3_algebra, g3_cocycle, g3b_algebra
+from conftest import CORPUS, count_calls, g2_algebra, g3_algebra, g3_cocycle, g3b_algebra
 from oracles import verify_polynomial_system
 from prelie.algebra import PreLieAlgebra, regular_representation
+from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain, coboundary
 from prelie.deformation import check_nijenhuis_element
 from prelie.errors import BudgetExceededError, ShapeError
@@ -15,6 +16,7 @@ from prelie.reynolds import (
     check_d_reynolds,
     check_rcw_reynolds,
     check_weighted_reynolds,
+    reynolds_from_invertible_cochain,
 )
 from prelie.scalars import PrimeField
 from prelie.search import SearchSpec, exhaustive_search
@@ -92,6 +94,14 @@ def test_weighted_search_identity_found():
                       (2, 2), tuple(F3.elements()))
     result = exhaustive_search(spec, F3)
     assert Matrix.identity(F3, 2) in result.solutions
+
+
+def test_nijenhuis_element_search_rejects_a_second_column():
+    F2 = PrimeField(2)
+    data = parse_bundle(str(CORPUS / "g3-f2-e11.json")).reynolds_data()
+    spec = SearchSpec("nijenhuis-element", {"data": data}, (3, 2), tuple(F2.elements()))
+    with pytest.raises(ShapeError, match="one column"):
+        exhaustive_search(spec, F2)
 
 
 def test_nijenhuis_element_search_matches_enumeration():
@@ -191,8 +201,8 @@ def _predicate_cases(field):
     unital = PreLieAlgebra.build(F, 2, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1},
                                  unit=(1, 0))
     D = Matrix(F, [[0, 0], [1, 0]])
-    data = ReynoldsData.build(g3b, regular_representation(g3b), Cochain.zero(F, 2, 3, 3),
-                              Matrix.zero(F, 3, 3))
+    data = reynolds_from_invertible_cochain(g3b, regular_representation(g3b),
+                                            Cochain.from_matrix(Matrix.identity(F, 3)))
     rows_fixed = {(i, j): F(v) for (i, j), v in
                   {(0, 0): 1, (0, 1): 0, (0, 2): 1, (1, 0): 0, (1, 1): 1, (1, 2): 0}.items()}
 
