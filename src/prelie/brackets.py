@@ -36,6 +36,16 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   reduced mod p afterwards; both halves of each division are exact
   because the bracket values are themselves even (resp. divisible by 6)
   integer polynomials of the input entries.
+
+* d_K is linear in f, so it is evaluated once, on the generic cochain
+  whose coordinates are the variables x_c (`cochain._generic_cochain`),
+  not once per basis cochain.  `dk_difference` subtracts (-1)^{n-1} times
+  the operator-cohomology differential of the same generic cochain; each
+  output coordinate is then a linear `Poly` whose coefficient on x_c is
+  column c of d_K - (-1)^{n-1} d, so the whole identity is read off one
+  evaluation of each side.  Over F_2 and F_3 the integer lift passes
+  `Poly` entries through: each coefficient is lifted, and each is checked
+  to be an integer and reduced mod p afterwards.
 """
 
 from __future__ import annotations
@@ -43,11 +53,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import PreLieAlgebra, Report, Representation, residual_report
-from .cochain import Cochain, _unshuffles, cochain_keys
+from .cochain import Cochain, _generic_cochain, _unshuffles, cochain_keys
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
 from .reynolds import ReynoldsData, semidirect_tensor
-from .scalars import FpElement, PrimeField, QQ
+from .opcohomology import operator_coboundary
+from .scalars import FpElement, Poly, PrimeField, QQ
 
 
 def diamond(P: Cochain, Q: Cochain) -> Cochain:
@@ -218,9 +229,12 @@ def ternary_bracket(g: PreLieAlgebra, rep: Representation, H: Cochain,
 # integer lift for the divisions by 2 and 6 in small characteristic
 
 
-def _lift_scalar(x) -> Fraction:
+def _lift_scalar(x):
+    """A residue as a Fraction; a `Poly` coefficient by coefficient."""
     if isinstance(x, FpElement):
         return Fraction(x.value)
+    if isinstance(x, Poly):
+        return Poly({mono: _lift_scalar(c) for mono, c in x.terms.items()})
     return x
 
 
@@ -243,16 +257,19 @@ def _lift_bundle(g: PreLieAlgebra, rep: Representation, H: Cochain):
     return g_q, rep_q, _lift_cochain(H)
 
 
+def _reduce_scalar(x, field):
+    """An integral Fraction mod p; a `Poly` coefficient by coefficient."""
+    if isinstance(x, Poly):
+        return Poly({mono: r for mono, c in x.terms.items()
+                     if (r := _reduce_scalar(c, field))})
+    if x.denominator != 1:
+        raise InvariantError("integer lift produced a non-integer entry")
+    return field(x.numerator)
+
+
 def _reduce_cochain(c: Cochain, field) -> Cochain:
-    values = []
-    for v in c.values:
-        row = []
-        for x in v:
-            if x.denominator != 1:
-                raise InvariantError("integer lift produced a non-integer entry")
-            row.append(field(x.numerator))
-        values.append(row)
-    return Cochain(field, c.degree, c.dim_source, c.dim_target, values)
+    return Cochain(field, c.degree, c.dim_source, c.dim_target,
+                   [[_reduce_scalar(x, field) for x in v] for v in c.values])
 
 
 def _combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -310,6 +327,20 @@ def d_K(data: ReynoldsData, f: Cochain) -> Cochain:
     # cochains: 0 = K, 1 = f
     return _combination(g, rep, H, [Cochain.from_matrix(K), f],
                         [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1))])
+
+
+def dk_difference(data: ReynoldsData, degree: int) -> Cochain:
+    """d_K f - (-1)^{n-1} d f on the generic degree-n cochain f.
+
+    Both sides are linear in f, so each output coordinate is a linear
+    `Poly` whose coefficient on x_c is column c of the difference of the
+    two differentials; the identity holds exactly when every coordinate
+    is zero.
+    """
+    g, rep = data.algebra, data.rep
+    f = _generic_cochain(g.field, degree, rep.dim_v, g.dim)
+    d = operator_coboundary(data, f)
+    return d_K(data, f) - (d if degree % 2 else -d)
 
 
 def twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:

@@ -14,6 +14,7 @@ field-generic bundle over another scalar field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .bundle import (
     parse_bundle,
     reynolds_data_to_json,
 )
-from .cochain import Cochain, check_two_cocycle, cohomology
+from .cochain import check_two_cocycle, cohomology
 from .errors import (
     BudgetExceededError,
     FieldMismatchError,
@@ -41,7 +42,7 @@ from .errors import (
     SingularError,
     UnverifiedError,
 )
-from .scalars import field_name, scalar_to_str
+from .scalars import Poly, field_name, scalar_to_str
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -400,34 +401,25 @@ def _cmd_mc_check(args) -> int:
 
 def _cmd_dk_consistency(args) -> int:
     bundle = parse_bundle(args.bundle, args.field)
-    data = bundle.reynolds_data()
-    n = args.degree
-    m, dim_g = data.rep.dim_v, data.algebra.dim
-    from .cochain import cochain_keys
-    from .linalg import basis_vec
-
-    # d_K f = (-1)^{n-1} d f on each basis cochain f; d f is the column of f in d
-    d = opcohomology.operator_coboundary_matrix(data, n)
-    basis = ((key, t) for key in cochain_keys(m, n) for t in range(dim_g))
-    max_residual, ok = "0", True
-    for c, (key, t) in enumerate(basis):
-        f = Cochain.from_entries(data.field, n, m, dim_g,
-                                 {key: basis_vec(data.field, dim_g, t)})
-        dk = (x for v in brackets.d_K(data, f).values for x in v)
-        expected = d.column(c) if n % 2 else [-e for e in d.column(c)]
-        diff = next((x - e for x, e in zip(dk, expected) if x != e), None)
-        if diff is not None:
-            max_residual, ok = scalar_to_str(diff), False
-            break
-    doc = {"command": "dk-consistency", "degree": n, "max_residual": max_residual,
-           "ok": ok}
+    diff = brackets.dk_difference(bundle.reynolds_data(), args.degree)
+    # coordinate r of the difference holds d_K f - (-1)^{n-1} d f at row r as a
+    # linear form; its coefficient on x_c is the entry of column c
+    coords = (x for v in diff.values for x in v)
+    nonzero = [(mono[0], r, coeff) for r, x in enumerate(coords) if isinstance(x, Poly)
+               for mono, coeff in x.terms.items()]
+    ok = not nonzero
+    max_residual = "0" if ok else scalar_to_str(min(nonzero, key=lambda e: e[:2])[2])
+    doc = {"command": "dk-consistency", "degree": args.degree,
+           "max_residual": max_residual, "ok": ok}
     return _emit(doc, ok)
 
 
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="prelie",
         description="Exact checkers, constructions, cohomology, deformations and "

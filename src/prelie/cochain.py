@@ -361,9 +361,9 @@ def _generic_cochain(field, degree: int, dim_source: int, dim_target: int) -> Co
     """
     one = field.one
     m = dim_target
+    n_keys = cochain_space_dim(dim_source, 1, degree)  # rejects degree < 1
     return Cochain(field, degree, dim_source, dim_target,
-                   [[Poly({(p * m + t,): one}) for t in range(m)]
-                    for p in range(len(cochain_keys(dim_source, degree)))])
+                   [[Poly({(p * m + t,): one}) for t in range(m)] for p in range(n_keys)])
 
 
 def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list:

@@ -63,6 +63,13 @@ def _element(g, x) -> tuple:
     return x
 
 
+def _direction(data: ReynoldsData, K1: Matrix) -> Matrix:
+    """A deformation direction, checked to have the operator's shape."""
+    if (K1.rows, K1.cols) != (data.algebra.dim, data.rep.dim_v):
+        raise ShapeError("deformation direction has the wrong shape")
+    return K1
+
+
 T = -1  # the variable index of t; it sorts before the search's variables x_0, x_1, ...
 
 
@@ -120,11 +127,8 @@ def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
     the 1-cocycle condition.  Its agreement with `is_cocycle`, the
     coboundary route, is a test, not a runtime check.
     """
-    g, rep = data.algebra, data.rep
-    if K1.rows != g.dim or K1.cols != rep.dim_v:
-        raise ShapeError("deformation direction has the wrong shape")
-    table = _reynolds_in_t(data, (data.operator, K1))
-    zero = g.field.zero
+    table = _reynolds_in_t(data, (data.operator, _direction(data, K1)))
+    zero = data.field.zero
     return _combine({f"order_t{k}": residual_report((where, _order(r, k, zero))
                                                     for where, r in table)
                      for k in (1, 2, 3)})
@@ -215,7 +219,8 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
     first to the second?  One sub-verdict per part of `check_rcw_morphism`.
     """
-    return _combine(_element_morphism(data, _element(data.algebra, x), K1, K1p))
+    return _combine(_element_morphism(data, _element(data.algebra, x),
+                                      _direction(data, K1), _direction(data, K1p)))
 
 
 def check_nijenhuis_element(data: ReynoldsData, x) -> Report:

@@ -23,6 +23,11 @@ and `field_check_ns_prelie` are the axiom checkers as the library wrote
 them before it lifted the structure constants to integers: the same
 formulas evaluated directly on the field scalars.
 
+`basis_dk_columns` is the loop that `dk-consistency` ran before it read
+the identity d_K f = (-1)^{n-1} d f off one generic evaluation
+(`brackets.dk_difference`): d_K on every basis cochain, compared with
+the column of the dense operator differential.
+
 `literal_element_groups` is the paper's closed form of the Nijenhuis
 element conditions, which the library decided with before it read them
 off `check_rcw_morphism` in t.  On the algebra part at order t it
@@ -38,6 +43,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import product
 
+from prelie import brackets
 from prelie.algebra import (
     PreLieAlgebra,
     Report,
@@ -50,7 +56,7 @@ from prelie.algebra import (
 from prelie.cochain import Cochain, cochain_keys
 from prelie.errors import BudgetExceededError, ShapeError
 from prelie.linalg import Matrix, add_vec, basis_vec, sub_vec, zero_vec
-from prelie.opcohomology import operator_coboundary
+from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData
 from prelie.scalars import PrimeField
 from prelie.search import DEFAULT_BUDGET, SearchSpec, _compile, _vanish
@@ -512,3 +518,22 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
         "right_action": grid(lambda y, u: action("right", rep.act_R, y, u), n, m),
         "weight_compat": grid(weight, n, n),
     }
+
+
+def basis_dk_columns(data: ReynoldsData, n: int) -> list:
+    """Column c of d_K - (-1)^{n-1} d, one basis cochain at a time.
+
+    ``brackets.d_K`` is looked up on each call, so a test that patches it
+    reaches this loop as well.
+    """
+    m, dim_g = data.rep.dim_v, data.algebra.dim
+    d = operator_coboundary_matrix(data, n)
+    basis = ((key, t) for key in cochain_keys(m, n) for t in range(dim_g))
+    columns = []
+    for c, (key, t) in enumerate(basis):
+        f = Cochain.from_entries(data.field, n, m, dim_g,
+                                 {key: basis_vec(data.field, dim_g, t)})
+        dk = (x for v in brackets.d_K(data, f).values for x in v)
+        expected = d.column(c) if n % 2 else [-e for e in d.column(c)]
+        columns.append([x - e for x, e in zip(dk, expected)])
+    return columns

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from conftest import (
+    CORPUS,
     g2_algebra,
     g3_algebra,
     g3_cocycle,
@@ -12,14 +13,18 @@ from conftest import (
     random_pair,
     random_reynolds_data,
 )
+from oracles import basis_dk_columns
+from prelie import brackets
 from prelie.algebra import PreLieAlgebra, check_prelie, regular_representation, zero_representation
 from prelie.brackets import (
+    _reduce_cochain,
     check_maurer_cartan,
     check_prelie_via_bracket,
     check_twisted_mc,
     d_K,
     derived_bracket,
     diamond,
+    dk_difference,
     lift_operator_cochain,
     mc_residual,
     mn_bracket,
@@ -29,10 +34,12 @@ from prelie.brackets import (
     twisted_mc_residual,
     untwisted_structure,
 )
+from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain, cochain_keys
+from prelie.errors import InvariantError, ShapeError
 from prelie.linalg import Matrix, add_vec, basis_vec, scale_vec, sub_vec
 from prelie.reynolds import ReynoldsData, check_rcw_reynolds
-from prelie.scalars import QQ, PrimeField
+from prelie.scalars import QQ, Poly, PrimeField, field_name
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +317,56 @@ def test_dk_over_f2():
         pd = operator_coboundary(data, f)
         assert dk == (pd if n % 2 == 1 else -pd)
         assert d_K(data, dk).is_zero()
+
+
+def _difference_columns(diff: Cochain, cols: int) -> list:
+    """The columns of the differential that dk_difference holds as linear forms."""
+    coords = [x for v in diff.values for x in v]
+    zero = diff.field.zero
+    return [[x.terms.get((c,), zero) if isinstance(x, Poly) else zero for x in coords]
+            for c in range(cols)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=repr)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_dk_difference_matches_the_per_basis_loop(monkeypatch, field, degree):
+    rng = random.Random(90 + degree)
+    for _ in range(3):
+        data = random_reynolds_data(rng, field, max_dim=2)
+        cols = len(cochain_keys(data.rep.dim_v, degree)) * data.algebra.dim
+        diff = dk_difference(data, degree)
+        assert diff.is_zero()
+        assert _difference_columns(diff, cols) == basis_dk_columns(data, degree)
+
+    # a wrong d_K: both routes see the same nonzero difference, column by column
+    original = brackets.d_K
+    monkeypatch.setattr(brackets, "d_K", lambda data, f: original(data, f).scale(2))
+    data = parse_bundle(str(CORPUS / "g3-k-rowzero.json"), field_name(field)).reynolds_data()
+    cols = len(cochain_keys(data.rep.dim_v, degree)) * data.algebra.dim
+    oracle = basis_dk_columns(data, degree)
+    assert _difference_columns(dk_difference(data, degree), cols) == oracle
+    assert any(any(column) for column in oracle)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_dk_difference_rejects_degree_below_one(g3_data, degree):
+    with pytest.raises(ShapeError, match="degree must be >= 1"):
+        dk_difference(g3_data, degree)
+
+
+def test_reduce_cochain_reduces_poly_coefficients():
+    F3 = PrimeField(3)
+    lifted = Cochain(QQ, 1, 1, 2, [[Poly({(0,): QQ(4), (1,): QQ(3)}), QQ(-1)]])
+    reduced = _reduce_cochain(lifted, F3)
+    x, y = reduced.values[0]
+    assert x.terms == {(0,): F3(1)} and y == F3(2)
+
+
+def test_reduce_cochain_rejects_a_non_integer_poly_coefficient():
+    lifted = Cochain(QQ, 1, 1, 1, [[Poly({(0,): QQ(1), (1,): QQ(1) / 2})]])
+    with pytest.raises(InvariantError, match="non-integer entry"):
+        _reduce_cochain(lifted, PrimeField(3))
 
 
 # ---------------------------------------------------------------------------

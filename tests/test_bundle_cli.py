@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, count_calls
-from prelie import cochain, nsprelie, opcohomology, reynolds
+from oracles import basis_dk_columns
+from prelie import brackets, cochain, nsprelie, opcohomology, reynolds
 from prelie.algebra import Report
 from prelie.bundle import (
     algebra_from_json,
@@ -21,9 +22,10 @@ from prelie.bundle import (
     representation_to_json,
 )
 from prelie.cli import main
+from prelie.cochain import Cochain
 from prelie.errors import FieldMismatchError, InvariantError, SchemaError
 from prelie.linalg import Matrix
-from prelie.scalars import QQ, PrimeField
+from prelie.scalars import QQ, PrimeField, scalar_to_str
 
 
 def run_cli(*args):
@@ -491,12 +493,57 @@ def test_cli_deform_check_negative_order_is_a_schema_error(tmp_path, order):
 
 
 def test_cli_dk_consistency_degrees():
-    for degree in (1, 2):
-        code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-rowzero.json"),
-                               "--degree", str(degree))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["max_residual"] == "0"
+    for field in ([], ["--field", "f2"], ["--field", "f3"], ["--field", "f5"]):
+        for degree in (1, 2, 3):
+            code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-rowzero.json"),
+                                   "--degree", str(degree), *field)
+            assert code == 0
+            assert json.loads(out) == {"command": "dk-consistency", "degree": degree,
+                                       "max_residual": "0", "ok": True}
+
+
+@pytest.mark.parametrize("field, residual", [("q", "1"), ("f3", "1 mod 3"), ("f5", "1 mod 5")])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_cli_dk_consistency_reports_the_first_difference(monkeypatch, field, residual, degree):
+    original = brackets.d_K
+    monkeypatch.setattr(brackets, "d_K", lambda data, f: original(data, f).scale(2))
+    code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-invertible.json"),
+                           "--field", field, "--degree", str(degree))
+    assert code == 1
+    assert json.loads(out) == {"command": "dk-consistency", "degree": degree,
+                               "max_residual": residual, "ok": False}
+
+
+@pytest.mark.parametrize("field, residual", [("q", "2"), ("f5", "2 mod 5")])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_cli_dk_consistency_scans_the_difference_column_by_column(monkeypatch, field,
+                                                                  residual, degree):
+    # d_K with its output coordinates reversed: still linear, and its first
+    # difference column by column ("2") is not the first row by row ("-10")
+    original = brackets.d_K
+
+    def reversed_d_k(data, f):
+        c = original(data, f)
+        return Cochain(c.field, c.degree, c.dim_source, c.dim_target,
+                       [tuple(reversed(v)) for v in reversed(c.values)])
+
+    monkeypatch.setattr(brackets, "d_K", reversed_d_k)
+    bundle = str(CORPUS / "g3-k-rowzero.json")
+    columns = basis_dk_columns(parse_bundle(bundle, field).reynolds_data(), degree)
+    assert scalar_to_str(next(x for column in columns for x in column if x)) == residual
+    code, out, _ = run_cli("dk-consistency", bundle, "--field", field, "--degree", str(degree))
+    assert code == 1
+    assert json.loads(out)["max_residual"] == residual
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_cli_dk_consistency_evaluates_d_k_once(monkeypatch, degree):
+    dk_calls = count_calls(monkeypatch, brackets, "d_K")
+    dense = count_calls(monkeypatch, opcohomology, "operator_coboundary_matrix")
+    code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-invertible.json"),
+                           "--degree", str(degree))
+    assert code == 0 and json.loads(out)["ok"]
+    assert (len(dk_calls), len(dense)) == (1, 0)
 
 
 @pytest.mark.parametrize("command", [

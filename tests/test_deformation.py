@@ -237,6 +237,16 @@ def test_equivalence_element_of_the_wrong_length_is_a_shape_error(x):
         check_equivalence_data(data, K1, K1, x)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 4), (4, 3)], ids=lambda s: "%dx%d" % s)
+@pytest.mark.parametrize("wrong", ["K1", "K1prime"])
+def test_equivalence_direction_of_the_wrong_shape_is_a_shape_error(shape, wrong):
+    data = parse_bundle(str(CORPUS / "g3-k0.json")).reynolds_data()
+    good, bad = Matrix.zero(QQ, 3, 3), Matrix.zero(QQ, *shape)
+    K1, K1p = (bad, good) if wrong == "K1" else (good, bad)
+    with pytest.raises(ShapeError, match="deformation direction has the wrong shape"):
+        check_equivalence_data(data, K1, K1p, (0, 0, 0))
+
+
 def test_element_coboundary_zero_element(g3_data):
     assert element_coboundary(g3_data, (0, 0, 0)).is_zero()
 
