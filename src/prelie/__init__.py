@@ -35,7 +35,6 @@ from .cochain import (
     coboundary,
     coboundary_matrix,
     cohomology,
-    enumerate_unshuffles,
 )
 from .deformation import (
     DeformationSeries,

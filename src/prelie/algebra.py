@@ -21,8 +21,7 @@ residues over F_p, runs the formula unchanged on `scalars.INTEGERS`, and
 maps every residual back to the field.  Each axiom is homogeneous in the
 constants (of degree 2, antisymmetry of degree 1), so a residual r is
 r / D^2 (or r / D) over Q and r mod p over F_p, and the reports are the
-ones the field arithmetic gives.  Polynomial entries cannot be lifted and
-raise TypeError there.
+ones the field arithmetic gives.
 """
 
 from __future__ import annotations
@@ -356,20 +355,22 @@ class Representation:
         return out
 
 
-def lifted_representation(algebra: PreLieAlgebra, dim_v: int, L, R):
+def lifted_representation(algebra: PreLieAlgebra, dim_v: int, L, R, *extra):
     """The algebra and actions (L, R) with their constants lifted to ints together.
 
-    One `scalars.lift` covers the structure constants and every action
-    matrix, so all of them are scaled by the same D.  Returns the
-    unverified `Representation` over `scalars.INTEGERS` and the lift's
-    ``down``.
+    One `scalars.lift` covers the structure constants, every action
+    matrix and each of the further arrays ``extra`` (such as the values
+    of cochains over the same field), so all of them are scaled by the
+    same D.  Returns the unverified `Representation` over
+    `scalars.INTEGERS`, the lift's ``down``, and then the lifted copy of
+    each array in ``extra``.
     """
-    (product, L, R), down = lift(algebra.field, (algebra.product, [M.data for M in L],
-                                                 [M.data for M in R]))
+    (product, L, R, *extra), down = lift(algebra.field, (algebra.product, [M.data for M in L],
+                                                         [M.data for M in R], *extra))
     a = PreLieAlgebra(INTEGERS, product, check=False)
     lifted = Representation(a, dim_v, [Matrix(INTEGERS, d, cols=dim_v) for d in L],
                             [Matrix(INTEGERS, d, cols=dim_v) for d in R], check=False)
-    return lifted, down
+    return (lifted, down, *extra)
 
 
 def regular_representation(a: PreLieAlgebra) -> Representation:

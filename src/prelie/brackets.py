@@ -31,11 +31,20 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   its vanishing is equivalent to the Reynolds identity.  The induced
   differential is d_K f = [[K, f]] - 1/2 [[K, K, f]], and it satisfies
   d_K f = (-1)^{n-1} (the operator-cohomology differential) for f of
-  degree n.  Over F_2 and F_3 the scalar divisions do not exist, so these
-  three combinations are evaluated on the integer lift of the data and
-  reduced mod p afterwards; both halves of each division are exact
-  because the bracket values are themselves even (resp. divisible by 6)
-  integer polynomials of the input entries.
+  degree n.
+
+* These three combinations are evaluated on the integer lift of the
+  data, over every field: one `scalars.lift` (through
+  `algebra.lifted_representation`) turns the structure constants, the
+  actions, H and the cochains into ints scaled by one common D (over Q)
+  or into residues (over F_p).  The brackets run unchanged on the ints;
+  each bracket term is divided exactly by the denominator of its
+  coefficient (2 or 6), which works because the bracket values are
+  themselves even (resp. divisible by 6) integer polynomials of the
+  input entries, and a term that is not divisible raises
+  `InvariantError`.  Each term is then mapped back to the field (divided
+  by D^3 for a binary bracket, D^4 for a ternary one, or reduced mod p),
+  so no division by 2 or 6 is ever taken in F_2 or F_3.
 
 * d_K is linear in f, so it is evaluated once, on the generic cochain
   whose coordinates are the variables x_c (`cochain._generic_cochain`),
@@ -43,22 +52,28 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   the operator-cohomology differential of the same generic cochain; each
   output coordinate is then a linear `Poly` whose coefficient on x_c is
   column c of d_K - (-1)^{n-1} d, so the whole identity is read off one
-  evaluation of each side.  Over F_2 and F_3 the integer lift passes
-  `Poly` entries through: each coefficient is lifted, and each is checked
-  to be an integer and reduced mod p afterwards.
+  evaluation of each side.  The integer lift takes `Poly` entries
+  coefficient by coefficient, both ways.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import PreLieAlgebra, Report, Representation, residual_report
+from .algebra import (
+    PreLieAlgebra,
+    Report,
+    Representation,
+    lifted_representation,
+    residual_report,
+    zero_representation,
+)
 from .cochain import Cochain, _generic_cochain, _unshuffles, cochain_keys
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
 from .reynolds import ReynoldsData, semidirect_tensor
 from .opcohomology import operator_coboundary
-from .scalars import FpElement, Poly, PrimeField, QQ
+from .scalars import Poly
 
 
 def diamond(P: Cochain, Q: Cochain) -> Cochain:
@@ -110,12 +125,6 @@ def mn_bracket(P: Cochain, Q: Cochain) -> Cochain:
     return diamond(P, Q) - second
 
 
-def product_cochain(a: PreLieAlgebra) -> Cochain:
-    """The multiplication of an algebra as a degree-2 cochain on itself."""
-    values = [a.mul_basis(fb[0], last) for fb, last in cochain_keys(a.dim, 2)]
-    return Cochain(a.field, 2, a.dim, a.dim, values)
-
-
 def tensor_cochain(field, tensor) -> Cochain:
     """A raw cubical tensor as a degree-2 cochain (no axioms assumed)."""
     dim = len(tensor)
@@ -126,12 +135,6 @@ def tensor_cochain(field, tensor) -> Cochain:
 def _cochain_report(c: Cochain) -> Report:
     """The report of the nonzero values of c, each at its canonical key."""
     return residual_report((fb + (last,), v) for (fb, last), v in zip(c.keys(), c.values))
-
-
-def check_prelie_via_bracket(field, tensor) -> Report:
-    """pi is pre-Lie iff [pi, pi] = 0; an independent route to the axiom."""
-    pi = tensor_cochain(field, tensor)
-    return _cochain_report(mn_bracket(pi, pi))
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +183,9 @@ def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
 
 def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Cochain:
     """The lift of H to a degree-2 cochain on W: ((x,u),(y,v)) -> (0, H(x,y))."""
-    n, m = g.dim, rep.dim_v
-    field = g.field
-    z = field.zero
-    tensor = [[[z] * (n + m) for _ in range(n + m)] for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            hv = H.eval_basis((i, j))
-            for k in range(m):
-                tensor[i][j][n + k] = hv[k]
-    return tensor_cochain(field, tensor)
+    abelian = PreLieAlgebra.abelian(g.field, g.dim)
+    return tensor_cochain(g.field, semidirect_tensor(
+        abelian, zero_representation(abelian, rep.dim_v), H))
 
 
 def derived_bracket(g: PreLieAlgebra, rep: Representation,
@@ -226,50 +222,17 @@ def ternary_bracket(g: PreLieAlgebra, rep: Representation, H: Cochain,
 
 
 # ---------------------------------------------------------------------------
-# integer lift for the divisions by 2 and 6 in small characteristic
+# bracket combinations, evaluated on the integer lift
 
 
-def _lift_scalar(x):
-    """A residue as a Fraction; a `Poly` coefficient by coefficient."""
-    if isinstance(x, FpElement):
-        return Fraction(x.value)
+def _divide_exactly(x, b: int):
+    """x / b for an int, or a `Poly` with int coefficients, that b divides."""
     if isinstance(x, Poly):
-        return Poly({mono: _lift_scalar(c) for mono, c in x.terms.items()})
-    return x
-
-
-def _lift_matrix(m: Matrix) -> Matrix:
-    return Matrix(QQ, [[_lift_scalar(x) for x in row] for row in m.data])
-
-
-def _lift_cochain(c: Cochain) -> Cochain:
-    return Cochain(QQ, c.degree, c.dim_source, c.dim_target,
-                   [[_lift_scalar(x) for x in v] for v in c.values])
-
-
-def _lift_bundle(g: PreLieAlgebra, rep: Representation, H: Cochain):
-    """Raw characteristic-zero copies of the data (no axioms re-imposed)."""
-    tensor = [[[_lift_scalar(x) for x in row] for row in plane] for plane in g.product]
-    g_q = PreLieAlgebra(QQ, tensor, check=False)
-    rep_q = Representation(g_q, rep.dim_v,
-                           [_lift_matrix(m) for m in rep.L],
-                           [_lift_matrix(m) for m in rep.R], check=False)
-    return g_q, rep_q, _lift_cochain(H)
-
-
-def _reduce_scalar(x, field):
-    """An integral Fraction mod p; a `Poly` coefficient by coefficient."""
-    if isinstance(x, Poly):
-        return Poly({mono: r for mono, c in x.terms.items()
-                     if (r := _reduce_scalar(c, field))})
-    if x.denominator != 1:
-        raise InvariantError("integer lift produced a non-integer entry")
-    return field(x.numerator)
-
-
-def _reduce_cochain(c: Cochain, field) -> Cochain:
-    return Cochain(field, c.degree, c.dim_source, c.dim_target,
-                   [[_reduce_scalar(x, field) for x in v] for v in c.values])
+        return x.map(lambda c: _divide_exactly(c, b))
+    q, r = divmod(x, b)
+    if r:
+        raise InvariantError(f"a bracket term of the integer lift is not divisible by {b}")
+    return q
 
 
 def _combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -277,23 +240,30 @@ def _combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
     """The sum of coefficient * bracket over ``terms``, evaluated exactly.
 
     Each term is (Fraction coefficient, indices into ``cochains``): two
-    indices name a binary bracket, three a ternary one.  Over F_2/F_3 the
-    data and the cochains are lifted to Q once, and the sum is reduced
-    afterwards.
+    indices name a binary bracket, three a ternary one.  The data and the
+    cochains are lifted to ints once (`algebra.lifted_representation`);
+    each bracket runs on the ints, is divided exactly by the denominator
+    of its coefficient and mapped back with ``down`` (a binary bracket is
+    homogeneous of degree 3 in the lifted scalars, a ternary one of
+    degree 4), and the terms are summed in the field.
     """
-    field = g.field
-    lift = isinstance(field, PrimeField) and field.p in (2, 3)
-    if lift:
-        g, rep, H = _lift_bundle(g, rep, H)
-        cochains = [_lift_cochain(c) for c in cochains]
+    lifted, down, h_values, *values = lifted_representation(
+        g, rep.dim_v, rep.L, rep.R, H.values, *(c.values for c in cochains))
+    ints = lifted.field
+    H = Cochain(ints, H.degree, H.dim_source, H.dim_target, h_values)
+    cochains = [Cochain(ints, c.degree, c.dim_source, c.dim_target, v)
+                for c, v in zip(cochains, values)]
     acc = None
     for coeff, idxs in terms:
         args = [cochains[i] for i in idxs]
-        c = derived_bracket(g, rep, *args) if len(args) == 2 else \
-            ternary_bracket(g, rep, H, *args)
-        c = c.scale(g.field(coeff))
-        acc = c if acc is None else acc + c
-    return _reduce_cochain(acc, field) if lift else acc
+        c = derived_bracket(lifted.algebra, lifted, *args) if len(args) == 2 else \
+            ternary_bracket(lifted.algebra, lifted, H, *args)
+        a, b = coeff.numerator, coeff.denominator
+        term = Cochain(g.field, c.degree, c.dim_source, c.dim_target,
+                       [down([_divide_exactly(x, b) * a for x in v], len(args) + 1)
+                        for v in c.values])
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def mc_residual(g: PreLieAlgebra, rep: Representation, H: Cochain,

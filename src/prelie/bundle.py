@@ -76,9 +76,11 @@ def _parse_scalar(field, v, path):
 # per-object (de)serializers
 
 
-def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
+def algebra_tensor_from_json(field, obj, path="/algebra") -> list:
+    """The structure-constant tensor of an algebra section, unverified."""
     dim = _dim(obj, "dim", path)
-    entries = {}
+    z = field.zero
+    tensor = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
     for pos, item in enumerate(_want(obj, "product", list, path)):
         ipath = f"{path}/product/{pos}"
         i = _want(item, "i", int, ipath) - 1
@@ -86,8 +88,13 @@ def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
         k = _want(item, "k", int, ipath) - 1
         if not all(0 <= t < dim for t in (i, j, k)):
             raise SchemaError(ipath, "index out of range")
-        entries[(i, j, k)] = _parse_scalar(field, _want(item, "c", None, ipath),
-                                           f"{ipath}/c")
+        tensor[i][j][k] = _parse_scalar(field, _want(item, "c", None, ipath), f"{ipath}/c")
+    return tensor
+
+
+def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
+    tensor = algebra_tensor_from_json(field, obj, path)
+    dim = len(tensor)
     unit = None
     if obj.get("unit") is not None:
         raw = obj["unit"]
@@ -102,7 +109,7 @@ def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
     from .errors import UnverifiedError
 
     try:
-        return PreLieAlgebra.build(field, dim, entries, unit=unit, labels=labels)
+        return PreLieAlgebra(field, tensor, unit=unit, labels=labels)
     except UnverifiedError as exc:
         raise SchemaError(path, str(exc)) from None
 
@@ -249,15 +256,19 @@ def _ns_tensor_from_json(field, obj, dim, path):
     return tensor
 
 
-def nsprelie_from_json(field, obj, path="/nsprelie") -> NSPreLie:
+def ns_tensors_from_json(field, obj, path="/nsprelie") -> list:
+    """The tensors (tri, trl, circ) of an NS-pre-Lie section, unverified."""
     dim = _dim(obj, "dim", path)
-    tri = _ns_tensor_from_json(field, _want(obj, "tri", dict, path), dim, f"{path}/tri")
-    trl = _ns_tensor_from_json(field, _want(obj, "trl", dict, path), dim, f"{path}/trl")
-    circ = _ns_tensor_from_json(field, _want(obj, "circ", dict, path), dim, f"{path}/circ")
+    return [_ns_tensor_from_json(field, _want(obj, key, dict, path), dim, f"{path}/{key}")
+            for key in ("tri", "trl", "circ")]
+
+
+def nsprelie_from_json(field, obj, path="/nsprelie") -> NSPreLie:
+    tensors = ns_tensors_from_json(field, obj, path)
     from .errors import UnverifiedError
 
     try:
-        return NSPreLie(field, tri, trl, circ)
+        return NSPreLie(field, *tensors)
     except UnverifiedError as exc:
         raise SchemaError(path, str(exc)) from None
 

@@ -22,8 +22,10 @@ import sys
 from . import brackets, deformation, nsprelie, opcohomology, reynolds, search
 from .algebra import check_morphism, check_prelie, check_representation
 from .bundle import (
+    algebra_tensor_from_json,
     algebra_to_json,
     matrix_to_json,
+    ns_tensors_from_json,
     nsprelie_to_json,
     parse_bundle,
     reynolds_data_to_json,
@@ -87,21 +89,7 @@ def _cmd_check(args) -> int:
         if g_json is None:
             raise SchemaError("/algebra", "missing required section")
         # check the raw tensor rather than the validating constructor
-        from .bundle import _dim, _parse_scalar, _want
-
-        dim = _dim(g_json, "dim", "/algebra")
-        z = bundle.field.zero
-        tensor = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-        for pos, item in enumerate(_want(g_json, "product", list, "/algebra")):
-            ipath = f"/algebra/product/{pos}"
-            i = _want(item, "i", int, ipath) - 1
-            j = _want(item, "j", int, ipath) - 1
-            k = _want(item, "k", int, ipath) - 1
-            if not all(0 <= t < dim for t in (i, j, k)):
-                raise SchemaError(ipath, "index out of range")
-            tensor[i][j][k] = _parse_scalar(bundle.field,
-                                            _want(item, "c", None, ipath),
-                                            f"{ipath}/c")
+        tensor = algebra_tensor_from_json(bundle.field, g_json)
         report = check_prelie(bundle.field, tensor)
     elif what == "rep":
         # parse without the constructor's validation: this IS the validation
@@ -131,13 +119,8 @@ def _cmd_check(args) -> int:
         ns_json = bundle.raw.get("nsprelie")
         if ns_json is None:
             raise SchemaError("/nsprelie", "missing required section")
-        from .bundle import _dim, _ns_tensor_from_json, _want
-
-        dim = _dim(ns_json, "dim", "/nsprelie")
-        tensors = [_ns_tensor_from_json(bundle.field, _want(ns_json, key, dict, "/nsprelie"),
-                                        dim, f"/nsprelie/{key}")
-                   for key in ("tri", "trl", "circ")]
-        report = nsprelie.check_ns_prelie(bundle.field, *tensors)
+        report = nsprelie.check_ns_prelie(bundle.field,
+                                          *ns_tensors_from_json(bundle.field, ns_json))
     elif what == "morphism":
         a = bundle.algebra()
         b = bundle.algebra2() if "algebra2" in bundle.raw else a
@@ -309,6 +292,10 @@ def _cmd_search(args) -> int:
                 domain = tuple(field.parse(t.strip()) for t in args.domain.split(","))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError("/domain", f"bad scalar list {args.domain!r}") from None
+            if len(set(domain)) != len(domain):
+                # a repeated scalar would enumerate the same candidate twice
+                raise SchemaError("/domain", f"{args.domain!r} repeats a scalar of "
+                                             f"{field_name(field)}")
     else:
         domain = tuple(field.elements())
 

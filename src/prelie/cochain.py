@@ -24,7 +24,7 @@ every basis triple where it does not.
 
 Everything here is graded in a single degree per slot, so the Koszul
 sign of a permutation reduces to its parity; a graded extension would
-have to generalize `enumerate_unshuffles`.
+have to generalize `_unshuffles`.
 """
 
 from __future__ import annotations
@@ -111,17 +111,15 @@ def _unshuffles(pattern: tuple):
     return tuple(Unshuffle(pattern, perm, _perm_sign(perm)) for perm in results)
 
 
-def enumerate_unshuffles(pattern) -> list:
-    """Public enumeration; block sizes must be nonnegative."""
-    pattern = tuple(pattern)
-    if any(b < 0 for b in pattern):
-        raise ValueError(f"negative block size in {pattern}")
-    return list(_unshuffles(pattern))
-
-
 @lru_cache(maxsize=None)
 def cochain_keys(dim: int, degree: int):
-    """Canonical key order: increasing (degree-1)-tuples, then the free index."""
+    """Canonical key order: increasing (degree-1)-tuples, then the free index.
+
+    Every cochain shape passes through here, so this is where a degree
+    below 1 is rejected.
+    """
+    if degree < 1:
+        raise ShapeError("degree must be >= 1")
     keys = []
     for fb in combinations(range(dim), degree - 1):
         for last in range(dim):
@@ -155,8 +153,6 @@ class Cochain:
     __slots__ = ("field", "degree", "dim_source", "dim_target", "values")
 
     def __init__(self, field, degree: int, dim_source: int, dim_target: int, values):
-        if degree < 1:
-            raise ShapeError("cochain degree must be >= 1")
         keys = cochain_keys(dim_source, degree)
         values = tuple(tuple(field(x) for x in v) for v in values)
         if len(values) != len(keys):
@@ -278,8 +274,6 @@ class Cochain:
 
 
 def cochain_space_dim(dim_source: int, dim_target: int, degree: int) -> int:
-    if degree < 1:
-        raise ShapeError("degree must be >= 1")
     return len(cochain_keys(dim_source, degree)) * dim_target
 
 

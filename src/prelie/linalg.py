@@ -395,10 +395,3 @@ def _echelon(rows, p: int) -> dict:
 def integer_rank(rows, p: int) -> int:
     """Exact rank of integer rows over Q (p = 0) or over F_p."""
     return len(_echelon(rows, p))
-
-
-def sparse_rank(rows) -> int:
-    """Exact rank of a matrix given as sparse rows, over its own scalars."""
-    x = next((x for row in rows for x in row.values()), None)
-    p = x.p if isinstance(x, FpElement) else 0
-    return integer_rank(integer_rows(rows, p), p)

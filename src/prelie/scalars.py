@@ -15,14 +15,16 @@ every scalar is multiplied by D, the lcm of the batch's denominators;
 over F_p each becomes its residue and D = 1.  An identity homogeneous of
 degree k in the batch then evaluates on the ints to D^k times its field
 value (over F_p, to an integer congruent to it), so the package's
-checkers run their formulas on `INTEGERS`, a bare evaluation ring with
-identity coercion, and map each residual back.  `INTEGERS` has no name,
-parser or printer, so bundles and the command line never see it.
+checkers and derived brackets run their formulas on `INTEGERS`, a bare
+evaluation ring with identity coercion, and map each result back.
+`INTEGERS` has no name, parser or printer, so bundles and the command
+line never see it.
 
 `Poly` is a polynomial with coefficients in one of these fields.  It
 mixes with scalars under +, - and *, and both fields pass it through
 unchanged, so the package's ordinary scalar code (matrices, cochains,
-checkers) can run on polynomial entries and return polynomials.
+checkers) can run on polynomial entries and return polynomials.  `lift`
+takes a `Poly` entry coefficient by coefficient, both ways.
 """
 
 from __future__ import annotations
@@ -189,6 +191,10 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def map(self, f):
+        """The polynomial with f applied to each coefficient; zero images drop out."""
+        return Poly({mono: v for mono, c in self.terms.items() if (v := f(c))})
+
     def at(self, values, zero):
         """The value at x_i = values[i]; ``zero`` is the field's zero."""
         total = zero
@@ -332,8 +338,15 @@ def _leaves(arrays):
     for a in arrays:
         if isinstance(a, (tuple, list)):
             yield from _leaves(a)
+        elif isinstance(a, Poly):
+            yield from a.terms.values()
         else:
             yield a
+
+
+def _coefficientwise(f):
+    """f on a scalar, and on a `Poly` coefficient by coefficient."""
+    return lambda x: x.map(f) if isinstance(x, Poly) else f(x)
 
 
 def _nested(f, arrays) -> tuple:
@@ -346,11 +359,14 @@ def lift(field, arrays):
     ``arrays`` nests tuples and lists of scalars of ``field``; the lifted
     copy keeps the nesting, as tuples.  Over Q every scalar is multiplied
     by D, the lcm of all their denominators; over F_p each becomes its
-    residue and D = 1.  Returns the lifted arrays and ``down``:
-    ``down(r, k)`` is the field value of an integer vector r that an
-    identity homogeneous of degree k in these scalars evaluated to, that
-    is r / D^k over Q and r mod p over F_p.  Anything else, such as a
-    `Poly` entry, raises TypeError.
+    residue and D = 1.  A `Poly` entry is lifted coefficient by
+    coefficient (its variables are not scaled), so it becomes a `Poly`
+    with int coefficients.  Returns the lifted arrays and ``down``:
+    ``down(r, k)`` is the field value of a vector r of ints (or of such
+    polynomials) that an identity homogeneous of degree k in these
+    scalars evaluated to, that is r / D^k over Q and r mod p over F_p,
+    again coefficient by coefficient.  A scalar or coefficient of any
+    other kind raises TypeError.
     """
     if isinstance(field, PrimeField):
         p = field.p
@@ -360,17 +376,23 @@ def lift(field, arrays):
                 return x.value
             raise TypeError(f"cannot lift {x!r} from F_{p}")
 
-        lifted = _nested(residue, arrays)
-        return lifted, lambda r, k: tuple(FpElement(x, p) for x in r)
+        lifted = _nested(_coefficientwise(residue), arrays)
+        back = _coefficientwise(lambda x: FpElement(x, p))
+        return lifted, lambda r, k: tuple(map(back, r))
     dens = set()
     for x in _leaves(arrays):
         if not isinstance(x, Fraction):
             raise TypeError(f"cannot lift {x!r} from Q")
         dens.add(x.denominator)
     D = lcm(*dens)
-    lifted = _nested(lambda x: x.numerator * (D // x.denominator), arrays)
+    lifted = _nested(_coefficientwise(lambda x: x.numerator * (D // x.denominator)), arrays)
     zero = field.zero
-    return lifted, lambda r, k: tuple(Fraction(x, D ** k) if x else zero for x in r)
+
+    def down(r, k):
+        back = _coefficientwise(lambda x, Dk=D ** k: Fraction(x, Dk) if x else zero)
+        return tuple(map(back, r))
+
+    return lifted, down
 
 
 _FIELD_NAMES = {"q": QQ}

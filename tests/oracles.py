@@ -28,6 +28,18 @@ the identity d_K f = (-1)^{n-1} d f off one generic evaluation
 (`brackets.dk_difference`): d_K on every basis cochain, compared with
 the column of the dense operator differential.
 
+`field_mc_residual`, `field_d_K` and `field_twisted_mc_residual` are the
+bracket combinations as the library evaluated them over Q and F_p,
+p >= 5, before it ran every field on the integer lift: each bracket in
+the field's own scalars, scaled by its coefficient there.  Over F_2 and
+F_3 the coefficients 1/2 and 1/6 do not exist, so they do not apply.
+
+`check_prelie_via_bracket` and `product_cochain` read the pre-Lie axiom
+off the Matsushima-Nijenhuis bracket ([pi, pi] = 0), an independent
+route to `algebra.check_prelie`.  `sparse_rank` is the exact rank of
+sparse field rows, and `enumerate_unshuffles` the checked enumeration
+of the unshuffles that `cochain._unshuffles` caches.
+
 `literal_element_groups` is the paper's closed form of the Nijenhuis
 element conditions, which the library decided with before it read them
 off `check_rcw_morphism` in t.  On the algebra part at order t it
@@ -41,24 +53,34 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from prelie import brackets
 from prelie.algebra import (
     PreLieAlgebra,
     Report,
+    Representation,
     _as_tensor,
     _combine,
     regular_representation,
     residual_report,
     tensor_mul,
 )
-from prelie.cochain import Cochain, cochain_keys
+from prelie.cochain import Cochain, _unshuffles, cochain_keys
 from prelie.errors import BudgetExceededError, ShapeError
-from prelie.linalg import Matrix, add_vec, basis_vec, sub_vec, zero_vec
+from prelie.linalg import (
+    Matrix,
+    add_vec,
+    basis_vec,
+    integer_rank,
+    integer_rows,
+    sub_vec,
+    zero_vec,
+)
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData
-from prelie.scalars import PrimeField
+from prelie.scalars import FpElement, PrimeField
 from prelie.search import DEFAULT_BUDGET, SearchSpec, _compile, _vanish
 
 
@@ -370,6 +392,21 @@ def scalar_sparse_rank(rows) -> int:
     return rank
 
 
+def sparse_rank(rows) -> int:
+    """Exact rank of a matrix given as sparse rows, over its own scalars."""
+    x = next((x for row in rows for x in row.values()), None)
+    p = x.p if isinstance(x, FpElement) else 0
+    return integer_rank(integer_rows(rows, p), p)
+
+
+def enumerate_unshuffles(pattern) -> list:
+    """The unshuffles of a pattern; block sizes must be nonnegative."""
+    pattern = tuple(pattern)
+    if any(b < 0 for b in pattern):
+        raise ValueError(f"negative block size in {pattern}")
+    return list(_unshuffles(pattern))
+
+
 # ---------------------------------------------------------------------------
 # axiom checkers on the field scalars
 
@@ -537,3 +574,55 @@ def basis_dk_columns(data: ReynoldsData, n: int) -> list:
         expected = d.column(c) if n % 2 else [-e for e in d.column(c)]
         columns.append([x - e for x, e in zip(dk, expected)])
     return columns
+
+
+# ---------------------------------------------------------------------------
+# the pre-Lie axiom and the bracket combinations on the field scalars
+
+
+def product_cochain(a: PreLieAlgebra) -> Cochain:
+    """The multiplication of an algebra as a degree-2 cochain on itself."""
+    values = [a.mul_basis(fb[0], last) for fb, last in cochain_keys(a.dim, 2)]
+    return Cochain(a.field, 2, a.dim, a.dim, values)
+
+
+def check_prelie_via_bracket(field, tensor) -> Report:
+    """pi is pre-Lie iff [pi, pi] = 0; an independent route to the axiom."""
+    pi = brackets.tensor_cochain(field, tensor)
+    return brackets._cochain_report(brackets.mn_bracket(pi, pi))
+
+
+def field_combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
+                      cochains: list, terms: list) -> Cochain:
+    """The sum of coefficient * bracket over ``terms``, in the field's scalars."""
+    acc = None
+    for coeff, idxs in terms:
+        args = [cochains[i] for i in idxs]
+        c = brackets.derived_bracket(g, rep, *args) if len(args) == 2 else \
+            brackets.ternary_bracket(g, rep, H, *args)
+        c = c.scale(g.field(coeff))
+        acc = c if acc is None else acc + c
+    return acc
+
+
+def field_mc_residual(g, rep, H, K: Matrix) -> Cochain:
+    """1/2 [[K,K]] - 1/6 [[K,K,K]]."""
+    return field_combination(g, rep, H, [Cochain.from_matrix(K)],
+                             [(Fraction(1, 2), (0, 0)), (Fraction(-1, 6), (0, 0, 0))])
+
+
+def field_d_K(data: ReynoldsData, f: Cochain) -> Cochain:
+    """[[K, f]] - 1/2 [[K, K, f]]."""
+    return field_combination(data.algebra, data.rep, data.cocycle,
+                             [Cochain.from_matrix(data.operator), f],
+                             [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1))])
+
+
+def field_twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
+    """d_K(K') + 1/2 ([[K',K']] - [[K,K',K']]) - 1/6 [[K',K',K']]."""
+    return field_combination(
+        data.algebra, data.rep, data.cocycle,
+        [Cochain.from_matrix(data.operator), Cochain.from_matrix(K2)],
+        [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1)),
+         (Fraction(1, 2), (1, 1)), (Fraction(-1, 2), (0, 1, 1)),
+         (Fraction(-1, 6), (1, 1, 1))])

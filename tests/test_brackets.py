@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import permutations
 
@@ -13,13 +14,18 @@ from conftest import (
     random_pair,
     random_reynolds_data,
 )
-from oracles import basis_dk_columns
+from oracles import (
+    basis_dk_columns,
+    check_prelie_via_bracket,
+    field_d_K,
+    field_mc_residual,
+    field_twisted_mc_residual,
+    product_cochain,
+)
 from prelie import brackets
 from prelie.algebra import PreLieAlgebra, check_prelie, regular_representation, zero_representation
 from prelie.brackets import (
-    _reduce_cochain,
     check_maurer_cartan,
-    check_prelie_via_bracket,
     check_twisted_mc,
     d_K,
     derived_bracket,
@@ -28,13 +34,13 @@ from prelie.brackets import (
     lift_operator_cochain,
     mc_residual,
     mn_bracket,
-    product_cochain,
     tensor_cochain,
     ternary_bracket,
     twisted_mc_residual,
     untwisted_structure,
 )
 from prelie.bundle import parse_bundle
+from prelie.cli import EXIT_INVARIANT, main
 from prelie.cochain import Cochain, cochain_keys
 from prelie.errors import InvariantError, ShapeError
 from prelie.linalg import Matrix, add_vec, basis_vec, scale_vec, sub_vec
@@ -355,18 +361,64 @@ def test_dk_difference_rejects_degree_below_one(g3_data, degree):
         dk_difference(g3_data, degree)
 
 
-def test_reduce_cochain_reduces_poly_coefficients():
-    F3 = PrimeField(3)
-    lifted = Cochain(QQ, 1, 1, 2, [[Poly({(0,): QQ(4), (1,): QQ(3)}), QQ(-1)]])
-    reduced = _reduce_cochain(lifted, F3)
-    x, y = reduced.values[0]
-    assert x.terms == {(0,): F3(1)} and y == F3(2)
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7)], ids=repr)
+def test_combinations_on_the_integer_lift_match_direct_field_evaluation(field):
+    # 6 is invertible in each field, so the combinations can also be taken
+    # in the field's own scalars; over Q the draws include fractional data
+    rng = random.Random(40 + field.char)
+    scaled = 0
+    for _ in range(6):
+        data = random_reynolds_data(rng, field, max_dim=2)
+        g, rep, H = data.algebra, data.rep, data.cocycle
+        m = rep.dim_v
+        K = Matrix(field, [[field(rng.randint(-3, 3)) / field(rng.choice([1, 2, 3]))
+                            for _ in range(m)] for _ in range(g.dim)])
+        K2 = Matrix(field, [[field(rng.randint(-2, 2)) for _ in range(m)]
+                            for _ in range(g.dim)])
+        f = random_cochain(rng, field, rng.randint(1, 2), m, g.dim).scale(
+            field(1) / field(rng.choice([1, 2, 3])))
+        scaled += any(getattr(x, "denominator", 1) > 1
+                      for x in K.data[0] + f.values[0] + K2.data[0])
+        assert mc_residual(g, rep, H, K) == field_mc_residual(g, rep, H, K)
+        assert d_K(data, f) == field_d_K(data, f)
+        assert twisted_mc_residual(data, K2) == field_twisted_mc_residual(data, K2)
+    assert scaled if field == QQ else not scaled  # over Q the lift's D exceeds 1
 
 
-def test_reduce_cochain_rejects_a_non_integer_poly_coefficient():
-    lifted = Cochain(QQ, 1, 1, 1, [[Poly({(0,): QQ(1), (1,): QQ(1) / 2})]])
-    with pytest.raises(InvariantError, match="non-integer entry"):
-        _reduce_cochain(lifted, PrimeField(3))
+def _off_by_one(bracket):
+    """A ternary bracket with one added to every coordinate of its value."""
+    def patched(*args):
+        c = bracket(*args)
+        return Cochain(c.field, c.degree, c.dim_source, c.dim_target,
+                       [[x + 1 for x in v] for v in c.values])
+    return patched
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=repr)
+def test_a_term_its_denominator_does_not_divide_is_an_invariant_error(monkeypatch, field):
+    data = parse_bundle(str(CORPUS / "g3-k-rowzero.json"), field_name(field)).reynolds_data()
+    monkeypatch.setattr(brackets, "ternary_bracket", _off_by_one(brackets.ternary_bracket))
+    with pytest.raises(InvariantError, match="not divisible by 6"):
+        mc_residual(data.algebra, data.rep, data.cocycle, data.operator)
+    with pytest.raises(InvariantError, match="not divisible by 2"):
+        dk_difference(data, 1)  # the Poly entries are divided coefficient by coefficient
+
+
+@pytest.mark.parametrize("command", ["mc-check", "check mc", "check twisted-mc",
+                                     "dk-consistency --degree 2"])
+def test_cli_a_term_its_denominator_does_not_divide_exits_4(monkeypatch, capsys, tmp_path,
+                                                            command):
+    doc = json.loads((CORPUS / "g3-k-rowzero.json").read_text())
+    doc["operatorKprime"] = doc["operatorK"]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(brackets, "ternary_bracket", _off_by_one(brackets.ternary_bracket))
+    words = command.split()
+    at = 2 if words[0] == "check" else 1
+    code = main(words[:at] + [str(path)] + words[at:])
+    out = json.loads(capsys.readouterr().out)
+    assert code == EXIT_INVARIANT
+    assert out["error"] == "InvariantError" and "not divisible by" in out["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,9 @@ SEARCH_G3_F2 = ("search", "--predicate", "rcw-reynolds", "--bundle",
     (("--shape", "3x3", "--domain", "a,b"), "/domain"),
     (("--shape", "3x3", "--budget", "0"), "/budget"),
     (("--shape", "3x3", "--budget", "-5"), "/budget"),
+    (("--shape", "3x3", "--domain", "0,1,1"), "/domain"),
+    (("--shape", "3x3", "--domain", "0,2"), "/domain"),  # 2 = 0 in F_2
+    (("--shape", "3x3", "--domain", "1,3 mod 2"), "/domain"),
 ])
 def test_cli_search_bad_arguments_are_exit_2(args, path):
     code, out, _ = run_cli(*SEARCH_G3_F2, *args)

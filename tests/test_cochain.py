@@ -12,7 +12,7 @@ from conftest import (
     random_cochain,
     random_pair,
 )
-from oracles import scalar_sparse_rank
+from oracles import enumerate_unshuffles, scalar_sparse_rank, sparse_rank
 from prelie.algebra import (
     PreLieAlgebra,
     Representation,
@@ -28,10 +28,9 @@ from prelie.cochain import (
     cochain_keys,
     cochain_space_dim,
     cohomology,
-    enumerate_unshuffles,
 )
 from prelie.errors import ShapeError
-from prelie.linalg import Matrix, add_vec, basis_vec, is_zero_vec, neg_vec, sparse_rank
+from prelie.linalg import Matrix, add_vec, basis_vec, is_zero_vec, neg_vec
 from prelie.scalars import QQ, PrimeField
 
 
@@ -126,6 +125,18 @@ def test_eval_multilinear_vectors():
 def test_degree1_matrix_roundtrip():
     m = Matrix(QQ, [[1, 2], [3, 4]])
     assert Cochain.from_matrix(m).as_matrix() == m
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_a_degree_below_one_is_a_shape_error(degree):
+    makers = (lambda: Cochain.zero(QQ, degree, 2, 2),
+              lambda: Cochain.from_entries(QQ, degree, 2, 2, {}),
+              lambda: Cochain(QQ, degree, 2, 2, []),
+              lambda: cochain_space_dim(2, 2, degree),
+              lambda: cochain_keys(2, degree))
+    for make in makers:
+        with pytest.raises(ShapeError, match="^degree must be >= 1$"):
+            make()
 
 
 # ---------------------------------------------------------------------------

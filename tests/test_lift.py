@@ -191,14 +191,28 @@ def test_lift_over_a_prime_field_takes_residues():
     assert down((12, 5), 2) == (F5(2), F5(0))
 
 
+def test_polynomial_entries_lift_and_come_back_coefficient_by_coefficient():
+    x = Poly({(0,): Fraction(1, 2), (1, 1): Fraction(-2, 3)})
+    (lifted,), down = lift(QQ, ((Fraction(1, 4), x),))
+    assert lifted[0] == 3 and lifted[1].terms == {(0,): 6, (1, 1): -8}
+    back = down((lifted[1] * 2, 0), 1)
+    assert back[0].terms == {(0,): Fraction(1), (1, 1): Fraction(-4, 3)} and back[1] == 0
+    assert down((lifted[1] * 12,), 2)[0].terms == x.terms
+
+    F3 = PrimeField(3)
+    (lifted,), down = lift(F3, ((Poly({(0,): F3(2), (2,): F3(1)}),),))
+    assert lifted[0].terms == {(0,): 2, (2,): 1}
+    # a coefficient that reduces to zero mod p drops out
+    assert down((Poly({(0,): 4, (2,): 3}),), 2)[0].terms == {(0,): F3(1)}
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
-def test_polynomial_entries_cannot_be_lifted(field):
-    x = Poly({(0,): field.one})
+def test_polynomial_entries_with_foreign_coefficients_cannot_be_lifted(field):
+    for coeff in (1, 0.5, PrimeField(5)(1)):
+        with pytest.raises(TypeError):
+            lift(field, ((field.one, Poly({(0,): coeff})),))
     with pytest.raises(TypeError):
-        lift(field, ((field.one, x),))
-    tensor = [[[x]]]
-    with pytest.raises(TypeError):
-        check_prelie(field, tensor)
+        check_prelie(field, [[[Poly({(0,): 1})]]])
 
 
 def test_a_prime_field_rejects_rationals_and_foreign_residues():

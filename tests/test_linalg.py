@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_inverse, dense_kernel, dense_rref, dense_solve, scalar_sparse_rank
+from oracles import (
+    dense_inverse,
+    dense_kernel,
+    dense_rref,
+    dense_solve,
+    scalar_sparse_rank,
+    sparse_rank,
+)
 from prelie.errors import DimensionMismatchError, NotSquareError
 from prelie.linalg import (
     Matrix,
@@ -15,7 +22,6 @@ from prelie.linalg import (
     neg_vec,
     scale_vec,
     sparse_mul,
-    sparse_rank,
     sub_vec,
 )
 from prelie.scalars import QQ, FpElement, Poly, PrimeField, lift, scalar_to_str

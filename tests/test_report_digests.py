@@ -23,6 +23,7 @@ from conftest import (
     random_two_cocycle,
     truncated_poly_algebra,
 )
+from oracles import check_prelie_via_bracket
 from prelie.algebra import (
     check_derivation,
     check_jacobi,
@@ -31,7 +32,7 @@ from prelie.algebra import (
     check_representation,
     subadjacent_lie,
 )
-from prelie.brackets import check_maurer_cartan, check_prelie_via_bracket, check_twisted_mc
+from prelie.brackets import check_maurer_cartan, check_twisted_mc
 from prelie.cochain import check_two_cocycle
 from prelie.deformation import (
     DeformationSeries,
