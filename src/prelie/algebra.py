@@ -36,7 +36,7 @@ from .errors import (
     ShapeError,
     UnverifiedError,
 )
-from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, scale_vec, sub_vec, zero_vec
+from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
 from .scalars import INTEGERS, lift, scalar_to_str
 
 
@@ -327,18 +327,27 @@ class Representation:
 
     def act_L(self, x, u) -> tuple:
         """L_x u for a coordinate vector x in the algebra and u in V."""
-        out = zero_vec(self.field, self.dim_v)
-        for i, xi in enumerate(x):
-            if xi:
-                out = add_vec(out, scale_vec(xi, self.L[i].apply(u)))
-        return out
+        return self._act(self.L, x, u)
 
     def act_R(self, x, u) -> tuple:
-        out = zero_vec(self.field, self.dim_v)
+        return self._act(self.R, x, u)
+
+    def _act(self, mats, x, u) -> tuple:
+        """sum_i x_i M_i u in one pass over the nonzero entries of x and u."""
+        nonzero = [(k, uk) for k, uk in enumerate(u) if uk]
+        out = [None] * self.dim_v
         for i, xi in enumerate(x):
-            if xi:
-                out = add_vec(out, scale_vec(xi, self.R[i].apply(u)))
-        return out
+            if not xi:
+                continue
+            for r, row in enumerate(mats[i].data):
+                for k, uk in nonzero:
+                    a = row[k]
+                    if a:
+                        term = xi * (a * uk)
+                        s = out[r]
+                        out[r] = term if s is None else s + term
+        zero = self.field.zero
+        return tuple(zero if s is None else s for s in out)
 
     def L_of(self, x) -> Matrix:
         out = Matrix.zero(self.field, self.dim_v, self.dim_v)

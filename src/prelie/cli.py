@@ -292,10 +292,11 @@ def _cmd_search(args) -> int:
                 domain = tuple(field.parse(t.strip()) for t in args.domain.split(","))
             except (ValueError, ZeroDivisionError):
                 raise SchemaError("/domain", f"bad scalar list {args.domain!r}") from None
-            if len(set(domain)) != len(domain):
-                # a repeated scalar would enumerate the same candidate twice
+            try:
+                domain = search.domain_scalars(field, domain)
+            except ShapeError:
                 raise SchemaError("/domain", f"{args.domain!r} repeats a scalar of "
-                                             f"{field_name(field)}")
+                                             f"{field_name(field)}") from None
     else:
         domain = tuple(field.elements())
 
@@ -328,7 +329,8 @@ def _cmd_search(args) -> int:
                "checked": result.count_checked, "solutions": result.count_solutions}
     sys.stdout.write(json.dumps(summary) + "\n")
     sys.stderr.write(f"search: {result.count_solutions} solutions / "
-                     f"{result.count_checked} candidates\n")
+                     f"{result.count_checked} candidates, {result.nodes} prefixes "
+                     f"evaluated\n")
     return EXIT_PASS
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import (
     PreLieAlgebra,
@@ -217,19 +217,30 @@ class Cochain:
         return v if sign == 1 else neg_vec(v)
 
     def eval(self, args) -> tuple:
-        """Multilinear evaluation; each argument is a basis index or a vector."""
+        """Multilinear evaluation; each argument is a basis index or a vector.
+
+        One pass: every combination of the vectors' nonzero coordinates is
+        evaluated on the basis and accumulated, scaled by the product of
+        its coefficients.
+        """
         if len(args) != self.degree:
             raise ShapeError(f"expected {self.degree} arguments, got {len(args)}")
-        for pos, a in enumerate(args):
-            if not isinstance(a, int):
-                out = zero_vec(self.field, self.dim_target)
-                for i, coeff in enumerate(a):
-                    if coeff:
-                        sub = list(args)
-                        sub[pos] = i
-                        out = add_vec(out, scale_vec(coeff, self.eval(sub)))
-                return out
-        return self.eval_basis(args)
+        expanded = [((a, None),) if isinstance(a, int)
+                    else [(i, c) for i, c in enumerate(a) if c] for a in args]
+        out = [None] * self.dim_target
+        for combo in product(*expanded):
+            coeff = None
+            for _, c in combo:
+                if c is not None:
+                    coeff = c if coeff is None else coeff * c
+            v = self.eval_basis(tuple(i for i, _ in combo))
+            for t, x in enumerate(v):
+                if x:
+                    term = x if coeff is None else coeff * x
+                    s = out[t]
+                    out[t] = term if s is None else s + term
+        zero = self.field.zero
+        return tuple(zero if s is None else s for s in out)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)

@@ -222,13 +222,8 @@ class RationalField:
             return v
         raise TypeError(f"cannot coerce {v!r} into Q")
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def parse(self, s: str) -> Fraction:
         return Fraction(s.strip())
@@ -262,6 +257,8 @@ class PrimeField:
         self.p = p
         self.char = p
         self.name = f"F{p}"
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     def __call__(self, v) -> FpElement:
         if isinstance(v, FpElement):
@@ -279,14 +276,6 @@ class PrimeField:
         if isinstance(v, Poly):
             return v
         raise TypeError(f"cannot coerce {v!r} into F_{self.p}")
-
-    @property
-    def zero(self) -> FpElement:
-        return FpElement(0, self.p)
-
-    @property
-    def one(self) -> FpElement:
-        return FpElement(1, self.p)
 
     def parse(self, s: str) -> FpElement:
         s = s.strip()

@@ -13,10 +13,21 @@ residual coordinate is one polynomial equation, and a candidate passes
 the checker exactly when every equation vanishes at its entries.  That
 needs every registered checker to use only +, - and * on the
 candidate's entries and to branch on them only to skip zero terms, which
-the checkers here do.  The sweep
-evaluates the equations in the field's own scalars, stopping at the
-first that does not vanish; every solution is then re-verified through
-the predicate's checker before it is returned.
+the checkers here do.
+
+The sweep runs on Python ints.  One `scalars.lift` takes the equations'
+coefficients and the domain to ints by a common denominator D (over F_p,
+to residues, with D = 1), and each term is homogenised to its equation's
+top degree T by a factor D^(T - degree); an equation then holds exactly
+when its integer sum is 0 (over F_p, 0 mod p).  The free entries are
+assigned depth first, in row-major order, each running through the
+domain in order, so solutions come out in lexicographic order.  An
+equation is tested at the depth that assigns its highest variable, and
+when it fails there no completion of that prefix can pass, so the whole
+subtree is skipped.  Every solution is then re-verified through the
+predicate's checker before it is returned.  ``count_checked`` is the
+number of candidates the sweep covers, pruned or not; ``nodes`` is the
+number of prefixes it evaluated, the empty one included.
 
 The predicate registry maps an id to a function of the bundle sections
 returning the checker (candidate -> `Report`), so new checkers become
@@ -30,7 +41,6 @@ Reynolds identity for that verified H.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 
 from .deformation import check_nijenhuis_element
 from .errors import BudgetExceededError, InvariantError, ShapeError
@@ -42,7 +52,7 @@ from .reynolds import (
     check_d_reynolds,
     check_weighted_reynolds,
 )
-from .scalars import Poly
+from .scalars import Poly, lift
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -146,19 +156,93 @@ def _compile(spec: SearchSpec, field):
     return check, list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
 
 
-def _vanish(equations, values, zero) -> bool:
-    return all(not eq.at(values, zero) for eq in equations)
+def _lower(equations, domain, field, n_free):
+    """The equations as integer terms, grouped by the depth that completes them.
+
+    Returns ``levels`` and the lifted domain.  ``levels[k]`` holds the
+    equations whose highest variable is x_{k-1} (``levels[0]`` the
+    constant ones), each as a tuple of (integer coefficient, monomial)
+    terms homogenised to the equation's top degree, as the module
+    docstring describes.
+    """
+    (D, values, lifted), _ = lift(field, (field.one, domain, equations))
+    levels = [[] for _ in range(n_free + 1)]
+    for eq in lifted:
+        top = max(map(len, eq.terms))
+        terms = tuple((c * D ** (top - len(mono)), mono) for mono, c in eq.terms.items())
+        levels[max((mono[-1] + 1 for mono in eq.terms if mono), default=0)].append(terms)
+    return levels, values
+
+
+def _sweep(levels, values, p):
+    """Every assignment of ``values`` to the variables under which all equations hold.
+
+    Returns each as a tuple of indices into ``values``, in lexicographic
+    order, and the number of prefixes evaluated.  A prefix of length k
+    evaluates ``levels[k]``; if one of those equations fails, no
+    assignment that extends the prefix is visited.
+    """
+    n = len(levels) - 1
+    point = [0] * n
+
+    def holds(equations):
+        for terms in equations:
+            s = 0
+            for c, mono in terms:
+                for i in mono:
+                    c *= point[i]
+                s += c
+            if s % p if p else s:
+                return False
+        return True
+
+    if not holds(levels[0]):
+        return [], 1
+    if not n:
+        return [()], 1
+    found, nodes = [], 1
+    choice = [-1] * n
+    k = 0
+    while k >= 0:
+        j = choice[k] + 1
+        if j == len(values):
+            choice[k] = -1
+            k -= 1
+            continue
+        choice[k] = j
+        point[k] = values[j]
+        nodes += 1
+        if holds(levels[k + 1]):
+            if k + 1 == n:
+                found.append(tuple(choice))
+            else:
+                k += 1
+    return found, nodes
+
+
+def domain_scalars(field, domain) -> tuple:
+    """``domain`` coerced into ``field``; a repeated scalar raises `ShapeError`.
+
+    A repeat would enumerate the same candidates more than once.
+    """
+    scalars = tuple(field(v) for v in domain)
+    if len(set(scalars)) != len(scalars):
+        raise ShapeError(f"the domain repeats a scalar of {field!r}")
+    return scalars
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Verified solutions, the candidates covered and the prefixes the sweep evaluated."""
+
     solutions: tuple
     count_checked: int
     count_solutions: int
+    nodes: int
 
 
 def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
-    """Enumerate the whole candidate space and keep verified solutions.
+    """Sweep the whole candidate space and keep verified solutions.
 
     Solutions come back in lexicographic enumeration order.
     """
@@ -171,19 +255,19 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
                      if not (0 <= pos[0] < rows and 0 <= pos[1] < cols))
     if outside:
         raise ShapeError(f"fixed positions {outside} lie outside the {rows}x{cols} shape")
+    domain = domain_scalars(field, spec.domain)
     total = spec.count()
     if total > spec.budget:
         raise BudgetExceededError(
             f"{total} candidates exceed the budget of {spec.budget}")
     check, equations = _compile(spec, field)
-    zero = field.zero
-    domain = [field(v) for v in spec.domain]
+    levels, values = _lower(equations, domain, field, len(spec.free_positions()))
+    found, nodes = _sweep(levels, values, field.char)
     solutions = []
-    for values in product(domain, repeat=len(spec.free_positions())):
-        if _vanish(equations, values, zero):
-            K = _candidate(spec, values, field)
-            if not check(K).ok:
-                raise InvariantError(
-                    "the compiled equations accepted a candidate the checker rejects")
-            solutions.append(K)
-    return SearchResult(tuple(solutions), total, len(solutions))
+    for choice in found:
+        K = _candidate(spec, [domain[j] for j in choice], field)
+        if not check(K).ok:
+            raise InvariantError(
+                "the compiled equations accepted a candidate the checker rejects")
+        solutions.append(K)
+    return SearchResult(tuple(solutions), total, len(solutions), nodes)

@@ -25,9 +25,14 @@ from prelie.algebra import (
 from prelie.cochain import Cochain, coboundary_matrix, cochain_keys
 from prelie.linalg import Matrix
 from prelie.reynolds import ReynoldsData, reynolds_from_invertible_cochain
-from prelie.scalars import QQ, PrimeField
+from prelie.scalars import QQ, Poly, PrimeField
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def as_terms(v) -> tuple:
+    """Coordinates as {monomial: coefficient}, so scalars and `Poly`s compare by value."""
+    return tuple(x.terms if isinstance(x, Poly) else {(): x} if x else {} for x in v)
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

@@ -13,6 +13,14 @@ term group that caused it.
 worked 3-dimensional bundle and compares the equations that the search
 compiles from the Reynolds checker with a hand-derived polynomial system.
 
+`expanded_eval` is the multilinear expansion of a cochain over the full
+basis, zero coordinates included, the reference for `Cochain.eval`.
+
+`dense_sweep` is the sweep `search.exhaustive_search` ran before it
+pruned prefixes on integers: every candidate of `itertools.product`,
+the compiled equations evaluated on the field scalars (`vanish`), and
+each candidate that passes re-verified through the checker.
+
 `dense_rref` and `scalar_sparse_rank` are the elimination loops the
 library ran before its integer engine: Gauss-Jordan on the dense field
 scalars, and sparse forward elimination on them.  `dense_kernel`,
@@ -81,7 +89,7 @@ from prelie.linalg import (
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData
 from prelie.scalars import FpElement, PrimeField
-from prelie.search import DEFAULT_BUDGET, SearchSpec, _compile, _vanish
+from prelie.search import DEFAULT_BUDGET, SearchSpec, _candidate, _compile
 
 
 def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
@@ -242,6 +250,42 @@ def _g3_polynomials(a):
     ]
 
 
+def expanded_eval(f: Cochain, args) -> tuple:
+    """f at ``args`` (basis indices or vectors), basis tuple by basis tuple.
+
+    The sum, over every tuple of basis indices, of the product of the
+    arguments' coordinates there times f on that tuple.
+    """
+    field = f.field
+    ranges = [[(a, field.one)] if isinstance(a, int) else list(enumerate(a)) for a in args]
+    out = zero_vec(field, f.dim_target)
+    for combo in product(*ranges):
+        coeff = field.one
+        for _, c in combo:
+            coeff = coeff * c
+        v = f.eval_basis(tuple(i for i, _ in combo))
+        out = tuple(s + coeff * x for s, x in zip(out, v))
+    return out
+
+
+def vanish(equations, values, zero) -> bool:
+    return all(not eq.at(values, zero) for eq in equations)
+
+
+def dense_sweep(spec: SearchSpec, field) -> list:
+    """The solutions of ``spec`` from every candidate, in `product` order."""
+    check, equations = _compile(spec, field)
+    zero = field.zero
+    solutions = []
+    for values in product([field(v) for v in spec.domain],
+                          repeat=len(spec.free_positions())):
+        if vanish(equations, values, zero):
+            K = _candidate(spec, values, field)
+            assert check(K).ok, "the compiled equations accepted a rejected candidate"
+            solutions.append(K)
+    return solutions
+
+
 @dataclass(frozen=True)
 class PolynomialSystemReport:
     total: int
@@ -277,7 +321,7 @@ def verify_polynomial_system(field: PrimeField,
         flat = tuple(x.value for x in values)
         a = [flat[0:3], flat[3:6], flat[6:9]]
         polys_ok = all(v % p == 0 for v in _g3_polynomials(a))
-        pred_ok = _vanish(equations, values, zero)
+        pred_ok = vanish(equations, values, zero)
         if pred_ok:
             solutions += 1
         if polys_ok != pred_ok:

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from conftest import g2_algebra, g3_algebra, g3b_algebra, random_algebra, truncated_poly_algebra
+from conftest import (
+    as_terms,
+    g2_algebra,
+    g3_algebra,
+    g3b_algebra,
+    random_algebra,
+    random_pair,
+    truncated_poly_algebra,
+)
 from prelie.algebra import (
     PreLieAlgebra,
     check_derivation,
@@ -16,7 +24,7 @@ from prelie.algebra import (
 )
 from prelie.errors import NoUnitError, ShapeError, UnverifiedError
 from prelie.linalg import Matrix
-from prelie.scalars import QQ
+from prelie.scalars import QQ, Poly, PrimeField
 
 
 def test_check_prelie_g3_passes():
@@ -161,6 +169,24 @@ def test_morphism_identity_and_zero():
 def test_morphism_shape_error():
     with pytest.raises(ShapeError):
         check_morphism(g2_algebra(), g3_algebra(), Matrix.identity(QQ, 2))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_actions_match_the_action_matrices(field):
+    # x and u with zero, scalar and polynomial coordinates
+    rng = random.Random(4)
+    one = field.one
+    for _ in range(5):
+        a, rep = random_pair(rng, field)
+        n, m = a.dim, rep.dim_v
+        xs = [tuple(field(rng.randint(-2, 2)) for _ in range(n)), (field(0),) * n,
+              tuple(Poly({(k,): one}) if k % 2 else field(k) for k in range(n))]
+        us = [tuple(field(rng.randint(-2, 2)) for _ in range(m)), (field(0),) * m,
+              tuple(Poly({(n + k,): one}) for k in range(m))]
+        for x in xs:
+            for u in us:
+                assert as_terms(rep.act_L(x, u)) == as_terms(rep.L_of(x).apply(u))
+                assert as_terms(rep.act_R(x, u)) == as_terms(rep.R_of(x).apply(u))
 
 
 def test_left_right_mult_matrices():

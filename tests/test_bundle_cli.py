@@ -237,6 +237,26 @@ def test_cli_twisted_mc():
     assert code == 0
 
 
+@pytest.mark.parametrize("kprime, expected", [
+    (None, 0),  # K' = K_e11 - K, so K + K' = K_e11
+    ([["0", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]], 1),  # K' = E33
+])
+def test_cli_twisted_mc_agrees_with_the_reynolds_check_of_the_sum(kprime, expected):
+    doc = json.loads((CORPUS / "g3-k-twisted.json").read_text())
+    if kprime is None:
+        source = str(CORPUS / "g3-k-twisted.json")
+    else:
+        doc["operatorKprime"]["entries"] = kprime
+        source = json.dumps(doc)
+    code, out, _ = run_cli("check", "twisted-mc", source)
+    assert code == expected
+    assert json.loads(out)["ok"] is (expected == 0)
+    bundle = parse_bundle(source)
+    total = bundle.operator() + bundle.matrix("operatorKprime")
+    assert reynolds.check_rcw_reynolds(bundle.algebra(), bundle.representation(),
+                                       bundle.cocycle(), total).ok is (expected == 0)
+
+
 def test_cli_cohomology_golden():
     code, out, _ = run_cli("cohomology", "--of", "operator", "--degree", "1",
                            str(CORPUS / "g3-k-e11.json"))
@@ -411,6 +431,25 @@ def test_cli_search_bad_budget_variable_is_exit_2(monkeypatch, value):
     doc = json.loads(out)
     assert doc["error"] == "SchemaError"
     assert doc["message"].startswith("/budget:")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("rcw-reynolds", "f2", "3x3"),
+     "search: 68 solutions / 512 candidates, 639 prefixes evaluated"),
+    (("rcw-reynolds", "f2", "3x3", "--fix", "1,1=0"),
+     "search: 34 solutions / 256 candidates, 319 prefixes evaluated"),
+    (("rcw-reynolds", "f3", "3x3", "--fix", "1,1=0;1,2=0;1,3=0;2,1=0;2,2=0"),
+     "search: 5 solutions / 81 candidates, 61 prefixes evaluated"),
+    (("nijenhuis", "f2", "3x3"),
+     "search: 48 solutions / 512 candidates, 479 prefixes evaluated"),
+])
+def test_cli_search_reports_the_prefixes_it_evaluated(argv, line):
+    # the four benchmark sweeps; a sweep that stops pruning evaluates more
+    predicate, field, shape, *fix = argv
+    code, _, err = run_cli("search", "--predicate", predicate, "--bundle",
+                           str(CORPUS / "g3.json"), "--field", field, "--shape", shape, *fix)
+    assert code == 0
+    assert err.strip().splitlines()[-1] == line
 
 
 def test_cli_search_budget_flag_overrides_the_variable(monkeypatch):
@@ -686,6 +725,7 @@ def test_env_budget_override(monkeypatch):
 CORPUS_CHECKS = {
     "g3.json": ("check", "cocycle"),
     "g3-k-rowzero.json": ("check", "reynolds"),
+    "g3-k-twisted.json": ("check", "twisted-mc"),
     "g3-k0.json": ("check", "reynolds"),
     "g3-k-e11.json": ("check", "reynolds"),
     "g3-k-invertible.json": ("check", "reynolds"),

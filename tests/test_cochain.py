@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    as_terms,
     conjugate_algebra,
     g3_algebra,
     g3_cocycle,
     random_cochain,
     random_pair,
 )
-from oracles import enumerate_unshuffles, scalar_sparse_rank, sparse_rank
+from oracles import enumerate_unshuffles, expanded_eval, scalar_sparse_rank, sparse_rank
 from prelie.algebra import (
     PreLieAlgebra,
     Representation,
@@ -21,6 +22,7 @@ from prelie.algebra import (
 )
 from prelie.cochain import (
     Cochain,
+    _generic_cochain,
     check_two_cocycle,
     coboundary,
     coboundary_at,
@@ -31,7 +33,7 @@ from prelie.cochain import (
 )
 from prelie.errors import ShapeError
 from prelie.linalg import Matrix, add_vec, basis_vec, is_zero_vec, neg_vec
-from prelie.scalars import QQ, PrimeField
+from prelie.scalars import QQ, Poly, PrimeField
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,36 @@ def test_eval_multilinear_vectors():
     v = f.eval([(QQ(1), QQ(1)), (QQ(1), QQ(1))])
     # f(e1+e2, e1+e2) = f(e1,e2) + f(e2,e1) = 1 + 2
     assert v == (QQ(3),)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["Q", "F5"])
+def test_eval_matches_the_basis_expansion(field):
+    rng = random.Random(11)
+    f = random_cochain(rng, field, 3, 3, 2)
+    f = Cochain(field, 3, 3, 2, [[x / 3 if field is QQ else x for x in v] for v in f.values])
+    x = tuple(field(rng.randint(-2, 2)) for _ in range(3))
+    y = tuple(field(rng.randint(-2, 2)) for _ in range(3))
+    zero = (field(0),) * 3
+    for args in ([x, 1, y], [0, x, 2], [x, y, x], [2, 0, 1], [x, x, 0],
+                 [zero, 1, y], [x, zero, zero], [zero] * 3):
+        assert f.eval(args) == expanded_eval(f, args)
+    assert f.eval([zero, 1, y]) == (field(0),) * 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_eval_matches_the_basis_expansion_on_poly_entries(field):
+    # polynomial arguments on a scalar cochain, scalar arguments on the
+    # generic cochain, and both
+    rng = random.Random(12)
+    f = random_cochain(rng, field, 2, 3, 3)
+    generic = _generic_cochain(field, 2, 3, 3)
+    one = field.one
+    xs = tuple(Poly({(k,): one}) for k in range(3))
+    u = (field(1), field(0), field(2))
+    for h in (f, generic):
+        for args in ([xs, 2], [1, xs], [xs, u], [u, xs], [xs, xs], [u, 0],
+                     [(field(0),) * 3, xs]):
+            assert as_terms(h.eval(args)) == as_terms(expanded_eval(h, args))
 
 
 def test_degree1_matrix_roundtrip():

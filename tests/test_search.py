@@ -1,9 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS, count_calls, g2_algebra, g3_algebra, g3_cocycle, g3b_algebra
-from oracles import verify_polynomial_system
+from oracles import dense_sweep, verify_polynomial_system
 from prelie.algebra import PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain, coboundary
@@ -18,7 +19,7 @@ from prelie.reynolds import (
     check_weighted_reynolds,
     reynolds_from_invertible_cochain,
 )
-from prelie.scalars import PrimeField
+from prelie.scalars import QQ, PrimeField
 from prelie.search import SearchSpec, exhaustive_search
 
 
@@ -74,6 +75,7 @@ def test_abelian_zero_weight_everything_passes():
                       (2, 2), tuple(F2.elements()))
     result = exhaustive_search(spec, F2)
     assert result.count_solutions == result.count_checked == 16
+    assert result.nodes == 1 + 2 + 4 + 8 + 16  # nothing to prune: the whole tree
 
 
 def test_nijenhuis_search_upper_triangular_f3():
@@ -311,3 +313,72 @@ def test_search_with_every_entry_fixed():
                           fixed=fixed)
         result = exhaustive_search(spec, F2)
         assert (result.count_checked, result.count_solutions) == (1, solutions)
+        assert list(result.solutions) == dense_sweep(spec, F2)
+        assert result.nodes == 1
+
+
+def test_a_repeated_domain_scalar_is_a_shape_error():
+    # compared after coercion: 2 is 0 in F_2
+    F2 = PrimeField(2)
+    data = parse_bundle(str(CORPUS / "g3-f2-e11.json")).reynolds_data()
+    for domain in ((F2(0), F2(1), F2(1)), (0, 2)):
+        spec = SearchSpec("nijenhuis-element", {"data": data}, (3, 1), domain)
+        with pytest.raises(ShapeError, match="repeats a scalar"):
+            exhaustive_search(spec, F2)
+
+
+# ---------------------------------------------------------------------------
+# the pruned integer sweep against the dense sweep on field scalars
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("case", range(10))
+def test_pruned_sweep_equals_dense_sweep(p, case):
+    F = PrimeField(p)
+    predicate, bundle, shape, fixed, _ = _predicate_cases(F)[case]
+    spec = SearchSpec(predicate, bundle, shape, tuple(F.elements()), fixed=fixed)
+    assert list(exhaustive_search(spec, F).solutions) == dense_sweep(spec, F)
+
+
+def test_pruned_sweep_equals_dense_sweep_over_q_with_a_fractional_domain():
+    # the equations mix degrees, so a fractional domain exercises the homogenisation
+    domain = (QQ(0), QQ("1/2"), QQ(-1))
+    fractional = 0
+    for predicate, bundle, shape, fixed, _ in _predicate_cases(QQ):
+        spec = SearchSpec(predicate, bundle, shape, domain, fixed=fixed)
+        solutions = list(exhaustive_search(spec, QQ).solutions)
+        assert solutions == dense_sweep(spec, QQ)
+        fractional += sum(any(x.denominator == 2 for row in K.data for x in row)
+                          for K in solutions)
+    assert fractional > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_pruned_sweep_with_no_solution(p):
+    # K33 = 1 leaves K33^3 = 1 in the Reynolds identity at (e3, e3)
+    F = PrimeField(p)
+    bundle = parse_bundle(str(CORPUS / "g3.json"), f"f{p}")
+    spec = SearchSpec("rcw-reynolds", {"algebra": bundle.algebra(),
+                                       "rep": bundle.representation(),
+                                       "cocycle": bundle.cocycle()},
+                      (3, 3), tuple(F.elements()), fixed={(2, 2): F(1), (0, 0): F(0)})
+    result = exhaustive_search(spec, F)
+    assert result.count_solutions == 0 < result.count_checked
+    assert dense_sweep(spec, F) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([2, 3]), predicate=st.sampled_from(["rcw-reynolds", "nijenhuis"]),
+       data=st.data())
+def test_pruned_sweep_equals_dense_sweep_on_random_fixed_maps(p, predicate, data):
+    F = PrimeField(p)
+    bundle = parse_bundle(str(CORPUS / "g3.json"), f"f{p}")
+    sections = {"algebra": bundle.algebra()}
+    if predicate == "rcw-reynolds":
+        sections.update(rep=bundle.representation(), cocycle=bundle.cocycle())
+    cells = [(i, j) for i in range(3) for j in range(3)]
+    # at most 3^5 candidates over F_3
+    positions = data.draw(st.sets(st.sampled_from(cells), min_size=0 if p == 2 else 4))
+    fixed = {pos: F(data.draw(st.integers(0, p - 1))) for pos in sorted(positions)}
+    spec = SearchSpec(predicate, sections, (3, 3), tuple(F.elements()), fixed=fixed)
+    assert list(exhaustive_search(spec, F).solutions) == dense_sweep(spec, F)
