@@ -5,6 +5,10 @@ failing.  Its reports (the verdict, every violation with its residual,
 and the named parts, recursively) are serialized and hashed into one
 digest per checker, so a change to any verdict, violation, violation
 order or residual value fails the test.
+
+The constructors are pinned the same way: the tables each one builds on
+seeded bundles (the operators for the star and deformed products picked
+among a search's solutions) are hashed into one digest per constructor.
 """
 
 from __future__ import annotations
@@ -42,15 +46,25 @@ from prelie.deformation import (
     check_nijenhuis_element,
 )
 from prelie.linalg import Matrix
-from prelie.nsprelie import check_nijenhuis, check_ns_prelie, ns_from_nijenhuis
+from prelie.nsprelie import (
+    check_nijenhuis,
+    check_ns_prelie,
+    compatible_ns_from_invertible,
+    deformed_product,
+    ns_from_nijenhuis,
+    ns_from_reynolds,
+)
 from prelie.reynolds import (
     check_d_reynolds,
     check_graph_subalgebra,
     check_rcw_morphism,
     check_rcw_reynolds,
     check_weighted_reynolds,
+    induced_product,
+    star_product,
 )
 from prelie.scalars import QQ, PrimeField, scalar_to_str
+from prelie.search import SearchSpec, exhaustive_search
 
 FIELDS = (QQ, PrimeField(3))
 DRAWS = 3
@@ -293,3 +307,79 @@ def test_checker_report_digest(name):
     verdicts = {r.ok for r in reports}
     assert verdicts == {True, False}, f"{name}: inputs do not both pass and fail"
     assert _digest(reports) == DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# constructors: the tables they build, pinned the same way
+
+
+def _operators(rng, field, predicate, bundle, n) -> list:
+    """Two seeded picks among the n x n solutions with entries -1, 0, 1."""
+    domain = tuple(field(c) for c in (-1, 0, 1))
+    found = exhaustive_search(SearchSpec(predicate, bundle, (n, n), domain), field).solutions
+    return [rng.choice(found) for _ in range(2)]
+
+
+def build_induced():
+    for _, _, data in _bundles(18):
+        yield induced_product(data).product
+
+
+def build_star():
+    for rng, field, data in _bundles(19):
+        g = data.algebra
+        weight = field(rng.randint(-1, 1))
+        for K in _operators(rng, field, "weighted-reynolds",
+                            {"algebra": g, "weight": weight}, g.dim):
+            yield star_product(g, K, weight).product
+
+
+def build_deformed():
+    for rng, field, data in _bundles(20):
+        g = data.algebra
+        for N in _operators(rng, field, "nijenhuis", {"algebra": g}, g.dim):
+            yield deformed_product(g, N).product
+
+
+def _ns_tables(ns) -> tuple:
+    return ns.tri, ns.trl, ns.circ
+
+
+def build_ns_from_reynolds():
+    for _, _, data in _bundles(21):
+        yield from _ns_tables(ns_from_reynolds(data))
+
+
+def build_ns_from_nijenhuis():
+    for rng, field, data in _bundles(29):
+        g = data.algebra
+        for N in _operators(rng, field, "nijenhuis", {"algebra": g}, g.dim):
+            yield from _ns_tables(ns_from_nijenhuis(g, N))
+
+
+def build_compatible_ns():
+    for rng, field in _draws(23):
+        data = random_reynolds_data(rng, field, invertible_only=True)
+        yield from _ns_tables(compatible_ns_from_invertible(data))
+
+
+BUILDS = {name[len("build_"):]: fn for name, fn in list(globals().items())
+          if name.startswith("build_")}
+
+TABLE_DIGESTS = {
+    "compatible_ns": "31e4cbd42dd6139e",
+    "deformed": "ef5d2f45080e77c7",
+    "induced": "0f958da2d9b2c7f6",
+    "ns_from_nijenhuis": "6cbb80827b4344ed",
+    "ns_from_reynolds": "176061ef890fa9d1",
+    "star": "bba00ace102cb6e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_construction_table_digest(name):
+    tables = [[[[scalar_to_str(x) for x in vec] for vec in row] for row in table]
+              for table in BUILDS[name]()]
+    assert any(x != "0" for table in tables for row in table for vec in row for x in vec)
+    digest = hashlib.sha256(json.dumps(tables).encode()).hexdigest()[:16]
+    assert digest == TABLE_DIGESTS[name]
