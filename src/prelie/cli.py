@@ -155,6 +155,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cohomology(args) -> int:
+    if args.operator is not None:
+        if args.bundle is not None:
+            raise SchemaError("/", "give the bundle as a path or with --operator, not both")
+        if args.of == "algebra":
+            raise SchemaError("/", "--operator asks for the operator cohomology, "
+                                   "not --of algebra")
     source = args.bundle if args.bundle is not None else args.operator
     if source is None:
         raise SchemaError("/", "a bundle path is required")
@@ -250,6 +256,8 @@ def _parse_fix(text: str, field, shape) -> dict:
         if not (1 <= r <= shape[0] and 1 <= c <= shape[1]):
             raise SchemaError("/fix", f"position {r},{c} lies outside the "
                                       f"{shape[0]}x{shape[1]} shape")
+        if (r - 1, c - 1) in fixed:
+            raise SchemaError("/fix", f"position {r},{c} is fixed twice")
         fixed[(r - 1, c - 1)] = scalar
     return fixed
 

@@ -36,8 +36,8 @@ from .errors import (
     UnverifiedNSError,
     UnverifiedOperatorError,
 )
-from .linalg import Matrix, add_vec, basis_vec, sub_vec
-from .reynolds import ReynoldsData, induced_product
+from .linalg import Matrix, add_vec, basis_vec, neg_vec, sub_vec
+from .reynolds import ReynoldsData, derived_tensor, induced_product, operator_identity
 from .scalars import INTEGERS, lift
 
 
@@ -131,19 +131,18 @@ def subadjacent(ns: NSPreLie) -> PreLieAlgebra:
     return PreLieAlgebra(ns.field, ns.star_tensor(), check=True)
 
 
-def _deformed_mul(g: PreLieAlgebra, N: Matrix, i: int, j: int) -> tuple:
+def _deformed_tensor(g: PreLieAlgebra, N: Matrix) -> tuple:
     """The deformed product x ._N y = Nx.y + x.Ny - N(x.y) on basis indices."""
-    val = add_vec(g.mul(N.column(i), g.basis(j)), g.mul(g.basis(i), N.column(j)))
-    return sub_vec(val, N.apply(g.mul_basis(i, j)))
+    if N.rows != g.dim or N.cols != g.dim:
+        raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {g.dim}")
+    e = [g.basis(i) for i in range(g.dim)]
+    return derived_tensor(N, lambda i, j, Nx, Ny: sub_vec(
+        add_vec(g.mul(Nx, e[j]), g.mul(e[i], Ny)), N.apply(g.mul_basis(i, j))))
 
 
 def check_nijenhuis(g: PreLieAlgebra, N: Matrix) -> Report:
     """Nx.Ny = N(x ._N y) on all basis pairs."""
-    if N.rows != g.dim or N.cols != g.dim:
-        raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {g.dim}")
-    return residual_report(
-        ((i, j), sub_vec(g.mul(N.column(i), N.column(j)), N.apply(_deformed_mul(g, N, i, j))))
-        for i in range(g.dim) for j in range(g.dim))
+    return operator_identity(g, N, _deformed_tensor(g, N))
 
 
 def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
@@ -152,11 +151,11 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
     The result is pre-Lie and compatible with the original product: the
     sum of the two products is pre-Lie as well (both re-verified).
     """
-    if not check_nijenhuis(g, N).ok:
+    table = _deformed_tensor(g, N)
+    if not operator_identity(g, N, table).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     n = g.dim
-    tensor = [[_deformed_mul(g, N, i, j) for j in range(n)] for i in range(n)]
-    deformed = PreLieAlgebra(g.field, tensor, check=True)
+    deformed = PreLieAlgebra(g.field, table, check=True)
     total = tuple(
         tuple(add_vec(g.product[i][j], deformed.product[i][j]) for j in range(n))
         for i in range(n)
@@ -173,20 +172,12 @@ def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     """
     if not check_nijenhuis(g, N).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
-    n = g.dim
-    tri, trl, circ = [], [], []
-    for i in range(n):
-        p1, p2, p3 = [], [], []
-        for j in range(n):
-            p1.append(g.mul(N.column(i), g.basis(j)))
-            p2.append(g.mul(g.basis(i), N.column(j)))
-            p3.append(tuple(-c for c in N.apply(g.mul_basis(i, j))))
-        tri.append(p1)
-        trl.append(p2)
-        circ.append(p3)
+    e = [g.basis(i) for i in range(g.dim)]
+    tri = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(Nx, e[j]))
+    trl = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(e[i], Ny))
+    circ = derived_tensor(N, lambda i, j, Nx, Ny: neg_vec(N.apply(g.mul_basis(i, j))))
     ns = NSPreLie(g.field, tri, trl, circ, check=True)
-    deformed = tuple(tuple(_deformed_mul(g, N, i, j) for j in range(n)) for i in range(n))
-    if ns.star_tensor() != deformed:
+    if ns.star_tensor() != _deformed_tensor(g, N):
         raise InvariantError("subadjacent product differs from the deformed product")
     return ns
 
@@ -197,22 +188,12 @@ def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
     The subadjacent product coincides with the induced pre-Lie product of
     the operator.
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    m = rep.dim_v
-    field = g.field
-    tri, trl, circ = [], [], []
-    for u in range(m):
-        p1, p2, p3 = [], [], []
-        for v in range(m):
-            ev = basis_vec(field, m, v)
-            eu = basis_vec(field, m, u)
-            p1.append(rep.act_L(K.column(u), ev))
-            p2.append(rep.act_R(K.column(v), eu))
-            p3.append(H.eval([K.column(u), K.column(v)]))
-        tri.append(p1)
-        trl.append(p2)
-        circ.append(p3)
-    ns = NSPreLie(field, tri, trl, circ, check=True)
+    rep, H, K = data.rep, data.cocycle, data.operator
+    e = [basis_vec(rep.field, rep.dim_v, u) for u in range(rep.dim_v)]
+    tri = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_L(Ku, e[v]))
+    trl = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_R(Kv, e[u]))
+    circ = derived_tensor(K, lambda u, v, Ku, Kv: H.eval([Ku, Kv]))
+    ns = NSPreLie(data.field, tri, trl, circ, check=True)
     if ns.star_tensor() != induced_product(data).product:
         raise InvariantError("subadjacent product differs from the induced product")
     return ns
@@ -253,19 +234,11 @@ def compatible_ns_from_invertible(data: ReynoldsData) -> NSPreLie:
     kinv = K.inverse()
     if kinv is None:
         raise SingularError("operator is not invertible")
-    n = g.dim
-    field = g.field
-    tri, trl, circ = [], [], []
-    for i in range(n):
-        p1, p2, p3 = [], [], []
-        for j in range(n):
-            p1.append(K.apply(rep.act_L(g.basis(i), kinv.column(j))))
-            p2.append(K.apply(rep.act_R(g.basis(j), kinv.column(i))))
-            p3.append(K.apply(H.eval_basis((i, j))))
-        tri.append(p1)
-        trl.append(p2)
-        circ.append(p3)
-    ns = NSPreLie(field, tri, trl, circ, check=True)
+    e = [g.basis(i) for i in range(g.dim)]
+    tri = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.act_L(e[i], inv_j)))
+    trl = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.act_R(e[j], inv_i)))
+    circ = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(H.eval_basis((i, j))))
+    ns = NSPreLie(g.field, tri, trl, circ, check=True)
     if ns.star_tensor() != g.product:
         raise InvariantError("transported NS-structure is not compatible with the product")
     return ns

@@ -10,12 +10,20 @@ With H = 0 this is a relative Rota-Baxter operator.  A scalar-weight
 variant acts on the algebra itself:  K(x).K(y) = K(K(x).y + x.K(y) +
 weight * K(x).K(y)).
 
+Every operator here is characterised by one identity,
+K(x).K(y) = K(x o_K y), and the operators differ only in the derived
+product o_K.  `derived_tensor` tabulates x o_K y on the source basis of
+K, reading each column of K once, and `operator_identity` evaluates
+K e_i . K e_j - K(e_i o_K e_j) on all basis pairs.  Every checker is a
+shape check plus one derived product (the induced product u ._K v for
+`check_rcw_reynolds`, the star product for `check_weighted_reynolds`,
+the D-Reynolds product, and the Nijenhuis-deformed product of
+`nsprelie.check_nijenhuis`), and the constructors of those products
+build their algebras from the same table.
+
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify their own outputs, so each construction doubles as a runtime
-assertion of the theorem behind it.  A derived product is written once
-and shared by its checker and its constructor: `induced_mul` (u ._K v)
-by `rcw_residual` and `induced_product`, the star product by
-`check_weighted_reynolds` and `star_product`.
+assertion of the theorem behind it.
 """
 
 from __future__ import annotations
@@ -60,30 +68,35 @@ def _require_cocycle(g: PreLieAlgebra, rep: Representation, H: Cochain):
         raise UnverifiedCocycleError("the weight H is not a 2-cocycle")
 
 
-def induced_mul(rep: Representation, H: Cochain, K: Matrix, u: int, v: int) -> tuple:
+def derived_tensor(K: Matrix, mul) -> tuple:
+    """The table of e_i o e_j on the source basis of K, as ``mul(i, j, K e_i, K e_j)``.
+
+    Each column of K is read once.
+    """
+    cols = [K.column(i) for i in range(K.cols)]
+    return tuple(tuple(mul(i, j, Ki, Kj) for j, Kj in enumerate(cols))
+                 for i, Ki in enumerate(cols))
+
+
+def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
+    """K e_i . K e_j - K(table[i][j]) on all pairs of source basis indices."""
+    cols = [K.column(i) for i in range(K.cols)]
+    return residual_report(((i, j), sub_vec(g.mul(Ki, Kj), K.apply(table[i][j])))
+                           for i, Ki in enumerate(cols) for j, Kj in enumerate(cols))
+
+
+def _induced_tensor(rep: Representation, H: Cochain, K: Matrix) -> tuple:
     """The induced product u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv) on V-basis indices."""
-    Ku, Kv = K.column(u), K.column(v)
-    val = add_vec(rep.act_L(Ku, _basis(rep, v)), rep.act_R(Kv, _basis(rep, u)))
-    return add_vec(val, H.eval([Ku, Kv]))
-
-
-def rcw_residual(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix,
-                 u: int, v: int) -> tuple:
-    """Defect Ku.Kv - K(u ._K v) of the Reynolds identity at V-basis indices."""
-    return sub_vec(g.mul(K.column(u), K.column(v)), K.apply(induced_mul(rep, H, K, u, v)))
-
-
-def _basis(rep: Representation, i: int) -> tuple:
-    return basis_vec(rep.field, rep.dim_v, i)
+    e = [basis_vec(rep.field, rep.dim_v, u) for u in range(rep.dim_v)]
+    return derived_tensor(K, lambda u, v, Ku, Kv: add_vec(
+        add_vec(rep.act_L(Ku, e[v]), rep.act_R(Kv, e[u])), H.eval([Ku, Kv])))
 
 
 def _reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
                      K: Matrix) -> Report:
     """The Reynolds identity on all V-basis pairs, for an already verified H."""
     _check_operator_shape(g, rep, K)
-    m = rep.dim_v
-    return residual_report(((u, v), rcw_residual(g, rep, H, K, u, v))
-                           for u in range(m) for v in range(m))
+    return operator_identity(g, K, _induced_tensor(rep, H, K))
 
 
 def check_rcw_reynolds(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -133,21 +146,18 @@ class ReynoldsData:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
-def _star_mul(g: PreLieAlgebra, K: Matrix, lam, i: int, j: int) -> tuple:
+def _star_tensor(g: PreLieAlgebra, K: Matrix, lam) -> tuple:
     """The star product x*y = x.K(y) + K(x).y + weight K(x).K(y) on basis indices."""
-    Kx, Ky = K.column(i), K.column(j)
-    val = add_vec(g.mul(g.basis(i), Ky), g.mul(Kx, g.basis(j)))
-    return add_vec(val, scale_vec(lam, g.mul(Kx, Ky)))
+    if K.rows != g.dim or K.cols != g.dim:
+        raise ShapeError(f"operator is {K.rows}x{K.cols}, expected {g.dim}x{g.dim}")
+    e = [g.basis(i) for i in range(g.dim)]
+    return derived_tensor(K, lambda i, j, Kx, Ky: add_vec(
+        add_vec(g.mul(e[i], Ky), g.mul(Kx, e[j])), scale_vec(lam, g.mul(Kx, Ky))))
 
 
 def check_weighted_reynolds(g: PreLieAlgebra, K: Matrix, weight) -> Report:
     """K(x).K(y) = K(x*y) on all basis pairs of the algebra (scalar weight)."""
-    if K.rows != g.dim or K.cols != g.dim:
-        raise ShapeError(f"operator is {K.rows}x{K.cols}, expected {g.dim}x{g.dim}")
-    lam = g.field(weight)
-    return residual_report(
-        ((i, j), sub_vec(g.mul(K.column(i), K.column(j)), K.apply(_star_mul(g, K, lam, i, j))))
-        for i in range(g.dim) for j in range(g.dim))
+    return operator_identity(g, K, _star_tensor(g, K, g.field(weight)))
 
 
 def check_d_reynolds(g: PreLieAlgebra, D: Matrix, K: Matrix) -> Report:
@@ -159,15 +169,9 @@ def check_d_reynolds(g: PreLieAlgebra, D: Matrix, K: Matrix) -> Report:
     if D.rows != g.dim or D.cols != g.dim or K.rows != g.dim or K.cols != g.dim:
         raise ShapeError("operator shapes must match the algebra dimension")
     d1 = D.apply(unit)
-
-    def residual(i, j):
-        Kx, Ky = K.column(i), K.column(j)
-        inner = add_vec(g.mul(Kx, g.basis(j)), g.mul(g.basis(i), Ky))
-        inner = sub_vec(inner, g.mul(g.mul(Kx, d1), Ky))
-        return sub_vec(g.mul(Kx, Ky), K.apply(inner))
-
-    return residual_report(((i, j), residual(i, j))
-                           for i in range(g.dim) for j in range(g.dim))
+    e = [g.basis(i) for i in range(g.dim)]
+    return operator_identity(g, K, derived_tensor(K, lambda i, j, Kx, Ky: sub_vec(
+        add_vec(g.mul(Kx, e[j]), g.mul(e[i], Ky)), g.mul(g.mul(Kx, d1), Ky))))
 
 
 def star_product(g: PreLieAlgebra, K: Matrix, weight) -> PreLieAlgebra:
@@ -179,11 +183,10 @@ def star_product(g: PreLieAlgebra, K: Matrix, weight) -> PreLieAlgebra:
     new algebra to the old one; these three facts are re-verified here.
     """
     lam = g.field(weight)
-    if not check_weighted_reynolds(g, K, lam).ok:
+    table = _star_tensor(g, K, lam)
+    if not operator_identity(g, K, table).ok:
         raise UnverifiedOperatorError("operator fails the weighted Reynolds identity")
-    n = g.dim
-    tensor = [[_star_mul(g, K, lam, i, j) for j in range(n)] for i in range(n)]
-    star = PreLieAlgebra(g.field, tensor, check=True)
+    star = PreLieAlgebra(g.field, table, check=True)
     if not check_weighted_reynolds(star, K, lam).ok:
         raise InvariantError("K is not a weighted Reynolds operator on the new product")
     if not check_morphism(star, g, K).ok:
@@ -288,11 +291,9 @@ def induced_product(data: ReynoldsData) -> PreLieAlgebra:
 
         u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv).
     """
-    rep, H, K = data.rep, data.cocycle, data.operator
-    m = rep.dim_v
-    tensor = [[induced_mul(rep, H, K, u, v) for v in range(m)] for u in range(m)]
-    out = PreLieAlgebra(data.field, tensor, check=True)
-    if not check_morphism(out, data.algebra, K).ok:
+    out = PreLieAlgebra(data.field, _induced_tensor(data.rep, data.cocycle, data.operator),
+                        check=True)
+    if not check_morphism(out, data.algebra, data.operator).ok:
         raise InvariantError("operator is not a morphism from the induced product")
     return out
 
@@ -420,10 +421,11 @@ def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
     n, m = g.dim, rep.dim_v
     algebra_morphism = check_morphism(g, g2, phi)
     diff = phi * K - K2 * psi
+    e = [basis_vec(rep.field, m, u) for u in range(m)]
 
     def action_defects(act, act2):
         return residual_report(
-            ((i, u), sub_vec(psi.apply(act(g.basis(i), _basis(rep, u))),
+            ((i, u), sub_vec(psi.apply(act(g.basis(i), e[u])),
                              act2(phi.column(i), psi.column(u))))
             for i in range(n) for u in range(m))
 

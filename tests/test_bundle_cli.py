@@ -279,6 +279,20 @@ def test_cli_cohomology_algebra():
     assert json.loads(out)["dimH"] == 5
 
 
+@pytest.mark.parametrize("args", [
+    ("--of", "algebra", "--operator", str(CORPUS / "g3-k-e11.json")),
+    (str(CORPUS / "g3.json"), "--operator", str(CORPUS / "g3-k-e11.json")),
+    (str(CORPUS / "g3-k-e11.json"), "--of", "operator", "--operator",
+     str(CORPUS / "g3-k-e11.json")),
+], ids=["of-algebra-with-operator", "path-and-operator", "same-bundle-twice"])
+def test_cli_cohomology_conflicting_inputs_are_exit_2(args):
+    code, out, _ = run_cli("cohomology", *args, "--degree", "1")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaError"
+    assert doc["message"].startswith("/:")
+
+
 def test_cli_construct_ns_matches_corpus():
     code, out, _ = run_cli("construct", "ns-from-nijenhuis",
                            str(CORPUS / "nijenhuis2.json"))
@@ -414,6 +428,7 @@ SEARCH_G3_F2 = ("search", "--predicate", "rcw-reynolds", "--bundle",
     (("--shape", "3x3", "--domain", "0,1,1"), "/domain"),
     (("--shape", "3x3", "--domain", "0,2"), "/domain"),  # 2 = 0 in F_2
     (("--shape", "3x3", "--domain", "1,3 mod 2"), "/domain"),
+    (("--shape", "3x3", "--fix", "1,1=0;1,1=1"), "/fix"),
 ])
 def test_cli_search_bad_arguments_are_exit_2(args, path):
     code, out, _ = run_cli(*SEARCH_G3_F2, *args)

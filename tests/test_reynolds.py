@@ -24,6 +24,7 @@ from prelie.errors import (
     UnverifiedOperatorError,
 )
 from prelie.linalg import Matrix
+from prelie.nsprelie import check_nijenhuis
 from prelie.reynolds import (
     ReynoldsData,
     check_d_reynolds,
@@ -177,6 +178,41 @@ def test_d_reynolds_matches_weighted():
     D = Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert check_d_reynolds(a, D, Matrix.identity(QQ, 3)).ok == \
         check_weighted_reynolds(a, Matrix.identity(QQ, 3), -1).ok
+
+
+def _truncated_poly(n: int) -> PreLieAlgebra:
+    """k[x]/(x^n) on the basis 1, x, ..., x^(n-1); unital."""
+    entries = {(i, j, i + j): 1 for i in range(n) for j in range(n) if i + j < n}
+    return PreLieAlgebra.build(QQ, n, entries, unit=(1,) + (0,) * (n - 1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_operator_column_is_read_at_most_twice(monkeypatch, n):
+    """Once for the derived product's table and once for the identity itself."""
+    g = _truncated_poly(n)
+    rep = regular_representation(g)
+    H = coboundary(g, rep, Cochain.from_matrix(Matrix(QQ, [[(i * j) % 3 - 1 for j in range(n)]
+                                                              for i in range(n)])))
+    K = Matrix(QQ, [[(i + 2 * j) % 3 - 1 for j in range(n)] for i in range(n)])
+    D = Matrix.identity(QQ, n)
+    checks = {
+        "rcw-reynolds": lambda: check_rcw_reynolds(g, rep, H, K),
+        "weighted-reynolds": lambda: check_weighted_reynolds(g, K, -1),
+        "d-reynolds": lambda: check_d_reynolds(g, D, K),
+        "nijenhuis": lambda: check_nijenhuis(g, K),
+    }
+    column = Matrix.column
+    reads = []
+
+    def counting(self, j):
+        reads.append(j)
+        return column(self, j)
+
+    monkeypatch.setattr(Matrix, "column", counting)
+    for name, check in checks.items():
+        reads.clear()
+        assert not check().ok, name
+        assert 0 < len(reads) <= 2 * K.cols, name
 
 
 # ---------------------------------------------------------------------------
