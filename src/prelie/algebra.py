@@ -167,13 +167,13 @@ class PreLieAlgebra:
         raise AttributeError("PreLieAlgebra is immutable")
 
     @classmethod
-    def build(cls, field, dim: int, entries, unit=None, labels=None, *, check: bool = True):
-        """Algebra from sparse entries {(i, j, k): c} (0-based indices)."""
+    def build(cls, field, dim: int, entries, unit=None, labels=None):
+        """Verified algebra from sparse entries {(i, j, k): c} (0-based indices)."""
         z = field.zero
         tensor = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), c in entries.items():
             tensor[i][j][k] = field(c)
-        return cls(field, tensor, unit=unit, labels=labels, check=check)
+        return cls(field, tensor, unit=unit, labels=labels)
 
     @classmethod
     def abelian(cls, field, dim: int):

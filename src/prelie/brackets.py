@@ -71,7 +71,7 @@ from .algebra import (
 from .cochain import Cochain, _generic_cochain, _unshuffles, cochain_keys
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
-from .reynolds import ReynoldsData, semidirect_tensor
+from .reynolds import ReynoldsData, _require_cocycle, semidirect_tensor
 from .opcohomology import operator_coboundary
 from .scalars import Poly
 
@@ -277,9 +277,11 @@ def check_maurer_cartan(g: PreLieAlgebra, rep: Representation, H: Cochain,
                         K: Matrix) -> Report:
     """Does K satisfy the Maurer-Cartan equation of the graded structure?
 
+    H must be a 2-cocycle, since the graded structure needs dH = 0.
     Agrees with `check_rcw_reynolds` on every input; the agreement is the
     executable form of the characterization theorem.
     """
+    _require_cocycle(g, rep, H)
     if K.rows != g.dim or K.cols != rep.dim_v:
         raise ShapeError("operator has the wrong shape")
     return _cochain_report(mc_residual(g, rep, H, K))

@@ -152,7 +152,7 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def cochain_from_json(field, obj, path="/cochain") -> Cochain:
-    degree = _dim(obj, "degree", path, hi=8)
+    degree = _dim(obj, "degree", path, hi=2)  # no section holds a higher degree
     d = _dim(obj, "dim_source", path)
     m = _dim(obj, "dim_target", path)
     entries = {}
@@ -303,33 +303,32 @@ class Bundle:
     _algebra2: Optional[PreLieAlgebra] = None
     _rep: Optional[Representation] = None
 
+    def section(self, key: str):
+        """The raw JSON of a required section; absent or null is a `SchemaError`."""
+        value = self.raw.get(key)
+        if value is None:
+            raise SchemaError(f"/{key}", "missing required section")
+        return value
+
     def algebra(self) -> PreLieAlgebra:
         if self._algebra is None:
-            if "algebra" not in self.raw:
-                raise SchemaError("/algebra", "missing required section")
-            self._algebra = algebra_from_json(self.field, self.raw["algebra"])
+            self._algebra = algebra_from_json(self.field, self.section("algebra"))
         return self._algebra
 
     def algebra2(self) -> PreLieAlgebra:
         if self._algebra2 is None:
-            if "algebra2" not in self.raw:
-                raise SchemaError("/algebra2", "missing required section")
-            self._algebra2 = algebra_from_json(self.field, self.raw["algebra2"],
+            self._algebra2 = algebra_from_json(self.field, self.section("algebra2"),
                                                "/algebra2")
         return self._algebra2
 
     def representation(self) -> Representation:
         if self._rep is None:
-            if "representation" not in self.raw:
-                raise SchemaError("/representation", "missing required section")
-            self._rep = representation_from_json(self.field, self.raw["representation"],
+            self._rep = representation_from_json(self.field, self.section("representation"),
                                                  self.algebra())
         return self._rep
 
     def cocycle(self) -> Cochain:
-        if "cocycleH" not in self.raw:
-            raise SchemaError("/cocycleH", "missing required section")
-        H = cochain_from_json(self.field, self.raw["cocycleH"], "/cocycleH")
+        H = cochain_from_json(self.field, self.section("cocycleH"), "/cocycleH")
         g, rep = self.algebra(), self.representation()
         if H.degree != 2 or H.dim_source != g.dim or H.dim_target != rep.dim_v:
             raise FieldMismatchError(
@@ -337,9 +336,7 @@ class Bundle:
         return H
 
     def matrix(self, key: str) -> Matrix:
-        if key not in self.raw:
-            raise SchemaError(f"/{key}", "missing required section")
-        return matrix_from_json(self.field, self.raw[key], f"/{key}")
+        return matrix_from_json(self.field, self.section(key), f"/{key}")
 
     def operator(self) -> Matrix:
         K = self.matrix("operatorK")
@@ -361,9 +358,7 @@ class Bundle:
         return cochain_from_json(self.field, section[name], f"/cochains/{name}")
 
     def element(self) -> tuple:
-        if "element" not in self.raw:
-            raise SchemaError("/element", "missing required section")
-        raw = self.raw["element"]
+        raw = self.section("element")
         g = self.algebra()
         if not isinstance(raw, list) or len(raw) != g.dim:
             raise SchemaError("/element", f"expected {g.dim} coordinates")
@@ -371,9 +366,7 @@ class Bundle:
                      for i, v in enumerate(raw))
 
     def weight(self):
-        if "weight" not in self.raw:
-            raise SchemaError("/weight", "missing required section")
-        return _parse_scalar(self.field, self.raw["weight"], "/weight")
+        return _parse_scalar(self.field, self.section("weight"), "/weight")
 
     def series(self) -> list:
         if "series" not in self.raw or not isinstance(self.raw["series"], list):
@@ -382,9 +375,7 @@ class Bundle:
                 for i, obj in enumerate(self.raw["series"])]
 
     def nsprelie(self) -> NSPreLie:
-        if "nsprelie" not in self.raw:
-            raise SchemaError("/nsprelie", "missing required section")
-        return nsprelie_from_json(self.field, self.raw["nsprelie"])
+        return nsprelie_from_json(self.field, self.section("nsprelie"))
 
 
 def parse_bundle(source, field_override: Optional[str] = None) -> Bundle:

@@ -22,12 +22,14 @@ import sys
 from . import brackets, deformation, nsprelie, opcohomology, reynolds, search
 from .algebra import check_morphism, check_prelie, check_representation
 from .bundle import (
+    MAX_DIM,
     algebra_tensor_from_json,
     algebra_to_json,
     matrix_to_json,
     ns_tensors_from_json,
     nsprelie_to_json,
     parse_bundle,
+    representation_from_json,
     reynolds_data_to_json,
 )
 from .cochain import check_two_cocycle, cohomology
@@ -85,19 +87,12 @@ def _cmd_check(args) -> int:
     doc = {"command": f"check {what}", "field": field_name(bundle.field)}
 
     if what == "prelie":
-        g_json = bundle.raw.get("algebra")
-        if g_json is None:
-            raise SchemaError("/algebra", "missing required section")
         # check the raw tensor rather than the validating constructor
-        tensor = algebra_tensor_from_json(bundle.field, g_json)
+        tensor = algebra_tensor_from_json(bundle.field, bundle.section("algebra"))
         report = check_prelie(bundle.field, tensor)
     elif what == "rep":
         # parse without the constructor's validation: this IS the validation
-        from .bundle import representation_from_json
-
-        if "representation" not in bundle.raw:
-            raise SchemaError("/representation", "missing required section")
-        rep = representation_from_json(bundle.field, bundle.raw["representation"],
+        rep = representation_from_json(bundle.field, bundle.section("representation"),
                                        bundle.algebra(), check=False)
         report = check_representation(rep.algebra, rep.dim_v, rep.L, rep.R)
     elif what == "cocycle":
@@ -116,11 +111,8 @@ def _cmd_check(args) -> int:
     elif what == "nijenhuis":
         report = nsprelie.check_nijenhuis(bundle.algebra(), bundle.matrix("operatorN"))
     elif what == "ns":
-        ns_json = bundle.raw.get("nsprelie")
-        if ns_json is None:
-            raise SchemaError("/nsprelie", "missing required section")
-        report = nsprelie.check_ns_prelie(bundle.field,
-                                          *ns_tensors_from_json(bundle.field, ns_json))
+        report = nsprelie.check_ns_prelie(
+            bundle.field, *ns_tensors_from_json(bundle.field, bundle.section("nsprelie")))
     elif what == "morphism":
         a = bundle.algebra()
         b = bundle.algebra2() if "algebra2" in bundle.raw else a
@@ -235,6 +227,8 @@ def _parse_shape(text: str) -> tuple:
         raise SchemaError("/shape", f"expected ROWSxCOLS, got {text!r}") from None
     if rows < 1 or cols < 1:
         raise SchemaError("/shape", f"{text!r} has no entries")
+    if rows > MAX_DIM or cols > MAX_DIM:
+        raise SchemaError("/shape", f"{text!r} has a side above {MAX_DIM}")
     return rows, cols
 
 

@@ -54,6 +54,15 @@ class InvariantError(AssertionError):
     """
 
 
+def reverified(build, *args):
+    """``build(*args)`` on the package's own output: an `UnverifiedError` there
+    is a theorem that did not hold, re-raised as `InvariantError`."""
+    try:
+        return build(*args)
+    except UnverifiedError as exc:
+        raise InvariantError(str(exc)) from exc
+
+
 class NotCocycleError(ValueError):
     """A 1-cocycle was required and the cocycle condition fails."""
 

@@ -13,8 +13,9 @@ Summing the axioms shows * is pre-Lie (the subadjacent product).  The
 three sources of NS-structures implemented here: Nijenhuis operators on a
 pre-Lie algebra, cocycle-weighted Reynolds operators (on the module), and
 invertible Reynolds operators (transported back to the algebra).  Each
-constructor re-verifies its output, and the identity-operator bundle
-`reynolds_from_ns` inverts `ns_from_reynolds` exactly.
+constructor checks its input and re-verifies its output once each, on
+the tables it built (through `errors.reverified`); an `NSPreLie` is always
+verified, and `reynolds_from_ns` inverts `ns_from_reynolds` exactly.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from .errors import (
     SingularError,
     UnverifiedNSError,
     UnverifiedOperatorError,
+    reverified,
 )
 from .linalg import Matrix, add_vec, basis_vec, neg_vec, sub_vec
-from .reynolds import ReynoldsData, derived_tensor, induced_product, operator_identity
+from .reynolds import ReynoldsData, _induced_tensor, derived_tensor, operator_identity
 from .scalars import INTEGERS, lift
 
 
@@ -93,15 +95,14 @@ class NSPreLie:
 
     __slots__ = ("field", "dim", "tri", "trl", "circ")
 
-    def __init__(self, field, tri, trl, circ, *, check: bool = True):
+    def __init__(self, field, tri, trl, circ):
         tri = _as_tensor(field, tri)
         trl = _as_tensor(field, trl)
         circ = _as_tensor(field, circ)
-        if check:
-            report = check_ns_prelie(field, tri, trl, circ)
-            if not report.ok:
-                raise UnverifiedNSError(
-                    "products fail the NS-pre-Lie axioms:\n" + report.describe())
+        report = check_ns_prelie(field, tri, trl, circ)
+        if not report.ok:
+            raise UnverifiedNSError(
+                "products fail the NS-pre-Lie axioms:\n" + report.describe())
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dim", len(tri))
         object.__setattr__(self, "tri", tri)
@@ -127,8 +128,8 @@ class NSPreLie:
 
 
 def subadjacent(ns: NSPreLie) -> PreLieAlgebra:
-    """The sum of the three products, verified pre-Lie."""
-    return PreLieAlgebra(ns.field, ns.star_tensor(), check=True)
+    """The sum of the three products, re-verified pre-Lie."""
+    return reverified(PreLieAlgebra, ns.field, ns.star_tensor())
 
 
 def _deformed_tensor(g: PreLieAlgebra, N: Matrix) -> tuple:
@@ -155,12 +156,12 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
     if not operator_identity(g, N, table).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     n = g.dim
-    deformed = PreLieAlgebra(g.field, table, check=True)
+    deformed = reverified(PreLieAlgebra, g.field, table)
     total = tuple(
         tuple(add_vec(g.product[i][j], deformed.product[i][j]) for j in range(n))
         for i in range(n)
     )
-    PreLieAlgebra(g.field, total, check=True)  # compatibility of the pair
+    reverified(PreLieAlgebra, g.field, total)  # compatibility of the pair
     return deformed
 
 
@@ -170,14 +171,15 @@ def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     The subadjacent product of the result equals the deformed product of
     the Nijenhuis operator, entry for entry.
     """
-    if not check_nijenhuis(g, N).ok:
+    deformed = _deformed_tensor(g, N)
+    if not operator_identity(g, N, deformed).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     e = [g.basis(i) for i in range(g.dim)]
     tri = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(Nx, e[j]))
     trl = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(e[i], Ny))
     circ = derived_tensor(N, lambda i, j, Nx, Ny: neg_vec(N.apply(g.mul_basis(i, j))))
-    ns = NSPreLie(g.field, tri, trl, circ, check=True)
-    if ns.star_tensor() != _deformed_tensor(g, N):
+    ns = reverified(NSPreLie, g.field, tri, trl, circ)
+    if ns.star_tensor() != deformed:
         raise InvariantError("subadjacent product differs from the deformed product")
     return ns
 
@@ -193,8 +195,8 @@ def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
     tri = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_L(Ku, e[v]))
     trl = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_R(Kv, e[u]))
     circ = derived_tensor(K, lambda u, v, Ku, Kv: H.eval([Ku, Kv]))
-    ns = NSPreLie(data.field, tri, trl, circ, check=True)
-    if ns.star_tensor() != induced_product(data).product:
+    ns = reverified(NSPreLie, data.field, tri, trl, circ)
+    if ns.star_tensor() != _induced_tensor(rep, H, K):
         raise InvariantError("subadjacent product differs from the induced product")
     return ns
 
@@ -213,11 +215,11 @@ def reynolds_from_ns(ns: NSPreLie) -> ReynoldsData:
          for i in range(n)]
     R = [Matrix.from_columns(field, [ns.trl[j][i] for j in range(n)], n)
          for i in range(n)]
-    rep = Representation(base, n, L, R, check=True)
+    rep = reverified(Representation, base, n, L, R)
     H = Cochain(field, 2, n, n,
                 [ns.circ[fb[0]][last] for fb, last in cochain_keys(n, 2)])
     K = Matrix.identity(field, n)
-    return ReynoldsData.build(base, rep, H, K)
+    return reverified(ReynoldsData.build, base, rep, H, K)
 
 
 def compatible_ns_from_invertible(data: ReynoldsData) -> NSPreLie:
@@ -238,7 +240,7 @@ def compatible_ns_from_invertible(data: ReynoldsData) -> NSPreLie:
     tri = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.act_L(e[i], inv_j)))
     trl = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.act_R(e[j], inv_i)))
     circ = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(H.eval_basis((i, j))))
-    ns = NSPreLie(g.field, tri, trl, circ, check=True)
+    ns = reverified(NSPreLie, g.field, tri, trl, circ)
     if ns.star_tensor() != g.product:
         raise InvariantError("transported NS-structure is not compatible with the product")
     return ns

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import Representation
 from .cochain import Cochain, coboundary, coboundary_matrix
-from .errors import ShapeError
+from .errors import ShapeError, reverified
 from .linalg import Matrix, basis_vec, sub_vec
 from .reynolds import ReynoldsData, induced_product
 
@@ -50,7 +50,7 @@ def induced_representation(data: ReynoldsData) -> Representation:
             lcols.append(sub_vec(lv, K.apply(H.eval([Ku, ex]))))
         Lbar.append(Matrix.from_columns(field, lcols, n))
         Rbar.append(Matrix.from_columns(field, [rbar(data, u, g.basis(x)) for x in range(n)], n))
-    return Representation(base, n, Lbar, Rbar, check=True)
+    return reverified(Representation, base, n, Lbar, Rbar)
 
 
 def operator_coboundary(data: ReynoldsData, f: Cochain) -> Cochain:

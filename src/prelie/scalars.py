@@ -387,13 +387,19 @@ def lift(field, arrays):
 _FIELD_NAMES = {"q": QQ}
 
 
+MAX_PRIME = 2**31 - 1  # trial division costs sqrt(p); this bound keeps it to milliseconds
+
+
 def field_by_name(name: str):
-    """Field from its CLI name: "q" or "f<p>" (e.g. "f2", "f7")."""
+    """Field from its CLI name: "q" or "f<p>" (e.g. "f2", "f7"), p <= `MAX_PRIME`."""
     key = name.strip().lower()
     if key in _FIELD_NAMES:
         return _FIELD_NAMES[key]
     if key.startswith("f") and key[1:].isdigit():
-        return PrimeField(int(key[1:]))
+        p = int(key[1:])
+        if p > MAX_PRIME:
+            raise ValueError(f"{p} exceeds the largest supported prime {MAX_PRIME}")
+        return PrimeField(p)
     raise ValueError(f"unknown field name {name!r}")
 
 

@@ -78,8 +78,13 @@ class SearchSpec:
         return [(i, j) for i in range(rows) for j in range(cols)
                 if (i, j) not in self.fixed]
 
+    def free_count(self) -> int:
+        """The number of free entries, without listing their positions."""
+        rows, cols = self.shape
+        return rows * cols - len(self.fixed)
+
     def count(self) -> int:
-        return len(self.domain) ** len(self.free_positions())
+        return len(self.domain) ** self.free_count()
 
 
 def _candidate(spec: SearchSpec, values, field) -> Matrix:
@@ -148,7 +153,7 @@ def _compile(spec: SearchSpec, field):
     """
     check = PREDICATES[spec.predicate](spec.bundle)
     one = field.one
-    generic = _candidate(spec, [Poly({(k,): one}) for k in range(len(spec.free_positions()))],
+    generic = _candidate(spec, [Poly({(k,): one}) for k in range(spec.free_count())],
                          field)
     residuals = (x if isinstance(x, Poly) else Poly({(): x})
                  for _, residual in check(generic).violations for x in residual if x)
@@ -258,10 +263,11 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
     domain = domain_scalars(field, spec.domain)
     total = spec.count()
     if total > spec.budget:
-        raise BudgetExceededError(
-            f"{total} candidates exceed the budget of {spec.budget}")
+        # d^k, not its digits: the count can run to thousands of them
+        raise BudgetExceededError(f"{len(domain)}^{spec.free_count()} candidates "
+                                  f"exceed the budget of {spec.budget}")
     check, equations = _compile(spec, field)
-    levels, values = _lower(equations, domain, field, len(spec.free_positions()))
+    levels, values = _lower(equations, domain, field, spec.free_count())
     found, nodes = _sweep(levels, values, field.char)
     solutions = []
     for choice in found:

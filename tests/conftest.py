@@ -18,6 +18,7 @@ import pytest
 
 from prelie.algebra import (
     PreLieAlgebra,
+    Report,
     Representation,
     regular_representation,
     zero_representation,
@@ -35,22 +36,49 @@ def as_terms(v) -> tuple:
     return tuple(x.terms if isinstance(x, Poly) else {(): x} if x else {} for x in v)
 
 
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Record the arguments of every call to ``module.name``.
+def _replace_everywhere(monkeypatch, module, name: str, make) -> None:
+    """Replace ``module.name`` by ``make(original)`` wherever ``prelie`` binds it.
 
     Modules bind names with ``from .cochain import ...``, so every
     ``prelie`` module attribute that is the original function is replaced.
     """
     original = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
+    replacement = make(original)
     for key, mod in list(sys.modules.items()):
         if key.split(".")[0] == "prelie" and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to ``module.name``."""
+    calls = []
+
+    def make(original):
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return counting
+
+    _replace_everywhere(monkeypatch, module, name, make)
+    return calls
+
+
+def fail_after(monkeypatch, module, name: str, passes: int) -> list:
+    """Let the checker ``module.name`` run ``passes`` times, then report a failure.
+
+    Returns the arguments of every call, so a test can see that the
+    failing call came after the first ``passes``.
+    """
+    calls = []
+    failed = Report(False, [((0,), (QQ(1),))])
+
+    def make(original):
+        def checker(*args):
+            calls.append(args)
+            return original(*args) if len(calls) <= passes else failed
+        return checker
+
+    _replace_everywhere(monkeypatch, module, name, make)
     return calls
 
 

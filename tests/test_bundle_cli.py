@@ -5,9 +5,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, count_calls
+from conftest import CORPUS, count_calls, fail_after
 from oracles import basis_dk_columns
-from prelie import brackets, cochain, nsprelie, opcohomology, reynolds
+from prelie import algebra, brackets, cochain, nsprelie, opcohomology, reynolds
 from prelie.algebra import Report
 from prelie.bundle import (
     algebra_from_json,
@@ -201,22 +201,22 @@ def test_cli_failed_squaring_invariant_is_exit_4(monkeypatch):
 
 
 def test_cli_failed_construction_reverification_is_exit_4(monkeypatch):
-    # the induced product must make K a morphism; a multi-line failure
-    # message stays whole in the JSON and takes one line on stderr
+    # K must stay a weighted Reynolds operator on the star product; a
+    # multi-line failure message stays whole in the JSON and takes one line on stderr
     failed = Report(False, [((0, 0), (QQ(1), QQ(0), QQ(0)))])
-    monkeypatch.setattr(reynolds, "check_morphism", lambda *args: failed)
-    code, out, err = run_cli("construct", "induced", str(CORPUS / "g3-k-rowzero.json"))
+    monkeypatch.setattr(reynolds, "check_weighted_reynolds", lambda *args: failed)
+    code, out, err = run_cli("construct", "star", str(CORPUS / "weighted-star.json"))
     assert code == 4
     doc = json.loads(out)
     assert doc["error"] == "InvariantError"
-    assert doc["message"] == "operator is not a morphism from the induced product"
+    assert doc["message"] == "K is not a weighted Reynolds operator on the new product"
     assert err.count("\n") == 1 and err.startswith("internal invariant failed: ")
 
     def broken(*args):
         raise InvariantError("first line\nsecond line")
 
-    monkeypatch.setattr(reynolds, "check_morphism", broken)
-    code, out, err = run_cli("construct", "induced", str(CORPUS / "g3-k-rowzero.json"))
+    monkeypatch.setattr(reynolds, "check_weighted_reynolds", broken)
+    code, out, err = run_cli("construct", "star", str(CORPUS / "weighted-star.json"))
     assert code == 4
     assert json.loads(out)["message"] == "first line\nsecond line"
     assert err == "internal invariant failed: first line\n"
@@ -345,10 +345,90 @@ def test_cli_construct_gauge_and_shift_verify_the_input_once(monkeypatch, what, 
 
 
 def test_cli_construct_ns_from_nijenhuis_checks_the_operator_once(monkeypatch):
-    calls = count_calls(monkeypatch, nsprelie, "check_nijenhuis")
+    # one deformed table serves the operator check and the o-sum comparison
+    calls = count_calls(monkeypatch, nsprelie, "_deformed_tensor")
     code, _, _ = run_cli("construct", "ns-from-nijenhuis", str(CORPUS / "nijenhuis3.json"))
     assert code == 0
     assert len(calls) == 1
+
+
+# (command, checker the output goes through, calls of it that verify the inputs)
+REVERIFIED_OUTPUTS = {
+    "induced": (("construct", "induced", "g3-k-rowzero.json"), algebra, "check_prelie", 1),
+    "star": (("construct", "star", "weighted-star.json"), algebra, "check_prelie", 1),
+    "deformed-product": (("construct", "deformed-product", "nijenhuis2.json"),
+                         algebra, "check_prelie", 1),
+    "deformed-sum": (("construct", "deformed-product", "nijenhuis2.json"),
+                     algebra, "check_prelie", 2),
+    "semidirect": (("construct", "semidirect", "g3.json"), algebra, "check_prelie", 1),
+    "gauge": (("construct", "gauge", "g3-gauge-shift.json"), algebra, "check_prelie", 1),
+    "shift": (("construct", "shift", "g3-gauge-shift.json"), cochain, "check_two_cocycle", 1),
+    "ns-from-nijenhuis": (("construct", "ns-from-nijenhuis", "nijenhuis3.json"),
+                          nsprelie, "check_ns_prelie", 0),
+    "ns-from-reynolds": (("construct", "ns-from-reynolds", "g3-k-rowzero.json"),
+                         nsprelie, "check_ns_prelie", 0),
+    "compatible-ns": (("construct", "compatible-ns", "g3-k-invertible.json"),
+                      nsprelie, "check_ns_prelie", 0),
+    "reynolds-from-ns-algebra": (("construct", "reynolds-from-ns", "ns2.json"),
+                                 algebra, "check_prelie", 0),
+    "reynolds-from-ns-rep": (("construct", "reynolds-from-ns", "ns2.json"),
+                             algebra, "check_representation", 0),
+    "reynolds-from-ns-operator": (("construct", "reynolds-from-ns", "ns2.json"),
+                                  reynolds, "check_rcw_reynolds", 0),
+    "operator-cohomology-algebra": (("cohomology", "--of", "operator", "--degree", "1",
+                                     "g3-k-e11.json"), algebra, "check_prelie", 1),
+    "operator-cohomology-rep": (("cohomology", "--of", "operator", "--degree", "1",
+                                 "g3-k-e11.json"), algebra, "check_representation", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REVERIFIED_OUTPUTS))
+def test_cli_failed_reverification_of_an_output_is_exit_4(monkeypatch, case):
+    # the inputs pass; the constructor applied to the construction's own
+    # output fails, which is a fault in the package (exit 4), not in the input
+    (*argv, name), module, checker, passes = REVERIFIED_OUTPUTS[case]
+    calls = fail_after(monkeypatch, module, checker, passes)
+    code, out, err = run_cli(*argv, str(CORPUS / name))
+    assert len(calls) > passes
+    assert code == 4
+    assert json.loads(out)["error"] == "InvariantError"
+    assert err.startswith("internal invariant failed: ")
+
+
+NON_COCYCLE = dict(json.loads((CORPUS / "g3-k-rowzero.json").read_text()))
+NON_COCYCLE["cocycleH"] = dict(NON_COCYCLE["cocycleH"],
+                               values=[{"args": [1], "last": 3, "v": ["0", "0", "1"]}])
+
+
+@pytest.mark.parametrize("argv", [("check", "mc"), ("mc-check",), ("check", "reynolds")],
+                         ids=["check-mc", "mc-check", "check-reynolds"])
+def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
+    code, _, _ = run_cli("check", "cocycle", json.dumps(NON_COCYCLE))
+    assert code == 1
+    code, out, _ = run_cli(*argv, json.dumps(NON_COCYCLE))
+    assert code == 2
+    assert json.loads(out) == {"error": "UnverifiedCocycleError",
+                               "message": "the weight H is not a 2-cocycle"}
+
+
+@pytest.mark.parametrize("argv, name, counts", [
+    (("construct", "gauge"), "g3-gauge-shift.json",
+     {"derived_tensor": 3, "check_morphism": 1}),
+    (("construct", "ns-from-nijenhuis"), "nijenhuis3.json", {"derived_tensor": 4}),
+    (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"induced_product": 0}),
+    (("construct", "induced"), "g3-k-rowzero.json", {"check_morphism": 0}),
+    (("construct", "star"), "weighted-star.json", {"check_morphism": 0}),
+    (("check", "mc"), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
+    (("mc-check",), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
+], ids=["gauge", "ns-from-nijenhuis", "ns-from-reynolds", "induced", "star", "check-mc",
+        "mc-check"])
+def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
+    modules = {"derived_tensor": reynolds, "check_morphism": algebra,
+               "induced_product": reynolds, "check_two_cocycle": cochain}
+    calls = {fn: count_calls(monkeypatch, modules[fn], fn) for fn in counts}
+    code, _, _ = run_cli(*argv, str(CORPUS / name))
+    assert code == 0
+    assert {fn: len(c) for fn, c in calls.items()} == counts
 
 
 def test_cli_construct_compatible_ns():
@@ -429,6 +509,7 @@ SEARCH_G3_F2 = ("search", "--predicate", "rcw-reynolds", "--bundle",
     (("--shape", "3x3", "--domain", "0,2"), "/domain"),  # 2 = 0 in F_2
     (("--shape", "3x3", "--domain", "1,3 mod 2"), "/domain"),
     (("--shape", "3x3", "--fix", "1,1=0;1,1=1"), "/fix"),
+    (("--shape", "65x1"), "/shape"),  # a side above bundle.MAX_DIM
 ])
 def test_cli_search_bad_arguments_are_exit_2(args, path):
     code, out, _ = run_cli(*SEARCH_G3_F2, *args)
@@ -436,6 +517,34 @@ def test_cli_search_bad_arguments_are_exit_2(args, path):
     doc = json.loads(out)
     assert doc["error"] == "SchemaError"
     assert doc["message"].startswith(path + ":")
+
+
+def test_cli_search_over_a_huge_count_is_a_budget_error():
+    # 13^4096 has more digits than int -> str converts by default
+    code, out, _ = run_cli("search", "--predicate", "nijenhuis", "--bundle",
+                           str(CORPUS / "g3.json"), "--shape", "64x64",
+                           "--domain", ",".join(str(c) for c in range(13)))
+    assert code == 3
+    doc = json.loads(out)
+    assert doc == {"error": "budget",
+                   "message": "13^4096 candidates exceed the budget of 10000000"}
+
+
+def test_cli_cochain_of_degree_above_two_is_exit_2():
+    doc = json.loads((CORPUS / "g3.json").read_text())
+    doc["cocycleH"]["degree"] = 3
+    code, out, _ = run_cli("check", "cocycle", json.dumps(doc))
+    assert code == 2
+    assert json.loads(out)["message"].startswith("/cocycleH/degree:")
+
+
+def test_cli_prime_field_above_the_bound_is_exit_2():
+    code, out, _ = run_cli("check", "prelie", str(CORPUS / "g3.json"),
+                           "--field", "f100000000000031")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaError"
+    assert doc["message"].startswith("/field:")
 
 
 @pytest.mark.parametrize("value", ["abc", "", "0", "-3"])

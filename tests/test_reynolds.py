@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    fail_after,
     g2_algebra,
     g3_algebra,
     g3_cocycle,
@@ -13,7 +14,9 @@ from conftest import (
 )
 from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation, zero_representation
 from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
+from prelie import algebra, reynolds
 from prelie.errors import (
+    InvariantError,
     NoUnitError,
     NotAdmissibleError,
     NotCocycleError,
@@ -27,6 +30,9 @@ from prelie.linalg import Matrix
 from prelie.nsprelie import check_nijenhuis
 from prelie.reynolds import (
     ReynoldsData,
+    _induced_tensor,
+    _reynolds_report,
+    _star_tensor,
     check_d_reynolds,
     check_graph_subalgebra,
     check_rcw_morphism,
@@ -286,6 +292,52 @@ def test_induced_product_random_data_passes():
     for _ in range(10):
         data = random_reynolds_data(rng)
         induced_product(data)  # re-verifies internally
+
+
+def _negated(report):
+    return [(where, tuple(-x for x in r)) for where, r in report.violations]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_morphism_residuals_of_induced_and_star_are_the_negated_identity(field):
+    # K(x o y) - Kx.Ky is minus the operator identity on the same table, which
+    # is why the constructors take "K is a morphism" from the verified identity
+    rng = random.Random(14)
+    failing = 0
+    for _ in range(8):
+        data = random_reynolds_data(rng, field)
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        bumped = K + Matrix(field, [[field(rng.randint(-1, 1)) for _ in range(K.cols)]
+                                    for _ in range(K.rows)])
+        unchecked = PreLieAlgebra(field, _induced_tensor(rep, H, bumped), check=False)
+        for op, induced in ((K, induced_product(data)), (bumped, unchecked)):
+            identity = _reynolds_report(g, rep, H, op)
+            assert check_morphism(induced, g, op).violations == _negated(identity)
+            failing += not identity.ok
+        lam = field(rng.randint(-1, 1))
+        square = Matrix(field, [[field(rng.randint(-1, 1)) for _ in range(g.dim)]
+                                for _ in range(g.dim)])
+        identity_op = Matrix.identity(field, g.dim)  # weighted Reynolds of weight -1
+        unchecked = PreLieAlgebra(field, _star_tensor(g, square, lam), check=False)
+        for op, weight, star in ((identity_op, -1, star_product(g, identity_op, -1)),
+                                 (square, lam, unchecked)):
+            identity = check_weighted_reynolds(g, op, weight)
+            assert check_morphism(star, g, op).violations == _negated(identity)
+            failing += not identity.ok
+    assert failing
+
+
+@pytest.mark.parametrize("build, module, checker, passes", [
+    (lambda a, rep, H: reynolds_from_invertible_cochain(
+        a, rep, Cochain.from_matrix(Matrix.identity(QQ, 3))), reynolds, "check_rcw_reynolds", 0),
+    (lambda a, rep, H: shift_isomorphism(a, rep, H, Cochain.zero(QQ, 1, 3, 3)),
+     algebra, "check_prelie", 1),  # the second semidirect product
+], ids=["invertible-cochain", "shift-isomorphism"])
+def test_failed_reverification_of_a_library_output_is_invariant_error(
+        monkeypatch, g3_bundle, build, module, checker, passes):
+    fail_after(monkeypatch, module, checker, passes)
+    with pytest.raises(InvariantError):
+        build(*g3_bundle)
 
 
 # ---------------------------------------------------------------------------

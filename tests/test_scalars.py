@@ -79,6 +79,12 @@ def test_field_names():
         field_by_name("r64")
 
 
+def test_prime_field_names_are_bounded_before_the_primality_test():
+    assert field_by_name(f"f{2**31 - 1}").p == 2**31 - 1
+    with pytest.raises(ValueError, match="exceeds the largest supported prime"):
+        field_by_name("f100000000000031")  # prime; trial division would take seconds
+
+
 @given(st.integers(-50, 50), st.integers(-50, 50))
 def test_fp_add_sub_inverse(a, b):
     F7 = PrimeField(7)
