@@ -260,6 +260,12 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
         L_x L_y - L_{x.y} = L_y L_x - L_{y.x}
         L_x R_y - R_y L_x = R_{x.y} - R_y R_x
     Violations are reported per (identity, x, y, u) with u a V-basis index.
+
+    One pass over the lifted arrays, with no `Matrix`: every product
+    L_x L_y, L_x R_y, R_y L_x and R_y R_x and every combination
+    L_{x.y} = sum_k c_xyk L_k and R_{x.y} is formed once, as its sparse
+    columns, and column u of each defect is read off them.  The defects
+    are homogeneous of degree 2 in the lifted constants.
     """
     n = algebra.dim
     if len(L) != n or len(R) != n:
@@ -267,28 +273,62 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
     for M in list(L) + list(R):
         if M.rows != dim_v or M.cols != dim_v:
             raise ShapeError(f"action matrix is {M.rows}x{M.cols}, expected {dim_v}x{dim_v}")
-    lifted, down = lifted_representation(algebra, dim_v, L, R)
-    algebra, L, R = lifted.algebra, lifted.L, lifted.R
+    (c, L, R), down = lift(algebra.field, (algebra.product, [M.data for M in L],
+                                           [M.data for M in R]))
 
-    def combo(mats, coeffs) -> Matrix:
-        out = Matrix.zero(INTEGERS, dim_v, dim_v)
-        for c, M in zip(coeffs, mats):
-            if c:
-                out = out + M.scale(c)
+    def columns(M):
+        """The columns of a matrix given by rows, each as {row: nonzero entry}."""
+        cols = [{} for _ in range(dim_v)]
+        for t, row in enumerate(M):
+            for s, x in enumerate(row):
+                if x:
+                    cols[s][t] = x
+        return cols
+
+    def product(A, B):
+        """The columns of A B."""
+        out = []
+        for col in B:
+            acc = {}
+            for s, b in col.items():
+                for t, a in A[s].items():
+                    acc[t] = acc.get(t, 0) + a * b
+            out.append(acc)
         return out
 
-    def defects(i, j):
-        l_ij = combo(L, algebra.mul_basis(i, j))
-        l_ji = combo(L, algebra.mul_basis(j, i))
-        r_ij = combo(R, algebra.mul_basis(i, j))
-        d1 = (L[i] * L[j] - l_ij) - (L[j] * L[i] - l_ji)
-        d2 = (L[i] * R[j] - R[j] * L[i]) - (r_ij - R[j] * R[i])
-        for u in range(dim_v):
-            yield ("left", i, j, u), down(d1.column(u), 2)
-            yield ("mixed", i, j, u), down(d2.column(u), 2)
+    def combination(mats, coeffs):
+        """The columns of sum_k coeffs[k] M_k."""
+        out = [{} for _ in range(dim_v)]
+        for ck, M in zip(coeffs, mats):
+            if ck:
+                for acc, col in zip(out, M):
+                    for t, x in col.items():
+                        acc[t] = acc.get(t, 0) + ck * x
+        return out
 
-    return residual_report(pair for i in range(n) for j in range(n)
-                           for pair in defects(i, j))
+    def defect(w, x, y, z):
+        """w - x - y + z for four columns, mapped back to the field."""
+        vec = [0] * dim_v
+        for col, sign in ((w, 1), (x, -1), (y, -1), (z, 1)):
+            for t, x in col.items():
+                vec[t] += sign * x
+        return down(vec, 2)
+
+    L = [columns(M) for M in L]
+    R = [columns(M) for M in R]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    LL = {(i, j): product(L[i], L[j]) for i, j in pairs}
+    CL = {(i, j): combination(L, c[i][j]) for i, j in pairs}
+
+    def defects(i, j):
+        left = zip(LL[i, j], CL[i, j], LL[j, i], CL[j, i])
+        mixed = zip(product(L[i], R[j]), product(R[j], L[i]),
+                    combination(R, c[i][j]), product(R[j], R[i]))
+        for u, (l_cols, m_cols) in enumerate(zip(left, mixed)):
+            yield ("left", i, j, u), defect(*l_cols)
+            yield ("mixed", i, j, u), defect(*m_cols)
+
+    return residual_report(pair for i, j in pairs for pair in defects(i, j))
 
 
 class Representation:

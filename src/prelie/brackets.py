@@ -47,13 +47,13 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   so no division by 2 or 6 is ever taken in F_2 or F_3.
 
 * d_K is linear in f, so it is evaluated once, on the generic cochain
-  whose coordinates are the variables x_c (`cochain._generic_cochain`),
-  not once per basis cochain.  `dk_difference` subtracts (-1)^{n-1} times
-  the operator-cohomology differential of the same generic cochain; each
-  output coordinate is then a linear `Poly` whose coefficient on x_c is
-  column c of d_K - (-1)^{n-1} d, so the whole identity is read off one
-  evaluation of each side.  The integer lift takes `Poly` entries
-  coefficient by coefficient, both ways.
+  whose coordinates are the variables x_c, not once per basis cochain.
+  `dk_difference` subtracts (-1)^{n-1} times the operator-cohomology
+  differential of the same generic cochain; each output coordinate is
+  then a linear `Poly` whose coefficient on x_c is column c of
+  d_K - (-1)^{n-1} d, so the whole identity is read off one evaluation
+  of each side.  The integer lift takes `Poly` entries coefficient by
+  coefficient, both ways.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .algebra import (
     residual_report,
     zero_representation,
 )
-from .cochain import Cochain, _generic_cochain, _unshuffles, cochain_keys
+from .cochain import Cochain, _unshuffles, cochain_keys, cochain_space_dim
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
 from .reynolds import ReynoldsData, _require_cocycle, semidirect_tensor
@@ -310,7 +310,12 @@ def dk_difference(data: ReynoldsData, degree: int) -> Cochain:
     is zero.
     """
     g, rep = data.algebra, data.rep
-    f = _generic_cochain(g.field, degree, rep.dim_v, g.dim)
+    # the coordinate (key p, target t) of f is the variable x_c, c = p * m + t,
+    # so column c is the basis cochain at that coordinate
+    m, one = g.dim, g.field.one
+    n_keys = cochain_space_dim(rep.dim_v, 1, degree)  # rejects degree < 1
+    f = Cochain(g.field, degree, rep.dim_v, m,
+                [[Poly({(p * m + t,): one}) for t in range(m)] for p in range(n_keys)])
     d = operator_coboundary(data, f)
     return d_K(data, f) - (d if degree % 2 else -d)
 

@@ -146,6 +146,18 @@ def _cmd_check(args) -> int:
 # cohomology
 
 
+def _degree(degree: int) -> int:
+    """A cochain degree, rejected above `MAX_DIM` + 1 before any work.
+
+    A degree-d cochain space on a dim-n space is zero once d - 1 > n, so
+    no accepted bundle has a nonzero one above that degree.
+    """
+    if degree > MAX_DIM + 1:
+        raise SchemaError("/degree", f"{degree} is above {MAX_DIM + 1}, beyond which "
+                                     "every cochain space of a bundle is zero")
+    return degree
+
+
 def _cmd_cohomology(args) -> int:
     if args.operator is not None:
         if args.bundle is not None:
@@ -159,15 +171,16 @@ def _cmd_cohomology(args) -> int:
     of = args.of or ("operator" if args.operator is not None else None)
     if of is None:
         raise SchemaError("/", "--of algebra|operator is required")
+    degree = _degree(args.degree)
     bundle = parse_bundle(source, args.field)
     if of == "algebra":
-        report = cohomology(bundle.algebra(), bundle.representation(), args.degree)
-        doc = {"command": "cohomology", "of": "algebra", "degree": args.degree,
+        report = cohomology(bundle.algebra(), bundle.representation(), degree)
+        doc = {"command": "cohomology", "of": "algebra", "degree": degree,
                "dimZ": report.dim_z, "dimB": report.dim_b, "dimH": report.dim_h}
     else:
         data = bundle.reynolds_data()
-        report = opcohomology.operator_cohomology(data, args.degree)
-        doc = {"command": "cohomology", "of": "operator", "degree": args.degree,
+        report = opcohomology.operator_cohomology(data, degree)
+        doc = {"command": "cohomology", "of": "operator", "degree": degree,
                "dimZ": report.dim_z, "dimB": report.dim_b, "dimH": report.dim_h,
                "operator": report.operator_hash}
     return _emit(doc, True)
@@ -391,8 +404,9 @@ def _cmd_mc_check(args) -> int:
 
 
 def _cmd_dk_consistency(args) -> int:
+    degree = _degree(args.degree)
     bundle = parse_bundle(args.bundle, args.field)
-    diff = brackets.dk_difference(bundle.reynolds_data(), args.degree)
+    diff = brackets.dk_difference(bundle.reynolds_data(), degree)
     # coordinate r of the difference holds d_K f - (-1)^{n-1} d f at row r as a
     # linear form; its coefficient on x_c is the entry of column c
     coords = (x for v in diff.values for x in v)
@@ -400,7 +414,7 @@ def _cmd_dk_consistency(args) -> int:
                for mono, coeff in x.terms.items()]
     ok = not nonzero
     max_residual = "0" if ok else scalar_to_str(min(nonzero, key=lambda e: e[:2])[2])
-    doc = {"command": "dk-consistency", "degree": args.degree,
+    doc = {"command": "dk-consistency", "degree": degree,
            "max_residual": max_residual, "ok": ok}
     return _emit(doc, ok)
 

@@ -7,18 +7,22 @@ a strictly increasing (n-1)-tuple of basis indices plus a free last
 index, in lexicographic order.  Degree-1 cochains are plain linear maps;
 degree-2 cochains are arbitrary bilinear maps.
 
-Coboundary matrices are built from the same formula as `coboundary`:
-`coboundary_at` is evaluated once per output key on a generic cochain,
-whose coordinates are polynomial variables (`scalars.Poly`) instead of
-scalars; each output coordinate is then a linear polynomial, that is,
-one sparse matrix row.  `cohomology` runs the same assembly on the
+The coboundary has one kernel, `_coboundary_rows`: the sparse rows of
+its matrix, assembled block by block.  Each term of the formula reads f
+at one canonical key, so for each degree-(n+1) key it adds an m x m
+block (an action matrix, or a structure constant times the identity) at
+the columns of the degree-n key it reads, with the sign of the sort
+that makes that key canonical.  `cohomology` assembles the rows on the
 algebra and representation lifted to Python ints once
-(`algebra.lifted_representation`): the formula is linear in the
-structure constants, so over Q the rows come out as D times the field
-rows, with the same ranks, and over F_p they are reduced mod p once.
-Its exact ranks and its d o d = 0 check read those integer rows.
+(`algebra.lifted_representation`): the rows are linear in the structure
+constants, so over Q they come out as D times the field rows, with the
+same ranks, and over F_p they are reduced mod p once.  Its exact ranks
+and its d o d = 0 check read those integer rows.  `coboundary` applies
+the same integer rows to the coordinates of f, lifted together with the
+data, and maps each value back; `coboundary_matrix` runs the kernel on
+the field scalars.
 
-`check_two_cocycle` is the same formula once more: H is a 2-cocycle
+`check_two_cocycle` reads the same kernel: H is a 2-cocycle
 exactly when `coboundary` of H vanishes, and the report lists dH on
 every basis triple where it does not.
 
@@ -52,7 +56,6 @@ from .linalg import (
     sub_vec,
     zero_vec,
 )
-from .scalars import Poly
 
 
 @dataclass(frozen=True)
@@ -288,58 +291,103 @@ def cochain_space_dim(dim_source: int, dim_target: int, degree: int) -> int:
     return len(cochain_keys(dim_source, degree)) * dim_target
 
 
-def coboundary_at(a: PreLieAlgebra, rep: Representation, f: Cochain, args) -> tuple:
-    """The coboundary formula evaluated at an arbitrary basis-index tuple.
+def _add_block(acc, entries, base: int, negate: bool):
+    """Add the (t, s, x) entries of one m x m block, or their negatives, at column ``base``."""
+    for t, s, x in entries:
+        row = acc[t]
+        j = base + s
+        row[j] = row.get(j, 0) + (-x if negate else x)
 
-    For f of degree n and arguments x_1, ..., x_{n+1}:
 
-      sum_i (-1)^{i+1} L_{x_i} f(..., x_i omitted, ..., x_{n+1})
-    + sum_i (-1)^{i+1} R_{x_{n+1}} f(..., x_i omitted, ..., x_n, x_i)
-    - sum_i (-1)^{i+1} f(..., x_i omitted, ..., x_n, x_i . x_{n+1})
-    + sum_{i<j<=n} (-1)^{i+j} f([x_i, x_j], ..., x_i, x_j omitted, ..., x_{n+1})
+def _add_diagonal(acc, x, base: int):
+    """Add x times the m x m identity at column ``base``."""
+    for t, row in enumerate(acc):
+        j = base + t
+        row[j] = row.get(j, 0) + x
 
-    with i running over 1..n.  The result is antisymmetric in the first
-    n arguments, which is what makes `coboundary` well defined.
+
+def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list:
+    """Sparse rows of the coboundary matrix, one {column: coefficient} each.
+
+    For f of degree n and x_1 < ... < x_n, x_{n+1} basis indices,
+
+      (df)(x_1, ..., x_{n+1})
+        = sum_i (-1)^{i+1} L_{x_i} f(..., x_i omitted, ..., x_{n+1})
+        + sum_i (-1)^{i+1} R_{x_{n+1}} f(..., x_i omitted, ..., x_n, x_i)
+        - sum_i (-1)^{i+1} f(..., x_i omitted, ..., x_n, x_i . x_{n+1})
+        + sum_{i<j<=n} (-1)^{i+j} f([x_i, x_j], ..., x_i, x_j omitted, ..., x_{n+1})
+
+    with i running over 1..n.  The m rows of one degree-(n+1) key are
+    built as blocks: the L- and R-terms add the m x m matrix L_{x_i} or
+    R_{x_{n+1}} at the column block of the degree-n key they read, and
+    the product and bracket terms add c_k times the identity at the block
+    of the key that holds basis index k, with the sign that sorts that
+    key (`_sort_with_sign`; a repeated index gives no term).  The rows
+    use only +, - and * on the scalars of (a, rep), so they run on field
+    scalars and on their integer lift alike.
     """
-    n = f.degree
-    if len(args) != n + 1:
-        raise ShapeError(f"expected {n + 1} arguments")
-    field = a.field
-    out = zero_vec(field, f.dim_target)
-    last = args[-1]
-    head = list(args[:-1])
-    for i in range(n):
-        sign = 1 if i % 2 == 0 else -1
-        omitted = head[:i] + head[i + 1:]
-        fv = f.eval_basis(tuple(omitted) + (last,))
-        term = rep.act_L(a.basis(head[i]), fv)
-        out = add_vec(out, term if sign == 1 else neg_vec(term))
+    m = rep.dim_v
+    index = _key_index(a.dim, degree)
 
-        fv2 = f.eval_basis(tuple(omitted) + (head[i],))
-        term = rep.act_R(a.basis(last), fv2)
-        out = add_vec(out, term if sign == 1 else neg_vec(term))
+    def nonzero(M):
+        return [(t, s, x) for t, row in enumerate(M.data) for s, x in enumerate(row) if x]
 
-        prod = a.mul_basis(head[i], last)
-        term = f.eval(list(omitted) + [prod])
-        out = sub_vec(out, term) if sign == 1 else add_vec(out, term)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
-            br = a.bracket(a.basis(head[i]), a.basis(head[j]))
-            rest = [head[k] for k in range(n) if k not in (i, j)]
-            term = f.eval([br] + rest + [last])
-            out = add_vec(out, term) if sign == 1 else sub_vec(out, term)
-    return out
+    L = [nonzero(M) for M in rep.L]
+    R = [nonzero(M) for M in rep.R]
+    c = a.product
+    rows = []
+    for fb, last in cochain_keys(a.dim, degree + 1):
+        acc = [{} for _ in range(m)]
+        for i, x in enumerate(fb):
+            odd = i % 2 == 1  # slot i + 1 carries the sign (-1)^{(i+1)+1}, -1 for odd i
+            rest = fb[:i] + fb[i + 1:]
+            _add_block(acc, L[x], index[(rest, last)] * m, odd)
+            _add_block(acc, R[last], index[(rest, x)] * m, odd)
+            for k, ck in enumerate(c[x][last]):
+                if ck:
+                    _add_diagonal(acc, ck if odd else -ck, index[(rest, k)] * m)
+        for i in range(degree):
+            for j in range(i + 1, degree):
+                x, y = fb[i], fb[j]
+                rest = fb[:i] + fb[i + 1:j] + fb[j + 1:]
+                for k, (cxy, cyx) in enumerate(zip(c[x][y], c[y][x])):
+                    bk = cxy - cyx
+                    norm = _sort_with_sign((k,) + rest) if bk else None
+                    if norm is not None:
+                        sign, key = norm
+                        if (i + j) % 2:
+                            sign = -sign
+                        _add_diagonal(acc, bk if sign == 1 else -bk, index[(key, last)] * m)
+        rows.extend({j: v for j, v in row.items() if v} for row in acc)
+    return rows
 
 
 def coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """The coboundary of f: a degree-(n+1) cochain into the same module."""
+    """The coboundary of f: a degree-(n+1) cochain into the same module.
+
+    The rows of `_coboundary_rows` are applied to the coordinates of f,
+    all of them on one integer lift of (a, rep, f); each coordinate is
+    homogeneous of degree 2 in the lifted scalars and is mapped back with
+    ``down(., 2)``.  f may have `Poly` coordinates: each is lifted and
+    mapped back coefficient by coefficient.
+    """
     if f.dim_source != a.dim or f.dim_target != rep.dim_v:
         raise ShapeError("cochain does not match the algebra and module")
+    lifted, down, values = lifted_representation(a, rep.dim_v, rep.L, rep.R, f.values)
+    coords = [x for v in values for x in v]
+    out = []
+    for row in _coboundary_rows(lifted.algebra, lifted, f.degree):
+        s = 0
+        for j, c in row.items():
+            x = coords[j]
+            if x:
+                s = s + c * x
+        out.append(s)
+    m = rep.dim_v
     degree = f.degree + 1
-    values = [coboundary_at(a, rep, f, fb + (last,))
-              for fb, last in cochain_keys(a.dim, degree)]
-    return Cochain(a.field, degree, a.dim, rep.dim_v, values)
+    return Cochain(a.field, degree, a.dim, m,
+                   [down(out[p * m:(p + 1) * m], 2)
+                    for p in range(len(cochain_keys(a.dim, degree)))])
 
 
 def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Report:
@@ -354,32 +402,6 @@ def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Repo
     n = a.dim
     return residual_report(((x, y, z), dH.eval_basis((x, y, z)))
                            for x in range(n) for y in range(n) for z in range(n))
-
-
-def _generic_cochain(field, degree: int, dim_source: int, dim_target: int) -> Cochain:
-    """The cochain whose coordinate (key p, target t) is the variable x_{p*m+t}.
-
-    Column p*m + t is the canonical basis cochain at that coordinate, so
-    any linear expression in f evaluated here gives, per output
-    coordinate, a degree-1 `Poly` whose coefficients are the expression's
-    coefficients on the degree-n basis.
-    """
-    one = field.one
-    m = dim_target
-    n_keys = cochain_space_dim(dim_source, 1, degree)  # rejects degree < 1
-    return Cochain(field, degree, dim_source, dim_target,
-                   [[Poly({(p * m + t,): one}) for t in range(m)] for p in range(n_keys)])
-
-
-def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list:
-    """Sparse rows of the coboundary matrix, one {column: coefficient} each.
-
-    `coboundary_at` runs once per degree-(n+1) key, on the generic cochain.
-    """
-    f = _generic_cochain(a.field, degree, a.dim, rep.dim_v)
-    return [{mono[0]: c for mono, c in x.terms.items()} if isinstance(x, Poly) else {}
-            for fb, last in cochain_keys(a.dim, degree + 1)
-            for x in coboundary_at(a, rep, f, fb + (last,))]
 
 
 def coboundary_matrix(a: PreLieAlgebra, rep: Representation, degree: int) -> Matrix:

@@ -39,7 +39,7 @@ from .errors import (
     reverified,
 )
 from .linalg import Matrix, add_vec, basis_vec, neg_vec, sub_vec
-from .reynolds import ReynoldsData, _induced_tensor, derived_tensor, operator_identity
+from .reynolds import ReynoldsData, derived_tensor, operator_identity
 from .scalars import INTEGERS, lift
 
 
@@ -168,8 +168,9 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
 def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     """x|>y = N(x).y, x<|y = x.N(y), x o y = -N(x.y).
 
-    The subadjacent product of the result equals the deformed product of
-    the Nijenhuis operator, entry for entry.
+    The subadjacent product of the result is the deformed product of the
+    Nijenhuis operator: its three summands are the three tables, so the
+    equality holds by construction and is a test, not a runtime check.
     """
     deformed = _deformed_tensor(g, N)
     if not operator_identity(g, N, deformed).ok:
@@ -178,27 +179,22 @@ def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     tri = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(Nx, e[j]))
     trl = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(e[i], Ny))
     circ = derived_tensor(N, lambda i, j, Nx, Ny: neg_vec(N.apply(g.mul_basis(i, j))))
-    ns = reverified(NSPreLie, g.field, tri, trl, circ)
-    if ns.star_tensor() != deformed:
-        raise InvariantError("subadjacent product differs from the deformed product")
-    return ns
+    return reverified(NSPreLie, g.field, tri, trl, circ)
 
 
 def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
     """On the module: u<|v = R_{Kv}u, u|>v = L_{Ku}v, u o v = H(Ku, Kv).
 
-    The subadjacent product coincides with the induced pre-Lie product of
-    the operator.
+    The subadjacent product is the induced pre-Lie product of the
+    operator: its three summands are the three tables, so the equality
+    holds by construction and is a test, not a runtime check.
     """
     rep, H, K = data.rep, data.cocycle, data.operator
     e = [basis_vec(rep.field, rep.dim_v, u) for u in range(rep.dim_v)]
     tri = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_L(Ku, e[v]))
     trl = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_R(Kv, e[u]))
     circ = derived_tensor(K, lambda u, v, Ku, Kv: H.eval([Ku, Kv]))
-    ns = reverified(NSPreLie, data.field, tri, trl, circ)
-    if ns.star_tensor() != _induced_tensor(rep, H, K):
-        raise InvariantError("subadjacent product differs from the induced product")
-    return ns
+    return reverified(NSPreLie, data.field, tri, trl, circ)
 
 
 def reynolds_from_ns(ns: NSPreLie) -> ReynoldsData:

@@ -88,9 +88,16 @@ def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
                            for i, Ki in enumerate(cols) for j, Kj in enumerate(cols))
 
 
-def _induced_tensor(rep: Representation, H: Cochain, K: Matrix) -> tuple:
-    """The induced product u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv) on V-basis indices."""
-    e = [basis_vec(rep.field, rep.dim_v, u) for u in range(rep.dim_v)]
+def _induced_tensor(rep: Representation, H: Cochain, K: Matrix, scale=1) -> tuple:
+    """The induced product u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv) on V-basis indices.
+
+    ``scale`` multiplies the two action terms.  It is 1 on field data; on
+    the integer lift it is the common denominator D, which makes those
+    terms (of degree 2 in the lifted scalars) homogeneous of degree 3,
+    like the H term.  The basis vectors are scaled instead of the terms:
+    both are linear in them.
+    """
+    e = [scale_vec(scale, basis_vec(rep.field, rep.dim_v, u)) for u in range(rep.dim_v)]
     return derived_tensor(K, lambda u, v, Ku, Kv: add_vec(
         add_vec(rep.act_L(Ku, e[v]), rep.act_R(Kv, e[u])), H.eval([Ku, Kv])))
 

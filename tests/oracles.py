@@ -13,6 +13,16 @@ term group that caused it.
 worked 3-dimensional bundle and compares the equations that the search
 compiles from the Reynolds checker with a hand-derived polynomial system.
 
+`coboundary_at` is the coboundary formula evaluated term by term at one
+tuple of basis indices, on the cochain's own scalars, and
+`field_coboundary` the coboundary the library computed with it before
+it assembled block rows on integers (`cochain._coboundary_rows`).
+`generic_cochain` is the cochain whose coordinates are the variables of
+`scalars.Poly`, on which any linear expression in f yields its matrix
+rows.  `field_induced_representation` is the induced representation of
+an operator as the library built it before it used one integer lift:
+the induced product and Lbar, Rbar evaluated on the field scalars.
+
 `expanded_eval` is the multilinear expansion of a cochain over the full
 basis, zero coordinates included, the reference for `Cochain.eval`.
 
@@ -75,7 +85,7 @@ from prelie.algebra import (
     residual_report,
     tensor_mul,
 )
-from prelie.cochain import Cochain, _unshuffles, cochain_keys
+from prelie.cochain import Cochain, _unshuffles, cochain_keys, cochain_space_dim
 from prelie.errors import BudgetExceededError, ShapeError
 from prelie.linalg import (
     Matrix,
@@ -83,12 +93,13 @@ from prelie.linalg import (
     basis_vec,
     integer_rank,
     integer_rows,
+    neg_vec,
     sub_vec,
     zero_vec,
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
-from prelie.reynolds import ReynoldsData
-from prelie.scalars import FpElement, PrimeField
+from prelie.reynolds import ReynoldsData, induced_product
+from prelie.scalars import FpElement, Poly, PrimeField
 from prelie.search import DEFAULT_BUDGET, SearchSpec, _candidate, _compile
 
 
@@ -248,6 +259,88 @@ def _g3_polynomials(a):
         a32 * a33 - (a32 * a33 * a23 + a32 * a22),
         a32 * a33 * a33 + a32 * a32,
     ]
+
+
+def coboundary_at(a: PreLieAlgebra, rep: Representation, f: Cochain, args) -> tuple:
+    """The coboundary formula evaluated at an arbitrary basis-index tuple.
+
+    For f of degree n and arguments x_1, ..., x_{n+1}:
+
+      sum_i (-1)^{i+1} L_{x_i} f(..., x_i omitted, ..., x_{n+1})
+    + sum_i (-1)^{i+1} R_{x_{n+1}} f(..., x_i omitted, ..., x_n, x_i)
+    - sum_i (-1)^{i+1} f(..., x_i omitted, ..., x_n, x_i . x_{n+1})
+    + sum_{i<j<=n} (-1)^{i+j} f([x_i, x_j], ..., x_i, x_j omitted, ..., x_{n+1})
+
+    with i running over 1..n.  The result is antisymmetric in the first
+    n arguments.
+    """
+    n = f.degree
+    if len(args) != n + 1:
+        raise ShapeError(f"expected {n + 1} arguments")
+    out = zero_vec(a.field, f.dim_target)
+    last = args[-1]
+    head = list(args[:-1])
+    for i in range(n):
+        sign = 1 if i % 2 == 0 else -1
+        omitted = head[:i] + head[i + 1:]
+        fv = f.eval_basis(tuple(omitted) + (last,))
+        term = rep.act_L(a.basis(head[i]), fv)
+        out = add_vec(out, term if sign == 1 else neg_vec(term))
+
+        fv2 = f.eval_basis(tuple(omitted) + (head[i],))
+        term = rep.act_R(a.basis(last), fv2)
+        out = add_vec(out, term if sign == 1 else neg_vec(term))
+
+        prod = a.mul_basis(head[i], last)
+        term = f.eval(list(omitted) + [prod])
+        out = sub_vec(out, term) if sign == 1 else add_vec(out, term)
+    for i in range(n):
+        for j in range(i + 1, n):
+            sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
+            br = a.bracket(a.basis(head[i]), a.basis(head[j]))
+            rest = [head[k] for k in range(n) if k not in (i, j)]
+            term = f.eval([br] + rest + [last])
+            out = add_vec(out, term) if sign == 1 else sub_vec(out, term)
+    return out
+
+
+def field_coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
+    """The coboundary of f, `coboundary_at` once per canonical key."""
+    degree = f.degree + 1
+    return Cochain(a.field, degree, a.dim, rep.dim_v,
+                   [coboundary_at(a, rep, f, fb + (last,))
+                    for fb, last in cochain_keys(a.dim, degree)])
+
+
+def generic_cochain(field, degree: int, dim_source: int, dim_target: int) -> Cochain:
+    """The cochain whose coordinate (key p, target t) is the variable x_{p*m+t}."""
+    one = field.one
+    m = dim_target
+    n_keys = cochain_space_dim(dim_source, 1, degree)
+    return Cochain(field, degree, dim_source, dim_target,
+                   [[Poly({(p * m + t,): one}) for t in range(m)] for p in range(n_keys)])
+
+
+def field_induced_representation(data: ReynoldsData) -> Representation:
+    """The induced representation, built on the field scalars of the bundle."""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    n, m = g.dim, rep.dim_v
+    field = g.field
+    base = induced_product(data)
+    Lbar, Rbar = [], []
+    for u in range(m):
+        Ku = K.column(u)
+        eu = basis_vec(field, m, u)
+        lcols, rcols = [], []
+        for x in range(n):
+            ex = g.basis(x)
+            lv = sub_vec(g.mul(Ku, ex), K.apply(rep.act_R(ex, eu)))
+            lcols.append(sub_vec(lv, K.apply(H.eval([Ku, ex]))))
+            rv = sub_vec(g.mul(ex, Ku), K.apply(rep.act_L(ex, eu)))
+            rcols.append(sub_vec(rv, K.apply(H.eval([ex, Ku]))))
+        Lbar.append(Matrix.from_columns(field, lcols, n))
+        Rbar.append(Matrix.from_columns(field, rcols, n))
+    return Representation(base, n, Lbar, Rbar)
 
 
 def expanded_eval(f: Cochain, args) -> tuple:

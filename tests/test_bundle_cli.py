@@ -10,6 +10,7 @@ from oracles import basis_dk_columns
 from prelie import algebra, brackets, cochain, nsprelie, opcohomology, reynolds
 from prelie.algebra import Report
 from prelie.bundle import (
+    MAX_DIM,
     algebra_from_json,
     algebra_to_json,
     cochain_from_json,
@@ -420,8 +421,9 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
     (("construct", "star"), "weighted-star.json", {"check_morphism": 0}),
     (("check", "mc"), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
     (("mc-check",), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
+    (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"derived_tensor": 4}),
 ], ids=["gauge", "ns-from-nijenhuis", "ns-from-reynolds", "induced", "star", "check-mc",
-        "mc-check"])
+        "mc-check", "ns-from-reynolds-tables"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
     modules = {"derived_tensor": reynolds, "check_morphism": algebra,
                "induced_product": reynolds, "check_two_cocycle": cochain}
@@ -721,6 +723,22 @@ def test_cli_degree_below_one_is_an_input_error(command, degree):
     code, out, _ = run_cli(*command, "--degree", str(degree))
     assert code == 2
     assert json.loads(out) == {"error": "ShapeError", "message": "degree must be >= 1"}
+
+
+@pytest.mark.parametrize("command", [
+    ("dk-consistency", str(CORPUS / "g3-k-rowzero.json")),
+    ("cohomology", "--of", "operator", str(CORPUS / "g3-k-rowzero.json")),
+    ("cohomology", "--of", "algebra", str(CORPUS / "g3.json")),
+], ids=["dk-consistency", "cohomology-operator", "cohomology-algebra"])
+@pytest.mark.parametrize("degree", [MAX_DIM + 2, 99999999999])
+def test_cli_degree_beyond_every_cochain_space_is_an_input_error(command, degree):
+    # every accepted bundle has dimension <= MAX_DIM, so every cochain space
+    # above degree MAX_DIM + 1 is zero; the degree is rejected before any work
+    code, out, _ = run_cli(*command, "--degree", str(degree))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaError"
+    assert doc["message"].startswith("/degree: ")
 
 
 @pytest.mark.parametrize("degree", [1, 2])

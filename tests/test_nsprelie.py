@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,12 +15,18 @@ from prelie.nsprelie import (
     compatible_ns_from_invertible,
     deformed_product,
     ns_from_nijenhuis,
+    _deformed_tensor,
     ns_from_reynolds,
     reynolds_from_ns,
     subadjacent,
 )
-from prelie.reynolds import ReynoldsData, induced_product, reynolds_from_invertible_cochain
-from prelie.scalars import QQ
+from prelie.reynolds import (
+    ReynoldsData,
+    _induced_tensor,
+    induced_product,
+    reynolds_from_invertible_cochain,
+)
+from prelie.scalars import QQ, PrimeField
 
 
 def zero_tensor(n):
@@ -247,6 +254,21 @@ def test_ns_from_reynolds_subadjacent_matches_induced():
         data = random_reynolds_data(rng)
         ns = ns_from_reynolds(data)
         assert ns.star_tensor() == induced_product(data).product
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_subadjacent_tables_are_the_derived_tables(field):
+    # the sum of the three splitting tables is, summand by summand, the
+    # induced (resp. deformed) table, so the constructors do not compare them
+    rng = random.Random(42)
+    for _ in range(8):
+        data = random_reynolds_data(rng, field)
+        ns = ns_from_reynolds(data)
+        assert ns.star_tensor() == _induced_tensor(data.rep, data.cocycle, data.operator)
+    a = g2_algebra(field)
+    for c, d in product((-1, 0, 1), repeat=2):
+        N = Matrix(field, [[c, d], [0, c]])
+        assert ns_from_nijenhuis(a, N).star_tensor() == _deformed_tensor(a, N)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 import random
+from math import lcm
 
 import pytest
 
-from conftest import g2_algebra, random_cochain, random_reynolds_data
-from oracles import compare_explicit_paths, explicit_coboundary
-from prelie import opcohomology
+from conftest import count_calls, g2_algebra, random_cochain, random_reynolds_data
+from oracles import compare_explicit_paths, explicit_coboundary, field_induced_representation
+from prelie import reynolds
 from prelie.algebra import PreLieAlgebra, check_representation, regular_representation
-from prelie.cochain import Cochain, cochain_space_dim
+from prelie.cochain import Cochain, cochain_space_dim, cohomology
 from prelie.linalg import Matrix
 from prelie.opcohomology import (
     induced_representation,
@@ -15,7 +16,7 @@ from prelie.opcohomology import (
     operator_cohomology,
 )
 from prelie.reynolds import ReynoldsData, induced_product, reynolds_from_invertible_cochain
-from prelie.scalars import QQ
+from prelie.scalars import QQ, Poly, PrimeField
 
 
 def test_induced_rep_zero_data(g3_bundle):
@@ -47,6 +48,44 @@ def test_induced_rep_satisfies_axioms_randomized():
         irep = induced_representation(data)
         base = induced_product(data)
         assert check_representation(base, irep.dim_v, irep.L, irep.R).ok
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)], ids=repr)
+def test_induced_structure_on_the_lift_matches_the_field_construction(field):
+    # over Q the bundles have fractional entries, so the lift scales by D > 1
+    # and a homogenisation error would show
+    rng = random.Random(27)
+    scales = []
+    for _ in range(12):
+        data = random_reynolds_data(rng, field)
+        induced = induced_representation(data)
+        assert induced == field_induced_representation(data)
+        assert induced.algebra == induced_product(data)
+        if field == QQ:
+            g, rep = data.algebra, data.rep
+            scalars = [x for plane in g.product for row in plane for x in row]
+            scalars += [x for M in rep.L + rep.R + (data.operator,) for row in M.data
+                        for x in row]
+            scalars += [x for v in data.cocycle.values for x in v]
+            scales.append(lcm(*(x.denominator for x in scalars)))
+    assert field != QQ or max(scales) > 1
+
+
+def test_cohomology_builds_no_polynomial(monkeypatch):
+    data = _unipotent_operator_data(4)
+    built = []
+    original = Poly.__init__
+
+    def counting(self, terms):
+        built.append(terms)
+        original(self, terms)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    operator_cohomology(data, 3)
+    cohomology(data.algebra, data.rep, 3)
+    assert built == []
+    Poly({(0,): QQ(1)})
+    assert len(built) == 1
 
 
 def test_operator_coboundary_squares_to_zero():
@@ -196,13 +235,8 @@ def test_explicit_variant_can_coincide_on_degenerate_data(g3_data):
 
 
 def test_induced_product_built_once_per_call(g3_data, monkeypatch):
-    calls = []
-
-    def counting(data):
-        calls.append(data)
-        return induced_product(data)
-
-    monkeypatch.setattr(opcohomology, "induced_product", counting)
+    # the induced table is built once per call, on the integer lift
+    calls = count_calls(monkeypatch, reynolds, "_induced_tensor")
     f = Cochain.zero(QQ, 1, 3, 3)
     for call in (lambda: operator_coboundary(g3_data, f),
                  lambda: operator_coboundary_matrix(g3_data, 1),
