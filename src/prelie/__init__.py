@@ -47,7 +47,7 @@ from .deformation import (
     nijenhuis_elements,
     rigidity_probe,
 )
-from .linalg import KernelBasis, Matrix
+from .linalg import Matrix
 from .nsprelie import (
     NSPreLie,
     check_nijenhuis,

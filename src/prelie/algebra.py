@@ -211,10 +211,6 @@ class PreLieAlgebra:
     def bracket(self, x, y) -> tuple:
         return sub_vec(self.mul(x, y), self.mul(y, x))
 
-    @property
-    def has_unit(self) -> bool:
-        return self.unit is not None
-
     def require_unit(self) -> tuple:
         if self.unit is None:
             raise NoUnitError("operation requires a unital algebra")
@@ -388,20 +384,6 @@ class Representation:
                         out[r] = term if s is None else s + term
         zero = self.field.zero
         return tuple(zero if s is None else s for s in out)
-
-    def L_of(self, x) -> Matrix:
-        out = Matrix.zero(self.field, self.dim_v, self.dim_v)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.L[i].scale(xi)
-        return out
-
-    def R_of(self, x) -> Matrix:
-        out = Matrix.zero(self.field, self.dim_v, self.dim_v)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.R[i].scale(xi)
-        return out
 
 
 def lifted_representation(algebra: PreLieAlgebra, dim_v: int, L, R, *extra):

@@ -366,6 +366,9 @@ def _cmd_deform(args) -> int:
         if args.order is not None:
             if args.order < 0:
                 raise SchemaError("/order", f"order must be >= 0, got {args.order}")
+            if args.order >= len(coefficients):
+                raise SchemaError("/order", f"order must be <= the series' order "
+                                            f"{len(coefficients) - 1}, got {args.order}")
             coefficients = coefficients[:args.order + 1]
         series = deformation.DeformationSeries(data, tuple(coefficients))
         report = deformation.check_formal_deformation(series)

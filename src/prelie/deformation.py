@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from .algebra import Report, _combine, residual_report
 from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, integer_rank, sparse_mul, sub_vec
+from .linalg import Matrix, add_vec, basis_vec, integer_rank, sparse_mul, sub_vec
 from .opcohomology import induced_representation, operator_coboundary, rbar
 from .reynolds import ReynoldsData, _reynolds_report, check_rcw_morphism
 from .scalars import Poly, PrimeField
@@ -52,8 +52,12 @@ def _linear_terms(data: ReynoldsData, x) -> tuple:
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     m = rep.dim_v
-    HxK = Matrix.from_columns(g.field, [H.eval([x, K.column(u)]) for u in range(m)], m)
-    return g.left_mult(x) - g.right_mult(x), rep.L_of(x) - rep.R_of(x) + HxK
+    columns = []
+    for u in range(m):
+        e = basis_vec(g.field, m, u)
+        columns.append(add_vec(sub_vec(rep.act_L(x, e), rep.act_R(x, e)),
+                               H.eval([x, K.column(u)])))
+    return g.left_mult(x) - g.right_mult(x), Matrix.from_columns(g.field, columns, m)
 
 
 def _element(g, x) -> tuple:

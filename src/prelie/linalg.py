@@ -25,15 +25,15 @@ row to another, so the row space never changes, and with it neither the
 rank nor the reduced row echelon form: the pivot rule changes the work,
 not the answer.  `Matrix.rref` reduces the echelon rows further on the
 same integers (back-substitution) and divides by the pivots only at the
-end.  The reduced row echelon form is unique, so the kernels, solutions
-and inverses read off it are canonical: equal kernels yield identical
-bases.
+end.  The reduced row echelon form is unique, so it and the inverse
+read off it do not depend on the pivot order.  Ranks of sparse rows are
+read straight off `_echelon` (`integer_rank`); the inverse is the only
+linear system the package solves.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -161,10 +161,6 @@ class Matrix:
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
-    def transpose(self) -> "Matrix":
-        return _matrix(self.field, tuple(zip(*self.data)) if self.rows
-                       else ((),) * self.cols, self.rows)
-
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
 
@@ -196,41 +192,6 @@ class Matrix:
         data.extend([(zero,) * self.cols] * (self.rows - len(pivots)))
         return _matrix(field, tuple(data), self.cols), pivots
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel(self) -> "KernelBasis":
-        """Canonical basis of the null space, one vector per free column."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        zero, one = self.field.zero, self.field.one
-        vectors = []
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.data[r][fc]
-            vectors.append(tuple(v))
-        return KernelBasis(self.cols, tuple(vectors))
-
-    def solve(self, b: "Matrix"):
-        """One exact solution x of self * x = b, or None if inconsistent."""
-        self._check_same_field(b)
-        if b.rows != self.rows:
-            raise DimensionMismatchError(f"rhs has {b.rows} rows, lhs has {self.rows}")
-        aug = _matrix(self.field, tuple(r1 + r2 for r1, r2 in zip(self.data, b.data)),
-                      self.cols + b.cols)
-        red, pivots = aug.rref()
-        n = self.cols
-        if any(p >= n for p in pivots):
-            return None
-        zero = self.field.zero
-        x = [(zero,) * b.cols] * n
-        for r, pc in enumerate(pivots):
-            x[pc] = red.data[r][n:]
-        return _matrix(self.field, tuple(x), b.cols)
-
     def inverse(self):
         """Exact inverse, or None if singular."""
         if self.rows != self.cols:
@@ -242,20 +203,6 @@ class Matrix:
         if len(pivots) != n or any(p >= n for p in pivots):
             return None
         return _matrix(self.field, tuple(row[n:] for row in red.data), n)
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Canonical (echelon-form) basis of a null space."""
-
-    dim: int
-    vectors: tuple
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
 
 
 # vector helpers; vectors are tuples of scalars, and a zero operand is

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import dense_kernel
 from prelie.algebra import (
     PreLieAlgebra,
     Report,
@@ -170,9 +171,18 @@ def conjugate_representation(rep: Representation, new_algebra: PreLieAlgebra,
     L, R = [], []
     for i in range(new_algebra.dim):
         x = P.column(i)
-        L.append(qinv * rep.L_of(x) * Q)
-        R.append(qinv * rep.R_of(x) * Q)
+        L.append(qinv * combination(rep.L, x) * Q)
+        R.append(qinv * combination(rep.R, x) * Q)
     return Representation(new_algebra, rep.dim_v, L, R, check=True)
+
+
+def combination(matrices, x) -> Matrix:
+    """sum_i x_i M_i for matrices M_i of one shape and coordinates x."""
+    out = Matrix.zero(matrices[0].field, matrices[0].rows, matrices[0].cols)
+    for M, xi in zip(matrices, x, strict=True):
+        if xi:
+            out = out + M.scale(xi)
+    return out
 
 
 def base_algebras(field=QQ):
@@ -226,7 +236,7 @@ def random_invertible(rng: random.Random, field, n: int) -> Matrix:
 def random_two_cocycle(rng: random.Random, a: PreLieAlgebra, rep: Representation):
     """A random element of the kernel of the degree-2 coboundary matrix."""
     d2 = coboundary_matrix(a, rep, 2)
-    basis = d2.kernel().vectors
+    basis = dense_kernel(d2)
     field = a.field
     m = rep.dim_v
     keys = cochain_keys(a.dim, 2)

@@ -86,7 +86,7 @@ from prelie.algebra import (
     tensor_mul,
 )
 from prelie.cochain import Cochain, _unshuffles, cochain_keys, cochain_space_dim
-from prelie.errors import BudgetExceededError, ShapeError
+from prelie.errors import BudgetExceededError, DimensionMismatchError, ShapeError
 from prelie.linalg import (
     Matrix,
     add_vec,
@@ -466,6 +466,9 @@ def dense_kernel(m: Matrix) -> tuple:
 
 
 def dense_solve(m: Matrix, b: Matrix):
+    """One solution x of m * x = b, or None if the system is inconsistent."""
+    if b.rows != m.rows:
+        raise DimensionMismatchError(f"rhs has {b.rows} rows, lhs has {m.rows}")
     red, pivots = dense_rref(Matrix(m.field, [r1 + r2 for r1, r2 in zip(m.data, b.data)],
                                     cols=m.cols + b.cols))
     if any(pc >= m.cols for pc in pivots):

@@ -660,6 +660,22 @@ def test_cli_deform_check_negative_order_is_a_schema_error(tmp_path, order):
                                "message": f"/order: order must be >= 0, got {order}"}
 
 
+@pytest.mark.parametrize("order", [2, 5])
+def test_cli_deform_check_order_above_the_series_is_a_schema_error(tmp_path, order):
+    doc = json.loads((CORPUS / "g3-k0.json").read_text())
+    doc["series"] = [doc["operatorK"], {"rows": 3, "cols": 3, "entries": [["0"] * 3] * 3}]
+    p = tmp_path / "series.json"
+    p.write_text(json.dumps(doc))
+    argv = ("deform", "check", "--bundle", str(CORPUS / "g3-k0.json"), "--series", str(p))
+    code, out, _ = run_cli(*argv, "--order", "1")
+    assert code == 0 and json.loads(out)["order"] == 1
+    code, out, _ = run_cli(*argv, "--order", str(order))
+    assert code == 2
+    assert json.loads(out) == {"error": "SchemaError",
+                               "message": f"/order: order must be <= the series' order 1, "
+                                          f"got {order}"}
+
+
 def test_cli_dk_consistency_degrees():
     for field in ([], ["--field", "f2"], ["--field", "f3"], ["--field", "f5"]):
         for degree in (1, 2, 3):

@@ -15,6 +15,7 @@ from conftest import (
 )
 from oracles import (
     coboundary_at,
+    dense_rref,
     enumerate_unshuffles,
     expanded_eval,
     field_coboundary,
@@ -348,7 +349,7 @@ def test_g3_degree1_cohomology_is_derivation_space():
     a = g3_algebra()
     rep = regular_representation(a)
     report = cohomology(a, rep, 1)
-    assert report.dim_z == 9 - coboundary_matrix(a, rep, 1).rank()
+    assert report.dim_z == 9 - len(dense_rref(coboundary_matrix(a, rep, 1))[1])
     assert report.dim_z == 5
 
 
@@ -411,7 +412,7 @@ def test_cohomology_ranks_cross_checked_by_independent_elimination():
     for degree in (1, 2):
         d = coboundary_matrix(a, rep, degree)
         rows = [[x for x in row] for row in d.data]
-        assert d.rank() == _independent_rank(rows)
+        assert sparse_rank(_sparse_rows(d)) == _independent_rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +478,7 @@ def test_sparse_rank_of_coboundary_matches_dense_ranks(field):
         for degree in (1, 2, 3):
             d = coboundary_matrix(a, rep, degree)
             rank = sparse_rank(_sparse_rows(d))
-            assert rank == d.rank()
+            assert rank == len(dense_rref(d)[1])
             if field == QQ:
                 assert rank == _independent_rank(d.data)
 

@@ -4,14 +4,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    CORPUS,
     fail_after,
     g2_algebra,
     g3_algebra,
     g3_cocycle,
     random_cochain,
+    random_pair,
     random_reynolds_data,
+    random_two_cocycle,
     truncated_poly_algebra,
 )
+from oracles import dense_kernel, dense_solve
 from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation, zero_representation
 from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
 from prelie import algebra, reynolds
@@ -26,7 +30,8 @@ from prelie.errors import (
     UnverifiedError,
     UnverifiedOperatorError,
 )
-from prelie.linalg import Matrix
+from prelie.bundle import parse_bundle
+from prelie.linalg import Matrix, basis_vec
 from prelie.nsprelie import check_nijenhuis
 from prelie.reynolds import (
     ReynoldsData,
@@ -44,6 +49,7 @@ from prelie.reynolds import (
     reynolds_from_derivation,
     reynolds_from_invertible_cochain,
     semidirect,
+    semidirect_tensor,
     shift_isomorphism,
     shift_operator,
     star_product,
@@ -267,6 +273,41 @@ def test_graph_zero_operator():
                                   Matrix.zero(QQ, 2, 2)).ok
 
 
+def _graph_violations_by_span(a, rep, H, K) -> list:
+    """Closure of the graph decided by membership in the span of its generators."""
+    field, n, m = a.field, a.dim, rep.dim_v
+    sd = PreLieAlgebra(field, semidirect_tensor(a, rep, H), check=False)
+    graph = [K.column(u) + basis_vec(field, m, u) for u in range(m)]
+    span = Matrix.from_columns(field, graph, n + m)
+    out = []
+    for u in range(m):
+        for v in range(m):
+            w = sd.mul(graph[u], graph[v])
+            if dense_solve(span, Matrix.from_columns(field, [w], n + m)) is None:
+                out.append(((u, v), w))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+def test_graph_closure_by_coordinates_matches_span_membership(field):
+    rng = random.Random(80 + field.char)
+    verdicts = set()
+    for i in range(24):
+        if i % 4 == 0:  # a verified Reynolds operator, whose graph is closed
+            data = random_reynolds_data(rng, field)
+            a, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        else:
+            a, rep = random_pair(rng, field)
+            H = random_two_cocycle(rng, a, rep)
+            K = Matrix(field, [[rng.randint(-2, 2) for _ in range(rep.dim_v)]
+                               for _ in range(a.dim)])
+        report = check_graph_subalgebra(a, rep, H, K)
+        assert report.violations == _graph_violations_by_span(a, rep, H, K)
+        assert report.ok == check_rcw_reynolds(a, rep, H, K).ok
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # induced products
 
@@ -398,9 +439,9 @@ def _one_cocycles(a, rep):
     d1 = coboundary_matrix(a, rep, 1)
     m = rep.dim_v
     out = []
-    for vec in d1.kernel():
+    for vec in dense_kernel(d1):
         cols = [vec[u * m:(u + 1) * m] for u in range(a.dim)]
-        out.append(Matrix.from_columns(a.field, [list(c) for c in cols], m).transpose())
+        out.append(Matrix(a.field, cols, cols=m))
     # vec is keyed by ((), u) x target coordinate: columns of the map
     return out
 
@@ -539,6 +580,32 @@ def test_semidirect_prelie_iff_cocycle_both_directions(g3_bundle):
     assert seen[False]  # random bilinear maps usually fail; both sides hit
     tensor = semidirect_tensor(a, rep, H)
     assert check_prelie(QQ, tensor).ok
+
+
+def _unshift(field, h: Cochain, n: int, m: int) -> Matrix:
+    """[[I, 0], [h, I]]: (x, u) -> (x, u + h(x)) on g + V."""
+    hm = h.as_matrix()
+    rows = [basis_vec(field, n + m, i) for i in range(n)]
+    rows += [hm.data[i] + basis_vec(field, m, i) for i in range(m)]
+    return Matrix(field, rows)
+
+
+def test_shift_isomorphism_is_unipotent():
+    bundle = parse_bundle(str(CORPUS / "g3-gauge-shift.json"))
+    cases = [(bundle.reynolds_data(), bundle.named_cochain("h"))]
+    rng = random.Random(71)
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        for _ in range(4):
+            data = random_reynolds_data(rng, field)
+            cases.append((data, random_cochain(rng, field, 1, data.algebra.dim,
+                                               data.rep.dim_v, -2, 2)))
+    assert any(not h.as_matrix().is_zero() for _, h in cases)
+    for data, h in cases:
+        a, rep = data.algebra, data.rep
+        _, _, psi = shift_isomorphism(a, rep, data.cocycle, h)
+        unshift = _unshift(a.field, h, a.dim, rep.dim_v)
+        eye = Matrix.identity(a.field, a.dim + rep.dim_v)
+        assert psi * unshift == eye and unshift * psi == eye
 
 
 def test_shift_isomorphism_random_sweep():
