@@ -13,12 +13,19 @@ The constructors of `PreLieAlgebra` and `Representation` verify by
 default, so any instance passed around the package has survived its
 axioms.
 
+The pre-Lie identity is written once, in `prelie_defects`.  A
+representation (V; L, R) is exactly an action that makes the semidirect
+product g + V of `semidirect_tensor` pre-Lie, and an NS-pre-Lie structure
+is one on a twisted semidirect product (`nsprelie.check_ns_prelie`), so
+`check_prelie`, `check_representation` and `check_ns_prelie` each read
+the one kernel at their own basis triples and coordinates.
+
 The axiom checkers `check_prelie`, `check_jacobi`, `check_representation`
 and `nsprelie.check_ns_prelie` evaluate their formulas on Python ints:
 each lifts all the structure constants it reads with one
 `scalars.lift`, scaled by one common denominator D over Q and reduced to
-residues over F_p, runs the formula unchanged on `scalars.INTEGERS`, and
-maps every residual back to the field.  Each axiom is homogeneous in the
+residues over F_p, runs the formula on the ints, and maps every
+residual back to the field.  Each axiom is homogeneous in the
 constants (of degree 2, antisymmetry of degree 1), so a residual r is
 r / D^2 (or r / D) over Q and r mod p over F_p, and the reports are the
 ones the field arithmetic gives.
@@ -112,6 +119,58 @@ def tensor_mul(field, tensor, x, y) -> tuple:
     return tuple(out)
 
 
+def semidirect_tensor(product, L, R, H=None) -> list:
+    """Structure constants of the twisted product on g + V (raw, unchecked):
+
+        (x,u) . (y,v) = (x.y, L_x v + R_y u + H(x,y)).
+
+    ``product`` is the n*n*n tensor of g, ``L`` and ``R`` are the n action
+    matrices on V as lists of rows (dim V is read from them, so n = 0
+    gives the empty tensor), and ``H`` is the n*n table of the vectors
+    H(e_i, e_j), or None for H = 0.  The entries are copied as given,
+    field scalars or lifted ints, and every other entry is the int 0,
+    which `PreLieAlgebra` and `Cochain` coerce to the field.
+    """
+    n, m = len(product), len(L[0]) if L else 0
+    dim = n + m
+    tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            tensor[i][j][:n] = product[i][j]
+            if H is not None:
+                tensor[i][j][n:] = H[i][j]
+        for u in range(m):
+            for k in range(m):
+                tensor[i][n + u][n + k] = L[i][k][u]
+                tensor[n + u][i][n + k] = R[i][k][u]
+    return tensor
+
+
+def prelie_defects(tensor, triples, start):
+    """(a.b).c - a.(b.c) - (b.a).c + b.(a.c) at each basis triple (a, b, c).
+
+    The one evaluation of the pre-Lie identity in the package.  ``tensor``
+    holds ints (lifted constants); each residual is yielded as a list of
+    ints, its coordinates ``start`` onwards, homogeneous of degree 2 in
+    the constants.  Every product is read off the nonzero entries of the
+    tensor, so a triple costs the products of the rows it touches.
+    """
+    dim = len(tensor)
+    rows = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
+    tails = [[[(k - start, x) for k, x in row if k >= start] for row in plane]
+             for plane in rows]
+    for a, b, c in triples:
+        out = [0] * (dim - start)
+        for sign, p, q in ((1, a, b), (-1, b, a)):
+            for k, x in rows[p][q]:  # (p.q).c
+                for t, y in tails[k][c]:
+                    out[t] += sign * x * y
+            for k, x in rows[q][c]:  # p.(q.c)
+                for t, y in tails[p][k]:
+                    out[t] -= sign * x * y
+        yield out
+
+
 def check_prelie(field, tensor) -> Report:
     """Pre-Lie identity on all basis triples of a raw tensor.
 
@@ -120,19 +179,10 @@ def check_prelie(field, tensor) -> Report:
     """
     (t,), down = lift(field, (_as_tensor(field, tensor),))
     n = len(t)
-    basis = [basis_vec(INTEGERS, n, i) for i in range(n)]
-
-    def mul(x, y):
-        return tensor_mul(INTEGERS, t, x, y)
-
-    def associator(x, y, z):
-        return sub_vec(mul(mul(x, y), z), mul(x, mul(y, z)))
-
     # symmetric in (i, j); i == j is trivial
+    triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
     return residual_report(
-        ((i, j, k), down(sub_vec(associator(basis[i], basis[j], basis[k]),
-                                 associator(basis[j], basis[i], basis[k])), 2))
-        for i in range(n) for j in range(i + 1, n) for k in range(n))
+        (where, down(r, 2)) for where, r in zip(triples, prelie_defects(t, triples, 0)))
 
 
 class PreLieAlgebra:
@@ -257,11 +307,12 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
         L_x R_y - R_y L_x = R_{x.y} - R_y R_x
     Violations are reported per (identity, x, y, u) with u a V-basis index.
 
-    One pass over the lifted arrays, with no `Matrix`: every product
-    L_x L_y, L_x R_y, R_y L_x and R_y R_x and every combination
-    L_{x.y} = sum_k c_xyk L_k and R_{x.y} is formed once, as its sparse
-    columns, and column u of each defect is read off them.  The defects
-    are homogeneous of degree 2 in the lifted constants.
+    Together they say that the semidirect product g + V of
+    `semidirect_tensor` is pre-Lie: the V-part of its pre-Lie defect is
+    minus the "left" defect at (x, y, u) and minus the "mixed" defect at
+    (x, u, y).  Its g-part is the pre-Lie identity of the algebra, and
+    every triple with two entries in V is zero.  Both are read from one
+    `prelie_defects` pass over the lifted constants.
     """
     n = algebra.dim
     if len(L) != n or len(R) != n:
@@ -271,60 +322,11 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
             raise ShapeError(f"action matrix is {M.rows}x{M.cols}, expected {dim_v}x{dim_v}")
     (c, L, R), down = lift(algebra.field, (algebra.product, [M.data for M in L],
                                            [M.data for M in R]))
-
-    def columns(M):
-        """The columns of a matrix given by rows, each as {row: nonzero entry}."""
-        cols = [{} for _ in range(dim_v)]
-        for t, row in enumerate(M):
-            for s, x in enumerate(row):
-                if x:
-                    cols[s][t] = x
-        return cols
-
-    def product(A, B):
-        """The columns of A B."""
-        out = []
-        for col in B:
-            acc = {}
-            for s, b in col.items():
-                for t, a in A[s].items():
-                    acc[t] = acc.get(t, 0) + a * b
-            out.append(acc)
-        return out
-
-    def combination(mats, coeffs):
-        """The columns of sum_k coeffs[k] M_k."""
-        out = [{} for _ in range(dim_v)]
-        for ck, M in zip(coeffs, mats):
-            if ck:
-                for acc, col in zip(out, M):
-                    for t, x in col.items():
-                        acc[t] = acc.get(t, 0) + ck * x
-        return out
-
-    def defect(w, x, y, z):
-        """w - x - y + z for four columns, mapped back to the field."""
-        vec = [0] * dim_v
-        for col, sign in ((w, 1), (x, -1), (y, -1), (z, 1)):
-            for t, x in col.items():
-                vec[t] += sign * x
-        return down(vec, 2)
-
-    L = [columns(M) for M in L]
-    R = [columns(M) for M in R]
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    LL = {(i, j): product(L[i], L[j]) for i, j in pairs}
-    CL = {(i, j): combination(L, c[i][j]) for i, j in pairs}
-
-    def defects(i, j):
-        left = zip(LL[i, j], CL[i, j], LL[j, i], CL[j, i])
-        mixed = zip(product(L[i], R[j]), product(R[j], L[i]),
-                    combination(R, c[i][j]), product(R[j], R[i]))
-        for u, (l_cols, m_cols) in enumerate(zip(left, mixed)):
-            yield ("left", i, j, u), defect(*l_cols)
-            yield ("mixed", i, j, u), defect(*m_cols)
-
-    return residual_report(pair for i, j in pairs for pair in defects(i, j))
+    where = [(name, i, j, u) for i in range(n) for j in range(n) for u in range(dim_v)
+             for name in ("left", "mixed")]
+    triples = [(i, j, n + u) if name == "left" else (i, n + u, j) for name, i, j, u in where]
+    defects = prelie_defects(semidirect_tensor(c, L, R), triples, n)
+    return residual_report((w, down([-x for x in r], 2)) for w, r in zip(where, defects))
 
 
 class Representation:

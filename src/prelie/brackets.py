@@ -66,7 +66,7 @@ from .algebra import (
     Representation,
     lifted_representation,
     residual_report,
-    zero_representation,
+    semidirect_tensor as raw_semidirect_tensor,
 )
 from .cochain import Cochain, _unshuffles, cochain_keys, cochain_space_dim
 from .errors import InvariantError, ShapeError
@@ -183,9 +183,11 @@ def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
 
 def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Cochain:
     """The lift of H to a degree-2 cochain on W: ((x,u),(y,v)) -> (0, H(x,y))."""
-    abelian = PreLieAlgebra.abelian(g.field, g.dim)
-    return tensor_cochain(g.field, semidirect_tensor(
-        abelian, zero_representation(abelian, rep.dim_v), H))
+    n, m = g.dim, rep.dim_v
+    zero = [[0] * m] * m
+    return tensor_cochain(g.field, raw_semidirect_tensor(
+        [[[0] * n] * n] * n, [zero] * n, [zero] * n,
+        [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)]))
 
 
 def derived_bracket(g: PreLieAlgebra, rep: Representation,

@@ -398,8 +398,8 @@ def parse_bundle(source, field_override: Optional[str] = None) -> Bundle:
             raise SchemaError("/", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("/", "bundle must be a JSON object")
-    name = field_override or raw.get("field")
-    if not name:
+    name = raw.get("field") if field_override is None else field_override
+    if not name and field_override is None:
         raise SchemaError("/field", "missing field declaration")
     if not isinstance(name, str):
         raise SchemaError("/field", "field name must be a string")

@@ -289,7 +289,7 @@ def _parse_budget(flag) -> int:
 def _cmd_search(args) -> int:
     bundle = parse_bundle(args.bundle, args.field)
     field = bundle.field
-    if args.domain:
+    if args.domain is not None:
         from .scalars import field_by_name
 
         try:
@@ -357,9 +357,8 @@ def _cmd_deform(args) -> int:
     bundle = parse_bundle(args.bundle, args.field)
     data = bundle.reynolds_data()
     if args.action == "check":
-        if args.series:
-            series_doc = parse_bundle(args.series, args.field or
-                                      field_name(bundle.field))
+        if args.series is not None:
+            series_doc = parse_bundle(args.series, field_name(bundle.field))
             coefficients = series_doc.series()
         else:
             coefficients = bundle.series()

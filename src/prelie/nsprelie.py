@@ -10,7 +10,12 @@ x*y = x|>y + x<|y + x o y:
            =  (y*x)oz - yo(x*z) + (yox)<|z - y|>(xoz)
 
 Summing the axioms shows * is pre-Lie (the subadjacent product).  The
-three sources of NS-structures implemented here: Nijenhuis operators on a
+three axioms together say that (A, *) acting on a second copy of A by
+L_x = x|>. and R_x = .<|x, twisted by o, is a pre-Lie semidirect
+product, and `check_ns_prelie` reads them off the one pre-Lie kernel
+`algebra.prelie_defects` (the signs are in SIGNS.md).
+
+The three sources of NS-structures implemented here: Nijenhuis operators on a
 pre-Lie algebra, cocycle-weighted Reynolds operators (on the module), and
 invertible Reynolds operators (transported back to the algebra).  Each
 constructor checks its input and re-verifies its output once each, on
@@ -26,8 +31,9 @@ from .algebra import (
     Representation,
     _as_tensor,
     _combine,
+    prelie_defects,
     residual_report,
-    tensor_mul,
+    semidirect_tensor,
 )
 from .cochain import Cochain, cochain_keys
 from .errors import (
@@ -40,14 +46,19 @@ from .errors import (
 )
 from .linalg import Matrix, add_vec, basis_vec, neg_vec, sub_vec
 from .reynolds import ReynoldsData, derived_tensor, operator_identity
-from .scalars import INTEGERS, lift
+from .scalars import lift
 
 
 def check_ns_prelie(field, tri, trl, circ) -> Report:
     """Axioms A1, A2, A3 on all basis triples, with per-axiom verdicts.
 
-    The three tensors are lifted to ints together (`scalars.lift`); each
-    axiom is homogeneous of degree 2 in them.
+    The axioms say that A + A with the product of `algebra.semidirect_tensor`
+    is pre-Lie: the base is (A, *), which acts on the second copy by
+    L_x = x|>. and R_x = .<|x, twisted by H = o.  The V-part of its pre-Lie
+    defect is A1 at (x, y, z'), minus A2 at (x, y', z) and A3 at (x, y, z),
+    primes marking the second copy, and all three are read from one
+    `prelie_defects` pass.  The three tensors are lifted to ints together
+    (`scalars.lift`); each axiom is homogeneous of degree 2 in them.
     """
     t_tri = _as_tensor(field, tri)
     t_trl = _as_tensor(field, trl)
@@ -55,39 +66,24 @@ def check_ns_prelie(field, tri, trl, circ) -> Report:
     n = len(t_tri)
     if len(t_trl) != n or len(t_circ) != n:
         raise ShapeError("the three tensors must share one dimension")
-    (t_tri, t_trl, t_circ), down = lift(field, (t_tri, t_trl, t_circ))
-
-    def mul(tensor, x, y):
-        return tensor_mul(INTEGERS, tensor, x, y)
-
-    def star(x, y):
-        return add_vec(add_vec(mul(t_tri, x, y), mul(t_trl, x, y)), mul(t_circ, x, y))
-
-    def a1_side(x, y, z):  # (x*y)|>z - x|>(y|>z)
-        return sub_vec(mul(t_tri, star(x, y), z), mul(t_tri, x, mul(t_tri, y, z)))
-
-    def a1(x, y, z):
-        return sub_vec(a1_side(x, y, z), a1_side(y, x, z))
-
-    def a2(x, y, z):
-        lhs = sub_vec(mul(t_tri, x, mul(t_trl, y, z)), mul(t_trl, mul(t_tri, x, y), z))
-        rhs = sub_vec(mul(t_trl, y, star(x, z)), mul(t_trl, mul(t_trl, y, x), z))
-        return sub_vec(lhs, rhs)
-
-    def a3_side(x, y, z):  # (x*y)oz - xo(y*z) + (xoy)<|z - x|>(yoz)
-        side = sub_vec(mul(t_circ, star(x, y), z), mul(t_circ, x, star(y, z)))
-        side = add_vec(side, mul(t_trl, mul(t_circ, x, y), z))
-        return sub_vec(side, mul(t_tri, x, mul(t_circ, y, z)))
-
-    def a3(x, y, z):
-        return sub_vec(a3_side(x, y, z), a3_side(y, x, z))
-
-    basis = [basis_vec(INTEGERS, n, i) for i in range(n)]
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    (tri, trl, circ), down = lift(field, (t_tri, t_trl, t_circ))
+    r = range(n)
+    star = [[[a + b + c for a, b, c in zip(tri[i][j], trl[i][j], circ[i][j])] for j in r]
+            for i in r]
+    L = [[[tri[i][j][k] for j in r] for k in r] for i in r]
+    R = [[[trl[j][i][k] for j in r] for k in r] for i in r]
+    triples = [(i, j, k) for i in r for j in r for k in r]
+    axioms = {"A1": (1, [(i, j, n + k) for i, j, k in triples]),
+              "A2": (-1, [(i, n + j, k) for i, j, k in triples]),
+              "A3": (1, triples)}
+    defects = prelie_defects(semidirect_tensor(star, L, R, circ),
+                             [t for _, shifted in axioms.values() for t in shifted], n)
+    # each axiom takes the next n^3 defects: zip stops at the end of
+    # `triples` before it draws from `defects`
     return _combine({
-        name: residual_report(((i, j, k), down(axiom(basis[i], basis[j], basis[k]), 2))
-                              for i, j, k in triples)
-        for name, axiom in (("A1", a1), ("A2", a2), ("A3", a3))})
+        name: residual_report((where, down([sign * x for x in d], 2))
+                              for where, d in zip(triples, defects))
+        for name, (sign, _) in axioms.items()})
 
 
 class NSPreLie:

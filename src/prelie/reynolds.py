@@ -40,6 +40,7 @@ from .algebra import (
     check_derivation,
     check_morphism,
     residual_report,
+    semidirect_tensor as raw_semidirect_tensor,
     _combine,
 )
 from .cochain import Cochain, check_two_cocycle, coboundary
@@ -233,33 +234,11 @@ def reynolds_from_derivation(g: PreLieAlgebra, D: Matrix, weight) -> Matrix:
 
 
 def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
-    """Structure constants of the twisted product on g + V (raw, unchecked):
-
-        (x,u) . (y,v) = (x.y, L_x v + R_y u + H(x,y)).
-    """
-    n, m = g.dim, rep.dim_v
-    dim = n + m
-    field = g.field
-    z = field.zero
-    tensor = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            prod = g.mul_basis(i, j)
-            for k in range(n):
-                tensor[i][j][k] = prod[k]
-            if H is not None:
-                hv = H.eval_basis((i, j))
-                for k in range(m):
-                    tensor[i][j][n + k] = hv[k]
-    for i in range(n):
-        for j in range(m):
-            lv = rep.L[i].column(j)
-            for k in range(m):
-                tensor[i][n + j][n + k] = lv[k]
-            rv = rep.R[i].column(j)
-            for k in range(m):
-                tensor[n + j][i][n + k] = rv[k]
-    return tensor
+    """`algebra.semidirect_tensor` of g acting on V through rep, twisted by H."""
+    n = g.dim
+    return raw_semidirect_tensor(
+        g.product, [M.data for M in rep.L], [M.data for M in rep.R],
+        None if H is None else [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)])
 
 
 def semidirect(g: PreLieAlgebra, rep: Representation, H: Cochain) -> PreLieAlgebra:

@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+import prelie.algebra as algebra
+import prelie.nsprelie as nsprelie
 from conftest import (
+    CORPUS,
     as_terms,
     combination,
     g2_algebra,
@@ -23,6 +26,7 @@ from prelie.algebra import (
     subadjacent_lie,
     zero_representation,
 )
+from prelie.bundle import parse_bundle
 from prelie.errors import NoUnitError, ShapeError, UnverifiedError
 from prelie.linalg import Matrix
 from prelie.scalars import QQ, Poly, PrimeField
@@ -195,3 +199,29 @@ def test_left_right_mult_matrices():
     x = (QQ(0), QQ(1))  # e2
     assert a.left_mult(x).apply((1, 0)) == (QQ(-1), QQ(0))
     assert a.right_mult(x).apply((0, 1)) == (QQ(0), QQ(1))
+
+
+def test_each_axiom_checker_makes_one_prelie_defects_pass(monkeypatch):
+    a = g3_algebra()
+    rep = regular_representation(a)
+    ns = parse_bundle(str(CORPUS / "ns3.json")).nsprelie()
+    kernel = algebra.prelie_defects
+    starts = []
+
+    def counted(tensor, triples, start):
+        starts.append(start)
+        return kernel(tensor, triples, start)
+
+    def no_tensor_mul(*args):
+        raise AssertionError("an axiom checker called tensor_mul")
+
+    for module in (algebra, nsprelie):
+        monkeypatch.setattr(module, "prelie_defects", counted, raising=False)
+        monkeypatch.setattr(module, "tensor_mul", no_tensor_mul, raising=False)
+    checks = [(lambda: check_prelie(QQ, a.product), 0),
+              (lambda: check_representation(a, 3, rep.L, rep.R), 3),
+              (lambda: nsprelie.check_ns_prelie(QQ, ns.tri, ns.trl, ns.circ), ns.dim)]
+    for check, start in checks:
+        starts.clear()
+        assert check().ok
+        assert starts == [start]

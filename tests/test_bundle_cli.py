@@ -512,6 +512,7 @@ SEARCH_G3_F2 = ("search", "--predicate", "rcw-reynolds", "--bundle",
     (("--shape", "3x3", "--domain", "1,3 mod 2"), "/domain"),
     (("--shape", "3x3", "--fix", "1,1=0;1,1=1"), "/fix"),
     (("--shape", "65x1"), "/shape"),  # a side above bundle.MAX_DIM
+    (("--shape", "3x3", "--domain", ""), "/domain"),
 ])
 def test_cli_search_bad_arguments_are_exit_2(args, path):
     code, out, _ = run_cli(*SEARCH_G3_F2, *args)
@@ -898,6 +899,7 @@ CORPUS_CHECKS = {
     "weighted-star.json": ("check", "weighted"),
     "unital-d-reynolds.json": ("check", "d-reynolds"),
     "morphism-identity.json": ("check", "morphism"),
+    "g3-k-deform.json": ("check", "formal-deform"),
 }
 
 
@@ -907,6 +909,38 @@ def test_every_corpus_file_reverifies():
     for name, args in sorted(CORPUS_CHECKS.items()):
         code, _, _ = run_cli(*args, str(CORPUS / name))
         assert code == 0, f"{name} failed {args}"
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "linear-deform", str(CORPUS / "g3-k-deform.json")),
+    ("check", "formal-deform", str(CORPUS / "g3-k-deform.json")),
+    ("check", "nijenhuis-element", str(CORPUS / "g3-k-deform.json")),
+    ("deform", "check", "--bundle", str(CORPUS / "g3-k-deform.json")),
+], ids=["linear-deform", "formal-deform", "nijenhuis-element", "deform-check"])
+def test_deformation_checkers_pass_on_the_corpus_bundle(args):
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+@pytest.mark.parametrize("value", ["", " "])
+@pytest.mark.parametrize("args", [
+    ("check", "prelie", str(CORPUS / "g3.json")),
+    ("deform", "check", "--bundle", str(CORPUS / "g3-k-deform.json")),
+], ids=["check", "deform"])
+def test_cli_empty_field_is_a_schema_error(args, value):
+    code, out, _ = run_cli(*args, "--field", value)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaError"
+    assert doc["message"].startswith("/field:")
+
+
+def test_cli_deform_check_empty_series_is_an_io_error():
+    code, out, _ = run_cli("deform", "check", "--bundle", str(CORPUS / "g3-k-deform.json"),
+                           "--series", "")
+    assert code == 2
+    assert json.loads(out)["error"] == "IoError"
 
 
 def test_cli_check_prelie_failure_is_exit_1():

@@ -115,7 +115,7 @@ def test_check_representation_matches_field_oracle_on_raw_actions(field, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_check_ns_prelie_matches_field_oracle_on_raw_tensors(field, data):
-    n = data.draw(st.integers(1, 2))
+    n = data.draw(st.integers(1, 3))
     tri, trl, circ = (data.draw(tensors(field, n)) for _ in range(3))
     assert_same_report(check_ns_prelie(field, tri, trl, circ),
                        field_check_ns_prelie(field, tri, trl, circ), field)
