@@ -16,7 +16,6 @@ from .algebra import (
     check_representation,
     regular_representation,
     subadjacent_lie,
-    zero_representation,
 )
 from .brackets import (
     check_maurer_cartan,

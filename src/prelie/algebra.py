@@ -119,19 +119,19 @@ def tensor_mul(field, tensor, x, y) -> tuple:
     return tuple(out)
 
 
-def semidirect_tensor(product, L, R, H=None) -> list:
+def semidirect_tensor(product, dim_v, L, R, H=None) -> list:
     """Structure constants of the twisted product on g + V (raw, unchecked):
 
         (x,u) . (y,v) = (x.y, L_x v + R_y u + H(x,y)).
 
-    ``product`` is the n*n*n tensor of g, ``L`` and ``R`` are the n action
-    matrices on V as lists of rows (dim V is read from them, so n = 0
-    gives the empty tensor), and ``H`` is the n*n table of the vectors
-    H(e_i, e_j), or None for H = 0.  The entries are copied as given,
-    field scalars or lifted ints, and every other entry is the int 0,
-    which `PreLieAlgebra` and `Cochain` coerce to the field.
+    ``product`` is the n*n*n tensor of g, ``dim_v`` is dim V, ``L`` and
+    ``R`` are the n action matrices on V as lists of rows, and ``H`` is
+    the n*n table of the vectors H(e_i, e_j), or None for H = 0.  The
+    entries are copied as given, field scalars or lifted ints, and every
+    other entry is the int 0, which `PreLieAlgebra` and `Cochain` coerce
+    to the field.
     """
-    n, m = len(product), len(L[0]) if L else 0
+    n, m = len(product), dim_v
     dim = n + m
     tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for i in range(n):
@@ -224,11 +224,6 @@ class PreLieAlgebra:
         for (i, j, k), c in entries.items():
             tensor[i][j][k] = field(c)
         return cls(field, tensor, unit=unit, labels=labels)
-
-    @classmethod
-    def abelian(cls, field, dim: int):
-        z = field.zero
-        return cls(field, [[[z] * dim for _ in range(dim)] for _ in range(dim)], check=False)
 
     def __eq__(self, other):
         if not isinstance(other, PreLieAlgebra):
@@ -325,7 +320,7 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
     where = [(name, i, j, u) for i in range(n) for j in range(n) for u in range(dim_v)
              for name in ("left", "mixed")]
     triples = [(i, j, n + u) if name == "left" else (i, n + u, j) for name, i, j, u in where]
-    defects = prelie_defects(semidirect_tensor(c, L, R), triples, n)
+    defects = prelie_defects(semidirect_tensor(c, dim_v, L, R), triples, n)
     return residual_report((w, down([-x for x in r], 2)) for w, r in zip(where, defects))
 
 
@@ -411,11 +406,6 @@ def regular_representation(a: PreLieAlgebra) -> Representation:
     L = [a.left_mult(a.basis(i)) for i in range(a.dim)]
     R = [a.right_mult(a.basis(i)) for i in range(a.dim)]
     return Representation(a, a.dim, L, R, check=False)
-
-
-def zero_representation(a: PreLieAlgebra, dim_v: int) -> Representation:
-    z = Matrix.zero(a.field, dim_v, dim_v)
-    return Representation(a, dim_v, [z] * a.dim, [z] * a.dim, check=False)
 
 
 def check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:

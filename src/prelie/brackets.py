@@ -186,7 +186,7 @@ def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Coch
     n, m = g.dim, rep.dim_v
     zero = [[0] * m] * m
     return tensor_cochain(g.field, raw_semidirect_tensor(
-        [[[0] * n] * n] * n, [zero] * n, [zero] * n,
+        [[[0] * n] * n] * n, m, [zero] * n, [zero] * n,
         [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)]))
 
 

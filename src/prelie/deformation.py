@@ -40,8 +40,14 @@ from .algebra import Report, _combine, residual_report
 from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
 from .linalg import Matrix, add_vec, basis_vec, integer_rank, sparse_mul, sub_vec
-from .opcohomology import induced_representation, operator_coboundary, rbar
-from .reynolds import ReynoldsData, _reynolds_report, check_rcw_morphism
+from .opcohomology import induced_representation, operator_coboundary
+from .reynolds import (
+    ReynoldsData,
+    _reynolds_report,
+    check_rcw_morphism,
+    graph_frame,
+    semidirect_tensor,
+)
 from .scalars import Poly, PrimeField
 
 
@@ -235,13 +241,16 @@ def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
     """
     g = data.algebra
     x = _element(g, x)
+    mul, graph, p = graph_frame(g.field, semidirect_tensor(g, data.rep, data.cocycle),
+                                data.operator.data, g.field.one)
+    point = x + (g.field.zero,) * data.rep.dim_v
 
-    def commutator(u):
-        r = rbar(data, u, x)
+    def commutator(gr):
+        r = p(mul(point, gr))  # Rbar_u x
         return sub_vec(g.mul(x, r), g.mul(r, x))
 
     parts = {"rbar_condition": residual_report(
-        (("rbar-commutes", u), commutator(u)) for u in range(data.rep.dim_v))}
+        (("rbar-commutes", u), commutator(gr)) for u, gr in enumerate(graph))}
     zero = Matrix.zero(g.field, g.dim, data.rep.dim_v)
     parts.update(_element_morphism(data, x, zero, zero))
     del parts["intertwines_operator"]

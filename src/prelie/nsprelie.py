@@ -76,7 +76,7 @@ def check_ns_prelie(field, tri, trl, circ) -> Report:
     axioms = {"A1": (1, [(i, j, n + k) for i, j, k in triples]),
               "A2": (-1, [(i, n + j, k) for i, j, k in triples]),
               "A3": (1, triples)}
-    defects = prelie_defects(semidirect_tensor(star, L, R, circ),
+    defects = prelie_defects(semidirect_tensor(star, n, L, R, circ),
                              [t for _, shifted in axioms.values() for t in shifted], n)
     # each axiom takes the next n^3 defects: zip stops at the end of
     # `triples` before it draws from `defects`

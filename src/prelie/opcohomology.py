@@ -11,15 +11,14 @@ The differential on cochains from V to g is, authoritatively, the generic
 pre-Lie coboundary of (V, ._K) with coefficients in (g; Lbar, Rbar); it
 squares to zero because the induced pair is a genuine representation.
 
-`induced_representation` evaluates the three formulas on one integer
-lift of (g, L, R, H, K) (`scalars.lift`, through
-`algebra.lifted_representation`).  Each formula has terms of degree 2 in
-the lifted scalars and an H term of degree 3; the degree-2 part is
-multiplied by the common denominator D (the lift of 1; over F_p, D = 1),
-so every value is homogeneous of degree 3 and maps back to the field
-with ``down(., 3)``.  The algebra and the representation built from the
-field values are then re-verified, as the output of every construction
-is.
+`induced_representation` reads all three off one frame
+(`reynolds.graph_frame`): with gr(u) = (Ku, u) and p(a, b) = a - Kb in
+the twisted semidirect product g + V, u ._K v is the V-part of
+gr(u).gr(v), Lbar_u x = p(gr(u).x) and Rbar_u x = p(x.gr(u)).  The frame
+is built on one integer lift of (g, L, R, H, K, 1), where 1 becomes the
+common denominator D (over F_p, D = 1), so every value is homogeneous
+of degree 3 and maps back with ``down(., 3)``; the algebra and the
+representation built from the field values are then re-verified.
 
 A hand-expanded closed formula for the same differential is a test
 oracle (`tests/oracles.py`), not part of the library.
@@ -29,23 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import PreLieAlgebra, Representation, lifted_representation
+from .algebra import PreLieAlgebra, Representation, semidirect_tensor
 from .cochain import Cochain, coboundary, coboundary_matrix
 from .errors import ShapeError, reverified
-from .linalg import Matrix, basis_vec, scale_vec, sub_vec
-from .reynolds import ReynoldsData, _induced_tensor
-
-
-def rbar(data: ReynoldsData, u: int, x, scale=1) -> tuple:
-    """Rbar_u x = x.Ku - K(L_x u) - K H(x, Ku), for a V-basis index u.
-
-    ``scale`` multiplies the first two terms: 1 on field data, D on the
-    integer lift (see the module docstring).
-    """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    Ku = K.column(u)
-    rv = sub_vec(g.mul(x, Ku), K.apply(rep.act_L(x, basis_vec(g.field, rep.dim_v, u))))
-    return sub_vec(scale_vec(scale, rv), K.apply(H.eval([x, Ku])))
+from .linalg import Matrix, basis_vec
+from .reynolds import ReynoldsData, _semidirect_arrays, graph_frame
+from .scalars import INTEGERS, lift
 
 
 def induced_representation(data: ReynoldsData) -> Representation:
@@ -53,26 +41,15 @@ def induced_representation(data: ReynoldsData) -> Representation:
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     n, m = g.dim, rep.dim_v
     field = g.field
-    lifted, down, h_values, k_rows, (scale,) = lifted_representation(
-        g, m, rep.L, rep.R, H.values, K.data, (field.one,))
-    ints = lifted.field
-    gi, Hi = lifted.algebra, Cochain(ints, H.degree, n, m, h_values)
-    Ki = Matrix(ints, k_rows, cols=m)
-    table = _induced_tensor(lifted, Hi, Ki, scale)
-    base = reverified(PreLieAlgebra, field, [[down(v, 3) for v in row] for row in table])
-    li = ReynoldsData(gi, lifted, Hi, Ki)
-    Lbar, Rbar = [], []
-    for u in range(m):
-        Ku = Ki.column(u)
-        eu = basis_vec(ints, m, u)
-        lcols = []
-        for x in range(n):
-            ex = gi.basis(x)
-            lv = scale_vec(scale, sub_vec(gi.mul(Ku, ex), Ki.apply(lifted.act_R(ex, eu))))
-            lcols.append(down(sub_vec(lv, Ki.apply(Hi.eval([Ku, ex]))), 3))
-        Lbar.append(Matrix.from_columns(field, lcols, n))
-        Rbar.append(Matrix.from_columns(
-            field, [down(rbar(li, u, gi.basis(x), scale), 3) for x in range(n)], n))
+    (c, L, R, h, k, D), down = lift(field, (*_semidirect_arrays(g, rep, H), K.data, field.one))
+    mul, graph, p = graph_frame(INTEGERS, semidirect_tensor(c, m, L, R, h), k, D)
+    e = [basis_vec(INTEGERS, n + m, x) for x in range(n)]
+    base = reverified(PreLieAlgebra, field,
+                      [[down(mul(a, b)[n:], 3) for b in graph] for a in graph])
+    Lbar = [Matrix.from_columns(field, [down(p(mul(gr, ex)), 3) for ex in e], n)
+            for gr in graph]
+    Rbar = [Matrix.from_columns(field, [down(p(mul(ex, gr)), 3) for ex in e], n)
+            for gr in graph]
     return reverified(Representation, base, n, Lbar, Rbar)
 
 

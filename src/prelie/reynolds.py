@@ -11,15 +11,14 @@ variant acts on the algebra itself:  K(x).K(y) = K(K(x).y + x.K(y) +
 weight * K(x).K(y)).
 
 Every operator here is characterised by one identity,
-K(x).K(y) = K(x o_K y), and the operators differ only in the derived
-product o_K.  `derived_tensor` tabulates x o_K y on the source basis of
-K, reading each column of K once, and `operator_identity` evaluates
-K e_i . K e_j - K(e_i o_K e_j) on all basis pairs.  Every checker is a
-shape check plus one derived product (the induced product u ._K v for
-`check_rcw_reynolds`, the star product for `check_weighted_reynolds`,
-the D-Reynolds product, and the Nijenhuis-deformed product of
-`nsprelie.check_nijenhuis`), and the constructors of those products
-build their algebras from the same table.
+K(x).K(y) = K(x o_K y), and differs from the others only in the derived
+product o_K: `derived_tensor` tabulates it on the source basis of K and
+`operator_identity` evaluates K e_i . K e_j - K(e_i o_K e_j) on all
+basis pairs, for every checker and for the constructors of the products.
+The induced product u ._K v of a cocycle-weighted Reynolds operator is
+read, like the graph closure of `check_graph_subalgebra` and Lbar, Rbar
+of `opcohomology`, off the twisted semidirect product g + V through the
+graph {(Ku, u)} of K (`graph_frame`).
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
@@ -41,6 +40,7 @@ from .algebra import (
     check_morphism,
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
+    tensor_mul,
     _combine,
 )
 from .cochain import Cochain, check_two_cocycle, coboundary
@@ -55,7 +55,7 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, add_vec, basis_vec, scale_vec, sub_vec
+from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, scale_vec, sub_vec
 from .scalars import scalar_to_str
 
 
@@ -89,25 +89,58 @@ def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
                            for i, Ki in enumerate(cols) for j, Kj in enumerate(cols))
 
 
-def _induced_tensor(rep: Representation, H: Cochain, K: Matrix, scale=1) -> tuple:
-    """The induced product u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv) on V-basis indices.
+def _semidirect_arrays(g: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
+    """What `algebra.semidirect_tensor` reads: the product, the rows of L and R, the H table."""
+    n = g.dim
+    return (g.product, [M.data for M in rep.L], [M.data for M in rep.R],
+            None if H is None else [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)])
 
-    ``scale`` multiplies the two action terms.  It is 1 on field data; on
-    the integer lift it is the common denominator D, which makes those
-    terms (of degree 2 in the lifted scalars) homogeneous of degree 3,
-    like the H term.  The basis vectors are scaled instead of the terms:
-    both are linear in them.
+
+def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
+    """`algebra.semidirect_tensor` of g acting on V through rep, twisted by H."""
+    product, L, R, table = _semidirect_arrays(g, rep, H)
+    return raw_semidirect_tensor(product, rep.dim_v, L, R, table)
+
+
+def graph_frame(field, sd, k, one):
+    """The semidirect product tensor ``sd`` on g + V read through the graph of K.
+
+    ``k`` holds the n rows of K and ``one`` is 1: the field's one, or the
+    common denominator D on the integer lift.  Returns the product of
+    ``sd``, the graph vectors gr(u) = (K e_u, one e_u) and the projection
+    p(a, b) = one a - K b, which vanishes exactly on the graph.  The
+    induced product is the V-part of gr(u).gr(v), the Reynolds residual
+    p(gr(u).gr(v)), Lbar_u x = p(gr(u).x) and Rbar_u x = p(x.gr(u));
+    on the lift the last three are homogeneous of degree 3 (`SIGNS.md`).
     """
-    e = [scale_vec(scale, basis_vec(rep.field, rep.dim_v, u)) for u in range(rep.dim_v)]
-    return derived_tensor(K, lambda u, v, Ku, Kv: add_vec(
-        add_vec(rep.act_L(Ku, e[v]), rep.act_R(Kv, e[u])), H.eval([Ku, Kv])))
+    n, zero = len(k), field.zero
+    m = len(sd) - n
+    cols = [tuple(row[u] for row in k) for u in range(m)]
+    graph = [col + tuple(one if v == u else zero for v in range(m))
+             for u, col in enumerate(cols)]
+
+    def project(w):
+        out = scale_vec(one, w[:n])
+        for u, y in enumerate(w[n:]):
+            if y:
+                out = sub_vec(out, scale_vec(y, cols[u]))
+        return out
+
+    return (lambda x, y: tensor_mul(field, sd, x, y)), graph, project
+
+
+def _induced_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix) -> tuple:
+    """u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv), the V-part of gr(u).gr(v), on V-basis indices."""
+    n = g.dim
+    mul, graph, _ = graph_frame(g.field, semidirect_tensor(g, rep, H), K.data, g.field.one)
+    return tuple(tuple(mul(a, b)[n:] for b in graph) for a in graph)
 
 
 def _reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
                      K: Matrix) -> Report:
     """The Reynolds identity on all V-basis pairs, for an already verified H."""
     _check_operator_shape(g, rep, K)
-    return operator_identity(g, K, _induced_tensor(rep, H, K))
+    return operator_identity(g, K, _induced_tensor(g, rep, H, K))
 
 
 def check_rcw_reynolds(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -233,14 +266,6 @@ def reynolds_from_derivation(g: PreLieAlgebra, D: Matrix, weight) -> Matrix:
     return K
 
 
-def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
-    """`algebra.semidirect_tensor` of g acting on V through rep, twisted by H."""
-    n = g.dim
-    return raw_semidirect_tensor(
-        g.product, [M.data for M in rep.L], [M.data for M in rep.R],
-        None if H is None else [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)])
-
-
 def semidirect(g: PreLieAlgebra, rep: Representation, H: Cochain) -> PreLieAlgebra:
     """Twisted semidirect product; verified pre-Lie iff H is a 2-cocycle."""
     _require_cocycle(g, rep, H)
@@ -251,20 +276,17 @@ def check_graph_subalgebra(g: PreLieAlgebra, rep: Representation, H: Cochain,
                            K: Matrix) -> Report:
     """Is the graph {(Ku, u)} a subalgebra of the twisted semidirect product?
 
-    The graph is spanned by the generators (K e_u, e_u), so a vector (a, b)
-    of g + V lies on it exactly when a = K b.  Closure is decided on the
-    coordinates of each product of two generators; a product off the graph
-    is never zero, so it is kept whole as the residual.  Equivalence with
-    `check_rcw_reynolds` is a theorem, exercised as a cross-check in tests.
+    A product w of two generators gr(u), gr(v) lies on the graph exactly
+    when p(w) = 0 (`graph_frame`), and p(w) is the Reynolds residual at
+    (u, v): closure and the Reynolds identity are p of one product (a
+    theorem, cross-checked in tests).  w is never zero off the graph, so
+    it is kept whole as the residual.
     """
     _check_operator_shape(g, rep, K)
     _require_cocycle(g, rep, H)
-    field = g.field
-    n, m = g.dim, rep.dim_v
-    sd = PreLieAlgebra(field, semidirect_tensor(g, rep, H), check=False)
-    graph = [K.column(u) + basis_vec(field, m, u) for u in range(m)]
-    products = (((u, v), sd.mul(graph[u], graph[v])) for u in range(m) for v in range(m))
-    return residual_report((where, w) for where, w in products if w[:n] != K.apply(w[n:]))
+    mul, graph, p = graph_frame(g.field, semidirect_tensor(g, rep, H), K.data, g.field.one)
+    products = (((u, v), mul(a, b)) for u, a in enumerate(graph) for v, b in enumerate(graph))
+    return residual_report((where, w) for where, w in products if not is_zero_vec(p(w)))
 
 
 def induced_product(data: ReynoldsData) -> PreLieAlgebra:
@@ -274,8 +296,8 @@ def induced_product(data: ReynoldsData) -> PreLieAlgebra:
 
     K is a morphism to g by the verified Reynolds identity on this table.
     """
-    return reverified(PreLieAlgebra, data.field,
-                      _induced_tensor(data.rep, data.cocycle, data.operator))
+    return reverified(PreLieAlgebra, data.field, _induced_tensor(
+        data.algebra, data.rep, data.cocycle, data.operator))
 
 
 def shift_isomorphism(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -353,7 +375,7 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
         raise NotAdmissibleError("id + B K is singular; B is not admissible")
     gauged = K * inv
     # H is verified with the bundle; the gauged induced table is built once
-    table = _induced_tensor(rep, H, gauged)
+    table = _induced_tensor(g, rep, H, gauged)
     if not operator_identity(g, gauged, table).ok:
         raise InvariantError("gauged operator fails the Reynolds identity")
     after = reverified(PreLieAlgebra, g.field, table)

@@ -22,7 +22,6 @@ from prelie.algebra import (
     Report,
     Representation,
     regular_representation,
-    zero_representation,
 )
 from prelie.cochain import Cochain, coboundary_matrix, cochain_keys
 from prelie.linalg import Matrix
@@ -85,6 +84,19 @@ def fail_after(monkeypatch, module, name: str, passes: int) -> list:
 
 # ---------------------------------------------------------------------------
 # fixed algebras
+
+
+def abelian(field, dim: int) -> PreLieAlgebra:
+    """The algebra of dimension ``dim`` with the zero product."""
+    z = field.zero
+    return PreLieAlgebra(field, [[[z] * dim for _ in range(dim)] for _ in range(dim)],
+                         check=False)
+
+
+def zero_representation(a: PreLieAlgebra, dim_v: int) -> Representation:
+    """The algebra acting by zero on a module of dimension ``dim_v``."""
+    z = Matrix.zero(a.field, dim_v, dim_v)
+    return Representation(a, dim_v, [z] * a.dim, [z] * a.dim, check=False)
 
 
 def g3_algebra(field=QQ) -> PreLieAlgebra:
@@ -187,8 +199,8 @@ def combination(matrices, x) -> Matrix:
 
 def base_algebras(field=QQ):
     return [
-        PreLieAlgebra.abelian(field, 2),
-        PreLieAlgebra.abelian(field, 3),
+        abelian(field, 2),
+        abelian(field, 3),
         g3_algebra(field),
         g2_algebra(field),
         g3b_algebra(field),
@@ -272,3 +284,27 @@ def random_reynolds_data(rng: random.Random, field=QQ, max_dim: int = 3,
                                        Matrix.identity(field, a.dim), Q)
     h = Cochain.from_matrix(random_invertible(rng, field, a.dim))
     return reynolds_from_invertible_cochain(a, rep, h)
+
+
+def padded_reynolds_data(rng: random.Random, field=QQ, max_dim: int = 3) -> ReynoldsData:
+    """A random verified bundle with dim V > dim g and K != 0.
+
+    An invertible bundle (g, V0; L, R, H, K0) from `random_reynolds_data`
+    is extended to V = V0 + W, with 1 or 2 extra dimensions in W: the
+    actions L + 0 and R + 0, the weight H + 0 and the operator
+    K = [K0 | 0].  The Reynolds identity on V0 gives it on V.
+    """
+    data = random_reynolds_data(rng, field, max_dim, invertible_only=True)
+    g, rep = data.algebra, data.rep
+    m0 = rep.dim_v
+    m = m0 + rng.randint(1, 2)
+    tail = [field.zero] * (m - m0)
+
+    def padded(M: Matrix) -> Matrix:
+        return Matrix(field, [list(row) + tail for row in M.data]
+                      + [[field.zero] * m for _ in tail])
+
+    padded_rep = Representation(g, m, [padded(M) for M in rep.L], [padded(M) for M in rep.R])
+    H = Cochain(field, 2, g.dim, m, [list(v) + tail for v in data.cocycle.values])
+    K = Matrix(field, [list(row) + tail for row in data.operator.data])
+    return ReynoldsData.build(g, padded_rep, H, K)

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     CORPUS,
+    abelian,
     g2_algebra,
     g3_algebra,
     g3_cocycle,
@@ -20,6 +21,7 @@ from conftest import (
     random_pair,
     random_reynolds_data,
     unimodular,
+    zero_representation,
 )
 from oracles import dense_kernel, verify_polynomial_system
 from prelie.algebra import (
@@ -28,7 +30,6 @@ from prelie.algebra import (
     check_prelie,
     check_representation,
     regular_representation,
-    zero_representation,
 )
 from prelie.brackets import (
     check_maurer_cartan,
@@ -255,7 +256,7 @@ def _f2_two_dim_bundles():
     F2 = PrimeField(2)
     bundles = []
     # abelian algebra, zero actions, nonzero weight
-    a = PreLieAlgebra.abelian(F2, 2)
+    a = abelian(F2, 2)
     rep = zero_representation(a, 2)
     H = Cochain.from_entries(F2, 2, 2, 2, {((0,), 0): (0, 1), ((1,), 1): (1, 0)})
     from prelie.cochain import check_two_cocycle
@@ -453,7 +454,7 @@ def test_criterion_7_deformation_suite():
             r1.criterion_holds) != (512, 8, 1, False):
         problems.append(f"unexpected rigidity verdict {r1}")
 
-    ab = PreLieAlgebra.abelian(F2, 1)
+    ab = abelian(F2, 1)
     dim1 = ReynoldsData.build(ab, regular_representation(ab),
                               Cochain.zero(F2, 2, 1, 1), Matrix.identity(F2, 1))
     r2 = rigidity_probe(dim1)

@@ -6,6 +6,7 @@ import prelie.algebra as algebra
 import prelie.nsprelie as nsprelie
 from conftest import (
     CORPUS,
+    abelian,
     as_terms,
     combination,
     g2_algebra,
@@ -14,6 +15,7 @@ from conftest import (
     random_algebra,
     random_pair,
     truncated_poly_algebra,
+    zero_representation,
 )
 from prelie.algebra import (
     PreLieAlgebra,
@@ -24,7 +26,6 @@ from prelie.algebra import (
     check_representation,
     regular_representation,
     subadjacent_lie,
-    zero_representation,
 )
 from prelie.bundle import parse_bundle
 from prelie.errors import NoUnitError, ShapeError, UnverifiedError
@@ -78,7 +79,7 @@ def test_unit_validation():
 
 
 def test_subadjacent_abelian_is_zero():
-    a = PreLieAlgebra.abelian(QQ, 3)
+    a = abelian(QQ, 3)
     t = subadjacent_lie(a)
     assert all(not any(v) for plane in t for v in plane)
 
@@ -152,7 +153,7 @@ def test_corrupted_regular_rep_fails():
 def test_derivation_zero_and_abelian():
     a = g3_algebra()
     assert check_derivation(a, Matrix.zero(QQ, 3, 3)).ok
-    ab = PreLieAlgebra.abelian(QQ, 2)
+    ab = abelian(QQ, 2)
     assert check_derivation(ab, Matrix(QQ, [[1, 2], [3, 4]])).ok
 
 

@@ -23,7 +23,7 @@ from oracles import (
     product_cochain,
 )
 from prelie import brackets
-from prelie.algebra import PreLieAlgebra, check_prelie, regular_representation, zero_representation
+from prelie.algebra import PreLieAlgebra, check_prelie, regular_representation
 from prelie.brackets import (
     check_maurer_cartan,
     check_twisted_mc,

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -5,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_sweep
 from conftest import CORPUS, count_calls, fail_after
 from oracles import basis_dk_columns
 from prelie import algebra, brackets, cochain, nsprelie, opcohomology, reynolds
@@ -22,7 +24,7 @@ from prelie.bundle import (
     parse_bundle,
     representation_to_json,
 )
-from prelie.cli import main
+from prelie.cli import build_parser, main
 from prelie.cochain import Cochain
 from prelie.errors import FieldMismatchError, InvariantError, SchemaError
 from prelie.linalg import Matrix
@@ -414,23 +416,35 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
 
 @pytest.mark.parametrize("argv, name, counts", [
     (("construct", "gauge"), "g3-gauge-shift.json",
-     {"derived_tensor": 3, "check_morphism": 1}),
+     {"graph_frame": 3, "check_morphism": 1}),
     (("construct", "ns-from-nijenhuis"), "nijenhuis3.json", {"derived_tensor": 4}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"induced_product": 0}),
     (("construct", "induced"), "g3-k-rowzero.json", {"check_morphism": 0}),
     (("construct", "star"), "weighted-star.json", {"check_morphism": 0}),
     (("check", "mc"), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
     (("mc-check",), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
-    (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"derived_tensor": 4}),
+    (("construct", "ns-from-reynolds"), "g3-k-rowzero.json",
+     {"graph_frame": 1, "derived_tensor": 3}),
 ], ids=["gauge", "ns-from-nijenhuis", "ns-from-reynolds", "induced", "star", "check-mc",
         "mc-check", "ns-from-reynolds-tables"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
-    modules = {"derived_tensor": reynolds, "check_morphism": algebra,
+    modules = {"derived_tensor": reynolds, "graph_frame": reynolds, "check_morphism": algebra,
                "induced_product": reynolds, "check_two_cocycle": cochain}
     calls = {fn: count_calls(monkeypatch, modules[fn], fn) for fn in counts}
     code, _, _ = run_cli(*argv, str(CORPUS / name))
     assert code == 0
     assert {fn: len(c) for fn, c in calls.items()} == counts
+
+
+@pytest.mark.parametrize("command", ["check", "construct"])
+def test_cli_sweep_covers_every_choice(command):
+    # tests/cli_sweep.py lists the choices by hand, so a new one must be added there
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    what = next(a for a in sub.choices[command]._actions if a.dest == "what")
+    cases = [argv for argv in cli_sweep.cases() if argv[0] == command]
+    assert {argv[1] for argv in cases} == set(what.choices)
+    assert {argv[2] for argv in cases} == {f"corpus/{p.name}" for p in CORPUS.glob("*.json")}
 
 
 def test_cli_construct_compatible_ns():

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    abelian,
     as_terms,
     conjugate_algebra,
     g3_algebra,
     g3_cocycle,
     random_cochain,
     random_pair,
+    zero_representation,
 )
 from oracles import (
     coboundary_at,
@@ -27,7 +29,6 @@ from prelie.algebra import (
     PreLieAlgebra,
     Representation,
     regular_representation,
-    zero_representation,
 )
 from prelie.cochain import (
     Cochain,
@@ -190,7 +191,7 @@ def test_coboundary_of_zero_is_zero(g3_setup=None):
 
 
 def test_coboundary_vanishes_for_zero_structure():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     rng = random.Random(4)
     for degree in (1, 2):
@@ -329,7 +330,7 @@ def test_coboundary_matrix_shape():
 
 
 def test_cohomology_full_space_for_zero_structure():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     for degree in (1, 2, 3):
         report = cohomology(a, rep, degree)

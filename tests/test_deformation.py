@@ -3,10 +3,18 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, g3_algebra, g3_cocycle, random_reynolds_data
+from conftest import (
+    CORPUS,
+    abelian,
+    g3_algebra,
+    g3_cocycle,
+    padded_reynolds_data,
+    random_reynolds_data,
+    zero_representation,
+)
 from oracles import dense_kernel
 from prelie import deformation
-from prelie.algebra import PreLieAlgebra, regular_representation, zero_representation
+from prelie.algebra import PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain
 from prelie.deformation import (
@@ -22,7 +30,7 @@ from prelie.deformation import (
     rigidity_probe,
 )
 from prelie.errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from prelie.linalg import Matrix
+from prelie.linalg import Matrix, sub_vec
 from prelie.opcohomology import operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, reynolds_from_invertible_cochain
 from prelie.scalars import QQ, PrimeField
@@ -220,7 +228,7 @@ def test_equivalence_trivial_case(g3_data):
 
 
 def test_equivalence_abelian_everything_passes():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     H0 = Cochain.zero(QQ, 2, 2, 2)
     data = ReynoldsData.build(a, rep, H0, Matrix.zero(QQ, 2, 2))
@@ -279,7 +287,7 @@ def test_zero_element_is_nijenhuis(g3_data):
 
 
 def test_abelian_everything_is_nijenhuis():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     data = ReynoldsData.build(a, rep, Cochain.zero(QQ, 2, 2, 2),
                               Matrix.zero(QQ, 2, 2))
@@ -317,7 +325,7 @@ def test_rigidity_probe_golden_g3_f2():
 
 def test_rigidity_probe_golden_dim1():
     F2 = PrimeField(2)
-    a = PreLieAlgebra.abelian(F2, 1)
+    a = abelian(F2, 1)
     rep = regular_representation(a)
     data = ReynoldsData.build(a, rep, Cochain.zero(F2, 2, 1, 1),
                               Matrix.identity(F2, 1))
@@ -328,7 +336,7 @@ def test_rigidity_probe_golden_dim1():
 
 def _abelian_zero_bundle(dim):
     F2 = PrimeField(2)
-    a = PreLieAlgebra.abelian(F2, dim)
+    a = abelian(F2, dim)
     return ReynoldsData.build(a, regular_representation(a), Cochain.zero(F2, 2, dim, dim),
                               Matrix.zero(F2, dim, dim))
 
@@ -426,6 +434,31 @@ def _elements(rng, field, n):
     if isinstance(field, PrimeField):
         return list(product(field.elements(), repeat=n))
     return [tuple(field(rng.randint(-2, 2)) for _ in range(n)) for _ in range(8)]
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=str)
+def test_rbar_condition_matches_the_field_induced_representation(field):
+    # Rbar_u x read off the graph frame against the hand-expanded Rbar of
+    # the oracle; padded bundles (dim V > dim g, K != 0) come second
+    from oracles import field_induced_representation
+
+    rng = random.Random(97)
+    violated = 0
+    for i in range(16):
+        data = random_reynolds_data(rng, field) if i < 10 else padded_reynolds_data(rng, field)
+        g, Rbar = data.algebra, field_induced_representation(data).R
+        for x in _elements(rng, field, g.dim):
+            x = tuple(field(c) for c in x)
+            expected = []
+            for u, R in enumerate(Rbar):
+                r = R.apply(x)
+                commutator = sub_vec(g.mul(x, r), g.mul(r, x))
+                if any(commutator):
+                    expected.append((("rbar-commutes", u), commutator))
+            condition = check_nijenhuis_element(data, x).parts["rbar_condition"]
+            assert condition.violations == expected, x
+            violated += not condition.ok
+    assert violated
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=str)

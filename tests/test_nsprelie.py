@@ -3,8 +3,16 @@ from itertools import product
 
 import pytest
 
-from conftest import g2_algebra, g3_algebra, g3b_algebra, g3_cocycle, random_reynolds_data
-from prelie.algebra import PreLieAlgebra, check_prelie, regular_representation
+from conftest import (
+    abelian,
+    g2_algebra,
+    g3_algebra,
+    g3b_algebra,
+    g3_cocycle,
+    random_reynolds_data,
+    zero_representation,
+)
+from prelie.algebra import check_prelie, regular_representation
 from prelie.cochain import Cochain
 from prelie.errors import ShapeError, SingularError, UnverifiedNSError, UnverifiedOperatorError
 from prelie.linalg import Matrix
@@ -228,9 +236,7 @@ def test_ns_subadjacent_equals_deformed_product():
 
 
 def test_ns_from_reynolds_zero_data():
-    a = PreLieAlgebra.abelian(QQ, 2)
-    from prelie.algebra import zero_representation
-
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     data = ReynoldsData.build(a, rep, Cochain.zero(QQ, 2, 2, 2),
                               Matrix.zero(QQ, 2, 2))
@@ -264,7 +270,8 @@ def test_subadjacent_tables_are_the_derived_tables(field):
     for _ in range(8):
         data = random_reynolds_data(rng, field)
         ns = ns_from_reynolds(data)
-        assert ns.star_tensor() == _induced_tensor(data.rep, data.cocycle, data.operator)
+        assert ns.star_tensor() == _induced_tensor(
+            data.algebra, data.rep, data.cocycle, data.operator)
     a = g2_algebra(field)
     for c, d in product((-1, 0, 1), repeat=2):
         N = Matrix(field, [[c, d], [0, c]])
@@ -304,9 +311,7 @@ def test_compatible_ns_from_invertible(g3_bundle):
 
 
 def test_compatible_ns_zero_algebra():
-    a = PreLieAlgebra.abelian(QQ, 2)
-    from prelie.algebra import zero_representation
-
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     data = ReynoldsData.build(a, rep, Cochain.zero(QQ, 2, 2, 2),
                               Matrix.identity(QQ, 2))
@@ -323,9 +328,7 @@ def test_compatible_ns_requires_invertible(g3_bundle):
 
 
 def test_compatible_ns_requires_square():
-    a = PreLieAlgebra.abelian(QQ, 2)
-    from prelie.algebra import zero_representation
-
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 3)
     data = ReynoldsData.build(a, rep, Cochain.zero(QQ, 2, 2, 3),
                               Matrix.zero(QQ, 2, 3))

@@ -3,11 +3,20 @@ from math import lcm
 
 import pytest
 
-from conftest import count_calls, g2_algebra, random_cochain, random_reynolds_data
+from conftest import (
+    abelian,
+    count_calls,
+    g2_algebra,
+    padded_reynolds_data,
+    random_cochain,
+    random_reynolds_data,
+    zero_representation,
+)
 from oracles import compare_explicit_paths, explicit_coboundary, field_induced_representation
 from prelie import reynolds
 from prelie.algebra import PreLieAlgebra, check_representation, regular_representation
 from prelie.cochain import Cochain, cochain_space_dim, cohomology
+from prelie.deformation import check_nijenhuis_element
 from prelie.linalg import Matrix
 from prelie.opcohomology import (
     induced_representation,
@@ -15,7 +24,12 @@ from prelie.opcohomology import (
     operator_coboundary_matrix,
     operator_cohomology,
 )
-from prelie.reynolds import ReynoldsData, induced_product, reynolds_from_invertible_cochain
+from prelie.reynolds import (
+    ReynoldsData,
+    check_graph_subalgebra,
+    induced_product,
+    reynolds_from_invertible_cochain,
+)
 from prelie.scalars import QQ, Poly, PrimeField
 
 
@@ -25,6 +39,20 @@ def test_induced_rep_zero_data(g3_bundle):
     data = ReynoldsData.build(a, rep, H0, Matrix.zero(QQ, 3, 3))
     irep = induced_representation(data)
     assert all(m.is_zero() for m in irep.L) and all(m.is_zero() for m in irep.R)
+
+
+def test_graph_frame_on_a_zero_dimensional_algebra():
+    # g = 0 acting on V = Q^2: K = 0, the graph is all of V, the induced
+    # product is zero and the induced representation is on the zero space
+    a = abelian(QQ, 0)
+    rep = zero_representation(a, 2)
+    H, K = Cochain.zero(QQ, 2, 0, 2), Matrix(QQ, [], cols=2)
+    data = ReynoldsData.build(a, rep, H, K)
+    assert check_graph_subalgebra(a, rep, H, K).ok
+    assert induced_product(data) == abelian(QQ, 2)
+    induced = induced_representation(data)
+    assert induced.dim_v == 0 and len(induced.L) == len(induced.R) == 2
+    assert check_nijenhuis_element(data, ()).ok
 
 
 def test_induced_rep_e22_values(g3_bundle):
@@ -50,14 +78,16 @@ def test_induced_rep_satisfies_axioms_randomized():
         assert check_representation(base, irep.dim_v, irep.L, irep.R).ok
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(5)], ids=repr)
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
 def test_induced_structure_on_the_lift_matches_the_field_construction(field):
     # over Q the bundles have fractional entries, so the lift scales by D > 1
     # and a homogenisation error would show
+    # the padded bundles have dim V > dim g and K != 0, so a mix-up of the
+    # two dimensions in the graph frame would show
     rng = random.Random(27)
     scales = []
-    for _ in range(12):
-        data = random_reynolds_data(rng, field)
+    for i in range(22):
+        data = random_reynolds_data(rng, field) if i < 12 else padded_reynolds_data(rng, field)
         induced = induced_representation(data)
         assert induced == field_induced_representation(data)
         assert induced.algebra == induced_product(data)
@@ -235,12 +265,18 @@ def test_explicit_variant_can_coincide_on_degenerate_data(g3_data):
 
 
 def test_induced_product_built_once_per_call(g3_data, monkeypatch):
-    # the induced table is built once per call, on the integer lift
-    calls = count_calls(monkeypatch, reynolds, "_induced_tensor")
+    # the induced structure is read off one graph frame per call, on the
+    # integer lift; a Nijenhuis element check builds one field frame,
+    # whatever dim V is
+    calls = count_calls(monkeypatch, reynolds, "graph_frame")
     f = Cochain.zero(QQ, 1, 3, 3)
+    padded = padded_reynolds_data(random.Random(5))
+    assert padded.rep.dim_v > padded.algebra.dim
     for call in (lambda: operator_coboundary(g3_data, f),
                  lambda: operator_coboundary_matrix(g3_data, 1),
-                 lambda: operator_cohomology(g3_data, 2)):
+                 lambda: operator_cohomology(g3_data, 2),
+                 lambda: check_nijenhuis_element(g3_data, (1, 0, 1)),
+                 lambda: check_nijenhuis_element(padded, (1,) * padded.algebra.dim)):
         calls.clear()
         call()
         assert len(calls) == 1

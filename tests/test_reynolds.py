@@ -5,18 +5,21 @@ import pytest
 
 from conftest import (
     CORPUS,
+    abelian,
     fail_after,
     g2_algebra,
     g3_algebra,
     g3_cocycle,
+    padded_reynolds_data,
     random_cochain,
     random_pair,
     random_reynolds_data,
     random_two_cocycle,
     truncated_poly_algebra,
+    zero_representation,
 )
 from oracles import dense_kernel, dense_solve
-from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation, zero_representation
+from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation
 from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
 from prelie import algebra, reynolds
 from prelie.errors import (
@@ -106,7 +109,7 @@ def test_weighted_zero_operator():
 
 
 def test_weighted_abelian_everything_passes():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rng = random.Random(1)
     for _ in range(5):
         K = Matrix(QQ, [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
@@ -145,7 +148,7 @@ def test_zero_derivation_cases():
 
 
 def test_derivation_from_noninvertible_rejected():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     with pytest.raises(SingularError):
         derivation_from_reynolds(a, Matrix.zero(QQ, 2, 2), 1)
 
@@ -232,7 +235,7 @@ def test_each_operator_column_is_read_at_most_twice(monkeypatch, n):
 
 
 def test_semidirect_abelian_trivial():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     sd = semidirect(a, rep, Cochain.zero(QQ, 2, 2, 2))
     assert all(not any(v) for plane in sd.product for v in plane)
@@ -267,7 +270,7 @@ def test_graph_matches_direct_checker(g3_bundle):
 
 
 def test_graph_zero_operator():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     assert check_graph_subalgebra(a, rep, Cochain.zero(QQ, 2, 2, 2),
                                   Matrix.zero(QQ, 2, 2)).ok
@@ -306,6 +309,20 @@ def test_graph_closure_by_coordinates_matches_span_membership(field):
         assert report.ok == check_rcw_reynolds(a, rep, H, K).ok
         verdicts.add(report.ok)
     assert verdicts == {True, False}
+    # dim V > dim g: a padded Reynolds bundle, and the same bundle with a
+    # random K that is nonzero on the padding
+    verdicts = set()
+    for i in range(10):
+        data = padded_reynolds_data(rng, field)
+        a, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        if i % 2:
+            K = Matrix(field, [[rng.randint(-2, 2) for _ in range(rep.dim_v)]
+                               for _ in range(a.dim)])
+        report = check_graph_subalgebra(a, rep, H, K)
+        assert report.violations == _graph_violations_by_span(a, rep, H, K)
+        assert report.ok == check_rcw_reynolds(a, rep, H, K).ok
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +330,7 @@ def test_graph_closure_by_coordinates_matches_span_membership(field):
 
 
 def test_induced_product_zero_data():
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     data = ReynoldsData.build(a, rep, Cochain.zero(QQ, 2, 2, 2), Matrix.zero(QQ, 2, 2))
     out = induced_product(data)
@@ -350,7 +367,7 @@ def test_morphism_residuals_of_induced_and_star_are_the_negated_identity(field):
         g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
         bumped = K + Matrix(field, [[field(rng.randint(-1, 1)) for _ in range(K.cols)]
                                     for _ in range(K.rows)])
-        unchecked = PreLieAlgebra(field, _induced_tensor(rep, H, bumped), check=False)
+        unchecked = PreLieAlgebra(field, _induced_tensor(g, rep, H, bumped), check=False)
         for op, induced in ((K, induced_product(data)), (bumped, unchecked)):
             identity = _reynolds_report(g, rep, H, op)
             assert check_morphism(induced, g, op).violations == _negated(identity)
@@ -484,7 +501,7 @@ def test_gauge_transform_rejects_non_cocycle(g3_data):
 
 def test_gauge_transform_not_admissible():
     # abelian algebra with zero actions: every B is a cocycle; pick B K = -id
-    a = PreLieAlgebra.abelian(QQ, 2)
+    a = abelian(QQ, 2)
     rep = zero_representation(a, 2)
     H = Cochain.zero(QQ, 2, 2, 2)
     K = Matrix.identity(QQ, 2)

@@ -3,7 +3,16 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import CORPUS, count_calls, g2_algebra, g3_algebra, g3_cocycle, g3b_algebra
+from conftest import (
+    CORPUS,
+    abelian,
+    count_calls,
+    g2_algebra,
+    g3_algebra,
+    g3_cocycle,
+    g3b_algebra,
+    zero_representation,
+)
 from oracles import dense_sweep, verify_polynomial_system
 from prelie.algebra import PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
@@ -66,9 +75,7 @@ def test_search_budget_enforced():
 
 def test_abelian_zero_weight_everything_passes():
     F2 = PrimeField(2)
-    a = PreLieAlgebra.abelian(F2, 2)
-    from prelie.algebra import zero_representation
-
+    a = abelian(F2, 2)
     rep = zero_representation(a, 2)
     H = Cochain.zero(F2, 2, 2, 2)
     spec = SearchSpec("rcw-reynolds", {"algebra": a, "rep": rep, "cocycle": H},
