@@ -29,6 +29,11 @@ residual back to the field.  Each axiom is homogeneous in the
 constants (of degree 2, antisymmetry of degree 1), so a residual r is
 r / D^2 (or r / D) over Q and r mod p over F_p, and the reports are the
 ones the field arithmetic gives.
+
+Every `PreLieAlgebra` and `Representation` lives over a field.  Code
+that computes on the integer lift lifts raw arrays, not objects: the
+structure constants and the rows of the action matrices
+(`action_arrays`), which `cochain` and `opcohomology` hand to `scalars.lift`.
 """
 
 from __future__ import annotations
@@ -383,22 +388,9 @@ class Representation:
         return tuple(zero if s is None else s for s in out)
 
 
-def lifted_representation(algebra: PreLieAlgebra, dim_v: int, L, R, *extra):
-    """The algebra and actions (L, R) with their constants lifted to ints together.
-
-    One `scalars.lift` covers the structure constants, every action
-    matrix and each of the further arrays ``extra`` (such as the values
-    of cochains over the same field), so all of them are scaled by the
-    same D.  Returns the unverified `Representation` over
-    `scalars.INTEGERS`, the lift's ``down``, and then the lifted copy of
-    each array in ``extra``.
-    """
-    (product, L, R, *extra), down = lift(algebra.field, (algebra.product, [M.data for M in L],
-                                                         [M.data for M in R], *extra))
-    a = PreLieAlgebra(INTEGERS, product, check=False)
-    lifted = Representation(a, dim_v, [Matrix(INTEGERS, d, cols=dim_v) for d in L],
-                            [Matrix(INTEGERS, d, cols=dim_v) for d in R], check=False)
-    return (lifted, down, *extra)
+def action_arrays(a: PreLieAlgebra, rep: Representation) -> tuple:
+    """The structure constants of a and the rows of rep's action matrices L and R."""
+    return a.product, [M.data for M in rep.L], [M.data for M in rep.R]
 
 
 def regular_representation(a: PreLieAlgebra) -> Representation:

@@ -24,8 +24,10 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
       [[P, Q]]      = (-1)^{p-1} [[mu+L+R, P], Q]            (degree p of P)
       [[P, Q, R]]   = -          [[[H, P], Q], R]
 
-  restricted back to V-inputs.  The ternary sign is pinned by the anchor
-  identity [[K,K,K]](u,v) = 6 K H(Ku, Kv).
+  restricted back to V-inputs.  Both brackets take that structure as
+  their first argument, in the field or lifted to ints, and share one
+  fold (`_derived`).  The ternary sign is pinned by the anchor identity
+  [[K,K,K]](u,v) = 6 K H(Ku, Kv).
 
 * The Maurer-Cartan functional is MC(K) = 1/2 [[K,K]] - 1/6 [[K,K,K]];
   its vanishing is equivalent to the Reynolds identity.  The induced
@@ -34,15 +36,15 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   degree n.
 
 * These three combinations are evaluated on the integer lift of the
-  data, over every field: one `scalars.lift` (through
-  `algebra.lifted_representation`) turns the structure constants, the
-  actions, H and the cochains into ints scaled by one common D (over Q)
-  or into residues (over F_p).  The brackets run unchanged on the ints;
-  each bracket term is divided exactly by the denominator of its
-  coefficient (2 or 6), which works because the bracket values are
-  themselves even (resp. divisible by 6) integer polynomials of the
-  input entries, and a term that is not divisible raises
-  `InvariantError`.  Each term is then mapped back to the field (divided
+  data, over every field: `_combination` builds the two structures on W
+  once, and one `scalars.lift` turns their values and the cochains'
+  into ints scaled by one common D (over Q) or into residues (over F_p),
+  held in `Cochain`s over `scalars.INTEGERS`.  The brackets run
+  unchanged on the ints; each bracket term is divided exactly by the
+  denominator of its coefficient (2 or 6), which works because the
+  bracket values are themselves even (resp. divisible by 6) integer
+  polynomials of the input entries, and a term that is not divisible
+  raises `InvariantError`.  Each term is then mapped back to the field (divided
   by D^3 for a binary bracket, D^4 for a ternary one, or reduced mod p),
   so no division by 2 or 6 is ever taken in F_2 or F_3.
 
@@ -64,7 +66,6 @@ from .algebra import (
     PreLieAlgebra,
     Report,
     Representation,
-    lifted_representation,
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
 )
@@ -73,7 +74,7 @@ from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
 from .reynolds import ReynoldsData, _require_cocycle, semidirect_tensor
 from .opcohomology import operator_coboundary
-from .scalars import Poly
+from .scalars import INTEGERS, Poly, lift
 
 
 def diamond(P: Cochain, Q: Cochain) -> Cochain:
@@ -141,15 +142,14 @@ def _cochain_report(c: Cochain) -> Report:
 # the big space W = g + V and the embedding of operator cochains
 
 
-def lift_operator_cochain(P: Cochain, dim_g: int) -> Cochain:
+def lift_operator_cochain(P: Cochain) -> Cochain:
     """Embed P: wedge^{p-1} V (x) V -> g into C^p(W, W), W = g + V.
 
-    The lift vanishes whenever any argument has a g-component and lands in
-    the g-coordinates of W.
+    dim g and dim V are P's target and source dimensions.  The lift
+    vanishes whenever any argument has a g-component and lands in the
+    g-coordinates of W.
     """
-    m = P.dim_source
-    if P.dim_target != dim_g:
-        raise ShapeError("operator cochain must target the algebra")
+    dim_g, m = P.dim_target, P.dim_source
     dim_w = dim_g + m
     field = P.field
     values = []
@@ -161,19 +161,6 @@ def lift_operator_cochain(P: Cochain, dim_g: int) -> Cochain:
         inner = P.eval_basis(tuple(i - dim_g for i in idxs))
         values.append(tuple(inner) + tuple(zero_vec(field, m)))
     return Cochain(field, P.degree, dim_w, dim_w, values)
-
-
-def restrict_operator_cochain(F: Cochain, dim_g: int, dim_v: int) -> Cochain:
-    """Restrict a W-cochain to V-inputs and project to the g-components."""
-    if F.dim_source != dim_g + dim_v:
-        raise ShapeError("cochain does not live on g + V")
-    field = F.field
-    values = []
-    for fb, last in cochain_keys(dim_v, F.degree):
-        idxs = tuple(i + dim_g for i in fb) + (last + dim_g,)
-        w = F.eval_basis(idxs)
-        values.append(tuple(w[:dim_g]))
-    return Cochain(field, F.degree, dim_v, dim_g, values)
 
 
 def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
@@ -190,37 +177,46 @@ def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Coch
         [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)]))
 
 
-def derived_bracket(g: PreLieAlgebra, rep: Representation,
-                    P: Cochain, Q: Cochain) -> Cochain:
-    """[[P, Q]] = (-1)^{p-1} [[mu+L+R, P], Q] restricted to operator cochains.
+def _derived(structure: Cochain, cochains) -> Cochain:
+    """[[...[structure, P_1^], ...], P_k^] restricted to operator cochains.
 
-    For degree-1 arguments this reproduces
+    The operator cochains must share one shape V -> g, and ``structure``
+    must live on W = g + V.  The restriction evaluates on V-basis tuples
+    and keeps the g-coordinates.
+    """
+    dim_g, dim_v = cochains[0].dim_target, cochains[0].dim_source
+    if any((P.dim_target, P.dim_source) != (dim_g, dim_v) for P in cochains):
+        raise ShapeError("operator cochains have different shapes")
+    if structure.dim_source != dim_g + dim_v:
+        raise ShapeError("structure does not live on g + V")
+    nested = structure
+    for P in cochains:
+        nested = mn_bracket(nested, lift_operator_cochain(P))
+    values = [nested.eval_basis(tuple(i + dim_g for i in fb) + (last + dim_g,))[:dim_g]
+              for fb, last in cochain_keys(dim_v, nested.degree)]
+    return Cochain(nested.field, nested.degree, dim_v, dim_g, values)
+
+
+def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
+    """[[P, Q]] = (-1)^{p-1} [[mu, P], Q] restricted to operator cochains.
+
+    ``mu`` is mu + L + R on W (`untwisted_structure`).  For degree-1
+    arguments this reproduces
 
         [[K, K']](u, v) = Ku.K'v + K'u.Kv - K(L_{K'u}v + R_{K'v}u)
                                           - K'(L_{Ku}v + R_{Kv}u).
     """
-    mu = untwisted_structure(g, rep)
-    lifted_p = lift_operator_cochain(P, g.dim)
-    lifted_q = lift_operator_cochain(Q, g.dim)
-    nested = mn_bracket(mn_bracket(mu, lifted_p), lifted_q)
-    out = restrict_operator_cochain(nested, g.dim, rep.dim_v)
-    if (P.degree - 1) % 2 == 1:
-        out = -out
-    return out
+    out = _derived(mu, (P, Q))
+    return -out if (P.degree - 1) % 2 == 1 else out
 
 
-def ternary_bracket(g: PreLieAlgebra, rep: Representation, H: Cochain,
-                    P: Cochain, Q: Cochain, R: Cochain) -> Cochain:
-    """[[P, Q, R]] = -[[[H, P], Q], R] restricted to operator cochains.
+def ternary_bracket(hw: Cochain, P: Cochain, Q: Cochain, R: Cochain) -> Cochain:
+    """[[P, Q, R]] = -[[[hw, P], Q], R] restricted to operator cochains.
 
-    Fully symmetric in degree-1 arguments; the sign makes
-    [[K, K, K]](u, v) = 6 K H(Ku, Kv).
+    ``hw`` is the lift of H to W (`cocycle_structure`).  Fully symmetric
+    in degree-1 arguments; the sign makes [[K, K, K]](u, v) = 6 K H(Ku, Kv).
     """
-    hw = cocycle_structure(g, rep, H)
-    nested = mn_bracket(mn_bracket(mn_bracket(hw, lift_operator_cochain(P, g.dim)),
-                                   lift_operator_cochain(Q, g.dim)),
-                        lift_operator_cochain(R, g.dim))
-    return -restrict_operator_cochain(nested, g.dim, rep.dim_v)
+    return -_derived(hw, (P, Q, R))
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +238,25 @@ def _combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
     """The sum of coefficient * bracket over ``terms``, evaluated exactly.
 
     Each term is (Fraction coefficient, indices into ``cochains``): two
-    indices name a binary bracket, three a ternary one.  The data and the
-    cochains are lifted to ints once (`algebra.lifted_representation`);
-    each bracket runs on the ints, is divided exactly by the denominator
-    of its coefficient and mapped back with ``down`` (a binary bracket is
-    homogeneous of degree 3 in the lifted scalars, a ternary one of
-    degree 4), and the terms are summed in the field.
+    indices name a binary bracket, three a ternary one.  The two
+    structures on W are built once and lifted to ints with the cochains
+    by one `scalars.lift`; each bracket runs on the ints, is divided
+    exactly by the denominator of its coefficient and mapped back with
+    ``down`` (a binary bracket is homogeneous of degree 3 in the lifted
+    scalars, a ternary one of degree 4), and the terms are summed in the
+    field.
     """
-    lifted, down, h_values, *values = lifted_representation(
-        g, rep.dim_v, rep.L, rep.R, H.values, *(c.values for c in cochains))
-    ints = lifted.field
-    H = Cochain(ints, H.degree, H.dim_source, H.dim_target, h_values)
-    cochains = [Cochain(ints, c.degree, c.dim_source, c.dim_target, v)
-                for c, v in zip(cochains, values)]
+    field = g.field
+    structures = [untwisted_structure(g, rep), cocycle_structure(g, rep, H)]
+    lifted, down = lift(field, [c.values for c in structures + cochains])
+    mu, hw, *cochains = [Cochain(INTEGERS, c.degree, c.dim_source, c.dim_target, v)
+                         for c, v in zip(structures + cochains, lifted)]
     acc = None
     for coeff, idxs in terms:
         args = [cochains[i] for i in idxs]
-        c = derived_bracket(lifted.algebra, lifted, *args) if len(args) == 2 else \
-            ternary_bracket(lifted.algebra, lifted, H, *args)
+        c = derived_bracket(mu, *args) if len(args) == 2 else ternary_bracket(hw, *args)
         a, b = coeff.numerator, coeff.denominator
-        term = Cochain(g.field, c.degree, c.dim_source, c.dim_target,
+        term = Cochain(field, c.degree, c.dim_source, c.dim_target,
                        [down([_divide_exactly(x, b) * a for x in v], len(args) + 1)
                         for v in c.values])
         acc = term if acc is None else acc + term

@@ -12,15 +12,17 @@ its matrix, assembled block by block.  Each term of the formula reads f
 at one canonical key, so for each degree-(n+1) key it adds an m x m
 block (an action matrix, or a structure constant times the identity) at
 the columns of the degree-n key it reads, with the sign of the sort
-that makes that key canonical.  `cohomology` assembles the rows on the
-algebra and representation lifted to Python ints once
-(`algebra.lifted_representation`): the rows are linear in the structure
+that makes that key canonical.  The kernel reads raw arrays, the
+structure constants and the rows of the action matrices
+(`algebra.action_arrays`), so it runs on field scalars and on ints
+alike.  `cohomology` assembles the rows on those arrays lifted to
+Python ints by one `scalars.lift`: the rows are linear in the
 constants, so over Q they come out as D times the field rows, with the
 same ranks, and over F_p they are reduced mod p once.  Its exact ranks
 and its d o d = 0 check read those integer rows.  `coboundary` applies
 the same integer rows to the coordinates of f, lifted together with the
-data, and maps each value back; `coboundary_matrix` runs the kernel on
-the field scalars.
+arrays, and maps each value back; `coboundary_matrix` runs the kernel
+on the field arrays.
 
 `check_two_cocycle` reads the same kernel: H is a 2-cocycle
 exactly when `coboundary` of H vanishes, and the report lists dH on
@@ -41,7 +43,7 @@ from .algebra import (
     PreLieAlgebra,
     Report,
     Representation,
-    lifted_representation,
+    action_arrays,
     residual_report,
 )
 from .errors import InvariantError, ShapeError
@@ -56,6 +58,7 @@ from .linalg import (
     sub_vec,
     zero_vec,
 )
+from .scalars import lift
 
 
 @dataclass(frozen=True)
@@ -306,8 +309,11 @@ def _add_diagonal(acc, x, base: int):
         row[j] = row.get(j, 0) + x
 
 
-def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list:
+def _coboundary_rows(c, L, R, m: int, degree: int) -> list:
     """Sparse rows of the coboundary matrix, one {column: coefficient} each.
+
+    ``c``, ``L`` and ``R`` are `algebra.action_arrays` of an algebra and
+    a module of dimension m.
 
     For f of degree n and x_1 < ... < x_n, x_{n+1} basis indices,
 
@@ -323,20 +329,19 @@ def _coboundary_rows(a: PreLieAlgebra, rep: Representation, degree: int) -> list
     the product and bracket terms add c_k times the identity at the block
     of the key that holds basis index k, with the sign that sorts that
     key (`_sort_with_sign`; a repeated index gives no term).  The rows
-    use only +, - and * on the scalars of (a, rep), so they run on field
+    use only +, - and * on the arrays' scalars, so they run on field
     scalars and on their integer lift alike.
     """
-    m = rep.dim_v
-    index = _key_index(a.dim, degree)
+    n = len(c)
+    index = _key_index(n, degree)
 
     def nonzero(M):
-        return [(t, s, x) for t, row in enumerate(M.data) for s, x in enumerate(row) if x]
+        return [(t, s, x) for t, row in enumerate(M) for s, x in enumerate(row) if x]
 
-    L = [nonzero(M) for M in rep.L]
-    R = [nonzero(M) for M in rep.R]
-    c = a.product
+    L = [nonzero(M) for M in L]
+    R = [nonzero(M) for M in R]
     rows = []
-    for fb, last in cochain_keys(a.dim, degree + 1):
+    for fb, last in cochain_keys(n, degree + 1):
         acc = [{} for _ in range(m)]
         for i, x in enumerate(fb):
             odd = i % 2 == 1  # slot i + 1 carries the sign (-1)^{(i+1)+1}, -1 for odd i
@@ -366,17 +371,17 @@ def coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """The coboundary of f: a degree-(n+1) cochain into the same module.
 
     The rows of `_coboundary_rows` are applied to the coordinates of f,
-    all of them on one integer lift of (a, rep, f); each coordinate is
+    all of them on one `scalars.lift` of (a, rep) and f; each coordinate is
     homogeneous of degree 2 in the lifted scalars and is mapped back with
     ``down(., 2)``.  f may have `Poly` coordinates: each is lifted and
     mapped back coefficient by coefficient.
     """
     if f.dim_source != a.dim or f.dim_target != rep.dim_v:
         raise ShapeError("cochain does not match the algebra and module")
-    lifted, down, values = lifted_representation(a, rep.dim_v, rep.L, rep.R, f.values)
+    (c, L, R, values), down = lift(a.field, (*action_arrays(a, rep), f.values))
     coords = [x for v in values for x in v]
     out = []
-    for row in _coboundary_rows(lifted.algebra, lifted, f.degree):
+    for row in _coboundary_rows(c, L, R, rep.dim_v, f.degree):
         s = 0
         for j, c in row.items():
             x = coords[j]
@@ -412,24 +417,24 @@ def coboundary_matrix(a: PreLieAlgebra, rep: Representation, degree: int) -> Mat
     """
     cols = cochain_space_dim(a.dim, rep.dim_v, degree)
     zero = a.field.zero
-    return Matrix(a.field, [[row.get(j, zero) for j in range(cols)]
-                            for row in _coboundary_rows(a, rep, degree)], cols=cols)
+    rows = _coboundary_rows(*action_arrays(a, rep), rep.dim_v, degree)
+    return Matrix(a.field, [[row.get(j, zero) for j in range(cols)] for row in rows], cols=cols)
 
 
 def integer_coboundary_rows(a: PreLieAlgebra, rep: Representation, degrees) -> list:
     """Sparse integer rows of the coboundary at each of ``degrees``, from one lift.
 
-    The rows are assembled on (a, rep) lifted to ints by one common
-    denominator D: over Q they are D times the rows of `coboundary_matrix`,
+    The rows are assembled on the arrays of (a, rep) lifted to ints by
+    `scalars.lift`: over Q they are D times the rows of `coboundary_matrix`,
     over F_p they are reduced to residues.  Either way they have the
     field rows' ranks and kernels, and a product of two of them is zero
     exactly when the field product is (it is scaled by D^2).
     """
-    lifted, _ = lifted_representation(a, rep.dim_v, rep.L, rep.R)
+    (c, L, R), _ = lift(a.field, action_arrays(a, rep))
     p = a.field.char
     out = []
     for degree in degrees:
-        rows = _coboundary_rows(lifted.algebra, lifted, degree)
+        rows = _coboundary_rows(c, L, R, rep.dim_v, degree)
         if p:
             rows = [{j: r for j, v in row.items() if (r := v % p)} for row in rows]
         out.append(rows)

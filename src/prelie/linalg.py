@@ -10,13 +10,14 @@ arithmetic are built from entries that are already field elements; only
 Coboundary matrices are mostly zeros, so they also have a sparse form: a
 matrix given as a list of rows, each a dict {column: nonzero scalar}.
 
-Elimination has one engine, `_echelon`, and it runs on Python ints.
-Over Q each sparse row is first multiplied by the lcm of its
-denominators.  A row operation is row <- a*row - b*pivot, where a and b
-are the pivot's and the row's entries in the pivot column divided by
-their gcd, and the new row is divided by its content, so entries stay
-small (fraction-free elimination in the manner of Bareiss 1968).  Over
-F_p the rows are residues in [0, p) and each pivot row is made monic.
+Elimination has one engine, `_echelon`, and it runs on Python ints: the
+rows it reduces come from `scalars.lift`, which over Q multiplies every
+entry by one common denominator D and over F_p takes residues.  A row
+operation is row <- a*row - b*pivot, where a and b are the pivot's and
+the row's entries in the pivot column divided by their gcd, and the new
+row is divided by its content, so entries stay small (fraction-free
+elimination in the manner of Bareiss 1968).  Over F_p the rows are
+residues in [0, p) and each pivot row is made monic.
 The pivot of a leading column is the shortest row that starts there
 (Markowitz), ties going to the lower row index.
 
@@ -35,10 +36,10 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionMismatchError, FieldMismatchError, NotSquareError, ShapeError
-from .scalars import FpElement
+from .scalars import FpElement, lift
 
 
 def _matrix(field, data: tuple, cols: int) -> "Matrix":
@@ -167,8 +168,8 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and the list of pivot columns."""
         field, p = self.field, self.field.char
-        echelon = _echelon(integer_rows([{j: x for j, x in enumerate(row) if x}
-                                         for row in self.data], p), p)
+        (data,), _ = lift(field, (self.data,))
+        echelon = _echelon([{j: x for j, x in enumerate(row) if x} for row in data], p)
         pivots = sorted(echelon)
         reduced = {}
         for c in reversed(pivots):
@@ -254,19 +255,6 @@ def sparse_mul(a_rows, b_rows, p: int = 0) -> list:
         else:
             out.append({j: v for j, v in acc.items() if v})
     return out
-
-
-def integer_rows(rows, p: int) -> list:
-    """Sparse rows over Q (p = 0) or F_p, as sparse rows of Python ints.
-
-    Over F_p an entry becomes its residue.  Over Q each row is multiplied
-    by the lcm of its own denominators, which keeps its span.
-    """
-    if p:
-        return [{j: x.value for j, x in row.items()} for row in rows]
-    dens = [lcm(*(x.denominator for x in row.values())) for row in rows]
-    return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
-            for row, d in zip(rows, dens)]
 
 
 def _clear(row: dict, pivot: dict, c: int, p: int) -> dict:

@@ -36,6 +36,7 @@ from .algebra import (
     PreLieAlgebra,
     Report,
     Representation,
+    action_arrays,
     check_derivation,
     check_morphism,
     residual_report,
@@ -92,7 +93,7 @@ def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
 def _semidirect_arrays(g: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
     """What `algebra.semidirect_tensor` reads: the product, the rows of L and R, the H table."""
     n = g.dim
-    return (g.product, [M.data for M in rep.L], [M.data for M in rep.R],
+    return (*action_arrays(g, rep),
             None if H is None else [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)])
 
 

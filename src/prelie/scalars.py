@@ -15,9 +15,13 @@ every scalar is multiplied by D, the lcm of the batch's denominators;
 over F_p each becomes its residue and D = 1.  An identity homogeneous of
 degree k in the batch then evaluates on the ints to D^k times its field
 value (over F_p, to an integer congruent to it), so the package's
-checkers and derived brackets run their formulas on `INTEGERS`, a bare
-evaluation ring with identity coercion, and map each result back.
-`INTEGERS` has no name, parser or printer, so bundles and the command
+checkers, coboundary rows, derived brackets and elimination run on the
+lifted ints and map each result back.  `lift` is the package's one way
+from field scalars into the integers.  `INTEGERS`, a bare evaluation
+ring with identity coercion, is the ring of the field-generic kernels
+that take one (`algebra.tensor_mul`, `cochain.Cochain` and
+`reynolds.graph_frame`); no algebra, representation or matrix is built
+over it.  It has no name, parser or printer, so bundles and the command
 line never see it.
 
 `Poly` is a polynomial with coefficients in one of these fields.  It

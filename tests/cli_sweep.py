@@ -4,8 +4,10 @@ Every command runs in-process through `prelie.cli.main`, over each
 bundle of ``corpus/`` under its own field and under q, f2, f3 and f5:
 every ``check`` and ``construct`` choice, ``cohomology --of
 algebra|operator --degree 1..3``, ``mc-check``, ``dk-consistency
---degree 1..2``, ``deform check|nijenhuis|rigidity``, and the
-rcw-reynolds and nijenhuis-element searches over F_2 and F_3.  Bundle
+--degree 1..3``, ``deform check|nijenhuis|rigidity``, and a search for
+every predicate over F_2 and F_3 (a 1-column element for
+nijenhuis-element, a dim g x dim V operator for rcw-reynolds, a
+dim g x dim g one for the others).  Bundle
 paths are printed relative to the repository and the digest is the
 first 16 hex digits of the SHA-256 of stdout, so two checkouts give the
 same stdout and exit codes exactly when the outputs of
@@ -58,7 +60,7 @@ def cases() -> list:
             out += [("cohomology", bundle, "--of", of, "--degree", str(d), *opt)
                     for of in ("algebra", "operator") for d in (1, 2, 3)]
             out.append(("mc-check", bundle, *opt))
-            out += [("dk-consistency", bundle, "--degree", str(d), *opt) for d in (1, 2)]
+            out += [("dk-consistency", bundle, "--degree", str(d), *opt) for d in (1, 2, 3)]
             out += [("deform", action, "--bundle", bundle, *opt)
                     for action in ("check", "nijenhuis", "rigidity")]
         n, m = _dims(path)
@@ -67,6 +69,9 @@ def cases() -> list:
                         "--field", field, "--shape", f"{n}x{m}"))
             out.append(("search", "--predicate", "nijenhuis-element", "--bundle", bundle,
                         "--field", field, "--shape", f"{n}x1"))
+            out += [("search", "--predicate", predicate, "--bundle", bundle,
+                     "--field", field, "--shape", f"{n}x{n}")
+                    for predicate in ("weighted-reynolds", "d-reynolds", "nijenhuis")]
     return out
 
 

@@ -55,7 +55,9 @@ F_3 the coefficients 1/2 and 1/6 do not exist, so they do not apply.
 `check_prelie_via_bracket` and `product_cochain` read the pre-Lie axiom
 off the Matsushima-Nijenhuis bracket ([pi, pi] = 0), an independent
 route to `algebra.check_prelie`.  `sparse_rank` is the exact rank of
-sparse field rows, and `enumerate_unshuffles` the checked enumeration
+sparse field rows, lifted to ints row by row (`integer_rows`, each row
+scaled by the lcm of its own denominators, the lift `Matrix.rref` used
+before it took `scalars.lift`), and `enumerate_unshuffles` the checked enumeration
 of the unshuffles that `cochain._unshuffles` caches.
 
 `literal_element_groups` is the paper's closed form of the Nijenhuis
@@ -73,6 +75,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from prelie import brackets
 from prelie.algebra import (
@@ -92,7 +95,6 @@ from prelie.linalg import (
     add_vec,
     basis_vec,
     integer_rank,
-    integer_rows,
     neg_vec,
     sub_vec,
     zero_vec,
@@ -532,6 +534,19 @@ def scalar_sparse_rank(rows) -> int:
     return rank
 
 
+def integer_rows(rows, p: int) -> list:
+    """Sparse rows over Q (p = 0) or F_p, as sparse rows of Python ints.
+
+    Over F_p an entry becomes its residue.  Over Q each row is multiplied
+    by the lcm of its own denominators, which keeps its span.
+    """
+    if p:
+        return [{j: x.value for j, x in row.items()} for row in rows]
+    dens = [lcm(*(x.denominator for x in row.values())) for row in rows]
+    return [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+            for row, d in zip(rows, dens)]
+
+
 def sparse_rank(rows) -> int:
     """Exact rank of a matrix given as sparse rows, over its own scalars."""
     x = next((x for row in rows for x in row.values()), None)
@@ -738,8 +753,9 @@ def field_combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
     acc = None
     for coeff, idxs in terms:
         args = [cochains[i] for i in idxs]
-        c = brackets.derived_bracket(g, rep, *args) if len(args) == 2 else \
-            brackets.ternary_bracket(g, rep, H, *args)
+        c = brackets.derived_bracket(brackets.untwisted_structure(g, rep), *args) \
+            if len(args) == 2 else \
+            brackets.ternary_bracket(brackets.cocycle_structure(g, rep, H), *args)
         c = c.scale(g.field(coeff))
         acc = c if acc is None else acc + c
     return acc

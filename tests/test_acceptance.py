@@ -35,8 +35,10 @@ from prelie.brackets import (
     check_maurer_cartan,
     check_twisted_mc,
     d_K,
+    cocycle_structure,
     derived_bracket,
     ternary_bracket,
+    untwisted_structure,
 )
 from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
 from prelie.deformation import (
@@ -232,8 +234,8 @@ def test_criterion_4_bracket_anchor_identities():
         K = Matrix(QQ, [[QQ(rng.randint(-2, 2)) for _ in range(rep.dim_v)]
                         for _ in range(a.dim)])
         kc = Cochain.from_matrix(K)
-        b = derived_bracket(a, rep, kc, kc)
-        t = ternary_bracket(a, rep, H, kc, kc, kc)
+        b = derived_bracket(untwisted_structure(a, rep), kc, kc)
+        t = ternary_bracket(cocycle_structure(a, rep, H), kc, kc, kc)
         for u in range(rep.dim_v):
             for v in range(rep.dim_v):
                 eu = basis_vec(QQ, rep.dim_v, u)

@@ -6,9 +6,11 @@ import pytest
 
 from conftest import (
     CORPUS,
+    count_calls,
     g2_algebra,
     g3_algebra,
     g3_cocycle,
+    padded_reynolds_data,
     random_algebra,
     random_cochain,
     random_pair,
@@ -27,6 +29,7 @@ from prelie.algebra import PreLieAlgebra, check_prelie, regular_representation
 from prelie.brackets import (
     check_maurer_cartan,
     check_twisted_mc,
+    cocycle_structure,
     d_K,
     derived_bracket,
     diamond,
@@ -124,7 +127,7 @@ def test_binary_bracket_reproduces_closed_form(g3_bundle):
     for _ in range(10):
         K = Matrix(QQ, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
         kc = Cochain.from_matrix(K)
-        b = derived_bracket(a, rep, kc, kc)
+        b = derived_bracket(untwisted_structure(a, rep), kc, kc)
         for u in range(3):
             for v in range(3):
                 Ku, Kv = K.column(u), K.column(v)
@@ -140,7 +143,8 @@ def test_binary_bracket_polarized_form(g3_bundle):
     rng = random.Random(6)
     K = Matrix(QQ, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
     K2 = Matrix(QQ, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
-    b = derived_bracket(a, rep, Cochain.from_matrix(K), Cochain.from_matrix(K2))
+    b = derived_bracket(untwisted_structure(a, rep), Cochain.from_matrix(K),
+                        Cochain.from_matrix(K2))
     for u in range(3):
         for v in range(3):
             eu, ev = basis_vec(QQ, 3, u), basis_vec(QQ, 3, v)
@@ -159,7 +163,7 @@ def test_ternary_bracket_reproduces_closed_form(g3_bundle):
     for _ in range(10):
         K = Matrix(QQ, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
         kc = Cochain.from_matrix(K)
-        t = ternary_bracket(a, rep, H, kc, kc, kc)
+        t = ternary_bracket(cocycle_structure(a, rep, H), kc, kc, kc)
         for u in range(3):
             for v in range(3):
                 expected = scale_vec(QQ(6), K.apply(
@@ -172,9 +176,9 @@ def test_ternary_zero_argument(g3_bundle):
     rng = random.Random(8)
     K = Cochain.from_matrix(Matrix(QQ, [[rng.randint(-2, 2)] * 3 for _ in range(3)]))
     Z = Cochain.zero(QQ, 1, 3, 3)
-    assert ternary_bracket(a, rep, H, Z, K, K).is_zero()
-    assert ternary_bracket(a, rep, H, K, Z, K).is_zero()
-    assert ternary_bracket(a, rep, H, K, K, Z).is_zero()
+    assert ternary_bracket(cocycle_structure(a, rep, H), Z, K, K).is_zero()
+    assert ternary_bracket(cocycle_structure(a, rep, H), K, Z, K).is_zero()
+    assert ternary_bracket(cocycle_structure(a, rep, H), K, K, Z).is_zero()
 
 
 def test_ternary_symmetric_at_degree_one(g3_bundle):
@@ -182,9 +186,9 @@ def test_ternary_symmetric_at_degree_one(g3_bundle):
     rng = random.Random(9)
     cs = [Cochain.from_matrix(Matrix(QQ, [[rng.randint(-2, 2) for _ in range(3)]
                                           for _ in range(3)])) for _ in range(3)]
-    ref = ternary_bracket(a, rep, H, *cs)
+    ref = ternary_bracket(cocycle_structure(a, rep, H), *cs)
     for p in permutations(range(3)):
-        assert ternary_bracket(a, rep, H, cs[p[0]], cs[p[1]], cs[p[2]]) == ref
+        assert ternary_bracket(cocycle_structure(a, rep, H), cs[p[0]], cs[p[1]], cs[p[2]]) == ref
 
 
 def test_derived_bracket_graded_antisymmetry():
@@ -193,8 +197,8 @@ def test_derived_bracket_graded_antisymmetry():
     for (p, q) in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         P = random_cochain(rng, QQ, p, rep.dim_v, a.dim)
         Q = random_cochain(rng, QQ, q, rep.dim_v, a.dim)
-        lhs = derived_bracket(a, rep, P, Q)
-        rhs = derived_bracket(a, rep, Q, P)
+        lhs = derived_bracket(untwisted_structure(a, rep), P, Q)
+        rhs = derived_bracket(untwisted_structure(a, rep), Q, P)
         sign = QQ(-1 if (p * q) % 2 == 0 else 1)  # -(-1)^{pq}
         assert lhs == rhs.scale(sign)
 
@@ -202,15 +206,13 @@ def test_derived_bracket_graded_antisymmetry():
 def test_lifted_cochains_commute(g3_bundle):
     a, rep, _ = g3_bundle
     rng = random.Random(11)
-    P = lift_operator_cochain(random_cochain(rng, QQ, 2, 3, 3), a.dim)
-    Q = lift_operator_cochain(random_cochain(rng, QQ, 1, 3, 3), a.dim)
+    P = lift_operator_cochain(random_cochain(rng, QQ, 2, 3, 3))
+    Q = lift_operator_cochain(random_cochain(rng, QQ, 1, 3, 3))
     assert mn_bracket(P, Q).is_zero()
 
 
 def test_semidirect_square_zero_iff_cocycle(g3_bundle):
     # [mu~_H, mu~_H] = 0 exactly when H is a 2-cocycle
-    from prelie.brackets import cocycle_structure
-
     a, rep, H = g3_bundle
     mu = untwisted_structure(a, rep)
     good = tensor_cochain(QQ, [[list(add_vec(mu.eval_basis((i, j)),
@@ -222,6 +224,60 @@ def test_semidirect_square_zero_iff_cocycle(g3_bundle):
                                             cocycle_structure(a, rep, bad_H).eval_basis((i, j))))
                                for j in range(6)] for i in range(6)])
     assert not mn_bracket(bad, bad).is_zero()
+
+
+def test_brackets_reject_structures_and_cochains_of_the_wrong_shape(g3_bundle):
+    a, rep, H = g3_bundle
+    mu, hw = untwisted_structure(a, rep), cocycle_structure(a, rep, H)
+    K = Cochain.from_matrix(Matrix.zero(QQ, 3, 3))
+    narrow = Cochain.from_matrix(Matrix.zero(QQ, 3, 2))  # V of dimension 2: W is 5-dimensional
+    with pytest.raises(ShapeError, match="structure does not live on g \\+ V"):
+        derived_bracket(mu, narrow, narrow)
+    with pytest.raises(ShapeError, match="structure does not live on g \\+ V"):
+        ternary_bracket(hw, narrow, narrow, narrow)
+    for args in [(K, narrow), (narrow, K)]:
+        with pytest.raises(ShapeError, match="different shapes"):
+            derived_bracket(mu, *args)
+    with pytest.raises(ShapeError, match="different shapes"):
+        ternary_bracket(hw, K, K, narrow)
+    # one shape, different degrees: the brackets are defined
+    f = random_cochain(random.Random(3), QQ, 2, 3, 3)
+    assert derived_bracket(mu, K, f).degree == ternary_bracket(hw, K, K, f).degree == 3
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_lift_operator_cochain_lands_in_the_algebra_coordinates(field):
+    # dim V > dim g, so the g- and V-coordinates of W cannot be confused
+    rng = random.Random(14)
+    for _ in range(3):
+        data = padded_reynolds_data(rng, field, max_dim=2)
+        n, m = data.algebra.dim, data.rep.dim_v
+        assert m > n
+        for degree in (1, 2):
+            P = random_cochain(rng, field, degree, m, n)
+            lifted = lift_operator_cochain(P)
+            assert (lifted.dim_source, lifted.dim_target) == (n + m, n + m)
+            for fb, last in cochain_keys(n + m, degree):
+                idxs = fb + (last,)
+                expected = (P.eval_basis(tuple(i - n for i in idxs)) + (field.zero,) * m
+                            if min(idxs) >= n else (field.zero,) * (n + m))
+                assert lifted.eval_basis(idxs) == expected
+
+
+@pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
+                                         "dk_difference"])
+def test_each_combination_builds_its_structures_once(monkeypatch, combination):
+    bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"))
+    data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
+    args = {"mc_residual": (data.algebra, data.rep, data.cocycle, data.operator),
+            "d_K": (data, Cochain.from_matrix(K2)),
+            "twisted_mc_residual": (data, K2),
+            "dk_difference": (data, 2)}[combination]
+    calls = {name: count_calls(monkeypatch, brackets, name)
+             for name in ("untwisted_structure", "cocycle_structure")}
+    getattr(brackets, combination)(*args)
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"untwisted_structure": 1, "cocycle_structure": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +537,7 @@ def test_derived_bracket_graded_leibniz():
     rep = regular_representation(a)
 
     def br(P, Q):
-        return derived_bracket(a, rep, P, Q)
+        return derived_bracket(untwisted_structure(a, rep), P, Q)
 
     for _ in range(4):
         for (p, q, r) in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1)]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import cli_sweep
 from conftest import CORPUS, count_calls, fail_after
 from oracles import basis_dk_columns
-from prelie import algebra, brackets, cochain, nsprelie, opcohomology, reynolds
+from prelie import algebra, brackets, cochain, nsprelie, opcohomology, reynolds, search
 from prelie.algebra import Report
 from prelie.bundle import (
     MAX_DIM,
@@ -436,15 +436,20 @@ def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, c
     assert {fn: len(c) for fn, c in calls.items()} == counts
 
 
-@pytest.mark.parametrize("command", ["check", "construct"])
+@pytest.mark.parametrize("command", ["check", "construct", "search"])
 def test_cli_sweep_covers_every_choice(command):
     # tests/cli_sweep.py lists the choices by hand, so a new one must be added there
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    what = next(a for a in sub.choices[command]._actions if a.dest == "what")
     cases = [argv for argv in cli_sweep.cases() if argv[0] == command]
-    assert {argv[1] for argv in cases} == set(what.choices)
-    assert {argv[2] for argv in cases} == {f"corpus/{p.name}" for p in CORPUS.glob("*.json")}
+    if command == "search":  # --predicate is free text, checked against search.PREDICATES
+        assert {argv[2] for argv in cases} == set(search.PREDICATES)
+        bundles = {argv[4] for argv in cases}
+    else:
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        what = next(a for a in sub.choices[command]._actions if a.dest == "what")
+        assert {argv[1] for argv in cases} == set(what.choices)
+        bundles = {argv[2] for argv in cases}
+    assert bundles == {f"corpus/{p.name}" for p in CORPUS.glob("*.json")}
 
 
 def test_cli_construct_compatible_ns():

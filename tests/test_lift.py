@@ -13,26 +13,37 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import conjugate_algebra, g3b_algebra, random_algebra, random_reynolds_data
+from conftest import (
+    CORPUS,
+    conjugate_algebra,
+    g3b_algebra,
+    random_algebra,
+    random_reynolds_data,
+)
 from oracles import (
     field_check_jacobi,
     field_check_ns_prelie,
     field_check_prelie,
     field_check_representation,
 )
+from prelie import linalg
 from prelie.algebra import (
     PreLieAlgebra,
+    Representation,
     check_jacobi,
     check_prelie,
     check_representation,
     regular_representation,
     subadjacent_lie,
 )
+from prelie.brackets import d_K, dk_difference, mc_residual, twisted_mc_residual
 from prelie.bundle import parse_bundle
+from prelie.cochain import Cochain, check_two_cocycle, coboundary, cohomology
+from prelie.deformation import rigidity_probe
 from prelie.errors import SchemaError
 from prelie.linalg import Matrix
 from prelie.nsprelie import check_ns_prelie, ns_from_reynolds
-from prelie.opcohomology import induced_representation
+from prelie.opcohomology import induced_representation, operator_cohomology
 from prelie.scalars import INTEGERS, QQ, FpElement, Poly, PrimeField, field_by_name, lift
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
@@ -230,3 +241,42 @@ def test_the_integer_ring_has_no_name(name):
     with pytest.raises(SchemaError):
         parse_bundle({"field": name, "algebra": {"dim": 1, "product": []}})
     assert INTEGERS(7) == 7 and (INTEGERS.zero, INTEGERS.one) == (0, 1)
+
+
+def _record_fields(monkeypatch) -> list:
+    """The field of every `PreLieAlgebra`, `Representation` and `Matrix` built from now on."""
+    fields = []
+
+    def recording(original, field_of):
+        def build(*args, **kwargs):
+            fields.append(field_of(*args))
+            return original(*args, **kwargs)
+        return build
+
+    for cls in (PreLieAlgebra, Matrix):
+        monkeypatch.setattr(cls, "__init__", recording(cls.__init__, lambda _, field, *__: field))
+    monkeypatch.setattr(Representation, "__init__", recording(
+        Representation.__init__, lambda _, algebra, *__: algebra.field))
+    monkeypatch.setattr(linalg, "_matrix", recording(linalg._matrix, lambda field, *_: field))
+    return fields
+
+
+@pytest.mark.parametrize("name", ["q", "f3"])
+def test_no_algebra_representation_or_matrix_is_built_over_the_integers(monkeypatch, name):
+    # the integer lift is held in raw arrays and in Cochains, never in these objects
+    bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"), name)
+    data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    fields = _record_fields(monkeypatch)
+    cohomology(g, rep, 2)
+    coboundary(g, rep, H)
+    check_two_cocycle(g, rep, H)
+    operator_cohomology(data, 2)
+    if name == "f3":
+        rigidity_probe(data)
+    mc_residual(g, rep, H, K)
+    d_K(data, Cochain.from_matrix(K2))
+    twisted_mc_residual(data, K2)
+    dk_difference(data, 2)
+    assert fields and INTEGERS not in fields
+    assert all(field == data.field for field in fields)

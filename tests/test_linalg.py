@@ -9,6 +9,7 @@ from oracles import (
     dense_kernel,
     dense_rref,
     dense_solve,
+    integer_rows,
     scalar_sparse_rank,
     sparse_rank,
 )
@@ -17,7 +18,6 @@ from prelie.linalg import (
     Matrix,
     add_vec,
     basis_vec,
-    integer_rows,
     is_zero_vec,
     neg_vec,
     scale_vec,
