@@ -29,7 +29,6 @@ from .brackets import (
 from .cochain import (
     Cochain,
     CohomologyReport,
-    Unshuffle,
     check_two_cocycle,
     coboundary,
     coboundary_matrix,

@@ -20,6 +20,11 @@ is one on a twisted semidirect product (`nsprelie.check_ns_prelie`), so
 `check_prelie`, `check_representation` and `check_ns_prelie` each read
 the one kernel at their own basis triples and coordinates.
 
+The morphism identity F(a).F(b) = F(a.b) is written once, in
+`morphism_defects`, for `check_morphism`, `reynolds.operator_identity`
+and `reynolds.check_rcw_morphism`.  A `Representation` only holds its
+action matrices; actions on vectors are read off `reynolds.field_frame`.
+
 The axiom checkers `check_prelie`, `check_jacobi`, `check_representation`
 and `nsprelie.check_ns_prelie` evaluate their formulas on Python ints:
 each lifts all the structure constants it reads with one
@@ -48,7 +53,7 @@ from .errors import (
     ShapeError,
     UnverifiedError,
 )
-from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
+from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, neg_vec, sub_vec
 from .scalars import INTEGERS, lift, scalar_to_str
 
 
@@ -363,30 +368,6 @@ class Representation:
     def field(self):
         return self.algebra.field
 
-    def act_L(self, x, u) -> tuple:
-        """L_x u for a coordinate vector x in the algebra and u in V."""
-        return self._act(self.L, x, u)
-
-    def act_R(self, x, u) -> tuple:
-        return self._act(self.R, x, u)
-
-    def _act(self, mats, x, u) -> tuple:
-        """sum_i x_i M_i u in one pass over the nonzero entries of x and u."""
-        nonzero = [(k, uk) for k, uk in enumerate(u) if uk]
-        out = [None] * self.dim_v
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for r, row in enumerate(mats[i].data):
-                for k, uk in nonzero:
-                    a = row[k]
-                    if a:
-                        term = xi * (a * uk)
-                        s = out[r]
-                        out[r] = term if s is None else s + term
-        zero = self.field.zero
-        return tuple(zero if s is None else s for s in out)
-
 
 def action_arrays(a: PreLieAlgebra, rep: Representation) -> tuple:
     """The structure constants of a and the rows of rep's action matrices L and R."""
@@ -411,12 +392,27 @@ def check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
         for i in range(a.dim) for j in range(a.dim))
 
 
+def morphism_defects(field, source, target, F: Matrix, pairs):
+    """F(a).F(b) - F(a.b) at each pair (a, b) of source basis indices.
+
+    The one evaluation of a morphism identity in the package.  ``source``
+    and ``target`` are raw structure-constant tensors and F is the matrix
+    of a linear map between their spaces; each residual is yielded as a
+    target vector.  `reynolds.operator_identity` reads it as it is;
+    `check_morphism` and `reynolds.check_rcw_morphism` negate it, so their
+    residuals keep the sign F(a.b) - F(a).F(b) (`SIGNS.md`).
+    """
+    cols = [F.column(a) for a in range(F.cols)]
+    for a, b in pairs:
+        yield sub_vec(tensor_mul(field, target, cols[a], cols[b]), F.apply(source[a][b]))
+
+
 def check_morphism(a: PreLieAlgebra, b: PreLieAlgebra, f: Matrix) -> Report:
     """f(x.y) = f(x).f(y) on all basis pairs, for f: a -> b."""
     if a.field != b.field:
         raise DimensionMismatchError("algebras live over different fields")
     if f.cols != a.dim or f.rows != b.dim:
         raise ShapeError(f"map is {f.rows}x{f.cols}, expected {b.dim}x{a.dim}")
-    return residual_report(
-        ((i, j), sub_vec(f.apply(a.mul_basis(i, j)), b.mul(f.column(i), f.column(j))))
-        for i in range(a.dim) for j in range(a.dim))
+    pairs = [(i, j) for i in range(a.dim) for j in range(a.dim)]
+    return residual_report((where, neg_vec(r)) for where, r in zip(
+        pairs, morphism_defects(a.field, a.product, b.product, f, pairs)))

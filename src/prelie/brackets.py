@@ -13,7 +13,9 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
               sgn(s) P(x_{s(1)}, ..., x_{s(p)}, Q(x_{s(p+1)}, ..., x_{s(p+q)}, x_{p+q+1}))
 
   with [P, Q] = P <> Q - (-1)^{pq} Q <> P.  A bilinear map pi is pre-Lie
-  exactly when [pi, pi] = 0.
+  exactly when [pi, pi] = 0.  `cochain._unshuffles` gives each s with
+  sgn(s), and `diamond` is the one multilinear evaluation of a cochain
+  at vector arguments (`Cochain.eval`) in the package.
 
 * Operator cochains P in Hom(wedge^{p-1} V (x) V, g) embed into
   C^p(W, W) for W = g + V by evaluating on the V-components and landing
@@ -93,25 +95,22 @@ def diamond(P: Cochain, Q: Cochain) -> Cochain:
     for fb, last in cochain_keys(dim, out_degree):
         letters = list(fb)  # the p+q permutable arguments
         acc = zero_vec(field, dim)
-        for s in _unshuffles((q, 1, p - 1)):
-            word = s.perm
+        for sign, word in _unshuffles((q, 1, p - 1)):
             inner_args = tuple(letters[word[i]] for i in range(q + 1))
             inner = Q.eval_basis(inner_args)
             if is_zero_vec(inner):
                 continue
             outer_args = [inner] + [letters[word[i]] for i in range(q + 1, p + q)] + [last]
             term = P.eval(outer_args)
-            acc = add_vec(acc, term if s.sign == 1 else neg_vec(term))
-        for s in _unshuffles((p, q)):
-            word = s.perm
+            acc = add_vec(acc, term if sign == 1 else neg_vec(term))
+        for sign, word in _unshuffles((p, q)):
             inner_args = tuple(letters[word[i]] for i in range(p, p + q)) + (last,)
             inner = Q.eval_basis(inner_args)
             if is_zero_vec(inner):
                 continue
             outer_args = [letters[word[i]] for i in range(p)] + [inner]
             term = P.eval(outer_args)
-            sign = outer_sign * s.sign
-            acc = add_vec(acc, term if sign == 1 else neg_vec(term))
+            acc = add_vec(acc, term if outer_sign * sign == 1 else neg_vec(term))
         values.append(acc)
     return Cochain(field, out_degree, dim, dim, values)
 

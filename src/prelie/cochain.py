@@ -30,7 +30,10 @@ every basis triple where it does not.
 
 Everything here is graded in a single degree per slot, so the Koszul
 sign of a permutation reduces to its parity; a graded extension would
-have to generalize `_unshuffles`.
+have to generalize `_unshuffles`.  There is one parity routine,
+`_sort_with_sign`: it signs the sort of a key to canonical order, and
+`_unshuffles` takes the sign of each unshuffle (a word of subsets) from
+it.
 """
 
 from __future__ import annotations
@@ -61,60 +64,24 @@ from .linalg import (
 from .scalars import lift
 
 
-@dataclass(frozen=True)
-class Unshuffle:
-    """A block-monotone permutation with its parity sign.
-
-    ``perm`` maps positions to values, 0-based: position k holds value
-    perm[k].  Within each block of the pattern the values increase.
-    """
-
-    pattern: tuple
-    perm: tuple
-    sign: int
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def _unshuffles(pattern: tuple):
-    """All unshuffles of the pattern, lexicographic by permutation word.
+    """All unshuffles of the pattern as (sign, word) pairs, lexicographic by word.
 
-    Any negative block size yields the empty list; the compositions in
+    A word lists the values at positions 0, 1, ... (0-based), increasing
+    within each block of the pattern; each block is a subset of the
+    values the earlier blocks left, taken with `itertools.combinations`.
+    The sign is the parity of the word, from `_sort_with_sign`.  Any
+    negative block size yields the empty tuple; the compositions in
     `brackets` rely on that convention for boundary arities.
     """
     if any(b < 0 for b in pattern):
         return ()
-    n = sum(pattern)
-    results = []
-
-    def rec(remaining, blocks, word):
-        if not blocks:
-            results.append(tuple(word))
-            return
-        b = blocks[0]
-        for chosen in combinations(remaining, b):
-            rest = [x for x in remaining if x not in chosen]
-            rec(rest, blocks[1:], word + list(chosen))
-
-    rec(list(range(n)), list(pattern), [])
-    results.sort()
-    return tuple(Unshuffle(pattern, perm, _perm_sign(perm)) for perm in results)
+    words = [()]
+    for b in pattern:
+        words = [w + chosen for w in words
+                 for chosen in combinations([x for x in range(sum(pattern)) if x not in w], b)]
+    return tuple((_sort_with_sign(w)[0], w) for w in words)
 
 
 @lru_cache(maxsize=None)

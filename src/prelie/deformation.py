@@ -14,7 +14,10 @@ cohomology.
 Equivalences of deformations are mediated by an algebra element x through
 the pair of maps
 
-    phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)).
+    phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)),
+
+whose t-term on V is read off the bundle's `reynolds.field_frame`, the
+frame that also gives Rbar_u x.
 
 K + t K1 and K + t K1' are equivalent through x when (phi_t, psi_t) is a
 morphism of Reynolds operators from one to the other.  This is the one
@@ -39,31 +42,25 @@ from dataclasses import dataclass
 from .algebra import Report, _combine, residual_report
 from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, add_vec, basis_vec, integer_rank, sparse_mul, sub_vec
+from .linalg import Matrix, integer_rank, sparse_mul, sub_vec
 from .opcohomology import induced_representation, operator_coboundary
-from .reynolds import (
-    ReynoldsData,
-    _reynolds_report,
-    check_rcw_morphism,
-    graph_frame,
-    semidirect_tensor,
-)
+from .reynolds import ReynoldsData, _reynolds_report, check_rcw_morphism, field_frame
 from .scalars import Poly, PrimeField
 
 
-def _linear_terms(data: ReynoldsData, x) -> tuple:
+def _linear_terms(g, frame, x) -> tuple:
     """The t-terms of phi_t = id + t P and psi_t = id + t S:
 
-    P = L_x - R_x on g and S u = L_x u - R_x u + H(x, Ku) on V.
+    P = L_x - R_x on g and S u = L_x u - R_x u + H(x, Ku) on V, read off
+    the bundle's `reynolds.field_frame` as the V-part of
+    (x, 0).gr(u) - (0, e_u).(x, 0).
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    m = rep.dim_v
-    columns = []
-    for u in range(m):
-        e = basis_vec(g.field, m, u)
-        columns.append(add_vec(sub_vec(rep.act_L(x, e), rep.act_R(x, e)),
-                               H.eval([x, K.column(u)])))
-    return g.left_mult(x) - g.right_mult(x), Matrix.from_columns(g.field, columns, m)
+    mul, graph, _ = frame
+    n, zero = g.dim, g.field.zero
+    point = x + (zero,) * len(graph)
+    columns = [sub_vec(mul(point, gr)[n:], mul((zero,) * n + gr[n:], point)[n:])
+               for gr in graph]
+    return g.left_mult(x) - g.right_mult(x), Matrix.from_columns(g.field, columns, len(graph))
 
 
 def _element(g, x) -> tuple:
@@ -125,7 +122,8 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
 
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
-    P, S = _linear_terms(data, _element(data.algebra, x))
+    frame = field_frame(data.algebra, data.rep, data.cocycle, data.operator)
+    P, S = _linear_terms(data.algebra, frame, _element(data.algebra, x))
     return data.operator * S - P * data.operator
 
 
@@ -203,15 +201,16 @@ def infinitesimal(series: DeformationSeries):
 # equivalences and Nijenhuis elements: one morphism of operators in t
 
 
-def _element_morphism(data: ReynoldsData, x, K1: Matrix, K1p: Matrix) -> dict:
+def _element_morphism(data: ReynoldsData, frame, x, K1: Matrix, K1p: Matrix) -> dict:
     """The parts of `check_rcw_morphism` for (phi_t, psi_t) from K + t K1 to K + t K1'.
 
     Every condition is a polynomial of degree at most 2 in t that
     vanishes at t = 0; its t^k coefficient is reported at ``(k, *where)``.
+    ``frame`` is the bundle's `reynolds.field_frame`.
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     field, n, m = g.field, g.dim, rep.dim_v
-    P, S = _linear_terms(data, x)
+    P, S = _linear_terms(g, frame, x)
     report = check_rcw_morphism(ReynoldsData(g, rep, H, _in_t((K, K1))),
                                 ReynoldsData(g, rep, H, _in_t((K, K1p))),
                                 _in_t((Matrix.identity(field, n), P)),
@@ -228,7 +227,8 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
     first to the second?  One sub-verdict per part of `check_rcw_morphism`.
     """
-    return _combine(_element_morphism(data, _element(data.algebra, x),
+    frame = field_frame(data.algebra, data.rep, data.cocycle, data.operator)
+    return _combine(_element_morphism(data, frame, _element(data.algebra, x),
                                       _direction(data, K1), _direction(data, K1p)))
 
 
@@ -241,8 +241,8 @@ def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
     """
     g = data.algebra
     x = _element(g, x)
-    mul, graph, p = graph_frame(g.field, semidirect_tensor(g, data.rep, data.cocycle),
-                                data.operator.data, g.field.one)
+    frame = field_frame(g, data.rep, data.cocycle, data.operator)
+    mul, graph, p = frame
     point = x + (g.field.zero,) * data.rep.dim_v
 
     def commutator(gr):
@@ -252,7 +252,7 @@ def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
     parts = {"rbar_condition": residual_report(
         (("rbar-commutes", u), commutator(gr)) for u, gr in enumerate(graph))}
     zero = Matrix.zero(g.field, g.dim, data.rep.dim_v)
-    parts.update(_element_morphism(data, x, zero, zero))
+    parts.update(_element_morphism(data, frame, x, zero, zero))
     del parts["intertwines_operator"]
     return _combine(parts)
 

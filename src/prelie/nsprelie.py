@@ -16,7 +16,8 @@ product, and `check_ns_prelie` reads them off the one pre-Lie kernel
 `algebra.prelie_defects` (the signs are in SIGNS.md).
 
 The three sources of NS-structures implemented here: Nijenhuis operators on a
-pre-Lie algebra, cocycle-weighted Reynolds operators (on the module), and
+pre-Lie algebra, cocycle-weighted Reynolds operators (on the module, the
+three tables read off the bundle's `reynolds.field_frame`), and
 invertible Reynolds operators (transported back to the algebra).  Each
 constructor checks its input and re-verifies its output once each, on
 the tables it built (through `errors.reverified`); an `NSPreLie` is always
@@ -44,8 +45,8 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, add_vec, basis_vec, neg_vec, sub_vec
-from .reynolds import ReynoldsData, derived_tensor, operator_identity
+from .linalg import Matrix, add_vec, neg_vec, sub_vec
+from .reynolds import ReynoldsData, derived_tensor, field_frame, operator_identity
 from .scalars import lift
 
 
@@ -181,16 +182,23 @@ def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
 def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
     """On the module: u<|v = R_{Kv}u, u|>v = L_{Ku}v, u o v = H(Ku, Kv).
 
-    The subadjacent product is the induced pre-Lie product of the
-    operator: its three summands are the three tables, so the equality
-    holds by construction and is a test, not a runtime check.
+    With gr(u) = (Ku, 0) + (0, e_u) in the twisted semidirect product
+    (`reynolds.field_frame`), the three tables are the V-parts of
+    gr(u).(0, e_v), (0, e_u).gr(v) and (Ku, 0).(Kv, 0).  Their sum is the
+    V-part of gr(u).gr(v), the induced pre-Lie product of the operator,
+    so the subadjacent product is the induced one by construction; that
+    is a test, not a runtime check.
     """
-    rep, H, K = data.rep, data.cocycle, data.operator
-    e = [basis_vec(rep.field, rep.dim_v, u) for u in range(rep.dim_v)]
-    tri = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_L(Ku, e[v]))
-    trl = derived_tensor(K, lambda u, v, Ku, Kv: rep.act_R(Kv, e[u]))
-    circ = derived_tensor(K, lambda u, v, Ku, Kv: H.eval([Ku, Kv]))
-    return reverified(NSPreLie, data.field, tri, trl, circ)
+    n, zero = data.algebra.dim, data.field.zero
+    mul, graph, _ = field_frame(data.algebra, data.rep, data.cocycle, data.operator)
+    point = [gr[:n] + (zero,) * len(graph) for gr in graph]  # (Ku, 0)
+    unit = [(zero,) * n + gr[n:] for gr in graph]  # (0, e_u)
+
+    def table(left, right):
+        return tuple(tuple(mul(a, b)[n:] for b in right) for a in left)
+
+    return reverified(NSPreLie, data.field, table(graph, unit), table(unit, graph),
+                      table(point, point))
 
 
 def reynolds_from_ns(ns: NSPreLie) -> ReynoldsData:
@@ -228,9 +236,8 @@ def compatible_ns_from_invertible(data: ReynoldsData) -> NSPreLie:
     kinv = K.inverse()
     if kinv is None:
         raise SingularError("operator is not invertible")
-    e = [g.basis(i) for i in range(g.dim)]
-    tri = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.act_L(e[i], inv_j)))
-    trl = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.act_R(e[j], inv_i)))
+    tri = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.L[i].apply(inv_j)))
+    trl = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.R[j].apply(inv_i)))
     circ = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(H.eval_basis((i, j))))
     ns = reverified(NSPreLie, g.field, tri, trl, circ)
     if ns.star_tensor() != g.product:

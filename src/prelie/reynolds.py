@@ -15,10 +15,14 @@ K(x).K(y) = K(x o_K y), and differs from the others only in the derived
 product o_K: `derived_tensor` tabulates it on the source basis of K and
 `operator_identity` evaluates K e_i . K e_j - K(e_i o_K e_j) on all
 basis pairs, for every checker and for the constructors of the products.
+That is the morphism identity of `algebra.morphism_defects`, which
+`check_rcw_morphism` also reads, on the map phi + psi between two
+twisted semidirect products.
 The induced product u ._K v of a cocycle-weighted Reynolds operator is
-read, like the graph closure of `check_graph_subalgebra` and Lbar, Rbar
-of `opcohomology`, off the twisted semidirect product g + V through the
-graph {(Ku, u)} of K (`graph_frame`).
+read, like the graph closure of `check_graph_subalgebra`, Lbar, Rbar
+of `opcohomology` and every action applied to a vector, off the twisted
+semidirect product g + V through the graph {(Ku, u)} of K
+(`graph_frame`, built on the field scalars by `field_frame`).
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
@@ -39,6 +43,7 @@ from .algebra import (
     action_arrays,
     check_derivation,
     check_morphism,
+    morphism_defects,
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
     tensor_mul,
@@ -46,6 +51,7 @@ from .algebra import (
 )
 from .cochain import Cochain, check_two_cocycle, coboundary
 from .errors import (
+    DimensionMismatchError,
     InvariantError,
     NotAdmissibleError,
     NotCocycleError,
@@ -56,7 +62,7 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, scale_vec, sub_vec
+from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, scale_vec, sub_vec
 from .scalars import scalar_to_str
 
 
@@ -84,10 +90,13 @@ def derived_tensor(K: Matrix, mul) -> tuple:
 
 
 def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
-    """K e_i . K e_j - K(table[i][j]) on all pairs of source basis indices."""
-    cols = [K.column(i) for i in range(K.cols)]
-    return residual_report(((i, j), sub_vec(g.mul(Ki, Kj), K.apply(table[i][j])))
-                           for i, Ki in enumerate(cols) for j, Kj in enumerate(cols))
+    """K e_i . K e_j - K(table[i][j]) on all pairs of source basis indices.
+
+    K is a morphism from the product ``table`` to g, so this is
+    `algebra.morphism_defects` read as it is.
+    """
+    pairs = [(i, j) for i in range(K.cols) for j in range(K.cols)]
+    return residual_report(zip(pairs, morphism_defects(g.field, table, g.product, K, pairs)))
 
 
 def _semidirect_arrays(g: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
@@ -130,10 +139,18 @@ def graph_frame(field, sd, k, one):
     return (lambda x, y: tensor_mul(field, sd, x, y)), graph, project
 
 
+def field_frame(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix):
+    """`graph_frame` of g + V twisted by H, read through the graph of K, on field scalars.
+
+    The one builder of the frame of a bundle, verified or being checked.
+    """
+    return graph_frame(g.field, semidirect_tensor(g, rep, H), K.data, g.field.one)
+
+
 def _induced_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix) -> tuple:
     """u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv), the V-part of gr(u).gr(v), on V-basis indices."""
     n = g.dim
-    mul, graph, _ = graph_frame(g.field, semidirect_tensor(g, rep, H), K.data, g.field.one)
+    mul, graph, _ = field_frame(g, rep, H, K)
     return tuple(tuple(mul(a, b)[n:] for b in graph) for a in graph)
 
 
@@ -285,7 +302,7 @@ def check_graph_subalgebra(g: PreLieAlgebra, rep: Representation, H: Cochain,
     """
     _check_operator_shape(g, rep, K)
     _require_cocycle(g, rep, H)
-    mul, graph, p = graph_frame(g.field, semidirect_tensor(g, rep, H), K.data, g.field.one)
+    mul, graph, p = field_frame(g, rep, H, K)
     products = (((u, v), mul(a, b)) for u, a in enumerate(graph) for v, b in enumerate(graph))
     return residual_report((where, w) for where, w in products if not is_zero_vec(p(w)))
 
@@ -412,6 +429,13 @@ def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
         psi H = H' (phi x phi),
 
     and phi a pre-Lie algebra morphism.  Each condition gets a sub-verdict.
+
+    All but the first say that Phi = phi + psi is a morphism from g + V
+    twisted by H to g' + V' twisted by H' (`semidirect_tensor`), and are
+    read off `algebra.morphism_defects` of Phi, negated as in
+    `check_morphism`: its g'-part at basis pairs (i, j) of g is the
+    algebra morphism, its V'-part there the weight, and its V'-parts at
+    (i, u) and (u, i), u in V, the left and right actions (`SIGNS.md`).
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     g2, rep2, H2, K2 = data2.algebra, data2.rep, data2.cocycle, data2.operator
@@ -419,24 +443,24 @@ def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
         raise ShapeError("phi has the wrong shape")
     if psi.rows != rep2.dim_v or psi.cols != rep.dim_v:
         raise ShapeError("psi has the wrong shape")
-    n, m = g.dim, rep.dim_v
-    algebra_morphism = check_morphism(g, g2, phi)
+    if g.field != g2.field:
+        raise DimensionMismatchError("algebras live over different fields")
+    field, n, m, n2 = g.field, g.dim, rep.dim_v, g2.dim
+    zero = field.zero
+    Phi = Matrix(field, [row + (zero,) * m for row in phi.data]
+                 + [(zero,) * n + row for row in psi.data])
+
+    grid = [(i, j) for i in range(n) for j in range(n)]
+    acting = [(i, u) for i in range(n) for u in range(m)]
+    pairs = grid + [(i, n + u) for i, u in acting] + [(n + u, i) for i, u in acting]
+    out = [neg_vec(r) for r in morphism_defects(field, semidirect_tensor(g, rep, H),
+                                                semidirect_tensor(g2, rep2, H2), Phi, pairs)]
+    products, left, right = out[:n * n], out[n * n:n * n + n * m], out[n * n + n * m:]
     diff = phi * K - K2 * psi
-    e = [basis_vec(rep.field, m, u) for u in range(m)]
-
-    def action_defects(act, act2):
-        return residual_report(
-            ((i, u), sub_vec(psi.apply(act(g.basis(i), e[u])),
-                             act2(phi.column(i), psi.column(u))))
-            for i in range(n) for u in range(m))
-
     return _combine({
-        "algebra_morphism": algebra_morphism,
+        "algebra_morphism": residual_report((w, r[:n2]) for w, r in zip(grid, products)),
         "intertwines_operator": residual_report(((u,), diff.column(u)) for u in range(m)),
-        "intertwines_left_action": action_defects(rep.act_L, rep2.act_L),
-        "intertwines_right_action": action_defects(rep.act_R, rep2.act_R),
-        "intertwines_weight": residual_report(
-            ((i, j), sub_vec(psi.apply(H.eval_basis((i, j))),
-                             H2.eval([phi.column(i), phi.column(j)])))
-            for i in range(n) for j in range(n)),
+        "intertwines_left_action": residual_report((w, r[n2:]) for w, r in zip(acting, left)),
+        "intertwines_right_action": residual_report((w, r[n2:]) for w, r in zip(acting, right)),
+        "intertwines_weight": residual_report((w, r[n2:]) for w, r in zip(grid, products)),
     })

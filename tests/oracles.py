@@ -26,6 +26,14 @@ the induced product and Lbar, Rbar evaluated on the field scalars.
 `expanded_eval` is the multilinear expansion of a cochain over the full
 basis, zero coordinates included, the reference for `Cochain.eval`.
 
+`act_L` and `act_R` apply the actions of a representation to an element
+of the algebra and a vector, sum_i x_i L_{e_i} u, the evaluator the
+library kept on `Representation` before it read every action off the
+twisted semidirect product (`reynolds.field_frame`).
+`field_check_rcw_morphism` is `reynolds.check_rcw_morphism` with each
+condition written out by hand on those actions, as the library had it
+before it read four of them off one morphism of semidirect products.
+
 `dense_sweep` is the sweep `search.exhaustive_search` ran before it
 pruned prefixes on integers: every candidate of `itertools.product`,
 the compiled equations evaluated on the field scalars (`vanish`), and
@@ -58,7 +66,8 @@ route to `algebra.check_prelie`.  `sparse_rank` is the exact rank of
 sparse field rows, lifted to ints row by row (`integer_rows`, each row
 scaled by the lcm of its own denominators, the lift `Matrix.rref` used
 before it took `scalars.lift`), and `enumerate_unshuffles` the checked enumeration
-of the unshuffles that `cochain._unshuffles` caches.
+of the unshuffles that `cochain._unshuffles` caches, each as an
+`Unshuffle` record with its ``perm`` and ``sign``.
 
 `literal_element_groups` is the paper's closed form of the Nijenhuis
 element conditions, which the library decided with before it read them
@@ -74,6 +83,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import lcm
 
@@ -103,6 +113,34 @@ from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, induced_product
 from prelie.scalars import FpElement, Poly, PrimeField
 from prelie.search import DEFAULT_BUDGET, SearchSpec, _candidate, _compile
+
+
+def _act(mats, x, u) -> tuple:
+    """sum_i x_i M_i u in one pass over the nonzero entries of x and u."""
+    nonzero = [(k, uk) for k, uk in enumerate(u) if uk]
+    out = [None] * len(u)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for r, row in enumerate(mats[i].data):
+            for k, uk in nonzero:
+                a = row[k]
+                if a:
+                    term = xi * (a * uk)
+                    s = out[r]
+                    out[r] = term if s is None else s + term
+    zero = mats[0].field.zero
+    return tuple(zero if s is None else s for s in out)
+
+
+def act_L(rep: Representation, x, u) -> tuple:
+    """L_x u for a coordinate vector x in the algebra and u in V."""
+    return _act(rep.L, x, u)
+
+
+def act_R(rep: Representation, x, u) -> tuple:
+    """R_x u for a coordinate vector x in the algebra and u in V."""
+    return _act(rep.R, x, u)
 
 
 def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
@@ -140,8 +178,8 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
 
     def prod_k(u_idx, v_idx):
         # u ._K v as a vector in V for basis indices
-        val = add_vec(rep.act_L(kcol(u_idx), ev(v_idx)),
-                      rep.act_R(kcol(v_idx), ev(u_idx)))
+        val = add_vec(act_L(rep, kcol(u_idx), ev(v_idx)),
+                      act_R(rep, kcol(v_idx), ev(u_idx)))
         return add_vec(val, H.eval([kcol(u_idx), kcol(v_idx)]))
 
     values = []
@@ -155,7 +193,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             omitted = head[:i] + head[i + 1:]
             fv = f.eval_basis(tuple(omitted) + (last,))
             term = g.mul(kcol(head[i]), fv)
-            term = sub_vec(term, K.apply(rep.act_R(fv, ev(head[i]))))
+            term = sub_vec(term, K.apply(act_R(rep, fv, ev(head[i]))))
             term = sub_vec(term, K.apply(H.eval([kcol(head[i]), fv])))
             out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
 
@@ -169,7 +207,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             omitted = head[:i] + head[i + 1:]
             fv = f.eval_basis(tuple(omitted) + (head[i],))
             term = g.mul(fv, kcol(last))
-            term = sub_vec(term, K.apply(rep.act_L(fv, ev(last))))
+            term = sub_vec(term, K.apply(act_L(rep, fv, ev(last))))
             term = sub_vec(term, K.apply(H.eval([fv, kcol(last)])))
             out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
 
@@ -180,8 +218,8 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             if right_slot == "expanded":
                 prod = prod_k(head[i], last)
             else:
-                prod = add_vec(rep.act_L(kcol(head[i]), ev(last)),
-                               rep.act_L(kcol(last), ev(head[i])))
+                prod = add_vec(act_L(rep, kcol(head[i]), ev(last)),
+                               act_L(rep, kcol(last), ev(head[i])))
                 prod = add_vec(prod, H.eval([kcol(head[i]), kcol(last)]))
             term = f.eval(list(omitted) + [prod])
             out = sub_vec(out, term) if sgn == 1 else add_vec(out, term)
@@ -286,11 +324,11 @@ def coboundary_at(a: PreLieAlgebra, rep: Representation, f: Cochain, args) -> tu
         sign = 1 if i % 2 == 0 else -1
         omitted = head[:i] + head[i + 1:]
         fv = f.eval_basis(tuple(omitted) + (last,))
-        term = rep.act_L(a.basis(head[i]), fv)
+        term = act_L(rep, a.basis(head[i]), fv)
         out = add_vec(out, term if sign == 1 else neg_vec(term))
 
         fv2 = f.eval_basis(tuple(omitted) + (head[i],))
-        term = rep.act_R(a.basis(last), fv2)
+        term = act_R(rep, a.basis(last), fv2)
         out = add_vec(out, term if sign == 1 else neg_vec(term))
 
         prod = a.mul_basis(head[i], last)
@@ -336,9 +374,9 @@ def field_induced_representation(data: ReynoldsData) -> Representation:
         lcols, rcols = [], []
         for x in range(n):
             ex = g.basis(x)
-            lv = sub_vec(g.mul(Ku, ex), K.apply(rep.act_R(ex, eu)))
+            lv = sub_vec(g.mul(Ku, ex), K.apply(act_R(rep, ex, eu)))
             lcols.append(sub_vec(lv, K.apply(H.eval([Ku, ex]))))
-            rv = sub_vec(g.mul(ex, Ku), K.apply(rep.act_L(ex, eu)))
+            rv = sub_vec(g.mul(ex, Ku), K.apply(act_L(rep, ex, eu)))
             rcols.append(sub_vec(rv, K.apply(H.eval([ex, Ku]))))
         Lbar.append(Matrix.from_columns(field, lcols, n))
         Rbar.append(Matrix.from_columns(field, rcols, n))
@@ -554,12 +592,24 @@ def sparse_rank(rows) -> int:
     return integer_rank(integer_rows(rows, p), p)
 
 
+@dataclass(frozen=True)
+class Unshuffle:
+    """A block-monotone permutation with its parity sign.
+
+    ``perm`` maps positions to values, 0-based: position k holds value
+    perm[k].  Within each block of the pattern the values increase.
+    """
+
+    perm: tuple
+    sign: int
+
+
 def enumerate_unshuffles(pattern) -> list:
     """The unshuffles of a pattern; block sizes must be nonnegative."""
     pattern = tuple(pattern)
     if any(b < 0 for b in pattern):
         raise ValueError(f"negative block size in {pattern}")
-    return list(_unshuffles(pattern))
+    return [Unshuffle(word, sign) for sign, word in _unshuffles(pattern)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +726,7 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
         return basis_vec(field, m, u)
 
     def psi1(u_vec):
-        out = sub_vec(rep.act_L(x, u_vec), rep.act_R(x, u_vec))
+        out = sub_vec(act_L(rep, x, u_vec), act_R(rep, x, u_vec))
         return add_vec(out, H.eval([x, K.apply(u_vec)]))
 
     psi1_basis = [psi1(vbasis(u)) for u in range(m)]
@@ -699,15 +749,15 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
     def weight(y, z):
         ey, ez = g.basis(y), g.basis(z)
         hyz = H.eval_basis((y, z))
-        lhs = add_vec(sub_vec(rep.act_L(x, hyz), rep.act_R(x, hyz)), H.eval([x, K.apply(hyz)]))
+        lhs = add_vec(sub_vec(act_L(rep, x, hyz), act_R(rep, x, hyz)), H.eval([x, K.apply(hyz)]))
         rhs = add_vec(H.eval([g.bracket(x, ey), ez]), H.eval([ey, g.bracket(x, ez)]))
         yield ("weight-cocycle", y, z), sub_vec(lhs, rhs)
         yield ("weight-second", y, z), H.eval([g.bracket(x, ey), g.bracket(x, ez)])
 
     return {
         "algebra_morphism": grid(alg_map, n, n),
-        "left_action": grid(lambda y, u: action("left", rep.act_L, y, u), n, m),
-        "right_action": grid(lambda y, u: action("right", rep.act_R, y, u), n, m),
+        "left_action": grid(lambda y, u: action("left", partial(act_L, rep), y, u), n, m),
+        "right_action": grid(lambda y, u: action("right", partial(act_R, rep), y, u), n, m),
         "weight_compat": grid(weight, n, n),
     }
 
@@ -782,3 +832,39 @@ def field_twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
         [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1)),
          (Fraction(1, 2), (1, 1)), (Fraction(-1, 2), (0, 1, 1)),
          (Fraction(-1, 6), (1, 1, 1))])
+
+
+def field_check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
+                             phi: Matrix, psi: Matrix) -> Report:
+    """The five morphism conditions of a pair (phi, psi), each written out by hand."""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    g2, rep2, H2, K2 = data2.algebra, data2.rep, data2.cocycle, data2.operator
+    if phi.rows != g2.dim or phi.cols != g.dim:
+        raise ShapeError("phi has the wrong shape")
+    if psi.rows != rep2.dim_v or psi.cols != rep.dim_v:
+        raise ShapeError("psi has the wrong shape")
+    if g.field != g2.field:
+        raise DimensionMismatchError("algebras live over different fields")
+    n, m = g.dim, rep.dim_v
+    diff = phi * K - K2 * psi
+    e = [basis_vec(g.field, m, u) for u in range(m)]
+
+    def action_defects(act):
+        return residual_report(
+            ((i, u), sub_vec(psi.apply(act(rep, g.basis(i), e[u])),
+                             act(rep2, phi.column(i), psi.column(u))))
+            for i in range(n) for u in range(m))
+
+    return _combine({
+        "algebra_morphism": residual_report(
+            ((i, j), sub_vec(phi.apply(g.mul_basis(i, j)),
+                             g2.mul(phi.column(i), phi.column(j))))
+            for i in range(n) for j in range(n)),
+        "intertwines_operator": residual_report(((u,), diff.column(u)) for u in range(m)),
+        "intertwines_left_action": action_defects(act_L),
+        "intertwines_right_action": action_defects(act_R),
+        "intertwines_weight": residual_report(
+            ((i, j), sub_vec(psi.apply(H.eval_basis((i, j))),
+                             H2.eval([phi.column(i), phi.column(j)])))
+            for i in range(n) for j in range(n)),
+    })

@@ -23,7 +23,7 @@ from conftest import (
     unimodular,
     zero_representation,
 )
-from oracles import dense_kernel, verify_polynomial_system
+from oracles import act_L, act_R, dense_kernel, verify_polynomial_system
 from prelie.algebra import (
     PreLieAlgebra,
     check_derivation,
@@ -241,7 +241,7 @@ def test_criterion_4_bracket_anchor_identities():
                 eu = basis_vec(QQ, rep.dim_v, u)
                 ev = basis_vec(QQ, rep.dim_v, v)
                 Ku, Kv = K.column(u), K.column(v)
-                inner = add_vec(rep.act_L(Ku, ev), rep.act_R(Kv, eu))
+                inner = add_vec(act_L(rep, Ku, ev), act_R(rep, Kv, eu))
                 if b.eval_basis((u, v)) != scale_vec(
                         QQ(2), sub_vec(a.mul(Ku, Kv), K.apply(inner))):
                     closed_failures += 1

@@ -17,6 +17,7 @@ from conftest import (
     truncated_poly_algebra,
     zero_representation,
 )
+from oracles import act_L, act_R
 from prelie.algebra import (
     PreLieAlgebra,
     check_derivation,
@@ -191,8 +192,8 @@ def test_actions_match_the_action_matrices(field):
               tuple(Poly({(n + k,): one}) for k in range(m))]
         for x in xs:
             for u in us:
-                assert as_terms(rep.act_L(x, u)) == as_terms(combination(rep.L, x).apply(u))
-                assert as_terms(rep.act_R(x, u)) == as_terms(combination(rep.R, x).apply(u))
+                assert as_terms(act_L(rep, x, u)) == as_terms(combination(rep.L, x).apply(u))
+                assert as_terms(act_R(rep, x, u)) == as_terms(combination(rep.R, x).apply(u))
 
 
 def test_left_right_mult_matrices():

@@ -424,7 +424,7 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
     (("check", "mc"), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
     (("mc-check",), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json",
-     {"graph_frame": 1, "derived_tensor": 3}),
+     {"graph_frame": 2, "derived_tensor": 0}),
 ], ids=["gauge", "ns-from-nijenhuis", "ns-from-reynolds", "induced", "star", "check-mc",
         "mc-check", "ns-from-reynolds-tables"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):

@@ -16,6 +16,8 @@ from conftest import (
     zero_representation,
 )
 from oracles import (
+    act_L,
+    act_R,
     coboundary_at,
     dense_rref,
     enumerate_unshuffles,
@@ -284,10 +286,10 @@ def _closed_form_two_cocycle_violations(a, rep, H):
             for z in range(a.dim):
                 ex, ey, ez = a.basis(x), a.basis(y), a.basis(z)
                 terms = [
-                    rep.act_L(ex, H.eval_basis((y, z))),
-                    neg_vec(rep.act_L(ey, H.eval_basis((x, z)))),
-                    rep.act_R(ez, H.eval_basis((y, x))),
-                    neg_vec(rep.act_R(ez, H.eval_basis((x, y)))),
+                    act_L(rep, ex, H.eval_basis((y, z))),
+                    neg_vec(act_L(rep, ey, H.eval_basis((x, z)))),
+                    act_R(rep, ez, H.eval_basis((y, x))),
+                    neg_vec(act_R(rep, ez, H.eval_basis((x, y)))),
                     neg_vec(H.eval([y, a.mul_basis(x, z)])),
                     H.eval([x, a.mul_basis(y, z)]),
                     neg_vec(H.eval([a.bracket(ex, ey), z])),

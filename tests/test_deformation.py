@@ -12,7 +12,7 @@ from conftest import (
     random_reynolds_data,
     zero_representation,
 )
-from oracles import dense_kernel
+from oracles import act_L, act_R, dense_kernel
 from prelie import deformation
 from prelie.algebra import PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
@@ -271,11 +271,30 @@ def test_element_coboundary_matches_formula(g3_data):
     for u in range(3):
         eu = basis_vec(QQ, 3, u)
         Ku = K.column(u)
-        inner = sub_vec(rep.act_L(xv, eu), rep.act_R(xv, eu))
+        inner = sub_vec(act_L(rep, xv, eu), act_R(rep, xv, eu))
         inner = add_vec(inner, H.eval([xv, Ku]))
         expected = sub_vec(K.apply(inner), g.mul(xv, Ku))
         expected = add_vec(expected, g.mul(Ku, xv))
         assert out.column(u) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_element_coboundary_on_padded_bundles_is_K_S_minus_P_K(field):
+    # dim V > dim g and K != 0: S read off the frame is the action formula
+    from prelie.linalg import add_vec, basis_vec
+
+    rng = random.Random(31)
+    for _ in range(6):
+        data = padded_reynolds_data(rng, field)
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        m = rep.dim_v
+        assert m > g.dim and not K.is_zero()
+        x = tuple(field(rng.randint(-2, 2)) for _ in range(g.dim))
+        S = Matrix.from_columns(field, [
+            add_vec(sub_vec(act_L(rep, x, e), act_R(rep, x, e)), H.eval([x, K.column(u)]))
+            for u, e in enumerate(basis_vec(field, m, u) for u in range(m))], m)
+        P = g.left_mult(x) - g.right_mult(x)
+        assert element_coboundary(data, x) == K * S - P * K
 
 
 # ---------------------------------------------------------------------------

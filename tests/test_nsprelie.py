@@ -9,13 +9,15 @@ from conftest import (
     g3_algebra,
     g3b_algebra,
     g3_cocycle,
+    padded_reynolds_data,
     random_reynolds_data,
     zero_representation,
 )
+from oracles import act_L, act_R
 from prelie.algebra import check_prelie, regular_representation
 from prelie.cochain import Cochain
 from prelie.errors import ShapeError, SingularError, UnverifiedNSError, UnverifiedOperatorError
-from prelie.linalg import Matrix
+from prelie.linalg import Matrix, basis_vec
 from prelie.nsprelie import (
     NSPreLie,
     check_nijenhuis,
@@ -276,6 +278,27 @@ def test_subadjacent_tables_are_the_derived_tables(field):
     for c, d in product((-1, 0, 1), repeat=2):
         N = Matrix(field, [[c, d], [0, c]])
         assert ns_from_nijenhuis(a, N).star_tensor() == _deformed_tensor(a, N)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_ns_from_reynolds_frame_readings_on_padded_bundles(field):
+    # dim V > dim g and K != 0: each table read off the frame is the action
+    # or weight formula, and the three sum to the induced table
+    rng = random.Random(43)
+    for _ in range(6):
+        data = padded_reynolds_data(rng, field)
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        m = rep.dim_v
+        assert m > g.dim and not K.is_zero()
+        e = [basis_vec(field, m, u) for u in range(m)]
+        ns = ns_from_reynolds(data)
+        for u in range(m):
+            for v in range(m):
+                Ku, Kv = K.column(u), K.column(v)
+                assert ns.tri[u][v] == act_L(rep, Ku, e[v])
+                assert ns.trl[u][v] == act_R(rep, Kv, e[u])
+                assert ns.circ[u][v] == H.eval([Ku, Kv])
+        assert ns.star_tensor() == _induced_tensor(g, rep, H, K)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ from conftest import (
     truncated_poly_algebra,
     zero_representation,
 )
-from oracles import dense_kernel, dense_solve
+from oracles import dense_kernel, dense_solve, field_check_rcw_morphism
 from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation
 from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
 from prelie import algebra, reynolds
 from prelie.errors import (
+    DimensionMismatchError,
     InvariantError,
     NoUnitError,
     NotAdmissibleError,
@@ -642,3 +643,40 @@ def test_reynolds_derivation_roundtrip_other_direction(g3):
     assert check_weighted_reynolds(g3, K, lam).ok
     D = derivation_from_reynolds(g3, K, lam)
     assert reynolds_from_derivation(g3, D, lam) == K
+
+
+def _random_map(rng, field, rows, cols) -> Matrix:
+    return Matrix(field, [[field(rng.randint(-1, 1)) for _ in range(cols)]
+                          for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_rcw_morphism_across_dimensions_matches_the_hand_written_conditions(field):
+    # dim g' != dim g and dim V' != dim V, so a part that sliced the target's
+    # coordinates g' + V' at dim g instead of dim g' would differ
+    rng = random.Random(7)
+    failing = set()
+    compared = 0
+    while compared < 10:
+        data, data2 = padded_reynolds_data(rng, field), random_reynolds_data(rng, field)
+        if data.algebra.dim == data2.algebra.dim or data.rep.dim_v == data2.rep.dim_v:
+            continue
+        compared += 1
+        for source, target in ((data, data2), (data2, data), (data, data), (data2, data2)):
+            n, m = source.algebra.dim, source.rep.dim_v
+            n2, m2 = target.algebra.dim, target.rep.dim_v
+            maps = [(_random_map(rng, field, n2, n), _random_map(rng, field, m2, m))]
+            if source is target:
+                maps.append((Matrix.identity(field, n), Matrix.identity(field, m)))
+            for phi, psi in maps:
+                report = check_rcw_morphism(source, target, phi, psi)
+                assert report == field_check_rcw_morphism(source, target, phi, psi)
+                failing.update(name for name, part in report.parts.items() if not part.ok)
+    assert failing == {"algebra_morphism", "intertwines_operator", "intertwines_left_action",
+                       "intertwines_right_action", "intertwines_weight"}
+
+
+def test_rcw_morphism_rejects_maps_between_fields(g3_data):
+    data2 = parse_bundle(str(CORPUS / "g3-f2-e11.json")).reynolds_data()
+    with pytest.raises(DimensionMismatchError):
+        check_rcw_morphism(g3_data, data2, Matrix.identity(QQ, 3), Matrix.identity(QQ, 3))
