@@ -26,7 +26,13 @@ the same stdout and exit codes exactly when the outputs of
 
 taken in each are identical.  A tally of the exit codes goes to stderr.
 This is a script, not a pytest module; `test_bundle_cli.py` checks that
-its cases cover the parser's choices.
+its cases cover the parser's choices and that every line equals the
+pinned one in ``tests/cli_sweep.expected``.  A change that means to
+alter the CLI output regenerates that file with
+
+    PYTHONPATH=src python tests/cli_sweep.py > tests/cli_sweep.expected
+
+and names each changed line.
 """
 
 from __future__ import annotations
@@ -223,13 +229,19 @@ def run(argv) -> tuple:
     return code, out.getvalue()
 
 
+def line(argv) -> tuple:
+    """(exit code, the sweep's line ``exit argv stdout-digest``) of one command."""
+    code, stdout = run(argv)
+    digest = hashlib.sha256(stdout.encode()).hexdigest()[:16]
+    return code, f"{code} {' '.join(argv)} {digest}"
+
+
 def sweep() -> None:
     tally = Counter()
     for argv in cases() + variant_cases():
-        code, stdout = run(argv)
+        code, text = line(argv)
         tally[code] += 1
-        digest = hashlib.sha256(stdout.encode()).hexdigest()[:16]
-        print(code, " ".join(argv), digest)
+        print(text)
     print(", ".join(f"{n} exit {code}" for code, n in sorted(tally.items())),
           file=sys.stderr)
 

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,6 +451,18 @@ def test_cli_sweep_covers_every_choice(command):
         assert {argv[1] for argv in cases} == set(what.choices)
         bundles = {argv[2] for argv in cases}
     assert bundles == {f"corpus/{p.name}" for p in CORPUS.glob("*.json")}
+
+
+def test_cli_sweep_matches_the_pinned_bytes():
+    # every command of tests/cli_sweep.py against tests/cli_sweep.expected,
+    # in order; the first differing command is named
+    expected = (Path(cli_sweep.__file__).with_name("cli_sweep.expected")
+                .read_text().splitlines())
+    argvs = cli_sweep.cases() + cli_sweep.variant_cases()
+    assert len(argvs) == len(expected), "the sweep's cases differ from the pinned file"
+    for argv, want in zip(argvs, expected):
+        _, got = cli_sweep.line(argv)
+        assert got == want, f"first differing command: {' '.join(argv)}"
 
 
 def test_cli_construct_compatible_ns():
