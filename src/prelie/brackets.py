@@ -14,22 +14,38 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
 
   with [P, Q] = P <> Q - (-1)^{pq} Q <> P.  A bilinear map pi is pre-Lie
   exactly when [pi, pi] = 0.  `cochain._unshuffles` gives each s with
-  sgn(s), and `diamond` is the one multilinear evaluation of a cochain
-  at vector arguments (`Cochain.eval`) in the package.
+  sgn(s).  `diamond` and `mn_bracket` fill every key of C(X, X) and
+  evaluate P at vector arguments (`Cochain.eval`); they serve the
+  pre-Lie anchor [pi, pi] = 0 and are not on the derived-bracket route.
 
 * Operator cochains P in Hom(wedge^{p-1} V (x) V, g) embed into
-  C^p(W, W) for W = g + V by evaluating on the V-components and landing
-  in the g-component.  Two square-zero elements of C^2(W, W) drive
-  everything: the untwisted semidirect product mu + L + R, and the lift
-  of the 2-cocycle H.  The derived brackets are
+  C^p(W, W) for W = g + V as P^: evaluate on the V-components and land
+  in the g-component, so P^ vanishes as soon as one argument lies in g.
+  Two square-zero elements of C^2(W, W) drive everything: the untwisted
+  semidirect product mu + L + R, and the lift of the 2-cocycle H.  The
+  derived brackets are
 
-      [[P, Q]]      = (-1)^{p-1} [[mu+L+R, P], Q]            (degree p of P)
-      [[P, Q, R]]   = -          [[[H, P], Q], R]
+      [[P, Q]]      = (-1)^{p-1} [[mu+L+R, P^], Q^]            (degree p of P)
+      [[P, Q, R]]   = -          [[[H, P^], Q^], R^]
 
   restricted back to V-inputs.  Both brackets take that structure as
   their first argument, in the field or lifted to ints, and share one
   fold (`_derived`).  The ternary sign is pinned by the anchor identity
   [[K,K,K]](u,v) = 6 K H(Ku, Kv).
+
+* `_derived` evaluates the nested bracket on demand, never on all of
+  C(W, W).  Level 0 is the structure's basis values; level j is
+  [N, P_j^] with N the level below, held as a memo of sparse values at
+  canonical basis keys of W.  The top level is asked only for V-basis
+  keys; a key of level j asks level j-1 only for the keys that the four
+  unshuffle sums of [N, P_j^] hit, and a term is skipped as soon as a
+  lifted cochain would get a g-argument.  Since P^ lands in g, N <> P^
+  reads N at one more g-index, and P^ <> N reads only the V-coordinates
+  of N.  The restriction keeps the g-coordinates of the top level; its
+  V-coordinates vanish for these structures, and `_derived` raises
+  `InvariantError` ("V-part of the restricted derived bracket") when one
+  does not.  Values are combined with +, - and * only, so the route runs
+  on field scalars, on ints and on `Poly` entries alike.
 
 * The Maurer-Cartan functional is MC(K) = 1/2 [[K,K]] - 1/6 [[K,K,K]];
   its vanishing is equivalent to the Reynolds identity.  The induced
@@ -71,7 +87,7 @@ from .algebra import (
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
 )
-from .cochain import Cochain, _unshuffles, cochain_keys, cochain_space_dim
+from .cochain import Cochain, _sort_with_sign, _unshuffles, cochain_keys, cochain_space_dim
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
 from .reynolds import ReynoldsData, _require_cocycle, semidirect_tensor
@@ -138,28 +154,7 @@ def _cochain_report(c: Cochain) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# the big space W = g + V and the embedding of operator cochains
-
-
-def lift_operator_cochain(P: Cochain) -> Cochain:
-    """Embed P: wedge^{p-1} V (x) V -> g into C^p(W, W), W = g + V.
-
-    dim g and dim V are P's target and source dimensions.  The lift
-    vanishes whenever any argument has a g-component and lands in the
-    g-coordinates of W.
-    """
-    dim_g, m = P.dim_target, P.dim_source
-    dim_w = dim_g + m
-    field = P.field
-    values = []
-    for fb, last in cochain_keys(dim_w, P.degree):
-        idxs = fb + (last,)
-        if any(i < dim_g for i in idxs):
-            values.append(zero_vec(field, dim_w))
-            continue
-        inner = P.eval_basis(tuple(i - dim_g for i in idxs))
-        values.append(tuple(inner) + tuple(zero_vec(field, m)))
-    return Cochain(field, P.degree, dim_w, dim_w, values)
+# the big space W = g + V and the derived brackets, evaluated on demand
 
 
 def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
@@ -176,24 +171,126 @@ def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Coch
         [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)]))
 
 
+def _sparse_table(c: Cochain, shift: int) -> dict:
+    """{canonical key, indices shifted by ``shift``: the nonzero (coordinate, value) pairs}."""
+    return {(tuple(i + shift for i in fb), last + shift):
+            tuple((t, x) for t, x in enumerate(v) if x)
+            for (fb, last), v in zip(c.keys(), c.values)}
+
+
+def _read(table: dict, idxs) -> tuple:
+    """The sparse value of a cochain table at a basis tuple, in any order of its
+    first block: (sign of the sort, pairs), with no pairs on a repeated index."""
+    norm = _sort_with_sign(idxs[:-1])
+    if norm is None:
+        return 1, ()
+    return norm[0], table.get((norm[1], idxs[-1]), ())
+
+
+def _add(acc: dict, pairs, c, sign: int) -> None:
+    """acc += sign * c * pairs, coordinate by coordinate."""
+    for t, x in pairs:
+        term = c * x if sign == 1 else -(c * x)
+        s = acc.get(t)
+        acc[t] = term if s is None else s + term
+
+
 def _derived(structure: Cochain, cochains) -> Cochain:
     """[[...[structure, P_1^], ...], P_k^] restricted to operator cochains.
 
     The operator cochains must share one shape V -> g, and ``structure``
-    must live on W = g + V.  The restriction evaluates on V-basis tuples
-    and keeps the g-coordinates.
+    must live on W = g + V.  Level j = [N_{j-1}, P_j^] is a memo of
+    sparse values at canonical basis keys of W, filled only at the keys
+    the level above reads (see the module docstring).  The result holds
+    the g-coordinates of the top level at V-basis keys; a nonzero
+    V-coordinate there raises `InvariantError`.
     """
     dim_g, dim_v = cochains[0].dim_target, cochains[0].dim_source
     if any((P.dim_target, P.dim_source) != (dim_g, dim_v) for P in cochains):
         raise ShapeError("operator cochains have different shapes")
     if structure.dim_source != dim_g + dim_v:
         raise ShapeError("structure does not live on g + V")
-    nested = structure
+    n = dim_g
+    levels = [_sparse_table(structure, 0)]
+    arity = [2]
     for P in cochains:
-        nested = mn_bracket(nested, lift_operator_cochain(P))
-    values = [nested.eval_basis(tuple(i + dim_g for i in fb) + (last + dim_g,))[:dim_g]
-              for fb, last in cochain_keys(dim_v, nested.degree)]
-    return Cochain(nested.field, nested.degree, dim_v, dim_g, values)
+        levels.append({})
+        arity.append(arity[-1] + P.degree - 1)
+
+    def value(j, idxs):
+        """(sign, sparse value) of N_j at a tuple of basis indices of W."""
+        norm = _sort_with_sign(idxs[:-1])
+        if norm is None:
+            return 1, ()
+        key, memo = (norm[1], idxs[-1]), levels[j]
+        if key not in memo:
+            memo[key] = level(j, *key)
+        return norm[0], memo[key]
+
+    def level(j, fb, last):
+        """N_j = N <> P^ - (-1)^{pq} P^ <> N at one canonical key, N = N_{j-1}, P = P_j."""
+        P = tables[j - 1]
+        p, q = arity[j - 1] - 1, cochains[j - 1].degree - 1
+        flip = -1 if (p * q) % 2 else 1
+        acc = {}
+        # N <> P^, first sum: N(P^(q+1 letters), p-1 letters, last)
+        for s, w in _unshuffles((q, 1, p - 1)):
+            inner = tuple(fb[i] for i in w[:q + 1])
+            if inner[0] < n:
+                continue
+            s1, pv = _read(P, inner)
+            rest = tuple(fb[i] for i in w[q + 1:]) + (last,)
+            for t, c in pv:
+                s2, nv = value(j - 1, (t,) + rest)
+                _add(acc, nv, c, s * s1 * s2)
+        # N <> P^, second sum: (-1)^{pq} N(p letters, P^(q letters, last))
+        if last >= n:
+            for s, w in _unshuffles((p, q)):
+                inner = tuple(fb[i] for i in w[p:]) + (last,)
+                if inner[0] < n:
+                    continue
+                s1, pv = _read(P, inner)
+                head = tuple(fb[i] for i in w[:p])
+                for t, c in pv:
+                    s2, nv = value(j - 1, head + (t,))
+                    _add(acc, nv, c, flip * s * s1 * s2)
+        # -(-1)^{pq} P^ <> N, first sum: -(-1)^{pq} P^(N(p+1 letters), q-1 letters, last)
+        if last >= n:
+            for s, w in _unshuffles((p, 1, q - 1)):
+                rest = tuple(fb[i] for i in w[p + 1:]) + (last,)
+                if rest[0] < n:
+                    continue
+                s2, nv = value(j - 1, tuple(fb[i] for i in w[:p + 1]))
+                for t, x in nv:
+                    if t >= n:
+                        s1, pv = _read(P, (t,) + rest)
+                        _add(acc, pv, x, -flip * s * s1 * s2)
+        # -(-1)^{pq} P^ <> N, second sum: -P^(q letters, N(p letters, last))
+        for s, w in _unshuffles((q, p)):
+            head = tuple(fb[i] for i in w[:q])
+            if head and head[0] < n:
+                continue
+            s2, nv = value(j - 1, tuple(fb[i] for i in w[q:]) + (last,))
+            for t, x in nv:
+                if t >= n:
+                    s1, pv = _read(P, head + (t,))
+                    _add(acc, pv, x, -s * s1 * s2)
+        return tuple((t, x) for t, x in acc.items() if x)
+
+    tables = [_sparse_table(P, n) for P in cochains]
+    top, degree = len(cochains), arity[-1]
+    zero = structure.field.zero
+    values = []
+    for fb, last in cochain_keys(dim_v, degree):
+        out = [zero] * dim_g
+        for t, x in value(top, (*(i + n for i in fb), last + n))[1]:
+            if t >= n:
+                raise InvariantError(
+                    "V-part of the restricted derived bracket is nonzero at "
+                    f"{fb + (last,)}")
+            out[t] = x
+        values.append(out)
+    return Cochain(structure.field, degree, dim_v, dim_g, values)
 
 
 def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:

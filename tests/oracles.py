@@ -54,11 +54,20 @@ the identity d_K f = (-1)^{n-1} d f off one generic evaluation
 (`brackets.dk_difference`): d_K on every basis cochain, compared with
 the column of the dense operator differential.
 
+`lift_operator_cochain` and `full_space_derived` are the derived-bracket
+route the library ran before it evaluated the nested bracket on demand:
+every operator cochain lifted to C(W, W), W = g + V, the nested
+`brackets.mn_bracket` filled on every key of W, then evaluated on
+V-basis tuples with the g-coordinates kept.  `full_space_derived_bracket`
+and `full_space_ternary_bracket` add the signs of `derived_bracket` and
+`ternary_bracket`.
+
 `field_mc_residual`, `field_d_K` and `field_twisted_mc_residual` are the
 bracket combinations as the library evaluated them over Q and F_p,
 p >= 5, before it ran every field on the integer lift: each bracket in
-the field's own scalars, scaled by its coefficient there.  Over F_2 and
-F_3 the coefficients 1/2 and 1/6 do not exist, so they do not apply.
+the field's own scalars, on the full-space route, scaled by its
+coefficient there.  Over F_2 and F_3 the coefficients 1/2 and 1/6 do not
+exist, so they do not apply.
 
 `check_prelie_via_bracket` and `product_cochain` read the pre-Lie axiom
 off the Matsushima-Nijenhuis bracket ([pi, pi] = 0), an independent
@@ -797,15 +806,60 @@ def check_prelie_via_bracket(field, tensor) -> Report:
     return brackets._cochain_report(brackets.mn_bracket(pi, pi))
 
 
+def lift_operator_cochain(P: Cochain) -> Cochain:
+    """Embed P: wedge^{p-1} V (x) V -> g into C^p(W, W), W = g + V.
+
+    dim g and dim V are P's target and source dimensions.  The lift
+    vanishes whenever any argument has a g-component and lands in the
+    g-coordinates of W.
+    """
+    dim_g, m = P.dim_target, P.dim_source
+    dim_w = dim_g + m
+    field = P.field
+    values = []
+    for fb, last in cochain_keys(dim_w, P.degree):
+        idxs = fb + (last,)
+        if any(i < dim_g for i in idxs):
+            values.append(zero_vec(field, dim_w))
+            continue
+        inner = P.eval_basis(tuple(i - dim_g for i in idxs))
+        values.append(tuple(inner) + tuple(zero_vec(field, m)))
+    return Cochain(field, P.degree, dim_w, dim_w, values)
+
+
+def full_space_derived(structure: Cochain, cochains) -> Cochain:
+    """[[...[structure, P_1^], ...], P_k^] filled on every key of C(W, W), then
+    restricted: evaluated on V-basis tuples, g-coordinates kept."""
+    dim_g, dim_v = cochains[0].dim_target, cochains[0].dim_source
+    nested = structure
+    for P in cochains:
+        nested = brackets.mn_bracket(nested, lift_operator_cochain(P))
+    values = [nested.eval_basis(tuple(i + dim_g for i in fb) + (last + dim_g,))[:dim_g]
+              for fb, last in cochain_keys(dim_v, nested.degree)]
+    return Cochain(nested.field, nested.degree, dim_v, dim_g, values)
+
+
+def full_space_derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
+    """[[P, Q]] = (-1)^{p-1} [[mu, P], Q] on the full space."""
+    out = full_space_derived(mu, (P, Q))
+    return -out if (P.degree - 1) % 2 == 1 else out
+
+
+def full_space_ternary_bracket(hw: Cochain, P: Cochain, Q: Cochain, R: Cochain) -> Cochain:
+    """[[P, Q, R]] = -[[[hw, P], Q], R] on the full space."""
+    return -full_space_derived(hw, (P, Q, R))
+
+
 def field_combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
                       cochains: list, terms: list) -> Cochain:
-    """The sum of coefficient * bracket over ``terms``, in the field's scalars."""
+    """The sum of coefficient * bracket over ``terms``, in the field's scalars,
+    each bracket on the full space (`full_space_derived`)."""
     acc = None
     for coeff, idxs in terms:
         args = [cochains[i] for i in idxs]
-        c = brackets.derived_bracket(brackets.untwisted_structure(g, rep), *args) \
+        c = full_space_derived_bracket(brackets.untwisted_structure(g, rep), *args) \
             if len(args) == 2 else \
-            brackets.ternary_bracket(brackets.cocycle_structure(g, rep, H), *args)
+            full_space_ternary_bracket(brackets.cocycle_structure(g, rep, H), *args)
         c = c.scale(g.field(coeff))
         acc = c if acc is None else acc + c
     return acc

@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import textwrap
 from itertools import permutations
 
 import pytest
@@ -24,6 +26,11 @@ from oracles import (
     field_d_K,
     field_mc_residual,
     field_twisted_mc_residual,
+    full_space_derived,
+    full_space_derived_bracket,
+    full_space_ternary_bracket,
+    generic_cochain,
+    lift_operator_cochain,
     product_cochain,
 )
 from prelie import brackets
@@ -36,7 +43,6 @@ from prelie.brackets import (
     derived_bracket,
     diamond,
     dk_difference,
-    lift_operator_cochain,
     mc_residual,
     mn_bracket,
     tensor_cochain,
@@ -264,6 +270,105 @@ def test_lift_operator_cochain_lands_in_the_algebra_coordinates(field):
                 expected = (P.eval_basis(tuple(i - n for i in idxs)) + (field.zero,) * m
                             if min(idxs) >= n else (field.zero,) * (n + m))
                 assert lifted.eval_basis(idxs) == expected
+
+
+def _values(c: Cochain) -> list:
+    """The coordinates of c, a zero `Poly` read as 0 (the full-space route keeps them)."""
+    return [[(x.terms if x else 0) if isinstance(x, Poly) else x for x in v] for v in c.values]
+
+
+def _assert_brackets_match_the_full_space_oracle(field, degree, seed):
+    """Binary and ternary brackets of K with a random and with the generic degree-n
+    cochain (the one `dk_difference` evaluates), against `oracles.full_space_derived`,
+    on `corpus/g3-k-twisted.json` and on a random bundle padded to dim V > dim g."""
+    rng = random.Random(seed)
+    corpus = parse_bundle(str(CORPUS / "g3-k-twisted.json"), field_name(field))
+    nonzero = 0
+    for data in (corpus.reynolds_data(), padded_reynolds_data(rng, field, max_dim=3)):
+        g, rep, H = data.algebra, data.rep, data.cocycle
+        mu, hw = untwisted_structure(g, rep), cocycle_structure(g, rep, H)
+        K = Cochain.from_matrix(data.operator)
+        for f in (random_cochain(rng, field, degree, rep.dim_v, g.dim, -2, 2),
+                  generic_cochain(field, degree, rep.dim_v, g.dim)):
+            pairs = [(K, f), (f, K)] + ([(f, f)] if degree < 3 else [])
+            for route, oracle, args in (
+                    [(derived_bracket, full_space_derived_bracket, (mu, *a)) for a in pairs]
+                    + [(ternary_bracket, full_space_ternary_bracket, (hw, *a))
+                       for a in [(K, K, f), (K, f, K), (f, K, K)]]):
+                got = route(*args)
+                assert _values(got) == _values(oracle(*args))
+                nonzero += not got.is_zero()
+    assert nonzero  # the comparisons see nonzero brackets
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)],
+                         ids=repr)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_derived_brackets_match_the_full_space_oracle(field, degree):
+    _assert_brackets_match_the_full_space_oracle(field, degree, 60 + degree)
+
+
+# the four unshuffle sums of [N, P^] = N <> P^ - (-1)^{pq} P^ <> N in `_derived`
+_UNSHUFFLE_SUMS = ["_add(acc, nv, c, s * s1 * s2)", "_add(acc, nv, c, flip * s * s1 * s2)",
+                   "_add(acc, pv, x, -flip * s * s1 * s2)", "_add(acc, pv, x, -s * s1 * s2)"]
+
+
+@pytest.mark.parametrize("term", _UNSHUFFLE_SUMS)
+def test_a_sign_flip_in_one_unshuffle_sum_fails_the_oracle_comparison(monkeypatch, term):
+    source = textwrap.dedent(inspect.getsource(brackets._derived))
+    assert source.count(term) == 1
+    head, sign = term[:-1].rsplit(", ", 1)
+    namespace = dict(vars(brackets))
+    exec(compile(source.replace(term, f"{head}, -({sign}))"), brackets.__file__, "exec"),
+         namespace)
+    monkeypatch.setattr(brackets, "_derived", namespace["_derived"])
+    with pytest.raises((AssertionError, InvariantError)):
+        _assert_brackets_match_the_full_space_oracle(QQ, 2, 62)
+
+
+def test_a_nonzero_v_part_of_the_restriction_is_an_invariant_error():
+    # on a structure that is no semidirect product the restricted bracket can
+    # have V-coordinates; the route raises exactly when the full space has them
+    rng = random.Random(70)
+    raised = 0
+    for _ in range(8):
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        structure = random_cochain(rng, QQ, 2, n + m, n + m, -1, 1)
+        K = random_cochain(rng, QQ, 1, m, n, -1, 1)
+        nested = structure
+        for P in (K, K):
+            nested = mn_bracket(nested, lift_operator_cochain(P))
+        v_part = any(any(nested.eval_basis(tuple(i + n for i in fb) + (last + n,))[n:])
+                     for fb, last in cochain_keys(m, 2))
+        if v_part:
+            raised += 1
+            with pytest.raises(InvariantError,
+                               match="V-part of the restricted derived bracket"):
+                derived_bracket(structure, K, K)
+        else:
+            assert derived_bracket(structure, K, K) == full_space_derived(structure, (K, K))
+    assert 0 < raised < 8  # both outcomes exercised
+
+
+@pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
+                                         "dk_difference"])
+def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
+    # the derived brackets never call diamond, mn_bracket or Cochain.eval
+    bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"))
+    data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
+    args = {"mc_residual": (data.algebra, data.rep, data.cocycle, data.operator),
+            "d_K": (data, Cochain.from_matrix(K2)),
+            "twisted_mc_residual": (data, K2),
+            "dk_difference": (data, 3)}[combination]
+    expected = getattr(brackets, combination)(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the full-space route was called")
+
+    for name in ("diamond", "mn_bracket"):
+        monkeypatch.setattr(brackets, name, forbidden)
+    monkeypatch.setattr(Cochain, "eval", forbidden)
+    assert _values(getattr(brackets, combination)(*args)) == _values(expected)
 
 
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
