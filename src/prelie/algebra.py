@@ -62,9 +62,9 @@ class Report:
     """Outcome of an axiom check: pass/fail plus every violated tuple.
 
     ``violations`` holds (where, residual) pairs; ``where`` identifies the
-    basis tuple (0-based indices) and ``residual`` is the nonzero defect
-    vector.  ``parts`` carries named sub-verdicts for multi-condition
-    checks.
+    basis tuple (0-based indices, with string labels and `Order` powers
+    of t beside them) and ``residual`` is the nonzero defect vector.
+    ``parts`` carries named sub-verdicts for multi-condition checks.
     """
 
     ok: bool
@@ -79,6 +79,12 @@ class Report:
             res = "(" + ", ".join(scalar_to_str(x) for x in residual) + ")"
             lines.append(f"  at {where}: residual {res}")
         return "\n".join(lines)
+
+
+class Order(int):
+    """A power of t in a violation's ``where``: an order, not a basis index."""
+
+    __slots__ = ()
 
 
 def residual_report(pairs) -> Report:

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import brackets, deformation, nsprelie, opcohomology, reynolds, search
-from .algebra import check_morphism, check_prelie, check_representation
+from .algebra import Order, check_morphism, check_prelie, check_representation
 from .bundle import (
     MAX_DIM,
     algebra_tensor_from_json,
@@ -56,9 +56,11 @@ EXIT_INVARIANT = 4
 
 
 def _violations_json(report, limit=50):
+    """The first ``limit`` violations; in "at", basis indices are 1-based and
+    orders of t (`algebra.Order`) and labels are printed as they are."""
     out = []
     for where, residual in report.violations[:limit]:
-        at = [w + 1 if isinstance(w, int) else w for w in where]
+        at = [w + 1 if isinstance(w, int) and not isinstance(w, Order) else w for w in where]
         out.append({"at": at, "residual": [scalar_to_str(x) for x in residual]})
     return out
 

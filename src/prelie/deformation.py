@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Report, _combine, residual_report
+from .algebra import Order, Report, _combine, residual_report
 from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
 from .linalg import Matrix, integer_rank, sparse_mul, sub_vec
@@ -178,7 +178,7 @@ def check_formal_deformation(series: DeformationSeries) -> Report:
     """
     table = _reynolds_in_t(series.base, series.coefficients)
     zero = series.base.field.zero
-    return _combine({f"order_{k}": residual_report(((k, *where), _order(r, k, zero))
+    return _combine({f"order_{k}": residual_report(((Order(k), *where), _order(r, k, zero))
                                                    for where, r in table)
                      for k in range(3 * series.order + 1)})
 
@@ -205,7 +205,7 @@ def _element_morphism(data: ReynoldsData, frame, x, K1: Matrix, K1p: Matrix) -> 
     """The parts of `check_rcw_morphism` for (phi_t, psi_t) from K + t K1 to K + t K1'.
 
     Every condition is a polynomial of degree at most 2 in t that
-    vanishes at t = 0; its t^k coefficient is reported at ``(k, *where)``.
+    vanishes at t = 0; its t^k coefficient is reported at ``(Order(k), *where)``.
     ``frame`` is the bundle's `reynolds.field_frame`.
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
@@ -216,7 +216,7 @@ def _element_morphism(data: ReynoldsData, frame, x, K1: Matrix, K1p: Matrix) -> 
                                 _in_t((Matrix.identity(field, n), P)),
                                 _in_t((Matrix.identity(field, m), S)))
     zero = field.zero
-    return {name: residual_report(((k, *where), _order(r, k, zero))
+    return {name: residual_report(((Order(k), *where), _order(r, k, zero))
                                   for k in (1, 2) for where, r in part.violations)
             for name, part in report.parts.items()}
 
