@@ -350,16 +350,21 @@ def test_a_nonzero_v_part_of_the_restriction_is_an_invariant_error():
     assert 0 < raised < 8  # both outcomes exercised
 
 
+def _combination_args(combination: str) -> tuple:
+    """Arguments for one bracket combination on `corpus/g3-k-twisted.json`."""
+    bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"))
+    data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
+    return {"mc_residual": (data.algebra, data.rep, data.cocycle, data.operator),
+            "d_K": (data, Cochain.from_matrix(K2)),
+            "twisted_mc_residual": (data, K2),
+            "dk_difference": (data, 3)}[combination]
+
+
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
                                          "dk_difference"])
 def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
     # the derived brackets never call diamond, mn_bracket or Cochain.eval
-    bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"))
-    data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
-    args = {"mc_residual": (data.algebra, data.rep, data.cocycle, data.operator),
-            "d_K": (data, Cochain.from_matrix(K2)),
-            "twisted_mc_residual": (data, K2),
-            "dk_difference": (data, 3)}[combination]
+    args = _combination_args(combination)
     expected = getattr(brackets, combination)(*args)
 
     def forbidden(*args):
@@ -374,12 +379,7 @@ def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
                                          "dk_difference"])
 def test_each_combination_builds_its_structures_once(monkeypatch, combination):
-    bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"))
-    data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
-    args = {"mc_residual": (data.algebra, data.rep, data.cocycle, data.operator),
-            "d_K": (data, Cochain.from_matrix(K2)),
-            "twisted_mc_residual": (data, K2),
-            "dk_difference": (data, 2)}[combination]
+    args = _combination_args(combination)
     calls = {name: count_calls(monkeypatch, brackets, name)
              for name in ("untwisted_structure", "cocycle_structure")}
     getattr(brackets, combination)(*args)

@@ -10,10 +10,8 @@ from hypothesis import given, settings, strategies as st
 import cli_sweep
 from conftest import CORPUS, count_calls, fail_after
 from oracles import basis_dk_columns
-from prelie import (
-    algebra, brackets, cochain, deformation, nsprelie, opcohomology, reynolds, search,
-)
-from prelie.algebra import Order, Report
+from prelie import algebra, brackets, cochain, nsprelie, opcohomology, reynolds, search
+from prelie.algebra import Report
 from prelie.bundle import (
     MAX_DIM,
     algebra_from_json,
@@ -480,16 +478,6 @@ def test_cli_at_prints_orders_as_they_are_and_basis_indices_one_based(argv, part
     code, out = cli_sweep.run(argv)
     assert code == 1
     assert json.loads(out)["parts"][part]["violations"][0]["at"] == at
-
-
-def test_deformation_checkers_mark_the_order_in_where():
-    bundle = parse_bundle(str(CORPUS / "g3-k-deform.json"))
-    data, (K, _) = bundle.reynolds_data(), bundle.series()
-    K1 = Matrix(data.field, [[0, 0, 0], [0, 1, 1], [0, 0, 0]])
-    report = deformation.check_formal_deformation(deformation.DeformationSeries(data, (K, K1)))
-    where = report.parts["order_1"].violations[0][0]
-    assert where == (1, 2, 2) and isinstance(where[0], Order)
-    assert not any(isinstance(w, Order) for w in where[1:])
 
 
 def test_cli_construct_compatible_ns():

@@ -14,7 +14,7 @@ from conftest import (
 )
 from oracles import act_L, act_R, dense_kernel
 from prelie import deformation
-from prelie.algebra import PreLieAlgebra, regular_representation
+from prelie.algebra import Order, PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain
 from prelie.deformation import (
@@ -495,3 +495,13 @@ def test_literal_element_groups_accept_only_nijenhuis_elements(field):
                 accepted += 1
                 assert report.ok, x
     assert accepted
+
+
+def test_deformation_checkers_mark_the_order_in_where():
+    bundle = parse_bundle(str(CORPUS / "g3-k-deform.json"))
+    data, (K, _) = bundle.reynolds_data(), bundle.series()
+    K1 = Matrix(data.field, [[0, 0, 0], [0, 1, 1], [0, 0, 0]])
+    report = check_formal_deformation(DeformationSeries(data, (K, K1)))
+    where = report.parts["order_1"].violations[0][0]
+    assert where == (1, 2, 2) and isinstance(where[0], Order)
+    assert not any(isinstance(w, Order) for w in where[1:])
