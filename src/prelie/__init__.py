@@ -52,6 +52,7 @@ from .nsprelie import (
     check_ns_prelie,
     compatible_ns_from_invertible,
     deformed_product,
+    nijenhuis_checker,
     ns_from_nijenhuis,
     ns_from_reynolds,
     reynolds_from_ns,
@@ -73,6 +74,7 @@ from .reynolds import (
     derivation_from_reynolds,
     gauge_transform,
     induced_product,
+    reynolds_checker,
     reynolds_from_derivation,
     reynolds_from_invertible_cochain,
     semidirect,

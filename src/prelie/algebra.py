@@ -22,8 +22,9 @@ the one kernel at their own basis triples and coordinates.
 
 The morphism identity F(a).F(b) = F(a.b) is written once, in
 `morphism_defects`, for `check_morphism`, `reynolds.operator_identity`
-and `reynolds.check_rcw_morphism`.  A `Representation` only holds its
-action matrices; actions on vectors are read off `reynolds.field_frame`.
+(the weighted and D-Reynolds checkers) and `reynolds.check_rcw_morphism`.
+A `Representation` only holds its action matrices; actions on vectors
+are read off `reynolds.field_frame`.
 
 The axiom checkers `check_prelie`, `check_jacobi`, `check_representation`
 and `nsprelie.check_ns_prelie` evaluate their formulas on Python ints:
@@ -33,7 +34,9 @@ residues over F_p, runs the formula on the ints, and maps every
 residual back to the field.  Each axiom is homogeneous in the
 constants (of degree 2, antisymmetry of degree 1), so a residual r is
 r / D^2 (or r / D) over Q and r mod p over F_p, and the reports are the
-ones the field arithmetic gives.
+ones the field arithmetic gives.  The Reynolds and Nijenhuis identities
+run on ints too, with the fixed data and the operator lifted apart
+(`reynolds.reynolds_checker`, `nsprelie.nijenhuis_checker`).
 
 Every `PreLieAlgebra` and `Representation` lives over a field.  Code
 that computes on the integer lift lifts raw arrays, not objects: the
@@ -162,6 +165,11 @@ def semidirect_tensor(product, dim_v, L, R, H=None) -> list:
     return tensor
 
 
+def nonzero_rows(tensor) -> list:
+    """The nonzero entries of each row of a structure-constant tensor, as (k, c) pairs."""
+    return [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
+
+
 def prelie_defects(tensor, triples, start):
     """(a.b).c - a.(b.c) - (b.a).c + b.(a.c) at each basis triple (a, b, c).
 
@@ -172,7 +180,7 @@ def prelie_defects(tensor, triples, start):
     tensor, so a triple costs the products of the rows it touches.
     """
     dim = len(tensor)
-    rows = [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
+    rows = nonzero_rows(tensor)
     tails = [[[(k - start, x) for k, x in row if k >= start] for row in plane]
              for plane in rows]
     for a, b, c in triples:

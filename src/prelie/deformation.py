@@ -2,9 +2,9 @@
 
 A deformation K_t = K_0 + K_1 t + ... + K_N t^N is built once, as a
 matrix whose entries are polynomials in one variable t (`scalars.Poly`),
-and the Reynolds identity is evaluated on it by the same kernel that
-checks a single operator (`reynolds.operator_identity`, through
-`reynolds._reynolds_report`).  The t^k
+and the Reynolds identity is evaluated on it by the same checker that
+checks a single operator (`reynolds.reynolds_checker`, on the integer
+lift, t kept as a variable).  The t^k
 coefficient of each residual is the order-k condition: a truncated series
 is checked at every order 0..3N, beyond which all contributions vanish
 identically, and a linear deformation K + t K1 at orders t, t^2, t^3.
@@ -44,7 +44,7 @@ from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
 from .linalg import Matrix, integer_rank, sparse_mul, sub_vec
 from .opcohomology import induced_representation, operator_coboundary
-from .reynolds import ReynoldsData, _reynolds_report, check_rcw_morphism, field_frame
+from .reynolds import ReynoldsData, check_rcw_morphism, field_frame, reynolds_checker
 from .scalars import Poly, PrimeField
 
 
@@ -111,8 +111,8 @@ def _order(vec, k: int, zero) -> tuple:
 
 def _reynolds_in_t(data: ReynoldsData, coefficients) -> list:
     """The nonzero Reynolds residuals of K_t = sum K_i t^i at V-basis pairs (u, v)."""
-    return _reynolds_report(data.algebra, data.rep, data.cocycle,
-                            _in_t(coefficients)).violations
+    return reynolds_checker(data.algebra, data.rep, data.cocycle)(
+        _in_t(coefficients)).violations
 
 
 def element_coboundary(data: ReynoldsData, x) -> Matrix:

@@ -15,6 +15,9 @@ L_x = x|>. and R_x = .<|x, twisted by o, is a pre-Lie semidirect
 product, and `check_ns_prelie` reads them off the one pre-Lie kernel
 `algebra.prelie_defects` (the signs are in SIGNS.md).
 
+The Nijenhuis identity is evaluated on the integer lift, by
+`nijenhuis_checker`.
+
 The three sources of NS-structures implemented here: Nijenhuis operators on a
 pre-Lie algebra, cocycle-weighted Reynolds operators (on the module, the
 three tables read off the bundle's `reynolds.field_frame`), and
@@ -32,6 +35,7 @@ from .algebra import (
     Representation,
     _as_tensor,
     _combine,
+    nonzero_rows,
     prelie_defects,
     residual_report,
     semidirect_tensor,
@@ -46,8 +50,8 @@ from .errors import (
     reverified,
 )
 from .linalg import Matrix, add_vec, neg_vec, sub_vec
-from .reynolds import ReynoldsData, derived_tensor, field_frame, operator_identity
-from .scalars import lift
+from .reynolds import ReynoldsData, derived_tensor, field_frame
+from .scalars import descend, lift
 
 
 def check_ns_prelie(field, tri, trl, circ) -> Report:
@@ -129,18 +133,70 @@ def subadjacent(ns: NSPreLie) -> PreLieAlgebra:
     return reverified(PreLieAlgebra, ns.field, ns.star_tensor())
 
 
-def _deformed_tensor(g: PreLieAlgebra, N: Matrix) -> tuple:
-    """The deformed product x ._N y = Nx.y + x.Ny - N(x.y) on basis indices."""
+def _check_operator_shape(g: PreLieAlgebra, N: Matrix):
     if N.rows != g.dim or N.cols != g.dim:
         raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {g.dim}")
+
+
+def _deformed_tensor(g: PreLieAlgebra, N: Matrix) -> tuple:
+    """The deformed product x ._N y = Nx.y + x.Ny - N(x.y) on basis indices."""
+    _check_operator_shape(g, N)
     e = [g.basis(i) for i in range(g.dim)]
     return derived_tensor(N, lambda i, j, Nx, Ny: sub_vec(
         add_vec(g.mul(Nx, e[j]), g.mul(e[i], Ny)), N.apply(g.mul_basis(i, j))))
 
 
+def nijenhuis_checker(g: PreLieAlgebra):
+    """The Nijenhuis identity Nx.Ny = N(x ._N y) on g, prepared once: N -> `Report`.
+
+    The structure constants are lifted once, with denominator D_g, and
+    their nonzero rows built once.  Each call lifts only N, with
+    denominator D_N, and evaluates Ne_i.Ne_j - N(e_i ._N e_j) at every
+    basis pair: D_g D_N^2 times the field residual (`SIGNS.md`).
+    `scalars.Poly` entries of N come back coefficient by coefficient.
+    """
+    field, n = g.field, g.dim
+    (c, Dg), _ = lift(field, (g.product, field.one))
+    rows = nonzero_rows(c)
+
+    def check(N: Matrix) -> Report:
+        _check_operator_shape(g, N)
+        (k, DN), _ = lift(field, (N.data, field.one))
+        cols = [[(a, row[i]) for a, row in enumerate(k) if row[i]] for i in range(n)]
+
+        def residual(i, j):
+            deformed = [0] * n  # x ._N y: degree 2 on the lift
+            for a, x in cols[i]:
+                for t, z in rows[a][j]:
+                    deformed[t] += x * z
+            for b, y in cols[j]:
+                for t, z in rows[i][b]:
+                    deformed[t] += y * z
+            for t, z in rows[i][j]:
+                for s, w in cols[t]:
+                    deformed[s] -= z * w
+            out = [0] * n  # Nx.Ny - N(x ._N y): degree 3
+            for a, x in cols[i]:
+                for b, y in cols[j]:
+                    xy = x * y
+                    for t, z in rows[a][b]:
+                        out[t] += xy * z
+            for t, z in enumerate(deformed):
+                if z:
+                    for s, w in cols[t]:
+                        out[s] -= z * w
+            return out
+
+        back = descend(field, Dg * DN ** 2)
+        residuals = (((i, j), residual(i, j)) for i in range(n) for j in range(n))
+        return residual_report((where, back(r)) for where, r in residuals if any(r))
+
+    return check
+
+
 def check_nijenhuis(g: PreLieAlgebra, N: Matrix) -> Report:
     """Nx.Ny = N(x ._N y) on all basis pairs."""
-    return operator_identity(g, N, _deformed_tensor(g, N))
+    return nijenhuis_checker(g)(N)
 
 
 def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
@@ -149,11 +205,10 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
     The result is pre-Lie and compatible with the original product: the
     sum of the two products is pre-Lie as well (both re-verified).
     """
-    table = _deformed_tensor(g, N)
-    if not operator_identity(g, N, table).ok:
+    if not nijenhuis_checker(g)(N).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     n = g.dim
-    deformed = reverified(PreLieAlgebra, g.field, table)
+    deformed = reverified(PreLieAlgebra, g.field, _deformed_tensor(g, N))
     total = tuple(
         tuple(add_vec(g.product[i][j], deformed.product[i][j]) for j in range(n))
         for i in range(n)
@@ -169,8 +224,7 @@ def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     Nijenhuis operator: its three summands are the three tables, so the
     equality holds by construction and is a test, not a runtime check.
     """
-    deformed = _deformed_tensor(g, N)
-    if not operator_identity(g, N, deformed).ok:
+    if not nijenhuis_checker(g)(N).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     e = [g.basis(i) for i in range(g.dim)]
     tri = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(Nx, e[j]))

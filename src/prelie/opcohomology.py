@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import PreLieAlgebra, Representation, semidirect_tensor
+from .algebra import PreLieAlgebra, Representation, nonzero_rows, semidirect_tensor
 from .cochain import Cochain, coboundary, coboundary_matrix
 from .errors import ShapeError, reverified
 from .linalg import Matrix, basis_vec
@@ -42,7 +42,7 @@ def induced_representation(data: ReynoldsData) -> Representation:
     n, m = g.dim, rep.dim_v
     field = g.field
     (c, L, R, h, k, D), down = lift(field, (*_semidirect_arrays(g, rep, H), K.data, field.one))
-    mul, graph, p = graph_frame(INTEGERS, semidirect_tensor(c, m, L, R, h), k, D)
+    mul, graph, p = graph_frame(INTEGERS, nonzero_rows(semidirect_tensor(c, m, L, R, h)), k, D)
     e = [basis_vec(INTEGERS, n + m, x) for x in range(n)]
     base = reverified(PreLieAlgebra, field,
                       [[down(mul(a, b)[n:], 3) for b in graph] for a in graph])

@@ -12,17 +12,18 @@ weight * K(x).K(y)).
 
 Every operator here is characterised by one identity,
 K(x).K(y) = K(x o_K y), and differs from the others only in the derived
-product o_K: `derived_tensor` tabulates it on the source basis of K and
-`operator_identity` evaluates K e_i . K e_j - K(e_i o_K e_j) on all
-basis pairs, for every checker and for the constructors of the products.
-That is the morphism identity of `algebra.morphism_defects`, which
-`check_rcw_morphism` also reads, on the map phi + psi between two
-twisted semidirect products.
-The induced product u ._K v of a cocycle-weighted Reynolds operator is
-read, like the graph closure of `check_graph_subalgebra`, Lbar, Rbar
-of `opcohomology` and every action applied to a vector, off the twisted
+product o_K.  The cocycle-weighted one is read off the twisted
 semidirect product g + V through the graph {(Ku, u)} of K
-(`graph_frame`, built on the field scalars by `field_frame`).
+(`graph_frame`): its residual at (u, v) is p(gr(u).gr(v)), which every
+caller evaluates on the integer lift through `reynolds_checker`.  For
+the scalar-weight and D-Reynolds identities `derived_tensor` tabulates
+o_K and `operator_identity` evaluates K e_i . K e_j - K(e_i o_K e_j) on
+field scalars: the morphism identity of `algebra.morphism_defects`,
+which `check_rcw_morphism` also reads on the map phi + psi between two
+twisted semidirect products.  The induced product u ._K v, the graph
+closure of `check_graph_subalgebra`, Lbar, Rbar of `opcohomology` and
+every action applied to a vector are read off the same frame
+(`field_frame` on field scalars).
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
@@ -44,9 +45,9 @@ from .algebra import (
     check_derivation,
     check_morphism,
     morphism_defects,
+    nonzero_rows,
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
-    tensor_mul,
     _combine,
 )
 from .cochain import Cochain, check_two_cocycle, coboundary
@@ -63,7 +64,7 @@ from .errors import (
     reverified,
 )
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, scale_vec, sub_vec
-from .scalars import scalar_to_str
+from .scalars import INTEGERS, descend, lift, scalar_to_str
 
 
 def _check_operator_shape(g: PreLieAlgebra, rep: Representation, K: Matrix):
@@ -112,22 +113,36 @@ def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
     return raw_semidirect_tensor(product, rep.dim_v, L, R, table)
 
 
-def graph_frame(field, sd, k, one):
-    """The semidirect product tensor ``sd`` on g + V read through the graph of K.
+def graph_frame(field, rows, k, one):
+    """The semidirect product on g + V read through the graph of K.
 
+    ``rows`` are the nonzero rows of its tensor (`algebra.nonzero_rows`),
     ``k`` holds the n rows of K and ``one`` is 1: the field's one, or the
-    common denominator D on the integer lift.  Returns the product of
-    ``sd``, the graph vectors gr(u) = (K e_u, one e_u) and the projection
-    p(a, b) = one a - K b, which vanishes exactly on the graph.  The
-    induced product is the V-part of gr(u).gr(v), the Reynolds residual
-    p(gr(u).gr(v)), Lbar_u x = p(gr(u).x) and Rbar_u x = p(x.gr(u));
-    on the lift the last three are homogeneous of degree 3 (`SIGNS.md`).
+    denominator of K on the integer lift.  Returns the product, the graph
+    vectors gr(u) = (K e_u, one e_u) and the projection p(a, b) = one a -
+    K b, which vanishes exactly on the graph.  The induced product is the
+    V-part of gr(u).gr(v), the Reynolds residual p(gr(u).gr(v)), Lbar_u x
+    = p(gr(u).x) and Rbar_u x = p(x.gr(u)); `SIGNS.md` gives the degree
+    of each on the lift.  A product costs the rows that its nonzero
+    coordinates pick.
     """
-    n, zero = len(k), field.zero
-    m = len(sd) - n
+    n, zero, dim = len(k), field.zero, len(rows)
+    m = dim - n
     cols = [tuple(row[u] for row in k) for u in range(m)]
     graph = [col + tuple(one if v == u else zero for v in range(m))
              for u, col in enumerate(cols)]
+
+    def mul(x, y):
+        out = [zero] * dim
+        right = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                plane = rows[i]
+                for j, b in right:
+                    c = a * b
+                    for t, z in plane[j]:
+                        out[t] = out[t] + c * z
+        return tuple(out)
 
     def project(w):
         out = scale_vec(one, w[:n])
@@ -136,15 +151,13 @@ def graph_frame(field, sd, k, one):
                 out = sub_vec(out, scale_vec(y, cols[u]))
         return out
 
-    return (lambda x, y: tensor_mul(field, sd, x, y)), graph, project
+    return mul, graph, project
 
 
 def field_frame(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix):
-    """`graph_frame` of g + V twisted by H, read through the graph of K, on field scalars.
-
-    The one builder of the frame of a bundle, verified or being checked.
-    """
-    return graph_frame(g.field, semidirect_tensor(g, rep, H), K.data, g.field.one)
+    """`graph_frame` of g + V twisted by H, read through the graph of K, on field scalars."""
+    return graph_frame(g.field, nonzero_rows(semidirect_tensor(g, rep, H)), K.data,
+                       g.field.one)
 
 
 def _induced_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix) -> tuple:
@@ -154,18 +167,38 @@ def _induced_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix
     return tuple(tuple(mul(a, b)[n:] for b in graph) for a in graph)
 
 
-def _reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
-                     K: Matrix) -> Report:
-    """The Reynolds identity on all V-basis pairs, for an already verified H."""
-    _check_operator_shape(g, rep, K)
-    return operator_identity(g, K, _induced_tensor(g, rep, H, K))
+def reynolds_checker(g: PreLieAlgebra, rep: Representation, H: Cochain):
+    """The Reynolds identity for an already verified H, prepared once: K -> `Report`.
+
+    g, the actions and H are lifted once, with denominator D_g, and the
+    nonzero rows of their semidirect tensor built once.  Each call lifts
+    only K, with denominator D_K, and reads p(gr(u).gr(v)) at every
+    V-basis pair off `graph_frame` with ``one`` = D_K: D_g D_K^3 times
+    the field residual (`SIGNS.md`).  `scalars.Poly` entries of K (the
+    search's generic candidate, a series in t) come back coefficient by
+    coefficient.
+    """
+    field = g.field
+    (c, L, R, h, Dg), _ = lift(field, (*_semidirect_arrays(g, rep, H), field.one))
+    rows = nonzero_rows(raw_semidirect_tensor(c, rep.dim_v, L, R, h))
+
+    def check(K: Matrix) -> Report:
+        _check_operator_shape(g, rep, K)
+        (k, DK), _ = lift(field, (K.data, field.one))
+        mul, graph, p = graph_frame(INTEGERS, rows, k, DK)
+        back = descend(field, Dg * DK ** 3)
+        residuals = (((u, v), p(mul(a, b))) for u, a in enumerate(graph)
+                     for v, b in enumerate(graph))
+        return residual_report((where, back(r)) for where, r in residuals if any(r))
+
+    return check
 
 
 def check_rcw_reynolds(g: PreLieAlgebra, rep: Representation, H: Cochain,
                        K: Matrix) -> Report:
     """The cocycle-weighted Reynolds identity on all V-basis pairs."""
     _require_cocycle(g, rep, H)
-    return _reynolds_report(g, rep, H, K)
+    return reynolds_checker(g, rep, H)(K)
 
 
 @dataclass(frozen=True)
@@ -392,11 +425,10 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
     if inv is None:
         raise NotAdmissibleError("id + B K is singular; B is not admissible")
     gauged = K * inv
-    # H is verified with the bundle; the gauged induced table is built once
-    table = _induced_tensor(g, rep, H, gauged)
-    if not operator_identity(g, gauged, table).ok:
+    # H is verified with the bundle
+    if not reynolds_checker(g, rep, H)(gauged).ok:
         raise InvariantError("gauged operator fails the Reynolds identity")
-    after = reverified(PreLieAlgebra, g.field, table)
+    after = reverified(PreLieAlgebra, g.field, _induced_tensor(g, rep, H, gauged))
     if not check_morphism(induced_product(data), after, bundle).ok:
         raise InvariantError("id + B K is not an isomorphism of induced products")
     return gauged

@@ -370,8 +370,8 @@ def lift(field, arrays):
             raise TypeError(f"cannot lift {x!r} from F_{p}")
 
         lifted = _nested(_coefficientwise(residue), arrays)
-        back = _coefficientwise(lambda x: FpElement(x, p))
-        return lifted, lambda r, k: tuple(map(back, r))
+        back = descend(field, 1)
+        return lifted, lambda r, k: back(r)
     dens = set()
     for x in _leaves(arrays):
         if not isinstance(x, Fraction):
@@ -379,13 +379,22 @@ def lift(field, arrays):
         dens.add(x.denominator)
     D = lcm(*dens)
     lifted = _nested(_coefficientwise(lambda x: x.numerator * (D // x.denominator)), arrays)
-    zero = field.zero
+    return lifted, lambda r, k: descend(field, D ** k)(r)
 
-    def down(r, k):
-        back = _coefficientwise(lambda x, Dk=D ** k: Fraction(x, Dk) if x else zero)
-        return tuple(map(back, r))
 
-    return lifted, down
+def descend(field, scale):
+    """The field vector whose lift is the vector r of ints (or int polynomials).
+
+    r is ``scale`` times it: r / scale over Q, r mod p over F_p (where
+    every D, hence ``scale``, is 1).
+    """
+    if isinstance(field, PrimeField):
+        p = field.p
+        back = _coefficientwise(lambda x: FpElement(x, p))
+    else:
+        zero = field.zero
+        back = _coefficientwise(lambda x: Fraction(x, scale) if x else zero)
+    return lambda r: tuple(map(back, r))
 
 
 _FIELD_NAMES = {"q": QQ}

@@ -32,10 +32,13 @@ number of prefixes it evaluated, the empty one included.
 The predicate registry maps an id to a function of the bundle sections
 returning the checker (candidate -> `Report`), so new checkers become
 searchable without touching the enumeration code.  A registry entry
-verifies the fixed bundle data once, when it builds the checker: the
-rcw-reynolds entry checks that H is a 2-cocycle there, so its checker,
-and with it every solution's re-verification, evaluates only the
-Reynolds identity for that verified H.
+runs once per search and does there all the work on the fixed bundle
+data: the rcw-reynolds entry checks that H is a 2-cocycle and returns
+`reynolds.reynolds_checker`, the nijenhuis entry
+`nsprelie.nijenhuis_checker`, both with the fixed data lifted to ints.
+The generic candidate and each solution then cost one lift of the
+candidate and one integer evaluation; the other predicates' checkers
+run on field scalars.
 """
 
 from __future__ import annotations
@@ -45,12 +48,12 @@ from dataclasses import dataclass, field as dc_field
 from .deformation import check_nijenhuis_element
 from .errors import BudgetExceededError, InvariantError, ShapeError
 from .linalg import Matrix
-from .nsprelie import check_nijenhuis
+from .nsprelie import nijenhuis_checker
 from .reynolds import (
     _require_cocycle,
-    _reynolds_report,
     check_d_reynolds,
     check_weighted_reynolds,
+    reynolds_checker,
 )
 from .scalars import Poly, lift
 
@@ -103,10 +106,10 @@ def _candidate(spec: SearchSpec, values, field) -> Matrix:
 
 
 def _rcw_predicate(bundle):
-    """H is checked here, once per search; the checker evaluates only the identity."""
+    """H is checked and the fixed data prepared here, once per search."""
     g, rep, H = bundle["algebra"], bundle["rep"], bundle["cocycle"]
     _require_cocycle(g, rep, H)
-    return lambda K: _reynolds_report(g, rep, H, K)
+    return reynolds_checker(g, rep, H)
 
 
 def _weighted_predicate(bundle):
@@ -115,8 +118,7 @@ def _weighted_predicate(bundle):
 
 
 def _nijenhuis_predicate(bundle):
-    g = bundle["algebra"]
-    return lambda N: check_nijenhuis(g, N)
+    return nijenhuis_checker(bundle["algebra"])
 
 
 def _d_reynolds_predicate(bundle):

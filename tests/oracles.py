@@ -37,7 +37,17 @@ before it read four of them off one morphism of semidirect products.
 `dense_sweep` is the sweep `search.exhaustive_search` ran before it
 pruned prefixes on integers: every candidate of `itertools.product`,
 the compiled equations evaluated on the field scalars (`vanish`), and
-each candidate that passes re-verified through the checker.
+each candidate decided again by `field_checker`, which must agree.
+
+`field_reynolds_report` and `field_check_nijenhuis` are the Reynolds
+and Nijenhuis identities as the library evaluated them before it
+prepared each checker once on the integer lift
+(`reynolds.reynolds_checker`, `nsprelie.nijenhuis_checker`): the
+derived table of the candidate built on the field scalars (the induced,
+resp. deformed, product) and `reynolds.operator_identity` on it.
+`field_checker` is the checker of a search predicate on field scalars:
+these two for `rcw-reynolds` and `nijenhuis`, the library's own for the
+predicates that still run on field scalars.
 
 `dense_rref` and `scalar_sparse_rank` are the elimination loops the
 library ran before its integer engine: Gauss-Jordan on the dense field
@@ -119,9 +129,16 @@ from prelie.linalg import (
     zero_vec,
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
-from prelie.reynolds import ReynoldsData, induced_product
+from prelie.nsprelie import _deformed_tensor
+from prelie.reynolds import (
+    ReynoldsData,
+    _check_operator_shape,
+    _induced_tensor,
+    induced_product,
+    operator_identity,
+)
 from prelie.scalars import FpElement, Poly, PrimeField
-from prelie.search import DEFAULT_BUDGET, SearchSpec, _candidate, _compile
+from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidate, _compile
 
 
 def _act(mats, x, u) -> tuple:
@@ -410,20 +427,49 @@ def expanded_eval(f: Cochain, args) -> tuple:
     return out
 
 
+def field_reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
+                          K: Matrix) -> Report:
+    """The Reynolds identity on all V-basis pairs, for an already verified H, on field scalars."""
+    _check_operator_shape(g, rep, K)
+    return operator_identity(g, K, _induced_tensor(g, rep, H, K))
+
+
+def field_check_nijenhuis(g: PreLieAlgebra, N: Matrix) -> Report:
+    """Nx.Ny = N(x ._N y) on all basis pairs, on field scalars."""
+    return operator_identity(g, N, _deformed_tensor(g, N))
+
+
+def field_checker(spec: SearchSpec):
+    """The checker of ``spec``'s predicate on field scalars (see the module docstring)."""
+    b = spec.bundle
+    if spec.predicate == "rcw-reynolds":
+        return partial(field_reynolds_report, b["algebra"], b["rep"], b["cocycle"])
+    if spec.predicate == "nijenhuis":
+        return partial(field_check_nijenhuis, b["algebra"])
+    return PREDICATES[spec.predicate](b)
+
+
 def vanish(equations, values, zero) -> bool:
     return all(not eq.at(values, zero) for eq in equations)
 
 
 def dense_sweep(spec: SearchSpec, field) -> list:
-    """The solutions of ``spec`` from every candidate, in `product` order."""
-    check, equations = _compile(spec, field)
+    """The solutions of ``spec`` from every candidate, in `product` order.
+
+    Each candidate is decided by the compiled equations on field scalars
+    and by `field_checker`; the two must agree.
+    """
+    _, equations = _compile(spec, field)
+    check = field_checker(spec)
     zero = field.zero
     solutions = []
     for values in product([field(v) for v in spec.domain],
                           repeat=len(spec.free_positions())):
-        if vanish(equations, values, zero):
-            K = _candidate(spec, values, field)
-            assert check(K).ok, "the compiled equations accepted a rejected candidate"
+        K = _candidate(spec, values, field)
+        passes = check(K).ok
+        assert vanish(equations, values, zero) == passes, \
+            "the compiled equations and the field checker disagree"
+        if passes:
             solutions.append(K)
     return solutions
 

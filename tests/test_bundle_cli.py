@@ -349,11 +349,14 @@ def test_cli_construct_gauge_and_shift_verify_the_input_once(monkeypatch, what, 
 
 
 def test_cli_construct_ns_from_nijenhuis_checks_the_operator_once(monkeypatch):
-    # one deformed table serves the operator check and the o-sum comparison
-    calls = count_calls(monkeypatch, nsprelie, "_deformed_tensor")
+    # one prepared checker verifies the operator; the three tables need no
+    # deformed table beside them
+    calls = {name: count_calls(monkeypatch, nsprelie, name)
+             for name in ("nijenhuis_checker", "_deformed_tensor")}
     code, _, _ = run_cli("construct", "ns-from-nijenhuis", str(CORPUS / "nijenhuis3.json"))
     assert code == 0
-    assert len(calls) == 1
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"nijenhuis_checker": 1, "_deformed_tensor": 0}
 
 
 # (command, checker the output goes through, calls of it that verify the inputs)
@@ -416,9 +419,12 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
 
 
 @pytest.mark.parametrize("argv, name, counts", [
+    # the identities on the integer lift (one frame each for the input and
+    # the gauged operator), the two induced tables on field scalars
     (("construct", "gauge"), "g3-gauge-shift.json",
-     {"graph_frame": 3, "check_morphism": 1}),
-    (("construct", "ns-from-nijenhuis"), "nijenhuis3.json", {"derived_tensor": 4}),
+     {"reynolds_checker": 2, "graph_frame": 4, "check_morphism": 1}),
+    (("construct", "ns-from-nijenhuis"), "nijenhuis3.json",
+     {"nijenhuis_checker": 1, "derived_tensor": 3}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"induced_product": 0}),
     (("construct", "induced"), "g3-k-rowzero.json", {"check_morphism": 0}),
     (("construct", "star"), "weighted-star.json", {"check_morphism": 0}),
@@ -430,7 +436,8 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
         "mc-check", "ns-from-reynolds-tables"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
     modules = {"derived_tensor": reynolds, "graph_frame": reynolds, "check_morphism": algebra,
-               "induced_product": reynolds, "check_two_cocycle": cochain}
+               "induced_product": reynolds, "check_two_cocycle": cochain,
+               "reynolds_checker": reynolds, "nijenhuis_checker": nsprelie}
     calls = {fn: count_calls(monkeypatch, modules[fn], fn) for fn in counts}
     code, _, _ = run_cli(*argv, str(CORPUS / name))
     assert code == 0

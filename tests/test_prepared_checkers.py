@@ -1,0 +1,299 @@
+"""The prepared checkers on the integer lift against the field oracles.
+
+`reynolds.reynolds_checker` and `nsprelie.nijenhuis_checker` lift their
+fixed data once and each candidate on its own, so a residual comes back
+divided by D_g D_K^3 (Reynolds) or D_g D_N^2 (Nijenhuis) over Q.  The
+oracles in `oracles.py` evaluate the same identities on the field
+scalars.  Both must return the same `Report`: verdict, violation order,
+residual values and, for scalar candidates, scalar types.  Over Q the
+data are fractional on both sides of the split (D_g != 1 != D_K), so a
+map back by one of the two denominators alone fails here.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cli_sweep import _load, _padded
+from conftest import (
+    CORPUS,
+    _replace_everywhere,
+    as_terms,
+    conjugate_algebra,
+    g2_algebra,
+    g3b_algebra,
+    g3_algebra,
+    padded_reynolds_data,
+    random_reynolds_data,
+    truncated_poly_algebra,
+)
+from oracles import field_check_nijenhuis, field_reynolds_report
+from prelie import algebra, nsprelie, reynolds
+from prelie.algebra import Representation, regular_representation
+from prelie.bundle import parse_bundle
+from prelie.cochain import Cochain
+from prelie.deformation import (
+    DeformationSeries,
+    _in_t,
+    check_formal_deformation,
+    check_linear_deformation,
+)
+from prelie.linalg import Matrix
+from prelie.nsprelie import check_nijenhuis, deformed_product, nijenhuis_checker
+from prelie.reynolds import (
+    ReynoldsData,
+    _semidirect_arrays,
+    check_rcw_reynolds,
+    reynolds_checker,
+    reynolds_from_invertible_cochain,
+)
+from prelie.scalars import QQ, FpElement, Poly, PrimeField, field_name, lift
+from prelie.search import SearchSpec, _candidate, exhaustive_search
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
+Q_ENTRIES = ["0", "0", "1", "-1", "1/2", "-2/3", "3/4"]
+
+
+def _entry(rng, field):
+    return field(rng.choice(Q_ENTRIES)) if field == QQ else field(rng.randrange(field.p))
+
+
+def _random_matrix(rng, field, rows, cols):
+    return Matrix(field, [[_entry(rng, field) for _ in range(cols)] for _ in range(rows)])
+
+
+def _denominator(field, arrays) -> int:
+    """The common denominator `scalars.lift` takes for ``arrays`` (1 over F_p)."""
+    (*_, D), _ = lift(field, (*arrays, field.one))
+    return D
+
+
+def _fractional_algebra(rng):
+    """A non-abelian algebra over Q on the basis e_i / (i + 2): fractional constants."""
+    a = rng.choice([g3_algebra(QQ), g2_algebra(QQ), g3b_algebra(QQ),
+                    truncated_poly_algebra(QQ)])
+    P = Matrix(QQ, [[Fraction(1, i + 2) if i == j else 0 for j in range(a.dim)]
+                    for i in range(a.dim)])
+    return conjugate_algebra(a, P)
+
+
+def fractional_reynolds_data(rng) -> ReynoldsData:
+    """A verified bundle over Q whose g, H and K all have fractional entries."""
+    g = _fractional_algebra(rng)
+    for _ in range(50):
+        h = _random_matrix(rng, QQ, g.dim, g.dim)
+        if h.inverse() is not None:
+            return reynolds_from_invertible_cochain(g, regular_representation(g),
+                                                    Cochain.from_matrix(h))
+    raise AssertionError("no invertible h drawn")
+
+
+def _bundles(rng, field, count):
+    """Random verified bundles: fractional (over Q), random and padded (dim V > dim g)."""
+    out = []
+    for t in range(count):
+        if field == QQ and t % 3 == 0:
+            out.append(fractional_reynolds_data(rng))
+        elif t % 3 == 1:
+            out.append(padded_reynolds_data(rng, field))
+        else:
+            out.append(random_reynolds_data(rng, field))
+    return out
+
+
+def assert_same_report(lifted, oracle, field):
+    assert lifted == oracle
+    scalar = Fraction if field == QQ else FpElement
+    for _, residual in lifted.violations:
+        assert all(type(x) is scalar for x in residual)
+
+
+def _by_value(report):
+    """A report's verdict and violations, with `Poly` coordinates compared by their terms."""
+    return report.ok, [(where, as_terms(r)) for where, r in report.violations]
+
+
+# ---------------------------------------------------------------------------
+# scalar candidates
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_reynolds_checker_matches_the_field_oracle(field):
+    rng = random.Random(2201)
+    failing = split = 0
+    for data in _bundles(rng, field, 18):
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        check = reynolds_checker(g, rep, H)
+        D_g = _denominator(field, _semidirect_arrays(g, rep, H))
+        for op in (K, K + _random_matrix(rng, field, K.rows, K.cols)):
+            report = check(op)
+            assert_same_report(report, field_reynolds_report(g, rep, H, op), field)
+            assert report == check_rcw_reynolds(g, rep, H, op)
+            failing += not report.ok
+            split += D_g != 1 != _denominator(field, (op.data,))
+    assert failing >= 10
+    assert split >= 4 if field == QQ else split == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_nijenhuis_checker_matches_the_field_oracle(field):
+    rng = random.Random(2202)
+    passing = failing = split = 0
+    for t in range(30):
+        if field == QQ and t % 2:
+            g = _fractional_algebra(rng)
+        else:
+            g = rng.choice([g3_algebra(field), g2_algebra(field), g3b_algebra(field),
+                            truncated_poly_algebra(field)])
+        check = nijenhuis_checker(g)
+        D_g = _denominator(field, (g.product,))
+        # the identity and its multiples are Nijenhuis; random maps mostly are not
+        for N in (Matrix.identity(field, g.dim).scale(_entry(rng, field)),
+                  _random_matrix(rng, field, g.dim, g.dim)):
+            report = check(N)
+            assert_same_report(report, field_check_nijenhuis(g, N), field)
+            assert report == check_nijenhuis(g, N)
+            passing += report.ok
+            failing += not report.ok
+            split += D_g != 1 != _denominator(field, (N.data,))
+    assert passing >= 30 and failing >= 10
+    assert split >= 4 if field == QQ else split == 0
+
+
+def _padded_g3(field):
+    """A g3 bundle padded to dim V = 4 > dim g = 3, as in the CLI sweep.
+
+    Over Q it is the sweep's `corpus/g3-k-deform.json` (K has a 1/2); over
+    F_p the integer `corpus/g3-k-rowzero.json`.
+    """
+    doc = _padded(_load("g3-k-deform.json" if field == QQ else "g3-k-rowzero.json"))
+    return parse_bundle(doc, field_name(field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_reynolds_checker_matches_the_oracle_on_the_padded_bundle(field):
+    data = _padded_g3(field).reynolds_data()
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    assert (g.dim, rep.dim_v) == (3, 4)
+    check = reynolds_checker(g, rep, H)
+    rng = random.Random(2203)
+    failing = 0
+    for op in [K] + [K + _random_matrix(rng, field, 3, 4) for _ in range(6)]:
+        report = check(op)
+        assert_same_report(report, field_reynolds_report(g, rep, H, op), field)
+        failing += not report.ok
+    assert check(K).ok and failing >= 3
+
+
+# ---------------------------------------------------------------------------
+# polynomial candidates: the search's generic candidate and series in t
+
+
+def _generic(field, rows, cols, fixed):
+    spec = SearchSpec("rcw-reynolds", {}, (rows, cols), (), fixed=fixed)
+    return _candidate(spec, [Poly({(k,): field.one}) for k in range(spec.free_count())],
+                      field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_checkers_match_the_oracle_on_generic_candidates(field):
+    rng = random.Random(2204)
+    failing = 0
+    for data in _bundles(rng, field, 6):
+        g, rep, H = data.algebra, data.rep, data.cocycle
+        n, m = g.dim, rep.dim_v
+        fixed = {(0, j): _entry(rng, field) for j in range(m)}
+        for fix in ({}, fixed):
+            K = _generic(field, n, m, fix)
+            lifted = reynolds_checker(g, rep, H)(K)
+            assert _by_value(lifted) == _by_value(field_reynolds_report(g, rep, H, K))
+            failing += not lifted.ok
+        N = _generic(field, n, n, {})
+        lifted = nijenhuis_checker(g)(N)
+        assert _by_value(lifted) == _by_value(field_check_nijenhuis(g, N))
+        failing += not lifted.ok
+    assert failing >= 8
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_reynolds_checker_matches_the_oracle_on_series_in_t(field):
+    rng = random.Random(2205)
+    bundles = _bundles(rng, field, 6) + [_padded_g3(field).reynolds_data()]
+    failing = 0
+    for data in bundles:
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        for order in (1, 2):
+            Kt = _in_t([K] + [_random_matrix(rng, field, K.rows, K.cols)
+                              for _ in range(order)])
+            lifted = reynolds_checker(g, rep, H)(Kt)
+            assert _by_value(lifted) == _by_value(field_reynolds_report(g, rep, H, Kt))
+            failing += not lifted.ok
+    assert failing >= 6
+
+
+# ---------------------------------------------------------------------------
+# no checker reaches the field route
+
+
+def _forbid(monkeypatch, module, name):
+    def make(original):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return forbidden
+    _replace_everywhere(monkeypatch, module, name, make)
+
+
+def test_the_identities_never_reach_the_field_route(monkeypatch):
+    F2 = PrimeField(2)
+    deform = parse_bundle(str(CORPUS / "g3-k-deform.json"))
+    data = deform.reynolds_data()
+    g3 = parse_bundle(str(CORPUS / "g3.json"), "f2")
+    g, rep, H = g3.algebra(), g3.representation(), g3.cocycle()
+    K1 = deform.matrix("operatorK1")
+    series = deform.series()
+    N = Matrix.identity(data.field, data.algebra.dim)
+    calls = {
+        "check_rcw_reynolds": lambda: check_rcw_reynolds(data.algebra, data.rep,
+                                                         data.cocycle, data.operator),
+        "build": lambda: ReynoldsData.build(data.algebra, data.rep, data.cocycle,
+                                            data.operator),
+        "check_nijenhuis": lambda: check_nijenhuis(data.algebra, N),
+        "check_linear_deformation": lambda: check_linear_deformation(data, K1),
+        "check_formal_deformation": lambda: check_formal_deformation(
+            DeformationSeries(data, series)),
+        "search rcw-reynolds": lambda: exhaustive_search(SearchSpec(
+            "rcw-reynolds", {"algebra": g, "rep": rep, "cocycle": H}, (3, 3),
+            tuple(F2.elements())), F2).solutions,
+        "search nijenhuis": lambda: exhaustive_search(SearchSpec(
+            "nijenhuis", {"algebra": g}, (3, 3), tuple(F2.elements())), F2).solutions,
+    }
+    expected = {name: call() for name, call in calls.items()}
+    for module, name in ((reynolds, "operator_identity"), (algebra, "morphism_defects"),
+                         (reynolds, "_induced_tensor"), (reynolds, "field_frame"),
+                         (nsprelie, "_deformed_tensor"), (algebra, "tensor_mul")):
+        _forbid(monkeypatch, module, name)
+    for name, call in calls.items():
+        assert call() == expected[name], name
+
+
+def test_deformed_product_checks_the_operator_on_the_lift(monkeypatch):
+    # the deformed table is still built on field scalars, for the algebra;
+    # the identity is not read off it
+    g = g2_algebra(QQ)
+    N = Matrix(QQ, [[1, 2], [0, 1]])
+    expected = deformed_product(g, N)
+    _forbid(monkeypatch, reynolds, "operator_identity")
+    assert deformed_product(g, N) == expected
+
+
+def test_a_representation_of_dim_v_one_checks_every_pair():
+    # (u, v) ranges over V x V, not over g x g
+    rng = random.Random(2206)
+    g = g3_algebra(QQ)
+    zero = [Matrix.zero(QQ, 1, 1)] * 3
+    rep = Representation(g, 1, zero, zero)
+    H = Cochain.zero(QQ, 2, 3, 1)
+    for _ in range(5):
+        K = _random_matrix(rng, QQ, 3, 1)
+        assert reynolds_checker(g, rep, H)(K) == field_reynolds_report(g, rep, H, K)

@@ -14,11 +14,13 @@ from conftest import (
     zero_representation,
 )
 from oracles import dense_sweep, verify_polynomial_system
-from prelie.algebra import PreLieAlgebra, regular_representation
+from prelie import algebra, reynolds, scalars
+from prelie import search as search_module
+from prelie.algebra import PreLieAlgebra, Report, regular_representation
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain, coboundary
 from prelie.deformation import check_nijenhuis_element
-from prelie.errors import BudgetExceededError, ShapeError
+from prelie.errors import BudgetExceededError, InvariantError, ShapeError
 from prelie.linalg import Matrix
 from prelie.nsprelie import check_nijenhuis
 from prelie.reynolds import (
@@ -264,17 +266,96 @@ def test_brute_force_cases_are_not_trivial():
         assert mixed >= 8
 
 
-def test_rcw_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
-    import prelie.search as search_module
+def count_checks(monkeypatch, predicate: str) -> list:
+    """Record every candidate that the prepared checker of ``predicate`` is called on."""
+    calls = []
+    prepare = search_module.PREDICATES[predicate]
 
-    calls = count_calls(monkeypatch, search_module, "_reynolds_report")
+    def counting_prepare(bundle):
+        check = prepare(bundle)
+
+        def counting(K):
+            calls.append(K)
+            return check(K)
+
+        return counting
+
+    monkeypatch.setitem(search_module.PREDICATES, predicate, counting_prepare)
+    return calls
+
+
+def test_rcw_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
+    calls = count_checks(monkeypatch, "rcw-reynolds")
     F2, bundle = f2_g3_bundle()
     spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()),
                       fixed={(0, 0): F2(0)})
     result = exhaustive_search(spec, F2)
     assert (result.count_checked, result.count_solutions) == (256, 34)
     assert len(calls) == 1 + result.count_solutions
-    assert list(result.solutions) == [args[3] for args in calls[1:]]
+    assert list(result.solutions) == calls[1:]
+
+
+def test_nijenhuis_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
+    calls = count_checks(monkeypatch, "nijenhuis")
+    F2 = PrimeField(2)
+    g = parse_bundle(str(CORPUS / "g3.json"), "f2").algebra()
+    spec = SearchSpec("nijenhuis", {"algebra": g}, (3, 3), tuple(F2.elements()))
+    result = exhaustive_search(spec, F2)
+    assert (result.count_checked, result.count_solutions) == (512, 48)
+    assert len(calls) == 1 + result.count_solutions
+    assert list(result.solutions) == calls[1:]
+
+
+@pytest.mark.parametrize("predicate", ["rcw-reynolds", "nijenhuis"])
+def test_search_prepares_the_fixed_data_once(monkeypatch, predicate):
+    # the fixed data are lifted, and their tensor rows built, once per
+    # search; each candidate the checker sees costs one lift of its own
+    F2, bundle = f2_g3_bundle()
+    sections = bundle if predicate == "rcw-reynolds" else {"algebra": bundle["algebra"]}
+    checks = count_checks(monkeypatch, predicate)
+    lifts = count_calls(monkeypatch, scalars, "lift")
+    rows = count_calls(monkeypatch, algebra, "nonzero_rows")
+    arrays = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
+    per_search = set()
+    for fixed in ({}, {(0, 0): F2(0)}, {(2, 2): F2(1), (0, 0): F2(0)}):
+        for calls in (checks, lifts, rows, arrays):
+            calls.clear()
+        spec = SearchSpec(predicate, sections, (3, 3), tuple(F2.elements()), fixed=fixed)
+        result = exhaustive_search(spec, F2)
+        assert len(checks) == 1 + result.count_solutions
+        assert sum(any(args[1][0] is K.data for K in checks) for args in lifts) == len(checks)
+        assert len(rows) == 1
+        assert len(arrays) == (predicate == "rcw-reynolds")
+        per_search.add((len(lifts) - len(checks), result.count_solutions))
+    # the lifts beside the candidates' do not grow with the solutions
+    assert len({extra for extra, _ in per_search}) == 1
+    assert len({found for _, found in per_search}) == 3
+
+
+@pytest.mark.parametrize("predicate", ["rcw-reynolds", "nijenhuis"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_a_checker_that_rejects_a_solution_is_an_invariant_error(monkeypatch, predicate, k):
+    # the compiled equations accept the k-th solution, its re-verification
+    # rejects it: the two routes disagree, which is a fault in the package
+    prepare = search_module.PREDICATES[predicate]
+
+    def rejecting_prepare(bundle):
+        check = prepare(bundle)
+        calls = []
+
+        def rejecting(K):
+            calls.append(K)
+            report = check(K)
+            return Report(False, [((0, 0), (K.field.one,))]) if len(calls) == 1 + k else report
+
+        return rejecting
+
+    monkeypatch.setitem(search_module.PREDICATES, predicate, rejecting_prepare)
+    F2, bundle = f2_g3_bundle()
+    sections = bundle if predicate == "rcw-reynolds" else {"algebra": bundle["algebra"]}
+    spec = SearchSpec(predicate, sections, (3, 3), tuple(F2.elements()))
+    with pytest.raises(InvariantError, match="the checker rejects"):
+        exhaustive_search(spec, F2)
 
 
 def test_rcw_search_checks_the_cocycle_once(monkeypatch):
