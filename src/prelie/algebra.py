@@ -21,8 +21,7 @@ is one on a twisted semidirect product (`nsprelie.check_ns_prelie`), so
 the one kernel at their own basis triples and coordinates.
 
 The morphism identity F(a).F(b) = F(a.b) is written once, in
-`morphism_defects`, for `check_morphism`, `reynolds.operator_identity`
-(the weighted and D-Reynolds checkers) and `reynolds.check_rcw_morphism`.
+`morphism_defects`, for `check_morphism` and `reynolds.check_rcw_morphism`.
 A `Representation` only holds its action matrices; actions on vectors
 are read off `reynolds.field_frame`.
 
@@ -389,10 +388,11 @@ def action_arrays(a: PreLieAlgebra, rep: Representation) -> tuple:
 
 
 def regular_representation(a: PreLieAlgebra) -> Representation:
-    """The algebra acting on itself: L_x u = x.u and R_x u = u.x."""
-    L = [a.left_mult(a.basis(i)) for i in range(a.dim)]
-    R = [a.right_mult(a.basis(i)) for i in range(a.dim)]
-    return Representation(a, a.dim, L, R, check=False)
+    """The algebra acting on itself, off the table: L_i e_j = e_i.e_j, R_i e_j = e_j.e_i."""
+    c, n = a.product, a.dim
+    L = [Matrix(a.field, list(zip(*c[i])), n) for i in range(n)]
+    R = [Matrix(a.field, list(zip(*(c[j][i] for j in range(n)))), n) for i in range(n)]
+    return Representation(a, n, L, R, check=False)
 
 
 def check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
@@ -412,9 +412,9 @@ def morphism_defects(field, source, target, F: Matrix, pairs):
     The one evaluation of a morphism identity in the package.  ``source``
     and ``target`` are raw structure-constant tensors and F is the matrix
     of a linear map between their spaces; each residual is yielded as a
-    target vector.  `reynolds.operator_identity` reads it as it is;
-    `check_morphism` and `reynolds.check_rcw_morphism` negate it, so their
-    residuals keep the sign F(a.b) - F(a).F(b) (`SIGNS.md`).
+    target vector.  `check_morphism` and `reynolds.check_rcw_morphism`
+    negate it, so their residuals keep the sign F(a.b) - F(a).F(b)
+    (`SIGNS.md`).
     """
     cols = [F.column(a) for a in range(F.cols)]
     for a, b in pairs:

@@ -6,21 +6,17 @@ Reynolds operator when
 
     Ku . Kv = K( L_{Ku} v + R_{Kv} u + H(Ku, Kv) )   for all u, v in V.
 
-With H = 0 this is a relative Rota-Baxter operator.  A scalar-weight
-variant acts on the algebra itself:  K(x).K(y) = K(K(x).y + x.K(y) +
-weight * K(x).K(y)).
+With H = 0 this is a relative Rota-Baxter operator.  The scalar-weight
+identity K(x).K(y) = K(K(x).y + x.K(y) + weight * K(x).K(y)) and the
+D-Reynolds one are instances: the algebra acting on itself, with the
+coboundary weight weight * mu or -(x.D(1)).y (`weighted_pair`,
+`d_reynolds_pair`; `SIGNS.md`).
 
-Every operator here is characterised by one identity,
-K(x).K(y) = K(x o_K y), and differs from the others only in the derived
-product o_K.  The cocycle-weighted one is read off the twisted
-semidirect product g + V through the graph {(Ku, u)} of K
-(`graph_frame`): its residual at (u, v) is p(gr(u).gr(v)), which every
-caller evaluates on the integer lift through `reynolds_checker`.  For
-the scalar-weight and D-Reynolds identities `derived_tensor` tabulates
-o_K and `operator_identity` evaluates K e_i . K e_j - K(e_i o_K e_j) on
-field scalars: the morphism identity of `algebra.morphism_defects`,
-which `check_rcw_morphism` also reads on the map phi + psi between two
-twisted semidirect products.  The induced product u ._K v, the graph
+The identity is read off the twisted semidirect product g + V through
+the graph {(Ku, u)} of K (`graph_frame`): its residual at (u, v) is
+p(gr(u).gr(v)), which every caller, for every kind of operator,
+evaluates on the integer lift through `reynolds_checker`.  The induced
+product u ._K v (the star product, for a scalar weight), the graph
 closure of `check_graph_subalgebra`, Lbar, Rbar of `opcohomology` and
 every action applied to a vector are read off the same frame
 (`field_frame` on field scalars).
@@ -46,6 +42,7 @@ from .algebra import (
     check_morphism,
     morphism_defects,
     nonzero_rows,
+    regular_representation,
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
     _combine,
@@ -63,7 +60,7 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, scale_vec, sub_vec
+from .linalg import Matrix, is_zero_vec, neg_vec, scale_vec, sub_vec
 from .scalars import INTEGERS, descend, lift, scalar_to_str
 
 
@@ -88,16 +85,6 @@ def derived_tensor(K: Matrix, mul) -> tuple:
     cols = [K.column(i) for i in range(K.cols)]
     return tuple(tuple(mul(i, j, Ki, Kj) for j, Kj in enumerate(cols))
                  for i, Ki in enumerate(cols))
-
-
-def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
-    """K e_i . K e_j - K(table[i][j]) on all pairs of source basis indices.
-
-    K is a morphism from the product ``table`` to g, so this is
-    `algebra.morphism_defects` read as it is.
-    """
-    pairs = [(i, j) for i in range(K.cols) for j in range(K.cols)]
-    return residual_report(zip(pairs, morphism_defects(g.field, table, g.product, K, pairs)))
 
 
 def _semidirect_arrays(g: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
@@ -241,48 +228,58 @@ class ReynoldsData:
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
-def _star_tensor(g: PreLieAlgebra, K: Matrix, lam) -> tuple:
-    """The star product x*y = x.K(y) + K(x).y + weight K(x).K(y) on basis indices."""
-    if K.rows != g.dim or K.cols != g.dim:
-        raise ShapeError(f"operator is {K.rows}x{K.cols}, expected {g.dim}x{g.dim}")
-    e = [g.basis(i) for i in range(g.dim)]
-    return derived_tensor(K, lambda i, j, Kx, Ky: add_vec(
-        add_vec(g.mul(e[i], Ky), g.mul(Kx, e[j])), scale_vec(lam, g.mul(Kx, Ky))))
+def _on_regular(g: PreLieAlgebra, weight) -> tuple:
+    """(regular representation, H) with H(e_i, e_j) = ``weight(reg, i, j)``."""
+    reg, n = regular_representation(g), g.dim
+    return reg, Cochain(g.field, 2, n, n, [weight(reg, i, j) for i in range(n) for j in range(n)])
+
+
+def weighted_pair(g: PreLieAlgebra, weight) -> tuple:
+    """(regular representation, weight * mu), mu(x, y) = x.y = d(id)(x, y) (`SIGNS.md`)."""
+    lam = g.field(weight)
+    return _on_regular(g, lambda reg, i, j: scale_vec(lam, g.product[i][j]))
+
+
+def _require_square(g: PreLieAlgebra, M: Matrix) -> Matrix:
+    if (M.rows, M.cols) != (g.dim, g.dim):
+        raise ShapeError("operator shapes must match the algebra dimension")
+    return M
+
+
+def d_reynolds_pair(g: PreLieAlgebra, D: Matrix) -> tuple:
+    """(regular representation, H(x, y) = -(x.D(1)).y = -d(L_{D(1)})(x, y)) (`SIGNS.md`).
+
+    Requires a unital algebra; D enters only through D(1).
+    """
+    unit = g.require_unit()
+    d1 = _require_square(g, D).apply(unit)
+    return _on_regular(g, lambda reg, i, j: neg_vec(reg.R[j].apply(reg.L[i].apply(d1))))
 
 
 def check_weighted_reynolds(g: PreLieAlgebra, K: Matrix, weight) -> Report:
     """K(x).K(y) = K(x*y) on all basis pairs of the algebra (scalar weight)."""
-    return operator_identity(g, K, _star_tensor(g, K, g.field(weight)))
+    return reynolds_checker(g, *weighted_pair(g, weight))(K)
 
 
 def check_d_reynolds(g: PreLieAlgebra, D: Matrix, K: Matrix) -> Report:
-    """K(x).K(y) = K(K(x).y + x.K(y) - (K(x).D(1)).K(y)) on basis pairs.
-
-    Requires a unital algebra; D enters only through the value D(1).
-    """
-    unit = g.require_unit()
-    if D.rows != g.dim or D.cols != g.dim or K.rows != g.dim or K.cols != g.dim:
-        raise ShapeError("operator shapes must match the algebra dimension")
-    d1 = D.apply(unit)
-    e = [g.basis(i) for i in range(g.dim)]
-    return operator_identity(g, K, derived_tensor(K, lambda i, j, Kx, Ky: sub_vec(
-        add_vec(g.mul(Kx, e[j]), g.mul(e[i], Ky)), g.mul(g.mul(Kx, d1), Ky))))
+    """K(x).K(y) = K(K(x).y + x.K(y) - (K(x).D(1)).K(y)) on basis pairs."""
+    return reynolds_checker(g, *d_reynolds_pair(g, D))(_require_square(g, K))
 
 
 def star_product(g: PreLieAlgebra, K: Matrix, weight) -> PreLieAlgebra:
     """The deformed product x*y = x.K(y) + K(x).y + weight K(x).K(y).
 
-    Requires a verified weighted Reynolds operator, which is the statement
-    K(x).K(y) = K(x*y), so K is a morphism from the new algebra to the
-    old one.  The result is again pre-Lie and K stays a weighted Reynolds
-    operator for the new product; these two facts are re-verified here.
+    The product K induces on (regular representation, weight mu).  Requires
+    a verified weighted Reynolds operator, K(x).K(y) = K(x*y), so K is a
+    morphism from the new algebra to the old one.  The result is again
+    pre-Lie and K stays a weighted Reynolds operator for the new product;
+    these two facts are re-verified here.
     """
-    lam = g.field(weight)
-    table = _star_tensor(g, K, lam)
-    if not operator_identity(g, K, table).ok:
+    reg, H = weighted_pair(g, weight)
+    if not reynolds_checker(g, reg, H)(K).ok:
         raise UnverifiedOperatorError("operator fails the weighted Reynolds identity")
-    star = reverified(PreLieAlgebra, g.field, table)
-    if not check_weighted_reynolds(star, K, lam).ok:
+    star = induced_product(ReynoldsData(g, reg, H, K))
+    if not check_weighted_reynolds(star, K, weight).ok:
         raise InvariantError("K is not a weighted Reynolds operator on the new product")
     return star
 
@@ -303,18 +300,23 @@ def derivation_from_reynolds(g: PreLieAlgebra, K: Matrix, weight) -> Matrix:
 
 
 def reynolds_from_derivation(g: PreLieAlgebra, D: Matrix, weight) -> Matrix:
-    """(D - weight * id)^{-1}, a weighted Reynolds operator when D derives."""
-    lam = g.field(weight)
+    """(D - weight * id)^{-1}, a weighted Reynolds operator when D derives.
+
+    `reynolds_from_invertible_cochain` of h = D - weight * id on the regular
+    representation; its weight -dh is weight * mu exactly when dD = 0.
+    """
     report = check_derivation(g, D)
     if not report.ok:
         raise UnverifiedError("map is not a derivation:\n" + report.describe())
-    shifted = D - Matrix.identity(g.field, g.dim).scale(lam)
-    K = shifted.inverse()
-    if K is None:
-        raise SingularError("D - weight*id is not invertible")
-    if not check_weighted_reynolds(g, K, lam).ok:
-        raise InvariantError("inverse fails the weighted Reynolds identity")
-    return K
+    reg, H = weighted_pair(g, weight)
+    h = D - Matrix.identity(g.field, g.dim).scale(g.field(weight))
+    try:
+        data = reynolds_from_invertible_cochain(g, reg, Cochain.from_matrix(h))
+    except SingularError:
+        raise SingularError("D - weight*id is not invertible") from None
+    if data.cocycle != H:
+        raise InvariantError("-d(D - weight*id) is not weight * mu")
+    return data.operator
 
 
 def semidirect(g: PreLieAlgebra, rep: Representation, H: Cochain) -> PreLieAlgebra:

@@ -327,23 +327,24 @@ class _Integers:
 INTEGERS = _Integers()
 
 
-def _leaves(arrays):
-    for a in arrays:
-        if isinstance(a, (tuple, list)):
-            yield from _leaves(a)
-        elif isinstance(a, Poly):
-            yield from a.terms.values()
+def _lifted(arrays, p: int, D: int, dens: set) -> tuple:
+    """``arrays`` as nested tuples of ints, in one walk: residues over F_p (``p`` > 0),
+    ``numerator * (D // denominator)`` over Q, each denominator added to ``dens``."""
+    out = []
+    for x in arrays:
+        if type(x) is Fraction and not p:
+            d = x.denominator
+            dens.add(d)
+            out.append(x.numerator * (D // d))
+        elif type(x) is FpElement and x.p == p:
+            out.append(x.value)
+        elif isinstance(x, (tuple, list)):
+            out.append(_lifted(x, p, D, dens))
+        elif isinstance(x, Poly):
+            out.append(Poly(dict(zip(x.terms, _lifted(tuple(x.terms.values()), p, D, dens)))))
         else:
-            yield a
-
-
-def _coefficientwise(f):
-    """f on a scalar, and on a `Poly` coefficient by coefficient."""
-    return lambda x: x.map(f) if isinstance(x, Poly) else f(x)
-
-
-def _nested(f, arrays) -> tuple:
-    return tuple(_nested(f, a) if isinstance(a, (tuple, list)) else f(a) for a in arrays)
+            raise TypeError(f"cannot lift {x!r} from {'F_%d' % p if p else 'Q'}")
+    return tuple(out)
 
 
 def lift(field, arrays):
@@ -359,26 +360,13 @@ def lift(field, arrays):
     polynomials) that an identity homogeneous of degree k in these
     scalars evaluated to, that is r / D^k over Q and r mod p over F_p,
     again coefficient by coefficient.  A scalar or coefficient of any
-    other kind raises TypeError.
+    other kind raises TypeError.  Over Q, D != 1 costs a second walk.
     """
-    if isinstance(field, PrimeField):
-        p = field.p
-
-        def residue(x):
-            if isinstance(x, FpElement) and x.p == p:
-                return x.value
-            raise TypeError(f"cannot lift {x!r} from F_{p}")
-
-        lifted = _nested(_coefficientwise(residue), arrays)
-        back = descend(field, 1)
-        return lifted, lambda r, k: back(r)
-    dens = set()
-    for x in _leaves(arrays):
-        if not isinstance(x, Fraction):
-            raise TypeError(f"cannot lift {x!r} from Q")
-        dens.add(x.denominator)
+    p, dens = field.char, set()
+    lifted = _lifted(arrays, p, 1, dens)
     D = lcm(*dens)
-    lifted = _nested(_coefficientwise(lambda x: x.numerator * (D // x.denominator)), arrays)
+    if D != 1:
+        lifted = _lifted(arrays, p, D, dens)
     return lifted, lambda r, k: descend(field, D ** k)(r)
 
 
@@ -388,13 +376,11 @@ def descend(field, scale):
     r is ``scale`` times it: r / scale over Q, r mod p over F_p (where
     every D, hence ``scale``, is 1).
     """
-    if isinstance(field, PrimeField):
-        p = field.p
-        back = _coefficientwise(lambda x: FpElement(x, p))
-    else:
-        zero = field.zero
-        back = _coefficientwise(lambda x: Fraction(x, scale) if x else zero)
-    return lambda r: tuple(map(back, r))
+    p, zero = field.char, field.zero
+
+    def back(x):
+        return FpElement(x, p) if p else Fraction(x, scale) if x else zero
+    return lambda r: tuple(x.map(back) if isinstance(x, Poly) else back(x) for x in r)
 
 
 _FIELD_NAMES = {"q": QQ}

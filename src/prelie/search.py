@@ -33,12 +33,12 @@ The predicate registry maps an id to a function of the bundle sections
 returning the checker (candidate -> `Report`), so new checkers become
 searchable without touching the enumeration code.  A registry entry
 runs once per search and does there all the work on the fixed bundle
-data: the rcw-reynolds entry checks that H is a 2-cocycle and returns
-`reynolds.reynolds_checker`, the nijenhuis entry
-`nsprelie.nijenhuis_checker`, both with the fixed data lifted to ints.
-The generic candidate and each solution then cost one lift of the
-candidate and one integer evaluation; the other predicates' checkers
-run on field scalars.
+data: the rcw-reynolds entry checks that H is a 2-cocycle, and it and
+the weighted-reynolds and d-reynolds entries (on the regular
+representation) return `reynolds.reynolds_checker`; the nijenhuis entry
+returns `nsprelie.nijenhuis_checker`.  The generic candidate and each
+solution then cost one lift of the candidate and one integer
+evaluation; the nijenhuis-element checker runs on field scalars.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ from .linalg import Matrix
 from .nsprelie import nijenhuis_checker
 from .reynolds import (
     _require_cocycle,
-    check_d_reynolds,
-    check_weighted_reynolds,
+    _require_square,
+    d_reynolds_pair,
     reynolds_checker,
+    weighted_pair,
 )
 from .scalars import Poly, lift
 
@@ -113,8 +114,8 @@ def _rcw_predicate(bundle):
 
 
 def _weighted_predicate(bundle):
-    g, lam = bundle["algebra"], bundle["weight"]
-    return lambda K: check_weighted_reynolds(g, K, lam)
+    g = bundle["algebra"]
+    return reynolds_checker(g, *weighted_pair(g, bundle["weight"]))
 
 
 def _nijenhuis_predicate(bundle):
@@ -122,8 +123,9 @@ def _nijenhuis_predicate(bundle):
 
 
 def _d_reynolds_predicate(bundle):
-    g, D = bundle["algebra"], bundle["operatorD"]
-    return lambda K: check_d_reynolds(g, D, K)
+    g = bundle["algebra"]
+    check = reynolds_checker(g, *d_reynolds_pair(g, bundle["operatorD"]))
+    return lambda K: check(_require_square(g, K))
 
 
 def _nijenhuis_element_predicate(bundle):

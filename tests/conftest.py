@@ -11,6 +11,7 @@ exactly verified instances.
 from __future__ import annotations
 
 import random
+from itertools import product
 import sys
 from pathlib import Path
 
@@ -308,3 +309,24 @@ def padded_reynolds_data(rng: random.Random, field=QQ, max_dim: int = 3) -> Reyn
     H = Cochain(field, 2, g.dim, m, [list(v) + tail for v in data.cocycle.values])
     K = Matrix(field, [list(row) + tail for row in data.operator.data])
     return ReynoldsData.build(g, padded_rep, H, K)
+
+
+def unitisation(a: PreLieAlgebra) -> PreLieAlgebra:
+    """k1 + a with 1 a two-sided unit at index 0.
+
+    Pre-Lie again: every associator with an entry 1 vanishes.
+    """
+    n = a.dim
+    entries = {(0, 0, 0): 1}
+    for i in range(1, n + 1):
+        entries[(0, i, i)] = entries[(i, 0, i)] = 1
+    for i, j, k in product(range(n), repeat=3):
+        if a.product[i][j][k]:
+            entries[(i + 1, j + 1, k + 1)] = a.product[i][j][k]
+    return PreLieAlgebra.build(a.field, n + 1, entries, unit=(1,) + (0,) * n)
+
+
+def unital_algebras(field=QQ) -> list:
+    """The unital test algebras: k[x]/(x^3) and the unitised g2, g3b and g3."""
+    return [truncated_poly_algebra(field)] + [
+        unitisation(a) for a in (g2_algebra(field), g3b_algebra(field), g3_algebra(field))]

@@ -39,15 +39,21 @@ pruned prefixes on integers: every candidate of `itertools.product`,
 the compiled equations evaluated on the field scalars (`vanish`), and
 each candidate decided again by `field_checker`, which must agree.
 
-`field_reynolds_report` and `field_check_nijenhuis` are the Reynolds
-and Nijenhuis identities as the library evaluated them before it
-prepared each checker once on the integer lift
-(`reynolds.reynolds_checker`, `nsprelie.nijenhuis_checker`): the
-derived table of the candidate built on the field scalars (the induced,
-resp. deformed, product) and `reynolds.operator_identity` on it.
-`field_checker` is the checker of a search predicate on field scalars:
-these two for `rcw-reynolds` and `nijenhuis`, the library's own for the
-predicates that still run on field scalars.
+`operator_identity` evaluates K e_i . K e_j - K(table[i][j]) on all
+pairs, on field scalars: the morphism identity of
+`algebra.morphism_defects` read as it is.  `field_reynolds_report` and
+`field_check_nijenhuis` are the Reynolds and Nijenhuis identities as
+the library evaluated them before it prepared each checker once on the
+integer lift (`reynolds.reynolds_checker`, `nsprelie.nijenhuis_checker`):
+the derived table of the candidate built on the field scalars (the
+induced, resp. deformed, product) and `operator_identity` on it.
+`star_table`, `field_check_weighted_reynolds` and
+`field_check_d_reynolds` are the weighted and D-Reynolds identities the
+same way, as the library had them before it read both as rcw
+identities on the regular representation.  `field_checker` is the
+checker of a search predicate on field scalars: these four for
+`rcw-reynolds`, `nijenhuis`, `weighted-reynolds` and `d-reynolds`, the
+library's own for `nijenhuis-element`.
 
 `dense_rref` and `scalar_sparse_rank` are the elimination loops the
 library ran before its integer engine: Gauss-Jordan on the dense field
@@ -113,6 +119,7 @@ from prelie.algebra import (
     Representation,
     _as_tensor,
     _combine,
+    morphism_defects,
     regular_representation,
     residual_report,
     tensor_mul,
@@ -125,6 +132,7 @@ from prelie.linalg import (
     basis_vec,
     integer_rank,
     neg_vec,
+    scale_vec,
     sub_vec,
     zero_vec,
 )
@@ -134,8 +142,8 @@ from prelie.reynolds import (
     ReynoldsData,
     _check_operator_shape,
     _induced_tensor,
+    derived_tensor,
     induced_product,
-    operator_identity,
 )
 from prelie.scalars import FpElement, Poly, PrimeField
 from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidate, _compile
@@ -427,6 +435,41 @@ def expanded_eval(f: Cochain, args) -> tuple:
     return out
 
 
+def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
+    """K e_i . K e_j - K(table[i][j]) on all pairs of source basis indices.
+
+    K is a morphism from the product ``table`` to g, so this is
+    `algebra.morphism_defects` read as it is.
+    """
+    pairs = [(i, j) for i in range(K.cols) for j in range(K.cols)]
+    return residual_report(zip(pairs, morphism_defects(g.field, table, g.product, K, pairs)))
+
+
+def star_table(g: PreLieAlgebra, K: Matrix, weight) -> tuple:
+    """The star product x*y = x.K(y) + K(x).y + weight K(x).K(y) on basis indices."""
+    if K.rows != g.dim or K.cols != g.dim:
+        raise ShapeError(f"operator is {K.rows}x{K.cols}, expected {g.dim}x{g.dim}")
+    lam, e = g.field(weight), [g.basis(i) for i in range(g.dim)]
+    return derived_tensor(K, lambda i, j, Kx, Ky: add_vec(
+        add_vec(g.mul(e[i], Ky), g.mul(Kx, e[j])), scale_vec(lam, g.mul(Kx, Ky))))
+
+
+def field_check_weighted_reynolds(g: PreLieAlgebra, K: Matrix, weight) -> Report:
+    """K(x).K(y) = K(x*y) on all basis pairs, on field scalars."""
+    return operator_identity(g, K, star_table(g, K, weight))
+
+
+def field_check_d_reynolds(g: PreLieAlgebra, D: Matrix, K: Matrix) -> Report:
+    """K(x).K(y) = K(K(x).y + x.K(y) - (K(x).D(1)).K(y)) on basis pairs, on field scalars."""
+    unit = g.require_unit()
+    if D.rows != g.dim or D.cols != g.dim or K.rows != g.dim or K.cols != g.dim:
+        raise ShapeError("operator shapes must match the algebra dimension")
+    d1 = D.apply(unit)
+    e = [g.basis(i) for i in range(g.dim)]
+    return operator_identity(g, K, derived_tensor(K, lambda i, j, Kx, Ky: sub_vec(
+        add_vec(g.mul(Kx, e[j]), g.mul(e[i], Ky)), g.mul(g.mul(Kx, d1), Ky))))
+
+
 def field_reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
                           K: Matrix) -> Report:
     """The Reynolds identity on all V-basis pairs, for an already verified H, on field scalars."""
@@ -446,6 +489,10 @@ def field_checker(spec: SearchSpec):
         return partial(field_reynolds_report, b["algebra"], b["rep"], b["cocycle"])
     if spec.predicate == "nijenhuis":
         return partial(field_check_nijenhuis, b["algebra"])
+    if spec.predicate == "weighted-reynolds":
+        return lambda K: field_check_weighted_reynolds(b["algebra"], K, b["weight"])
+    if spec.predicate == "d-reynolds":
+        return partial(field_check_d_reynolds, b["algebra"], b["operatorD"])
     return PREDICATES[spec.predicate](b)
 
 

@@ -7,7 +7,9 @@ oracles in `oracles.py` evaluate the same identities on the field
 scalars.  Both must return the same `Report`: verdict, violation order,
 residual values and, for scalar candidates, scalar types.  Over Q the
 data are fractional on both sides of the split (D_g != 1 != D_K), so a
-map back by one of the two denominators alone fails here.
+map back by one of the two denominators alone fails here.  The weighted
+and D-Reynolds checkers, now rcw instances on the regular
+representation, are compared with their field route the same way.
 """
 
 import random
@@ -25,12 +27,22 @@ from conftest import (
     g3b_algebra,
     g3_algebra,
     padded_reynolds_data,
+    random_algebra,
     random_reynolds_data,
     truncated_poly_algebra,
+    unimodular,
+    unital_algebras,
 )
-from oracles import field_check_nijenhuis, field_reynolds_report
+import oracles
+from oracles import (
+    field_check_d_reynolds,
+    field_check_nijenhuis,
+    field_check_weighted_reynolds,
+    field_reynolds_report,
+    star_table,
+)
 from prelie import algebra, nsprelie, reynolds
-from prelie.algebra import Representation, regular_representation
+from prelie.algebra import PreLieAlgebra, Representation, regular_representation
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain
 from prelie.deformation import (
@@ -44,9 +56,12 @@ from prelie.nsprelie import check_nijenhuis, deformed_product, nijenhuis_checker
 from prelie.reynolds import (
     ReynoldsData,
     _semidirect_arrays,
+    check_d_reynolds,
     check_rcw_reynolds,
+    check_weighted_reynolds,
     reynolds_checker,
     reynolds_from_invertible_cochain,
+    star_product,
 )
 from prelie.scalars import QQ, FpElement, Poly, PrimeField, field_name, lift
 from prelie.search import SearchSpec, _candidate, exhaustive_search
@@ -233,15 +248,92 @@ def test_reynolds_checker_matches_the_oracle_on_series_in_t(field):
 
 
 # ---------------------------------------------------------------------------
+# the weighted and D-Reynolds identities: rcw instances against the field route
+
+
+def _unital(rng, field):
+    """A unital test algebra, over Q on a fractional basis every other draw."""
+    a = rng.choice(unital_algebras(field))
+    if field == QQ and rng.random() < 0.5:
+        return conjugate_algebra(a, Matrix(QQ, [[Fraction(1, i + 2) if i == j else 0
+                                                 for j in range(a.dim)]
+                                                for i in range(a.dim)]))
+    return conjugate_algebra(a, unimodular(rng, field, a.dim))
+
+
+def _generic_square(field, n):
+    return _generic(field, n, n, {})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_weighted_instance_matches_the_field_route(field):
+    rng = random.Random(2301)
+    passing = failing = fractional = 0
+    for t in range(24):
+        g = _fractional_algebra(rng) if field == QQ and t % 2 else random_algebra(rng, field)
+        lam = _entry(rng, field)
+        ops = [_random_matrix(rng, field, g.dim, g.dim)]
+        if lam:  # -1/lam id inverts the derivation 0 shifted by lam
+            ops.append(Matrix.identity(field, g.dim).scale(-1 / lam))
+        for K in ops:
+            report = check_weighted_reynolds(g, K, lam)
+            assert_same_report(report, field_check_weighted_reynolds(g, K, lam), field)
+            passing += report.ok
+            failing += not report.ok
+            fractional += _denominator(field, ((lam,), K.data)) != 1
+        K = _generic_square(field, g.dim)
+        assert _by_value(check_weighted_reynolds(g, K, lam)) == \
+            _by_value(field_check_weighted_reynolds(g, K, lam))
+    assert passing >= 8 and failing >= 8
+    assert fractional >= 8 if field == QQ else fractional == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_d_reynolds_instance_matches_the_field_route(field):
+    rng = random.Random(2302)
+    passing = failing = 0
+    for t in range(24):
+        g = _unital(rng, field)
+        n = g.dim
+        if t % 2:
+            D = _random_matrix(rng, field, n, n)
+            ops = [Matrix.zero(field, n, n), _random_matrix(rng, field, n, n)]
+        else:  # D(1) = c 1 turns the identity into the weight -c one, solved by id / c
+            c = _entry(rng, field) or field.one
+            D = Matrix.identity(field, n).scale(c)
+            ops = [Matrix.identity(field, n).scale(1 / c), _random_matrix(rng, field, n, n)]
+        for K in ops:
+            report = check_d_reynolds(g, D, K)
+            assert_same_report(report, field_check_d_reynolds(g, D, K), field)
+            passing += report.ok
+            failing += not report.ok
+        K = _generic_square(field, n)
+        assert _by_value(check_d_reynolds(g, D, K)) == \
+            _by_value(field_check_d_reynolds(g, D, K))
+    assert passing >= 16 and failing >= 8
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_star_product_is_the_field_star_table(field):
+    rng = random.Random(2303)
+    for t in range(12):
+        g = _fractional_algebra(rng) if field == QQ and t % 2 else random_algebra(rng, field)
+        lam = _entry(rng, field) or field.one
+        K = Matrix.identity(field, g.dim).scale(-1 / lam)
+        star = star_product(g, K, lam)
+        assert star.product == PreLieAlgebra(field, star_table(g, K, lam)).product
+
+
+# ---------------------------------------------------------------------------
 # no checker reaches the field route
 
 
 def _forbid(monkeypatch, module, name):
-    def make(original):
-        def forbidden(*args, **kwargs):
-            raise AssertionError(f"{name} was called")
-        return forbidden
-    _replace_everywhere(monkeypatch, module, name, make)
+    """Make ``module.name`` raise, in ``module`` and wherever ``prelie`` binds it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    _replace_everywhere(monkeypatch, module, name, lambda original: forbidden)
+    monkeypatch.setattr(module, name, forbidden)
 
 
 def test_the_identities_never_reach_the_field_route(monkeypatch):
@@ -253,6 +345,13 @@ def test_the_identities_never_reach_the_field_route(monkeypatch):
     K1 = deform.matrix("operatorK1")
     series = deform.series()
     N = Matrix.identity(data.field, data.algebra.dim)
+    star = parse_bundle(str(CORPUS / "weighted-star.json"))
+    star_g, star_K = star.algebra(), star.matrix("operatorK")
+    d_bundle = parse_bundle(str(CORPUS / "unital-d-reynolds.json"))
+    unital, unital_D, unital_K = (d_bundle.algebra(), d_bundle.matrix("operatorD"),
+                                  d_bundle.matrix("operatorK"))
+    d_f2 = parse_bundle(str(CORPUS / "unital-d-reynolds.json"), "f2")
+    unital_f2, unital_D_f2 = d_f2.algebra(), d_f2.matrix("operatorD")
     calls = {
         "check_rcw_reynolds": lambda: check_rcw_reynolds(data.algebra, data.rep,
                                                          data.cocycle, data.operator),
@@ -267,9 +366,17 @@ def test_the_identities_never_reach_the_field_route(monkeypatch):
             tuple(F2.elements())), F2).solutions,
         "search nijenhuis": lambda: exhaustive_search(SearchSpec(
             "nijenhuis", {"algebra": g}, (3, 3), tuple(F2.elements())), F2).solutions,
+        "check_weighted_reynolds": lambda: check_weighted_reynolds(star_g, star_K, 1),
+        "check_d_reynolds": lambda: check_d_reynolds(unital, unital_D, unital_K),
+        "search weighted-reynolds": lambda: exhaustive_search(SearchSpec(
+            "weighted-reynolds", {"algebra": g, "weight": F2(1)}, (3, 3),
+            tuple(F2.elements())), F2).solutions,
+        "search d-reynolds": lambda: exhaustive_search(SearchSpec(
+            "d-reynolds", {"algebra": unital_f2, "operatorD": unital_D_f2}, (3, 3),
+            tuple(F2.elements())), F2).solutions,
     }
     expected = {name: call() for name, call in calls.items()}
-    for module, name in ((reynolds, "operator_identity"), (algebra, "morphism_defects"),
+    for module, name in ((oracles, "operator_identity"), (algebra, "morphism_defects"),
                          (reynolds, "_induced_tensor"), (reynolds, "field_frame"),
                          (nsprelie, "_deformed_tensor"), (algebra, "tensor_mul")):
         _forbid(monkeypatch, module, name)
@@ -283,7 +390,7 @@ def test_deformed_product_checks_the_operator_on_the_lift(monkeypatch):
     g = g2_algebra(QQ)
     N = Matrix(QQ, [[1, 2], [0, 1]])
     expected = deformed_product(g, N)
-    _forbid(monkeypatch, reynolds, "operator_identity")
+    _forbid(monkeypatch, oracles, "operator_identity")
     assert deformed_product(g, N) == expected
 
 

@@ -306,12 +306,41 @@ def test_nijenhuis_search_runs_the_checker_once_plus_once_per_solution(monkeypat
     assert list(result.solutions) == calls[1:]
 
 
-@pytest.mark.parametrize("predicate", ["rcw-reynolds", "nijenhuis"])
+def _f2_sections(predicate: str) -> dict:
+    """Bundle sections over F_2 for each predicate with a prepared checker."""
+    F2, bundle = f2_g3_bundle()
+    if predicate == "rcw-reynolds":
+        return bundle
+    if predicate == "weighted-reynolds":
+        return {"algebra": bundle["algebra"], "weight": F2(1)}
+    if predicate == "d-reynolds":
+        unital = parse_bundle(str(CORPUS / "unital-d-reynolds.json"), "f2")
+        return {"algebra": unital.algebra(), "operatorD": unital.matrix("operatorD")}
+    return {"algebra": bundle["algebra"]}
+
+
+@pytest.mark.parametrize("predicate, solutions", [
+    ("weighted-reynolds", 80), ("d-reynolds", 16)])
+def test_classical_searches_run_the_checker_once_plus_once_per_solution(
+        monkeypatch, predicate, solutions):
+    calls = count_checks(monkeypatch, predicate)
+    F2 = PrimeField(2)
+    spec = SearchSpec(predicate, _f2_sections(predicate), (3, 3), tuple(F2.elements()))
+    result = exhaustive_search(spec, F2)
+    assert (result.count_checked, result.count_solutions) == (512, solutions)
+    assert len(calls) == 1 + result.count_solutions
+    assert list(result.solutions) == calls[1:]
+
+
+PREPARED = ["rcw-reynolds", "weighted-reynolds", "d-reynolds", "nijenhuis"]
+
+
+@pytest.mark.parametrize("predicate", PREPARED)
 def test_search_prepares_the_fixed_data_once(monkeypatch, predicate):
     # the fixed data are lifted, and their tensor rows built, once per
     # search; each candidate the checker sees costs one lift of its own
-    F2, bundle = f2_g3_bundle()
-    sections = bundle if predicate == "rcw-reynolds" else {"algebra": bundle["algebra"]}
+    F2 = PrimeField(2)
+    sections = _f2_sections(predicate)
     checks = count_checks(monkeypatch, predicate)
     lifts = count_calls(monkeypatch, scalars, "lift")
     rows = count_calls(monkeypatch, algebra, "nonzero_rows")
@@ -325,14 +354,14 @@ def test_search_prepares_the_fixed_data_once(monkeypatch, predicate):
         assert len(checks) == 1 + result.count_solutions
         assert sum(any(args[1][0] is K.data for K in checks) for args in lifts) == len(checks)
         assert len(rows) == 1
-        assert len(arrays) == (predicate == "rcw-reynolds")
+        assert len(arrays) == (predicate != "nijenhuis")
         per_search.add((len(lifts) - len(checks), result.count_solutions))
     # the lifts beside the candidates' do not grow with the solutions
     assert len({extra for extra, _ in per_search}) == 1
     assert len({found for _, found in per_search}) == 3
 
 
-@pytest.mark.parametrize("predicate", ["rcw-reynolds", "nijenhuis"])
+@pytest.mark.parametrize("predicate", PREPARED)
 @pytest.mark.parametrize("k", [1, 5])
 def test_a_checker_that_rejects_a_solution_is_an_invariant_error(monkeypatch, predicate, k):
     # the compiled equations accept the k-th solution, its re-verification
@@ -351,9 +380,8 @@ def test_a_checker_that_rejects_a_solution_is_an_invariant_error(monkeypatch, pr
         return rejecting
 
     monkeypatch.setitem(search_module.PREDICATES, predicate, rejecting_prepare)
-    F2, bundle = f2_g3_bundle()
-    sections = bundle if predicate == "rcw-reynolds" else {"algebra": bundle["algebra"]}
-    spec = SearchSpec(predicate, sections, (3, 3), tuple(F2.elements()))
+    F2 = PrimeField(2)
+    spec = SearchSpec(predicate, _f2_sections(predicate), (3, 3), tuple(F2.elements()))
     with pytest.raises(InvariantError, match="the checker rejects"):
         exhaustive_search(spec, F2)
 
