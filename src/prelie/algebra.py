@@ -23,7 +23,7 @@ the one kernel at their own basis triples and coordinates.
 The morphism identity F(a).F(b) = F(a.b) is written once, in
 `morphism_defects`, for `check_morphism` and `reynolds.check_rcw_morphism`.
 A `Representation` only holds its action matrices; actions on vectors
-are read off `reynolds.field_frame`.
+are read off the frames of `reynolds.operator_frames`.
 
 The axiom checkers `check_prelie`, `check_jacobi`, `check_representation`
 and `nsprelie.check_ns_prelie` evaluate their formulas on Python ints:
@@ -33,9 +33,9 @@ residues over F_p, runs the formula on the ints, and maps every
 residual back to the field.  Each axiom is homogeneous in the
 constants (of degree 2, antisymmetry of degree 1), so a residual r is
 r / D^2 (or r / D) over Q and r mod p over F_p, and the reports are the
-ones the field arithmetic gives.  The Reynolds and Nijenhuis identities
-run on ints too, with the fixed data and the operator lifted apart
-(`reynolds.reynolds_checker`, `nsprelie.nijenhuis_checker`).
+ones the field arithmetic gives.  Every reading of an operator runs on
+ints too, with the fixed data and the operator lifted apart
+(`reynolds.operator_frames`, `nsprelie.nijenhuis_checker`).
 
 Every `PreLieAlgebra` and `Representation` lives over a field.  Code
 that computes on the integer lift lifts raw arrays, not objects: the

@@ -54,10 +54,10 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   degree n.
 
 * These three combinations are evaluated on the integer lift of the
-  data, over every field: `_combination` builds the two structures on W
-  once, and one `scalars.lift` turns their values and the cochains'
-  into ints scaled by one common D (over Q) or into residues (over F_p),
-  held in `Cochain`s over `scalars.INTEGERS`.  The brackets run
+  data, over every field: one `scalars.lift` turns the arrays of g, the
+  actions, H and the cochains into ints scaled by one common D (over Q)
+  or residues (over F_p), and `_combination` builds the two structures
+  on W from them once, as `Cochain`s over `scalars.INTEGERS`.  The brackets run
   unchanged on the ints; each bracket term is divided exactly by the
   denominator of its coefficient (2 or 6), which works because the
   bracket values are themselves even (resp. divisible by 6) integer
@@ -90,7 +90,7 @@ from .algebra import (
 from .cochain import Cochain, _sort_with_sign, _unshuffles, cochain_keys, cochain_space_dim
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
-from .reynolds import ReynoldsData, _require_cocycle, semidirect_tensor
+from .reynolds import ReynoldsData, _require_cocycle, _semidirect_arrays, semidirect_tensor
 from .opcohomology import operator_coboundary
 from .scalars import INTEGERS, Poly, lift
 
@@ -164,11 +164,14 @@ def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
 
 def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Cochain:
     """The lift of H to a degree-2 cochain on W: ((x,u),(y,v)) -> (0, H(x,y))."""
-    n, m = g.dim, rep.dim_v
-    zero = [[0] * m] * m
-    return tensor_cochain(g.field, raw_semidirect_tensor(
-        [[[0] * n] * n] * n, m, [zero] * n, [zero] * n,
-        [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)]))
+    return _cocycle_structure(g.field, rep.dim_v, _semidirect_arrays(g, rep, H)[3])
+
+
+def _cocycle_structure(field, m: int, table) -> Cochain:
+    """`cocycle_structure` over ``field`` from the n*n table of the vectors H(e_i, e_j)."""
+    n, zero = len(table), [[0] * m] * m
+    return tensor_cochain(field, raw_semidirect_tensor(
+        [[[0] * n] * n] * n, m, [zero] * n, [zero] * n, table))
 
 
 def _sparse_table(c: Cochain, shift: int) -> dict:
@@ -335,18 +338,20 @@ def _combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
 
     Each term is (Fraction coefficient, indices into ``cochains``): two
     indices name a binary bracket, three a ternary one.  The two
-    structures on W are built once and lifted to ints with the cochains
-    by one `scalars.lift`; each bracket runs on the ints, is divided
-    exactly by the denominator of its coefficient and mapped back with
+    structures on W are built once from one `scalars.lift` of the
+    cochains and the arrays of g, the actions and H; each bracket runs
+    on the ints, is divided exactly by the denominator of its coefficient and mapped back with
     ``down`` (a binary bracket is homogeneous of degree 3 in the lifted
     scalars, a ternary one of degree 4), and the terms are summed in the
     field.
     """
-    field = g.field
-    structures = [untwisted_structure(g, rep), cocycle_structure(g, rep, H)]
-    lifted, down = lift(field, [c.values for c in structures + cochains])
-    mu, hw, *cochains = [Cochain(INTEGERS, c.degree, c.dim_source, c.dim_target, v)
-                         for c, v in zip(structures + cochains, lifted)]
+    field, m = g.field, rep.dim_v
+    ((product, L, R, table), *lifted), down = lift(
+        field, (_semidirect_arrays(g, rep, H), *(c.values for c in cochains)))
+    mu = tensor_cochain(INTEGERS, raw_semidirect_tensor(product, m, L, R))
+    hw = _cocycle_structure(INTEGERS, m, table)
+    cochains = [Cochain(INTEGERS, c.degree, c.dim_source, c.dim_target, v)
+                for c, v in zip(cochains, lifted)]
     acc = None
     for coeff, idxs in terms:
         args = [cochains[i] for i in idxs]

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .algebra import PreLieAlgebra, Representation, regular_representation
 from .cochain import Cochain
-from .errors import FieldMismatchError, IoError, SchemaError
+from .errors import FieldMismatchError, IoError, SchemaError, UnverifiedError
 from .linalg import Matrix
 from .nsprelie import NSPreLie
 from .reynolds import ReynoldsData
@@ -106,8 +106,6 @@ def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
     if labels is not None and not (isinstance(labels, list) and len(labels) == dim
                                    and all(isinstance(s, str) for s in labels)):
         raise SchemaError(f"{path}/labels", f"expected a list of {dim} strings")
-    from .errors import UnverifiedError
-
     try:
         return PreLieAlgebra(field, tensor, unit=unit, labels=labels)
     except UnverifiedError as exc:
@@ -115,14 +113,9 @@ def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
 
 
 def algebra_to_json(a: PreLieAlgebra) -> dict:
-    product = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k in range(a.dim):
-                c = a.product[i][j][k]
-                if c:
-                    product.append({"i": i + 1, "j": j + 1, "k": k + 1,
-                                    "c": scalar_to_str(c)})
+    product = [{"i": i + 1, "j": j + 1, "k": k + 1, "c": scalar_to_str(c)}
+               for i, plane in enumerate(a.product) for j, row in enumerate(plane)
+               for k, c in enumerate(row) if c]
     out = {"dim": a.dim, "product": product}
     if a.unit is not None:
         out["unit"] = [scalar_to_str(x) for x in a.unit]
@@ -214,8 +207,6 @@ def representation_from_json(field, obj, algebra: PreLieAlgebra,
                 for r, row in enumerate(rows)]))
         return out
 
-    from .errors import UnverifiedError
-
     try:
         return Representation(algebra, dim_v, mats(L_raw, "L"), mats(R_raw, "R"),
                               check=check)
@@ -265,8 +256,6 @@ def ns_tensors_from_json(field, obj, path="/nsprelie") -> list:
 
 def nsprelie_from_json(field, obj, path="/nsprelie") -> NSPreLie:
     tensors = ns_tensors_from_json(field, obj, path)
-    from .errors import UnverifiedError
-
     try:
         return NSPreLie(field, *tensors)
     except UnverifiedError as exc:
@@ -275,14 +264,9 @@ def nsprelie_from_json(field, obj, path="/nsprelie") -> NSPreLie:
 
 def nsprelie_to_json(ns: NSPreLie) -> dict:
     def tensor(t):
-        out = {}
-        for i in range(ns.dim):
-            for j in range(ns.dim):
-                row = {str(k + 1): scalar_to_str(c)
-                       for k, c in enumerate(t[i][j]) if c}
-                if row:
-                    out[f"{i + 1},{j + 1}"] = row
-        return out
+        rows = ((f"{i + 1},{j + 1}", {str(k + 1): scalar_to_str(c) for k, c in enumerate(v) if c})
+                for i, plane in enumerate(t) for j, v in enumerate(plane))
+        return {key: row for key, row in rows if row}
 
     return {"dim": ns.dim, "tri": tensor(ns.tri), "trl": tensor(ns.trl),
             "circ": tensor(ns.circ)}

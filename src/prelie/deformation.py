@@ -16,8 +16,8 @@ the pair of maps
 
     phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)),
 
-whose t-term on V is read off the bundle's `reynolds.field_frame`, the
-frame that also gives Rbar_u x.
+whose t-term S on V, like Rbar_u x, is linear in x and read once per
+bundle, at the basis of g, off the operator's frame (`_element_terms`).
 
 K + t K1 and K + t K1' are equivalent through x when (phi_t, psi_t) is a
 morphism of Reynolds operators from one to the other.  This is the one
@@ -42,25 +42,40 @@ from dataclasses import dataclass
 from .algebra import Order, Report, _combine, residual_report
 from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, integer_rank, sparse_mul, sub_vec
+from .linalg import Matrix, basis_vec, integer_rank, sparse_mul, sub_vec
 from .opcohomology import induced_representation, operator_coboundary
-from .reynolds import ReynoldsData, check_rcw_morphism, field_frame, reynolds_checker
-from .scalars import Poly, PrimeField
+from .reynolds import ReynoldsData, check_rcw_morphism, operator_frames, reynolds_checker
+from .scalars import INTEGERS, Poly, PrimeField
 
 
-def _linear_terms(g, frame, x) -> tuple:
-    """The t-terms of phi_t = id + t P and psi_t = id + t S:
+def _element_terms(data: ReynoldsData):
+    """The maps of an algebra element, prepared once per bundle: x -> (P, S, rbar, d_K x).
 
-    P = L_x - R_x on g and S u = L_x u - R_x u + H(x, Ku) on V, read off
-    the bundle's `reynolds.field_frame` as the V-part of
-    (x, 0).gr(u) - (0, e_u).(x, 0).
+    P = L_x - R_x on g and S e_u = L_x u - R_x u + H(x, Ku), the t-terms
+    of phi_t and psi_t, rbar[u] = Rbar_u x (`SIGNS.md`) and d_K x = KS - PK.
+    S and rbar are linear in x, so they are read off the operator's frame
+    once, at the basis of g, and each x combines them: a generic x never
+    enters it.
     """
-    mul, graph, _ = frame
-    n, zero = g.dim, g.field.zero
-    point = x + (zero,) * len(graph)
-    columns = [sub_vec(mul(point, gr)[n:], mul((zero,) * n + gr[n:], point)[n:])
-               for gr in graph]
-    return g.left_mult(x) - g.right_mult(x), Matrix.from_columns(g.field, columns, len(graph))
+    g, K, field, n, m = data.algebra, data.operator, data.field, data.algebra.dim, data.rep.dim_v
+    mul, graph, p, _, back = operator_frames(g, data.rep, data.cocycle)(K)
+
+    def column(e, gr):  # (Rbar_u e_i, S_i e_u) = (p(w), V[w - (0, e_u).(e_i, 0)])
+        w = mul(e, gr)  # (e_i, 0).gr(u)
+        return back(2)(p(w)) + back(1)(sub_vec(w[n:], mul((0,) * n + gr[n:], e)[n:]))
+
+    at_basis = [Matrix.from_columns(field, [column(e, gr) for gr in graph], n + m)
+                for e in (basis_vec(INTEGERS, n + m, i) for i in range(n))]
+
+    def terms(x):
+        T = Matrix.zero(field, n + m, m)
+        for xi, M in zip(x, at_basis):
+            if xi:
+                T = T + M.scale(xi)
+        P, S = g.left_mult(x) - g.right_mult(x), Matrix(field, T.data[n:], m)
+        return P, S, [T.column(u)[:n] for u in range(m)], K * S - P * K
+
+    return terms
 
 
 def _element(g, x) -> tuple:
@@ -122,9 +137,7 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
 
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
-    frame = field_frame(data.algebra, data.rep, data.cocycle, data.operator)
-    P, S = _linear_terms(data.algebra, frame, _element(data.algebra, x))
-    return data.operator * S - P * data.operator
+    return _element_terms(data)(_element(data.algebra, x))[3]
 
 
 def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
@@ -201,16 +214,16 @@ def infinitesimal(series: DeformationSeries):
 # equivalences and Nijenhuis elements: one morphism of operators in t
 
 
-def _element_morphism(data: ReynoldsData, frame, x, K1: Matrix, K1p: Matrix) -> dict:
+def _element_morphism(data: ReynoldsData, P: Matrix, S: Matrix, K1: Matrix,
+                      K1p: Matrix) -> dict:
     """The parts of `check_rcw_morphism` for (phi_t, psi_t) from K + t K1 to K + t K1'.
 
     Every condition is a polynomial of degree at most 2 in t that
     vanishes at t = 0; its t^k coefficient is reported at ``(Order(k), *where)``.
-    ``frame`` is the bundle's `reynolds.field_frame`.
+    P and S are the t-terms of the element (`_element_terms`).
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     field, n, m = g.field, g.dim, rep.dim_v
-    P, S = _linear_terms(g, frame, x)
     report = check_rcw_morphism(ReynoldsData(g, rep, H, _in_t((K, K1))),
                                 ReynoldsData(g, rep, H, _in_t((K, K1p))),
                                 _in_t((Matrix.identity(field, n), P)),
@@ -227,34 +240,38 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
     first to the second?  One sub-verdict per part of `check_rcw_morphism`.
     """
-    frame = field_frame(data.algebra, data.rep, data.cocycle, data.operator)
-    return _combine(_element_morphism(data, frame, _element(data.algebra, x),
-                                      _direction(data, K1), _direction(data, K1p)))
+    P, S, *_ = _element_terms(data)(_element(data.algebra, x))
+    return _combine(_element_morphism(data, P, S, _direction(data, K1),
+                                      _direction(data, K1p)))
 
 
-def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
-    """Is x a Nijenhuis element for the operator?
+def nijenhuis_element_checker(data: ReynoldsData):
+    """Is x a Nijenhuis element for the operator?  Prepared once per bundle: x -> `Report`.
 
     Requires x . Rbar_u(x) = Rbar_u(x) . x for every module basis vector,
     and that (phi_t, psi_t) satisfy the four morphism conditions of
     `check_rcw_morphism` that do not involve the operator.
     """
     g = data.algebra
-    x = _element(g, x)
-    frame = field_frame(g, data.rep, data.cocycle, data.operator)
-    mul, graph, p = frame
-    point = x + (g.field.zero,) * data.rep.dim_v
-
-    def commutator(gr):
-        r = p(mul(point, gr))  # Rbar_u x
-        return sub_vec(g.mul(x, r), g.mul(r, x))
-
-    parts = {"rbar_condition": residual_report(
-        (("rbar-commutes", u), commutator(gr)) for u, gr in enumerate(graph))}
+    terms = _element_terms(data)
     zero = Matrix.zero(g.field, g.dim, data.rep.dim_v)
-    parts.update(_element_morphism(data, frame, x, zero, zero))
-    del parts["intertwines_operator"]
-    return _combine(parts)
+
+    def check(x) -> Report:
+        x = _element(g, x)
+        P, S, rbar, _ = terms(x)
+        parts = {"rbar_condition": residual_report(
+            (("rbar-commutes", u), sub_vec(g.mul(x, r), g.mul(r, x)))
+            for u, r in enumerate(rbar))}
+        parts.update(_element_morphism(data, P, S, zero, zero))
+        del parts["intertwines_operator"]
+        return _combine(parts)
+
+    return check
+
+
+def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
+    """Is x a Nijenhuis element for the operator (`nijenhuis_element_checker`)?"""
+    return nijenhuis_element_checker(data)(x)
 
 
 def nijenhuis_elements(data: ReynoldsData) -> list:
@@ -300,8 +317,9 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     cols = cochain_space_dim(induced.algebra.dim, induced.dim_v, 1)
     cocycle_count = p ** (cols - integer_rank(d1, p))
     nij = nijenhuis_elements(data)
-    image = {tuple(c.value for v in Cochain.from_matrix(element_coboundary(data, x)).values
-                   for c in v) for x in nij}
+    terms = _element_terms(data)
+    image = {tuple(c.value for v in Cochain.from_matrix(terms(x)[3]).values for c in v)
+             for x in nij}
     # the image vectors as the columns of one sparse matrix, all killed by d1 or not
     columns = [{i: vec[j] for i, vec in enumerate(image) if vec[j]} for j in range(cols)]
     closed = not any(sparse_mul(d1, columns, p))

@@ -15,12 +15,12 @@ L_x = x|>. and R_x = .<|x, twisted by o, is a pre-Lie semidirect
 product, and `check_ns_prelie` reads them off the one pre-Lie kernel
 `algebra.prelie_defects` (the signs are in SIGNS.md).
 
-The Nijenhuis identity is evaluated on the integer lift, by
-`nijenhuis_checker`.
+The Nijenhuis identity and the deformed product are read off one
+evaluation of N on the integer lift (`_nijenhuis_frame`).
 
 The three sources of NS-structures implemented here: Nijenhuis operators on a
 pre-Lie algebra, cocycle-weighted Reynolds operators (on the module, the
-three tables read off the bundle's `reynolds.field_frame`), and
+three tables read off the operator's `reynolds.operator_frames`), and
 invertible Reynolds operators (transported back to the algebra).  Each
 constructor checks its input and re-verifies its output once each, on
 the tables it built (through `errors.reverified`); an `NSPreLie` is always
@@ -49,8 +49,8 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, add_vec, neg_vec, sub_vec
-from .reynolds import ReynoldsData, derived_tensor, field_frame
+from .linalg import Matrix, add_vec, neg_vec
+from .reynolds import ReynoldsData, derived_tensor, operator_frames
 from .scalars import descend, lift
 
 
@@ -133,39 +133,27 @@ def subadjacent(ns: NSPreLie) -> PreLieAlgebra:
     return reverified(PreLieAlgebra, ns.field, ns.star_tensor())
 
 
-def _check_operator_shape(g: PreLieAlgebra, N: Matrix):
-    if N.rows != g.dim or N.cols != g.dim:
-        raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {g.dim}")
+def _nijenhuis_frame(g: PreLieAlgebra):
+    """The Nijenhuis identity on the integer lift, prepared once: N -> (report, table).
 
-
-def _deformed_tensor(g: PreLieAlgebra, N: Matrix) -> tuple:
-    """The deformed product x ._N y = Nx.y + x.Ny - N(x.y) on basis indices."""
-    _check_operator_shape(g, N)
-    e = [g.basis(i) for i in range(g.dim)]
-    return derived_tensor(N, lambda i, j, Nx, Ny: sub_vec(
-        add_vec(g.mul(Nx, e[j]), g.mul(e[i], Ny)), N.apply(g.mul_basis(i, j))))
-
-
-def nijenhuis_checker(g: PreLieAlgebra):
-    """The Nijenhuis identity Nx.Ny = N(x ._N y) on g, prepared once: N -> `Report`.
-
-    The structure constants are lifted once, with denominator D_g, and
-    their nonzero rows built once.  Each call lifts only N, with
-    denominator D_N, and evaluates Ne_i.Ne_j - N(e_i ._N e_j) at every
-    basis pair: D_g D_N^2 times the field residual (`SIGNS.md`).
-    `scalars.Poly` entries of N come back coefficient by coefficient.
+    The structure constants are lifted once (denominator D_g), each N
+    alone (D_N).  At every basis pair, e_i ._N e_j comes out D_g D_N
+    times its field value and Ne_i.Ne_j - N(e_i ._N e_j) D_g D_N^2 times
+    (`SIGNS.md`): the `Report` of the second and ``table()`` of the
+    first, mapped back; `scalars.Poly` entries coefficient by coefficient.
     """
     field, n = g.field, g.dim
     (c, Dg), _ = lift(field, (g.product, field.one))
     rows = nonzero_rows(c)
 
-    def check(N: Matrix) -> Report:
-        _check_operator_shape(g, N)
+    def evaluate(N: Matrix):
+        if N.rows != n or N.cols != n:
+            raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {n}")
         (k, DN), _ = lift(field, (N.data, field.one))
         cols = [[(a, row[i]) for a, row in enumerate(k) if row[i]] for i in range(n)]
 
         def residual(i, j):
-            deformed = [0] * n  # x ._N y: degree 2 on the lift
+            deformed = [0] * n  # e_i ._N e_j, times D_g D_N
             for a, x in cols[i]:
                 for t, z in rows[a][j]:
                     deformed[t] += x * z
@@ -175,7 +163,7 @@ def nijenhuis_checker(g: PreLieAlgebra):
             for t, z in rows[i][j]:
                 for s, w in cols[t]:
                     deformed[s] -= z * w
-            out = [0] * n  # Nx.Ny - N(x ._N y): degree 3
+            out = [0] * n  # Ne_i.Ne_j - N(e_i ._N e_j), times D_g D_N^2
             for a, x in cols[i]:
                 for b, y in cols[j]:
                     xy = x * y
@@ -185,13 +173,21 @@ def nijenhuis_checker(g: PreLieAlgebra):
                 if z:
                     for s, w in cols[t]:
                         out[s] -= z * w
-            return out
+            return deformed, out
 
+        values = [[residual(i, j) for j in range(n)] for i in range(n)]
         back = descend(field, Dg * DN ** 2)
-        residuals = (((i, j), residual(i, j)) for i in range(n) for j in range(n))
-        return residual_report((where, back(r)) for where, r in residuals if any(r))
+        return (residual_report(((i, j), back(r)) for i, row in enumerate(values)
+                                for j, (_, r) in enumerate(row) if any(r)),
+                lambda: [[descend(field, Dg * DN)(d) for d, _ in row] for row in values])
 
-    return check
+    return evaluate
+
+
+def nijenhuis_checker(g: PreLieAlgebra):
+    """The Nijenhuis identity Nx.Ny = N(x ._N y) on g, prepared once: N -> `Report`."""
+    evaluate = _nijenhuis_frame(g)
+    return lambda N: evaluate(N)[0]
 
 
 def check_nijenhuis(g: PreLieAlgebra, N: Matrix) -> Report:
@@ -205,10 +201,11 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
     The result is pre-Lie and compatible with the original product: the
     sum of the two products is pre-Lie as well (both re-verified).
     """
-    if not nijenhuis_checker(g)(N).ok:
+    report, table = _nijenhuis_frame(g)(N)
+    if not report.ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     n = g.dim
-    deformed = reverified(PreLieAlgebra, g.field, _deformed_tensor(g, N))
+    deformed = reverified(PreLieAlgebra, g.field, table())
     total = tuple(
         tuple(add_vec(g.product[i][j], deformed.product[i][j]) for j in range(n))
         for i in range(n)
@@ -237,19 +234,21 @@ def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
     """On the module: u<|v = R_{Kv}u, u|>v = L_{Ku}v, u o v = H(Ku, Kv).
 
     With gr(u) = (Ku, 0) + (0, e_u) in the twisted semidirect product
-    (`reynolds.field_frame`), the three tables are the V-parts of
+    (`reynolds.operator_frames`), the three tables are the V-parts of
     gr(u).(0, e_v), (0, e_u).gr(v) and (Ku, 0).(Kv, 0).  Their sum is the
     V-part of gr(u).gr(v), the induced pre-Lie product of the operator,
     so the subadjacent product is the induced one by construction; that
-    is a test, not a runtime check.
+    is a test, not a runtime check.  All three have degree 2 on the lift.
     """
-    n, zero = data.algebra.dim, data.field.zero
-    mul, graph, _ = field_frame(data.algebra, data.rep, data.cocycle, data.operator)
-    point = [gr[:n] + (zero,) * len(graph) for gr in graph]  # (Ku, 0)
-    unit = [(zero,) * n + gr[n:] for gr in graph]  # (0, e_u)
+    n = data.algebra.dim
+    mul, graph, _, _, back = operator_frames(data.algebra, data.rep, data.cocycle)(
+        data.operator)
+    down = back(2)
+    point = [gr[:n] + (0,) * len(graph) for gr in graph]  # (Ku, 0)
+    unit = [(0,) * n + gr[n:] for gr in graph]  # (0, e_u)
 
     def table(left, right):
-        return tuple(tuple(mul(a, b)[n:] for b in right) for a in left)
+        return tuple(tuple(down(mul(a, b)[n:]) for b in right) for a in left)
 
     return reverified(NSPreLie, data.field, table(graph, unit), table(unit, graph),
                       table(point, point))

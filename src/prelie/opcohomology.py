@@ -11,14 +11,11 @@ The differential on cochains from V to g is, authoritatively, the generic
 pre-Lie coboundary of (V, ._K) with coefficients in (g; Lbar, Rbar); it
 squares to zero because the induced pair is a genuine representation.
 
-`induced_representation` reads all three off one frame
-(`reynolds.graph_frame`): with gr(u) = (Ku, u) and p(a, b) = a - Kb in
-the twisted semidirect product g + V, u ._K v is the V-part of
-gr(u).gr(v), Lbar_u x = p(gr(u).x) and Rbar_u x = p(x.gr(u)).  The frame
-is built on one integer lift of (g, L, R, H, K, 1), where 1 becomes the
-common denominator D (over F_p, D = 1), so every value is homogeneous
-of degree 3 and maps back with ``down(., 3)``; the algebra and the
-representation built from the field values are then re-verified.
+`induced_representation` reads all three off the operator's frame
+(`reynolds.operator_frames`): with gr(u) = (Ku, u) and p(a, b) = a - Kb
+in the twisted semidirect product g + V, u ._K v is the V-part of
+gr(u).gr(v), Lbar_u x = p(gr(u).x) and Rbar_u x = p(x.gr(u)), each of
+degree 2 on the lift (`SIGNS.md`); both structures are re-verified.
 
 A hand-expanded closed formula for the same differential is a test
 oracle (`tests/oracles.py`), not part of the library.
@@ -28,27 +25,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import PreLieAlgebra, Representation, nonzero_rows, semidirect_tensor
+from .algebra import PreLieAlgebra, Representation
 from .cochain import Cochain, coboundary, coboundary_matrix
 from .errors import ShapeError, reverified
 from .linalg import Matrix, basis_vec
-from .reynolds import ReynoldsData, _semidirect_arrays, graph_frame
-from .scalars import INTEGERS, lift
+from .reynolds import ReynoldsData, _induced_table, operator_frames
+from .scalars import INTEGERS
 
 
 def induced_representation(data: ReynoldsData) -> Representation:
     """The representation of the induced algebra (V, ._K) on g, both re-verified."""
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    n, m = g.dim, rep.dim_v
-    field = g.field
-    (c, L, R, h, k, D), down = lift(field, (*_semidirect_arrays(g, rep, H), K.data, field.one))
-    mul, graph, p = graph_frame(INTEGERS, nonzero_rows(semidirect_tensor(c, m, L, R, h)), k, D)
+    g, rep = data.algebra, data.rep
+    n, m, field = g.dim, rep.dim_v, g.field
+    frame = operator_frames(g, rep, data.cocycle)(data.operator)
+    mul, graph, p, _, back = frame
+    down = back(2)
     e = [basis_vec(INTEGERS, n + m, x) for x in range(n)]
-    base = reverified(PreLieAlgebra, field,
-                      [[down(mul(a, b)[n:], 3) for b in graph] for a in graph])
-    Lbar = [Matrix.from_columns(field, [down(p(mul(gr, ex)), 3) for ex in e], n)
+    base = reverified(PreLieAlgebra, field, _induced_table(n, frame))
+    Lbar = [Matrix.from_columns(field, [down(p(mul(gr, ex))) for ex in e], n)
             for gr in graph]
-    Rbar = [Matrix.from_columns(field, [down(p(mul(ex, gr)), 3) for ex in e], n)
+    Rbar = [Matrix.from_columns(field, [down(p(mul(ex, gr))) for ex in e], n)
             for gr in graph]
     return reverified(Representation, base, n, Lbar, Rbar)
 

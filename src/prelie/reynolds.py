@@ -14,12 +14,11 @@ coboundary weight weight * mu or -(x.D(1)).y (`weighted_pair`,
 
 The identity is read off the twisted semidirect product g + V through
 the graph {(Ku, u)} of K (`graph_frame`): its residual at (u, v) is
-p(gr(u).gr(v)), which every caller, for every kind of operator,
-evaluates on the integer lift through `reynolds_checker`.  The induced
-product u ._K v (the star product, for a scalar weight), the graph
-closure of `check_graph_subalgebra`, Lbar, Rbar of `opcohomology` and
-every action applied to a vector are read off the same frame
-(`field_frame` on field scalars).
+p(gr(u).gr(v)).  The induced product u ._K v (the star product, for a
+scalar weight), the graph closure of `check_graph_subalgebra`, Lbar,
+Rbar, the NS-pre-Lie tables and the maps of `deformation` are read off
+the same frame: one per operator, on the integer lift, from
+`operator_frames`, each reading mapped back by its own degree.
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
@@ -60,7 +59,7 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, is_zero_vec, neg_vec, scale_vec, sub_vec
+from .linalg import Matrix, basis_vec, is_zero_vec, neg_vec, scale_vec, sub_vec
 from .scalars import INTEGERS, descend, lift, scalar_to_str
 
 
@@ -104,14 +103,11 @@ def graph_frame(field, rows, k, one):
     """The semidirect product on g + V read through the graph of K.
 
     ``rows`` are the nonzero rows of its tensor (`algebra.nonzero_rows`),
-    ``k`` holds the n rows of K and ``one`` is 1: the field's one, or the
-    denominator of K on the integer lift.  Returns the product, the graph
-    vectors gr(u) = (K e_u, one e_u) and the projection p(a, b) = one a -
-    K b, which vanishes exactly on the graph.  The induced product is the
-    V-part of gr(u).gr(v), the Reynolds residual p(gr(u).gr(v)), Lbar_u x
-    = p(gr(u).x) and Rbar_u x = p(x.gr(u)); `SIGNS.md` gives the degree
-    of each on the lift.  A product costs the rows that its nonzero
-    coordinates pick.
+    ``k`` holds the n rows of K and ``one`` stands for 1 (on the integer
+    lift, the denominator of K).  Returns the product, the graph vectors
+    gr(u) = (K e_u, one e_u) and the projection p(a, b) = one a - K b,
+    which vanishes exactly on the graph.  A product costs the rows that
+    its nonzero coordinates pick; `SIGNS.md` lists what is read off it.
     """
     n, zero, dim = len(k), field.zero, len(rows)
     m = dim - n
@@ -141,44 +137,49 @@ def graph_frame(field, rows, k, one):
     return mul, graph, project
 
 
-def field_frame(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix):
-    """`graph_frame` of g + V twisted by H, read through the graph of K, on field scalars."""
-    return graph_frame(g.field, nonzero_rows(semidirect_tensor(g, rep, H)), K.data,
-                       g.field.one)
+def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
+    """One frame per operator on the integer lift, prepared once: K -> frame.
 
-
-def _induced_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix) -> tuple:
-    """u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv), the V-part of gr(u).gr(v), on V-basis indices."""
-    n = g.dim
-    mul, graph, _ = field_frame(g, rep, H, K)
-    return tuple(tuple(mul(a, b)[n:] for b in graph) for a in graph)
-
-
-def reynolds_checker(g: PreLieAlgebra, rep: Representation, H: Cochain):
-    """The Reynolds identity for an already verified H, prepared once: K -> `Report`.
-
-    g, the actions and H are lifted once, with denominator D_g, and the
-    nonzero rows of their semidirect tensor built once.  Each call lifts
-    only K, with denominator D_K, and reads p(gr(u).gr(v)) at every
-    V-basis pair off `graph_frame` with ``one`` = D_K: D_g D_K^3 times
-    the field residual (`SIGNS.md`).  `scalars.Poly` entries of K (the
-    search's generic candidate, a series in t) come back coefficient by
-    coefficient.
+    g, the actions and H are lifted once (denominator D_g), each K alone
+    (D_K).  A frame is (mul, graph, p) of `graph_frame` on
+    `scalars.INTEGERS` with ``one`` = D_K, the products gr(u).gr(v) and
+    ``back(k)``, which maps a reading of degree k back to the field (over
+    Q, divided by D_g D_K^k; `SIGNS.md` gives each k), `scalars.Poly`
+    entries coefficient by coefficient.
     """
     field = g.field
     (c, L, R, h, Dg), _ = lift(field, (*_semidirect_arrays(g, rep, H), field.one))
     rows = nonzero_rows(raw_semidirect_tensor(c, rep.dim_v, L, R, h))
 
-    def check(K: Matrix) -> Report:
+    def frame(K: Matrix):
         _check_operator_shape(g, rep, K)
         (k, DK), _ = lift(field, (K.data, field.one))
         mul, graph, p = graph_frame(INTEGERS, rows, k, DK)
-        back = descend(field, Dg * DK ** 3)
-        residuals = (((u, v), p(mul(a, b))) for u, a in enumerate(graph)
-                     for v, b in enumerate(graph))
-        return residual_report((where, back(r)) for where, r in residuals if any(r))
+        return (mul, graph, p, [[mul(a, b) for b in graph] for a in graph],
+                lambda degree: descend(field, Dg * DK ** degree))
 
-    return check
+    return frame
+
+
+def _reynolds_report(frame) -> Report:
+    """The Reynolds residuals p(gr(u).gr(v)) of a frame: degree 3."""
+    _, _, p, products, back = frame
+    down = back(3)
+    residuals = (((u, v), p(w)) for u, row in enumerate(products) for v, w in enumerate(row))
+    return residual_report((where, down(r)) for where, r in residuals if any(r))
+
+
+def _induced_table(n: int, frame) -> list:
+    """u ._K v, the V-part of gr(u).gr(v) past the n coordinates of g: degree 2."""
+    *_, products, back = frame
+    down = back(2)
+    return [[down(w[n:]) for w in row] for row in products]
+
+
+def reynolds_checker(g: PreLieAlgebra, rep: Representation, H: Cochain):
+    """The Reynolds identity for an already verified H, prepared once: K -> `Report`."""
+    frames = operator_frames(g, rep, H)
+    return lambda K: _reynolds_report(frames(K))
 
 
 def check_rcw_reynolds(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -212,19 +213,11 @@ class ReynoldsData:
 
     def fingerprint(self) -> str:
         """Stable hash of the defining data, for tagging reports."""
+        rows = [row for plane in self.algebra.product for row in plane]
+        rows += [row for M in (*self.rep.L, *self.rep.R) for row in M.data]
+        rows += [*self.cocycle.values, *self.operator.data]
         parts = [str(self.algebra.field), str(self.algebra.dim), str(self.rep.dim_v)]
-        for tensor in (self.algebra.product,):
-            for plane in tensor:
-                for row in plane:
-                    parts.extend(scalar_to_str(x) for x in row)
-        for mats in (self.rep.L, self.rep.R):
-            for m in mats:
-                for row in m.data:
-                    parts.extend(scalar_to_str(x) for x in row)
-        for v in self.cocycle.values:
-            parts.extend(scalar_to_str(x) for x in v)
-        for row in self.operator.data:
-            parts.extend(scalar_to_str(x) for x in row)
+        parts += [scalar_to_str(x) for row in rows for x in row]
         return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
 
 
@@ -275,10 +268,10 @@ def star_product(g: PreLieAlgebra, K: Matrix, weight) -> PreLieAlgebra:
     pre-Lie and K stays a weighted Reynolds operator for the new product;
     these two facts are re-verified here.
     """
-    reg, H = weighted_pair(g, weight)
-    if not reynolds_checker(g, reg, H)(K).ok:
+    frame = operator_frames(g, *weighted_pair(g, weight))(K)
+    if not _reynolds_report(frame).ok:
         raise UnverifiedOperatorError("operator fails the weighted Reynolds identity")
-    star = induced_product(ReynoldsData(g, reg, H, K))
+    star = reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frame))
     if not check_weighted_reynolds(star, K, weight).ok:
         raise InvariantError("K is not a weighted Reynolds operator on the new product")
     return star
@@ -333,13 +326,14 @@ def check_graph_subalgebra(g: PreLieAlgebra, rep: Representation, H: Cochain,
     when p(w) = 0 (`graph_frame`), and p(w) is the Reynolds residual at
     (u, v): closure and the Reynolds identity are p of one product (a
     theorem, cross-checked in tests).  w is never zero off the graph, so
-    it is kept whole as the residual.
+    it is kept whole as the residual (degree 2 on the lift, p(w) 3).
     """
     _check_operator_shape(g, rep, K)
     _require_cocycle(g, rep, H)
-    mul, graph, p = field_frame(g, rep, H, K)
-    products = (((u, v), mul(a, b)) for u, a in enumerate(graph) for v, b in enumerate(graph))
-    return residual_report((where, w) for where, w in products if not is_zero_vec(p(w)))
+    _, _, p, products, back = operator_frames(g, rep, H)(K)
+    on_graph, down = back(3), back(2)
+    return residual_report(((u, v), down(w)) for u, row in enumerate(products)
+                           for v, w in enumerate(row) if not is_zero_vec(on_graph(p(w))))
 
 
 def induced_product(data: ReynoldsData) -> PreLieAlgebra:
@@ -349,8 +343,8 @@ def induced_product(data: ReynoldsData) -> PreLieAlgebra:
 
     K is a morphism to g by the verified Reynolds identity on this table.
     """
-    return reverified(PreLieAlgebra, data.field, _induced_tensor(
-        data.algebra, data.rep, data.cocycle, data.operator))
+    frame = operator_frames(data.algebra, data.rep, data.cocycle)(data.operator)
+    return reverified(PreLieAlgebra, data.field, _induced_table(data.algebra.dim, frame))
 
 
 def shift_isomorphism(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -369,15 +363,9 @@ def shift_isomorphism(g: PreLieAlgebra, rep: Representation, H: Cochain,
     second = reverified(semidirect, g, rep, shifted_cocycle)
     field = g.field
     n, m = g.dim, rep.dim_v
-    hm = h.as_matrix()
-    rows = []
-    for i in range(n):
-        rows.append([field.one if j == i else field.zero for j in range(n)]
-                    + [field.zero] * m)
-    for i in range(m):
-        rows.append([-x for x in hm.data[i]]
-                    + [field.one if j == i else field.zero for j in range(m)])
-    psi = Matrix(field, rows)
+    psi = Matrix(field, [basis_vec(field, n + m, i) for i in range(n)]
+                 + [neg_vec(row) + basis_vec(field, m, i)
+                    for i, row in enumerate(h.as_matrix().data)])
     report = check_morphism(first, second, psi)
     if not report.ok:
         raise InvariantError("shift map is not a morphism:\n" + report.describe())
@@ -387,8 +375,8 @@ def shift_isomorphism(g: PreLieAlgebra, rep: Representation, H: Cochain,
 def shift_operator(data: ReynoldsData, h: Cochain) -> Matrix:
     """K composed with (id - h K)^{-1}: a Reynolds operator for weight H + dh.
 
-    The bundle is trusted as verified; the shifted weight and operator are
-    re-verified together.
+    The bundle is trusted as verified.  The shifted weight is a 2-cocycle
+    because d(dh) = 0, so only the shifted operator is re-verified.
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     if h.degree != 1 or h.dim_source != g.dim or h.dim_target != rep.dim_v:
@@ -400,7 +388,7 @@ def shift_operator(data: ReynoldsData, h: Cochain) -> Matrix:
         raise SingularError("id - h K is not invertible")
     shifted = K * inv
     new_cocycle = H + coboundary(g, rep, h)
-    out = reverified(check_rcw_reynolds, g, rep, new_cocycle, shifted)
+    out = reynolds_checker(g, rep, new_cocycle)(shifted)
     if not out.ok:
         raise InvariantError(
             "shifted operator fails the identity for the shifted weight:\n"
@@ -427,11 +415,12 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
     if inv is None:
         raise NotAdmissibleError("id + B K is singular; B is not admissible")
     gauged = K * inv
-    # H is verified with the bundle
-    if not reynolds_checker(g, rep, H)(gauged).ok:
+    before, after = map(operator_frames(g, rep, H), (K, gauged))  # H verified with the bundle
+    if not _reynolds_report(after).ok:
         raise InvariantError("gauged operator fails the Reynolds identity")
-    after = reverified(PreLieAlgebra, g.field, _induced_tensor(g, rep, H, gauged))
-    if not check_morphism(induced_product(data), after, bundle).ok:
+    source, target = (reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frame))
+                      for frame in (before, after))
+    if not check_morphism(source, target, bundle).ok:
         raise InvariantError("id + B K is not an isomorphism of induced products")
     return gauged
 
@@ -441,7 +430,8 @@ def reynolds_from_invertible_cochain(g: PreLieAlgebra, rep: Representation,
     """From an invertible linear map h: g -> V, the bundle (g, rep, -dh, h^{-1}).
 
     The inverse of h is always a Reynolds operator weighted by -dh; this is
-    the universal source of verified examples.
+    the universal source of verified examples.  -dh is a 2-cocycle because
+    d(dh) = 0, so only the operator is re-verified.
     """
     if h.degree != 1 or h.dim_source != g.dim or h.dim_target != rep.dim_v:
         raise ShapeError("h must be a linear map from the algebra to the module")
@@ -452,7 +442,10 @@ def reynolds_from_invertible_cochain(g: PreLieAlgebra, rep: Representation,
     if K is None:
         raise SingularError("h is not invertible")
     H = -coboundary(g, rep, h)
-    return reverified(ReynoldsData.build, g, rep, H, K)
+    report = reynolds_checker(g, rep, H)(K)
+    if not report.ok:
+        raise InvariantError("operator fails the Reynolds identity:\n" + report.describe())
+    return ReynoldsData(g, rep, H, K)
 
 
 def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,

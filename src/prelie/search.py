@@ -38,14 +38,15 @@ the weighted-reynolds and d-reynolds entries (on the regular
 representation) return `reynolds.reynolds_checker`; the nijenhuis entry
 returns `nsprelie.nijenhuis_checker`.  The generic candidate and each
 solution then cost one lift of the candidate and one integer
-evaluation; the nijenhuis-element checker runs on field scalars.
+evaluation; the nijenhuis-element entry returns the element checker,
+whose maps are read once per search at the basis of g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .deformation import check_nijenhuis_element
+from .deformation import nijenhuis_element_checker
 from .errors import BudgetExceededError, InvariantError, ShapeError
 from .linalg import Matrix
 from .nsprelie import nijenhuis_checker
@@ -129,12 +130,12 @@ def _d_reynolds_predicate(bundle):
 
 
 def _nijenhuis_element_predicate(bundle):
-    data = bundle["data"]
+    element = nijenhuis_element_checker(bundle["data"])
 
     def check(x):
         if x.cols != 1:
             raise ShapeError(f"an element is one column, not {x.cols}")
-        return check_nijenhuis_element(data, x.column(0))
+        return element(x.column(0))
 
     return check
 

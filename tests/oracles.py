@@ -29,7 +29,11 @@ basis, zero coordinates included, the reference for `Cochain.eval`.
 `act_L` and `act_R` apply the actions of a representation to an element
 of the algebra and a vector, sum_i x_i L_{e_i} u, the evaluator the
 library kept on `Representation` before it read every action off the
-twisted semidirect product (`reynolds.field_frame`).
+twisted semidirect product (`reynolds.graph_frame`).  On them,
+`field_induced_table` expands the induced product u ._K v =
+L_{Ku} v + R_{Kv} u + H(Ku, Kv) and `field_deformed_table` the deformed
+product x ._N y = Nx.y + x.Ny - N(x.y), both on field scalars: the
+references for every table the library reads off the integer lift.
 `field_check_rcw_morphism` is `reynolds.check_rcw_morphism` with each
 condition written out by hand on those actions, as the library had it
 before it read four of them off one morphism of semidirect products.
@@ -137,14 +141,7 @@ from prelie.linalg import (
     zero_vec,
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
-from prelie.nsprelie import _deformed_tensor
-from prelie.reynolds import (
-    ReynoldsData,
-    _check_operator_shape,
-    _induced_tensor,
-    derived_tensor,
-    induced_product,
-)
+from prelie.reynolds import ReynoldsData, _check_operator_shape, derived_tensor
 from prelie.scalars import FpElement, Poly, PrimeField
 from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidate, _compile
 
@@ -175,6 +172,26 @@ def act_L(rep: Representation, x, u) -> tuple:
 def act_R(rep: Representation, x, u) -> tuple:
     """R_x u for a coordinate vector x in the algebra and u in V."""
     return _act(rep.R, x, u)
+
+
+def field_induced_table(g: PreLieAlgebra, rep: Representation, H: Cochain,
+                        K: Matrix) -> tuple:
+    """u ._K v = L_{Ku} v + R_{Kv} u + H(Ku, Kv) on V-basis indices, on field scalars."""
+    m = rep.dim_v
+    e = [basis_vec(g.field, m, u) for u in range(m)]
+    cols = [K.column(u) for u in range(m)]
+    return tuple(tuple(add_vec(add_vec(act_L(rep, cols[u], e[v]), act_R(rep, cols[v], e[u])),
+                               H.eval([cols[u], cols[v]]))
+                       for v in range(m)) for u in range(m))
+
+
+def field_deformed_table(g: PreLieAlgebra, N: Matrix) -> tuple:
+    """x ._N y = Nx.y + x.Ny - N(x.y) on basis indices, on field scalars."""
+    if N.rows != g.dim or N.cols != g.dim:
+        raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {g.dim}")
+    e = [g.basis(i) for i in range(g.dim)]
+    return derived_tensor(N, lambda i, j, Nx, Ny: sub_vec(
+        add_vec(g.mul(Nx, e[j]), g.mul(e[i], Ny)), N.apply(g.mul_basis(i, j))))
 
 
 def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
@@ -400,7 +417,7 @@ def field_induced_representation(data: ReynoldsData) -> Representation:
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
     n, m = g.dim, rep.dim_v
     field = g.field
-    base = induced_product(data)
+    base = PreLieAlgebra(field, field_induced_table(g, rep, H, K))
     Lbar, Rbar = [], []
     for u in range(m):
         Ku = K.column(u)
@@ -474,12 +491,12 @@ def field_reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
                           K: Matrix) -> Report:
     """The Reynolds identity on all V-basis pairs, for an already verified H, on field scalars."""
     _check_operator_shape(g, rep, K)
-    return operator_identity(g, K, _induced_tensor(g, rep, H, K))
+    return operator_identity(g, K, field_induced_table(g, rep, H, K))
 
 
 def field_check_nijenhuis(g: PreLieAlgebra, N: Matrix) -> Report:
     """Nx.Ny = N(x ._N y) on all basis pairs, on field scalars."""
-    return operator_identity(g, N, _deformed_tensor(g, N))
+    return operator_identity(g, N, field_deformed_table(g, N))
 
 
 def field_checker(spec: SearchSpec):

@@ -56,7 +56,7 @@ from prelie.cochain import Cochain, cochain_keys
 from prelie.errors import InvariantError, ShapeError
 from prelie.linalg import Matrix, add_vec, basis_vec, scale_vec, sub_vec
 from prelie.reynolds import ReynoldsData, check_rcw_reynolds
-from prelie.scalars import QQ, Poly, PrimeField, field_name
+from prelie.scalars import INTEGERS, QQ, Poly, PrimeField, field_name
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +379,16 @@ def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
                                          "dk_difference"])
 def test_each_combination_builds_its_structures_once(monkeypatch, combination):
+    # mu + L + R and the lift of H are built once, on the ints, from the
+    # lifted arrays of g, the actions and H; no structure is built on the
+    # field and lifted densely
     args = _combination_args(combination)
     calls = {name: count_calls(monkeypatch, brackets, name)
-             for name in ("untwisted_structure", "cocycle_structure")}
+             for name in ("untwisted_structure", "cocycle_structure", "tensor_cochain")}
     getattr(brackets, combination)(*args)
     assert {name: len(c) for name, c in calls.items()} == \
-        {"untwisted_structure": 1, "cocycle_structure": 1}
+        {"untwisted_structure": 0, "cocycle_structure": 0, "tensor_cochain": 2}
+    assert [c[0] for c in calls["tensor_cochain"]] == [INTEGERS, INTEGERS]
 
 
 # ---------------------------------------------------------------------------

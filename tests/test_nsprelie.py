@@ -13,7 +13,7 @@ from conftest import (
     random_reynolds_data,
     zero_representation,
 )
-from oracles import act_L, act_R
+from oracles import act_L, act_R, field_deformed_table, field_induced_table
 from prelie.algebra import check_prelie, regular_representation
 from prelie.cochain import Cochain
 from prelie.errors import ShapeError, SingularError, UnverifiedNSError, UnverifiedOperatorError
@@ -25,14 +25,12 @@ from prelie.nsprelie import (
     compatible_ns_from_invertible,
     deformed_product,
     ns_from_nijenhuis,
-    _deformed_tensor,
     ns_from_reynolds,
     reynolds_from_ns,
     subadjacent,
 )
 from prelie.reynolds import (
     ReynoldsData,
-    _induced_tensor,
     induced_product,
     reynolds_from_invertible_cochain,
 )
@@ -272,12 +270,12 @@ def test_subadjacent_tables_are_the_derived_tables(field):
     for _ in range(8):
         data = random_reynolds_data(rng, field)
         ns = ns_from_reynolds(data)
-        assert ns.star_tensor() == _induced_tensor(
+        assert ns.star_tensor() == field_induced_table(
             data.algebra, data.rep, data.cocycle, data.operator)
     a = g2_algebra(field)
     for c, d in product((-1, 0, 1), repeat=2):
         N = Matrix(field, [[c, d], [0, c]])
-        assert ns_from_nijenhuis(a, N).star_tensor() == _deformed_tensor(a, N)
+        assert ns_from_nijenhuis(a, N).star_tensor() == field_deformed_table(a, N)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
@@ -298,7 +296,7 @@ def test_ns_from_reynolds_frame_readings_on_padded_bundles(field):
                 assert ns.tri[u][v] == act_L(rep, Ku, e[v])
                 assert ns.trl[u][v] == act_R(rep, Kv, e[u])
                 assert ns.circ[u][v] == H.eval([Ku, Kv])
-        assert ns.star_tensor() == _induced_tensor(g, rep, H, K)
+        assert ns.star_tensor() == field_induced_table(g, rep, H, K)
 
 
 # ---------------------------------------------------------------------------

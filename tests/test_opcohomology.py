@@ -266,7 +266,7 @@ def test_explicit_variant_can_coincide_on_degenerate_data(g3_data):
 
 def test_induced_product_built_once_per_call(g3_data, monkeypatch):
     # the induced structure is read off one graph frame per call, on the
-    # integer lift; a Nijenhuis element check builds one field frame,
+    # integer lift; a Nijenhuis element check builds one frame too,
     # whatever dim V is
     calls = count_calls(monkeypatch, reynolds, "graph_frame")
     f = Cochain.zero(QQ, 1, 3, 3)

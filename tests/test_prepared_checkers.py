@@ -10,19 +10,29 @@ data are fractional on both sides of the split (D_g != 1 != D_K), so a
 map back by one of the two denominators alone fails here.  The weighted
 and D-Reynolds checkers, now rcw instances on the regular
 representation, are compared with their field route the same way.
+
+Every other reading of the graph of K comes off the same prepared frame
+(`reynolds.operator_frames`) with its own power of D_K: the induced
+table, Lbar and Rbar, graph closure, the NS-pre-Lie tables and the maps
+of an algebra element, and the deformed product off the Nijenhuis
+checker's ints.  Each is compared here with the hand-expanded field
+oracle on the same fractional data, and mapping the induced table back
+by D_K^2 alone is shown to fail.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from cli_sweep import _load, _padded
+from cli_sweep import _load, _padded, cases, run
 from conftest import (
     CORPUS,
     _replace_everywhere,
     as_terms,
     conjugate_algebra,
+    count_calls,
     g2_algebra,
     g3b_algebra,
     g3_algebra,
@@ -35,35 +45,46 @@ from conftest import (
 )
 import oracles
 from oracles import (
+    act_L,
+    act_R,
     field_check_d_reynolds,
     field_check_nijenhuis,
     field_check_weighted_reynolds,
+    field_deformed_table,
+    field_induced_representation,
+    field_induced_table,
     field_reynolds_report,
     star_table,
 )
-from prelie import algebra, nsprelie, reynolds
+import prelie
+from prelie import algebra, deformation, reynolds
 from prelie.algebra import PreLieAlgebra, Representation, regular_representation
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain
 from prelie.deformation import (
     DeformationSeries,
+    _element_terms,
     _in_t,
     check_formal_deformation,
     check_linear_deformation,
+    element_coboundary,
 )
-from prelie.linalg import Matrix
-from prelie.nsprelie import check_nijenhuis, deformed_product, nijenhuis_checker
+from prelie.linalg import Matrix, add_vec, basis_vec, sub_vec
+from prelie.nsprelie import check_nijenhuis, deformed_product, nijenhuis_checker, ns_from_reynolds
+from prelie.opcohomology import induced_representation
 from prelie.reynolds import (
     ReynoldsData,
     _semidirect_arrays,
     check_d_reynolds,
+    check_graph_subalgebra,
     check_rcw_reynolds,
     check_weighted_reynolds,
+    induced_product,
     reynolds_checker,
     reynolds_from_invertible_cochain,
     star_product,
 )
-from prelie.scalars import QQ, FpElement, Poly, PrimeField, field_name, lift
+from prelie.scalars import INTEGERS, QQ, FpElement, Poly, PrimeField, descend, field_name, lift
 from prelie.search import SearchSpec, _candidate, exhaustive_search
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
@@ -377,16 +398,23 @@ def test_the_identities_never_reach_the_field_route(monkeypatch):
     }
     expected = {name: call() for name, call in calls.items()}
     for module, name in ((oracles, "operator_identity"), (algebra, "morphism_defects"),
-                         (reynolds, "_induced_tensor"), (reynolds, "field_frame"),
-                         (nsprelie, "_deformed_tensor"), (algebra, "tensor_mul")):
+                         (algebra, "tensor_mul")):
         _forbid(monkeypatch, module, name)
     for name, call in calls.items():
         assert call() == expected[name], name
 
 
+def test_the_field_scalar_frame_is_gone_from_src():
+    # every reading of the graph of K runs on the integer lift; the field
+    # route lives on only as the oracles of tests/oracles.py
+    source = "\n".join(path.read_text() for path in Path(prelie.__file__).parent.glob("*.py"))
+    for name in ("field_frame", "_induced_tensor", "_deformed_tensor"):
+        assert name not in source, name
+
+
 def test_deformed_product_checks_the_operator_on_the_lift(monkeypatch):
-    # the deformed table is still built on field scalars, for the algebra;
-    # the identity is not read off it
+    # the identity and the deformed table both come off the ints of one
+    # evaluation of N; no field-scalar identity is evaluated
     g = g2_algebra(QQ)
     N = Matrix(QQ, [[1, 2], [0, 1]])
     expected = deformed_product(g, N)
@@ -404,3 +432,182 @@ def test_a_representation_of_dim_v_one_checks_every_pair():
     for _ in range(5):
         K = _random_matrix(rng, QQ, 3, 1)
         assert reynolds_checker(g, rep, H)(K) == field_reynolds_report(g, rep, H, K)
+
+
+# ---------------------------------------------------------------------------
+# every reading of the graph of K, lifted, against its field oracle
+
+
+def _split(field, data) -> bool:
+    """Do g (with the actions and H) and K both have a denominator other than 1?"""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    return _denominator(field, _semidirect_arrays(g, rep, H)) != 1 != \
+        _denominator(field, (K.data,))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_induced_readings_match_the_field_oracles(field):
+    # the induced table, Lbar, Rbar and the three NS-pre-Lie tables, each
+    # mapped back by D_g D_K^2
+    rng = random.Random(2401)
+    split = 0
+    for data in _bundles(rng, field, 9):
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        m = rep.dim_v
+        table = field_induced_table(g, rep, H, K)
+        assert induced_product(data).product == PreLieAlgebra(field, table).product
+        lifted, oracle = induced_representation(data), field_induced_representation(data)
+        assert lifted.algebra.product == oracle.algebra.product
+        assert [M.data for M in lifted.L] == [M.data for M in oracle.L]
+        assert [M.data for M in lifted.R] == [M.data for M in oracle.R]
+        ns = ns_from_reynolds(data)
+        e, cols = [basis_vec(field, m, u) for u in range(m)], [K.column(u) for u in range(m)]
+        assert ns.tri == tuple(tuple(act_L(rep, cols[u], e[v]) for v in range(m))
+                               for u in range(m))
+        assert ns.trl == tuple(tuple(act_R(rep, cols[v], e[u]) for v in range(m))
+                               for u in range(m))
+        assert ns.circ == tuple(tuple(H.eval([cols[u], cols[v]]) for v in range(m))
+                                for u in range(m))
+        split += _split(field, data)
+    assert split >= 3 if field == QQ else split == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_graph_closure_matches_the_field_oracle(field):
+    # a product off the graph is kept whole, (Ku.Kv, u ._K v), exactly where
+    # the Reynolds residual is nonzero
+    rng = random.Random(2402)
+    failing = 0
+    for data in _bundles(rng, field, 12):
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        for op in (K, K + _random_matrix(rng, field, K.rows, K.cols)):
+            table = field_induced_table(g, rep, H, op)
+            expected = [((u, v), g.mul(op.column(u), op.column(v)) + table[u][v])
+                        for (u, v), _ in field_reynolds_report(g, rep, H, op).violations]
+            report = check_graph_subalgebra(g, rep, H, op)
+            assert report.violations == expected
+            failing += not report.ok
+    assert failing >= 6
+
+
+def _element_oracle(data, x) -> tuple:
+    """S e_u = L_x u - R_x u + H(x, Ku) and Rbar_u x = x.Ku - K(L_x u) - K H(x, Ku)."""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    m = rep.dim_v
+    S, rbar = [], []
+    for u in range(m):
+        eu, Ku = basis_vec(g.field, m, u), K.column(u)
+        hx = H.eval([x, Ku])
+        S.append(add_vec(sub_vec(act_L(rep, x, eu), act_R(rep, x, eu)), hx))
+        rbar.append(sub_vec(sub_vec(g.mul(x, Ku), K.apply(act_L(rep, x, eu))), K.apply(hx)))
+    return S, rbar
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_element_maps_match_the_field_oracle(field):
+    # S and Rbar_u x, read once at the basis of g (degrees 1 and 2) and
+    # combined with the coordinates of x, for field and generic elements
+    rng = random.Random(2403)
+    split = 0
+    for data in _bundles(rng, field, 9):
+        g, K = data.algebra, data.operator
+        terms = _element_terms(data)
+        generic = tuple(Poly({(k,): field.one}) for k in range(g.dim))
+        for x in (tuple(_entry(rng, field) for _ in range(g.dim)), generic):
+            _, S, rbar, _ = terms(x)
+            S_oracle, rbar_oracle = _element_oracle(data, x)
+            columns = [S.column(u) for u in range(S.cols)]
+            assert [as_terms(c) for c in columns] == [as_terms(c) for c in S_oracle]
+            assert [as_terms(r) for r in rbar] == [as_terms(r) for r in rbar_oracle]
+        # (d_K x)(u) = K S e_u - x.Ku + Ku.x
+        x = tuple(_entry(rng, field) for _ in range(g.dim))
+        S_oracle, _ = _element_oracle(data, x)
+        cols = [K.column(u) for u in range(K.cols)]
+        d = [add_vec(sub_vec(K.apply(S_oracle[u]), g.mul(x, Ku)), g.mul(Ku, x))
+             for u, Ku in enumerate(cols)]
+        assert element_coboundary(data, x) == Matrix.from_columns(field, d, g.dim)
+        split += _split(field, data)
+    assert split >= 3 if field == QQ else split == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_deformed_product_matches_the_field_oracle(field):
+    # the table comes off the Nijenhuis checker's ints, mapped back by D_g D_N
+    rng = random.Random(2404)
+    split = 0
+    for t in range(12):
+        g = _fractional_algebra(rng) if field == QQ and t % 2 else \
+            rng.choice([g3_algebra(field), g2_algebra(field), g3b_algebra(field)])
+        N = Matrix.identity(field, g.dim).scale(_entry(rng, field) or field.one)
+        expected = PreLieAlgebra(field, field_deformed_table(g, N)).product
+        assert deformed_product(g, N).product == expected
+        split += _denominator(field, (g.product,)) != 1 != _denominator(field, (N.data,))
+    g = g2_algebra(field)
+    for c, d in ((1, 2), (-1, 1), (0, 1)):
+        N = Matrix(field, [[c, d], [0, c]])
+        assert deformed_product(g, N).product == \
+            PreLieAlgebra(field, field_deformed_table(g, N)).product
+    assert split >= 2 if field == QQ else split == 0
+
+
+def test_the_induced_table_mapped_back_by_dk_squared_alone_fails(monkeypatch):
+    # a mutant that forgets D_g: on fractional g, H and K it must disagree
+    # with the oracle on every bundle, where the library agrees
+    def mutant(n, frame):
+        _, graph, _, products, _ = frame
+        down = descend(QQ, graph[0][n] ** 2)  # gr(0) = (k e_0, D_K e_0)
+        return [[down(w[n:]) for w in row] for row in products]
+
+    rng = random.Random(2405)
+    bundles = [data for data in (fractional_reynolds_data(rng) for _ in range(12))
+               if _split(QQ, data)][:4]
+    assert len(bundles) == 4
+
+    def mismatches():
+        return sum(induced_product(data).product != PreLieAlgebra(QQ, field_induced_table(
+            data.algebra, data.rep, data.cocycle, data.operator)).product for data in bundles)
+
+    assert mismatches() == 0
+    _replace_everywhere(monkeypatch, reynolds, "_induced_table", lambda original: mutant)
+    monkeypatch.setattr(reynolds, "_induced_table", mutant)
+    assert mismatches() == len(bundles)
+
+
+# ---------------------------------------------------------------------------
+# frames: only on the integers, a fixed number per command
+
+
+FRAME_BUNDLES = {"corpus/g3-k-deform.json", "corpus/g3-gauge-shift.json",
+                 "corpus/weighted-star.json", "corpus/g3-f2-e11.json", "corpus/ns2.json"}
+
+
+def _frame_cases() -> list:
+    """The sweep's commands on `FRAME_BUNDLES`: under the bundle's own field, at degree 1."""
+    return [argv for argv in cases() if FRAME_BUNDLES & set(argv)
+            and ("--field" not in argv or argv[0] == "search")
+            and ("--degree" not in argv or argv[argv.index("--degree") + 1] == "1")]
+
+
+def test_graph_frame_runs_only_on_the_integers(monkeypatch):
+    calls = count_calls(monkeypatch, reynolds, "graph_frame")
+    for argv in _frame_cases():
+        run(argv)
+    assert len(calls) > 100
+    assert all(args[0] is INTEGERS for args in calls)
+
+
+@pytest.mark.parametrize("action, frames", [("rigidity", 4), ("nijenhuis", 2)])
+def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
+    # the bundle's build, the search's checker prepared once, and for
+    # rigidity the induced representation and the element maps of the image
+    built = count_calls(monkeypatch, reynolds, "graph_frame")
+    candidates = count_calls(monkeypatch, deformation, "_element_morphism")
+    seen = set()
+    for bundle, field in (("dim1-abelian-f2.json", "f2"), ("g3-f2-e11.json", "f2"),
+                          ("g3-f2-e11.json", "f3")):
+        built.clear()
+        candidates.clear()
+        run(("deform", action, "--bundle", f"corpus/{bundle}", "--field", field))
+        assert len(built) == frames
+        seen.add(len(candidates))
+    assert len(seen) == 3

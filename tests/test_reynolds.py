@@ -23,10 +23,16 @@ from conftest import (
     unital_algebras,
     zero_representation,
 )
-from oracles import dense_kernel, dense_solve, field_check_rcw_morphism, star_table
+from oracles import (
+    dense_kernel,
+    dense_solve,
+    field_check_rcw_morphism,
+    field_induced_table,
+    star_table,
+)
 from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation
 from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
-from prelie import algebra, reynolds, scalars
+from prelie import algebra, cochain, reynolds, scalars
 from prelie.errors import (
     DimensionMismatchError,
     InvariantError,
@@ -46,7 +52,6 @@ from prelie.opcohomology import operator_cohomology
 from prelie.nsprelie import check_nijenhuis
 from prelie.reynolds import (
     ReynoldsData,
-    _induced_tensor,
     check_d_reynolds,
     check_graph_subalgebra,
     check_rcw_morphism,
@@ -145,6 +150,16 @@ def test_derivation_to_reynolds_and_back(g3):
     assert K == Matrix(QQ, [["1/3", 0, 0], [0, "1/5", 0], [0, 0, "1/2"]])
     assert check_weighted_reynolds(g3, K, 1).ok
     assert derivation_from_reynolds(g3, K, 1) == D
+
+
+def test_reynolds_from_derivation_checks_no_cocycle(monkeypatch, g3):
+    # the weight -d(D - lambda id) is a coboundary, hence a cocycle since
+    # d(dh) = 0; only the operator is re-verified, on the prepared checker
+    cocycles = count_calls(monkeypatch, cochain, "check_two_cocycle")
+    identities = count_calls(monkeypatch, reynolds, "_reynolds_report")
+    D = Matrix(QQ, [[4, 0, 0], [0, 6, 0], [0, 0, 3]])
+    reynolds_from_derivation(g3, D, 1)
+    assert (len(cocycles), len(identities)) == (0, 1)
 
 
 def test_zero_derivation_cases():
@@ -450,7 +465,7 @@ def test_morphism_residuals_of_induced_and_star_are_the_negated_identity(field):
         g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
         bumped = K + Matrix(field, [[field(rng.randint(-1, 1)) for _ in range(K.cols)]
                                     for _ in range(K.rows)])
-        unchecked = PreLieAlgebra(field, _induced_tensor(g, rep, H, bumped), check=False)
+        unchecked = PreLieAlgebra(field, field_induced_table(g, rep, H, bumped), check=False)
         for op, induced in ((K, induced_product(data)), (bumped, unchecked)):
             identity = reynolds_checker(g, rep, H)(op)
             assert check_morphism(induced, g, op).violations == _negated(identity)
@@ -470,7 +485,7 @@ def test_morphism_residuals_of_induced_and_star_are_the_negated_identity(field):
 
 @pytest.mark.parametrize("build, module, checker, passes", [
     (lambda a, rep, H: reynolds_from_invertible_cochain(
-        a, rep, Cochain.from_matrix(Matrix.identity(QQ, 3))), reynolds, "check_rcw_reynolds", 0),
+        a, rep, Cochain.from_matrix(Matrix.identity(QQ, 3))), reynolds, "_reynolds_report", 0),
     (lambda a, rep, H: shift_isomorphism(a, rep, H, Cochain.zero(QQ, 1, 3, 3)),
      algebra, "check_prelie", 1),  # the second semidirect product
 ], ids=["invertible-cochain", "shift-isomorphism"])
