@@ -396,14 +396,19 @@ def regular_representation(a: PreLieAlgebra) -> Representation:
 
 
 def check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
-    """d(x.y) = d(x).y + x.d(y) on all basis pairs."""
+    """d(x.y) = d(x).y + x.d(y) on all basis pairs.
+
+    A derivation is a 1-cocycle of the regular representation: with
+    (dD)(x, y) = x.D(y) + D(x).y - D(x.y), the residual at (i, j) is
+    -dD at the key ((i,), j).
+    """
+    from .cochain import Cochain, coboundary
+
     if d.rows != a.dim or d.cols != a.dim:
         raise ShapeError(f"derivation candidate is {d.rows}x{d.cols}, algebra dim {a.dim}")
-    return residual_report(
-        ((i, j), sub_vec(d.apply(a.mul_basis(i, j)),
-                         add_vec(a.mul(d.column(i), a.basis(j)),
-                                 a.mul(a.basis(i), d.column(j)))))
-        for i in range(a.dim) for j in range(a.dim))
+    dD = coboundary(a, regular_representation(a), Cochain.from_matrix(d))
+    return residual_report(((fb[0], last), neg_vec(v))
+                           for (fb, last), v in zip(dD.keys(), dD.values))
 
 
 def morphism_defects(field, source, target, F: Matrix, pairs):

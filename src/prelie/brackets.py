@@ -14,9 +14,12 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
 
   with [P, Q] = P <> Q - (-1)^{pq} Q <> P.  A bilinear map pi is pre-Lie
   exactly when [pi, pi] = 0.  `cochain._unshuffles` gives each s with
-  sgn(s).  `diamond` and `mn_bracket` fill every key of C(X, X) and
-  evaluate P at vector arguments (`Cochain.eval`); they serve the
-  pre-Lie anchor [pi, pi] = 0 and are not on the derived-bracket route.
+  sgn(s).  This formula is written once, in `_compose`, which adds
+  sign * (outer <> inner) at one canonical key, reading both cochains
+  as sparse values at basis tuples.  Each cochain has a floor: an
+  argument below it, or a coordinate of inner's value below outer's
+  floor, gives no term.  `diamond` runs it at every key of C(X, X) with
+  both floors 0; `mn_bracket` serves the pre-Lie anchor [pi, pi] = 0.
 
 * Operator cochains P in Hom(wedge^{p-1} V (x) V, g) embed into
   C^p(W, W) for W = g + V as P^: evaluate on the V-components and land
@@ -37,9 +40,10 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   C(W, W).  Level 0 is the structure's basis values; level j is
   [N, P_j^] with N the level below, held as a memo of sparse values at
   canonical basis keys of W.  The top level is asked only for V-basis
-  keys; a key of level j asks level j-1 only for the keys that the four
-  unshuffle sums of [N, P_j^] hit, and a term is skipped as soon as a
-  lifted cochain would get a g-argument.  Since P^ lands in g, N <> P^
+  keys; a key of level j is two `_compose` calls, N <> P^ with floors
+  (0, dim g) minus (-1)^{pq} P^ <> N with floors (dim g, 0), so it asks
+  level j-1 only for the keys they hit, and a term is skipped as soon as
+  a lifted cochain would get a g-argument.  Since P^ lands in g, N <> P^
   reads N at one more g-index, and P^ <> N reads only the V-coordinates
   of N.  The restriction keeps the g-coordinates of the top level; its
   V-coordinates vanish for these structures, and `_derived` raises
@@ -79,6 +83,7 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (
     PreLieAlgebra,
@@ -89,7 +94,7 @@ from .algebra import (
 )
 from .cochain import Cochain, _sort_with_sign, _unshuffles, cochain_keys, cochain_space_dim
 from .errors import InvariantError, ShapeError
-from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, zero_vec
+from .linalg import Matrix
 from .reynolds import ReynoldsData, _require_cocycle, _semidirect_arrays, semidirect_tensor
 from .opcohomology import operator_coboundary
 from .scalars import INTEGERS, Poly, lift
@@ -101,34 +106,18 @@ def diamond(P: Cochain, Q: Cochain) -> Cochain:
         raise ShapeError("diamond is defined on cochains from a space to itself")
     if P.dim_source != Q.dim_source:
         raise ShapeError("cochains live on different spaces")
-    dim = P.dim_source
-    field = P.field
-    p = P.degree - 1
-    q = Q.degree - 1
-    out_degree = p + q + 1
+    dim, field = P.dim_source, P.field
+    p, q = P.degree - 1, Q.degree - 1
+    outer, inner = partial(_read, _sparse_table(P, 0)), partial(_read, _sparse_table(Q, 0))
     values = []
-    outer_sign = 1 if (p * q) % 2 == 0 else -1
-    for fb, last in cochain_keys(dim, out_degree):
-        letters = list(fb)  # the p+q permutable arguments
-        acc = zero_vec(field, dim)
-        for sign, word in _unshuffles((q, 1, p - 1)):
-            inner_args = tuple(letters[word[i]] for i in range(q + 1))
-            inner = Q.eval_basis(inner_args)
-            if is_zero_vec(inner):
-                continue
-            outer_args = [inner] + [letters[word[i]] for i in range(q + 1, p + q)] + [last]
-            term = P.eval(outer_args)
-            acc = add_vec(acc, term if sign == 1 else neg_vec(term))
-        for sign, word in _unshuffles((p, q)):
-            inner_args = tuple(letters[word[i]] for i in range(p, p + q)) + (last,)
-            inner = Q.eval_basis(inner_args)
-            if is_zero_vec(inner):
-                continue
-            outer_args = [letters[word[i]] for i in range(p)] + [inner]
-            term = P.eval(outer_args)
-            acc = add_vec(acc, term if outer_sign * sign == 1 else neg_vec(term))
-        values.append(acc)
-    return Cochain(field, out_degree, dim, dim, values)
+    for fb, last in cochain_keys(dim, p + q + 1):
+        acc = {}
+        _compose(acc, 1, outer, inner, p, q, fb, last, 0, 0)
+        out = [field.zero] * dim
+        for t, x in acc.items():
+            out[t] = x
+        values.append(out)
+    return Cochain(field, p + q + 1, dim, dim, values)
 
 
 def mn_bracket(P: Cochain, Q: Cochain) -> Cochain:
@@ -198,6 +187,44 @@ def _add(acc: dict, pairs, c, sign: int) -> None:
         acc[t] = term if s is None else s + term
 
 
+def _compose(acc: dict, sign: int, outer, inner, a: int, b: int, fb: tuple, last: int,
+             floor_outer: int, floor_inner: int) -> None:
+    """acc += sign * (outer <> inner) at the canonical key (fb, last).
+
+    ``outer`` and ``inner`` read (sort sign, sparse value) at a basis
+    tuple, like `_read`, and have MN-degrees a and b.  An argument below
+    its cochain's floor gives no term; for ``outer`` this includes the
+    coordinate of inner's value that it is fed.  A lifted operator cochain
+    has floor dim g: it vanishes on g, and the floor drops those terms
+    before any value is read.  With both floors 0 this is plain <>.
+    """
+    # outer(inner(b+1 letters), a-1 letters, last)
+    if last >= floor_outer:
+        for s, w in _unshuffles((b, 1, a - 1)):
+            args = tuple(fb[i] for i in w[:b + 1])
+            rest = tuple(fb[i] for i in w[b + 1:]) + (last,)
+            if args[0] < floor_inner or rest[0] < floor_outer:
+                continue
+            s1, iv = inner(args)
+            for t, c in iv:
+                if t >= floor_outer:
+                    s2, ov = outer((t,) + rest)
+                    _add(acc, ov, c, sign * s * s1 * s2)
+    # (-1)^{ab} outer(a letters, inner(b letters, last))
+    if last >= floor_inner:
+        flip = -sign if (a * b) % 2 else sign
+        for s, w in _unshuffles((a, b)):
+            head = tuple(fb[i] for i in w[:a])
+            args = tuple(fb[i] for i in w[a:]) + (last,)
+            if args[0] < floor_inner or head and head[0] < floor_outer:
+                continue
+            s1, iv = inner(args)
+            for t, c in iv:
+                if t >= floor_outer:
+                    s2, ov = outer(head + (t,))
+                    _add(acc, ov, c, flip * s * s1 * s2)
+
+
 def _derived(structure: Cochain, cochains) -> Cochain:
     """[[...[structure, P_1^], ...], P_k^] restricted to operator cochains.
 
@@ -232,52 +259,12 @@ def _derived(structure: Cochain, cochains) -> Cochain:
 
     def level(j, fb, last):
         """N_j = N <> P^ - (-1)^{pq} P^ <> N at one canonical key, N = N_{j-1}, P = P_j."""
-        P = tables[j - 1]
+        N, P = partial(value, j - 1), partial(_read, tables[j - 1])
         p, q = arity[j - 1] - 1, cochains[j - 1].degree - 1
         flip = -1 if (p * q) % 2 else 1
         acc = {}
-        # N <> P^, first sum: N(P^(q+1 letters), p-1 letters, last)
-        for s, w in _unshuffles((q, 1, p - 1)):
-            inner = tuple(fb[i] for i in w[:q + 1])
-            if inner[0] < n:
-                continue
-            s1, pv = _read(P, inner)
-            rest = tuple(fb[i] for i in w[q + 1:]) + (last,)
-            for t, c in pv:
-                s2, nv = value(j - 1, (t,) + rest)
-                _add(acc, nv, c, s * s1 * s2)
-        # N <> P^, second sum: (-1)^{pq} N(p letters, P^(q letters, last))
-        if last >= n:
-            for s, w in _unshuffles((p, q)):
-                inner = tuple(fb[i] for i in w[p:]) + (last,)
-                if inner[0] < n:
-                    continue
-                s1, pv = _read(P, inner)
-                head = tuple(fb[i] for i in w[:p])
-                for t, c in pv:
-                    s2, nv = value(j - 1, head + (t,))
-                    _add(acc, nv, c, flip * s * s1 * s2)
-        # -(-1)^{pq} P^ <> N, first sum: -(-1)^{pq} P^(N(p+1 letters), q-1 letters, last)
-        if last >= n:
-            for s, w in _unshuffles((p, 1, q - 1)):
-                rest = tuple(fb[i] for i in w[p + 1:]) + (last,)
-                if rest[0] < n:
-                    continue
-                s2, nv = value(j - 1, tuple(fb[i] for i in w[:p + 1]))
-                for t, x in nv:
-                    if t >= n:
-                        s1, pv = _read(P, (t,) + rest)
-                        _add(acc, pv, x, -flip * s * s1 * s2)
-        # -(-1)^{pq} P^ <> N, second sum: -P^(q letters, N(p letters, last))
-        for s, w in _unshuffles((q, p)):
-            head = tuple(fb[i] for i in w[:q])
-            if head and head[0] < n:
-                continue
-            s2, nv = value(j - 1, tuple(fb[i] for i in w[q:]) + (last,))
-            for t, x in nv:
-                if t >= n:
-                    s1, pv = _read(P, head + (t,))
-                    _add(acc, pv, x, -s * s1 * s2)
+        _compose(acc, 1, N, P, p, q, fb, last, 0, n)
+        _compose(acc, -flip, P, N, q, p, fb, last, n, 0)
         return tuple((t, x) for t, x in acc.items() if x)
 
     tables = [_sparse_table(P, n) for P in cochains]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .algebra import (
     PreLieAlgebra,
@@ -189,32 +189,6 @@ class Cochain:
         v = self.value_at(fb_sorted, last)
         return v if sign == 1 else neg_vec(v)
 
-    def eval(self, args) -> tuple:
-        """Multilinear evaluation; each argument is a basis index or a vector.
-
-        One pass: every combination of the vectors' nonzero coordinates is
-        evaluated on the basis and accumulated, scaled by the product of
-        its coefficients.
-        """
-        if len(args) != self.degree:
-            raise ShapeError(f"expected {self.degree} arguments, got {len(args)}")
-        expanded = [((a, None),) if isinstance(a, int)
-                    else [(i, c) for i, c in enumerate(a) if c] for a in args]
-        out = [None] * self.dim_target
-        for combo in product(*expanded):
-            coeff = None
-            for _, c in combo:
-                if c is not None:
-                    coeff = c if coeff is None else coeff * c
-            v = self.eval_basis(tuple(i for i, _ in combo))
-            for t, x in enumerate(v):
-                if x:
-                    term = x if coeff is None else coeff * x
-                    s = out[t]
-                    out[t] = term if s is None else s + term
-        zero = self.field.zero
-        return tuple(zero if s is None else s for s in out)
-
     def __add__(self, other: "Cochain") -> "Cochain":
         self._check_compatible(other)
         return Cochain(self.field, self.degree, self.dim_source, self.dim_target,
@@ -362,14 +336,21 @@ def coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
                     for p in range(len(cochain_keys(a.dim, degree)))])
 
 
+def _check_map_to_module(name: str, a: PreLieAlgebra, rep: Representation, c: Cochain,
+                         degree: int) -> None:
+    """Raise `ShapeError` unless c is a degree-``degree`` cochain from a to rep's module."""
+    if c.degree != degree or c.dim_source != a.dim or c.dim_target != rep.dim_v:
+        kind = "linear" if degree == 1 else "bilinear"
+        raise ShapeError(f"{name} must be a {kind} map from the algebra to the module")
+
+
 def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Report:
     """Is the bilinear map H a 2-cocycle, that is, does its coboundary vanish?
 
     Violations are reported at every basis triple (x, y, z) where dH is
     nonzero, including both orders of x and y: dH is antisymmetric in them.
     """
-    if H.degree != 2 or H.dim_source != a.dim or H.dim_target != rep.dim_v:
-        raise ShapeError("H must be a bilinear map from the algebra to the module")
+    _check_map_to_module("H", a, rep, H, 2)
     dH = coboundary(a, rep, H)
     n = a.dim
     return residual_report(((x, y, z), dH.eval_basis((x, y, z)))

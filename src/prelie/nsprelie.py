@@ -65,13 +65,15 @@ def check_ns_prelie(field, tri, trl, circ) -> Report:
     `prelie_defects` pass.  The three tensors are lifted to ints together
     (`scalars.lift`); each axiom is homogeneous of degree 2 in them.
     """
-    t_tri = _as_tensor(field, tri)
-    t_trl = _as_tensor(field, trl)
-    t_circ = _as_tensor(field, circ)
-    n = len(t_tri)
-    if len(t_trl) != n or len(t_circ) != n:
+    return _ns_report(field, *(_as_tensor(field, t) for t in (tri, trl, circ)))
+
+
+def _ns_report(field, tri, trl, circ) -> Report:
+    """`check_ns_prelie` on three tensors already coerced by `algebra._as_tensor`."""
+    n = len(tri)
+    if len(trl) != n or len(circ) != n:
         raise ShapeError("the three tensors must share one dimension")
-    (tri, trl, circ), down = lift(field, (t_tri, t_trl, t_circ))
+    (tri, trl, circ), down = lift(field, (tri, trl, circ))
     r = range(n)
     star = [[[a + b + c for a, b, c in zip(tri[i][j], trl[i][j], circ[i][j])] for j in r]
             for i in r]
@@ -97,10 +99,8 @@ class NSPreLie:
     __slots__ = ("field", "dim", "tri", "trl", "circ")
 
     def __init__(self, field, tri, trl, circ):
-        tri = _as_tensor(field, tri)
-        trl = _as_tensor(field, trl)
-        circ = _as_tensor(field, circ)
-        report = check_ns_prelie(field, tri, trl, circ)
+        tri, trl, circ = (_as_tensor(field, t) for t in (tri, trl, circ))
+        report = _ns_report(field, tri, trl, circ)
         if not report.ok:
             raise UnverifiedNSError(
                 "products fail the NS-pre-Lie axioms:\n" + report.describe())

@@ -46,7 +46,7 @@ from .algebra import (
     semidirect_tensor as raw_semidirect_tensor,
     _combine,
 )
-from .cochain import Cochain, check_two_cocycle, coboundary
+from .cochain import Cochain, _check_map_to_module, check_two_cocycle, coboundary
 from .errors import (
     DimensionMismatchError,
     InvariantError,
@@ -70,8 +70,7 @@ def _check_operator_shape(g: PreLieAlgebra, rep: Representation, K: Matrix):
 
 
 def _require_cocycle(g: PreLieAlgebra, rep: Representation, H: Cochain):
-    if H.degree != 2 or H.dim_source != g.dim or H.dim_target != rep.dim_v:
-        raise ShapeError("weight must be a bilinear map from the algebra to the module")
+    _check_map_to_module("weight", g, rep, H, 2)
     if not check_two_cocycle(g, rep, H).ok:
         raise UnverifiedCocycleError("the weight H is not a 2-cocycle")
 
@@ -356,11 +355,11 @@ def shift_isomorphism(g: PreLieAlgebra, rep: Representation, H: Cochain,
     (x, u) -> (x, u + h(x)), and is verified to be a morphism between the
     two algebras.
     """
-    if h.degree != 1 or h.dim_source != g.dim or h.dim_target != rep.dim_v:
-        raise ShapeError("shift must be a linear map from the algebra to the module")
+    _check_map_to_module("shift", g, rep, h, 1)
     first = semidirect(g, rep, H)
-    shifted_cocycle = H + coboundary(g, rep, h)
-    second = reverified(semidirect, g, rep, shifted_cocycle)
+    # H + dh is a 2-cocycle because d(dh) = 0; only the product is re-verified
+    second = reverified(PreLieAlgebra, g.field,
+                        semidirect_tensor(g, rep, H + coboundary(g, rep, h)))
     field = g.field
     n, m = g.dim, rep.dim_v
     psi = Matrix(field, [basis_vec(field, n + m, i) for i in range(n)]
@@ -379,8 +378,7 @@ def shift_operator(data: ReynoldsData, h: Cochain) -> Matrix:
     because d(dh) = 0, so only the shifted operator is re-verified.
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    if h.degree != 1 or h.dim_source != g.dim or h.dim_target != rep.dim_v:
-        raise ShapeError("shift must be a linear map from the algebra to the module")
+    _check_map_to_module("shift", g, rep, h, 1)
     hm = h.as_matrix()
     inner = Matrix.identity(g.field, rep.dim_v) - hm * K
     inv = inner.inverse()
@@ -405,8 +403,7 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
     K_B (both re-verified).
     """
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    if B.degree != 1 or B.dim_source != g.dim or B.dim_target != rep.dim_v:
-        raise ShapeError("gauge must be a linear map from the algebra to the module")
+    _check_map_to_module("gauge", g, rep, B, 1)
     if not coboundary(g, rep, B).is_zero():
         raise NotCocycleError("gauge map is not a 1-cocycle")
     bm = B.as_matrix()
@@ -433,8 +430,7 @@ def reynolds_from_invertible_cochain(g: PreLieAlgebra, rep: Representation,
     the universal source of verified examples.  -dh is a 2-cocycle because
     d(dh) = 0, so only the operator is re-verified.
     """
-    if h.degree != 1 or h.dim_source != g.dim or h.dim_target != rep.dim_v:
-        raise ShapeError("h must be a linear map from the algebra to the module")
+    _check_map_to_module("h", g, rep, h, 1)
     hm = h.as_matrix()
     if hm.rows != hm.cols:
         raise SingularError("h is not square, hence not invertible")

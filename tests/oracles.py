@@ -23,8 +23,11 @@ rows.  `field_induced_representation` is the induced representation of
 an operator as the library built it before it used one integer lift:
 the induced product and Lbar, Rbar evaluated on the field scalars.
 
-`expanded_eval` is the multilinear expansion of a cochain over the full
-basis, zero coordinates included, the reference for `Cochain.eval`.
+`cochain_eval` evaluates a cochain at vector arguments, one pass over
+their nonzero coordinates (the library's `Cochain.eval` before its last
+caller, the dense `diamond`, left `src/`); `expanded_eval` is the
+multilinear expansion over the full basis, zero coordinates included,
+its reference.
 
 `act_L` and `act_R` apply the actions of a representation to an element
 of the algebra and a vector, sum_i x_i L_{e_i} u, the evaluator the
@@ -67,19 +70,26 @@ scalars, and sparse forward elimination on them.  `dense_kernel`,
 `field_check_prelie`, `field_check_jacobi`, `field_check_representation`
 and `field_check_ns_prelie` are the axiom checkers as the library wrote
 them before it lifted the structure constants to integers: the same
-formulas evaluated directly on the field scalars.
+formulas evaluated directly on the field scalars.  `field_check_derivation`
+is the derivation identity written out the same way, as the library had
+it before it read the identity as dD = 0 in the regular representation.
 
 `basis_dk_columns` is the loop that `dk-consistency` ran before it read
 the identity d_K f = (-1)^{n-1} d f off one generic evaluation
 (`brackets.dk_difference`): d_K on every basis cochain, compared with
 the column of the dense operator differential.
 
-`lift_operator_cochain` and `full_space_derived` are the derived-bracket
-route the library ran before it evaluated the nested bracket on demand:
-every operator cochain lifted to C(W, W), W = g + V, the nested
-`brackets.mn_bracket` filled on every key of W, then evaluated on
-V-basis tuples with the g-coordinates kept.  `full_space_derived_bracket`
-and `full_space_ternary_bracket` add the signs of `derived_bracket` and
+`full_space_diamond` is the composition product as the library filled it
+before `brackets._compose`: every key of C(X, X), with P evaluated at
+the vector Q(...) by `cochain_eval`; `full_space_mn_bracket` is the
+bracket on it.  `lift_operator_cochain` and `full_space_derived` are the
+derived-bracket route the library ran before it evaluated the nested
+bracket on demand: every operator cochain lifted to C(W, W),
+W = g + V, the nested `full_space_mn_bracket` filled on every key of W,
+then evaluated on V-basis tuples with the g-coordinates kept.  The
+route shares no code with `_compose`, so a sign error there cannot
+cancel out of a comparison.  `full_space_derived_bracket` and
+`full_space_ternary_bracket` add the signs of `derived_bracket` and
 `ternary_bracket`.
 
 `field_mc_residual`, `field_d_K` and `field_twisted_mc_residual` are the
@@ -135,6 +145,7 @@ from prelie.linalg import (
     add_vec,
     basis_vec,
     integer_rank,
+    is_zero_vec,
     neg_vec,
     scale_vec,
     sub_vec,
@@ -181,7 +192,7 @@ def field_induced_table(g: PreLieAlgebra, rep: Representation, H: Cochain,
     e = [basis_vec(g.field, m, u) for u in range(m)]
     cols = [K.column(u) for u in range(m)]
     return tuple(tuple(add_vec(add_vec(act_L(rep, cols[u], e[v]), act_R(rep, cols[v], e[u])),
-                               H.eval([cols[u], cols[v]]))
+                               cochain_eval(H, [cols[u], cols[v]]))
                        for v in range(m)) for u in range(m))
 
 
@@ -231,7 +242,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
         # u ._K v as a vector in V for basis indices
         val = add_vec(act_L(rep, kcol(u_idx), ev(v_idx)),
                       act_R(rep, kcol(v_idx), ev(u_idx)))
-        return add_vec(val, H.eval([kcol(u_idx), kcol(v_idx)]))
+        return add_vec(val, cochain_eval(H, [kcol(u_idx), kcol(v_idx)]))
 
     values = []
     for fb, last in cochain_keys(m, n + 1):
@@ -245,7 +256,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             fv = f.eval_basis(tuple(omitted) + (last,))
             term = g.mul(kcol(head[i]), fv)
             term = sub_vec(term, K.apply(act_R(rep, fv, ev(head[i]))))
-            term = sub_vec(term, K.apply(H.eval([kcol(head[i]), fv])))
+            term = sub_vec(term, K.apply(cochain_eval(H, [kcol(head[i]), fv])))
             out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
 
         # group coming from Rbar
@@ -259,7 +270,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             fv = f.eval_basis(tuple(omitted) + (head[i],))
             term = g.mul(fv, kcol(last))
             term = sub_vec(term, K.apply(act_L(rep, fv, ev(last))))
-            term = sub_vec(term, K.apply(H.eval([fv, kcol(last)])))
+            term = sub_vec(term, K.apply(cochain_eval(H, [fv, kcol(last)])))
             out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
 
         # the product pushed into f's last slot
@@ -271,8 +282,8 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             else:
                 prod = add_vec(act_L(rep, kcol(head[i]), ev(last)),
                                act_L(rep, kcol(last), ev(head[i])))
-                prod = add_vec(prod, H.eval([kcol(head[i]), kcol(last)]))
-            term = f.eval(list(omitted) + [prod])
+                prod = add_vec(prod, cochain_eval(H, [kcol(head[i]), kcol(last)]))
+            term = cochain_eval(f, list(omitted) + [prod])
             out = sub_vec(out, term) if sgn == 1 else add_vec(out, term)
 
         # the bracket double sum, into f's first slot
@@ -283,7 +294,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
                     sgn = 1 if (i + j) % 2 == 0 else -1
                     br = sub_vec(prod_k(head[i], head[j]), prod_k(head[j], head[i]))
                     rest = [head[k] for k in range(n) if k not in (i, j)]
-                    term = f.eval([br] + rest + [last])
+                    term = cochain_eval(f, [br] + rest + [last])
                     out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
         else:
             for i in range(n + 1):
@@ -291,7 +302,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
                     sgn = -1 if i % 2 == 0 else 1  # (-1)^{i+1} for 1-based i
                     br = sub_vec(prod_k(full[i], full[j]), prod_k(full[j], full[i]))
                     rest = [full[k] for k in range(n + 1) if k not in (i, j)]
-                    term = f.eval([br] + rest)
+                    term = cochain_eval(f, [br] + rest)
                     out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
         values.append(out)
     return Cochain(field, n + 1, m, g.dim, values)
@@ -383,14 +394,14 @@ def coboundary_at(a: PreLieAlgebra, rep: Representation, f: Cochain, args) -> tu
         out = add_vec(out, term if sign == 1 else neg_vec(term))
 
         prod = a.mul_basis(head[i], last)
-        term = f.eval(list(omitted) + [prod])
+        term = cochain_eval(f, list(omitted) + [prod])
         out = sub_vec(out, term) if sign == 1 else add_vec(out, term)
     for i in range(n):
         for j in range(i + 1, n):
             sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
             br = a.bracket(a.basis(head[i]), a.basis(head[j]))
             rest = [head[k] for k in range(n) if k not in (i, j)]
-            term = f.eval([br] + rest + [last])
+            term = cochain_eval(f, [br] + rest + [last])
             out = add_vec(out, term) if sign == 1 else sub_vec(out, term)
     return out
 
@@ -426,12 +437,39 @@ def field_induced_representation(data: ReynoldsData) -> Representation:
         for x in range(n):
             ex = g.basis(x)
             lv = sub_vec(g.mul(Ku, ex), K.apply(act_R(rep, ex, eu)))
-            lcols.append(sub_vec(lv, K.apply(H.eval([Ku, ex]))))
+            lcols.append(sub_vec(lv, K.apply(cochain_eval(H, [Ku, ex]))))
             rv = sub_vec(g.mul(ex, Ku), K.apply(act_L(rep, ex, eu)))
-            rcols.append(sub_vec(rv, K.apply(H.eval([ex, Ku]))))
+            rcols.append(sub_vec(rv, K.apply(cochain_eval(H, [ex, Ku]))))
         Lbar.append(Matrix.from_columns(field, lcols, n))
         Rbar.append(Matrix.from_columns(field, rcols, n))
     return Representation(base, n, Lbar, Rbar)
+
+
+def cochain_eval(f: Cochain, args) -> tuple:
+    """Multilinear evaluation of f; each argument is a basis index or a vector.
+
+    One pass: every combination of the vectors' nonzero coordinates is
+    evaluated on the basis and accumulated, scaled by the product of
+    its coefficients.
+    """
+    if len(args) != f.degree:
+        raise ShapeError(f"expected {f.degree} arguments, got {len(args)}")
+    expanded = [((a, None),) if isinstance(a, int)
+                else [(i, c) for i, c in enumerate(a) if c] for a in args]
+    out = [None] * f.dim_target
+    for combo in product(*expanded):
+        coeff = None
+        for _, c in combo:
+            if c is not None:
+                coeff = c if coeff is None else coeff * c
+        v = f.eval_basis(tuple(i for i, _ in combo))
+        for t, x in enumerate(v):
+            if x:
+                term = x if coeff is None else coeff * x
+                s = out[t]
+                out[t] = term if s is None else s + term
+    zero = f.field.zero
+    return tuple(zero if s is None else s for s in out)
 
 
 def expanded_eval(f: Cochain, args) -> tuple:
@@ -752,6 +790,17 @@ def field_check_prelie(field, tensor) -> Report:
         for i in range(n) for j in range(i + 1, n) for k in range(n))
 
 
+def field_check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
+    """d(x.y) = d(x).y + x.d(y) on all basis pairs, written out on the field scalars."""
+    if d.rows != a.dim or d.cols != a.dim:
+        raise ShapeError(f"derivation candidate is {d.rows}x{d.cols}, algebra dim {a.dim}")
+    return residual_report(
+        ((i, j), sub_vec(d.apply(a.mul_basis(i, j)),
+                         add_vec(a.mul(d.column(i), a.basis(j)),
+                                 a.mul(a.basis(i), d.column(j)))))
+        for i in range(a.dim) for j in range(a.dim))
+
+
 def field_check_jacobi(field, bracket_tensor) -> Report:
     t = _as_tensor(field, bracket_tensor)
     n = len(t)
@@ -846,7 +895,7 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
 
     def psi1(u_vec):
         out = sub_vec(act_L(rep, x, u_vec), act_R(rep, x, u_vec))
-        return add_vec(out, H.eval([x, K.apply(u_vec)]))
+        return add_vec(out, cochain_eval(H, [x, K.apply(u_vec)]))
 
     psi1_basis = [psi1(vbasis(u)) for u in range(m)]
 
@@ -862,16 +911,19 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
     def action(side, act, y, u):
         ey, eu = g.basis(y), vbasis(u)
         yield ((f"{side}-cocycle", y, u),
-               sub_vec(H.eval([x, K.apply(act(ey, eu))]), act(ey, H.eval([x, K.column(u)]))))
+               sub_vec(cochain_eval(H, [x, K.apply(act(ey, eu))]),
+                       act(ey, cochain_eval(H, [x, K.column(u)]))))
         yield (f"{side}-second", y, u), act(g.bracket(x, ey), psi1_basis[u])
 
     def weight(y, z):
         ey, ez = g.basis(y), g.basis(z)
         hyz = H.eval_basis((y, z))
-        lhs = add_vec(sub_vec(act_L(rep, x, hyz), act_R(rep, x, hyz)), H.eval([x, K.apply(hyz)]))
-        rhs = add_vec(H.eval([g.bracket(x, ey), ez]), H.eval([ey, g.bracket(x, ez)]))
+        lhs = add_vec(sub_vec(act_L(rep, x, hyz), act_R(rep, x, hyz)),
+                      cochain_eval(H, [x, K.apply(hyz)]))
+        rhs = add_vec(cochain_eval(H, [g.bracket(x, ey), ez]),
+                      cochain_eval(H, [ey, g.bracket(x, ez)]))
         yield ("weight-cocycle", y, z), sub_vec(lhs, rhs)
-        yield ("weight-second", y, z), H.eval([g.bracket(x, ey), g.bracket(x, ez)])
+        yield ("weight-second", y, z), cochain_eval(H, [g.bracket(x, ey), g.bracket(x, ez)])
 
     return {
         "algebra_morphism": grid(alg_map, n, n),
@@ -916,6 +968,44 @@ def check_prelie_via_bracket(field, tensor) -> Report:
     return brackets._cochain_report(brackets.mn_bracket(pi, pi))
 
 
+def full_space_diamond(P: Cochain, Q: Cochain) -> Cochain:
+    """P <> Q filled densely on every key of C(X, X), P evaluated at the vector Q(...)."""
+    if P.dim_source != P.dim_target or Q.dim_source != Q.dim_target:
+        raise ShapeError("diamond is defined on cochains from a space to itself")
+    if P.dim_source != Q.dim_source:
+        raise ShapeError("cochains live on different spaces")
+    dim, field = P.dim_source, P.field
+    p, q = P.degree - 1, Q.degree - 1
+    outer_sign = 1 if (p * q) % 2 == 0 else -1
+    values = []
+    for fb, last in cochain_keys(dim, p + q + 1):
+        letters = list(fb)  # the p+q permutable arguments
+        acc = zero_vec(field, dim)
+        for sign, word in _unshuffles((q, 1, p - 1)):
+            inner = Q.eval_basis(tuple(letters[word[i]] for i in range(q + 1)))
+            if is_zero_vec(inner):
+                continue
+            term = cochain_eval(P, [inner] + [letters[word[i]] for i in range(q + 1, p + q)]
+                                + [last])
+            acc = add_vec(acc, term if sign == 1 else neg_vec(term))
+        for sign, word in _unshuffles((p, q)):
+            inner = Q.eval_basis(tuple(letters[word[i]] for i in range(p, p + q)) + (last,))
+            if is_zero_vec(inner):
+                continue
+            term = cochain_eval(P, [letters[word[i]] for i in range(p)] + [inner])
+            acc = add_vec(acc, term if outer_sign * sign == 1 else neg_vec(term))
+        values.append(acc)
+    return Cochain(field, p + q + 1, dim, dim, values)
+
+
+def full_space_mn_bracket(P: Cochain, Q: Cochain) -> Cochain:
+    """[P, Q] = P <> Q - (-1)^{pq} Q <> P on `full_space_diamond`."""
+    second = full_space_diamond(Q, P)
+    if ((P.degree - 1) * (Q.degree - 1)) % 2 == 1:
+        return full_space_diamond(P, Q) + second
+    return full_space_diamond(P, Q) - second
+
+
 def lift_operator_cochain(P: Cochain) -> Cochain:
     """Embed P: wedge^{p-1} V (x) V -> g into C^p(W, W), W = g + V.
 
@@ -943,7 +1033,7 @@ def full_space_derived(structure: Cochain, cochains) -> Cochain:
     dim_g, dim_v = cochains[0].dim_target, cochains[0].dim_source
     nested = structure
     for P in cochains:
-        nested = brackets.mn_bracket(nested, lift_operator_cochain(P))
+        nested = full_space_mn_bracket(nested, lift_operator_cochain(P))
     values = [nested.eval_basis(tuple(i + dim_g for i in fb) + (last + dim_g,))[:dim_g]
               for fb, last in cochain_keys(dim_v, nested.degree)]
     return Cochain(nested.field, nested.degree, dim_v, dim_g, values)
@@ -1029,6 +1119,6 @@ def field_check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
         "intertwines_right_action": action_defects(act_R),
         "intertwines_weight": residual_report(
             ((i, j), sub_vec(psi.apply(H.eval_basis((i, j))),
-                             H2.eval([phi.column(i), phi.column(j)])))
+                             cochain_eval(H2, [phi.column(i), phi.column(j)])))
             for i in range(n) for j in range(n)),
     })

@@ -2,12 +2,13 @@ import inspect
 import json
 import random
 import textwrap
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from conftest import (
     CORPUS,
+    as_terms,
     count_calls,
     g2_algebra,
     g3_algebra,
@@ -23,11 +24,14 @@ from oracles import (
     act_R,
     basis_dk_columns,
     check_prelie_via_bracket,
+    cochain_eval,
     field_d_K,
     field_mc_residual,
     field_twisted_mc_residual,
     full_space_derived,
     full_space_derived_bracket,
+    full_space_diamond,
+    full_space_mn_bracket,
     full_space_ternary_bracket,
     generic_cochain,
     lift_operator_cochain,
@@ -81,11 +85,33 @@ def test_diamond_bilinear_hand_expansion():
     for x in range(2):
         for y in range(2):
             for z in range(2):
-                expected = P.eval([Q.eval_basis((x, y)), z])
-                expected = sub_vec(expected, P.eval([Q.eval_basis((y, x)), z]))
-                expected = sub_vec(expected, P.eval([x, Q.eval_basis((y, z))]))
-                expected = add_vec(expected, P.eval([y, Q.eval_basis((x, z))]))
+                expected = cochain_eval(P, [Q.eval_basis((x, y)), z])
+                expected = sub_vec(expected, cochain_eval(P, [Q.eval_basis((y, x)), z]))
+                expected = sub_vec(expected, cochain_eval(P, [x, Q.eval_basis((y, z))]))
+                expected = add_vec(expected, cochain_eval(P, [y, Q.eval_basis((x, z))]))
                 assert D.eval_basis((x, y, z)) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
+def test_diamond_matches_the_dense_oracle(field):
+    # the kernel `_compose` with both floors 0 is the full-space diamond, by
+    # value, on random and on generic (`Poly`) cochains
+    rng = random.Random(5)
+
+    def terms(c: Cochain) -> list:
+        return [as_terms(v) for v in c.values]
+
+    nonzero = 0
+    for dim, p, q in product(range(1, 5), range(1, 4), range(1, 4)):
+        P = random_cochain(rng, field, p, dim, dim)
+        Q = random_cochain(rng, field, q, dim, dim)
+        for a, b in ((P, Q), (generic_cochain(field, p, dim, dim), Q),
+                     (P, generic_cochain(field, q, dim, dim))):
+            got = diamond(a, b)
+            assert (got.degree, got.dim_source) == (p + q - 1, dim)
+            assert terms(got) == terms(full_space_diamond(a, b))
+            nonzero += not got.is_zero()
+    assert nonzero
 
 
 def test_prelie_iff_bracket_square_zero():
@@ -175,7 +201,7 @@ def test_ternary_bracket_reproduces_closed_form(g3_bundle):
         for u in range(3):
             for v in range(3):
                 expected = scale_vec(QQ(6), K.apply(
-                    H.eval([K.column(u), K.column(v)])))
+                    cochain_eval(H, [K.column(u), K.column(v)])))
                 assert t.eval_basis((u, v)) == expected
 
 
@@ -308,22 +334,50 @@ def test_derived_brackets_match_the_full_space_oracle(field, degree):
     _assert_brackets_match_the_full_space_oracle(field, degree, 60 + degree)
 
 
-# the four unshuffle sums of [N, P^] = N <> P^ - (-1)^{pq} P^ <> N in `_derived`
-_UNSHUFFLE_SUMS = ["_add(acc, nv, c, s * s1 * s2)", "_add(acc, nv, c, flip * s * s1 * s2)",
-                   "_add(acc, pv, x, -flip * s * s1 * s2)", "_add(acc, pv, x, -s * s1 * s2)"]
+# the four signs of [N, P^] = N <> P^ - (-1)^{pq} P^ <> N in `_derived`: one per
+# unshuffle sum of the kernel `_compose`, and one per call of it in a level
+_SIGN_FLIPS = {
+    "compose-first-sum": ("_compose", "_add(acc, ov, c, sign * s * s1 * s2)",
+                          "_add(acc, ov, c, -(sign * s * s1 * s2))"),
+    "compose-second-sum": ("_compose", "_add(acc, ov, c, flip * s * s1 * s2)",
+                           "_add(acc, ov, c, -(flip * s * s1 * s2))"),
+    "level-N-outside": ("_derived", "_compose(acc, 1, N, P,", "_compose(acc, -1, N, P,"),
+    "level-P-outside": ("_derived", "_compose(acc, -flip, P, N,",
+                        "_compose(acc, flip, P, N,"),
+}
 
 
-@pytest.mark.parametrize("term", _UNSHUFFLE_SUMS)
-def test_a_sign_flip_in_one_unshuffle_sum_fails_the_oracle_comparison(monkeypatch, term):
-    source = textwrap.dedent(inspect.getsource(brackets._derived))
+@pytest.mark.parametrize("case", sorted(_SIGN_FLIPS))
+def test_a_sign_flip_in_one_unshuffle_sum_fails_the_oracle_comparison(monkeypatch, case):
+    name, term, mutant = _SIGN_FLIPS[case]
+    source = textwrap.dedent(inspect.getsource(getattr(brackets, name)))
     assert source.count(term) == 1
-    head, sign = term[:-1].rsplit(", ", 1)
     namespace = dict(vars(brackets))
-    exec(compile(source.replace(term, f"{head}, -({sign}))"), brackets.__file__, "exec"),
-         namespace)
-    monkeypatch.setattr(brackets, "_derived", namespace["_derived"])
+    exec(compile(source.replace(term, mutant), brackets.__file__, "exec"), namespace)
+    monkeypatch.setattr(brackets, name, namespace[name])
     with pytest.raises((AssertionError, InvariantError)):
         _assert_brackets_match_the_full_space_oracle(QQ, 2, 62)
+
+
+def test_the_full_space_oracle_never_reaches_the_kernel(monkeypatch):
+    # the reference has its own dense composition: with `_compose` gone it
+    # still runs, so a sign error there cannot flip both sides of a comparison
+    data = parse_bundle(str(CORPUS / "g3-k-twisted.json")).reynolds_data()
+    g, rep = data.algebra, data.rep
+    mu, hw = untwisted_structure(g, rep), cocycle_structure(g, rep, data.cocycle)
+    K = Cochain.from_matrix(data.operator)
+    f = random_cochain(random.Random(71), QQ, 1, rep.dim_v, g.dim)
+    expected = (derived_bracket(mu, K, f), ternary_bracket(hw, K, f, f))
+
+    def forbidden(*args):
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(brackets, "_compose", forbidden)
+    with pytest.raises(AssertionError, match="the kernel was called"):
+        derived_bracket(mu, K, f)
+    got = (full_space_derived_bracket(mu, K, f), full_space_ternary_bracket(hw, K, f, f))
+    assert got == expected
+    assert not any(c.is_zero() for c in got)
 
 
 def test_a_nonzero_v_part_of_the_restriction_is_an_invariant_error():
@@ -337,7 +391,7 @@ def test_a_nonzero_v_part_of_the_restriction_is_an_invariant_error():
         K = random_cochain(rng, QQ, 1, m, n, -1, 1)
         nested = structure
         for P in (K, K):
-            nested = mn_bracket(nested, lift_operator_cochain(P))
+            nested = full_space_mn_bracket(nested, lift_operator_cochain(P))
         v_part = any(any(nested.eval_basis(tuple(i + n for i in fb) + (last + n,))[n:])
                      for fb, last in cochain_keys(m, 2))
         if v_part:
@@ -363,7 +417,7 @@ def _combination_args(combination: str) -> tuple:
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
                                          "dk_difference"])
 def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
-    # the derived brackets never call diamond, mn_bracket or Cochain.eval
+    # the derived brackets never call diamond or mn_bracket
     args = _combination_args(combination)
     expected = getattr(brackets, combination)(*args)
 
@@ -372,8 +426,20 @@ def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
 
     for name in ("diamond", "mn_bracket"):
         monkeypatch.setattr(brackets, name, forbidden)
-    monkeypatch.setattr(Cochain, "eval", forbidden)
     assert _values(getattr(brackets, combination)(*args)) == _values(expected)
+
+
+@pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
+                                         "dk_difference"])
+def test_combinations_never_read_a_lifted_cochain_at_a_g_argument(monkeypatch, combination):
+    # `_derived` reads the lifted cochains P^ through `_read` (the levels
+    # through their memo); the floor dim g of `_compose` drops every term
+    # that would feed P^ an index of g before the table is read
+    args = _combination_args(combination)
+    reads = count_calls(monkeypatch, brackets, "_read")
+    getattr(brackets, combination)(*args)
+    assert reads
+    assert min(i for _, idxs in reads for i in idxs) >= 3  # dim g
 
 
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",

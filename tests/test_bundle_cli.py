@@ -371,11 +371,11 @@ REVERIFIED_OUTPUTS = {
     "gauge": (("construct", "gauge", "g3-gauge-shift.json"), algebra, "check_prelie", 1),
     "shift": (("construct", "shift", "g3-gauge-shift.json"), reynolds, "_reynolds_report", 1),
     "ns-from-nijenhuis": (("construct", "ns-from-nijenhuis", "nijenhuis3.json"),
-                          nsprelie, "check_ns_prelie", 0),
+                          nsprelie, "_ns_report", 0),
     "ns-from-reynolds": (("construct", "ns-from-reynolds", "g3-k-rowzero.json"),
-                         nsprelie, "check_ns_prelie", 0),
+                         nsprelie, "_ns_report", 0),
     "compatible-ns": (("construct", "compatible-ns", "g3-k-invertible.json"),
-                      nsprelie, "check_ns_prelie", 0),
+                      nsprelie, "_ns_report", 0),
     "reynolds-from-ns-algebra": (("construct", "reynolds-from-ns", "ns2.json"),
                                  algebra, "check_prelie", 0),
     "reynolds-from-ns-rep": (("construct", "reynolds-from-ns", "ns2.json"),
@@ -434,12 +434,16 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
     (("mc-check",), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json",
      {"graph_frame": 2, "derived_tensor": 0}),
+    # the algebra's product in `PreLieAlgebra` and again in its `check_prelie`,
+    # then each of the three NS tensors once
+    (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"_as_tensor": 5}),
 ], ids=["gauge", "ns-from-nijenhuis", "ns-from-reynolds", "induced", "star", "check-mc",
-        "mc-check", "ns-from-reynolds-tables"])
+        "mc-check", "ns-from-reynolds-tables", "ns-from-reynolds-coercions"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
     modules = {"derived_tensor": reynolds, "graph_frame": reynolds, "check_morphism": algebra,
                "induced_product": reynolds, "check_two_cocycle": cochain,
-               "operator_frames": reynolds, "nijenhuis_checker": nsprelie}
+               "operator_frames": reynolds, "nijenhuis_checker": nsprelie,
+               "_as_tensor": algebra}
     calls = {fn: count_calls(monkeypatch, modules[fn], fn) for fn in counts}
     code, _, _ = run_cli(*argv, str(CORPUS / name))
     assert code == 0

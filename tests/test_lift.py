@@ -1,8 +1,9 @@
 """The axiom checkers on lifted integers against the same formulas on field scalars.
 
-`check_prelie`, `check_jacobi`, `check_representation` and
-`check_ns_prelie` evaluate on Python ints after one `scalars.lift`; the
-oracles in `oracles.py` evaluate the same formulas on the field scalars.
+`check_prelie`, `check_jacobi`, `check_representation`,
+`check_ns_prelie` and `check_derivation` (dD = 0 through
+`cochain.coboundary`) evaluate on Python ints after one `scalars.lift`;
+the oracles in `oracles.py` evaluate the same formulas on the field scalars.
 Both must return the same `Report`: verdict, violation order, residual
 values and scalar types, and the parts.
 """
@@ -21,6 +22,7 @@ from conftest import (
     random_reynolds_data,
 )
 from oracles import (
+    field_check_derivation,
     field_check_jacobi,
     field_check_ns_prelie,
     field_check_prelie,
@@ -30,6 +32,7 @@ from prelie import linalg
 from prelie.algebra import (
     PreLieAlgebra,
     Representation,
+    check_derivation,
     check_jacobi,
     check_prelie,
     check_representation,
@@ -130,6 +133,33 @@ def test_check_ns_prelie_matches_field_oracle_on_raw_tensors(field, data):
     tri, trl, circ = (data.draw(tensors(field, n)) for _ in range(3))
     assert_same_report(check_ns_prelie(field, tri, trl, circ),
                        field_check_ns_prelie(field, tri, trl, circ), field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_check_derivation_matches_field_oracle_on_raw_maps(field, data):
+    n = data.draw(st.integers(1, 3))
+    a = PreLieAlgebra(field, data.draw(tensors(field, n)), check=False)
+    D = data.draw(matrices(field, n))
+    assert_same_report(check_derivation(a, D), field_check_derivation(a, D), field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_check_derivation_matches_field_oracle_on_verified_algebras(field):
+    # verified algebras: D = 0 always passes, the identity and random maps
+    # mostly fail, so both verdicts occur
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(12):
+        a = _scaled(random_algebra(rng, field))
+        for D in (Matrix.zero(field, a.dim, a.dim), Matrix.identity(field, a.dim),
+                  Matrix(field, [[field(rng.randint(-1, 1)) for _ in range(a.dim)]
+                                 for _ in range(a.dim)])):
+            report = check_derivation(a, D)
+            assert_same_report(report, field_check_derivation(a, D), field)
+            verdicts.add(report.ok)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import (
     random_reynolds_data,
     zero_representation,
 )
-from oracles import act_L, act_R, field_deformed_table, field_induced_table
+from oracles import act_L, act_R, cochain_eval, field_deformed_table, field_induced_table
 from prelie.algebra import check_prelie, regular_representation
 from prelie.cochain import Cochain
 from prelie.errors import ShapeError, SingularError, UnverifiedNSError, UnverifiedOperatorError
@@ -295,7 +295,7 @@ def test_ns_from_reynolds_frame_readings_on_padded_bundles(field):
                 Ku, Kv = K.column(u), K.column(v)
                 assert ns.tri[u][v] == act_L(rep, Ku, e[v])
                 assert ns.trl[u][v] == act_R(rep, Kv, e[u])
-                assert ns.circ[u][v] == H.eval([Ku, Kv])
+                assert ns.circ[u][v] == cochain_eval(H, [Ku, Kv])
         assert ns.star_tensor() == field_induced_table(g, rep, H, K)
 
 

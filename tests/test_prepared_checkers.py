@@ -47,6 +47,7 @@ import oracles
 from oracles import (
     act_L,
     act_R,
+    cochain_eval,
     field_check_d_reynolds,
     field_check_nijenhuis,
     field_check_weighted_reynolds,
@@ -466,7 +467,7 @@ def test_induced_readings_match_the_field_oracles(field):
                                for u in range(m))
         assert ns.trl == tuple(tuple(act_R(rep, cols[v], e[u]) for v in range(m))
                                for u in range(m))
-        assert ns.circ == tuple(tuple(H.eval([cols[u], cols[v]]) for v in range(m))
+        assert ns.circ == tuple(tuple(cochain_eval(H, [cols[u], cols[v]]) for v in range(m))
                                 for u in range(m))
         split += _split(field, data)
     assert split >= 3 if field == QQ else split == 0
@@ -497,7 +498,7 @@ def _element_oracle(data, x) -> tuple:
     S, rbar = [], []
     for u in range(m):
         eu, Ku = basis_vec(g.field, m, u), K.column(u)
-        hx = H.eval([x, Ku])
+        hx = cochain_eval(H, [x, Ku])
         S.append(add_vec(sub_vec(act_L(rep, x, eu), act_R(rep, x, eu)), hx))
         rbar.append(sub_vec(sub_vec(g.mul(x, Ku), K.apply(act_L(rep, x, eu))), K.apply(hx)))
     return S, rbar

@@ -31,7 +31,13 @@ from oracles import (
     star_table,
 )
 from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation
-from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
+from prelie.cochain import (
+    Cochain,
+    check_two_cocycle,
+    coboundary,
+    coboundary_matrix,
+    cochain_keys,
+)
 from prelie import algebra, cochain, reynolds, scalars
 from prelie.errors import (
     DimensionMismatchError,
@@ -498,6 +504,38 @@ def test_failed_reverification_of_a_library_output_is_invariant_error(
 
 # ---------------------------------------------------------------------------
 # shifts and gauges
+
+
+def test_shift_isomorphism_checks_one_cocycle(monkeypatch, g3_bundle):
+    # the input H only: H + dh is a 2-cocycle since d(dh) = 0, and the second
+    # product is re-verified as a pre-Lie algebra
+    a, rep, H = g3_bundle
+    cocycles = count_calls(monkeypatch, cochain, "check_two_cocycle")
+    prelie = count_calls(monkeypatch, algebra, "check_prelie")
+    h = Cochain.from_entries(QQ, 1, 3, 3, {((), 2): (0, 0, 1)})
+    shift_isomorphism(a, rep, H, h)
+    assert (len(cocycles), len(prelie)) == (1, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda d, c: check_two_cocycle(d.algebra, d.rep, c), "H must be a bilinear map"),
+    (lambda d, c: semidirect(d.algebra, d.rep, c), "weight must be a bilinear map"),
+    (lambda d, c: shift_isomorphism(d.algebra, d.rep, d.cocycle, c),
+     "shift must be a linear map"),
+    (shift_operator, "shift must be a linear map"),
+    (gauge_transform, "gauge must be a linear map"),
+    (lambda d, c: reynolds_from_invertible_cochain(d.algebra, d.rep, c),
+     "h must be a linear map"),
+], ids=["H", "weight", "shift-isomorphism", "shift-operator", "gauge", "h"])
+def test_a_map_of_the_wrong_shape_is_named_in_the_shape_error(g3_data, build, message):
+    # each caller keeps its own message; the degree, the source and the
+    # target are each checked
+    degree = 2 if "bilinear" in message else 1
+    for c in (Cochain.zero(QQ, 3 - degree, 3, 3), Cochain.zero(QQ, degree, 2, 3),
+              Cochain.zero(QQ, degree, 3, 2)):
+        with pytest.raises(ShapeError) as err:
+            build(g3_data, c)
+        assert str(err.value) == f"{message} from the algebra to the module"
 
 
 def test_shift_isomorphism_trivial(g3_bundle):
