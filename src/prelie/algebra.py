@@ -26,27 +26,18 @@ A `Representation` only holds its action matrices; actions on vectors
 are read off the frames of `reynolds.operator_frames`.
 
 The axiom checkers `check_prelie`, `check_jacobi`, `check_representation`
-and `nsprelie.check_ns_prelie` evaluate their formulas on Python ints:
-each lifts all the structure constants it reads with one
-`scalars.lift`, scaled by one common denominator D over Q and reduced to
-residues over F_p, runs the formula on the ints, and maps every
-residual back to the field.  Each axiom is homogeneous in the
-constants (of degree 2, antisymmetry of degree 1), so a residual r is
-r / D^2 (or r / D) over Q and r mod p over F_p, and the reports are the
-ones the field arithmetic gives.  Every reading of an operator runs on
-ints too, with the fixed data and the operator lifted apart
-(`reynolds.operator_frames`, `nsprelie.nijenhuis_checker`).
-
-Every `PreLieAlgebra` and `Representation` lives over a field.  Code
-that computes on the integer lift lifts raw arrays, not objects: the
-structure constants and the rows of the action matrices
-(`action_arrays`), which `cochain` and `opcohomology` hand to `scalars.lift`.
+and `nsprelie.check_ns_prelie` lift the constants they read with one
+`scalars.lift` (one denominator D over Q, residues over F_p), evaluate
+on the ints and map only nonzero residuals back (`lifted_report`): of
+degree 2 in the constants (antisymmetry 1), a residual r is r / D^2
+(r / D) over Q and r mod p over F_p.  `prelie_report` and
+`representation_report` start from arrays already lifted, as
+`opcohomology` reads them off an operator's frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
 from typing import Optional
 
 from .errors import (
@@ -95,10 +86,21 @@ def residual_report(pairs) -> Report:
     return Report(not violations, violations)
 
 
+def lifted_report(pairs, back) -> Report:
+    """`residual_report` of lifted int residuals, ``back`` mapping only the nonzero ones."""
+    return residual_report((where, back(r)) for where, r in pairs if any(r))
+
+
 def _combine(parts: dict) -> Report:
     ok = all(r.ok for r in parts.values())
     violations = [v for r in parts.values() for v in r.violations]
     return Report(ok, violations, parts=parts)
+
+
+class _Tensor(tuple):
+    """A tensor `_as_tensor` coerced."""
+
+    __slots__ = ()
 
 
 def _as_tensor(field, tensor):
@@ -114,7 +116,7 @@ def _as_tensor(field, tensor):
                 raise ShapeError(f"tensor not cubical at ({i},{j})")
             rows.append(tuple(field(x) for x in row))
         out.append(tuple(rows))
-    return tuple(out)
+    return _Tensor(out)
 
 
 def tensor_mul(field, tensor, x, y) -> tuple:
@@ -200,12 +202,18 @@ def check_prelie(field, tensor) -> Report:
     Passes iff (ei.ej).ek - ei.(ej.ek) = (ej.ei).ek - ej.(ei.ek) for every
     (i, j, k); failures carry the residual vector of the difference.
     """
-    (t,), down = lift(field, (_as_tensor(field, tensor),))
+    if type(tensor) is not _Tensor:
+        tensor = _as_tensor(field, tensor)
+    (t,), down = lift(field, (tensor,))
+    return prelie_report(t, lambda r: down(r, 2))
+
+
+def prelie_report(t, back) -> Report:
+    """`check_prelie` on lifted constants, ``back`` mapping residuals to the field."""
     n = len(t)
     # symmetric in (i, j); i == j is trivial
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
-    return residual_report(
-        (where, down(r, 2)) for where, r in zip(triples, prelie_defects(t, triples, 0)))
+    return lifted_report(zip(triples, prelie_defects(t, triples, 0)), back)
 
 
 class PreLieAlgebra:
@@ -301,8 +309,8 @@ def subadjacent_lie(a: PreLieAlgebra):
 def check_jacobi(field, bracket_tensor) -> Report:
     """Antisymmetry and Jacobi identity for a raw bracket tensor."""
     (t,), down = lift(field, (_as_tensor(field, bracket_tensor),))
-    n = len(t)
-    basis = [basis_vec(INTEGERS, n, i) for i in range(n)]
+    r = range(len(t))
+    basis = [basis_vec(INTEGERS, len(t), i) for i in r]
 
     def br(x, y):
         return tensor_mul(INTEGERS, t, x, y)
@@ -310,11 +318,11 @@ def check_jacobi(field, bracket_tensor) -> Report:
     def jacobiator(x, y, z):
         return add_vec(add_vec(br(x, br(y, z)), br(y, br(z, x))), br(z, br(x, y)))
 
-    antisym = ((("antisym", i, j), down(add_vec(t[i][j], t[j][i]), 1))
-               for i in range(n) for j in range(n))
-    jacobi = ((("jacobi", i, j, k), down(jacobiator(basis[i], basis[j], basis[k]), 2))
-              for i in range(n) for j in range(n) for k in range(n))
-    return residual_report(chain(antisym, jacobi))
+    antisym = lifted_report(((("antisym", i, j), add_vec(t[i][j], t[j][i]))
+                             for i in r for j in r), lambda x: down(x, 1))
+    jacobi = lifted_report(((("jacobi", i, j, k), jacobiator(basis[i], basis[j], basis[k]))
+                            for i in r for j in r for k in r), lambda x: down(x, 2))
+    return Report(antisym.ok and jacobi.ok, antisym.violations + jacobi.violations)
 
 
 def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
@@ -325,12 +333,10 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
         L_x R_y - R_y L_x = R_{x.y} - R_y R_x
     Violations are reported per (identity, x, y, u) with u a V-basis index.
 
-    Together they say that the semidirect product g + V of
-    `semidirect_tensor` is pre-Lie: the V-part of its pre-Lie defect is
-    minus the "left" defect at (x, y, u) and minus the "mixed" defect at
-    (x, u, y).  Its g-part is the pre-Lie identity of the algebra, and
-    every triple with two entries in V is zero.  Both are read from one
-    `prelie_defects` pass over the lifted constants.
+    Together they say that g + V (`semidirect_tensor`) is pre-Lie: the
+    V-part of its defect is minus the "left" defect at (x, y, u) and minus
+    the "mixed" one at (x, u, y), its g-part is g's own identity, and
+    triples with two entries in V give 0 (`representation_report`).
     """
     n = algebra.dim
     if len(L) != n or len(R) != n:
@@ -340,11 +346,17 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
             raise ShapeError(f"action matrix is {M.rows}x{M.cols}, expected {dim_v}x{dim_v}")
     (c, L, R), down = lift(algebra.field, (algebra.product, [M.data for M in L],
                                            [M.data for M in R]))
+    return representation_report(c, dim_v, L, R, lambda r: down(r, 2))
+
+
+def representation_report(c, dim_v: int, L, R, back) -> Report:
+    """`check_representation` on lifted arrays, ``back`` as in `prelie_report`."""
+    n = len(c)
     where = [(name, i, j, u) for i in range(n) for j in range(n) for u in range(dim_v)
              for name in ("left", "mixed")]
     triples = [(i, j, n + u) if name == "left" else (i, n + u, j) for name, i, j, u in where]
     defects = prelie_defects(semidirect_tensor(c, dim_v, L, R), triples, n)
-    return residual_report((w, down([-x for x in r], 2)) for w, r in zip(where, defects))
+    return lifted_report(zip(where, defects), lambda r: back([-x for x in r]))
 
 
 class Representation:

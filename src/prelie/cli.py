@@ -177,14 +177,12 @@ def _cmd_cohomology(args) -> int:
     bundle = parse_bundle(source, args.field)
     if of == "algebra":
         report = cohomology(bundle.algebra(), bundle.representation(), degree)
-        doc = {"command": "cohomology", "of": "algebra", "degree": degree,
-               "dimZ": report.dim_z, "dimB": report.dim_b, "dimH": report.dim_h}
     else:
-        data = bundle.reynolds_data()
-        report = opcohomology.operator_cohomology(data, degree)
-        doc = {"command": "cohomology", "of": "operator", "degree": degree,
-               "dimZ": report.dim_z, "dimB": report.dim_b, "dimH": report.dim_h,
-               "operator": report.operator_hash}
+        report = opcohomology.operator_cohomology(bundle.reynolds_data(), degree)
+    doc = {"command": "cohomology", "of": of, "degree": degree,
+           "dimZ": report.dim_z, "dimB": report.dim_b, "dimH": report.dim_h}
+    if of == "operator":
+        doc["operator"] = report.operator_hash
     return _emit(doc, True)
 
 

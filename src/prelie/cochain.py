@@ -15,18 +15,12 @@ the columns of the degree-n key it reads, with the sign of the sort
 that makes that key canonical.  The kernel reads raw arrays, the
 structure constants and the rows of the action matrices
 (`algebra.action_arrays`), so it runs on field scalars and on ints
-alike.  `cohomology` assembles the rows on those arrays lifted to
-Python ints by one `scalars.lift`: the rows are linear in the
-constants, so over Q they come out as D times the field rows, with the
-same ranks, and over F_p they are reduced mod p once.  Its exact ranks
-and its d o d = 0 check read those integer rows.  `coboundary` applies
-the same integer rows to the coordinates of f, lifted together with the
-arrays, and maps each value back; `coboundary_matrix` runs the kernel
-on the field arrays.
-
-`check_two_cocycle` reads the same kernel: H is a 2-cocycle
-exactly when `coboundary` of H vanishes, and the report lists dH on
-every basis triple where it does not.
+alike.  `integer_cohomology` checks d o d = 0 and takes the exact
+ranks on integer rows, from arrays lifted by one `scalars.lift`
+(`cohomology`) or read off an operator's frame (`opcohomology`).
+`coboundary` applies the integer rows to the coordinates of f, lifted
+with the arrays, and maps each value back; `coboundary_matrix` runs the
+kernel on the field arrays.  `check_two_cocycle` reads dH off `coboundary`.
 
 Everything here is graded in a single degree per slot, so the Koszul
 sign of a permutation reduces to its parity; a graded extension would
@@ -311,11 +305,9 @@ def _coboundary_rows(c, L, R, m: int, degree: int) -> list:
 def coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
     """The coboundary of f: a degree-(n+1) cochain into the same module.
 
-    The rows of `_coboundary_rows` are applied to the coordinates of f,
-    all of them on one `scalars.lift` of (a, rep) and f; each coordinate is
-    homogeneous of degree 2 in the lifted scalars and is mapped back with
-    ``down(., 2)``.  f may have `Poly` coordinates: each is lifted and
-    mapped back coefficient by coefficient.
+    The rows of `_coboundary_rows` applied to the coordinates of f, on
+    one `scalars.lift` of (a, rep) and f: each value has degree 2 in the
+    lifted scalars (a `Poly` coordinate, coefficient by coefficient).
     """
     if f.dim_source != a.dim or f.dim_target != rep.dim_v:
         raise ShapeError("cochain does not match the algebra and module")
@@ -369,26 +361,6 @@ def coboundary_matrix(a: PreLieAlgebra, rep: Representation, degree: int) -> Mat
     return Matrix(a.field, [[row.get(j, zero) for j in range(cols)] for row in rows], cols=cols)
 
 
-def integer_coboundary_rows(a: PreLieAlgebra, rep: Representation, degrees) -> list:
-    """Sparse integer rows of the coboundary at each of ``degrees``, from one lift.
-
-    The rows are assembled on the arrays of (a, rep) lifted to ints by
-    `scalars.lift`: over Q they are D times the rows of `coboundary_matrix`,
-    over F_p they are reduced to residues.  Either way they have the
-    field rows' ranks and kernels, and a product of two of them is zero
-    exactly when the field product is (it is scaled by D^2).
-    """
-    (c, L, R), _ = lift(a.field, action_arrays(a, rep))
-    p = a.field.char
-    out = []
-    for degree in degrees:
-        rows = _coboundary_rows(c, L, R, rep.dim_v, degree)
-        if p:
-            rows = [{j: r for j, v in row.items() if (r := v % p)} for row in rows]
-        out.append(rows)
-    return out
-
-
 @dataclass(frozen=True)
 class CohomologyReport:
     degree: int
@@ -401,19 +373,31 @@ def cohomology(a: PreLieAlgebra, rep: Representation, degree: int) -> Cohomology
     """Exact dimensions of cocycles, coboundaries, and cohomology.
 
     dim B at degree 1 is 0 by convention: the complex starts at degree 1,
-    so H^1 = Z^1.  The composite of consecutive differentials is verified
-    to vanish before the dimensions are reported, on the same integer rows
-    that the ranks are taken of (`integer_coboundary_rows`).
+    so H^1 = Z^1.  (a, rep) is lifted once and handed to
+    `integer_cohomology`.
     """
-    dim = cochain_space_dim(a.dim, rep.dim_v, degree)
-    p = a.field.char
-    if degree == 1:
-        (d_n,) = integer_coboundary_rows(a, rep, (1,))
-        dim_b = 0
-    else:
-        d_n, d_prev = integer_coboundary_rows(a, rep, (degree, degree - 1))
+    (c, L, R), _ = lift(a.field, action_arrays(a, rep))
+    return integer_cohomology(c, L, R, rep.dim_v, a.field.char, degree)[0]
+
+
+def integer_cohomology(c, L, R, m: int, p: int, degree: int) -> tuple:
+    """(`CohomologyReport` at ``degree``, the sparse rows of d there).
+
+    ``c``, ``L`` and ``R`` are `algebra.action_arrays` (module dim m) as
+    ints: over Q (p = 0) at one scale, which scales the rows, not their
+    ranks; over F_p congruent to the field values, rows reduced mod p.
+    d o d = 0 is verified on the rows the ranks are taken of.
+    """
+    def rows(k):
+        out = _coboundary_rows(c, L, R, m, k)
+        return [{j: r for j, v in row.items() if (r := v % p)} for row in out] if p else out
+
+    d_n = rows(degree)
+    dim_b = 0
+    if degree > 1:
+        d_prev = rows(degree - 1)
         if any(sparse_mul(d_n, d_prev, p)):
             raise InvariantError("coboundary does not square to zero")
         dim_b = integer_rank(d_prev, p)
-    dim_z = dim - integer_rank(d_n, p)
-    return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b)
+    dim_z = cochain_space_dim(len(c), m, degree) - integer_rank(d_n, p)
+    return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b), d_n

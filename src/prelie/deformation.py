@@ -31,8 +31,6 @@ whose entries are the search's variables x_0, x_1, ...  Over a prime
 field the Nijenhuis elements are enumerated by `search.exhaustive_search`,
 which powers the rigidity probe: K is rigid when every operator 1-cocycle
 is the coboundary of a Nijenhuis element.
-The probe counts Z^1 from the dimension of the kernel of the degree-1
-differential instead of listing it.
 """
 
 from __future__ import annotations
@@ -40,10 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Order, Report, _combine, residual_report
-from .cochain import Cochain, cochain_space_dim, integer_coboundary_rows
+from .cochain import Cochain, cochain_space_dim, integer_cohomology
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, basis_vec, integer_rank, sparse_mul, sub_vec
-from .opcohomology import induced_representation, operator_coboundary
+from .linalg import Matrix, basis_vec, sparse_mul, sub_vec
+from .opcohomology import _induced_arrays, operator_coboundary
 from .reynolds import ReynoldsData, check_rcw_morphism, operator_frames, reynolds_checker
 from .scalars import INTEGERS, Poly, PrimeField
 
@@ -299,23 +297,22 @@ class RigidityReport:
 def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     """Decide the sufficient rigidity criterion over a prime field.
 
-    Counts the operator 1-cocycles Z^1 as p^dim, dim the kernel dimension
-    of the degree-1 differential read off the integer rank of its sparse
-    rows (`cochain.integer_coboundary_rows`), and collects the
-    coboundaries of all Nijenhuis elements.  The criterion Z^1 = d_K(Nij) holds exactly when
-    every such coboundary is killed by the differential and there are
-    p^dim of them; d_K x need not be a cocycle for an arbitrary element
-    x, so membership is checked, not assumed.  The verdict is a probe of
-    the sufficient condition only: Z^1 = d_K(Nij) implies rigidity.
+    Counts the operator 1-cocycles as p^dim Z^1 (`cochain.integer_cohomology`)
+    and collects the coboundaries of all Nijenhuis elements.  The
+    criterion Z^1 = d_K(Nij) holds exactly when every such coboundary is
+    killed by the differential and there are p^dim Z^1 of them; d_K x
+    need not be a cocycle for an arbitrary element x, so membership is
+    checked, not assumed.  The verdict is a probe of the sufficient
+    condition only: Z^1 = d_K(Nij) implies rigidity.
     """
     field = data.field
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the rigidity probe needs a finite field")
     p = field.p
-    induced = induced_representation(data)
-    (d1,) = integer_coboundary_rows(induced.algebra, induced, (1,))
-    cols = cochain_space_dim(induced.algebra.dim, induced.dim_v, 1)
-    cocycle_count = p ** (cols - integer_rank(d1, p))
+    table, Lbar, Rbar, _ = _induced_arrays(data)
+    report, d1 = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, p, 1)
+    cols = cochain_space_dim(data.rep.dim_v, data.algebra.dim, 1)
+    cocycle_count = p ** report.dim_z
     nij = nijenhuis_elements(data)
     terms = _element_terms(data)
     image = {tuple(c.value for v in Cochain.from_matrix(terms(x)[3]).values for c in v)

@@ -28,8 +28,9 @@ not the answer.  `Matrix.rref` reduces the echelon rows further on the
 same integers (back-substitution) and divides by the pivots only at the
 end.  The reduced row echelon form is unique, so it and the inverse
 read off it do not depend on the pivot order.  Ranks of sparse rows are
-read straight off `_echelon` (`integer_rank`); the inverse is the only
-linear system the package solves.
+read off `_echelon` run on the shorter side (`integer_rank`): with more
+nonzero rows than nonzero columns, on the transpose (rank A = rank A^T).
+The inverse is the only linear system the package solves.
 """
 
 from __future__ import annotations
@@ -328,5 +329,12 @@ def _echelon(rows, p: int) -> dict:
 
 
 def integer_rank(rows, p: int) -> int:
-    """Exact rank of integer rows over Q (p = 0) or over F_p."""
+    """Exact rank of integer rows over Q (p = 0) or over F_p, off the shorter side."""
+    rows = [row for row in rows if row]
+    if len(rows) > len({j for row in rows for j in row}):
+        transpose = {}
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                transpose.setdefault(j, {})[i] = v
+        rows = list(transpose.values())
     return len(_echelon(rows, p))

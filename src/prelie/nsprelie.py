@@ -35,9 +35,9 @@ from .algebra import (
     Representation,
     _as_tensor,
     _combine,
+    lifted_report,
     nonzero_rows,
     prelie_defects,
-    residual_report,
     semidirect_tensor,
 )
 from .cochain import Cochain, cochain_keys
@@ -88,8 +88,8 @@ def _ns_report(field, tri, trl, circ) -> Report:
     # each axiom takes the next n^3 defects: zip stops at the end of
     # `triples` before it draws from `defects`
     return _combine({
-        name: residual_report((where, down([sign * x for x in d], 2))
-                              for where, d in zip(triples, defects))
+        name: lifted_report(zip(triples, defects), lambda d, sign=sign: down(
+            [sign * x for x in d], 2))
         for name, (sign, _) in axioms.items()})
 
 
@@ -177,8 +177,8 @@ def _nijenhuis_frame(g: PreLieAlgebra):
 
         values = [[residual(i, j) for j in range(n)] for i in range(n)]
         back = descend(field, Dg * DN ** 2)
-        return (residual_report(((i, j), back(r)) for i, row in enumerate(values)
-                                for j, (_, r) in enumerate(row) if any(r)),
+        return (lifted_report((((i, j), r) for i, row in enumerate(values)
+                               for j, (_, r) in enumerate(row)), back),
                 lambda: [[descend(field, Dg * DN)(d) for d, _ in row] for row in values])
 
     return evaluate

@@ -39,6 +39,7 @@ from .algebra import (
     action_arrays,
     check_derivation,
     check_morphism,
+    lifted_report,
     morphism_defects,
     nonzero_rows,
     regular_representation,
@@ -59,7 +60,7 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, basis_vec, is_zero_vec, neg_vec, scale_vec, sub_vec
+from .linalg import Matrix, basis_vec, neg_vec, scale_vec, sub_vec
 from .scalars import INTEGERS, descend, lift, scalar_to_str
 
 
@@ -142,9 +143,9 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
     g, the actions and H are lifted once (denominator D_g), each K alone
     (D_K).  A frame is (mul, graph, p) of `graph_frame` on
     `scalars.INTEGERS` with ``one`` = D_K, the products gr(u).gr(v) and
-    ``back(k)``, which maps a reading of degree k back to the field (over
-    Q, divided by D_g D_K^k; `SIGNS.md` gives each k), `scalars.Poly`
-    entries coefficient by coefficient.
+    ``back(k, d=1)``, which maps a reading of degree k in K (d in g, rep
+    and H) back to the field (over Q, divided by D_g^d D_K^k; `SIGNS.md`
+    gives each k), `scalars.Poly` entries coefficient by coefficient.
     """
     field = g.field
     (c, L, R, h, Dg), _ = lift(field, (*_semidirect_arrays(g, rep, H), field.one))
@@ -155,7 +156,7 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
         (k, DK), _ = lift(field, (K.data, field.one))
         mul, graph, p = graph_frame(INTEGERS, rows, k, DK)
         return (mul, graph, p, [[mul(a, b) for b in graph] for a in graph],
-                lambda degree: descend(field, Dg * DK ** degree))
+                lambda degree, d=1: descend(field, Dg ** d * DK ** degree))
 
     return frame
 
@@ -165,7 +166,7 @@ def _reynolds_report(frame) -> Report:
     _, _, p, products, back = frame
     down = back(3)
     residuals = (((u, v), p(w)) for u, row in enumerate(products) for v, w in enumerate(row))
-    return residual_report((where, down(r)) for where, r in residuals if any(r))
+    return lifted_report(residuals, down)
 
 
 def _induced_table(n: int, frame) -> list:
@@ -321,18 +322,16 @@ def check_graph_subalgebra(g: PreLieAlgebra, rep: Representation, H: Cochain,
                            K: Matrix) -> Report:
     """Is the graph {(Ku, u)} a subalgebra of the twisted semidirect product?
 
-    A product w of two generators gr(u), gr(v) lies on the graph exactly
-    when p(w) = 0 (`graph_frame`), and p(w) is the Reynolds residual at
-    (u, v): closure and the Reynolds identity are p of one product (a
-    theorem, cross-checked in tests).  w is never zero off the graph, so
-    it is kept whole as the residual (degree 2 on the lift, p(w) 3).
+    w = gr(u).gr(v) lies on the graph exactly when p(w), the Reynolds
+    residual at (u, v), is 0 (`graph_frame`; a theorem, cross-checked in
+    tests).  Off the graph w itself is the residual.
     """
     _check_operator_shape(g, rep, K)
     _require_cocycle(g, rep, H)
-    _, _, p, products, back = operator_frames(g, rep, H)(K)
-    on_graph, down = back(3), back(2)
-    return residual_report(((u, v), down(w)) for u, row in enumerate(products)
-                           for v, w in enumerate(row) if not is_zero_vec(on_graph(p(w))))
+    frame = operator_frames(g, rep, H)(K)
+    *_, products, back = frame
+    return residual_report(((u, v), back(2)(products[u][v]))
+                           for (u, v), _ in _reynolds_report(frame).violations)
 
 
 def induced_product(data: ReynoldsData) -> PreLieAlgebra:

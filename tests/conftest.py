@@ -311,6 +311,28 @@ def padded_reynolds_data(rng: random.Random, field=QQ, max_dim: int = 3) -> Reyn
     return ReynoldsData.build(g, padded_rep, H, K)
 
 
+def fractional_ladder_data(n: int = 5) -> ReynoldsData:
+    """A dense fractional rung of the k[x]/(x^n) ladder, seeded.
+
+    The truncated algebra is conjugated by `unimodular(random.Random(7),
+    QQ, n, steps=8)` and acts on itself; h has entries a/b with |a| <= 3
+    and 1 <= b <= 3, drawn from random.Random(5) until it is invertible,
+    and goes through `reynolds_from_invertible_cochain`.  So H and K have
+    denominators (D_g, D_K > 1 on the lift), unlike the ladder's, and the
+    operator cohomology has the ladder's dimensions.
+    """
+    a = PreLieAlgebra.build(QQ, n, {(i, j, i + j): 1 for i in range(n) for j in range(n)
+                                    if i + j < n})
+    g = conjugate_algebra(a, unimodular(random.Random(7), QQ, n, steps=8))
+    rng = random.Random(5)
+    while True:
+        h = Matrix(QQ, [[QQ(rng.randint(-3, 3)) / rng.randint(1, 3) for _ in range(n)]
+                        for _ in range(n)])
+        if h.inverse() is not None:
+            return reynolds_from_invertible_cochain(g, regular_representation(g),
+                                                    Cochain.from_matrix(h))
+
+
 def unitisation(a: PreLieAlgebra) -> PreLieAlgebra:
     """k1 + a with 1 a two-sided unit at index 0.
 

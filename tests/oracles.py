@@ -102,7 +102,9 @@ exist, so they do not apply.
 `check_prelie_via_bracket` and `product_cochain` read the pre-Lie axiom
 off the Matsushima-Nijenhuis bracket ([pi, pi] = 0), an independent
 route to `algebra.check_prelie`.  `sparse_rank` is the exact rank of
-sparse field rows, lifted to ints row by row (`integer_rows`, each row
+sparse field rows by `dense_rank`, textbook Gaussian elimination on the
+dense field scalars, which shares no code with `linalg.integer_rank`.
+`integer_rows` lifts sparse field rows to ints row by row (each row
 scaled by the lcm of its own denominators, the lift `Matrix.rref` used
 before it took `scalars.lift`), and `enumerate_unshuffles` the checked enumeration
 of the unshuffles that `cochain._unshuffles` caches, each as an
@@ -144,7 +146,6 @@ from prelie.linalg import (
     Matrix,
     add_vec,
     basis_vec,
-    integer_rank,
     is_zero_vec,
     neg_vec,
     scale_vec,
@@ -153,7 +154,7 @@ from prelie.linalg import (
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, _check_operator_shape, derived_tensor
-from prelie.scalars import FpElement, Poly, PrimeField
+from prelie.scalars import Poly, PrimeField
 from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidate, _compile
 
 
@@ -742,11 +743,36 @@ def integer_rows(rows, p: int) -> list:
             for row, d in zip(rows, dens)]
 
 
+def dense_rank(rows, cols: int) -> int:
+    """Rank of dense rows of field scalars by textbook Gaussian elimination.
+
+    Column by column: the first remaining row nonzero there is swapped up
+    as the pivot and its multiples are subtracted from every row below,
+    dividing in the field.  Shares no code with `linalg`.
+    """
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / top[c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
 def sparse_rank(rows) -> int:
-    """Exact rank of a matrix given as sparse rows, over its own scalars."""
+    """Exact rank of a matrix given as sparse rows, over its own scalars (`dense_rank`)."""
     x = next((x for row in rows for x in row.values()), None)
-    p = x.p if isinstance(x, FpElement) else 0
-    return integer_rank(integer_rows(rows, p), p)
+    if x is None:
+        return 0
+    cols = 1 + max(j for row in rows for j in row)
+    return dense_rank([[row.get(j, x - x) for j in range(cols)] for row in rows], cols)
 
 
 @dataclass(frozen=True)

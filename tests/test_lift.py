@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     CORPUS,
     conjugate_algebra,
+    count_calls,
     g3b_algebra,
     random_algebra,
     random_reynolds_data,
@@ -28,7 +29,7 @@ from oracles import (
     field_check_prelie,
     field_check_representation,
 )
-from prelie import linalg
+from prelie import linalg, scalars
 from prelie.algebra import (
     PreLieAlgebra,
     Representation,
@@ -310,3 +311,19 @@ def test_no_algebra_representation_or_matrix_is_built_over_the_integers(monkeypa
     dk_difference(data, 2)
     assert fields and INTEGERS not in fields
     assert all(field == data.field for field in fields)
+
+
+def test_a_verified_input_maps_no_residual_back(monkeypatch, g3_data):
+    # every residual of a verified g3 bundle is the int 0, so the checkers
+    # never build a field scalar for it; a failing one still maps back
+    a, rep = g3_data.algebra, g3_data.rep
+    ns = ns_from_reynolds(g3_data)
+    mapped = count_calls(monkeypatch, scalars, "descend")
+    assert check_prelie(QQ, a.product).ok
+    assert check_representation(a, rep.dim_v, rep.L, rep.R).ok
+    assert check_ns_prelie(QQ, ns.tri, ns.trl, ns.circ).ok
+    assert mapped == []
+    bad = [[list(row) for row in plane] for plane in a.product]
+    bad[0][1][2] += 1
+    assert not check_prelie(QQ, bad).ok
+    assert mapped

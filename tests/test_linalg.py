@@ -16,8 +16,10 @@ from oracles import (
 from prelie.errors import DimensionMismatchError, NotSquareError
 from prelie.linalg import (
     Matrix,
+    _echelon,
     add_vec,
     basis_vec,
+    integer_rank,
     is_zero_vec,
     neg_vec,
     scale_vec,
@@ -407,3 +409,90 @@ def test_zero_product_needs_one_common_scale_on_the_right():
     assert not any(sparse_mul(*_lift_together(QQ, a, b), 0))
     # scaling b row by row would have reported a nonzero composite
     assert any(sparse_mul(integer_rows(a, 0), integer_rows(b, 0), 0))
+
+
+# ---------------------------------------------------------------------------
+# integer_rank, off the shorter side, against textbook Gaussian elimination
+
+BIG = 2 ** 64
+BIG_Q_ENTRIES = [0, 0, 1, -1, 3, Fraction(-2, 3), BIG + 1, -3 * BIG + 7,
+                 Fraction(BIG ** 2 + 5, 7), Fraction(-11, BIG - 1)]
+SHAPES = ["tall", "wide", "square", "zero", "duplicate", "column"]
+
+
+def _shaped_matrix(field, shape: str, rng: random.Random) -> Matrix:
+    """A matrix of ``shape``; over Q with entries above 2^64."""
+    def entry():
+        return rng.choice(BIG_Q_ENTRIES) if field == QQ else rng.randint(-6, 6)
+
+    def full(rows, cols):
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    cols = rng.randint(1, 5)
+    if shape == "column":
+        return Matrix(field, full(rng.randint(1, 7), 1), cols=1)
+    if shape == "zero":
+        return Matrix(field, [[0] * cols for _ in range(rng.randint(0, 7))], cols=cols)
+    if shape == "square":
+        return Matrix(field, full(cols, cols), cols=cols)
+    rows = rng.randint(cols + 1, 2 * cols + 4)
+    if shape == "duplicate":  # scaled copies of a few rows
+        base = full(rng.randint(1, cols), cols)
+        data = [[rng.choice([1, -1, 2]) * x for x in rng.choice(base)] for _ in range(rows)]
+    elif rng.random() < 0.5:  # of rank at most k < cols
+        k = rng.randint(1, cols)
+        data = (Matrix(field, full(rows, k)) * Matrix(field, full(k, cols))).data
+    else:
+        data = full(rows, cols)
+    m = Matrix(field, data, cols=cols)
+    return Matrix(field, [m.column(j) for j in range(cols)]) if shape == "wide" else m
+
+
+def _integer_rows(m: Matrix) -> list:
+    (data,), _ = lift(m.field, (m.data,))
+    return [{j: x for j, x in enumerate(row) if x} for row in data]
+
+
+def _check_rank(rank, field, shape, seed) -> None:
+    """``rank`` on the lifted rows of a matrix and of its transpose, against `sparse_rank`."""
+    m = _shaped_matrix(field, shape, random.Random(seed))
+    t = Matrix(field, [m.column(j) for j in range(m.cols)], cols=m.rows)
+    expected = sparse_rank(_sparse(m))
+    assert rank(_integer_rows(m), field.char) == expected
+    assert rank(_integer_rows(t), field.char) == expected
+
+
+@given(st.sampled_from(FIELDS), st.sampled_from(SHAPES), st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_integer_rank_matches_gaussian_elimination_and_its_transpose(field, shape, seed):
+    _check_rank(integer_rank, field, shape, seed)
+
+
+def test_the_rank_oracle_sees_entries_above_two_to_the_64():
+    m = Matrix(QQ, [[BIG + 1, BIG], [BIG, BIG - 1], [1, 1]])  # det of the top 2x2 is -1
+    assert sparse_rank(_sparse(m)) == integer_rank(_integer_rows(m), 0) == 2
+    assert sparse_rank(_sparse(Matrix(QQ, [[BIG, 1], [BIG ** 2, BIG]]))) == 1
+
+
+def test_a_transpose_that_drops_a_column_fails_the_rank_check():
+    # a mutant of `integer_rank` whose transpose takes its columns from the
+    # first row's keys: a tall matrix whose first row misses a column loses it
+    def mutant(rows, p):
+        rows = [row for row in rows if row]
+        if len(rows) > len({j for row in rows for j in row}):
+            transpose = {j: {} for j in rows[0]}
+            for i, row in enumerate(rows):
+                for j, v in row.items():
+                    if j in transpose:
+                        transpose[j][i] = v
+            rows = list(transpose.values())
+        return len(_echelon(rows, p))
+
+    failures = 0
+    for seed in range(40):
+        for field in FIELDS:
+            try:
+                _check_rank(mutant, field, "tall", seed)
+            except AssertionError:
+                failures += 1
+    assert failures

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     abelian,
     count_calls,
+    fractional_ladder_data,
     g2_algebra,
     padded_reynolds_data,
     random_cochain,
@@ -18,11 +19,17 @@ from oracles import (
     explicit_coboundary,
     field_induced_representation,
 )
-from prelie import reynolds
-from prelie.algebra import PreLieAlgebra, check_representation, regular_representation
+from prelie import opcohomology, reynolds, scalars
+from prelie.algebra import (
+    PreLieAlgebra,
+    check_prelie,
+    check_representation,
+    regular_representation,
+)
 from prelie.cochain import Cochain, cochain_space_dim, cohomology
-from prelie.deformation import check_nijenhuis_element
-from prelie.linalg import Matrix
+from prelie.deformation import check_nijenhuis_element, rigidity_probe
+from prelie.errors import InvariantError
+from prelie.linalg import Matrix, basis_vec
 from prelie.opcohomology import (
     induced_representation,
     operator_coboundary,
@@ -35,7 +42,7 @@ from prelie.reynolds import (
     induced_product,
     reynolds_from_invertible_cochain,
 )
-from prelie.scalars import QQ, Poly, PrimeField
+from prelie.scalars import INTEGERS, QQ, Poly, PrimeField
 
 
 def test_induced_rep_zero_data(g3_bundle):
@@ -285,3 +292,118 @@ def test_induced_product_built_once_per_call(g3_data, monkeypatch):
         calls.clear()
         call()
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the induced pair on the frame's integers: one lift, two routes, and a
+# re-verification that still bites
+
+
+def test_operator_cohomology_lifts_the_data_twice(monkeypatch):
+    # g, rep and H once, K once (`operator_frames`); the induced table,
+    # Lbar and Rbar are verified and ranked on the frame's ints
+    data = fractional_ladder_data()
+    lifts = count_calls(monkeypatch, scalars, "lift")
+    operator_cohomology(data, 2)
+    assert len(lifts) == 2
+
+
+def _route_cases():
+    rng = random.Random(2606)
+    cases = [(f"ladder-{n}", _unipotent_operator_data(n)) for n in (2, 3, 4, 5)]
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(5)):
+        for i in range(4):
+            make = random_reynolds_data if i < 2 else padded_reynolds_data
+            cases.append((f"{make.__name__}-{field!r}-{i}", make(rng, field)))
+    return cases
+
+
+def test_operator_cohomology_is_the_cohomology_of_the_induced_pair():
+    # the frame route against the objects route through `cochain.cohomology`;
+    # the padded bundles have dim V != dim g
+    padded = 0
+    for _, data in _route_cases():
+        induced = induced_representation(data)
+        padded += data.rep.dim_v != data.algebra.dim
+        for degree in (1, 2, 3):
+            got = operator_cohomology(data, degree)
+            want = cohomology(induced.algebra, induced, degree)
+            assert (got.degree, got.dim_z, got.dim_b, got.dim_h) == \
+                (want.degree, want.dim_z, want.dim_b, want.dim_h)
+    assert padded >= 8
+
+
+def test_fractional_ladder_rung_has_the_ladder_dimensions():
+    # denominators in H and K: the induced arrays are at a
+    # scale D_g D_K^2 > 1, which the integer ladder never reaches
+    data = fractional_ladder_data()
+    report = operator_cohomology(data, 2)
+    assert (report.dim_z, report.dim_b, report.dim_h) == (41, 21, 20)
+    _, graph, *_, back = reynolds.operator_frames(data.algebra, data.rep, data.cocycle)(
+        data.operator)
+    assert graph[0][data.algebra.dim] > 1  # D_K
+    assert back(0)((1,)) != (QQ(1),)  # 1 / D_g
+
+
+def _corrupt(monkeypatch, where: str) -> None:
+    """Add 1 to one int of the frame's induced table, or of Lbar_0 e_0 (coordinate 0)."""
+    original = opcohomology.operator_frames
+
+    def frames(g, rep, H):
+        prepared = original(g, rep, H)
+        n = g.dim
+
+        def frame(K):
+            mul, graph, proj, products, back = prepared(K)
+            if where == "table":  # at e_0 ._K e_1, coordinate 0
+                products = [list(row) for row in products]
+                w = products[0][1]
+                products[0][1] = w[:n] + (w[n] + 1,) + w[n + 1:]
+            else:
+                e0 = basis_vec(INTEGERS, len(graph[0]), 0)
+
+                def mul(x, y, mul=mul):
+                    out = mul(x, y)
+                    return (out[0] + 1,) + out[1:] if (x, y) == (graph[0], e0) else out
+            return mul, graph, proj, products, back
+        return frame
+
+    monkeypatch.setattr(opcohomology, "operator_frames", frames)
+
+
+def _failing_bundles():
+    # on each, either corruption breaks its identity (a +1 can keep it on
+    # sparse data, as on corpus/g3-f2-e11.json, whose Lbar are almost all 0)
+    f3 = random_reynolds_data(random.Random(5), PrimeField(3), invertible_only=True)
+    return [("ladder", _unipotent_operator_data(3)), ("fractional", fractional_ladder_data()),
+            ("f3", f3)]
+
+
+@pytest.mark.parametrize("where, identity", [("table", "pre-Lie identity"),
+                                             ("lbar", "representation identities")])
+def test_a_corrupted_induced_pair_fails_its_reverification(monkeypatch, where, identity):
+    bundles = _failing_bundles()
+    _corrupt(monkeypatch, where)
+    for name, data in bundles:
+        calls = [lambda: operator_cohomology(data, 2), lambda: induced_representation(data)]
+        if name == "f3":
+            calls.append(lambda: rigidity_probe(data))
+        for call in calls:
+            with pytest.raises(InvariantError, match=identity):
+                call()
+
+
+def test_a_failed_reverification_maps_its_residuals_back_by_the_squared_scale(monkeypatch):
+    # the residuals in the message are the field's: the corrupted table
+    # mapped back by D_g D_K^2 and checked by `check_prelie` over Q
+    data = fractional_ladder_data()
+    _corrupt(monkeypatch, "table")
+    g = data.algebra
+    *_, products, back = opcohomology.operator_frames(g, data.rep, data.cocycle)(data.operator)
+    table = [[back(2)(w[g.dim:]) for w in row] for row in products]
+    expected = check_prelie(QQ, table)
+    assert not expected.ok
+    with pytest.raises(InvariantError) as raised:
+        operator_cohomology(data, 1)
+    assert str(raised.value) == \
+        "structure constants fail the pre-Lie identity:\n" + expected.describe()
