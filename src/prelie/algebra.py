@@ -21,7 +21,10 @@ is one on a twisted semidirect product (`nsprelie.check_ns_prelie`), so
 the one kernel at their own basis triples and coordinates.
 
 The morphism identity F(a).F(b) = F(a.b) is written once, in
-`morphism_defects`, for `check_morphism` and `reynolds.check_rcw_morphism`.
+`morphism_defects`, on the integer lift, for `check_morphism` and
+`reynolds.morphism_checker` (behind `reynolds.check_rcw_morphism`): the
+tables are lifted by D, the map by D_F, and a residual
+F(a.b) - F(a).F(b) comes back divided by D D_F^2.
 A `Representation` only holds its action matrices; actions on vectors
 are read off the frames of `reynolds.operator_frames`.
 
@@ -47,7 +50,7 @@ from .errors import (
     UnverifiedError,
 )
 from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, neg_vec, sub_vec
-from .scalars import INTEGERS, lift, scalar_to_str
+from .scalars import INTEGERS, descend, lift, scalar_to_str
 
 
 @dataclass
@@ -423,27 +426,47 @@ def check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
                            for (fb, last), v in zip(dD.keys(), dD.values))
 
 
-def morphism_defects(field, source, target, F: Matrix, pairs):
-    """F(a).F(b) - F(a.b) at each pair (a, b) of source basis indices.
+def morphism_defects(source, target, F, one, pairs):
+    """one F(a.b) - F(a).F(b) at each pair (a, b) of source basis indices, on ints.
 
     The one evaluation of a morphism identity in the package.  ``source``
-    and ``target`` are raw structure-constant tensors and F is the matrix
-    of a linear map between their spaces; each residual is yielded as a
-    target vector.  `check_morphism` and `reynolds.check_rcw_morphism`
-    negate it, so their residuals keep the sign F(a.b) - F(a).F(b)
-    (`SIGNS.md`).
+    and ``target`` are the nonzero rows (`nonzero_rows`) of two lifted
+    structure-constant tensors, F the rows of a lifted linear map between
+    their spaces and ``one`` its denominator, so each residual, a list of
+    ints (or int `scalars.Poly`) on the target basis, is homogeneous: it is
+    D D_F^2 times F(a.b) - F(a).F(b), for tensors lifted by D and F by
+    D_F = ``one`` (`SIGNS.md`).  `check_morphism` and
+    `reynolds.morphism_checker` read it.
     """
-    cols = [F.column(a) for a in range(F.cols)]
+    dim = len(F)
+    cols = [[(t, row[a]) for t, row in enumerate(F) if row[a]] for a in range(len(source))]
     for a, b in pairs:
-        yield sub_vec(tensor_mul(field, target, cols[a], cols[b]), F.apply(source[a][b]))
+        out = [0] * dim
+        for k, x in source[a][b]:  # one F(a.b)
+            x = one * x
+            for t, y in cols[k]:
+                out[t] += x * y
+        for i, x in cols[a]:  # F(a).F(b)
+            plane = target[i]
+            for j, y in cols[b]:
+                c = x * y
+                for t, z in plane[j]:
+                    out[t] -= c * z
+        yield out
 
 
 def check_morphism(a: PreLieAlgebra, b: PreLieAlgebra, f: Matrix) -> Report:
-    """f(x.y) = f(x).f(y) on all basis pairs, for f: a -> b."""
+    """f(x.y) = f(x).f(y) on all basis pairs, for f: a -> b.
+
+    Both tables and f are lifted together, by one D, so a residual of
+    `morphism_defects` comes back divided by D^3.
+    """
     if a.field != b.field:
         raise DimensionMismatchError("algebras live over different fields")
     if f.cols != a.dim or f.rows != b.dim:
         raise ShapeError(f"map is {f.rows}x{f.cols}, expected {b.dim}x{a.dim}")
+    field = a.field
+    (s, t, F, D), _ = lift(field, (a.product, b.product, f.data, field.one))
     pairs = [(i, j) for i in range(a.dim) for j in range(a.dim)]
-    return residual_report((where, neg_vec(r)) for where, r in zip(
-        pairs, morphism_defects(a.field, a.product, b.product, f, pairs)))
+    return lifted_report(zip(pairs, morphism_defects(nonzero_rows(s), nonzero_rows(t), F, D,
+                                                     pairs)), descend(field, D ** 3))

@@ -16,16 +16,20 @@ the pair of maps
 
     phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)),
 
-whose t-term S on V, like Rbar_u x, is linear in x and read once per
-bundle, at the basis of g, off the operator's frame (`_element_terms`).
+whose t-terms P on g and S on V, like Rbar_u x, are linear in x and read
+once per bundle, at the basis of g (`_element_terms`).
 
 K + t K1 and K + t K1' are equivalent through x when (phi_t, psi_t) is a
 morphism of Reynolds operators from one to the other.  This is the one
-definition: `reynolds.check_rcw_morphism` is evaluated once on the
-polynomial matrices, and every condition, of degree at most 2 in t and
-zero at t = 0, is read off at orders t and t^2.  A Nijenhuis element is an
-x for which (phi_t, psi_t) satisfies the four morphism conditions that do
-not involve the operator, together with x . Rbar_u(x) = Rbar_u(x) . x.
+definition: the checker of `reynolds.morphism_checker`, prepared for the
+bundle's (g, rep, H) on both sides, is evaluated once on the polynomial
+matrices, and every condition, of degree at most 2 in t and zero at
+t = 0, is read off at orders t and t^2.  A Nijenhuis element is an x for
+which (phi_t, psi_t) satisfies the four morphism conditions that do not
+involve the operator, together with x . Rbar_u(x) = Rbar_u(x) . x; its
+checker prepares the element maps and the morphism checker once, so a
+candidate costs one lift of phi_t and psi_t.  d_K x = KS - PK is built
+only where it is read (`element_coboundary`, `rigidity_probe`).
 t is the variable of index -1, so the checkers also run on a generic x
 whose entries are the search's variables x_0, x_1, ...  Over a prime
 field the Nijenhuis elements are enumerated by `search.exhaustive_search`,
@@ -42,38 +46,52 @@ from .cochain import Cochain, cochain_space_dim, integer_cohomology
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
 from .linalg import Matrix, basis_vec, sparse_mul, sub_vec
 from .opcohomology import _induced_arrays, operator_coboundary
-from .reynolds import ReynoldsData, check_rcw_morphism, operator_frames, reynolds_checker
+from .reynolds import ReynoldsData, morphism_checker, operator_frames, reynolds_checker
 from .scalars import INTEGERS, Poly, PrimeField
 
 
 def _element_terms(data: ReynoldsData):
-    """The maps of an algebra element, prepared once per bundle: x -> (P, S, rbar, d_K x).
+    """The maps of an algebra element, prepared once per bundle: x -> (P, S, rbar).
 
     P = L_x - R_x on g and S e_u = L_x u - R_x u + H(x, Ku), the t-terms
-    of phi_t and psi_t, rbar[u] = Rbar_u x (`SIGNS.md`) and d_K x = KS - PK.
-    S and rbar are linear in x, so they are read off the operator's frame
-    once, at the basis of g, and each x combines them: a generic x never
-    enters it.
+    of phi_t and psi_t, and rbar[u] = Rbar_u x (`SIGNS.md`).  All three are
+    linear in x, so they are read once, at the basis of g: P off the
+    product of g, S and rbar off the operator's frame.  Each x combines
+    them: a generic x never enters the frame.
     """
-    g, K, field, n, m = data.algebra, data.operator, data.field, data.algebra.dim, data.rep.dim_v
-    mul, graph, p, _, back = operator_frames(g, data.rep, data.cocycle)(K)
+    g, field, n, m = data.algebra, data.field, data.algebra.dim, data.rep.dim_v
+    mul, graph, p, _, back = operator_frames(g, data.rep, data.cocycle)(data.operator)
 
     def column(e, gr):  # (Rbar_u e_i, S_i e_u) = (p(w), V[w - (0, e_u).(e_i, 0)])
         w = mul(e, gr)  # (e_i, 0).gr(u)
         return back(2)(p(w)) + back(1)(sub_vec(w[n:], mul((0,) * n + gr[n:], e)[n:]))
 
-    at_basis = [Matrix.from_columns(field, [column(e, gr) for gr in graph], n + m)
-                for e in (basis_vec(INTEGERS, n + m, i) for i in range(n))]
+    def at(i):  # (P at e_i, the columns (Rbar_u e_i, S e_u) at x = e_i)
+        c, e = g.product, basis_vec(INTEGERS, n + m, i)
+        return (Matrix.from_columns(field, [sub_vec(c[i][j], c[j][i]) for j in range(n)], n),
+                Matrix.from_columns(field, [column(e, gr) for gr in graph], n + m))
+
+    at_basis = [at(i) for i in range(n)]
 
     def terms(x):
-        T = Matrix.zero(field, n + m, m)
-        for xi, M in zip(x, at_basis):
+        P, T = Matrix.zero(field, n, n), Matrix.zero(field, n + m, m)
+        for xi, (Pi, Ti) in zip(x, at_basis):
             if xi:
-                T = T + M.scale(xi)
-        P, S = g.left_mult(x) - g.right_mult(x), Matrix(field, T.data[n:], m)
-        return P, S, [T.column(u)[:n] for u in range(m)], K * S - P * K
+                P, T = P + Pi.scale(xi), T + Ti.scale(xi)
+        return P, Matrix(field, T.data[n:], m), [T.column(u)[:n] for u in range(m)]
 
     return terms
+
+
+def _coboundaries(data: ReynoldsData):
+    """x -> d_K x = KS - PK, prepared once per bundle (`_element_terms`)."""
+    terms, K = _element_terms(data), data.operator
+
+    def coboundary(x) -> Matrix:
+        P, S, _ = terms(x)
+        return K * S - P * K
+
+    return coboundary
 
 
 def _element(g, x) -> tuple:
@@ -135,7 +153,7 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
 
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
-    return _element_terms(data)(_element(data.algebra, x))[3]
+    return _coboundaries(data)(_element(data.algebra, x))
 
 
 def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
@@ -212,20 +230,24 @@ def infinitesimal(series: DeformationSeries):
 # equivalences and Nijenhuis elements: one morphism of operators in t
 
 
-def _element_morphism(data: ReynoldsData, P: Matrix, S: Matrix, K1: Matrix,
-                      K1p: Matrix) -> dict:
-    """The parts of `check_rcw_morphism` for (phi_t, psi_t) from K + t K1 to K + t K1'.
+def _same_bundle(data: ReynoldsData):
+    """`reynolds.morphism_checker` from the bundle's (g, rep, H) to itself."""
+    bundle = (data.algebra, data.rep, data.cocycle)
+    return morphism_checker(bundle, bundle)
 
-    Every condition is a polynomial of degree at most 2 in t that
-    vanishes at t = 0; its t^k coefficient is reported at ``(Order(k), *where)``.
-    P and S are the t-terms of the element (`_element_terms`).
+
+def _element_morphism(check, P: Matrix, S: Matrix, operators=(None, None)) -> dict:
+    """The parts of ``check`` (`_same_bundle`) for (phi_t, psi_t) = (id + tP, id + tS).
+
+    ``operators`` are K + t K1 and K + t K1', or None for the four
+    conditions that do not involve them.  Every condition is a polynomial
+    of degree at most 2 in t that vanishes at t = 0; its t^k coefficient
+    is reported at ``(Order(k), *where)``.  P and S are the t-terms of the
+    element (`_element_terms`).
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    field, n, m = g.field, g.dim, rep.dim_v
-    report = check_rcw_morphism(ReynoldsData(g, rep, H, _in_t((K, K1))),
-                                ReynoldsData(g, rep, H, _in_t((K, K1p))),
-                                _in_t((Matrix.identity(field, n), P)),
-                                _in_t((Matrix.identity(field, m), S)))
+    field = P.field
+    report = check(*operators, _in_t((Matrix.identity(field, P.rows), P)),
+                   _in_t((Matrix.identity(field, S.rows), S)))
     zero = field.zero
     return {name: residual_report(((Order(k), *where), _order(r, k, zero))
                                   for k in (1, 2) for where, r in part.violations)
@@ -238,9 +260,10 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
     first to the second?  One sub-verdict per part of `check_rcw_morphism`.
     """
-    P, S, *_ = _element_terms(data)(_element(data.algebra, x))
-    return _combine(_element_morphism(data, P, S, _direction(data, K1),
-                                      _direction(data, K1p)))
+    P, S, _ = _element_terms(data)(_element(data.algebra, x))
+    K = data.operator
+    operators = (_in_t((K, _direction(data, K1))), _in_t((K, _direction(data, K1p))))
+    return _combine(_element_morphism(_same_bundle(data), P, S, operators))
 
 
 def nijenhuis_element_checker(data: ReynoldsData):
@@ -248,20 +271,20 @@ def nijenhuis_element_checker(data: ReynoldsData):
 
     Requires x . Rbar_u(x) = Rbar_u(x) . x for every module basis vector,
     and that (phi_t, psi_t) satisfy the four morphism conditions of
-    `check_rcw_morphism` that do not involve the operator.
+    `check_rcw_morphism` that do not involve the operator.  The element
+    maps and the morphism checker are prepared here; a check combines the
+    maps at x and lifts phi_t and psi_t once.
     """
     g = data.algebra
-    terms = _element_terms(data)
-    zero = Matrix.zero(g.field, g.dim, data.rep.dim_v)
+    terms, morphism = _element_terms(data), _same_bundle(data)
 
     def check(x) -> Report:
         x = _element(g, x)
-        P, S, rbar, _ = terms(x)
+        P, S, rbar = terms(x)
         parts = {"rbar_condition": residual_report(
             (("rbar-commutes", u), sub_vec(g.mul(x, r), g.mul(r, x)))
             for u, r in enumerate(rbar))}
-        parts.update(_element_morphism(data, P, S, zero, zero))
-        del parts["intertwines_operator"]
+        parts.update(_element_morphism(morphism, P, S))
         return _combine(parts)
 
     return check
@@ -314,8 +337,8 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     cols = cochain_space_dim(data.rep.dim_v, data.algebra.dim, 1)
     cocycle_count = p ** report.dim_z
     nij = nijenhuis_elements(data)
-    terms = _element_terms(data)
-    image = {tuple(c.value for v in Cochain.from_matrix(terms(x)[3]).values for c in v)
+    coboundary = _coboundaries(data)
+    image = {tuple(c.value for v in Cochain.from_matrix(coboundary(x)).values for c in v)
              for x in nij}
     # the image vectors as the columns of one sparse matrix, all killed by d1 or not
     columns = [{i: vec[j] for i, vec in enumerate(image) if vec[j]} for j in range(cols)]

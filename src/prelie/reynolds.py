@@ -18,7 +18,9 @@ p(gr(u).gr(v)).  The induced product u ._K v (the star product, for a
 scalar weight), the graph closure of `check_graph_subalgebra`, Lbar,
 Rbar, the NS-pre-Lie tables and the maps of `deformation` are read off
 the same frame: one per operator, on the integer lift, from
-`operator_frames`, each reading mapped back by its own degree.
+`operator_frames`, each reading mapped back by its own degree.  A
+morphism of operators is read off the two twisted semidirect products
+the same way, lifted once per pair of fixed triples (`morphism_checker`).
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
@@ -443,46 +445,70 @@ def reynolds_from_invertible_cochain(g: PreLieAlgebra, rep: Representation,
     return ReynoldsData(g, rep, H, K)
 
 
-def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
-                       phi: Matrix, psi: Matrix) -> Report:
-    """Morphism of Reynolds operators: (phi, psi) with
+def morphism_checker(source: tuple, target: tuple):
+    """Morphisms of operators between two fixed (g, rep, H) triples, prepared once.
+
+    Returns ``check(K, K', phi, psi)`` -> `Report` for (phi, psi) from
+    (g, V, H, K) to (g', V', H', K'), with one sub-verdict per condition:
 
         phi K = K' psi,   psi L_x = L'_{phi x} psi,   psi R_x = R'_{phi x} psi,
         psi H = H' (phi x phi),
 
-    and phi a pre-Lie algebra morphism.  Each condition gets a sub-verdict.
-
-    All but the first say that Phi = phi + psi is a morphism from g + V
-    twisted by H to g' + V' twisted by H' (`semidirect_tensor`), and are
-    read off `algebra.morphism_defects` of Phi, negated as in
-    `check_morphism`: its g'-part at basis pairs (i, j) of g is the
-    algebra morphism, its V'-part there the weight, and its V'-parts at
-    (i, u) and (u, i), u in V, the left and right actions (`SIGNS.md`).
+    and phi a pre-Lie algebra morphism.  All but the first say that
+    Phi = phi + psi is a morphism from g + V twisted by H to g' + V'
+    twisted by H' (`semidirect_tensor`).  Both tensors are lifted here,
+    with one denominator D_g; each check lifts phi and psi together (D_F)
+    and reads `algebra.morphism_defects` of Phi on the ints: its g'-part
+    at basis pairs (i, j) of g is the algebra morphism, its V'-part there
+    the weight, and its V'-parts at (i, u) and (u, i), u in V, the left and
+    right actions, each mapped back by D_g D_F^2 (`SIGNS.md`).  With K and
+    K' None the first condition, the one that involves the operators, is
+    left out.
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    g2, rep2, H2, K2 = data2.algebra, data2.rep, data2.cocycle, data2.operator
-    if phi.rows != g2.dim or phi.cols != g.dim:
-        raise ShapeError("phi has the wrong shape")
-    if psi.rows != rep2.dim_v or psi.cols != rep.dim_v:
-        raise ShapeError("psi has the wrong shape")
+    (g, rep, H), (g2, rep2, H2) = source, target
     if g.field != g2.field:
         raise DimensionMismatchError("algebras live over different fields")
-    field, n, m, n2 = g.field, g.dim, rep.dim_v, g2.dim
-    zero = field.zero
-    Phi = Matrix(field, [row + (zero,) * m for row in phi.data]
-                 + [(zero,) * n + row for row in psi.data])
-
+    field, n, m, n2, m2 = g.field, g.dim, rep.dim_v, g2.dim, rep2.dim_v
+    (c, L, R, h, c2, L2, R2, h2, Dg), _ = lift(
+        field, (*_semidirect_arrays(g, rep, H), *_semidirect_arrays(g2, rep2, H2), field.one))
+    rows = nonzero_rows(raw_semidirect_tensor(c, m, L, R, h))
+    rows2 = nonzero_rows(raw_semidirect_tensor(c2, m2, L2, R2, h2))
     grid = [(i, j) for i in range(n) for j in range(n)]
     acting = [(i, u) for i in range(n) for u in range(m)]
     pairs = grid + [(i, n + u) for i, u in acting] + [(n + u, i) for i, u in acting]
-    out = [neg_vec(r) for r in morphism_defects(field, semidirect_tensor(g, rep, H),
-                                                semidirect_tensor(g2, rep2, H2), Phi, pairs)]
-    products, left, right = out[:n * n], out[n * n:n * n + n * m], out[n * n + n * m:]
-    diff = phi * K - K2 * psi
-    return _combine({
-        "algebra_morphism": residual_report((w, r[:n2]) for w, r in zip(grid, products)),
-        "intertwines_operator": residual_report(((u,), diff.column(u)) for u in range(m)),
-        "intertwines_left_action": residual_report((w, r[n2:]) for w, r in zip(acting, left)),
-        "intertwines_right_action": residual_report((w, r[n2:]) for w, r in zip(acting, right)),
-        "intertwines_weight": residual_report((w, r[n2:]) for w, r in zip(grid, products)),
-    })
+
+    def check(K: Matrix | None, K2: Matrix | None, phi: Matrix, psi: Matrix) -> Report:
+        if phi.rows != n2 or phi.cols != n:
+            raise ShapeError("phi has the wrong shape")
+        if psi.rows != m2 or psi.cols != m:
+            raise ShapeError("psi has the wrong shape")
+        (f, s, DF), _ = lift(field, (phi.data, psi.data, field.one))
+        Phi = [row + (0,) * m for row in f] + [(0,) * n + row for row in s]
+        back = descend(field, Dg * DF ** 2)
+        out = list(morphism_defects(rows, rows2, Phi, DF, pairs))
+        products, left, right = out[:n * n], out[n * n:n * n + n * m], out[n * n + n * m:]
+
+        def part(where, residuals, at):
+            return lifted_report(((w, r[at]) for w, r in zip(where, residuals)), back)
+
+        parts = {"algebra_morphism": part(grid, products, slice(n2))}
+        if K is not None:
+            diff = phi * K - K2 * psi
+            parts["intertwines_operator"] = residual_report(
+                ((u,), diff.column(u)) for u in range(m))
+        tail = slice(n2, None)
+        parts.update(intertwines_left_action=part(acting, left, tail),
+                     intertwines_right_action=part(acting, right, tail),
+                     intertwines_weight=part(grid, products, tail))
+        return _combine(parts)
+
+    return check
+
+
+def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
+                       phi: Matrix, psi: Matrix) -> Report:
+    """Morphism of Reynolds operators (phi, psi) from ``data`` to ``data2``
+    (`morphism_checker`, prepared for this one call)."""
+    return morphism_checker((data.algebra, data.rep, data.cocycle),
+                            (data2.algebra, data2.rep, data2.cocycle))(
+        data.operator, data2.operator, phi, psi)

@@ -39,7 +39,8 @@ representation) return `reynolds.reynolds_checker`; the nijenhuis entry
 returns `nsprelie.nijenhuis_checker`.  The generic candidate and each
 solution then cost one lift of the candidate and one integer
 evaluation; the nijenhuis-element entry returns the element checker,
-whose maps are read once per search at the basis of g.
+whose maps are read once per search at the basis of g and whose
+morphism checker is prepared once too.
 """
 
 from __future__ import annotations

@@ -47,9 +47,9 @@ the compiled equations evaluated on the field scalars (`vanish`), and
 each candidate decided again by `field_checker`, which must agree.
 
 `operator_identity` evaluates K e_i . K e_j - K(table[i][j]) on all
-pairs, on field scalars: the morphism identity of
-`algebra.morphism_defects` read as it is.  `field_reynolds_report` and
-`field_check_nijenhuis` are the Reynolds and Nijenhuis identities as
+pairs, on field scalars: the morphism identity that
+`algebra.morphism_defects` evaluates on ints, with the opposite sign.
+`field_reynolds_report` and `field_check_nijenhuis` are the Reynolds and Nijenhuis identities as
 the library evaluated them before it prepared each checker once on the
 integer lift (`reynolds.reynolds_checker`, `nsprelie.nijenhuis_checker`):
 the derived table of the candidate built on the field scalars (the
@@ -135,7 +135,6 @@ from prelie.algebra import (
     Representation,
     _as_tensor,
     _combine,
-    morphism_defects,
     regular_representation,
     residual_report,
     tensor_mul,
@@ -494,11 +493,15 @@ def expanded_eval(f: Cochain, args) -> tuple:
 def operator_identity(g: PreLieAlgebra, K: Matrix, table) -> Report:
     """K e_i . K e_j - K(table[i][j]) on all pairs of source basis indices.
 
-    K is a morphism from the product ``table`` to g, so this is
-    `algebra.morphism_defects` read as it is.
+    K is a morphism from the product ``table`` to g, so this is the
+    morphism identity of `algebra.morphism_defects` as the library
+    evaluated it before it ran on the integer lift: on field scalars,
+    with the sign K(x).K(y) - K(x o y).
     """
-    pairs = [(i, j) for i in range(K.cols) for j in range(K.cols)]
-    return residual_report(zip(pairs, morphism_defects(g.field, table, g.product, K, pairs)))
+    cols = [K.column(i) for i in range(K.cols)]
+    return residual_report(
+        ((i, j), sub_vec(tensor_mul(g.field, g.product, Ki, Kj), K.apply(table[i][j])))
+        for i, Ki in enumerate(cols) for j, Kj in enumerate(cols))
 
 
 def star_table(g: PreLieAlgebra, K: Matrix, weight) -> tuple:

@@ -50,6 +50,7 @@ from oracles import (
     cochain_eval,
     field_check_d_reynolds,
     field_check_nijenhuis,
+    field_check_rcw_morphism,
     field_check_weighted_reynolds,
     field_deformed_table,
     field_induced_representation,
@@ -58,19 +59,27 @@ from oracles import (
     star_table,
 )
 import prelie
-from prelie import algebra, deformation, reynolds
-from prelie.algebra import PreLieAlgebra, Representation, regular_representation
+from prelie import algebra, deformation, reynolds, scalars
+from prelie.algebra import (
+    Order,
+    PreLieAlgebra,
+    Representation,
+    regular_representation,
+    residual_report,
+)
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain
 from prelie.deformation import (
     DeformationSeries,
+    _element_morphism,
     _element_terms,
     _in_t,
+    _order,
     check_formal_deformation,
     check_linear_deformation,
     element_coboundary,
 )
-from prelie.linalg import Matrix, add_vec, basis_vec, sub_vec
+from prelie.linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
 from prelie.nsprelie import check_nijenhuis, deformed_product, nijenhuis_checker, ns_from_reynolds
 from prelie.opcohomology import induced_representation
 from prelie.reynolds import (
@@ -515,7 +524,7 @@ def test_element_maps_match_the_field_oracle(field):
         terms = _element_terms(data)
         generic = tuple(Poly({(k,): field.one}) for k in range(g.dim))
         for x in (tuple(_entry(rng, field) for _ in range(g.dim)), generic):
-            _, S, rbar, _ = terms(x)
+            _, S, rbar = terms(x)
             S_oracle, rbar_oracle = _element_oracle(data, x)
             columns = [S.column(u) for u in range(S.cols)]
             assert [as_terms(c) for c in columns] == [as_terms(c) for c in S_oracle]
@@ -529,6 +538,39 @@ def test_element_maps_match_the_field_oracle(field):
         assert element_coboundary(data, x) == Matrix.from_columns(field, d, g.dim)
         split += _split(field, data)
     assert split >= 3 if field == QQ else split == 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_element_morphism_in_t_matches_the_field_oracle(field):
+    # (phi_t, psi_t) = (id + tP, id + tS) through the prepared morphism
+    # checker, against the hand-written conditions on the same matrices in
+    # t: every condition vanishes at t^0 and t^3, and agrees at t and t^2
+    rng = random.Random(2701)
+    zero, failing, fractional = field.zero, set(), 0
+    for _ in range(10):
+        data = random_reynolds_data(rng, field)
+        g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+        n, m = g.dim, rep.dim_v
+        x = tuple(_entry(rng, field) for _ in range(n))
+        P, S, _ = _element_terms(data)(x)
+        phi, psi = _in_t((Matrix.identity(field, n), P)), _in_t((Matrix.identity(field, m), S))
+        operators = tuple(_in_t((K, _random_matrix(rng, field, n, m))) for _ in range(2))
+        oracle = field_check_rcw_morphism(*(ReynoldsData(g, rep, H, Kt) for Kt in operators),
+                                          phi, psi)
+        for k in (0, 3):
+            assert all(is_zero_vec(_order(r, k, zero)) for _, r in oracle.violations)
+        expected = {name: residual_report(((Order(k), *where), _order(r, k, zero))
+                                          for k in (1, 2) for where, r in part.violations)
+                    for name, part in oracle.parts.items()}
+        check = deformation._same_bundle(data)
+        assert _element_morphism(check, P, S, operators) == expected
+        failing.update(name for name, part in expected.items() if not part.ok)
+        del expected["intertwines_operator"]
+        assert _element_morphism(check, P, S) == expected
+        fractional += field == QQ and any(c.denominator != 1 for c in x)
+    assert failing == {"algebra_morphism", "intertwines_operator", "intertwines_left_action",
+                       "intertwines_right_action", "intertwines_weight"}
+    assert fractional >= 3 if field == QQ else fractional == 0
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -597,6 +639,10 @@ def test_graph_frame_runs_only_on_the_integers(monkeypatch):
     assert all(args[0] is INTEGERS for args in calls)
 
 
+DEFORM_CASES = (("dim1-abelian-f2.json", "f2"), ("g3-f2-e11.json", "f2"),
+                ("g3-f2-e11.json", "f3"))
+
+
 @pytest.mark.parametrize("action, frames", [("rigidity", 4), ("nijenhuis", 2)])
 def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
     # the bundle's build, the search's checker prepared once, and for
@@ -604,11 +650,45 @@ def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
     built = count_calls(monkeypatch, reynolds, "graph_frame")
     candidates = count_calls(monkeypatch, deformation, "_element_morphism")
     seen = set()
-    for bundle, field in (("dim1-abelian-f2.json", "f2"), ("g3-f2-e11.json", "f2"),
-                          ("g3-f2-e11.json", "f3")):
+    for bundle, field in DEFORM_CASES:
         built.clear()
         candidates.clear()
         run(("deform", action, "--bundle", f"corpus/{bundle}", "--field", field))
         assert len(built) == frames
         seen.add(len(candidates))
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("action, arrays", [("rigidity", 6), ("nijenhuis", 4)])
+def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
+    # the twisted semidirect arrays are built for the bundle's build, the
+    # element maps and the two sides of the morphism checker, and for
+    # rigidity the induced representation and the element maps of the
+    # image: a fixed number whatever the number of candidates.  An element
+    # check lifts phi_t and psi_t together, once, and nothing else
+    built = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
+    lifts = count_calls(monkeypatch, scalars, "lift")
+    per_check = []
+
+    def make(original):
+        def prepared(data):
+            check = original(data)
+
+            def counted(x):
+                before = len(lifts)
+                report = check(x)
+                per_check.append(len(lifts) - before)
+                return report
+            return counted
+        return prepared
+
+    _replace_everywhere(monkeypatch, deformation, "nijenhuis_element_checker", make)
+    seen = set()
+    for bundle, field in DEFORM_CASES:
+        built.clear()
+        per_check.clear()
+        run(("deform", action, "--bundle", f"corpus/{bundle}", "--field", field))
+        assert len(built) == arrays
+        assert per_check and set(per_check) == {1}
+        seen.add(len(per_check))
     assert len(seen) == 3

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import (
     CORPUS,
+    _replace_everywhere,
     abelian,
     conjugate_algebra,
+    conjugate_representation,
     count_calls,
     fail_after,
     g2_algebra,
@@ -780,35 +782,108 @@ def test_reynolds_derivation_roundtrip_other_direction(g3):
     assert reynolds_from_derivation(g3, D, lam) == K
 
 
+MAP_ENTRIES = (-1, 0, 1, Fraction(1, 2), Fraction(-2, 3))
+
+
 def _random_map(rng, field, rows, cols) -> Matrix:
-    return Matrix(field, [[field(rng.randint(-1, 1)) for _ in range(cols)]
+    """Entries in -1, 0, 1, and over Q also 1/2 and -2/3."""
+    entries = MAP_ENTRIES if field == QQ else MAP_ENTRIES[:3]
+    return Matrix(field, [[field(rng.choice(entries)) for _ in range(cols)]
                           for _ in range(rows)])
+
+
+def _diagonal(field, entries) -> Matrix:
+    n = len(entries)
+    return Matrix(field, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _rescaled(data: ReynoldsData) -> ReynoldsData:
+    """Over Q, the bundle on the bases e_i / (i + 2) of g and 2 e_u / (u + 3) of V.
+
+    The transport along P on g and Q on V: the constants P^-1 (Pe_i . Pe_j),
+    the actions Q^-1 L_{Pe_i} Q, the weight Q^-1 H(Pe_i, Pe_j) and the
+    operator P^-1 K Q, so g, the actions, H and K have denominators.  Over
+    F_p the bundle is returned as it is.
+    """
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    if g.field != QQ:
+        return data
+    n, m = g.dim, rep.dim_v
+    p = [Fraction(1, i + 2) for i in range(n)]
+    P, Q = _diagonal(QQ, p), _diagonal(QQ, [Fraction(2, u + 3) for u in range(m)])
+    g2 = conjugate_algebra(g, P)
+    qinv = Q.inverse()
+    H2 = Cochain(QQ, 2, n, m, [qinv.apply([p[i] * p[j] * c for c in H.eval_basis((i, j))])
+                               for (i,), j in cochain_keys(n, 2)])
+    return ReynoldsData.build(g2, conjugate_representation(rep, g2, P, Q), H2,
+                              P.inverse() * K * Q)
+
+
+def _morphism_cases(field, compared: int):
+    """(source, target, phi, psi) on bundles with dim g' != dim g and dim V' != dim V.
+
+    Over Q the bundles are `_rescaled` and the maps have fractional entries.
+    """
+    rng = random.Random(7)
+    count = 0
+    while count < compared:
+        data = _rescaled(padded_reynolds_data(rng, field))
+        data2 = _rescaled(random_reynolds_data(rng, field))
+        if data.algebra.dim == data2.algebra.dim or data.rep.dim_v == data2.rep.dim_v:
+            continue
+        count += 1
+        for source, target in ((data, data2), (data2, data), (data, data), (data2, data2)):
+            n, m = source.algebra.dim, source.rep.dim_v
+            n2, m2 = target.algebra.dim, target.rep.dim_v
+            yield source, target, _random_map(rng, field, n2, n), _random_map(rng, field, m2, m)
+            if source is target:
+                yield source, target, Matrix.identity(field, n), Matrix.identity(field, m)
+
+
+def _lift_denominator(*arrays) -> int:
+    (*_, D), _ = scalars.lift(QQ, (*arrays, QQ.one))
+    return D
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_rcw_morphism_across_dimensions_matches_the_hand_written_conditions(field):
     # dim g' != dim g and dim V' != dim V, so a part that sliced the target's
-    # coordinates g' + V' at dim g instead of dim g' would differ
-    rng = random.Random(7)
-    failing = set()
-    compared = 0
-    while compared < 10:
-        data, data2 = padded_reynolds_data(rng, field), random_reynolds_data(rng, field)
-        if data.algebra.dim == data2.algebra.dim or data.rep.dim_v == data2.rep.dim_v:
-            continue
-        compared += 1
-        for source, target in ((data, data2), (data2, data), (data, data), (data2, data2)):
-            n, m = source.algebra.dim, source.rep.dim_v
-            n2, m2 = target.algebra.dim, target.rep.dim_v
-            maps = [(_random_map(rng, field, n2, n), _random_map(rng, field, m2, m))]
-            if source is target:
-                maps.append((Matrix.identity(field, n), Matrix.identity(field, m)))
-            for phi, psi in maps:
-                report = check_rcw_morphism(source, target, phi, psi)
-                assert report == field_check_rcw_morphism(source, target, phi, psi)
-                failing.update(name for name, part in report.parts.items() if not part.ok)
+    # coordinates g' + V' at dim g instead of dim g' would differ; over Q
+    # the bundles and most maps lift with a denominator, so a scale missing
+    # from the map-back would differ too
+    failing, fractional = set(), 0
+    for source, target, phi, psi in _morphism_cases(field, 10):
+        report = check_rcw_morphism(source, target, phi, psi)
+        assert report == field_check_rcw_morphism(source, target, phi, psi)
+        failing.update(name for name, part in report.parts.items() if not part.ok)
+        if field == QQ:
+            g, rep, H = source.algebra, source.rep, source.cocycle
+            fractional += _lift_denominator(phi.data, psi.data) != 1 != _lift_denominator(
+                g.product, [M.data for M in rep.L], H.values)
     assert failing == {"algebra_morphism", "intertwines_operator", "intertwines_left_action",
                        "intertwines_right_action", "intertwines_weight"}
+    assert fractional >= 20 if field == QQ else fractional == 0
+
+
+def test_rcw_morphism_without_the_map_denominator_on_f_of_a_b_fails(monkeypatch):
+    # a mutant that forgets D_F on the F(a.b) term: over Q, with fractional
+    # maps and a source whose twisted product is not 0, it must disagree
+    # with the hand-written conditions
+    def agreements():
+        return [check_rcw_morphism(*case) == field_check_rcw_morphism(*case)
+                for case in cases]
+
+    def nonzero(data):
+        tensor = semidirect_tensor(data.algebra, data.rep, data.cocycle)
+        return any(x for plane in tensor for row in plane for x in row)
+
+    cases = [case for case in _morphism_cases(QQ, 4)
+             if _lift_denominator(case[2].data, case[3].data) != 1 and nonzero(case[0])]
+    assert len(cases) >= 6
+    assert all(agreements())
+    _replace_everywhere(monkeypatch, algebra, "morphism_defects", lambda original: (
+        lambda source, target, F, one, pairs: original(source, target, F, 1, pairs)))
+    assert not any(agreements())
 
 
 def test_rcw_morphism_rejects_maps_between_fields(g3_data):
