@@ -83,9 +83,9 @@ def _element_terms(data: ReynoldsData):
     return terms
 
 
-def _coboundaries(data: ReynoldsData):
-    """x -> d_K x = KS - PK, prepared once per bundle (`_element_terms`)."""
-    terms, K = _element_terms(data), data.operator
+def _coboundaries(data: ReynoldsData, terms):
+    """x -> d_K x = KS - PK, on the element maps (`_element_terms`) of the bundle."""
+    K = data.operator
 
     def coboundary(x) -> Matrix:
         P, S, _ = terms(x)
@@ -153,7 +153,7 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
 
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
-    return _coboundaries(data)(_element(data.algebra, x))
+    return _coboundaries(data, _element_terms(data))(_element(data.algebra, x))
 
 
 def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
@@ -275,8 +275,12 @@ def nijenhuis_element_checker(data: ReynoldsData):
     maps and the morphism checker are prepared here; a check combines the
     maps at x and lifts phi_t and psi_t once.
     """
-    g = data.algebra
-    terms, morphism = _element_terms(data), _same_bundle(data)
+    return _element_checker(data, _element_terms(data))
+
+
+def _element_checker(data: ReynoldsData, terms):
+    """`nijenhuis_element_checker` on the element maps (`_element_terms`)."""
+    g, morphism = data.algebra, _same_bundle(data)
 
     def check(x) -> Report:
         x = _element(g, x)
@@ -301,10 +305,16 @@ def nijenhuis_elements(data: ReynoldsData) -> list:
     The elements are the solutions of an exhaustive search, so the
     enumeration is bounded by the search budget.
     """
+    return _elements({"data": data})
+
+
+def _elements(sections) -> list:
+    """`nijenhuis_elements` of ``sections["data"]``, on ``sections["terms"]`` if given."""
     from .search import SearchSpec, exhaustive_search  # search imports this module
 
+    data = sections["data"]
     field = data.field
-    spec = SearchSpec("nijenhuis-element", {"data": data}, (data.algebra.dim, 1),
+    spec = SearchSpec("nijenhuis-element", sections, (data.algebra.dim, 1),
                       tuple(field.elements()))
     return [x.column(0) for x in exhaustive_search(spec, field).solutions]
 
@@ -336,8 +346,9 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     report, d1 = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, p, 1)
     cols = cochain_space_dim(data.rep.dim_v, data.algebra.dim, 1)
     cocycle_count = p ** report.dim_z
-    nij = nijenhuis_elements(data)
-    coboundary = _coboundaries(data)
+    terms = _element_terms(data)  # for the search and d_K
+    nij = _elements({"data": data, "terms": terms})
+    coboundary = _coboundaries(data, terms)
     image = {tuple(c.value for v in Cochain.from_matrix(coboundary(x)).values for c in v)
              for x in nij}
     # the image vectors as the columns of one sparse matrix, all killed by d1 or not

@@ -62,7 +62,7 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, basis_vec, neg_vec, scale_vec, sub_vec
+from .linalg import Matrix, basis_vec, neg_vec, scale_vec
 from .scalars import INTEGERS, descend, lift, scalar_to_str
 
 
@@ -101,17 +101,18 @@ def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
     return raw_semidirect_tensor(product, rep.dim_v, L, R, table)
 
 
-def graph_frame(field, rows, k, one):
+def graph_frame(field, planes, k, one):
     """The semidirect product on g + V read through the graph of K.
 
-    ``rows`` are the nonzero rows of its tensor (`algebra.nonzero_rows`),
-    ``k`` holds the n rows of K and ``one`` stands for 1 (on the integer
-    lift, the denominator of K).  Returns the product, the graph vectors
-    gr(u) = (K e_u, one e_u) and the projection p(a, b) = one a - K b,
-    which vanishes exactly on the graph.  A product costs the rows that
-    its nonzero coordinates pick; `SIGNS.md` lists what is read off it.
+    ``planes[i]`` holds the nonempty rows j of plane i of its tensor, as
+    (j, `algebra.nonzero_rows` row) pairs, ``k`` the n rows of K and
+    ``one`` stands for 1 (on the integer lift, the denominator of K).
+    Returns the product, the graph vectors gr(u) = (K e_u, one e_u) and
+    the projection p(a, b) = one a - K b, which vanishes exactly on the
+    graph.  A product visits only the nonempty rows that its nonzero
+    coordinates pick; `SIGNS.md` lists what is read off it.
     """
-    n, zero, dim = len(k), field.zero, len(rows)
+    n, zero, dim = len(k), field.zero, len(planes)
     m = dim - n
     cols = [tuple(row[u] for row in k) for u in range(m)]
     graph = [col + tuple(one if v == u else zero for v in range(m))
@@ -119,22 +120,24 @@ def graph_frame(field, rows, k, one):
 
     def mul(x, y):
         out = [zero] * dim
-        right = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if a:
-                plane = rows[i]
-                for j, b in right:
-                    c = a * b
-                    for t, z in plane[j]:
-                        out[t] = out[t] + c * z
+                for j, row in planes[i]:
+                    b = y[j]
+                    if b:
+                        c = a * b
+                        for t, z in row:
+                            out[t] = out[t] + c * z
         return tuple(out)
 
     def project(w):
-        out = scale_vec(one, w[:n])
-        for u, y in enumerate(w[n:]):
+        out = [one * a if a else a for a in w[:n]]
+        for y, col in zip(w[n:], cols):
             if y:
-                out = sub_vec(out, scale_vec(y, cols[u]))
-        return out
+                for i, a in enumerate(col):
+                    if a:
+                        out[i] = out[i] - y * a
+        return tuple(out)
 
     return mul, graph, project
 
@@ -142,8 +145,9 @@ def graph_frame(field, rows, k, one):
 def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
     """One frame per operator on the integer lift, prepared once: K -> frame.
 
-    g, the actions and H are lifted once (denominator D_g), each K alone
-    (D_K).  A frame is (mul, graph, p) of `graph_frame` on
+    g, the actions and H are lifted once (denominator D_g) and the rows
+    of their tensor prepared once for `graph_frame`; each K is lifted
+    alone (D_K).  A frame is (mul, graph, p) of `graph_frame` on
     `scalars.INTEGERS` with ``one`` = D_K, the products gr(u).gr(v) and
     ``back(k, d=1)``, which maps a reading of degree k in K (d in g, rep
     and H) back to the field (over Q, divided by D_g^d D_K^k; `SIGNS.md`
@@ -151,12 +155,13 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
     """
     field = g.field
     (c, L, R, h, Dg), _ = lift(field, (*_semidirect_arrays(g, rep, H), field.one))
-    rows = nonzero_rows(raw_semidirect_tensor(c, rep.dim_v, L, R, h))
+    planes = [[(j, row) for j, row in enumerate(plane) if row]
+              for plane in nonzero_rows(raw_semidirect_tensor(c, rep.dim_v, L, R, h))]
 
     def frame(K: Matrix):
         _check_operator_shape(g, rep, K)
         (k, DK), _ = lift(field, (K.data, field.one))
-        mul, graph, p = graph_frame(INTEGERS, rows, k, DK)
+        mul, graph, p = graph_frame(INTEGERS, planes, k, DK)
         return (mul, graph, p, [[mul(a, b) for b in graph] for a in graph],
                 lambda degree, d=1: descend(field, Dg ** d * DK ** degree))
 

@@ -1,8 +1,8 @@
 """Exhaustive search for operators satisfying a registered predicate.
 
 Candidates are dense matrices (or vectors) whose free entries range over
-a finite scalar list; enumeration is lexicographic in row-major entry
-order, so results are reproducible.
+a finite scalar list; solutions come out in lexicographic row-major
+entry order, so results are reproducible.
 
 The predicate's own checker is run once, on the *generic candidate*: free
 entry k is the polynomial variable x_k (`scalars.Poly`) and fixed entries
@@ -20,14 +20,15 @@ coefficients and the domain to ints by a common denominator D (over F_p,
 to residues, with D = 1), and each term is homogenised to its equation's
 top degree T by a factor D^(T - degree); an equation then holds exactly
 when its integer sum is 0 (over F_p, 0 mod p).  The free entries are
-assigned depth first, in row-major order, each running through the
-domain in order, so solutions come out in lexicographic order.  An
-equation is tested at the depth that assigns its highest variable, and
-when it fails there no completion of that prefix can pass, so the whole
-subtree is skipped.  Every solution is then re-verified through the
-predicate's checker before it is returned.  ``count_checked`` is the
-number of candidates the sweep covers, pruned or not; ``nodes`` is the
-number of prefixes it evaluated, the empty one included.
+assigned depth first, each running through the domain in order, in the
+fail-first order of `_order`.  An equation is tested at the depth that
+assigns the last of its variables, and when it fails there no completion
+of that prefix can pass, so the whole subtree is skipped.  The solutions
+are mapped back to row-major entries and sorted, and each is re-verified
+through the predicate's checker before it is returned.
+``count_checked`` is the number of candidates the sweep covers, pruned
+or not; ``nodes`` is the number of prefixes (in the sweep's order) it
+evaluated, the empty one included.
 
 The predicate registry maps an id to a function of the bundle sections
 returning the checker (candidate -> `Report`), so new checkers become
@@ -46,10 +47,11 @@ morphism checker is prepared once too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from heapq import heapify, heappop, heappush
 
-from .deformation import nijenhuis_element_checker
+from .deformation import _element_checker, _element_terms
 from .errors import BudgetExceededError, InvariantError, ShapeError
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .nsprelie import nijenhuis_checker
 from .reynolds import (
     _require_cocycle,
@@ -93,15 +95,29 @@ class SearchSpec:
         return len(self.domain) ** self.free_count()
 
 
+def _candidates(spec: SearchSpec, field):
+    """values -> the candidate whose free entries, in row-major order, are ``values``.
+
+    The fixed entries are coerced once; ``values`` are placed as given.
+    """
+    rows, cols = spec.shape
+    template = [[None] * cols for _ in range(rows)]
+    for (i, j), v in spec.fixed.items():
+        template[i][j] = field(v)
+    free = spec.free_positions()
+
+    def candidate(values) -> Matrix:
+        entries = [row[:] for row in template]
+        for (i, j), v in zip(free, values):
+            entries[i][j] = v
+        return _matrix(field, tuple(map(tuple, entries)), cols)
+
+    return candidate
+
+
 def _candidate(spec: SearchSpec, values, field) -> Matrix:
     """The candidate whose free entries, in row-major order, are ``values``."""
-    rows, cols = spec.shape
-    entries = [[None] * cols for _ in range(rows)]
-    for (i, j), v in spec.fixed.items():
-        entries[i][j] = v
-    for (i, j), v in zip(spec.free_positions(), values):
-        entries[i][j] = v
-    return Matrix(field, entries)
+    return _candidates(spec, field)(values)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +147,8 @@ def _d_reynolds_predicate(bundle):
 
 
 def _nijenhuis_element_predicate(bundle):
-    element = nijenhuis_element_checker(bundle["data"])
+    data = bundle["data"]  # with the element maps, when `deformation._elements` has them
+    element = _element_checker(data, bundle.get("terms") or _element_terms(data))
 
     def check(x):
         if x.cols != 1:
@@ -150,48 +167,85 @@ PREDICATES = {
 }
 
 
-def _compile(spec: SearchSpec, field):
+def _compile(spec: SearchSpec, field, candidate=None):
     """The checker of ``spec`` and its equations in the free entries.
 
-    The checker runs once on the generic candidate; its nonzero residual
-    coordinates are the equations.  A residual that is a nonzero scalar
-    becomes a constant polynomial, which no candidate satisfies.
+    The checker runs once on the generic candidate (built by ``candidate``);
+    its nonzero residual coordinates are the equations.  A residual that
+    is a nonzero scalar becomes a constant polynomial, which no candidate
+    satisfies.
     """
     check = PREDICATES[spec.predicate](spec.bundle)
     one = field.one
-    generic = _candidate(spec, [Poly({(k,): one}) for k in range(spec.free_count())],
-                         field)
+    generic = (candidate or _candidates(spec, field))(
+        [Poly({(k,): one}) for k in range(spec.free_count())])
     residuals = (x if isinstance(x, Poly) else Poly({(): x})
                  for _, residual in check(generic).violations for x in residual if x)
     # one equation per distinct polynomial, in the order the checker found them
     return check, list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
 
 
-def _lower(equations, domain, field, n_free):
+def _order(equations, n_free: int) -> list:
+    """The free variables in the order the sweep assigns them: fail first.
+
+    The next variable is the one that completes the most equations, ties
+    going to the one in the most equations, then to the lowest index, so
+    with no equation the order is row-major.  A heap with lazy entries
+    keeps the cost O((n + terms) log n).
+    """
+    unassigned = [{v for mono in eq.terms for v in mono} for eq in equations]
+    occurs = [[] for _ in range(n_free)]
+    completes = [0] * n_free
+    for e, variables in enumerate(unassigned):
+        for v in variables:
+            occurs[v].append(e)
+        if len(variables) == 1:
+            completes[next(iter(variables))] += 1
+    heap = [(-completes[v], -len(occurs[v]), v) for v in range(n_free)]
+    heapify(heap)
+    order, placed = [], [False] * n_free
+    while heap:
+        done, _, v = heappop(heap)
+        if placed[v] or -done != completes[v]:  # a stale entry
+            continue
+        placed[v] = True
+        order.append(v)
+        for e in occurs[v]:
+            variables = unassigned[e]
+            variables.discard(v)
+            if len(variables) == 1:
+                (w,) = variables
+                completes[w] += 1
+                heappush(heap, (-completes[w], -len(occurs[w]), w))
+    return order
+
+
+def _lower(equations, domain, field, position):
     """The equations as integer terms, grouped by the depth that completes them.
 
-    Returns ``levels`` and the lifted domain.  ``levels[k]`` holds the
-    equations whose highest variable is x_{k-1} (``levels[0]`` the
-    constant ones), each as a tuple of (integer coefficient, monomial)
-    terms homogenised to the equation's top degree, as the module
-    docstring describes.
+    Returns ``levels`` and the lifted domain.  x_v is the sweep's
+    variable ``position[v]``; ``levels[k]`` holds the equations whose
+    last variable is at position k - 1 (``levels[0]`` the constant ones),
+    each as a tuple of (integer coefficient, positions) terms homogenised
+    to the equation's top degree, as the module docstring describes.
     """
     (D, values, lifted), _ = lift(field, (field.one, domain, equations))
-    levels = [[] for _ in range(n_free + 1)]
+    levels = [[] for _ in range(len(position) + 1)]
     for eq in lifted:
         top = max(map(len, eq.terms))
-        terms = tuple((c * D ** (top - len(mono)), mono) for mono, c in eq.terms.items())
-        levels[max((mono[-1] + 1 for mono in eq.terms if mono), default=0)].append(terms)
+        terms = tuple((c * D ** (top - len(mono)), tuple(position[v] for v in mono))
+                      for mono, c in eq.terms.items())
+        levels[max((k + 1 for _, at in terms for k in at), default=0)].append(terms)
     return levels, values
 
 
 def _sweep(levels, values, p):
-    """Every assignment of ``values`` to the variables under which all equations hold.
+    """Every assignment of ``values`` to the positions under which all equations hold.
 
-    Returns each as a tuple of indices into ``values``, in lexicographic
-    order, and the number of prefixes evaluated.  A prefix of length k
-    evaluates ``levels[k]``; if one of those equations fails, no
-    assignment that extends the prefix is visited.
+    Returns each as a tuple of indices into ``values``, by position, in
+    lexicographic order, and the number of prefixes evaluated.  A prefix
+    of length k evaluates ``levels[k]``; if one of those equations fails,
+    no assignment that extends the prefix is visited.
     """
     n = len(levels) - 1
     point = [0] * n
@@ -272,12 +326,15 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
         # d^k, not its digits: the count can run to thousands of them
         raise BudgetExceededError(f"{len(domain)}^{spec.free_count()} candidates "
                                   f"exceed the budget of {spec.budget}")
-    check, equations = _compile(spec, field)
-    levels, values = _lower(equations, domain, field, spec.free_count())
+    candidate = _candidates(spec, field)
+    check, equations = _compile(spec, field, candidate)
+    order = _order(equations, spec.free_count())
+    position = sorted(range(len(order)), key=order.__getitem__)  # order[position[v]] = v
+    levels, values = _lower(equations, domain, field, position)
     found, nodes = _sweep(levels, values, field.char)
     solutions = []
-    for choice in found:
-        K = _candidate(spec, [domain[j] for j in choice], field)
+    for choice in sorted(tuple(choice[k] for k in position) for choice in found):
+        K = candidate([domain[j] for j in choice])
         if not check(K).ok:
             raise InvariantError(
                 "the compiled equations accepted a candidate the checker rejects")

@@ -42,9 +42,16 @@ def _replace_everywhere(monkeypatch, module, name: str, make) -> None:
 
     Modules bind names with ``from .cochain import ...``, so every
     ``prelie`` module attribute that is the original function is replaced.
+    ``module`` may be a class: then every name it binds the method to is
+    (``Poly.__rmul__`` is ``Poly.__mul__``).
     """
     original = getattr(module, name)
     replacement = make(original)
+    if isinstance(module, type):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, replacement)
+        return
     for key, mod in list(sys.modules.items()):
         if key.split(".")[0] == "prelie" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, replacement)

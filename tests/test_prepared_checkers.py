@@ -617,6 +617,62 @@ def test_the_induced_table_mapped_back_by_dk_squared_alone_fails(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the frame's product kernel against the dense field product
+
+
+def _frame_mismatches(g, rep, H, K) -> int:
+    """The pairs (u, v) at which the frame's gr(u).gr(v), mapped back, is not
+    `algebra.tensor_mul` on the field semidirect tensor at (K e_u, e_u), (K e_v, e_v)."""
+    *_, products, back = reynolds.operator_frames(g, rep, H)(K)
+    down, field, m = back(2), g.field, rep.dim_v
+    tensor = reynolds.semidirect_tensor(g, rep, H)
+    graph = [K.column(u) + basis_vec(field, m, u) for u in range(m)]
+    return sum(as_terms(down(products[u][v]))
+               != as_terms(algebra.tensor_mul(field, tensor, graph[u], graph[v]))
+               for u in range(m) for v in range(m))
+
+
+def _frame_cases_for(field, rng) -> list:
+    """(g, rep, H, K): random verified bundles (over Q also fractional ones, D_g != 1)
+    and, last, the search's generic candidate on three of them."""
+    bundles = [random_reynolds_data(rng, field) for _ in range(8)]
+    if field == QQ:
+        bundles += [fractional_reynolds_data(rng) for _ in range(3)]
+    out = [(data.algebra, data.rep, data.cocycle, data.operator) for data in bundles]
+    for data in out[:3]:
+        g, rep, H, _ = data
+        out.append((g, rep, H, _generic(field, g.dim, rep.dim_v, {})))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_frame_products_equal_the_dense_field_product(field):
+    cases = _frame_cases_for(field, random.Random(2811))
+    if field == QQ:  # fractional on both sides of the split
+        assert any(_denominator(QQ, (K.data,)) != 1 for *_, K in cases)
+        assert any(_denominator(QQ, _semidirect_arrays(g, rep, H)) != 1
+                   for g, rep, H, _ in cases)
+    assert all(_frame_mismatches(*case) == 0 for case in cases)
+
+
+def test_a_frame_without_the_rows_of_the_v_block_fails(monkeypatch):
+    # dropping the prepared rows j >= dim g loses L_{Ku} v: the dense product sees it
+    original = reynolds.graph_frame
+    bundles = {field: _frame_cases_for(field, random.Random(2811)) for field in FIELDS}
+
+    def without_v_rows(field, planes, k, one):
+        n = len(k)
+        return original(field, [[(j, row) for j, row in plane if j < n] for plane in planes],
+                        k, one)
+
+    monkeypatch.setattr(reynolds, "graph_frame", without_v_rows)
+    for field, cases in bundles.items():
+        assert sum(_frame_mismatches(*case) for case in cases) > 0
+        # so does the generic candidate, whose entries are the search's variables
+        assert sum(_frame_mismatches(*case) for case in cases[-3:]) > 0
+
+
+# ---------------------------------------------------------------------------
 # frames: only on the integers, a fixed number per command
 
 
@@ -643,10 +699,11 @@ DEFORM_CASES = (("dim1-abelian-f2.json", "f2"), ("g3-f2-e11.json", "f2"),
                 ("g3-f2-e11.json", "f3"))
 
 
-@pytest.mark.parametrize("action, frames", [("rigidity", 4), ("nijenhuis", 2)])
+@pytest.mark.parametrize("action, frames", [("rigidity", 3), ("nijenhuis", 2)])
 def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
-    # the bundle's build, the search's checker prepared once, and for
-    # rigidity the induced representation and the element maps of the image
+    # the bundle's build, the element maps prepared once (for rigidity, shared
+    # by the search's checker and the image), and for rigidity the induced
+    # representation
     built = count_calls(monkeypatch, reynolds, "graph_frame")
     candidates = count_calls(monkeypatch, deformation, "_element_morphism")
     seen = set()
@@ -659,20 +716,20 @@ def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
     assert len(seen) == 3
 
 
-@pytest.mark.parametrize("action, arrays", [("rigidity", 6), ("nijenhuis", 4)])
+@pytest.mark.parametrize("action, arrays", [("rigidity", 5), ("nijenhuis", 4)])
 def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
     # the twisted semidirect arrays are built for the bundle's build, the
-    # element maps and the two sides of the morphism checker, and for
-    # rigidity the induced representation and the element maps of the
-    # image: a fixed number whatever the number of candidates.  An element
+    # element maps (shared by the image, for rigidity) and the two sides of
+    # the morphism checker, and for rigidity the induced representation:
+    # a fixed number whatever the number of candidates.  An element
     # check lifts phi_t and psi_t together, once, and nothing else
     built = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
     lifts = count_calls(monkeypatch, scalars, "lift")
     per_check = []
 
     def make(original):
-        def prepared(data):
-            check = original(data)
+        def prepared(data, terms):
+            check = original(data, terms)
 
             def counted(x):
                 before = len(lifts)
@@ -682,7 +739,7 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
             return counted
         return prepared
 
-    _replace_everywhere(monkeypatch, deformation, "nijenhuis_element_checker", make)
+    _replace_everywhere(monkeypatch, deformation, "_element_checker", make)
     seen = set()
     for bundle, field in DEFORM_CASES:
         built.clear()

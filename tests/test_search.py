@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -498,3 +499,95 @@ def test_pruned_sweep_equals_dense_sweep_on_random_fixed_maps(p, predicate, data
     fixed = {pos: F(data.draw(st.integers(0, p - 1))) for pos in sorted(positions)}
     spec = SearchSpec(predicate, sections, (3, 3), tuple(F.elements()), fixed=fixed)
     assert list(exhaustive_search(spec, F).solutions) == dense_sweep(spec, F)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's variable order, the compile's work and the solution path
+
+
+def _x(*variables):
+    """The product of the given variables, as an equation with coefficient 1."""
+    return scalars.Poly({tuple(sorted(variables)): 1})
+
+
+def test_the_order_completes_the_most_equations_first():
+    # x3 alone completes x3 = 0; then x2, in two equations; then x0 and x1
+    # each complete one, the tie going to x0
+    assert search_module._order([_x(0, 2), _x(1, 2), _x(3)], 4) == [3, 2, 0, 1]
+    # no variable completes one at first and all are in one: x0; then x3
+    # completes x0 x3, and the tie of x1 and x2 goes to x1
+    assert search_module._order([_x(1, 2), _x(0, 3)], 4) == [0, 3, 1, 2]
+
+
+def test_the_order_with_no_equation_is_row_major():
+    assert search_module._order([], 5) == [0, 1, 2, 3, 4]
+    assert search_module._order([scalars.Poly({(): 1})], 3) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("case", range(10))
+def test_the_order_is_a_permutation_of_the_free_variables(p, case):
+    F = PrimeField(p)
+    predicate, bundle, shape, fixed, _ = _predicate_cases(F)[case]
+    spec = SearchSpec(predicate, bundle, shape, tuple(F.elements()), fixed=fixed)
+    _, equations = search_module._compile(spec, F)
+    assert sorted(search_module._order(equations, spec.free_count())) == \
+        list(range(spec.free_count()))
+
+
+def _power_truncation(field, n):
+    """k[x]/(x^n) on the basis 1, x, ..., x^(n-1): commutative and associative."""
+    return PreLieAlgebra.build(field, n, {(i, j, i + j): 1 for i in range(n)
+                                          for j in range(n) if i + j < n})
+
+
+def test_the_order_costs_little_next_to_the_compile(monkeypatch):
+    # one scalar in the domain lets a 64-entry shape pass the budget (1^64 = 1);
+    # the order is O((n + terms) log n), the compile far more.  Times are
+    # noisy, so the best of three ratios is compared, with a wide margin
+    F3 = PrimeField(3)
+    spec = SearchSpec("weighted-reynolds", {"algebra": _power_truncation(F3, 8),
+                                            "weight": F3(1)}, (8, 8), (F3(0),))
+    spent = {}
+
+    def timed(name):
+        original = getattr(search_module, name)
+
+        def run(*args):
+            start = time.perf_counter()
+            out = original(*args)
+            spent[name] = time.perf_counter() - start
+            return out
+        monkeypatch.setattr(search_module, name, run)
+
+    timed("_compile")
+    timed("_order")
+    ratios = []
+    for _ in range(3):
+        result = exhaustive_search(spec, F3)
+        ratios.append(spent["_order"] / spent["_compile"])
+    assert result.count_solutions == 1 and result.nodes == 1 + 64
+    assert min(ratios) < 0.25
+
+
+def test_one_rcw_compile_on_g3_makes_at_most_90_polynomial_products(monkeypatch):
+    # a deterministic guard on the frame's work: the product visits only
+    # the nonempty rows of the tensor, so a pair of coordinates whose row
+    # is empty costs no multiplication
+    F2, bundle = f2_g3_bundle()
+    spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()))
+    products = count_calls(monkeypatch, scalars.Poly, "__mul__")
+    search_module._compile(spec, F2)
+    assert 0 < len(products) <= 90
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fixed_entries_given_as_ints_give_field_scalar_solutions(p):
+    F = PrimeField(p)
+    bundle = {"algebra": g3_algebra(F), "rep": regular_representation(g3_algebra(F)),
+              "cocycle": g3_cocycle(F)}
+    spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F.elements()),
+                      fixed={(0, 0): 1, (1, 1): 0, (2, 0): 0, (2, 1): 0, (2, 2): 0})
+    solutions = list(exhaustive_search(spec, F).solutions)
+    assert solutions and solutions == dense_sweep(spec, F)
+    assert all(type(x) is scalars.FpElement for K in solutions for row in K.data for x in row)
