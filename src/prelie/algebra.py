@@ -142,31 +142,37 @@ def tensor_mul(field, tensor, x, y) -> tuple:
     return tuple(out)
 
 
-def semidirect_tensor(product, dim_v, L, R, H=None) -> list:
-    """Structure constants of the twisted product on g + V (raw, unchecked):
+def semidirect_rows(product, dim_v, L, R, H=None) -> list:
+    """The nonzero rows (`nonzero_rows`) of the twisted product on g + V:
 
         (x,u) . (y,v) = (x.y, L_x v + R_y u + H(x,y)).
 
     ``product`` is the n*n*n tensor of g, ``dim_v`` is dim V, ``L`` and
     ``R`` are the n action matrices on V as lists of rows, and ``H`` is
     the n*n table of the vectors H(e_i, e_j), or None for H = 0.  The
-    entries are copied as given, field scalars or lifted ints, and every
-    other entry is the int 0, which `PreLieAlgebra` and `Cochain` coerce
-    to the field.
+    entries are read straight off these arrays, field scalars or lifted
+    ints, without a dense tensor.
     """
     n, m = len(product), dim_v
-    dim = n + m
-    tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            tensor[i][j][:n] = product[i][j]
-            if H is not None:
-                tensor[i][j][n:] = H[i][j]
-        for u in range(m):
-            for k in range(m):
-                tensor[i][n + u][n + k] = L[i][k][u]
-                tensor[n + u][i][n + k] = R[i][k][u]
-    return tensor
+
+    def nonzero(pairs, shift=0):
+        return [(shift + k, x) for k, x in pairs if x]
+
+    rows = [[nonzero(enumerate(product[i][j])) + (nonzero(enumerate(H[i][j]), n) if H else [])
+             for j in range(n)]
+            + [nonzero(((k, row[u]) for k, row in enumerate(L[i])), n) for u in range(m)]
+            for i in range(n)]
+    return rows + [[nonzero(((k, row[u]) for k, row in enumerate(R[i])), n) for i in range(n)]
+                   + [[]] * m for u in range(m)]
+
+
+def semidirect_tensor(product, dim_v, L, R, H=None) -> list:
+    """The structure constants of `semidirect_rows` (raw, unchecked), zero entries the int 0.
+
+    `PreLieAlgebra` and `Cochain` coerce them to the field.
+    """
+    rows = semidirect_rows(product, dim_v, L, R, H)
+    return [[[dict(row).get(k, 0) for k in range(len(rows))] for row in plane] for plane in rows]
 
 
 def nonzero_rows(tensor) -> list:
@@ -174,17 +180,16 @@ def nonzero_rows(tensor) -> list:
     return [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
 
 
-def prelie_defects(tensor, triples, start):
+def prelie_defects(rows, triples, start):
     """(a.b).c - a.(b.c) - (b.a).c + b.(a.c) at each basis triple (a, b, c).
 
-    The one evaluation of the pre-Lie identity in the package.  ``tensor``
-    holds ints (lifted constants); each residual is yielded as a list of
-    ints, its coordinates ``start`` onwards, homogeneous of degree 2 in
-    the constants.  Every product is read off the nonzero entries of the
-    tensor, so a triple costs the products of the rows it touches.
+    The one evaluation of the pre-Lie identity in the package.  ``rows``
+    are the `nonzero_rows` of a tensor of ints (lifted constants); each
+    residual is yielded as a list of ints, its coordinates ``start``
+    onwards, homogeneous of degree 2 in the constants.  A triple costs
+    the products of the rows it touches.
     """
-    dim = len(tensor)
-    rows = nonzero_rows(tensor)
+    dim = len(rows)
     tails = [[[(k - start, x) for k, x in row if k >= start] for row in plane]
              for plane in rows]
     for a, b, c in triples:
@@ -216,7 +221,14 @@ def prelie_report(t, back) -> Report:
     n = len(t)
     # symmetric in (i, j); i == j is trivial
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
-    return lifted_report(zip(triples, prelie_defects(t, triples, 0)), back)
+    return lifted_report(zip(triples, prelie_defects(nonzero_rows(t), triples, 0)), back)
+
+
+def minus_defects(rows, triples, start: int):
+    """(a, b, c) -> minus the pre-Lie defect there, off one `prelie_defects` pass over
+    ``triples``, a < b: (b, a, c) reads the negative, the defect being antisymmetric."""
+    defects = dict(zip(triples, prelie_defects(rows, triples, start)))
+    return lambda a, b, c: [-x for x in defects[a, b, c]] if a < b else defects[b, a, c]
 
 
 class PreLieAlgebra:
@@ -353,13 +365,18 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
 
 
 def representation_report(c, dim_v: int, L, R, back) -> Report:
-    """`check_representation` on lifted arrays, ``back`` as in `prelie_report`."""
-    n = len(c)
-    where = [(name, i, j, u) for i in range(n) for j in range(n) for u in range(dim_v)
-             for name in ("left", "mixed")]
-    triples = [(i, j, n + u) if name == "left" else (i, n + u, j) for name, i, j, u in where]
-    defects = prelie_defects(semidirect_tensor(c, dim_v, L, R), triples, n)
-    return lifted_report(zip(where, defects), lambda r: back([-x for x in r]))
+    """`check_representation` on lifted arrays, ``back`` as in `prelie_report`.
+
+    The left identity is antisymmetric in (x, y) (`SIGNS.md`): it is read at x < y only.
+    """
+    n, r, vs = len(c), range(len(c)), range(dim_v)
+    left = [(i, j, n + u) for i in r for j in r[i + 1:] for u in vs]
+    mixed = [(i, n + u, j) for i in r for j in r for u in vs]
+    minus = minus_defects(semidirect_rows(c, dim_v, L, R), left + mixed, n)
+    return lifted_report(
+        (((name, i, j, u), minus(i, j, n + u) if name == "left" else minus(i, n + u, j))
+         for i in r for j in r for u in vs
+         for name in ("left", "mixed") if name == "mixed" or i != j), back)
 
 
 class Representation:

@@ -92,10 +92,17 @@ from .algebra import (
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
 )
-from .cochain import Cochain, _sort_with_sign, _unshuffles, cochain_keys, cochain_space_dim
+from .cochain import (
+    Cochain,
+    _semidirect_arrays,
+    _sort_with_sign,
+    _unshuffles,
+    cochain_keys,
+    cochain_space_dim,
+)
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix
-from .reynolds import ReynoldsData, _require_cocycle, _semidirect_arrays, semidirect_tensor
+from .reynolds import ReynoldsData, _require_cocycle
 from .opcohomology import operator_coboundary
 from .scalars import INTEGERS, Poly, lift
 
@@ -146,18 +153,8 @@ def _cochain_report(c: Cochain) -> Report:
 # the big space W = g + V and the derived brackets, evaluated on demand
 
 
-def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
-    """mu + L + R as a degree-2 cochain on W (the H = 0 semidirect product)."""
-    return tensor_cochain(g.field, semidirect_tensor(g, rep, None))
-
-
-def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Cochain:
-    """The lift of H to a degree-2 cochain on W: ((x,u),(y,v)) -> (0, H(x,y))."""
-    return _cocycle_structure(g.field, rep.dim_v, _semidirect_arrays(g, rep, H)[3])
-
-
 def _cocycle_structure(field, m: int, table) -> Cochain:
-    """`cocycle_structure` over ``field`` from the n*n table of the vectors H(e_i, e_j)."""
+    """The lift of H to W, ((x,u),(y,v)) -> (0, H(x,y)), from the n*n table of H(e_i, e_j)."""
     n, zero = len(table), [[0] * m] * m
     return tensor_cochain(field, raw_semidirect_tensor(
         [[[0] * n] * n] * n, m, [zero] * n, [zero] * n, table))
@@ -286,7 +283,7 @@ def _derived(structure: Cochain, cochains) -> Cochain:
 def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
     """[[P, Q]] = (-1)^{p-1} [[mu, P], Q] restricted to operator cochains.
 
-    ``mu`` is mu + L + R on W (`untwisted_structure`).  For degree-1
+    ``mu`` is mu + L + R on W as a degree-2 cochain.  For degree-1
     arguments this reproduces
 
         [[K, K']](u, v) = Ku.K'v + K'u.Kv - K(L_{K'u}v + R_{K'v}u)
@@ -299,7 +296,7 @@ def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
 def ternary_bracket(hw: Cochain, P: Cochain, Q: Cochain, R: Cochain) -> Cochain:
     """[[P, Q, R]] = -[[[hw, P], Q], R] restricted to operator cochains.
 
-    ``hw`` is the lift of H to W (`cocycle_structure`).  Fully symmetric
+    ``hw`` is the lift of H to W (`_cocycle_structure`).  Fully symmetric
     in degree-1 arguments; the sign makes [[K, K, K]](u, v) = 6 K H(Ku, Kv).
     """
     return -_derived(hw, (P, Q, R))

@@ -20,7 +20,8 @@ ranks on integer rows, from arrays lifted by one `scalars.lift`
 (`cohomology`) or read off an operator's frame (`opcohomology`).
 `coboundary` applies the integer rows to the coordinates of f, lifted
 with the arrays, and maps each value back; `coboundary_matrix` runs the
-kernel on the field arrays.  `check_two_cocycle` reads dH off `coboundary`.
+kernel on the field arrays.  `check_two_cocycle` reads dH off the
+pre-Lie defect of g + V twisted by H (`cocycle_report`, `SIGNS.md`).
 
 Everything here is graded in a single degree per slot, so the Koszul
 sign of a permutation reduces to its parity; a graded extension would
@@ -41,7 +42,9 @@ from .algebra import (
     Report,
     Representation,
     action_arrays,
-    residual_report,
+    lifted_report,
+    minus_defects,
+    semidirect_rows,
 )
 from .errors import InvariantError, ShapeError
 from .linalg import (
@@ -55,7 +58,7 @@ from .linalg import (
     sub_vec,
     zero_vec,
 )
-from .scalars import lift
+from .scalars import descend, lift
 
 
 @lru_cache(maxsize=None)
@@ -336,6 +339,29 @@ def _check_map_to_module(name: str, a: PreLieAlgebra, rep: Representation, c: Co
         raise ShapeError(f"{name} must be a {kind} map from the algebra to the module")
 
 
+def _semidirect_arrays(a: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
+    """What `algebra.semidirect_tensor` reads: the product, the rows of L and R, the H table."""
+    n = a.dim
+    return (*action_arrays(a, rep),
+            None if H is None else [H.values[i * n:(i + 1) * n] for i in range(n)])
+
+
+def twisted_rows(a: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
+    """g + V twisted by H on one `scalars.lift`: (`algebra.semidirect_rows`, denominator D)."""
+    field = a.field
+    (c, L, R, h, D), _ = lift(field, (*_semidirect_arrays(a, rep, H), field.one))
+    return semidirect_rows(c, rep.dim_v, L, R, h), D
+
+
+def cocycle_report(a: PreLieAlgebra, twisted: tuple) -> Report:
+    """`check_two_cocycle` on ``twisted``, `twisted_rows` of (a, rep, H): dH(x, y, z) is
+    minus the V-part of the pre-Lie defect there, read at x < y (`algebra.minus_defects`)."""
+    (rows, D), r = twisted, range(a.dim)
+    dH = minus_defects(rows, [(x, y, z) for x in r for y in r[x + 1:] for z in r], a.dim)
+    return lifted_report((((x, y, z), dH(x, y, z)) for x in r for y in r if x != y for z in r),
+                         descend(a.field, D ** 2))
+
+
 def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Report:
     """Is the bilinear map H a 2-cocycle, that is, does its coboundary vanish?
 
@@ -343,10 +369,7 @@ def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Repo
     nonzero, including both orders of x and y: dH is antisymmetric in them.
     """
     _check_map_to_module("H", a, rep, H, 2)
-    dH = coboundary(a, rep, H)
-    n = a.dim
-    return residual_report(((x, y, z), dH.eval_basis((x, y, z)))
-                           for x in range(n) for y in range(n) for z in range(n))
+    return cocycle_report(a, twisted_rows(a, rep, H))
 
 
 def coboundary_matrix(a: PreLieAlgebra, rep: Representation, degree: int) -> Matrix:

@@ -17,7 +17,7 @@ the pair of maps
     phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)),
 
 whose t-terms P on g and S on V, like Rbar_u x, are linear in x and read
-once per bundle, at the basis of g (`_element_terms`).
+once per bundle, at the basis of g (`_ElementTerms`).
 
 K + t K1 and K + t K1' are equivalent through x when (phi_t, psi_t) is a
 morphism of Reynolds operators from one to the other.  This is the one
@@ -42,56 +42,70 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Order, Report, _combine, residual_report
-from .cochain import Cochain, cochain_space_dim, integer_cohomology
+from .cochain import Cochain, cochain_space_dim, integer_cohomology, twisted_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, basis_vec, sparse_mul, sub_vec
+from .linalg import Matrix, _matrix, basis_vec, sparse_mul, sub_vec
 from .opcohomology import _induced_arrays, operator_coboundary
-from .reynolds import ReynoldsData, morphism_checker, operator_frames, reynolds_checker
-from .scalars import INTEGERS, Poly, PrimeField
+from .reynolds import ReynoldsData, _frames, morphism_checker, reynolds_checker
+from .scalars import INTEGERS, Poly, PrimeField, descend, lift
 
 
-def _element_terms(data: ReynoldsData):
+class _ElementTerms:
     """The maps of an algebra element, prepared once per bundle: x -> (P, S, rbar).
 
     P = L_x - R_x on g and S e_u = L_x u - R_x u + H(x, Ku), the t-terms
     of phi_t and psi_t, and rbar[u] = Rbar_u x (`SIGNS.md`).  All three are
-    linear in x, so they are read once, at the basis of g: P off the
-    product of g, S and rbar off the operator's frame.  Each x combines
-    them: a generic x never enters the frame.
+    linear in x, so they are read once, at the basis of g, off the
+    operator's frame and kept as its ints, at the one scale D_g D_K^2.
+    Each x is lifted and combined with them on the ints (`lifted`), and
+    mapped back once; a generic x never enters the frame.
     """
-    g, field, n, m = data.algebra, data.field, data.algebra.dim, data.rep.dim_v
-    mul, graph, p, _, back = operator_frames(g, data.rep, data.cocycle)(data.operator)
 
-    def column(e, gr):  # (Rbar_u e_i, S_i e_u) = (p(w), V[w - (0, e_u).(e_i, 0)])
-        w = mul(e, gr)  # (e_i, 0).gr(u)
-        return back(2)(p(w)) + back(1)(sub_vec(w[n:], mul((0,) * n + gr[n:], e)[n:]))
+    def __init__(self, data: ReynoldsData):
+        g, rep, n = data.algebra, data.rep, data.algebra.dim
+        twisted = twisted_rows(g, rep, data.cocycle)
+        mul, graph, p, *_ = _frames(g, rep, twisted)(data.operator)
+        DK = self.DK = graph[0][n] if graph else 1
+        self.field, self.n, self.K = g.field, n, [gr[:n] for gr in graph]  # K: D_K K e_u
+        self.scale = twisted[1] * DK * DK
+        e = [basis_vec(INTEGERS, n + rep.dim_v, i) for i in range(n)]
 
-    def at(i):  # (P at e_i, the columns (Rbar_u e_i, S e_u) at x = e_i)
-        c, e = g.product, basis_vec(INTEGERS, n + m, i)
-        return (Matrix.from_columns(field, [sub_vec(c[i][j], c[j][i]) for j in range(n)], n),
-                Matrix.from_columns(field, [column(e, gr) for gr in graph], n + m))
+        def at(x):  # x = e_i: the columns P e_j, then (Rbar_u x, S e_u), flat
+            flat = [DK * DK * a for y in e for a in sub_vec(mul(x, y), mul(y, x))[:n]]
+            for gr in graph:  # w = (e_i, 0).gr(u); S e_u is the V-part of w - (0, e_u).(e_i, 0)
+                w = mul(x, gr)
+                flat += p(w) + tuple(DK * a for a in sub_vec(w, mul((0,) * n + gr[n:], x))[n:])
+            return [(k, v) for k, v in enumerate(flat) if v]
 
-    at_basis = [at(i) for i in range(n)]
+        self.basis = [at(x) for x in e]
 
-    def terms(x):
-        P, T = Matrix.zero(field, n, n), Matrix.zero(field, n + m, m)
-        for xi, (Pi, Ti) in zip(x, at_basis):
+    def lifted(self, x) -> tuple:
+        """(the columns of P, those of (rbar, S), on the ints at x; their scale)."""
+        field, n, w = self.field, self.n, self.n + len(self.K)
+        (xs, Dx), _ = lift(field, (x, field.one))
+        acc = [0] * (n * n + (w - n) * w)
+        for xi, entries in zip(xs, self.basis):
             if xi:
-                P, T = P + Pi.scale(xi), T + Ti.scale(xi)
-        return P, Matrix(field, T.data[n:], m), [T.column(u)[:n] for u in range(m)]
+                for k, v in entries:
+                    acc[k] += xi * v
+        return ([acc[j * n:(j + 1) * n] for j in range(n)],
+                [acc[n * n + u * w:n * n + (u + 1) * w] for u in range(w - n)], Dx * self.scale)
 
-    return terms
+    def __call__(self, x) -> tuple:
+        field, n = self.field, self.n
+        P, T, scale = self.lifted(x)
+        down = descend(field, scale)
+        P, T = [down(c) for c in P], [down(c) for c in T]
+        return (Matrix.from_columns(field, P, n),
+                Matrix.from_columns(field, [c[n:] for c in T], len(T)), [c[:n] for c in T])
 
-
-def _coboundaries(data: ReynoldsData, terms):
-    """x -> d_K x = KS - PK, on the element maps (`_element_terms`) of the bundle."""
-    K = data.operator
-
-    def coboundary(x) -> Matrix:
-        P, S, _ = terms(x)
-        return K * S - P * K
-
-    return coboundary
+    def coboundary(self, x) -> tuple:
+        """d_K x = KS - PK on the ints: (its columns, their scale D_K s)."""
+        P, T, scale = self.lifted(x)
+        n, K = self.n, self.K
+        return ([[sum(Kv[r] * b for Kv, b in zip(K, col[n:]) if b)
+                  - sum(Pj[r] * a for Pj, a in zip(P, Ku) if a) for r in range(n)]
+                 for Ku, col in zip(K, T)], self.DK * scale)
 
 
 def _element(g, x) -> tuple:
@@ -113,12 +127,17 @@ T = -1  # the variable index of t; it sorts before the search's variables x_0, x
 
 
 def _in_t(matrices) -> Matrix:
-    """The matrix M_0 + M_1 t + M_2 t^2 + ... with entries polynomial in t."""
+    """The matrix M_0 + M_1 t + M_2 t^2 + ... with entries polynomial in t, entry by entry."""
     field = matrices[0].field
-    total = matrices[0]
-    for i, M in enumerate(matrices[1:], 1):
-        total = total + M.scale(Poly({(T,) * i: field.one}))
-    return total
+    powers = [Poly({(T,) * i: field.one}) for i in range(1, len(matrices))]
+
+    def entry(x, *rest):
+        for t, y in zip(powers, rest):
+            x = x + (t * y if y else y)
+        return x
+
+    return _matrix(field, tuple(tuple(map(entry, *rows))
+                                for rows in zip(*(M.data for M in matrices))), matrices[0].cols)
 
 
 def _coefficient(x, k: int, zero):
@@ -153,7 +172,9 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
 
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
-    return _coboundaries(data, _element_terms(data))(_element(data.algebra, x))
+    columns, scale = _ElementTerms(data).coboundary(_element(data.algebra, x))
+    return Matrix.from_columns(data.field, list(map(descend(data.field, scale), columns)),
+                               data.algebra.dim)
 
 
 def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
@@ -243,7 +264,7 @@ def _element_morphism(check, P: Matrix, S: Matrix, operators=(None, None)) -> di
     conditions that do not involve them.  Every condition is a polynomial
     of degree at most 2 in t that vanishes at t = 0; its t^k coefficient
     is reported at ``(Order(k), *where)``.  P and S are the t-terms of the
-    element (`_element_terms`).
+    element (`_ElementTerms`).
     """
     field = P.field
     report = check(*operators, _in_t((Matrix.identity(field, P.rows), P)),
@@ -260,7 +281,7 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
     first to the second?  One sub-verdict per part of `check_rcw_morphism`.
     """
-    P, S, _ = _element_terms(data)(_element(data.algebra, x))
+    P, S, _ = _ElementTerms(data)(_element(data.algebra, x))
     K = data.operator
     operators = (_in_t((K, _direction(data, K1))), _in_t((K, _direction(data, K1p))))
     return _combine(_element_morphism(_same_bundle(data), P, S, operators))
@@ -275,11 +296,11 @@ def nijenhuis_element_checker(data: ReynoldsData):
     maps and the morphism checker are prepared here; a check combines the
     maps at x and lifts phi_t and psi_t once.
     """
-    return _element_checker(data, _element_terms(data))
+    return _element_checker(data, _ElementTerms(data))
 
 
 def _element_checker(data: ReynoldsData, terms):
-    """`nijenhuis_element_checker` on the element maps (`_element_terms`)."""
+    """`nijenhuis_element_checker` on the element maps (`_ElementTerms`)."""
     g, morphism = data.algebra, _same_bundle(data)
 
     def check(x) -> Report:
@@ -346,11 +367,10 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     report, d1 = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, p, 1)
     cols = cochain_space_dim(data.rep.dim_v, data.algebra.dim, 1)
     cocycle_count = p ** report.dim_z
-    terms = _element_terms(data)  # for the search and d_K
+    terms = _ElementTerms(data)  # for the search and d_K
     nij = _elements({"data": data, "terms": terms})
-    coboundary = _coboundaries(data, terms)
-    image = {tuple(c.value for v in Cochain.from_matrix(coboundary(x)).values for c in v)
-             for x in nij}
+    # over F_p every scale is 1
+    image = {tuple(c % p for column in terms.coboundary(x)[0] for c in column) for x in nij}
     # the image vectors as the columns of one sparse matrix, all killed by d1 or not
     columns = [{i: vec[j] for i, vec in enumerate(image) if vec[j]} for j in range(cols)]
     closed = not any(sparse_mul(d1, columns, p))

@@ -18,7 +18,9 @@ p(gr(u).gr(v)).  The induced product u ._K v (the star product, for a
 scalar weight), the graph closure of `check_graph_subalgebra`, Lbar,
 Rbar, the NS-pre-Lie tables and the maps of `deformation` are read off
 the same frame: one per operator, on the integer lift, from
-`operator_frames`, each reading mapped back by its own degree.  A
+`operator_frames`, each reading mapped back by its own degree.  Where
+H is checked too, dH is read off the same lifted rows as the frames
+(`_require_cocycle`, `cochain.cocycle_report`).  A
 morphism of operators is read off the two twisted semidirect products
 the same way, lifted once per pair of fixed triples (`morphism_checker`).
 
@@ -38,18 +40,24 @@ from .algebra import (
     PreLieAlgebra,
     Report,
     Representation,
-    action_arrays,
     check_derivation,
     check_morphism,
     lifted_report,
     morphism_defects,
-    nonzero_rows,
     regular_representation,
     residual_report,
+    semidirect_rows,
     semidirect_tensor as raw_semidirect_tensor,
     _combine,
 )
-from .cochain import Cochain, _check_map_to_module, check_two_cocycle, coboundary
+from .cochain import (
+    Cochain,
+    _check_map_to_module,
+    _semidirect_arrays,
+    coboundary,
+    cocycle_report,
+    twisted_rows,
+)
 from .errors import (
     DimensionMismatchError,
     InvariantError,
@@ -72,10 +80,13 @@ def _check_operator_shape(g: PreLieAlgebra, rep: Representation, K: Matrix):
             f"operator is {K.rows}x{K.cols}, expected {g.dim}x{rep.dim_v}")
 
 
-def _require_cocycle(g: PreLieAlgebra, rep: Representation, H: Cochain):
+def _require_cocycle(g: PreLieAlgebra, rep: Representation, H: Cochain) -> tuple:
+    """`cochain.twisted_rows`, once H is verified on it to be a 2-cocycle."""
     _check_map_to_module("weight", g, rep, H, 2)
-    if not check_two_cocycle(g, rep, H).ok:
+    twisted = twisted_rows(g, rep, H)
+    if not cocycle_report(g, twisted).ok:
         raise UnverifiedCocycleError("the weight H is not a 2-cocycle")
+    return twisted
 
 
 def derived_tensor(K: Matrix, mul) -> tuple:
@@ -86,13 +97,6 @@ def derived_tensor(K: Matrix, mul) -> tuple:
     cols = [K.column(i) for i in range(K.cols)]
     return tuple(tuple(mul(i, j, Ki, Kj) for j, Kj in enumerate(cols))
                  for i, Ki in enumerate(cols))
-
-
-def _semidirect_arrays(g: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
-    """What `algebra.semidirect_tensor` reads: the product, the rows of L and R, the H table."""
-    n = g.dim
-    return (*action_arrays(g, rep),
-            None if H is None else [[H.eval_basis((i, j)) for j in range(n)] for i in range(n)])
 
 
 def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
@@ -146,17 +150,20 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
     """One frame per operator on the integer lift, prepared once: K -> frame.
 
     g, the actions and H are lifted once (denominator D_g) and the rows
-    of their tensor prepared once for `graph_frame`; each K is lifted
-    alone (D_K).  A frame is (mul, graph, p) of `graph_frame` on
+    of their tensor prepared once (`cochain.twisted_rows`); each K is
+    lifted alone (D_K).  A frame is (mul, graph, p) of `graph_frame` on
     `scalars.INTEGERS` with ``one`` = D_K, the products gr(u).gr(v) and
     ``back(k, d=1)``, which maps a reading of degree k in K (d in g, rep
     and H) back to the field (over Q, divided by D_g^d D_K^k; `SIGNS.md`
     gives each k), `scalars.Poly` entries coefficient by coefficient.
     """
-    field = g.field
-    (c, L, R, h, Dg), _ = lift(field, (*_semidirect_arrays(g, rep, H), field.one))
-    planes = [[(j, row) for j, row in enumerate(plane) if row]
-              for plane in nonzero_rows(raw_semidirect_tensor(c, rep.dim_v, L, R, h))]
+    return _frames(g, rep, twisted_rows(g, rep, H))
+
+
+def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
+    """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`."""
+    field, (rows, Dg) = g.field, twisted
+    planes = [[(j, row) for j, row in enumerate(plane) if row] for plane in rows]
 
     def frame(K: Matrix):
         _check_operator_shape(g, rep, K)
@@ -189,11 +196,16 @@ def reynolds_checker(g: PreLieAlgebra, rep: Representation, H: Cochain):
     return lambda K: _reynolds_report(frames(K))
 
 
+def rcw_checker(g: PreLieAlgebra, rep: Representation, H: Cochain):
+    """`reynolds_checker` once H is verified, on the one preparation of both: K -> `Report`."""
+    frames = _frames(g, rep, _require_cocycle(g, rep, H))
+    return lambda K: _reynolds_report(frames(K))
+
+
 def check_rcw_reynolds(g: PreLieAlgebra, rep: Representation, H: Cochain,
                        K: Matrix) -> Report:
     """The cocycle-weighted Reynolds identity on all V-basis pairs."""
-    _require_cocycle(g, rep, H)
-    return reynolds_checker(g, rep, H)(K)
+    return rcw_checker(g, rep, H)(K)
 
 
 @dataclass(frozen=True)
@@ -334,8 +346,7 @@ def check_graph_subalgebra(g: PreLieAlgebra, rep: Representation, H: Cochain,
     tests).  Off the graph w itself is the residual.
     """
     _check_operator_shape(g, rep, K)
-    _require_cocycle(g, rep, H)
-    frame = operator_frames(g, rep, H)(K)
+    frame = _frames(g, rep, _require_cocycle(g, rep, H))(K)
     *_, products, back = frame
     return residual_report(((u, v), back(2)(products[u][v]))
                            for (u, v), _ in _reynolds_report(frame).violations)
@@ -476,8 +487,7 @@ def morphism_checker(source: tuple, target: tuple):
     field, n, m, n2, m2 = g.field, g.dim, rep.dim_v, g2.dim, rep2.dim_v
     (c, L, R, h, c2, L2, R2, h2, Dg), _ = lift(
         field, (*_semidirect_arrays(g, rep, H), *_semidirect_arrays(g2, rep2, H2), field.one))
-    rows = nonzero_rows(raw_semidirect_tensor(c, m, L, R, h))
-    rows2 = nonzero_rows(raw_semidirect_tensor(c2, m2, L2, R2, h2))
+    rows, rows2 = semidirect_rows(c, m, L, R, h), semidirect_rows(c2, m2, L2, R2, h2)
     grid = [(i, j) for i in range(n) for j in range(n)]
     acting = [(i, u) for i in range(n) for u in range(m)]
     pairs = grid + [(i, n + u) for i, u in acting] + [(n + u, i) for i, u in acting]

@@ -34,8 +34,9 @@ The predicate registry maps an id to a function of the bundle sections
 returning the checker (candidate -> `Report`), so new checkers become
 searchable without touching the enumeration code.  A registry entry
 runs once per search and does there all the work on the fixed bundle
-data: the rcw-reynolds entry checks that H is a 2-cocycle, and it and
-the weighted-reynolds and d-reynolds entries (on the regular
+data: the rcw-reynolds entry returns `reynolds.rcw_checker`, which
+checks that H is a 2-cocycle on the frames' own preparation, and the
+weighted-reynolds and d-reynolds entries (on the regular
 representation) return `reynolds.reynolds_checker`; the nijenhuis entry
 returns `nsprelie.nijenhuis_checker`.  The generic candidate and each
 solution then cost one lift of the candidate and one integer
@@ -49,14 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from heapq import heapify, heappop, heappush
 
-from .deformation import _element_checker, _element_terms
+from .deformation import _ElementTerms, _element_checker
 from .errors import BudgetExceededError, InvariantError, ShapeError
 from .linalg import Matrix, _matrix
 from .nsprelie import nijenhuis_checker
 from .reynolds import (
-    _require_cocycle,
     _require_square,
     d_reynolds_pair,
+    rcw_checker,
     reynolds_checker,
     weighted_pair,
 )
@@ -125,10 +126,8 @@ def _candidate(spec: SearchSpec, values, field) -> Matrix:
 
 
 def _rcw_predicate(bundle):
-    """H is checked and the fixed data prepared here, once per search."""
-    g, rep, H = bundle["algebra"], bundle["rep"], bundle["cocycle"]
-    _require_cocycle(g, rep, H)
-    return reynolds_checker(g, rep, H)
+    """The fixed data are prepared, and H checked on them, here, once per search."""
+    return rcw_checker(bundle["algebra"], bundle["rep"], bundle["cocycle"])
 
 
 def _weighted_predicate(bundle):
@@ -148,7 +147,7 @@ def _d_reynolds_predicate(bundle):
 
 def _nijenhuis_element_predicate(bundle):
     data = bundle["data"]  # with the element maps, when `deformation._elements` has them
-    element = _element_checker(data, bundle.get("terms") or _element_terms(data))
+    element = _element_checker(data, bundle.get("terms") or _ElementTerms(data))
 
     def check(x):
         if x.cols != 1:

@@ -67,6 +67,19 @@ library ran before its integer engine: Gauss-Jordan on the dense field
 scalars, and sparse forward elimination on them.  `dense_kernel`,
 `dense_solve` and `dense_inverse` read their answers off `dense_rref`.
 
+`dense_semidirect_tensor` is the twisted semidirect product on g + V
+written out densely, as the library built it before it read the
+nonzero rows straight off the arrays (`algebra.semidirect_rows`).  On
+it, `full_representation_report` evaluates both representation
+identities at every (x, y, u), as the library did before it evaluated
+the antisymmetric left identity at x < y only, and
+`coboundary_check_two_cocycle` is `cochain.check_two_cocycle` as the
+library had it before it read dH off the pre-Lie defect of g + V: the
+coboundary dH, evaluated at every basis triple.  `untwisted_structure`
+and `cocycle_structure` build mu + L + R and the lift of H to W = g + V
+on the field scalars, the structures the derived brackets take; the
+library builds both on the ints (`brackets._combination`).
+
 `field_check_prelie`, `field_check_jacobi`, `field_check_representation`
 and `field_check_ns_prelie` are the axiom checkers as the library wrote
 them before it lifted the structure constants to integers: the same
@@ -135,11 +148,22 @@ from prelie.algebra import (
     Representation,
     _as_tensor,
     _combine,
+    lifted_report,
+    nonzero_rows,
+    prelie_defects,
     regular_representation,
     residual_report,
     tensor_mul,
 )
-from prelie.cochain import Cochain, _unshuffles, cochain_keys, cochain_space_dim
+from prelie.cochain import (
+    Cochain,
+    _check_map_to_module,
+    _semidirect_arrays,
+    _unshuffles,
+    coboundary,
+    cochain_keys,
+    cochain_space_dim,
+)
 from prelie.errors import BudgetExceededError, DimensionMismatchError, ShapeError
 from prelie.linalg import (
     Matrix,
@@ -873,6 +897,53 @@ def field_check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Repo
                            for pair in defects(i, j))
 
 
+def dense_semidirect_tensor(product, dim_v, L, R, H=None) -> list:
+    """The n+m cube of `algebra.semidirect_rows`, every entry written out."""
+    n, m = len(product), dim_v
+    dim = n + m
+    tensor = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            tensor[i][j][:n] = product[i][j]
+            if H is not None:
+                tensor[i][j][n:] = H[i][j]
+        for u in range(m):
+            for k in range(m):
+                tensor[i][n + u][n + k] = L[i][k][u]
+                tensor[n + u][i][n + k] = R[i][k][u]
+    return tensor
+
+
+def full_representation_report(c, dim_v: int, L, R, back) -> Report:
+    """`algebra.representation_report` with the left identity at every (x, y, u)."""
+    n = len(c)
+    where = [(name, i, j, u) for i in range(n) for j in range(n) for u in range(dim_v)
+             for name in ("left", "mixed")]
+    triples = [(i, j, n + u) if name == "left" else (i, n + u, j) for name, i, j, u in where]
+    defects = prelie_defects(nonzero_rows(dense_semidirect_tensor(c, dim_v, L, R)), triples, n)
+    return lifted_report(zip(where, defects), lambda r: back([-x for x in r]))
+
+
+def coboundary_check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Report:
+    """`cochain.check_two_cocycle` on the coboundary: dH at every basis triple."""
+    _check_map_to_module("H", a, rep, H, 2)
+    dH = coboundary(a, rep, H)
+    n = a.dim
+    return residual_report(((x, y, z), dH.eval_basis((x, y, z)))
+                           for x in range(n) for y in range(n) for z in range(n))
+
+
+def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
+    """mu + L + R as a degree-2 cochain on W (the H = 0 semidirect product)."""
+    product, L, R, _ = _semidirect_arrays(g, rep, None)
+    return brackets.tensor_cochain(g.field, dense_semidirect_tensor(product, rep.dim_v, L, R))
+
+
+def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Cochain:
+    """The lift of H to a degree-2 cochain on W: ((x,u),(y,v)) -> (0, H(x,y))."""
+    return brackets._cocycle_structure(g.field, rep.dim_v, _semidirect_arrays(g, rep, H)[3])
+
+
 def field_check_ns_prelie(field, tri, trl, circ) -> Report:
     t_tri = _as_tensor(field, tri)
     t_trl = _as_tensor(field, trl)
@@ -1086,9 +1157,9 @@ def field_combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
     acc = None
     for coeff, idxs in terms:
         args = [cochains[i] for i in idxs]
-        c = full_space_derived_bracket(brackets.untwisted_structure(g, rep), *args) \
+        c = full_space_derived_bracket(untwisted_structure(g, rep), *args) \
             if len(args) == 2 else \
-            full_space_ternary_bracket(brackets.cocycle_structure(g, rep, H), *args)
+            full_space_ternary_bracket(cocycle_structure(g, rep, H), *args)
         c = c.scale(g.field(coeff))
         acc = c if acc is None else acc + c
     return acc

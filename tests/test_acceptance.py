@@ -23,7 +23,15 @@ from conftest import (
     unimodular,
     zero_representation,
 )
-from oracles import act_L, act_R, cochain_eval, dense_kernel, verify_polynomial_system
+from oracles import (
+    act_L,
+    act_R,
+    cochain_eval,
+    cocycle_structure,
+    dense_kernel,
+    untwisted_structure,
+    verify_polynomial_system,
+)
 from prelie.algebra import (
     PreLieAlgebra,
     check_derivation,
@@ -35,10 +43,8 @@ from prelie.brackets import (
     check_maurer_cartan,
     check_twisted_mc,
     d_K,
-    cocycle_structure,
     derived_bracket,
     ternary_bracket,
-    untwisted_structure,
 )
 from prelie.cochain import Cochain, coboundary, coboundary_matrix, cochain_keys
 from prelie.deformation import (

@@ -342,7 +342,7 @@ def test_cli_construct_gauge_and_shift():
 @pytest.mark.parametrize("what, checks", [("gauge", 1), ("shift", 1)])
 def test_cli_construct_gauge_and_shift_verify_the_input_once(monkeypatch, what, checks):
     # the input H only: the shifted weight H + dh is a cocycle since d(dh) = 0
-    calls = count_calls(monkeypatch, cochain, "check_two_cocycle")
+    calls = count_calls(monkeypatch, cochain, "cocycle_report")
     code, _, _ = run_cli("construct", what, str(CORPUS / "g3-gauge-shift.json"))
     assert code == 0
     assert len(calls) == checks
@@ -423,15 +423,15 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
     # build), then in gauge_transform one preparation of (g, rep, H) and one
     # frame per operator, K for its table and K_B for its identity and table
     (("construct", "gauge"), "g3-gauge-shift.json",
-     {"operator_frames": 2, "graph_frame": 3, "check_morphism": 1}),
+     {"_frames": 2, "graph_frame": 3, "check_morphism": 1}),
     (("construct", "ns-from-nijenhuis"), "nijenhuis3.json",
      {"nijenhuis_checker": 1, "derived_tensor": 3}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"induced_product": 0}),
     (("construct", "induced"), "g3-k-rowzero.json", {"check_morphism": 0}),
     # one frame for K's identity and the star table, one for K on the star product
     (("construct", "star"), "weighted-star.json", {"check_morphism": 0, "graph_frame": 2}),
-    (("check", "mc"), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
-    (("mc-check",), "g3-k-rowzero.json", {"check_two_cocycle": 1}),
+    (("check", "mc"), "g3-k-rowzero.json", {"cocycle_report": 1}),
+    (("mc-check",), "g3-k-rowzero.json", {"cocycle_report": 1}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json",
      {"graph_frame": 2, "derived_tensor": 0}),
     # the algebra's product once in `PreLieAlgebra` (its `check_prelie` reads
@@ -441,8 +441,8 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
         "mc-check", "ns-from-reynolds-tables", "ns-from-reynolds-coercions"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
     modules = {"derived_tensor": reynolds, "graph_frame": reynolds, "check_morphism": algebra,
-               "induced_product": reynolds, "check_two_cocycle": cochain,
-               "operator_frames": reynolds, "nijenhuis_checker": nsprelie,
+               "induced_product": reynolds, "cocycle_report": cochain,
+               "_frames": reynolds, "nijenhuis_checker": nsprelie,
                "_as_tensor": algebra}
     calls = {fn: count_calls(monkeypatch, modules[fn], fn) for fn in counts}
     code, _, _ = run_cli(*argv, str(CORPUS / name))

@@ -387,8 +387,7 @@ def test_rigidity_probe_criterion_holds_on_the_unital_line(p):
 def test_rigidity_probe_checks_that_the_image_is_closed(monkeypatch):
     # the counts still match, but the one coboundary is not killed by d1
     F2 = PrimeField(2)
-    monkeypatch.setattr(deformation, "_coboundaries",
-                        lambda data, terms: lambda x: Matrix.identity(F2, 1))
+    monkeypatch.setattr(deformation._ElementTerms, "coboundary", lambda terms, x: ([[1]], 1))
     report = rigidity_probe(_unital_line(F2))
     assert (report.cocycle_count, report.image_count, report.criterion_holds) == (1, 1, False)
 

@@ -512,7 +512,7 @@ def test_shift_isomorphism_checks_one_cocycle(monkeypatch, g3_bundle):
     # the input H only: H + dh is a 2-cocycle since d(dh) = 0, and the second
     # product is re-verified as a pre-Lie algebra
     a, rep, H = g3_bundle
-    cocycles = count_calls(monkeypatch, cochain, "check_two_cocycle")
+    cocycles = count_calls(monkeypatch, cochain, "cocycle_report")
     prelie = count_calls(monkeypatch, algebra, "check_prelie")
     h = Cochain.from_entries(QQ, 1, 3, 3, {((), 2): (0, 0, 1)})
     shift_isomorphism(a, rep, H, h)

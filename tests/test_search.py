@@ -339,22 +339,24 @@ PREPARED = ["rcw-reynolds", "weighted-reynolds", "d-reynolds", "nijenhuis"]
 @pytest.mark.parametrize("predicate", PREPARED)
 def test_search_prepares_the_fixed_data_once(monkeypatch, predicate):
     # the fixed data are lifted, and their tensor rows built, once per
-    # search; each candidate the checker sees costs one lift of its own
+    # search (the twisted semidirect rows, or the algebra's for nijenhuis);
+    # each candidate the checker sees costs one lift of its own
     F2 = PrimeField(2)
     sections = _f2_sections(predicate)
     checks = count_checks(monkeypatch, predicate)
     lifts = count_calls(monkeypatch, scalars, "lift")
     rows = count_calls(monkeypatch, algebra, "nonzero_rows")
+    twisted = count_calls(monkeypatch, algebra, "semidirect_rows")
     arrays = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
     per_search = set()
     for fixed in ({}, {(0, 0): F2(0)}, {(2, 2): F2(1), (0, 0): F2(0)}):
-        for calls in (checks, lifts, rows, arrays):
+        for calls in (checks, lifts, rows, twisted, arrays):
             calls.clear()
         spec = SearchSpec(predicate, sections, (3, 3), tuple(F2.elements()), fixed=fixed)
         result = exhaustive_search(spec, F2)
         assert len(checks) == 1 + result.count_solutions
         assert sum(any(args[1][0] is K.data for K in checks) for args in lifts) == len(checks)
-        assert len(rows) == 1
+        assert (len(rows), len(twisted)) == ((1, 0) if predicate == "nijenhuis" else (0, 1))
         assert len(arrays) == (predicate != "nijenhuis")
         per_search.add((len(lifts) - len(checks), result.count_solutions))
     # the lifts beside the candidates' do not grow with the solutions
@@ -390,7 +392,7 @@ def test_a_checker_that_rejects_a_solution_is_an_invariant_error(monkeypatch, pr
 def test_rcw_search_checks_the_cocycle_once(monkeypatch):
     import prelie.cochain as cochain_module
 
-    checks = count_calls(monkeypatch, cochain_module, "check_two_cocycle")
+    checks = count_calls(monkeypatch, cochain_module, "cocycle_report")
     F2, bundle = f2_g3_bundle()
     spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()),
                       fixed={(0, 0): F2(0)})
