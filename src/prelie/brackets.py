@@ -32,24 +32,19 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
       [[P, Q, R]]   = -          [[[H, P^], Q^], R^]
 
   restricted back to V-inputs.  Both brackets take that structure as
-  their first argument, in the field or lifted to ints, and share one
-  fold (`_derived`).  The ternary sign is pinned by the anchor identity
+  their first argument and share one fold (`_derived`) and one sign
+  rule (`_bracket`).  The ternary sign is pinned by the anchor identity
   [[K,K,K]](u,v) = 6 K H(Ku, Kv).
 
 * `_derived` evaluates the nested bracket on demand, never on all of
-  C(W, W).  Level 0 is the structure's basis values; level j is
-  [N, P_j^] with N the level below, held as a memo of sparse values at
-  canonical basis keys of W.  The top level is asked only for V-basis
-  keys; a key of level j is two `_compose` calls, N <> P^ with floors
-  (0, dim g) minus (-1)^{pq} P^ <> N with floors (dim g, 0), so it asks
-  level j-1 only for the keys they hit, and a term is skipped as soon as
-  a lifted cochain would get a g-argument.  Since P^ lands in g, N <> P^
-  reads N at one more g-index, and P^ <> N reads only the V-coordinates
-  of N.  The restriction keeps the g-coordinates of the top level; its
-  V-coordinates vanish for these structures, and `_derived` raises
-  `InvariantError` ("V-part of the restricted derived bracket") when one
-  does not.  Values are combined with +, - and * only, so the route runs
-  on field scalars, on ints and on `Poly` entries alike.
+  C(W, W): level j is [N, P_j^], N the level below, a memo of sparse
+  values at basis keys of W filled only at the keys the level above
+  reads, by two `_compose` calls per key whose floors drop every term
+  that would feed a lifted cochain a g-argument (`SIGNS.md`).  The
+  restriction keeps the g-coordinates of the top level at V-basis keys;
+  a nonzero V-coordinate raises `InvariantError`.  Values are combined
+  with +, - and * only, so the route runs on field scalars, on ints and
+  on `Poly` entries alike.
 
 * The Maurer-Cartan functional is MC(K) = 1/2 [[K,K]] - 1/6 [[K,K,K]];
   its vanishing is equivalent to the Reynolds identity.  The induced
@@ -57,18 +52,16 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   d_K f = (-1)^{n-1} (the operator-cohomology differential) for f of
   degree n.
 
-* These three combinations are evaluated on the integer lift of the
-  data, over every field: one `scalars.lift` turns the arrays of g, the
-  actions, H and the cochains into ints scaled by one common D (over Q)
-  or residues (over F_p), and `_combination` builds the two structures
-  on W from them once, as `Cochain`s over `scalars.INTEGERS`.  The brackets run
-  unchanged on the ints; each bracket term is divided exactly by the
-  denominator of its coefficient (2 or 6), which works because the
-  bracket values are themselves even (resp. divisible by 6) integer
-  polynomials of the input entries, and a term that is not divisible
-  raises `InvariantError`.  Each term is then mapped back to the field (divided
-  by D^3 for a binary bracket, D^4 for a ternary one, or reduced mod p),
-  so no division by 2 or 6 is ever taken in F_2 or F_3.
+* These three combinations are evaluated on the integer lift, over
+  every field: both structures are read off the lifted rows of g + V
+  twisted by H (`cochain.twisted_rows`, denominator D_g), and the
+  cochains are lifted together (D_c; residues over F_p).  Each bracket
+  term is divided exactly by the denominator of its coefficient (2 or
+  6), which works because the bracket values are themselves even (resp.
+  divisible by 6) integer polynomials of the input entries; a remainder
+  raises `InvariantError`.  A term is mapped back by D_g D_c^2 (binary)
+  or D_g D_c^3 (ternary), or reduced mod p, so no division by 2 or 6 is
+  ever taken in F_2 or F_3.
 
 * d_K is linear in f, so it is evaluated once, on the generic cochain
   whose coordinates are the variables x_c, not once per basis cochain.
@@ -85,26 +78,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .algebra import (
-    PreLieAlgebra,
-    Report,
-    Representation,
-    residual_report,
-    semidirect_tensor as raw_semidirect_tensor,
-)
+from .algebra import PreLieAlgebra, Report, Representation, residual_report
 from .cochain import (
     Cochain,
-    _semidirect_arrays,
     _sort_with_sign,
     _unshuffles,
     cochain_keys,
     cochain_space_dim,
+    twisted_rows,
 )
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix
-from .reynolds import ReynoldsData, _require_cocycle
-from .opcohomology import operator_coboundary
-from .scalars import INTEGERS, Poly, lift
+from .reynolds import ReynoldsData, _frames, _require_cocycle
+from .opcohomology import _frame_coboundary
+from .scalars import INTEGERS, Poly, descend, lift
 
 
 def diamond(P: Cochain, Q: Cochain) -> Cochain:
@@ -137,13 +124,6 @@ def mn_bracket(P: Cochain, Q: Cochain) -> Cochain:
     return diamond(P, Q) - second
 
 
-def tensor_cochain(field, tensor) -> Cochain:
-    """A raw cubical tensor as a degree-2 cochain (no axioms assumed)."""
-    dim = len(tensor)
-    values = [tensor[fb[0]][last] for fb, last in cochain_keys(dim, 2)]
-    return Cochain(field, 2, dim, dim, values)
-
-
 def _cochain_report(c: Cochain) -> Report:
     """The report of the nonzero values of c, each at its canonical key."""
     return residual_report((fb + (last,), v) for (fb, last), v in zip(c.keys(), c.values))
@@ -151,13 +131,6 @@ def _cochain_report(c: Cochain) -> Report:
 
 # ---------------------------------------------------------------------------
 # the big space W = g + V and the derived brackets, evaluated on demand
-
-
-def _cocycle_structure(field, m: int, table) -> Cochain:
-    """The lift of H to W, ((x,u),(y,v)) -> (0, H(x,y)), from the n*n table of H(e_i, e_j)."""
-    n, zero = len(table), [[0] * m] * m
-    return tensor_cochain(field, raw_semidirect_tensor(
-        [[[0] * n] * n] * n, m, [zero] * n, [zero] * n, table))
 
 
 def _sparse_table(c: Cochain, shift: int) -> dict:
@@ -222,23 +195,24 @@ def _compose(acc: dict, sign: int, outer, inner, a: int, b: int, fb: tuple, last
                     _add(acc, ov, c, flip * s * s1 * s2)
 
 
-def _derived(structure: Cochain, cochains) -> Cochain:
+def _derived(structure: dict, dim: int, cochains) -> Cochain:
     """[[...[structure, P_1^], ...], P_k^] restricted to operator cochains.
 
-    The operator cochains must share one shape V -> g, and ``structure``
-    must live on W = g + V.  Level j = [N_{j-1}, P_j^] is a memo of
-    sparse values at canonical basis keys of W, filled only at the keys
-    the level above reads (see the module docstring).  The result holds
-    the g-coordinates of the top level at V-basis keys; a nonzero
-    V-coordinate there raises `InvariantError`.
+    The operator cochains must share one shape V -> g; ``structure`` is
+    the sparse table of a degree-2 cochain on a space of dimension
+    ``dim``, which must be W = g + V.  Level j = [N_{j-1}, P_j^] is a
+    memo of sparse values at canonical basis keys of W, filled only at
+    the keys the level above reads (see the module docstring).  The
+    result holds the g-coordinates of the top level at V-basis keys; a
+    nonzero V-coordinate there raises `InvariantError`.
     """
     dim_g, dim_v = cochains[0].dim_target, cochains[0].dim_source
     if any((P.dim_target, P.dim_source) != (dim_g, dim_v) for P in cochains):
         raise ShapeError("operator cochains have different shapes")
-    if structure.dim_source != dim_g + dim_v:
+    if dim != dim_g + dim_v:
         raise ShapeError("structure does not live on g + V")
     n = dim_g
-    levels = [_sparse_table(structure, 0)]
+    levels = [dict(structure)]
     arity = [2]
     for P in cochains:
         levels.append({})
@@ -251,7 +225,7 @@ def _derived(structure: Cochain, cochains) -> Cochain:
             return 1, ()
         key, memo = (norm[1], idxs[-1]), levels[j]
         if key not in memo:
-            memo[key] = level(j, *key)
+            memo[key] = level(j, *key) if j else ()
         return norm[0], memo[key]
 
     def level(j, fb, last):
@@ -266,10 +240,10 @@ def _derived(structure: Cochain, cochains) -> Cochain:
 
     tables = [_sparse_table(P, n) for P in cochains]
     top, degree = len(cochains), arity[-1]
-    zero = structure.field.zero
+    field = cochains[0].field
     values = []
     for fb, last in cochain_keys(dim_v, degree):
-        out = [zero] * dim_g
+        out = [field.zero] * dim_g
         for t, x in value(top, (*(i + n for i in fb), last + n))[1]:
             if t >= n:
                 raise InvariantError(
@@ -277,7 +251,13 @@ def _derived(structure: Cochain, cochains) -> Cochain:
                     f"{fb + (last,)}")
             out[t] = x
         values.append(out)
-    return Cochain(structure.field, degree, dim_v, dim_g, values)
+    return Cochain(field, degree, dim_v, dim_g, values)
+
+
+def _bracket(structure: dict, dim: int, cochains) -> Cochain:
+    """`_derived` of two (`derived_bracket`) or three (`ternary_bracket`) cochains, signed."""
+    out = _derived(structure, dim, cochains)
+    return -out if len(cochains) == 3 or (cochains[0].degree - 1) % 2 else out
 
 
 def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
@@ -289,17 +269,16 @@ def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
         [[K, K']](u, v) = Ku.K'v + K'u.Kv - K(L_{K'u}v + R_{K'v}u)
                                           - K'(L_{Ku}v + R_{Kv}u).
     """
-    out = _derived(mu, (P, Q))
-    return -out if (P.degree - 1) % 2 == 1 else out
+    return _bracket(_sparse_table(mu, 0), mu.dim_source, (P, Q))
 
 
 def ternary_bracket(hw: Cochain, P: Cochain, Q: Cochain, R: Cochain) -> Cochain:
     """[[P, Q, R]] = -[[[hw, P], Q], R] restricted to operator cochains.
 
-    ``hw`` is the lift of H to W (`_cocycle_structure`).  Fully symmetric
-    in degree-1 arguments; the sign makes [[K, K, K]](u, v) = 6 K H(Ku, Kv).
+    ``hw`` is the lift of H to W.  Fully symmetric in degree-1
+    arguments; the sign makes [[K, K, K]](u, v) = 6 K H(Ku, Kv).
     """
-    return -_derived(hw, (P, Q, R))
+    return _bracket(_sparse_table(hw, 0), hw.dim_source, (P, Q, R))
 
 
 # ---------------------------------------------------------------------------
@@ -316,57 +295,71 @@ def _divide_exactly(x, b: int):
     return q
 
 
-def _combination(g: PreLieAlgebra, rep: Representation, H: Cochain,
-                 cochains: list, terms: list) -> Cochain:
+def _structure_tables(rows, n: int) -> dict:
+    """{2: mu + L + R, 3: the lift of H} as sparse tables, off the rows of g + V twisted
+    by H (n = dim g): the lift of H is the V-coordinates at g x g keys, mu + L + R the rest."""
+    tables = {2: {}, 3: {}}
+    for a, plane in enumerate(rows):
+        for b, row in enumerate(plane):
+            for k, x in row:
+                tables[3 if a < n and b < n <= k else 2].setdefault(((a,), b), []).append((k, x))
+    return tables
+
+
+def _combination(g: PreLieAlgebra, twisted: tuple, cochains: list, terms: list) -> Cochain:
     """The sum of coefficient * bracket over ``terms``, evaluated exactly.
 
     Each term is (Fraction coefficient, indices into ``cochains``): two
-    indices name a binary bracket, three a ternary one.  The two
-    structures on W are built once from one `scalars.lift` of the
-    cochains and the arrays of g, the actions and H; each bracket runs
-    on the ints, is divided exactly by the denominator of its coefficient and mapped back with
-    ``down`` (a binary bracket is homogeneous of degree 3 in the lifted
-    scalars, a ternary one of degree 4), and the terms are summed in the
-    field.
+    indices name a binary bracket, three a ternary one.  Each runs on the
+    rows of ``twisted`` (`cochain.twisted_rows`, D_g) and the cochains
+    lifted together (D_c), is divided exactly by its coefficient's
+    denominator and mapped back by D_g D_c^2 or D_g D_c^3 (module docstring).
     """
-    field, m = g.field, rep.dim_v
-    ((product, L, R, table), *lifted), down = lift(
-        field, (_semidirect_arrays(g, rep, H), *(c.values for c in cochains)))
-    mu = tensor_cochain(INTEGERS, raw_semidirect_tensor(product, m, L, R))
-    hw = _cocycle_structure(INTEGERS, m, table)
+    field, (rows, Dg) = g.field, twisted
+    structures = _structure_tables(rows, g.dim)
+    (*lifted, Dc), _ = lift(field, (*(c.values for c in cochains), field.one))
     cochains = [Cochain(INTEGERS, c.degree, c.dim_source, c.dim_target, v)
                 for c, v in zip(cochains, lifted)]
     acc = None
     for coeff, idxs in terms:
         args = [cochains[i] for i in idxs]
-        c = derived_bracket(mu, *args) if len(args) == 2 else ternary_bracket(hw, *args)
+        c = _bracket(structures[len(args)], len(rows), args)
         a, b = coeff.numerator, coeff.denominator
+        down = descend(field, Dg * Dc ** len(args))
         term = Cochain(field, c.degree, c.dim_source, c.dim_target,
-                       [down([_divide_exactly(x, b) * a for x in v], len(args) + 1)
-                        for v in c.values])
+                       [down([_divide_exactly(x, b) * a for x in v]) for v in c.values])
         acc = term if acc is None else acc + term
     return acc
+
+
+_MC = [(Fraction(1, 2), (0, 0)), (Fraction(-1, 6), (0, 0, 0))]
 
 
 def mc_residual(g: PreLieAlgebra, rep: Representation, H: Cochain,
                 K: Matrix) -> Cochain:
     """The Maurer-Cartan functional 1/2 [[K,K]] - 1/6 [[K,K,K]] at K."""
-    return _combination(g, rep, H, [Cochain.from_matrix(K)],
-                        [(Fraction(1, 2), (0, 0)), (Fraction(-1, 6), (0, 0, 0))])
+    return _combination(g, twisted_rows(g, rep, H), [Cochain.from_matrix(K)], _MC)
 
 
 def check_maurer_cartan(g: PreLieAlgebra, rep: Representation, H: Cochain,
                         K: Matrix) -> Report:
     """Does K satisfy the Maurer-Cartan equation of the graded structure?
 
-    H must be a 2-cocycle, since the graded structure needs dH = 0.
+    H must be a 2-cocycle, since the graded structure needs dH = 0; MC
+    reads the preparation that verified it.
     Agrees with `check_rcw_reynolds` on every input; the agreement is the
     executable form of the characterization theorem.
     """
-    _require_cocycle(g, rep, H)
+    twisted = _require_cocycle(g, rep, H)
     if K.rows != g.dim or K.cols != rep.dim_v:
         raise ShapeError("operator has the wrong shape")
-    return _cochain_report(mc_residual(g, rep, H, K))
+    return _cochain_report(_combination(g, twisted, [Cochain.from_matrix(K)], _MC))
+
+
+def _d_K(data: ReynoldsData, twisted: tuple, f: Cochain) -> Cochain:
+    """`d_K` on the preparation of the bundle's (g, rep, H)."""
+    return _combination(data.algebra, twisted, [Cochain.from_matrix(data.operator), f],
+                        [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1))])
 
 
 def d_K(data: ReynoldsData, f: Cochain) -> Cochain:
@@ -375,12 +368,10 @@ def d_K(data: ReynoldsData, f: Cochain) -> Cochain:
     Squares to zero and equals (-1)^{n-1} times the operator-cohomology
     differential on degree-n cochains.
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    g, rep = data.algebra, data.rep
     if f.dim_source != rep.dim_v or f.dim_target != g.dim:
         raise ShapeError("cochain must map the module to the algebra")
-    # cochains: 0 = K, 1 = f
-    return _combination(g, rep, H, [Cochain.from_matrix(K), f],
-                        [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1))])
+    return _d_K(data, twisted_rows(g, rep, data.cocycle), f)
 
 
 def dk_difference(data: ReynoldsData, degree: int) -> Cochain:
@@ -389,7 +380,7 @@ def dk_difference(data: ReynoldsData, degree: int) -> Cochain:
     Both sides are linear in f, so each output coordinate is a linear
     `Poly` whose coefficient on x_c is column c of the difference of the
     two differentials; the identity holds exactly when every coordinate
-    is zero.
+    is zero.  Both sides read one preparation of (g, rep, H).
     """
     g, rep = data.algebra, data.rep
     # the coordinate (key p, target t) of f is the variable x_c, c = p * m + t,
@@ -398,8 +389,9 @@ def dk_difference(data: ReynoldsData, degree: int) -> Cochain:
     n_keys = cochain_space_dim(rep.dim_v, 1, degree)  # rejects degree < 1
     f = Cochain(g.field, degree, rep.dim_v, m,
                 [[Poly({(p * m + t,): one}) for t in range(m)] for p in range(n_keys)])
-    d = operator_coboundary(data, f)
-    return d_K(data, f) - (d if degree % 2 else -d)
+    twisted = twisted_rows(g, rep, data.cocycle)
+    d = _frame_coboundary(m, _frames(g, rep, twisted)(data.operator), f)
+    return _d_K(data, twisted, f) - (d if degree % 2 else -d)
 
 
 def twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
@@ -413,7 +405,7 @@ def twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
         raise ShapeError("operator has the wrong shape")
     # cochains: 0 = K, 1 = K'
     return _combination(
-        g, rep, H, [Cochain.from_matrix(K), Cochain.from_matrix(K2)],
+        g, twisted_rows(g, rep, H), [Cochain.from_matrix(K), Cochain.from_matrix(K2)],
         [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1)),
          (Fraction(1, 2), (1, 1)), (Fraction(-1, 2), (0, 1, 1)),
          (Fraction(-1, 6), (1, 1, 1))])

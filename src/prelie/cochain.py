@@ -19,9 +19,11 @@ alike.  `integer_cohomology` checks d o d = 0 and takes the exact
 ranks on integer rows, from arrays lifted by one `scalars.lift`
 (`cohomology`) or read off an operator's frame (`opcohomology`).
 `coboundary` applies the integer rows to the coordinates of f, lifted
-with the arrays, and maps each value back; `coboundary_matrix` runs the
-kernel on the field arrays.  `check_two_cocycle` reads dH off the
-pre-Lie defect of g + V twisted by H (`cocycle_report`, `SIGNS.md`).
+with the arrays, and maps each value back (`_apply_coboundary`, shared
+with `opcohomology`); `coboundary_matrix` runs the kernel on the field
+arrays.  `check_two_cocycle` reads dH off the pre-Lie defect of g + V
+twisted by H (`cocycle_report`, `SIGNS.md`) on `twisted_rows`, the one
+lift of a fixed triple (a, rep, H).
 
 Everything here is graded in a single degree per slot, so the Koszul
 sign of a permutation reduces to its parity; a graded extension would
@@ -305,30 +307,24 @@ def _coboundary_rows(c, L, R, m: int, degree: int) -> list:
     return rows
 
 
-def coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
-    """The coboundary of f: a degree-(n+1) cochain into the same module.
+def _apply_coboundary(c, L, R, m: int, f: Cochain, values, back) -> Cochain:
+    """d f: the rows of `_coboundary_rows` on lifted `algebra.action_arrays` (module
+    dim m) applied to f's lifted ``values``, each value mapped to f's field by ``back``."""
+    coords = [x for v in values for x in v]
+    out = [sum((a * coords[j] for j, a in row.items() if coords[j]), 0)
+           for row in _coboundary_rows(c, L, R, m, f.degree)]
+    n, degree = len(c), f.degree + 1
+    return Cochain(f.field, degree, n, m,
+                   [back(out[p * m:(p + 1) * m]) for p in range(len(cochain_keys(n, degree)))])
 
-    The rows of `_coboundary_rows` applied to the coordinates of f, on
-    one `scalars.lift` of (a, rep) and f: each value has degree 2 in the
-    lifted scalars (a `Poly` coordinate, coefficient by coefficient).
-    """
+
+def coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
+    """The coboundary of f into the same module, on one `scalars.lift` of (a, rep)
+    and f: each value has degree 2 there (a `Poly` coordinate, coefficient-wise)."""
     if f.dim_source != a.dim or f.dim_target != rep.dim_v:
         raise ShapeError("cochain does not match the algebra and module")
     (c, L, R, values), down = lift(a.field, (*action_arrays(a, rep), f.values))
-    coords = [x for v in values for x in v]
-    out = []
-    for row in _coboundary_rows(c, L, R, rep.dim_v, f.degree):
-        s = 0
-        for j, c in row.items():
-            x = coords[j]
-            if x:
-                s = s + c * x
-        out.append(s)
-    m = rep.dim_v
-    degree = f.degree + 1
-    return Cochain(a.field, degree, a.dim, m,
-                   [down(out[p * m:(p + 1) * m], 2)
-                    for p in range(len(cochain_keys(a.dim, degree)))])
+    return _apply_coboundary(c, L, R, rep.dim_v, f, values, lambda r: down(r, 2))
 
 
 def _check_map_to_module(name: str, a: PreLieAlgebra, rep: Representation, c: Cochain,

@@ -21,15 +21,15 @@ once per bundle, at the basis of g (`_ElementTerms`).
 
 K + t K1 and K + t K1' are equivalent through x when (phi_t, psi_t) is a
 morphism of Reynolds operators from one to the other.  This is the one
-definition: the checker of `reynolds.morphism_checker`, prepared for the
-bundle's (g, rep, H) on both sides, is evaluated once on the polynomial
-matrices, and every condition, of degree at most 2 in t and zero at
-t = 0, is read off at orders t and t^2.  A Nijenhuis element is an x for
-which (phi_t, psi_t) satisfies the four morphism conditions that do not
-involve the operator, together with x . Rbar_u(x) = Rbar_u(x) . x; its
-checker prepares the element maps and the morphism checker once, so a
-candidate costs one lift of phi_t and psi_t.  d_K x = KS - PK is built
-only where it is read (`element_coboundary`, `rigidity_probe`).
+definition: `reynolds.morphism_checker` from the bundle's (g, rep, H)
+to itself is evaluated once on the polynomial matrices, and every
+condition, of degree at most 2 in t and zero at t = 0, is read off at
+orders t and t^2.  A Nijenhuis element is an x for which (phi_t, psi_t)
+satisfies the four morphism conditions that do not involve the
+operator, together with x . Rbar_u(x) = Rbar_u(x) . x.  The element
+maps, the morphism checker and Z^1 of `rigidity_probe` read one
+preparation of the bundle, so a candidate costs one lift of phi_t and
+psi_t; d_K x = KS - PK is built only where it is read.
 t is the variable of index -1, so the checkers also run on a generic x
 whose entries are the search's variables x_0, x_1, ...  Over a prime
 field the Nijenhuis elements are enumerated by `search.exhaustive_search`,
@@ -58,13 +58,16 @@ class _ElementTerms:
     linear in x, so they are read once, at the basis of g, off the
     operator's frame and kept as its ints, at the one scale D_g D_K^2.
     Each x is lifted and combined with them on the ints (`lifted`), and
-    mapped back once; a generic x never enters the frame.
+    mapped back once; a generic x never enters the frame.  The frame and
+    the morphism checker of the bundle to itself read the same preparation.
     """
 
     def __init__(self, data: ReynoldsData):
         g, rep, n = data.algebra, data.rep, data.algebra.dim
         twisted = twisted_rows(g, rep, data.cocycle)
-        mul, graph, p, *_ = _frames(g, rep, twisted)(data.operator)
+        self.frame = _frames(g, rep, twisted)(data.operator)
+        self.morphism = morphism_checker((g, twisted), (g, twisted))
+        mul, graph, p, *_ = self.frame
         DK = self.DK = graph[0][n] if graph else 1
         self.field, self.n, self.K = g.field, n, [gr[:n] for gr in graph]  # K: D_K K e_u
         self.scale = twisted[1] * DK * DK
@@ -251,14 +254,8 @@ def infinitesimal(series: DeformationSeries):
 # equivalences and Nijenhuis elements: one morphism of operators in t
 
 
-def _same_bundle(data: ReynoldsData):
-    """`reynolds.morphism_checker` from the bundle's (g, rep, H) to itself."""
-    bundle = (data.algebra, data.rep, data.cocycle)
-    return morphism_checker(bundle, bundle)
-
-
 def _element_morphism(check, P: Matrix, S: Matrix, operators=(None, None)) -> dict:
-    """The parts of ``check`` (`_same_bundle`) for (phi_t, psi_t) = (id + tP, id + tS).
+    """The parts of ``check`` (`_ElementTerms`) for (phi_t, psi_t) = (id + tP, id + tS).
 
     ``operators`` are K + t K1 and K + t K1', or None for the four
     conditions that do not involve them.  Every condition is a polynomial
@@ -281,10 +278,11 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
     first to the second?  One sub-verdict per part of `check_rcw_morphism`.
     """
-    P, S, _ = _ElementTerms(data)(_element(data.algebra, x))
+    terms = _ElementTerms(data)
+    P, S, _ = terms(_element(data.algebra, x))
     K = data.operator
     operators = (_in_t((K, _direction(data, K1))), _in_t((K, _direction(data, K1p))))
-    return _combine(_element_morphism(_same_bundle(data), P, S, operators))
+    return _combine(_element_morphism(terms.morphism, P, S, operators))
 
 
 def nijenhuis_element_checker(data: ReynoldsData):
@@ -301,7 +299,7 @@ def nijenhuis_element_checker(data: ReynoldsData):
 
 def _element_checker(data: ReynoldsData, terms):
     """`nijenhuis_element_checker` on the element maps (`_ElementTerms`)."""
-    g, morphism = data.algebra, _same_bundle(data)
+    g = data.algebra
 
     def check(x) -> Report:
         x = _element(g, x)
@@ -309,7 +307,7 @@ def _element_checker(data: ReynoldsData, terms):
         parts = {"rbar_condition": residual_report(
             (("rbar-commutes", u), sub_vec(g.mul(x, r), g.mul(r, x)))
             for u, r in enumerate(rbar))}
-        parts.update(_element_morphism(morphism, P, S))
+        parts.update(_element_morphism(terms.morphism, P, S))
         return _combine(parts)
 
     return check
@@ -362,12 +360,12 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     field = data.field
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the rigidity probe needs a finite field")
-    p = field.p
-    table, Lbar, Rbar, _ = _induced_arrays(data)
-    report, d1 = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, p, 1)
-    cols = cochain_space_dim(data.rep.dim_v, data.algebra.dim, 1)
+    p, n = field.p, data.algebra.dim
+    terms = _ElementTerms(data)  # for Z^1, the search and d_K
+    table, Lbar, Rbar, _ = _induced_arrays(n, terms.frame)
+    report, d1 = integer_cohomology(table, Lbar, Rbar, n, p, 1)
+    cols = cochain_space_dim(data.rep.dim_v, n, 1)
     cocycle_count = p ** report.dim_z
-    terms = _ElementTerms(data)  # for the search and d_K
     nij = _elements({"data": data, "terms": terms})
     # over F_p every scale is 1
     image = {tuple(c % p for column in terms.coboundary(x)[0] for c in column) for x in nij}

@@ -11,12 +11,12 @@ The differential on cochains from V to g is the pre-Lie coboundary of
 (V, ._K) with coefficients in (g; Lbar, Rbar), which squares to zero
 because the induced pair is a representation.
 
-`_induced_arrays` reads all three off the operator's frame
+`_induced_arrays` reads all three off the frame it is handed
 (`reynolds.operator_frames`): with gr(u) = (Ku, u) and p(a, b) = a - Kb
 in the twisted semidirect product g + V, u ._K v is the V-part of
 gr(u).gr(v), Lbar_u x = p(gr(u).x) and Rbar_u x = p(x.gr(u)), all ints
-at scale D_g D_K^2 (`SIGNS.md`).  Both identities are re-verified and
-the ranks taken on them (`cochain.integer_cohomology`); only
+at scale D_g D_K^2 (`SIGNS.md`).  Both identities are re-verified, and
+the ranks and the differential are taken on them; only
 `induced_representation` maps them to the field.
 """
 
@@ -25,22 +25,27 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 
 from .algebra import PreLieAlgebra, Representation, prelie_report, representation_report
-from .cochain import Cochain, CohomologyReport, coboundary, coboundary_matrix, integer_cohomology
+from .cochain import (
+    Cochain,
+    CohomologyReport,
+    _apply_coboundary,
+    coboundary_matrix,
+    integer_cohomology,
+)
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix, basis_vec
 from .reynolds import ReynoldsData, operator_frames
-from .scalars import INTEGERS
+from .scalars import INTEGERS, lift
 
 
-def _induced_arrays(data: ReynoldsData) -> tuple:
+def _induced_arrays(n: int, frame) -> tuple:
     """(u ._K v table, rows of each Lbar_u and Rbar_u, the frame's ``back``), re-verified.
 
-    A residual has degree 2 in the arrays: it is mapped back by D_g^2 D_K^4.
+    n = dim g.  A residual has degree 2 in the arrays: it is mapped back
+    by D_g^2 D_K^4.
     """
-    g, rep = data.algebra, data.rep
-    n, m = g.dim, rep.dim_v
-    mul, graph, proj, products, back = operator_frames(g, rep, data.cocycle)(data.operator)
-    e = [basis_vec(INTEGERS, n + m, x) for x in range(n)]
+    mul, graph, proj, products, back = frame
+    e = [basis_vec(INTEGERS, n + len(graph), x) for x in range(n)]
     table = [[w[n:] for w in row] for row in products]
     Lbar = [list(zip(*[proj(mul(gr, ex)) for ex in e])) for gr in graph]
     Rbar = [list(zip(*[proj(mul(ex, gr)) for ex in e])) for gr in graph]
@@ -54,23 +59,34 @@ def _induced_arrays(data: ReynoldsData) -> tuple:
     return table, Lbar, Rbar, back
 
 
+def _frame(data: ReynoldsData):
+    """The frame of the bundle's operator (`reynolds.operator_frames`)."""
+    return operator_frames(data.algebra, data.rep, data.cocycle)(data.operator)
+
+
 def induced_representation(data: ReynoldsData) -> Representation:
     """The representation of the induced algebra (V, ._K) on g, both re-verified."""
     field, n = data.field, data.algebra.dim
-    table, Lbar, Rbar, back = _induced_arrays(data)
+    table, Lbar, Rbar, back = _induced_arrays(n, _frame(data))
     down = back(2)
     base = PreLieAlgebra(field, [[down(w) for w in row] for row in table], check=False)
     L, R = ([Matrix(field, [down(row) for row in M], cols=n) for M in A] for A in (Lbar, Rbar))
     return Representation(base, n, L, R, check=False)
 
 
+def _frame_coboundary(n: int, frame, f: Cochain) -> Cochain:
+    """The operator differential of f on the induced arrays of ``frame`` (n = dim g):
+    f is lifted alone (D_f), and a value comes back by D_g D_K^2 D_f."""
+    table, Lbar, Rbar, back = _induced_arrays(n, frame)
+    (values, Df), _ = lift(f.field, (f.values, f.field.one))
+    return _apply_coboundary(table, Lbar, Rbar, n, f, values, back(2, 1, Df))
+
+
 def operator_coboundary(data: ReynoldsData, f: Cochain) -> Cochain:
     """The differential of the operator cohomology (generic path)."""
-    g, rep = data.algebra, data.rep
-    if f.dim_source != rep.dim_v or f.dim_target != g.dim:
+    if (f.dim_source, f.dim_target) != (data.rep.dim_v, data.algebra.dim):
         raise ShapeError("cochain must map the module to the algebra")
-    induced = induced_representation(data)
-    return coboundary(induced.algebra, induced, f)
+    return _frame_coboundary(data.algebra.dim, _frame(data), f)
 
 
 def operator_coboundary_matrix(data: ReynoldsData, degree: int) -> Matrix:
@@ -89,6 +105,6 @@ def operator_cohomology(data: ReynoldsData, degree: int) -> OperatorCohomologyRe
     Degree-1 coboundaries are 0 by the same convention as the algebra
     complex, so H^1 equals Z^1.
     """
-    table, Lbar, Rbar, _ = _induced_arrays(data)
+    table, Lbar, Rbar, _ = _induced_arrays(data.algebra.dim, _frame(data))
     base, _ = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, data.field.char, degree)
     return OperatorCohomologyReport(*astuple(base), data.fingerprint())

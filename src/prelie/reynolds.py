@@ -22,7 +22,7 @@ the same frame: one per operator, on the integer lift, from
 H is checked too, dH is read off the same lifted rows as the frames
 (`_require_cocycle`, `cochain.cocycle_report`).  A
 morphism of operators is read off the two twisted semidirect products
-the same way, lifted once per pair of fixed triples (`morphism_checker`).
+the same way, on their preparations (`morphism_checker`).
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from math import lcm
 
 from .algebra import (
     PreLieAlgebra,
@@ -46,7 +47,6 @@ from .algebra import (
     morphism_defects,
     regular_representation,
     residual_report,
-    semidirect_rows,
     semidirect_tensor as raw_semidirect_tensor,
     _combine,
 )
@@ -149,13 +149,12 @@ def graph_frame(field, planes, k, one):
 def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
     """One frame per operator on the integer lift, prepared once: K -> frame.
 
-    g, the actions and H are lifted once (denominator D_g) and the rows
-    of their tensor prepared once (`cochain.twisted_rows`); each K is
-    lifted alone (D_K).  A frame is (mul, graph, p) of `graph_frame` on
-    `scalars.INTEGERS` with ``one`` = D_K, the products gr(u).gr(v) and
-    ``back(k, d=1)``, which maps a reading of degree k in K (d in g, rep
-    and H) back to the field (over Q, divided by D_g^d D_K^k; `SIGNS.md`
-    gives each k), `scalars.Poly` entries coefficient by coefficient.
+    The rows of g + V twisted by H are prepared once (`cochain.twisted_rows`,
+    D_g), each K is lifted alone (D_K).  A frame is (mul, graph, p) of
+    `graph_frame` with ``one`` = D_K, the products gr(u).gr(v) and
+    ``back(k, d=1, e=1)``, which maps a reading of degree k in K, d in
+    (g, rep, H) and 1 in an argument lifted alone by e back to the field
+    (over Q, divided by e D_g^d D_K^k; `SIGNS.md` gives each k).
     """
     return _frames(g, rep, twisted_rows(g, rep, H))
 
@@ -170,7 +169,7 @@ def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
         (k, DK), _ = lift(field, (K.data, field.one))
         mul, graph, p = graph_frame(INTEGERS, planes, k, DK)
         return (mul, graph, p, [[mul(a, b) for b in graph] for a in graph],
-                lambda degree, d=1: descend(field, Dg ** d * DK ** degree))
+                lambda degree, d=1, e=1: descend(field, e * Dg ** d * DK ** degree))
 
     return frame
 
@@ -464,30 +463,27 @@ def reynolds_from_invertible_cochain(g: PreLieAlgebra, rep: Representation,
 def morphism_checker(source: tuple, target: tuple):
     """Morphisms of operators between two fixed (g, rep, H) triples, prepared once.
 
-    Returns ``check(K, K', phi, psi)`` -> `Report` for (phi, psi) from
-    (g, V, H, K) to (g', V', H', K'), with one sub-verdict per condition:
+    ``source`` and ``target`` are (g, `cochain.twisted_rows` of the
+    triple), over one field.  Returns ``check(K, K', phi, psi)`` ->
+    `Report` for (phi, psi) from (g, V, H, K) to (g', V', H', K'), with
+    one sub-verdict per condition:
 
         phi K = K' psi,   psi L_x = L'_{phi x} psi,   psi R_x = R'_{phi x} psi,
         psi H = H' (phi x phi),
 
     and phi a pre-Lie algebra morphism.  All but the first say that
     Phi = phi + psi is a morphism from g + V twisted by H to g' + V'
-    twisted by H' (`semidirect_tensor`).  Both tensors are lifted here,
-    with one denominator D_g; each check lifts phi and psi together (D_F)
-    and reads `algebra.morphism_defects` of Phi on the ints: its g'-part
-    at basis pairs (i, j) of g is the algebra morphism, its V'-part there
-    the weight, and its V'-parts at (i, u) and (u, i), u in V, the left and
-    right actions, each mapped back by D_g D_F^2 (`SIGNS.md`).  With K and
-    K' None the first condition, the one that involves the operators, is
-    left out.
+    twisted by H' (`semidirect_tensor`).  Both rows are brought to one
+    denominator D_g, the lcm of theirs; each check lifts phi and psi
+    together (D_F) and reads the parts off `algebra.morphism_defects` of
+    Phi, mapped back by D_g D_F^2 (`SIGNS.md`).  With K and K' None the
+    first condition, the one that involves the operators, is left out.
     """
-    (g, rep, H), (g2, rep2, H2) = source, target
-    if g.field != g2.field:
-        raise DimensionMismatchError("algebras live over different fields")
-    field, n, m, n2, m2 = g.field, g.dim, rep.dim_v, g2.dim, rep2.dim_v
-    (c, L, R, h, c2, L2, R2, h2, Dg), _ = lift(
-        field, (*_semidirect_arrays(g, rep, H), *_semidirect_arrays(g2, rep2, H2), field.one))
-    rows, rows2 = semidirect_rows(c, m, L, R, h), semidirect_rows(c2, m2, L2, R2, h2)
+    (g, (rows, D)), (g2, (rows2, D2)) = source, target
+    field, n, n2, Dg = g.field, g.dim, g2.dim, lcm(D, D2)
+    m, m2 = len(rows) - n, len(rows2) - n2
+    rows, rows2 = ([[[(k, Dg // d * x) for k, x in r] for r in p] for p in rs]
+                   for rs, d in ((rows, D), (rows2, D2)))
     grid = [(i, j) for i in range(n) for j in range(n)]
     acting = [(i, u) for i in range(n) for u in range(m)]
     pairs = grid + [(i, n + u) for i, u in acting] + [(n + u, i) for i, u in acting]
@@ -524,6 +520,7 @@ def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
                        phi: Matrix, psi: Matrix) -> Report:
     """Morphism of Reynolds operators (phi, psi) from ``data`` to ``data2``
     (`morphism_checker`, prepared for this one call)."""
-    return morphism_checker((data.algebra, data.rep, data.cocycle),
-                            (data2.algebra, data2.rep, data2.cocycle))(
-        data.operator, data2.operator, phi, psi)
+    if data.field != data2.field:
+        raise DimensionMismatchError("algebras live over different fields")
+    return morphism_checker(*[(d.algebra, twisted_rows(d.algebra, d.rep, d.cocycle))
+                              for d in (data, data2)])(data.operator, data2.operator, phi, psi)

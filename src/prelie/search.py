@@ -41,8 +41,7 @@ representation) return `reynolds.reynolds_checker`; the nijenhuis entry
 returns `nsprelie.nijenhuis_checker`.  The generic candidate and each
 solution then cost one lift of the candidate and one integer
 evaluation; the nijenhuis-element entry returns the element checker,
-whose maps are read once per search at the basis of g and whose
-morphism checker is prepared once too.
+whose maps and morphism checker are prepared once per search.
 """
 
 from __future__ import annotations
@@ -114,11 +113,6 @@ def _candidates(spec: SearchSpec, field):
         return _matrix(field, tuple(map(tuple, entries)), cols)
 
     return candidate
-
-
-def _candidate(spec: SearchSpec, values, field) -> Matrix:
-    """The candidate whose free entries, in row-major order, are ``values``."""
-    return _candidates(spec, field)(values)
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,10 @@ the antisymmetric left identity at x < y only, and
 library had it before it read dH off the pre-Lie defect of g + V: the
 coboundary dH, evaluated at every basis triple.  `untwisted_structure`
 and `cocycle_structure` build mu + L + R and the lift of H to W = g + V
-on the field scalars, the structures the derived brackets take; the
-library builds both on the ints (`brackets._combination`).
+on the field scalars, as degree-2 cochains (`tensor_cochain`), the
+structures the derived brackets take; the library reads both off the
+lifted rows of g + V twisted by H (`brackets._structure_tables`).
+`candidate` is one search candidate from its free entries.
 
 `field_check_prelie`, `field_check_jacobi`, `field_check_representation`
 and `field_check_ns_prelie` are the axiom checkers as the library wrote
@@ -178,7 +180,7 @@ from prelie.linalg import (
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, _check_operator_shape, derived_tensor
 from prelie.scalars import Poly, PrimeField
-from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidate, _compile
+from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidates, _compile
 
 
 def _act(mats, x, u) -> tuple:
@@ -579,6 +581,11 @@ def field_checker(spec: SearchSpec):
     return PREDICATES[spec.predicate](b)
 
 
+def candidate(spec: SearchSpec, values, field) -> Matrix:
+    """The candidate whose free entries, in row-major order, are ``values``."""
+    return _candidates(spec, field)(values)
+
+
 def vanish(equations, values, zero) -> bool:
     return all(not eq.at(values, zero) for eq in equations)
 
@@ -595,7 +602,7 @@ def dense_sweep(spec: SearchSpec, field) -> list:
     solutions = []
     for values in product([field(v) for v in spec.domain],
                           repeat=len(spec.free_positions())):
-        K = _candidate(spec, values, field)
+        K = candidate(spec, values, field)
         passes = check(K).ok
         assert vanish(equations, values, zero) == passes, \
             "the compiled equations and the field checker disagree"
@@ -933,15 +940,25 @@ def coboundary_check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cocha
                            for x in range(n) for y in range(n) for z in range(n))
 
 
+def tensor_cochain(field, tensor) -> Cochain:
+    """A raw cubical tensor as a degree-2 cochain (no axioms assumed)."""
+    dim = len(tensor)
+    values = [tensor[fb[0]][last] for fb, last in cochain_keys(dim, 2)]
+    return Cochain(field, 2, dim, dim, values)
+
+
 def untwisted_structure(g: PreLieAlgebra, rep: Representation) -> Cochain:
     """mu + L + R as a degree-2 cochain on W (the H = 0 semidirect product)."""
     product, L, R, _ = _semidirect_arrays(g, rep, None)
-    return brackets.tensor_cochain(g.field, dense_semidirect_tensor(product, rep.dim_v, L, R))
+    return tensor_cochain(g.field, dense_semidirect_tensor(product, rep.dim_v, L, R))
 
 
 def cocycle_structure(g: PreLieAlgebra, rep: Representation, H: Cochain) -> Cochain:
     """The lift of H to a degree-2 cochain on W: ((x,u),(y,v)) -> (0, H(x,y))."""
-    return brackets._cocycle_structure(g.field, rep.dim_v, _semidirect_arrays(g, rep, H)[3])
+    n, m = g.dim, rep.dim_v
+    zero = [[0] * m] * m
+    return tensor_cochain(g.field, dense_semidirect_tensor(
+        [[[0] * n] * n] * n, m, [zero] * n, [zero] * n, _semidirect_arrays(g, rep, H)[3]))
 
 
 def field_check_ns_prelie(field, tri, trl, circ) -> Report:
@@ -1064,7 +1081,7 @@ def product_cochain(a: PreLieAlgebra) -> Cochain:
 
 def check_prelie_via_bracket(field, tensor) -> Report:
     """pi is pre-Lie iff [pi, pi] = 0; an independent route to the axiom."""
-    pi = brackets.tensor_cochain(field, tensor)
+    pi = tensor_cochain(field, tensor)
     return brackets._cochain_report(brackets.mn_bracket(pi, pi))
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     CORPUS,
+    _replace_everywhere,
     as_terms,
     count_calls,
     g2_algebra,
@@ -37,9 +38,10 @@ from oracles import (
     cocycle_structure,
     lift_operator_cochain,
     product_cochain,
+    tensor_cochain,
     untwisted_structure,
 )
-from prelie import brackets
+from prelie import brackets, cochain
 from prelie.algebra import PreLieAlgebra, check_prelie, regular_representation
 from prelie.brackets import (
     check_maurer_cartan,
@@ -50,7 +52,6 @@ from prelie.brackets import (
     dk_difference,
     mc_residual,
     mn_bracket,
-    tensor_cochain,
     ternary_bracket,
     twisted_mc_residual,
 )
@@ -445,16 +446,24 @@ def test_combinations_never_read_a_lifted_cochain_at_a_g_argument(monkeypatch, c
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
                                          "dk_difference"])
 def test_each_combination_builds_its_structures_once(monkeypatch, combination):
-    # mu + L + R and the lift of H are built once, on the ints, from the
-    # lifted arrays of g, the actions and H; no structure is built on the
-    # field and lifted densely (the field-scalar builders are test oracles)
+    # (g, rep, H) is prepared once (`cochain.twisted_rows`), and mu + L + R
+    # and the lift of H are both read off the rows of that one preparation,
+    # once; no structure is built on the field and lifted densely (the
+    # field-scalar builders are test oracles)
     args = _combination_args(combination)
-    calls = {name: count_calls(monkeypatch, brackets, name)
-             for name in ("_cocycle_structure", "tensor_cochain")}
+    prepared = []
+
+    def make(original):
+        def preparing(*args):
+            prepared.append(original(*args))
+            return prepared[-1]
+        return preparing
+
+    _replace_everywhere(monkeypatch, cochain, "twisted_rows", make)
+    tables = count_calls(monkeypatch, brackets, "_structure_tables")
     getattr(brackets, combination)(*args)
-    assert {name: len(c) for name, c in calls.items()} == \
-        {"_cocycle_structure": 1, "tensor_cochain": 2}
-    assert [c[0] for c in calls["tensor_cochain"]] == [INTEGERS, INTEGERS]
+    assert len(prepared) == len(tables) == 1
+    assert tables[0][0] is prepared[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +588,9 @@ def test_dk_difference_matches_the_per_basis_loop(monkeypatch, field, degree):
         assert _difference_columns(diff, cols) == basis_dk_columns(data, degree)
 
     # a wrong d_K: both routes see the same nonzero difference, column by column
-    original = brackets.d_K
-    monkeypatch.setattr(brackets, "d_K", lambda data, f: original(data, f).scale(2))
+    original = brackets._d_K
+    monkeypatch.setattr(brackets, "_d_K",
+                        lambda data, twisted, f: original(data, twisted, f).scale(2))
     data = parse_bundle(str(CORPUS / "g3-k-rowzero.json"), field_name(field)).reynolds_data()
     cols = len(cochain_keys(data.rep.dim_v, degree)) * data.algebra.dim
     oracle = basis_dk_columns(data, degree)
@@ -619,9 +629,11 @@ def test_combinations_on_the_integer_lift_match_direct_field_evaluation(field):
 
 
 def _off_by_one(bracket):
-    """A ternary bracket with one added to every coordinate of its value."""
-    def patched(*args):
-        c = bracket(*args)
+    """`brackets._bracket` with one added to every coordinate of a ternary bracket."""
+    def patched(structure, dim, cochains):
+        c = bracket(structure, dim, cochains)
+        if len(cochains) < 3:
+            return c
         return Cochain(c.field, c.degree, c.dim_source, c.dim_target,
                        [[x + 1 for x in v] for v in c.values])
     return patched
@@ -630,7 +642,7 @@ def _off_by_one(bracket):
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=repr)
 def test_a_term_its_denominator_does_not_divide_is_an_invariant_error(monkeypatch, field):
     data = parse_bundle(str(CORPUS / "g3-k-rowzero.json"), field_name(field)).reynolds_data()
-    monkeypatch.setattr(brackets, "ternary_bracket", _off_by_one(brackets.ternary_bracket))
+    monkeypatch.setattr(brackets, "_bracket", _off_by_one(brackets._bracket))
     with pytest.raises(InvariantError, match="not divisible by 6"):
         mc_residual(data.algebra, data.rep, data.cocycle, data.operator)
     with pytest.raises(InvariantError, match="not divisible by 2"):
@@ -645,7 +657,7 @@ def test_cli_a_term_its_denominator_does_not_divide_exits_4(monkeypatch, capsys,
     doc["operatorKprime"] = doc["operatorK"]
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(brackets, "ternary_bracket", _off_by_one(brackets.ternary_bracket))
+    monkeypatch.setattr(brackets, "_bracket", _off_by_one(brackets._bracket))
     words = command.split()
     at = 2 if words[0] == "check" else 1
     code = main(words[:at] + [str(path)] + words[at:])

@@ -756,8 +756,9 @@ def test_cli_dk_consistency_degrees():
 @pytest.mark.parametrize("field, residual", [("q", "1"), ("f3", "1 mod 3"), ("f5", "1 mod 5")])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_cli_dk_consistency_reports_the_first_difference(monkeypatch, field, residual, degree):
-    original = brackets.d_K
-    monkeypatch.setattr(brackets, "d_K", lambda data, f: original(data, f).scale(2))
+    original = brackets._d_K
+    monkeypatch.setattr(brackets, "_d_K",
+                        lambda data, twisted, f: original(data, twisted, f).scale(2))
     code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-invertible.json"),
                            "--field", field, "--degree", str(degree))
     assert code == 1
@@ -771,14 +772,14 @@ def test_cli_dk_consistency_scans_the_difference_column_by_column(monkeypatch, f
                                                                   residual, degree):
     # d_K with its output coordinates reversed: still linear, and its first
     # difference column by column ("2") is not the first row by row ("-10")
-    original = brackets.d_K
+    original = brackets._d_K
 
-    def reversed_d_k(data, f):
-        c = original(data, f)
+    def reversed_d_k(data, twisted, f):
+        c = original(data, twisted, f)
         return Cochain(c.field, c.degree, c.dim_source, c.dim_target,
                        [tuple(reversed(v)) for v in reversed(c.values)])
 
-    monkeypatch.setattr(brackets, "d_K", reversed_d_k)
+    monkeypatch.setattr(brackets, "_d_K", reversed_d_k)
     bundle = str(CORPUS / "g3-k-rowzero.json")
     columns = basis_dk_columns(parse_bundle(bundle, field).reynolds_data(), degree)
     assert scalar_to_str(next(x for column in columns for x in column if x)) == residual
@@ -789,7 +790,7 @@ def test_cli_dk_consistency_scans_the_difference_column_by_column(monkeypatch, f
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_cli_dk_consistency_evaluates_d_k_once(monkeypatch, degree):
-    dk_calls = count_calls(monkeypatch, brackets, "d_K")
+    dk_calls = count_calls(monkeypatch, brackets, "_d_K")
     dense = count_calls(monkeypatch, opcohomology, "operator_coboundary_matrix")
     code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-invertible.json"),
                            "--degree", str(degree))
@@ -826,7 +827,7 @@ def test_cli_degree_beyond_every_cochain_space_is_an_input_error(command, degree
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_cli_dk_consistency_builds_the_induced_representation_once(monkeypatch, degree):
-    calls = count_calls(monkeypatch, opcohomology, "induced_representation")
+    calls = count_calls(monkeypatch, opcohomology, "_induced_arrays")
     code, out, _ = run_cli("dk-consistency", str(CORPUS / "g3-k-rowzero.json"),
                            "--degree", str(degree))
     assert code == 0 and json.loads(out)["ok"]

@@ -294,7 +294,9 @@ def _record_fields(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ["q", "f3"])
 def test_no_algebra_representation_or_matrix_is_built_over_the_integers(monkeypatch, name):
-    # the integer lift is held in raw arrays and in Cochains, never in these objects
+    # the integer lift is held in raw arrays and in Cochains, never in these
+    # objects; the induced representation is built on the field, so the
+    # recorder sees at least one object on every field
     bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"), name)
     data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
@@ -303,6 +305,7 @@ def test_no_algebra_representation_or_matrix_is_built_over_the_integers(monkeypa
     coboundary(g, rep, H)
     check_two_cocycle(g, rep, H)
     operator_cohomology(data, 2)
+    induced_representation(data)
     if name == "f3":
         rigidity_probe(data)
     mc_residual(g, rep, H, K)

@@ -4,6 +4,7 @@ from math import lcm
 import pytest
 
 from conftest import (
+    _replace_everywhere,
     abelian,
     count_calls,
     fractional_ladder_data,
@@ -346,29 +347,29 @@ def test_fractional_ladder_rung_has_the_ladder_dimensions():
 
 
 def _corrupt(monkeypatch, where: str) -> None:
-    """Add 1 to one int of the frame's induced table, or of Lbar_0 e_0 (coordinate 0)."""
-    original = opcohomology.operator_frames
+    """Add 1 to one int of every frame's induced table, or of Lbar_0 e_0 (coordinate 0)."""
+    def make(original):
+        def frames(g, rep, twisted):
+            prepared = original(g, rep, twisted)
+            n = g.dim
 
-    def frames(g, rep, H):
-        prepared = original(g, rep, H)
-        n = g.dim
+            def frame(K):
+                mul, graph, proj, products, back = prepared(K)
+                if where == "table":  # at e_0 ._K e_1, coordinate 0
+                    products = [list(row) for row in products]
+                    w = products[0][1]
+                    products[0][1] = w[:n] + (w[n] + 1,) + w[n + 1:]
+                else:
+                    e0 = basis_vec(INTEGERS, len(graph[0]), 0)
 
-        def frame(K):
-            mul, graph, proj, products, back = prepared(K)
-            if where == "table":  # at e_0 ._K e_1, coordinate 0
-                products = [list(row) for row in products]
-                w = products[0][1]
-                products[0][1] = w[:n] + (w[n] + 1,) + w[n + 1:]
-            else:
-                e0 = basis_vec(INTEGERS, len(graph[0]), 0)
+                    def mul(x, y, mul=mul):
+                        out = mul(x, y)
+                        return (out[0] + 1,) + out[1:] if (x, y) == (graph[0], e0) else out
+                return mul, graph, proj, products, back
+            return frame
+        return frames
 
-                def mul(x, y, mul=mul):
-                    out = mul(x, y)
-                    return (out[0] + 1,) + out[1:] if (x, y) == (graph[0], e0) else out
-            return mul, graph, proj, products, back
-        return frame
-
-    monkeypatch.setattr(opcohomology, "operator_frames", frames)
+    _replace_everywhere(monkeypatch, reynolds, "_frames", make)
 
 
 def _failing_bundles():

@@ -18,9 +18,19 @@ of an algebra element, and the deformed product off the Nijenhuis
 checker's ints.  Each is compared here with the hand-expanded field
 oracle on the same fractional data, and mapping the induced table back
 by D_K^2 alone is shown to fail.
+
+Each command lifts (g, rep, H) a pinned number of times (the bundle's
+build, then one `cochain.twisted_rows` that every later kernel reads).
+The derived brackets read their structures off that preparation (D_g)
+and lift only the cochains (D_c), and `check_rcw_morphism` brings two
+bundles' rows to the lcm of their D_g: both are compared with the field
+oracles where D_g != D_c, or the two D_g differ, and a mutant of each
+scale fails there.
 """
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,6 +48,7 @@ from conftest import (
     g3_algebra,
     padded_reynolds_data,
     random_algebra,
+    random_cochain,
     random_reynolds_data,
     truncated_poly_algebra,
     unimodular,
@@ -59,7 +70,7 @@ from oracles import (
     star_table,
 )
 import prelie
-from prelie import algebra, deformation, reynolds, scalars
+from prelie import algebra, brackets, deformation, reynolds, scalars
 from prelie.algebra import (
     Order,
     PreLieAlgebra,
@@ -67,8 +78,9 @@ from prelie.algebra import (
     regular_representation,
     residual_report,
 )
-from prelie.bundle import parse_bundle
-from prelie.cochain import Cochain
+from prelie.brackets import d_K, mc_residual, twisted_mc_residual
+from prelie.bundle import Bundle, parse_bundle
+from prelie.cochain import Cochain, twisted_rows
 from prelie.deformation import (
     DeformationSeries,
     _element_morphism,
@@ -79,6 +91,7 @@ from prelie.deformation import (
     check_linear_deformation,
     element_coboundary,
 )
+from prelie.errors import InvariantError
 from prelie.linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
 from prelie.nsprelie import check_nijenhuis, deformed_product, nijenhuis_checker, ns_from_reynolds
 from prelie.opcohomology import induced_representation
@@ -87,6 +100,7 @@ from prelie.reynolds import (
     _semidirect_arrays,
     check_d_reynolds,
     check_graph_subalgebra,
+    check_rcw_morphism,
     check_rcw_reynolds,
     check_weighted_reynolds,
     induced_product,
@@ -95,7 +109,7 @@ from prelie.reynolds import (
     star_product,
 )
 from prelie.scalars import INTEGERS, QQ, FpElement, Poly, PrimeField, descend, field_name, lift
-from prelie.search import SearchSpec, _candidate, exhaustive_search
+from prelie.search import SearchSpec, exhaustive_search
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
 Q_ENTRIES = ["0", "0", "1", "-1", "1/2", "-2/3", "3/4"]
@@ -238,8 +252,8 @@ def test_reynolds_checker_matches_the_oracle_on_the_padded_bundle(field):
 
 def _generic(field, rows, cols, fixed):
     spec = SearchSpec("rcw-reynolds", {}, (rows, cols), (), fixed=fixed)
-    return _candidate(spec, [Poly({(k,): field.one}) for k in range(spec.free_count())],
-                      field)
+    return oracles.candidate(spec, [Poly({(k,): field.one}) for k in range(spec.free_count())],
+                             field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -552,7 +566,8 @@ def test_element_morphism_in_t_matches_the_field_oracle(field):
         g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
         n, m = g.dim, rep.dim_v
         x = tuple(_entry(rng, field) for _ in range(n))
-        P, S, _ = _ElementTerms(data)(x)
+        terms = _ElementTerms(data)
+        P, S, _ = terms(x)
         phi, psi = _in_t((Matrix.identity(field, n), P)), _in_t((Matrix.identity(field, m), S))
         operators = tuple(_in_t((K, _random_matrix(rng, field, n, m))) for _ in range(2))
         oracle = field_check_rcw_morphism(*(ReynoldsData(g, rep, H, Kt) for Kt in operators),
@@ -562,7 +577,7 @@ def test_element_morphism_in_t_matches_the_field_oracle(field):
         expected = {name: residual_report(((Order(k), *where), _order(r, k, zero))
                                           for k in (1, 2) for where, r in part.violations)
                     for name, part in oracle.parts.items()}
-        check = deformation._same_bundle(data)
+        check = terms.morphism
         assert _element_morphism(check, P, S, operators) == expected
         failing.update(name for name, part in expected.items() if not part.ok)
         del expected["intertwines_operator"]
@@ -699,11 +714,10 @@ DEFORM_CASES = (("dim1-abelian-f2.json", "f2"), ("g3-f2-e11.json", "f2"),
                 ("g3-f2-e11.json", "f3"))
 
 
-@pytest.mark.parametrize("action, frames", [("rigidity", 3), ("nijenhuis", 2)])
+@pytest.mark.parametrize("action, frames", [("rigidity", 2), ("nijenhuis", 2)])
 def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
-    # the bundle's build, the element maps prepared once (for rigidity, shared
-    # by the search's checker and the image), and for rigidity the induced
-    # representation
+    # the bundle's build and the element maps prepared once (for rigidity,
+    # shared by the search's checker, Z^1 and the image)
     built = count_calls(monkeypatch, reynolds, "graph_frame")
     candidates = count_calls(monkeypatch, deformation, "_element_morphism")
     seen = set()
@@ -716,12 +730,12 @@ def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
     assert len(seen) == 3
 
 
-@pytest.mark.parametrize("action, arrays", [("rigidity", 5), ("nijenhuis", 4)])
+@pytest.mark.parametrize("action, arrays", [("rigidity", 2), ("nijenhuis", 2)])
 def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
-    # the twisted semidirect arrays are built for the bundle's build, the
-    # element maps (shared by the image, for rigidity) and the two sides of
-    # the morphism checker, and for rigidity the induced representation:
-    # a fixed number whatever the number of candidates.  An element
+    # the twisted semidirect arrays are built for the bundle's build and
+    # once for the element maps, whose one preparation both sides of the
+    # morphism checker read (and, for rigidity, Z^1 and the image): a
+    # fixed number whatever the number of candidates.  An element
     # check lifts x, to combine it with the element maps on their ints,
     # then phi_t and psi_t together, once each, and nothing else
     built = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
@@ -751,3 +765,154 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
         assert per_check and all(sizes == [2, 3] for sizes in per_check)
         seen.add(len(per_check))
     assert len(seen) == 3
+
+
+# ---------------------------------------------------------------------------
+# one preparation of (g, rep, H) per command
+
+
+PREPARED_ONCE = {  # command: (lifts holding the bundle's H table, frames)
+    ("check", "mc"): (1, 0),
+    ("mc-check",): (1, 0),
+    ("dk-consistency",): (2, 2),
+    ("deform", "nijenhuis"): (2, 2),
+    ("deform", "rigidity"): (2, 2),
+    ("check", "nijenhuis-element"): (2, 2),
+}
+
+
+def _holds(node, ids) -> bool:
+    """Does a nest of tuples and lists hold an object whose id is in ``ids``?"""
+    return id(node) in ids or isinstance(node, (tuple, list)) and any(
+        _holds(x, ids) for x in node)
+
+
+@pytest.mark.parametrize("command", sorted(PREPARED_ONCE), ids=" ".join)
+def test_each_command_prepares_the_bundle_triple_once(monkeypatch, command):
+    # each corpus run of the command under the bundle's own field: the
+    # `scalars.lift` calls whose arrays hold the vectors of the bundle's H
+    # (the build's and the command's preparation, `cochain.twisted_rows`)
+    # and the frames built; a run that rejects its input (exit 2) stops
+    # before the command's work
+    cocycles = []
+
+    def make(original):
+        def cocycle(bundle):
+            cocycles.append(original(bundle))
+            return cocycles[-1]
+        return cocycle
+
+    _replace_everywhere(monkeypatch, Bundle, "cocycle", make)
+    lifts = count_calls(monkeypatch, scalars, "lift")
+    frames = count_calls(monkeypatch, reynolds, "graph_frame")
+    completed = 0
+    for argv in cases():
+        if argv[:len(command)] != command or "--field" in argv:
+            continue
+        for calls in (cocycles, lifts, frames):
+            calls.clear()
+        if run(argv)[0] == 2:
+            continue
+        ids = {id(v) for H in cocycles for v in H.values}
+        assert (sum(_holds(args[1], ids) for args in lifts), len(frames)) == \
+            PREPARED_ONCE[command], argv
+        completed += 1
+    assert completed
+
+
+# ---------------------------------------------------------------------------
+# mixed denominators: the structures at D_g, the cochains at D_c != D_g
+
+
+def _mutant(monkeypatch, module, name: str, term: str, replacement: str) -> None:
+    """``module.name`` recompiled with ``term`` replaced, wherever ``prelie`` binds it."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(term) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(term, replacement), module.__file__, "exec"), namespace)
+    _replace_everywhere(monkeypatch, module, name, lambda original: namespace[name])
+
+
+def _mixed_cases(rng, field, count: int) -> list:
+    """(data, K', f): over Q `fractional_reynolds_data` with K' and f scaled by 1/7, so
+    that D_g > 1, D_c > 1 and D_g != D_c; over F_p random bundles with K != 0."""
+    out = []
+    for _ in range(count):
+        data = fractional_reynolds_data(rng) if field == QQ else \
+            random_reynolds_data(rng, field, max_dim=2, invertible_only=True)
+        n, m, seventh = data.algebra.dim, data.rep.dim_v, field(Fraction(1, 7))
+        out.append((data, _random_matrix(rng, field, n, m).scale(seventh),
+                    random_cochain(rng, field, 1, m, n).scale(seventh)))
+    return out
+
+
+def _assert_combinations_match(field, data, K2, f) -> None:
+    """MC, d_K and twisted MC (over Q) and each bracket alone against the field route."""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    if field == QQ:
+        assert mc_residual(g, rep, H, K2) == oracles.field_mc_residual(g, rep, H, K2)
+        assert twisted_mc_residual(data, K2) == oracles.field_twisted_mc_residual(data, K2)
+    assert d_K(data, f) == oracles.field_d_K(data, f)
+    cochains = [Cochain.from_matrix(K2), f]
+    for idxs in ((0, 0), (0, 1), (1, 0), (0, 0, 0), (0, 0, 1), (0, 1, 1)):
+        terms = [(Fraction(1), idxs)]
+        assert brackets._combination(g, twisted_rows(g, rep, H), cochains, terms) == \
+            oracles.field_combination(g, rep, H, cochains, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_combinations_at_mixed_denominators_match_the_field_oracle(field):
+    nonzero = 0
+    for data, K2, f in _mixed_cases(random.Random(3001), field, 3):
+        g, rep, H = data.algebra, data.rep, data.cocycle
+        D_g = _denominator(field, _semidirect_arrays(g, rep, H))
+        D_c = _denominator(field, (K2.data, f.values))
+        assert (D_g > 1 and D_c > 1 and D_g != D_c) if field == QQ else D_g == D_c == 1
+        nonzero += not d_K(data, f).is_zero()
+        _assert_combinations_match(field, data, K2, f)
+    assert nonzero >= 2
+
+
+_COMBINATION_MUTANTS = {
+    "binary-term-by-dc-cubed": ("_combination", "descend(field, Dg * Dc ** len(args))",
+                                "descend(field, Dc ** 3 if len(args) == 2 else Dg * Dc ** 3)"),
+    "h-entry-in-mu": ("_structure_tables", "3 if a < n and b < n <= k else 2", "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMBINATION_MUTANTS))
+def test_a_combination_mutant_fails_the_mixed_denominator_oracle(monkeypatch, case):
+    cases = _mixed_cases(random.Random(3001), QQ, 3)
+    _mutant(monkeypatch, brackets, *_COMBINATION_MUTANTS[case])
+    with pytest.raises((AssertionError, InvariantError)):
+        for data, K2, f in cases:
+            _assert_combinations_match(QQ, data, K2, f)
+
+
+def _morphism_pairs(rng, count: int) -> list:
+    """(source, target, phi, psi) over Q: fractional bundles whose D_g differ, random maps."""
+    out = []
+    while len(out) < count:
+        source, target = fractional_reynolds_data(rng), fractional_reynolds_data(rng)
+        if len({_denominator(QQ, _semidirect_arrays(d.algebra, d.rep, d.cocycle))
+                for d in (source, target)}) == 1:
+            continue
+        out.append((source, target,
+                    _random_matrix(rng, QQ, target.algebra.dim, source.algebra.dim),
+                    _random_matrix(rng, QQ, target.rep.dim_v, source.rep.dim_v)))
+    return out
+
+
+def test_rcw_morphism_across_denominators_matches_the_field_oracle(monkeypatch):
+    # two bundles lifted by different D_g: the checker brings the rows to
+    # their lcm, and a mutant that leaves both rows as lifted disagrees with
+    # the hand-written conditions
+    def agreements():
+        return [check_rcw_morphism(*case) == field_check_rcw_morphism(*case) for case in cases]
+
+    cases = _morphism_pairs(random.Random(3002), 4)
+    for case in cases:
+        assert_same_report(check_rcw_morphism(*case), field_check_rcw_morphism(*case), QQ)
+    assert not all(check_rcw_morphism(*case).ok for case in cases)
+    _mutant(monkeypatch, reynolds, "morphism_checker", "(k, Dg // d * x)", "(k, x)")
+    assert not any(agreements())
