@@ -45,6 +45,7 @@ from typing import Optional
 
 from .errors import (
     DimensionMismatchError,
+    InvariantError,
     NoUnitError,
     ShapeError,
     UnverifiedError,
@@ -289,19 +290,6 @@ class PreLieAlgebra:
     def basis(self, i: int) -> tuple:
         return basis_vec(self.field, self.dim, i)
 
-    def left_mult(self, x) -> Matrix:
-        """Matrix of y -> x.y for a coordinate vector x."""
-        cols = [self.mul(x, self.basis(j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, self.dim)
-
-    def right_mult(self, x) -> Matrix:
-        """Matrix of y -> y.x for a coordinate vector x."""
-        cols = [self.mul(self.basis(j), x) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols, self.dim)
-
-    def bracket(self, x, y) -> tuple:
-        return sub_vec(self.mul(x, y), self.mul(y, x))
-
     def require_unit(self) -> tuple:
         if self.unit is None:
             raise NoUnitError("operation requires a unital algebra")
@@ -312,13 +300,16 @@ def subadjacent_lie(a: PreLieAlgebra):
     """Structure constants of the commutator bracket [x,y] = x.y - y.x.
 
     The output is antisymmetric and satisfies the Jacobi identity whenever
-    the input is a verified pre-Lie algebra.
+    the input is a verified pre-Lie algebra; `check_jacobi` re-verifies it.
     """
     n = a.dim
-    return tuple(
-        tuple(sub_vec(a.product[i][j], a.product[j][i]) for j in range(n))
-        for i in range(n)
-    )
+    bracket = tuple(tuple(sub_vec(a.product[i][j], a.product[j][i]) for j in range(n))
+                    for i in range(n))
+    report = check_jacobi(a.field, bracket)
+    if not report.ok:
+        raise InvariantError("the commutator bracket is not a Lie bracket:\n"
+                             + report.describe())
+    return bracket
 
 
 def check_jacobi(field, bracket_tensor) -> Report:

@@ -28,7 +28,7 @@ field-generically and re-read under any --field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .algebra import PreLieAlgebra, Representation, regular_representation
@@ -283,9 +283,9 @@ class Bundle:
     field: object
     raw: dict
 
-    _algebra: Optional[PreLieAlgebra] = None
-    _algebra2: Optional[PreLieAlgebra] = None
-    _rep: Optional[Representation] = None
+    _algebra: Optional[PreLieAlgebra] = dc_field(default=None, init=False)
+    _algebra2: Optional[PreLieAlgebra] = dc_field(default=None, init=False)
+    _rep: Optional[Representation] = dc_field(default=None, init=False)
 
     def section(self, key: str):
         """The raw JSON of a required section; absent or null is a `SchemaError`."""

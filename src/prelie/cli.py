@@ -9,6 +9,10 @@ package's own output (an internal invariant; a fault in the package, not
 in the input).  The environment variable
 PRELIE_BUDGET overrides the default search budget; --field re-reads a
 field-generic bundle over another scalar field.
+
+`mc-check` is `check mc` under its own label, and `deform check` runs
+the series check of `check formal-deform`; its --series and --order pick
+the series and cut it, and no other `deform` action takes them.
 """
 
 from __future__ import annotations
@@ -55,11 +59,11 @@ EXIT_BUDGET = 3
 EXIT_INVARIANT = 4
 
 
-def _violations_json(report, limit=50):
-    """The first ``limit`` violations; in "at", basis indices are 1-based and
+def _violations_json(report):
+    """The first 50 violations; in "at", basis indices are 1-based and
     orders of t (`algebra.Order`) and labels are printed as they are."""
     out = []
-    for where, residual in report.violations[:limit]:
+    for where, residual in report.violations[:50]:
         at = [w + 1 if isinstance(w, int) and not isinstance(w, Order) else w for w in where]
         out.append({"at": at, "residual": [scalar_to_str(x) for x in residual]})
     return out
@@ -83,10 +87,19 @@ def _emit(doc, ok):
 # check subcommands
 
 
+def _series_check(data, coefficients) -> tuple:
+    """The formal-deformation check of a series: (its order keys, `Report`)."""
+    series = deformation.DeformationSeries(data, tuple(coefficients))
+    return ({"order": series.order, "checked_orders": [0, 3 * series.order]},
+            deformation.check_formal_deformation(series))
+
+
 def _cmd_check(args) -> int:
+    """`check WHAT`, and `mc-check` (``what`` "mc", labelled by its command)."""
     bundle = parse_bundle(args.bundle, args.field)
     what = args.what
-    doc = {"command": f"check {what}", "field": field_name(bundle.field)}
+    label = f"check {what}" if args.command == "check" else args.command
+    doc = {"command": label, "field": field_name(bundle.field)}
 
     if what == "prelie":
         # check the raw tensor rather than the validating constructor
@@ -129,11 +142,8 @@ def _cmd_check(args) -> int:
         data = bundle.reynolds_data()
         report = deformation.check_linear_deformation(data, bundle.matrix("operatorK1"))
     elif what == "formal-deform":
-        data = bundle.reynolds_data()
-        series = deformation.DeformationSeries(data, tuple(bundle.series()))
-        report = deformation.check_formal_deformation(series)
-        doc["order"] = series.order
-        doc["checked_orders"] = [0, 3 * series.order]
+        orders, report = _series_check(bundle.reynolds_data(), bundle.series())
+        doc.update(orders)
     elif what == "nijenhuis-element":
         data = bundle.reynolds_data()
         report = deformation.check_nijenhuis_element(data, bundle.element())
@@ -354,6 +364,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_deform(args) -> int:
+    if args.action != "check":
+        for flag in ("series", "order"):
+            if getattr(args, flag) is not None:
+                raise SchemaError(f"/{flag}", f"--{flag} belongs to deform check, "
+                                              f"not deform {args.action}")
     bundle = parse_bundle(args.bundle, args.field)
     data = bundle.reynolds_data()
     if args.action == "check":
@@ -369,11 +384,8 @@ def _cmd_deform(args) -> int:
                 raise SchemaError("/order", f"order must be <= the series' order "
                                             f"{len(coefficients) - 1}, got {args.order}")
             coefficients = coefficients[:args.order + 1]
-        series = deformation.DeformationSeries(data, tuple(coefficients))
-        report = deformation.check_formal_deformation(series)
-        doc = {"command": "deform check", "order": series.order,
-               "checked_orders": [0, 3 * series.order]}
-        doc.update(_report_json(report))
+        orders, report = _series_check(data, coefficients)
+        doc = {"command": "deform check", **orders, **_report_json(report)}
         return _emit(doc, report.ok)
     if args.action == "nijenhuis":
         elements = deformation.nijenhuis_elements(data)
@@ -394,15 +406,6 @@ def _cmd_deform(args) -> int:
 
 # ---------------------------------------------------------------------------
 # bracket consistency commands
-
-
-def _cmd_mc_check(args) -> int:
-    bundle = parse_bundle(args.bundle, args.field)
-    report = brackets.check_maurer_cartan(bundle.algebra(), bundle.representation(),
-                                          bundle.cocycle(), bundle.operator())
-    doc = {"command": "mc-check", "field": field_name(bundle.field)}
-    doc.update(_report_json(report))
-    return _emit(doc, report.ok)
 
 
 def _cmd_dk_consistency(args) -> int:
@@ -480,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc-check", help="Maurer-Cartan test for the bundle operator", parents=[common])
     p_mc.add_argument("bundle")
-    p_mc.set_defaults(func=_cmd_mc_check)
+    p_mc.set_defaults(func=_cmd_check, what="mc")
 
     p_dk = sub.add_parser("dk-consistency",
                           help="bracket differential vs. cohomology differential",

@@ -71,7 +71,7 @@ from .errors import (
     reverified,
 )
 from .linalg import Matrix, basis_vec, neg_vec, scale_vec
-from .scalars import INTEGERS, descend, lift, scalar_to_str
+from .scalars import descend, lift, scalar_to_str
 
 
 def _check_operator_shape(g: PreLieAlgebra, rep: Representation, K: Matrix):
@@ -105,25 +105,25 @@ def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
     return raw_semidirect_tensor(product, rep.dim_v, L, R, table)
 
 
-def graph_frame(field, planes, k, one):
-    """The semidirect product on g + V read through the graph of K.
+def graph_frame(planes, k, one):
+    """The semidirect product on g + V read through the graph of K, on the integer lift.
 
     ``planes[i]`` holds the nonempty rows j of plane i of its tensor, as
-    (j, `algebra.nonzero_rows` row) pairs, ``k`` the n rows of K and
-    ``one`` stands for 1 (on the integer lift, the denominator of K).
+    (j, `algebra.nonzero_rows` row) pairs, ``k`` the n lifted rows of K
+    and ``one`` stands for 1 (the denominator of K).
     Returns the product, the graph vectors gr(u) = (K e_u, one e_u) and
     the projection p(a, b) = one a - K b, which vanishes exactly on the
     graph.  A product visits only the nonempty rows that its nonzero
     coordinates pick; `SIGNS.md` lists what is read off it.
     """
-    n, zero, dim = len(k), field.zero, len(planes)
+    n, dim = len(k), len(planes)
     m = dim - n
     cols = [tuple(row[u] for row in k) for u in range(m)]
-    graph = [col + tuple(one if v == u else zero for v in range(m))
+    graph = [col + tuple(one if v == u else 0 for v in range(m))
              for u, col in enumerate(cols)]
 
     def mul(x, y):
-        out = [zero] * dim
+        out = [0] * dim
         for i, a in enumerate(x):
             if a:
                 for j, row in planes[i]:
@@ -167,7 +167,7 @@ def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
     def frame(K: Matrix):
         _check_operator_shape(g, rep, K)
         (k, DK), _ = lift(field, (K.data, field.one))
-        mul, graph, p = graph_frame(INTEGERS, planes, k, DK)
+        mul, graph, p = graph_frame(planes, k, DK)
         return (mul, graph, p, [[mul(a, b) for b in graph] for a in graph],
                 lambda degree, d=1, e=1: descend(field, e * Dg ** d * DK ** degree))
 
@@ -519,8 +519,11 @@ def morphism_checker(source: tuple, target: tuple):
 def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
                        phi: Matrix, psi: Matrix) -> Report:
     """Morphism of Reynolds operators (phi, psi) from ``data`` to ``data2``
-    (`morphism_checker`, prepared for this one call)."""
+    (`morphism_checker`, prepared for this one call: once when the two
+    (g, rep, H) triples are equal)."""
     if data.field != data2.field:
         raise DimensionMismatchError("algebras live over different fields")
-    return morphism_checker(*[(d.algebra, twisted_rows(d.algebra, d.rep, d.cocycle))
-                              for d in (data, data2)])(data.operator, data2.operator, phi, psi)
+    triples = [(d.algebra, d.rep, d.cocycle) for d in (data, data2)]
+    prepared = [(g, twisted_rows(g, rep, H))
+                for g, rep, H in triples[:1 if triples[0] == triples[1] else 2]]
+    return morphism_checker(prepared[0], prepared[-1])(data.operator, data2.operator, phi, psi)

@@ -47,7 +47,6 @@ whose maps and morphism checker are prepared once per search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from heapq import heapify, heappop, heappush
 
 from .deformation import _ElementTerms, _element_checker
 from .errors import BudgetExceededError, InvariantError, ShapeError
@@ -160,18 +159,16 @@ PREDICATES = {
 }
 
 
-def _compile(spec: SearchSpec, field, candidate=None):
+def _compile(spec: SearchSpec, field):
     """The checker of ``spec`` and its equations in the free entries.
 
-    The checker runs once on the generic candidate (built by ``candidate``);
-    its nonzero residual coordinates are the equations.  A residual that
-    is a nonzero scalar becomes a constant polynomial, which no candidate
-    satisfies.
+    The checker runs once on the generic candidate; its nonzero residual
+    coordinates are the equations.  A residual that is a nonzero scalar
+    becomes a constant polynomial, which no candidate satisfies.
     """
     check = PREDICATES[spec.predicate](spec.bundle)
     one = field.one
-    generic = (candidate or _candidates(spec, field))(
-        [Poly({(k,): one}) for k in range(spec.free_count())])
+    generic = _candidates(spec, field)([Poly({(k,): one}) for k in range(spec.free_count())])
     residuals = (x if isinstance(x, Poly) else Poly({(): x})
                  for _, residual in check(generic).violations for x in residual if x)
     # one equation per distinct polynomial, in the order the checker found them
@@ -183,8 +180,8 @@ def _order(equations, n_free: int) -> list:
 
     The next variable is the one that completes the most equations, ties
     going to the one in the most equations, then to the lowest index, so
-    with no equation the order is row-major.  A heap with lazy entries
-    keeps the cost O((n + terms) log n).
+    with no equation the order is row-major.  The counts of completed
+    equations are kept up to date as variables are placed.
     """
     unassigned = [{v for mono in eq.terms for v in mono} for eq in equations]
     occurs = [[] for _ in range(n_free)]
@@ -194,22 +191,16 @@ def _order(equations, n_free: int) -> list:
             occurs[v].append(e)
         if len(variables) == 1:
             completes[next(iter(variables))] += 1
-    heap = [(-completes[v], -len(occurs[v]), v) for v in range(n_free)]
-    heapify(heap)
-    order, placed = [], [False] * n_free
-    while heap:
-        done, _, v = heappop(heap)
-        if placed[v] or -done != completes[v]:  # a stale entry
-            continue
-        placed[v] = True
+    order, left = [], list(range(n_free))
+    while left:
+        v = min(left, key=lambda w: (-completes[w], -len(occurs[w]), w))
+        left.remove(v)
         order.append(v)
         for e in occurs[v]:
             variables = unassigned[e]
             variables.discard(v)
             if len(variables) == 1:
-                (w,) = variables
-                completes[w] += 1
-                heappush(heap, (-completes[w], -len(occurs[w]), w))
+                completes[next(iter(variables))] += 1
     return order
 
 
@@ -319,13 +310,12 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
         # d^k, not its digits: the count can run to thousands of them
         raise BudgetExceededError(f"{len(domain)}^{spec.free_count()} candidates "
                                   f"exceed the budget of {spec.budget}")
-    candidate = _candidates(spec, field)
-    check, equations = _compile(spec, field, candidate)
+    check, equations = _compile(spec, field)
     order = _order(equations, spec.free_count())
     position = sorted(range(len(order)), key=order.__getitem__)  # order[position[v]] = v
     levels, values = _lower(equations, domain, field, position)
     found, nodes = _sweep(levels, values, field.char)
-    solutions = []
+    candidate, solutions = _candidates(spec, field), []
     for choice in sorted(tuple(choice[k] for k in position) for choice in found):
         K = candidate([domain[j] for j in choice])
         if not check(K).ok:

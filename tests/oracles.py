@@ -132,6 +132,13 @@ demands (y.z).x = 0, where the morphism condition asks only
 P(y.z) - P(y).z - y.P(z) = -((y.z).x - y.(z.x)) = 0 with P = L_x - R_x.
 Every element it accepts (with the Rbar condition) must still be a
 Nijenhuis element.
+
+`left_mult`, `right_mult` and `bracket` are the multiplication matrices
+y -> x.y, y -> y.x and the commutator x.y - y.x of a pre-Lie algebra,
+which the library kept as methods of `PreLieAlgebra` although no
+command used them.  `heap_order` is the fail-first variable order of
+`search._order` kept by a heap with lazy entries, as the library had it
+before it picked each variable by a plain minimum.
 """
 
 from __future__ import annotations
@@ -425,7 +432,7 @@ def coboundary_at(a: PreLieAlgebra, rep: Representation, f: Cochain, args) -> tu
     for i in range(n):
         for j in range(i + 1, n):
             sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
-            br = a.bracket(a.basis(head[i]), a.basis(head[j]))
+            br = bracket(a, a.basis(head[i]), a.basis(head[j]))
             rest = [head[k] for k in range(n) if k not in (i, j)]
             term = cochain_eval(f, [br] + rest + [last])
             out = add_vec(out, term) if sign == 1 else sub_vec(out, term)
@@ -1022,7 +1029,7 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
 
     def alg_map(y, z):
         ey, ez = g.basis(y), g.basis(z)
-        yield ("comm-product", y, z), g.mul(g.bracket(x, ey), g.bracket(x, ez))
+        yield ("comm-product", y, z), g.mul(bracket(g, x, ey), bracket(g, x, ez))
         yield ("product-by-x", y, z), g.mul(g.mul_basis(y, z), x)
 
     def action(side, act, y, u):
@@ -1030,17 +1037,17 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
         yield ((f"{side}-cocycle", y, u),
                sub_vec(cochain_eval(H, [x, K.apply(act(ey, eu))]),
                        act(ey, cochain_eval(H, [x, K.column(u)]))))
-        yield (f"{side}-second", y, u), act(g.bracket(x, ey), psi1_basis[u])
+        yield (f"{side}-second", y, u), act(bracket(g, x, ey), psi1_basis[u])
 
     def weight(y, z):
         ey, ez = g.basis(y), g.basis(z)
         hyz = H.eval_basis((y, z))
         lhs = add_vec(sub_vec(act_L(rep, x, hyz), act_R(rep, x, hyz)),
                       cochain_eval(H, [x, K.apply(hyz)]))
-        rhs = add_vec(cochain_eval(H, [g.bracket(x, ey), ez]),
-                      cochain_eval(H, [ey, g.bracket(x, ez)]))
+        rhs = add_vec(cochain_eval(H, [bracket(g, x, ey), ez]),
+                      cochain_eval(H, [ey, bracket(g, x, ez)]))
         yield ("weight-cocycle", y, z), sub_vec(lhs, rhs)
-        yield ("weight-second", y, z), cochain_eval(H, [g.bracket(x, ey), g.bracket(x, ez)])
+        yield ("weight-second", y, z), cochain_eval(H, [bracket(g, x, ey), bracket(g, x, ez)])
 
     return {
         "algebra_morphism": grid(alg_map, n, n),
@@ -1239,3 +1246,47 @@ def field_check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
                              cochain_eval(H2, [phi.column(i), phi.column(j)])))
             for i in range(n) for j in range(n)),
     })
+
+
+def left_mult(a: PreLieAlgebra, x) -> Matrix:
+    """Matrix of y -> x.y for a coordinate vector x."""
+    return Matrix.from_columns(a.field, [a.mul(x, a.basis(j)) for j in range(a.dim)], a.dim)
+
+
+def right_mult(a: PreLieAlgebra, x) -> Matrix:
+    """Matrix of y -> y.x for a coordinate vector x."""
+    return Matrix.from_columns(a.field, [a.mul(a.basis(j), x) for j in range(a.dim)], a.dim)
+
+
+def bracket(a: PreLieAlgebra, x, y) -> tuple:
+    """The commutator x.y - y.x."""
+    return sub_vec(a.mul(x, y), a.mul(y, x))
+
+
+def heap_order(equations, n_free: int) -> list:
+    """`search._order` on a heap with lazy entries: O((n + terms) log n)."""
+    unassigned = [{v for mono in eq.terms for v in mono} for eq in equations]
+    occurs = [[] for _ in range(n_free)]
+    completes = [0] * n_free
+    for e, variables in enumerate(unassigned):
+        for v in variables:
+            occurs[v].append(e)
+        if len(variables) == 1:
+            completes[next(iter(variables))] += 1
+    heap = [(-completes[v], -len(occurs[v]), v) for v in range(n_free)]
+    heapq.heapify(heap)
+    order, placed = [], [False] * n_free
+    while heap:
+        done, _, v = heapq.heappop(heap)
+        if placed[v] or -done != completes[v]:  # a stale entry
+            continue
+        placed[v] = True
+        order.append(v)
+        for e in occurs[v]:
+            variables = unassigned[e]
+            variables.discard(v)
+            if len(variables) == 1:
+                (w,) = variables
+                completes[w] += 1
+                heapq.heappush(heap, (-completes[w], -len(occurs[w]), w))
+    return order

@@ -17,7 +17,7 @@ from conftest import (
     truncated_poly_algebra,
     zero_representation,
 )
-from oracles import act_L, act_R
+from oracles import act_L, act_R, left_mult, right_mult
 from prelie.algebra import (
     PreLieAlgebra,
     check_derivation,
@@ -29,8 +29,8 @@ from prelie.algebra import (
     subadjacent_lie,
 )
 from prelie.bundle import parse_bundle
-from prelie.errors import NoUnitError, ShapeError, UnverifiedError
-from prelie.linalg import Matrix
+from prelie.errors import InvariantError, NoUnitError, ShapeError, UnverifiedError
+from prelie.linalg import Matrix, add_vec
 from prelie.scalars import QQ, Poly, PrimeField
 
 
@@ -104,6 +104,14 @@ def test_subadjacent_satisfies_jacobi_on_randoms():
     for _ in range(15):
         a = random_algebra(rng)
         assert check_jacobi(QQ, subadjacent_lie(a)).ok
+
+
+def test_subadjacent_lie_reverifies_its_bracket(monkeypatch):
+    # x.y + y.x in place of the commutator is symmetric, so it fails antisymmetry
+    monkeypatch.setattr(algebra, "sub_vec", add_vec)
+    for a in (g2_algebra(), g3_algebra()):
+        with pytest.raises(InvariantError, match="not a Lie bracket"):
+            subadjacent_lie(a)
 
 
 def test_regular_representation_passes_all():
@@ -199,8 +207,8 @@ def test_actions_match_the_action_matrices(field):
 def test_left_right_mult_matrices():
     a = g2_algebra()
     x = (QQ(0), QQ(1))  # e2
-    assert a.left_mult(x).apply((1, 0)) == (QQ(-1), QQ(0))
-    assert a.right_mult(x).apply((0, 1)) == (QQ(0), QQ(1))
+    assert left_mult(a, x).apply((1, 0)) == (QQ(-1), QQ(0))
+    assert right_mult(a, x).apply((0, 1)) == (QQ(0), QQ(1))
 
 
 def test_each_axiom_checker_makes_one_prelie_defects_pass(monkeypatch):

@@ -1003,6 +1003,24 @@ def test_cli_empty_field_is_a_schema_error(args, value):
     assert doc["message"].startswith("/field:")
 
 
+@pytest.mark.parametrize("action", ["nijenhuis", "rigidity"])
+@pytest.mark.parametrize("flag, value", [("--series", "nonexistent.json"), ("--order", "-7")])
+def test_cli_deform_flags_of_check_are_rejected_on_other_actions(monkeypatch, action,
+                                                                 flag, value):
+    built = []
+    build = reynolds.ReynoldsData.build.__func__
+    monkeypatch.setattr(reynolds.ReynoldsData, "build",
+                        classmethod(lambda cls, *a: built.append(a) or build(cls, *a)))
+    argv = ("deform", action, "--bundle", str(CORPUS / "g3-f2-e11.json"))
+    code, out, _ = run_cli(*argv, flag, value)
+    assert code == 2
+    assert json.loads(out) == {"error": "SchemaError",
+                               "message": f"/{flag[2:]}: {flag} belongs to deform check, "
+                                          f"not deform {action}"}
+    assert built == []
+    assert run_cli(*argv)[0] in (0, 1) and built  # the run without the flag builds one
+
+
 def test_cli_deform_check_empty_series_is_an_io_error():
     code, out, _ = run_cli("deform", "check", "--bundle", str(CORPUS / "g3-k-deform.json"),
                            "--series", "")

@@ -18,6 +18,7 @@ from conftest import (
 from oracles import (
     act_L,
     act_R,
+    bracket,
     coboundary_at,
     cochain_eval,
     dense_rref,
@@ -293,7 +294,7 @@ def _closed_form_two_cocycle_violations(a, rep, H):
                     neg_vec(act_R(rep, ez, H.eval_basis((x, y)))),
                     neg_vec(cochain_eval(H, [y, a.mul_basis(x, z)])),
                     cochain_eval(H, [x, a.mul_basis(y, z)]),
-                    neg_vec(cochain_eval(H, [a.bracket(ex, ey), z])),
+                    neg_vec(cochain_eval(H, [bracket(a, ex, ey), z])),
                 ]
                 total = terms[0]
                 for t in terms[1:]:

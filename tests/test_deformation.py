@@ -12,7 +12,7 @@ from conftest import (
     random_reynolds_data,
     zero_representation,
 )
-from oracles import act_L, act_R, cochain_eval, dense_kernel
+from oracles import act_L, act_R, cochain_eval, dense_kernel, left_mult, right_mult
 from prelie import deformation
 from prelie.algebra import Order, PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
@@ -293,7 +293,7 @@ def test_element_coboundary_on_padded_bundles_is_K_S_minus_P_K(field):
         S = Matrix.from_columns(field, [
             add_vec(sub_vec(act_L(rep, x, e), act_R(rep, x, e)), cochain_eval(H, [x, K.column(u)]))
             for u, e in enumerate(basis_vec(field, m, u) for u in range(m))], m)
-        P = g.left_mult(x) - g.right_mult(x)
+        P = left_mult(g, x) - right_mult(g, x)
         assert element_coboundary(data, x) == K * S - P * K
 
 

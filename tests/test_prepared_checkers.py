@@ -108,7 +108,7 @@ from prelie.reynolds import (
     reynolds_from_invertible_cochain,
     star_product,
 )
-from prelie.scalars import INTEGERS, QQ, FpElement, Poly, PrimeField, descend, field_name, lift
+from prelie.scalars import QQ, FpElement, Poly, PrimeField, descend, field_name, lift
 from prelie.search import SearchSpec, exhaustive_search
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
@@ -675,10 +675,9 @@ def test_a_frame_without_the_rows_of_the_v_block_fails(monkeypatch):
     original = reynolds.graph_frame
     bundles = {field: _frame_cases_for(field, random.Random(2811)) for field in FIELDS}
 
-    def without_v_rows(field, planes, k, one):
+    def without_v_rows(planes, k, one):
         n = len(k)
-        return original(field, [[(j, row) for j, row in plane if j < n] for plane in planes],
-                        k, one)
+        return original([[(j, row) for j, row in plane if j < n] for plane in planes], k, one)
 
     monkeypatch.setattr(reynolds, "graph_frame", without_v_rows)
     for field, cases in bundles.items():
@@ -707,7 +706,14 @@ def test_graph_frame_runs_only_on_the_integers(monkeypatch):
     for argv in _frame_cases():
         run(argv)
     assert len(calls) > 100
-    assert all(args[0] is INTEGERS for args in calls)
+
+    def lifted(x):
+        return type(x) is int or (isinstance(x, Poly)
+                                  and all(type(c) is int for c in x.terms.values()))
+
+    assert all(type(one) is int and all(lifted(x) for row in k for x in row)
+               for _, k, one in calls)
+    assert any(isinstance(x, Poly) for _, k, _ in calls for row in k for x in row)
 
 
 DEFORM_CASES = (("dim1-abelian-f2.json", "f2"), ("g3-f2-e11.json", "f2"),

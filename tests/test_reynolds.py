@@ -30,6 +30,7 @@ from oracles import (
     dense_solve,
     field_check_rcw_morphism,
     field_induced_table,
+    left_mult,
     star_table,
 )
 from prelie.algebra import PreLieAlgebra, check_derivation, check_morphism, regular_representation
@@ -249,12 +250,12 @@ def test_the_classical_weights_are_coboundaries_on_the_regular_representation(fi
         a = tuple(field(rng.randint(-2, 2)) for _ in range(n))
         H_a = Cochain(field, 2, n, n, [neg_vec(g.mul(g.mul(g.basis(i), a), g.basis(j)))
                                        for i in range(n) for j in range(n)])
-        assert H_a == -coboundary(g, reg, Cochain.from_matrix(g.left_mult(a)))
+        assert H_a == -coboundary(g, reg, Cochain.from_matrix(left_mult(g, a)))
         if g.unit is not None:
             D = _random_square(rng, field, n)
             d1 = D.apply(g.unit)
             assert d_reynolds_pair(g, D) == (reg, -coboundary(
-                g, reg, Cochain.from_matrix(g.left_mult(d1))))
+                g, reg, Cochain.from_matrix(left_mult(g, d1))))
 
 
 def test_reynolds_from_derivation_rejects_a_weight_that_is_not_lambda_mu(monkeypatch):
@@ -884,6 +885,22 @@ def test_rcw_morphism_without_the_map_denominator_on_f_of_a_b_fails(monkeypatch)
     _replace_everywhere(monkeypatch, algebra, "morphism_defects", lambda original: (
         lambda source, target, F, one, pairs: original(source, target, F, 1, pairs)))
     assert not any(agreements())
+
+
+def test_rcw_morphism_prepares_equal_triples_once(monkeypatch):
+    # equal (g, rep, H) share one preparation, compared by value, not identity
+    data = parse_bundle(str(CORPUS / "g3-k-rowzero.json")).reynolds_data()
+    copy = parse_bundle(str(CORPUS / "g3-k-rowzero.json")).reynolds_data()
+    g, rep, H, K = copy.algebra, copy.rep, copy.cocycle, copy.operator
+    other = ReynoldsData(g, rep, Cochain.zero(QQ, 2, g.dim, rep.dim_v), K)
+    assert copy.cocycle is not data.cocycle and copy == data and other.cocycle != data.cocycle
+    prepared = count_calls(monkeypatch, reynolds, "twisted_rows")
+    phi, psi = Matrix.identity(QQ, g.dim), Matrix.identity(QQ, rep.dim_v)
+    for target, count in ((data, 1), (copy, 1), (other, 2)):
+        prepared.clear()
+        report = check_rcw_morphism(data, target, phi, psi)
+        assert len(prepared) == count
+        assert report == field_check_rcw_morphism(data, target, phi, psi)
 
 
 def test_rcw_morphism_rejects_maps_between_fields(g3_data):

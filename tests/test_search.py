@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from conftest import (
     g3b_algebra,
     zero_representation,
 )
-from oracles import dense_sweep, verify_polynomial_system
+from oracles import dense_sweep, heap_order, verify_polynomial_system
 from prelie import algebra, reynolds, scalars
 from prelie import search as search_module
 from prelie.algebra import PreLieAlgebra, Report, regular_representation
@@ -535,6 +536,31 @@ def test_the_order_is_a_permutation_of_the_free_variables(p, case):
     _, equations = search_module._compile(spec, F)
     assert sorted(search_module._order(equations, spec.free_count())) == \
         list(range(spec.free_count()))
+
+
+def _random_system(rng):
+    """Up to 12 variables and 15 equations of up to 4 terms: constants, squares and
+    variables repeated across equations included; no variable when n = 0."""
+    n = rng.randrange(13)
+    equations = []
+    for _ in range(rng.randrange(16)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            degree = rng.randrange(4) if n else 0
+            terms[tuple(sorted(rng.randrange(n) for _ in range(degree)))] = rng.randint(1, 3)
+        equations.append(scalars.Poly(terms))
+    return equations, n
+
+
+def test_the_order_is_the_order_of_the_heap_oracle():
+    rng = random.Random(3131)
+    systems = [_random_system(rng) for _ in range(1500)]
+    assert {n for _, n in systems} >= {0, 12}
+    assert any(eq.terms.keys() == {()} for eqs, _ in systems for eq in eqs)
+    assert any(len(set(mono)) < len(mono) for eqs, _ in systems for eq in eqs
+               for mono in eq.terms)
+    for equations, n in systems:
+        assert search_module._order(equations, n) == heap_order(equations, n)
 
 
 def _power_truncation(field, n):
