@@ -519,11 +519,8 @@ def morphism_checker(source: tuple, target: tuple):
 def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
                        phi: Matrix, psi: Matrix) -> Report:
     """Morphism of Reynolds operators (phi, psi) from ``data`` to ``data2``
-    (`morphism_checker`, prepared for this one call: once when the two
-    (g, rep, H) triples are equal)."""
+    (`morphism_checker`, prepared for this one call)."""
     if data.field != data2.field:
         raise DimensionMismatchError("algebras live over different fields")
-    triples = [(d.algebra, d.rep, d.cocycle) for d in (data, data2)]
-    prepared = [(g, twisted_rows(g, rep, H))
-                for g, rep, H in triples[:1 if triples[0] == triples[1] else 2]]
-    return morphism_checker(prepared[0], prepared[-1])(data.operator, data2.operator, phi, psi)
+    return morphism_checker(*[(d.algebra, twisted_rows(d.algebra, d.rep, d.cocycle))
+                              for d in (data, data2)])(data.operator, data2.operator, phi, psi)

@@ -199,15 +199,6 @@ class Poly:
         """The polynomial with f applied to each coefficient; zero images drop out."""
         return Poly({mono: v for mono, c in self.terms.items() if (v := f(c))})
 
-    def at(self, values, zero):
-        """The value at x_i = values[i]; ``zero`` is the field's zero."""
-        total = zero
-        for mono, c in self.terms.items():
-            for i in mono:
-                c = c * values[i]
-            total = total + c
-        return total
-
 
 class RationalField:
     """The field of rational numbers; elements are `fractions.Fraction`."""

@@ -160,7 +160,8 @@ PREDICATES = {
 
 
 def _compile(spec: SearchSpec, field):
-    """The checker of ``spec`` and its equations in the free entries.
+    """The checker of ``spec``, its equations in the free entries and the
+    candidate builder.
 
     The checker runs once on the generic candidate; its nonzero residual
     coordinates are the equations.  A residual that is a nonzero scalar
@@ -168,11 +169,13 @@ def _compile(spec: SearchSpec, field):
     """
     check = PREDICATES[spec.predicate](spec.bundle)
     one = field.one
-    generic = _candidates(spec, field)([Poly({(k,): one}) for k in range(spec.free_count())])
+    candidate = _candidates(spec, field)
+    generic = candidate([Poly({(k,): one}) for k in range(spec.free_count())])
     residuals = (x if isinstance(x, Poly) else Poly({(): x})
                  for _, residual in check(generic).violations for x in residual if x)
     # one equation per distinct polynomial, in the order the checker found them
-    return check, list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
+    equations = list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
+    return check, equations, candidate
 
 
 def _order(equations, n_free: int) -> list:
@@ -310,12 +313,12 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
         # d^k, not its digits: the count can run to thousands of them
         raise BudgetExceededError(f"{len(domain)}^{spec.free_count()} candidates "
                                   f"exceed the budget of {spec.budget}")
-    check, equations = _compile(spec, field)
+    check, equations, candidate = _compile(spec, field)
     order = _order(equations, spec.free_count())
     position = sorted(range(len(order)), key=order.__getitem__)  # order[position[v]] = v
     levels, values = _lower(equations, domain, field, position)
     found, nodes = _sweep(levels, values, field.char)
-    candidate, solutions = _candidates(spec, field), []
+    solutions = []
     for choice in sorted(tuple(choice[k] for k in position) for choice in found):
         K = candidate([domain[j] for j in choice])
         if not check(K).ok:

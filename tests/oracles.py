@@ -593,8 +593,18 @@ def candidate(spec: SearchSpec, values, field) -> Matrix:
     return _candidates(spec, field)(values)
 
 
+def poly_at(poly: Poly, values, zero):
+    """The value of ``poly`` at x_i = values[i]; ``zero`` is the field's zero."""
+    total = zero
+    for mono, c in poly.terms.items():
+        for i in mono:
+            c = c * values[i]
+        total = total + c
+    return total
+
+
 def vanish(equations, values, zero) -> bool:
-    return all(not eq.at(values, zero) for eq in equations)
+    return all(not poly_at(eq, values, zero) for eq in equations)
 
 
 def dense_sweep(spec: SearchSpec, field) -> list:
@@ -603,7 +613,7 @@ def dense_sweep(spec: SearchSpec, field) -> list:
     Each candidate is decided by the compiled equations on field scalars
     and by `field_checker`; the two must agree.
     """
-    _, equations = _compile(spec, field)
+    _, equations, _ = _compile(spec, field)
     check = field_checker(spec)
     zero = field.zero
     solutions = []
@@ -645,7 +655,7 @@ def verify_polynomial_system(field: PrimeField,
     total = spec.count()
     if total > budget:
         raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
-    _, equations = _compile(spec, field)
+    _, equations, _ = _compile(spec, field)
     p, zero = field.p, field.zero
     mismatches = []
     solutions = 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import poly_at
 from prelie.errors import FieldMismatchError
 from prelie.scalars import (
     QQ,
@@ -143,7 +144,7 @@ def test_poly_passes_through_fields_and_containers():
     assert QQ(y) is y and F3(x) is x
     M = Matrix(F3, [[x, 1], [0, x]])
     assert M.data[0][0] is x and M.data[0][1] == F3(1)
-    assert M.apply((F3(1), F3(2)))[0].at((F3(1),), F3.zero) == F3(0)
+    assert poly_at(M.apply((F3(1), F3(2)))[0], (F3(1),), F3.zero) == F3(0)
     f = Cochain(F3, 1, 1, 1, [[x]])
     assert f.values[0][0] is x
 
@@ -166,7 +167,7 @@ def test_poly_evaluation_is_a_ring_map(cp, cq, point):
     values = tuple(F7(v) for v in point)
 
     def at(r):
-        return r.at(values, F7.zero) if isinstance(r, Poly) else r
+        return poly_at(r, values, F7.zero) if isinstance(r, Poly) else r
 
     assert at(p + q) == at(p) + at(q)
     assert at(p - q) == at(p) - at(q)

@@ -533,7 +533,7 @@ def test_the_order_is_a_permutation_of_the_free_variables(p, case):
     F = PrimeField(p)
     predicate, bundle, shape, fixed, _ = _predicate_cases(F)[case]
     spec = SearchSpec(predicate, bundle, shape, tuple(F.elements()), fixed=fixed)
-    _, equations = search_module._compile(spec, F)
+    _, equations, _ = search_module._compile(spec, F)
     assert sorted(search_module._order(equations, spec.free_count())) == \
         list(range(spec.free_count()))
 

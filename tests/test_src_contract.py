@@ -3,27 +3,87 @@
 Every function and class defined in the package, at any depth, must be
 referenced somewhere in `src/prelie` outside its own definition, be
 exported by `prelie/__init__.py`, or be named in `TRACED` of
-`bench/tracer.py` (which wraps it by name).  A reference is a name or an
-attribute that reads it; dunder methods, which the language calls, are
-exempt.  Anything else is code only the tests reach, and it belongs in
+`bench/tracer.py` (which wraps it by name).  A reference is a read: a
+method is read as an attribute, any other definition as a name that
+resolves to it (a local variable of the same name does not) or as an
+attribute.  Dunder methods, which the language calls, are exempt.
+Anything else is code only the tests reach, and it belongs in
 `tests/oracles.py`.  Both files are parsed, not imported.
 """
 
 import ast
 import sys
-from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prelie"
 TRACER = ROOT / "bench" / "tracer.py"
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _referenced(tree) -> Counter:
-    """How often each name is read in ``tree``, as a name or an attribute."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, ast.Name) or isinstance(node, ast.Attribute))
+def _bound(scope) -> set:
+    """The names a function, lambda or comprehension binds in its own scope.
+
+    Imports are left out: an imported name stands for the definition it
+    imports.
+    """
+    if isinstance(scope, COMPREHENSIONS):
+        return {node.id for generator in scope.generators
+                for node in ast.walk(generator.target) if isinstance(node, ast.Name)}
+    args = scope.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a}
+    declared, stack = set(), list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, DEFINITIONS):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Lambda,) + COMPREHENSIONS):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _scan(tree):
+    """The definitions in ``tree`` and its reads, each under a key.
+
+    A method's key is ("attr", name), which every attribute read of that
+    name carries; a name read takes the key (scope, name) of the innermost
+    function scope around it that binds the name, else (None, name), the
+    key of a module-level definition, which an attribute read (`module.f`)
+    also reaches.  Each read also carries the ids of the definitions it
+    lies in.
+    """
+    definitions, reads = [], []
+
+    def visit(node, scopes, inside, in_class):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            owner = next((scope for scope, bound in reversed(scopes) if node.id in bound), None)
+            reads.append(((owner, node.id), inside))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.append((("attr", node.attr), inside))
+        if isinstance(node, DEFINITIONS):
+            key = ("attr" if in_class else scopes[-1][0] if scopes else None, node.name)
+            definitions.append((node, key))
+            inside = inside | {id(node)}
+        if isinstance(node, FUNCTIONS + COMPREHENSIONS):
+            scopes = scopes + [(id(node), _bound(node))]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes, inside, isinstance(node, ast.ClassDef))
+
+    visit(tree, [], frozenset(), False)
+    return definitions, reads
 
 
 def _traced() -> set:
@@ -43,18 +103,18 @@ def _exported() -> set:
 
 def unreferenced_definitions() -> list:
     """(module, name) of each definition that the contract flags."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    references = sum((_referenced(tree) for tree in trees.values()), Counter())
+    scans = {path.stem: _scan(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    reads = [read for _, module_reads in scans.values() for read in module_reads]
     kept = _exported() | _traced()
     flagged = []
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+    for module, (definitions, _) in scans.items():
+        for node, key in definitions:
             name = node.name
             if name.startswith("__") and name.endswith("__") or name in kept:
                 continue
-            if references[name] - _referenced(node)[name] == 0:
+            keys = {key, ("attr", name)} if key[0] is None else {key}
+            if not any(read in keys and id(node) not in inside for read, inside in reads):
                 flagged.append((module, name))
     return flagged
 
@@ -63,14 +123,31 @@ def test_every_definition_in_src_is_referenced_exported_or_traced():
     assert unreferenced_definitions() == []
 
 
-def test_the_contract_sees_a_definition_nothing_reads(tmp_path, monkeypatch):
-    # a copy of the package with one extra method that only calls itself
+ORPHANS = {
+    # a method that only calls itself, under a name nothing else uses
+    "method": ("    def require_unit(self) -> tuple:",
+               "    def orphan_mult(self, x):\n        return self.orphan_mult(x)\n\n",
+               "orphan_mult"),
+    # a method named like the local `bracket` that `subadjacent_lie` reads
+    "method-named-like-a-local": ("    def require_unit(self) -> tuple:",
+                                  "    def bracket(self, x, y):\n        return x\n\n",
+                                  "bracket"),
+    # a module-level function named like that local
+    "function-named-like-a-local": ("def subadjacent_lie(a: PreLieAlgebra):",
+                                    "def bracket(x, y):\n    return x\n\n\n",
+                                    "bracket"),
+}
+
+
+@pytest.mark.parametrize("orphan", ORPHANS)
+def test_the_contract_sees_a_definition_nothing_reads(orphan, tmp_path, monkeypatch):
+    # a copy of the package with one extra definition that nothing reads
+    anchor, definition, name = ORPHANS[orphan]
     for path in PACKAGE.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     algebra = tmp_path / "algebra.py"
-    algebra.write_text(algebra.read_text().replace(
-        "    def require_unit(self) -> tuple:",
-        "    def orphan_mult(self, x):\n        return self.orphan_mult(x)\n\n"
-        "    def require_unit(self) -> tuple:"))
+    source = algebra.read_text()
+    assert source.count(anchor) == 1
+    algebra.write_text(source.replace(anchor, definition + anchor))
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
-    assert unreferenced_definitions() == [("algebra", "orphan_mult")]
+    assert unreferenced_definitions() == [("algebra", name)]
