@@ -181,6 +181,47 @@ def nonzero_rows(tensor) -> list:
     return [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
 
 
+def nonzero_entries(rows) -> list:
+    """The nonempty rows of `nonzero_rows` as (i, j, row) triples, in (i, j) order."""
+    return [(i, j, row) for i, plane in enumerate(rows) for j, row in enumerate(plane) if row]
+
+
+def family_products(entries, left, right) -> list:
+    """The table [[x.y for y in right] for x in left], each product a list of ints.
+
+    ``entries`` are the `nonzero_entries` of a tensor of ints and ``left``,
+    ``right`` two families of its coordinate vectors (ints, or `scalars.Poly`
+    with int coefficients).  One pass over the entries: at (i, j, row),
+    every nonzero x_i of a left vector x times every nonzero y_j of a right
+    vector y adds x_i y_j row into x.y, so no pair is visited on its own.
+    """
+    if not left or not right:
+        return [[] for _ in left]
+    dim = len(left[0])
+
+    def nonzero_at(family):  # coordinate i -> the (vector index, nonzero coordinate) pairs
+        at = [[] for _ in range(dim)]
+        for a, x in enumerate(family):
+            for i, xi in enumerate(x):
+                if xi:
+                    at[i].append((a, xi))
+        return at
+
+    at_left = nonzero_at(left)
+    at_right = at_left if right is left else nonzero_at(right)
+    out = [[[0] * dim for _ in right] for _ in left]
+    for i, j, row in entries:
+        ys = at_right[j]
+        if ys:
+            for a, x in at_left[i]:
+                products = out[a]
+                for b, y in ys:
+                    c, w = x * y, products[b]
+                    for t, z in row:
+                        w[t] += c * z
+    return out
+
+
 def prelie_defects(rows, triples, start):
     """(a.b).c - a.(b.c) - (b.a).c + b.(a.c) at each basis triple (a, b, c).
 

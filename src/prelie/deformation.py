@@ -72,15 +72,16 @@ class _ElementTerms:
         self.field, self.n, self.K = g.field, n, [gr[:n] for gr in graph]  # K: D_K K e_u
         self.scale = twisted[1] * DK * DK
         e = [basis_vec(INTEGERS, n + rep.dim_v, i) for i in range(n)]
+        ee, eg = mul(e, e), mul(e, graph)
+        ue = mul([(0,) * n + gr[n:] for gr in graph], e)  # (0, e_u).(e_i, 0)
 
-        def at(x):  # x = e_i: the columns P e_j, then (Rbar_u x, S e_u), flat
-            flat = [DK * DK * a for y in e for a in sub_vec(mul(x, y), mul(y, x))[:n]]
-            for gr in graph:  # w = (e_i, 0).gr(u); S e_u is the V-part of w - (0, e_u).(e_i, 0)
-                w = mul(x, gr)
-                flat += p(w) + tuple(DK * a for a in sub_vec(w, mul((0,) * n + gr[n:], x))[n:])
+        def at(i):  # x = e_i: the columns P e_j, then (Rbar_u x, S e_u), flat
+            flat = [DK * DK * a for j in range(n) for a in sub_vec(ee[i][j], ee[j][i])[:n]]
+            for u, w in enumerate(eg[i]):  # w = (e_i, 0).gr(u); S e_u: V-part of w - ue[u][i]
+                flat += p(w) + tuple(DK * a for a in sub_vec(w, ue[u][i])[n:])
             return [(k, v) for k, v in enumerate(flat) if v]
 
-        self.basis = [at(x) for x in e]
+        self.basis = [at(i) for i in range(n)]
 
     def lifted(self, x) -> tuple:
         """(the columns of P, those of (rbar, S), on the ints at x; their scale)."""

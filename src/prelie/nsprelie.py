@@ -36,6 +36,7 @@ from .algebra import (
     _as_tensor,
     _combine,
     lifted_report,
+    nonzero_entries,
     nonzero_rows,
     prelie_defects,
     semidirect_rows,
@@ -137,49 +138,48 @@ def _nijenhuis_frame(g: PreLieAlgebra):
     """The Nijenhuis identity on the integer lift, prepared once: N -> (report, table).
 
     The structure constants are lifted once (denominator D_g), each N
-    alone (D_N).  At every basis pair, e_i ._N e_j comes out D_g D_N
-    times its field value and Ne_i.Ne_j - N(e_i ._N e_j) D_g D_N^2 times
+    alone (D_N).  One scatter over the nonzero constants e_a.e_b, as in
+    `algebra.family_products`, adds each into the basis pairs that N's
+    nonzero entries carry it to: at (i, j),
+    e_i ._N e_j = Ne_i.e_j + e_i.Ne_j - N(e_i.e_j) comes out D_g D_N times
+    its field value and Ne_i.Ne_j - N(e_i ._N e_j) D_g D_N^2 times
     (`SIGNS.md`): the `Report` of the second and ``table()`` of the
     first, mapped back; `scalars.Poly` entries coefficient by coefficient.
     """
     field, n = g.field, g.dim
     (c, Dg), _ = lift(field, (g.product, field.one))
-    rows = nonzero_rows(c)
+    entries = nonzero_entries(nonzero_rows(c))
 
     def evaluate(N: Matrix):
         if N.rows != n or N.cols != n:
             raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {n}")
         (k, DN), _ = lift(field, (N.data, field.one))
-        cols = [[(a, row[i]) for a, row in enumerate(k) if row[i]] for i in range(n)]
+        at = [[(i, x) for i, x in enumerate(row) if x] for row in k]  # Ne_i has x at a
+        cols = [[(s, row[t]) for s, row in enumerate(k) if row[t]] for t in range(n)]  # N e_t
+        deformed, out = {}, {}  # the pairs that a constant reaches
 
-        def residual(i, j):
-            deformed = [0] * n  # e_i ._N e_j, times D_g D_N
-            for a, x in cols[i]:
-                for t, z in rows[a][j]:
-                    deformed[t] += x * z
-            for b, y in cols[j]:
-                for t, z in rows[i][b]:
-                    deformed[t] += y * z
-            for t, z in rows[i][j]:
-                for s, w in cols[t]:
-                    deformed[s] -= z * w
-            out = [0] * n  # Ne_i.Ne_j - N(e_i ._N e_j), times D_g D_N^2
-            for a, x in cols[i]:
-                for b, y in cols[j]:
-                    xy = x * y
-                    for t, z in rows[a][b]:
-                        out[t] += xy * z
-            for t, z in enumerate(deformed):
-                if z:
-                    for s, w in cols[t]:
-                        out[s] -= z * w
-            return deformed, out
+        def add(table, key, c, row):
+            w = table.get(key)
+            if w is None:
+                w = table[key] = [0] * n
+            for t, z in row:
+                w[t] += c * z
 
-        values = [[residual(i, j) for j in range(n)] for i in range(n)]
-        back = descend(field, Dg * DN ** 2)
-        return (lifted_report((((i, j), r) for i, row in enumerate(values)
-                               for j, (_, r) in enumerate(row)), back),
-                lambda: [[descend(field, Dg * DN)(d) for d, _ in row] for row in values])
+        for a, b, row in entries:  # e_a.e_b = row
+            for i, x in at[a]:
+                add(deformed, (i, b), x, row)  # Ne_i.e_b
+                for j, y in at[b]:
+                    add(out, (i, j), x * y, row)  # Ne_i.Ne_j
+            for j, y in at[b]:
+                add(deformed, (a, j), y, row)  # e_a.Ne_j
+            add(deformed, (a, b), -1, [(s, z * y) for t, z in row for s, y in cols[t]])
+        for key, d in deformed.items():  # e_i ._N e_j times D_g D_N
+            add(out, key, -1, [(s, z * y) for t, z in enumerate(d) if z for s, y in cols[t]])
+        zero = (0,) * n
+        back = descend(field, Dg * DN ** 2)  # Ne_i.Ne_j - N(e_i ._N e_j) times D_g D_N^2
+        return (lifted_report(((key, out[key]) for key in sorted(out)), back),
+                lambda: [[descend(field, Dg * DN)(deformed.get((i, j), zero)) for j in range(n)]
+                         for i in range(n)])
 
     return evaluate
 
@@ -248,7 +248,7 @@ def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
     unit = [(0,) * n + gr[n:] for gr in graph]  # (0, e_u)
 
     def table(left, right):
-        return tuple(tuple(down(mul(a, b)[n:]) for b in right) for a in left)
+        return tuple(tuple(down(w[n:]) for w in row) for row in mul(left, right))
 
     return reverified(NSPreLie, data.field, table(graph, unit), table(unit, graph),
                       table(point, point))

@@ -47,8 +47,9 @@ def _induced_arrays(n: int, frame) -> tuple:
     mul, graph, proj, products, back = frame
     e = [basis_vec(INTEGERS, n + len(graph), x) for x in range(n)]
     table = [[w[n:] for w in row] for row in products]
-    Lbar = [list(zip(*[proj(mul(gr, ex)) for ex in e])) for gr in graph]
-    Rbar = [list(zip(*[proj(mul(ex, gr)) for ex in e])) for gr in graph]
+    Lbar = [list(zip(*map(proj, row))) for row in mul(graph, e)]  # gr(u).e_x
+    right = mul(e, graph)  # e_x.gr(u)
+    Rbar = [list(zip(*[proj(row[u]) for row in right])) for u in range(len(graph))]
     down = back(4, 2)
     for failed, report in (("structure constants fail the pre-Lie identity",
                             prelie_report(table, down)),

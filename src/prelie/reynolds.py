@@ -18,7 +18,10 @@ p(gr(u).gr(v)).  The induced product u ._K v (the star product, for a
 scalar weight), the graph closure of `check_graph_subalgebra`, Lbar,
 Rbar, the NS-pre-Lie tables and the maps of `deformation` are read off
 the same frame: one per operator, on the integer lift, from
-`operator_frames`, each reading mapped back by its own degree.  Where
+`operator_frames`, each reading mapped back by its own degree.  A frame's
+product takes two families of vectors to their whole table in one
+scatter over the nonzero structure constants (`algebra.family_products`).
+Where
 H is checked too, dH is read off the same lifted rows as the frames
 (`_require_cocycle`, `cochain.cocycle_report`).  A
 morphism of operators is read off the two twisted semidirect products
@@ -43,8 +46,10 @@ from .algebra import (
     Representation,
     check_derivation,
     check_morphism,
+    family_products,
     lifted_report,
     morphism_defects,
+    nonzero_entries,
     regular_representation,
     residual_report,
     semidirect_tensor as raw_semidirect_tensor,
@@ -105,34 +110,19 @@ def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
     return raw_semidirect_tensor(product, rep.dim_v, L, R, table)
 
 
-def graph_frame(planes, k, one):
+def graph_frame(entries, cols, one):
     """The semidirect product on g + V read through the graph of K, on the integer lift.
 
-    ``planes[i]`` holds the nonempty rows j of plane i of its tensor, as
-    (j, `algebra.nonzero_rows` row) pairs, ``k`` the n lifted rows of K
-    and ``one`` stands for 1 (the denominator of K).
-    Returns the product, the graph vectors gr(u) = (K e_u, one e_u) and
-    the projection p(a, b) = one a - K b, which vanishes exactly on the
-    graph.  A product visits only the nonempty rows that its nonzero
-    coordinates pick; `SIGNS.md` lists what is read off it.
+    ``entries`` are the `algebra.nonzero_entries` of its tensor, ``cols``
+    the m lifted columns K e_u and ``one`` stands for 1 (the denominator
+    of K).  Returns the product, the graph vectors gr(u) = (K e_u, one e_u)
+    and the projection p(a, b) = one a - K b, which vanishes exactly on
+    the graph.  The product maps two families of vectors to their table
+    (`algebra.family_products`); `SIGNS.md` lists what is read off it.
     """
-    n, dim = len(k), len(planes)
-    m = dim - n
-    cols = [tuple(row[u] for row in k) for u in range(m)]
-    graph = [col + tuple(one if v == u else 0 for v in range(m))
-             for u, col in enumerate(cols)]
-
-    def mul(x, y):
-        out = [0] * dim
-        for i, a in enumerate(x):
-            if a:
-                for j, row in planes[i]:
-                    b = y[j]
-                    if b:
-                        c = a * b
-                        for t, z in row:
-                            out[t] = out[t] + c * z
-        return tuple(out)
+    n, m = len(cols[0]) if cols else 0, len(cols)
+    zeros = (0,) * m
+    graph = [col + zeros[:u] + (one,) + zeros[u + 1:] for u, col in enumerate(cols)]
 
     def project(w):
         out = [one * a if a else a for a in w[:n]]
@@ -143,7 +133,7 @@ def graph_frame(planes, k, one):
                         out[i] = out[i] - y * a
         return tuple(out)
 
-    return mul, graph, project
+    return (lambda left, right: family_products(entries, left, right)), graph, project
 
 
 def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
@@ -161,14 +151,14 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
 
 def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
     """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`."""
-    field, (rows, Dg) = g.field, twisted
-    planes = [[(j, row) for j, row in enumerate(plane) if row] for plane in rows]
+    field, (rows, Dg), m = g.field, twisted, rep.dim_v
+    entries = nonzero_entries(rows)
 
     def frame(K: Matrix):
         _check_operator_shape(g, rep, K)
         (k, DK), _ = lift(field, (K.data, field.one))
-        mul, graph, p = graph_frame(planes, k, DK)
-        return (mul, graph, p, [[mul(a, b) for b in graph] for a in graph],
+        mul, graph, p = graph_frame(entries, list(zip(*k)) if k else [()] * m, DK)  # k = (): n = 0
+        return (mul, graph, p, mul(graph, graph),
                 lambda degree, d=1, e=1: descend(field, e * Dg ** d * DK ** degree))
 
     return frame
@@ -178,7 +168,9 @@ def _reynolds_report(frame) -> Report:
     """The Reynolds residuals p(gr(u).gr(v)) of a frame: degree 3."""
     _, _, p, products, back = frame
     down = back(3)
-    residuals = (((u, v), p(w)) for u, row in enumerate(products) for v, w in enumerate(row))
+    # a zero product has a zero residual, which the report drops anyway
+    residuals = (((u, v), p(w)) for u, row in enumerate(products)
+                 for v, w in enumerate(row) if any(w))
     return lifted_report(residuals, down)
 
 

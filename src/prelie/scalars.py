@@ -20,7 +20,7 @@ lifted ints and map each result back.  `lift` is the package's one way
 from field scalars into the integers.  `INTEGERS`, a bare evaluation
 ring with identity coercion, is the ring of the field-generic kernels
 that take one (`algebra.tensor_mul`, `cochain.Cochain` and
-`reynolds.graph_frame`); no algebra, representation or matrix is built
+`linalg.basis_vec`); no algebra, representation or matrix is built
 over it.  It has no name, parser or printer, so bundles and the command
 line never see it.
 
@@ -323,13 +323,16 @@ def _lifted(arrays, p: int, D: int, dens: set) -> tuple:
     ``numerator * (D // denominator)`` over Q, each denominator added to ``dens``."""
     out = []
     for x in arrays:
-        if type(x) is Fraction and not p:
+        kind = type(x)
+        if kind is tuple or kind is list:
+            out.append(_lifted(x, p, D, dens))
+        elif kind is Fraction and not p:
             d = x.denominator
             dens.add(d)
             out.append(x.numerator * (D // d))
-        elif type(x) is FpElement and x.p == p:
+        elif kind is FpElement and x.p == p:
             out.append(x.value)
-        elif isinstance(x, (tuple, list)):
+        elif isinstance(x, (tuple, list)):  # a subclass, such as `algebra._Tensor`
             out.append(_lifted(x, p, D, dens))
         elif isinstance(x, Poly):
             out.append(Poly(dict(zip(x.terms, _lifted(tuple(x.terms.values()), p, D, dens)))))
@@ -400,9 +403,12 @@ def field_name(field) -> str:
 
 
 def scalar_to_str(x) -> str:
-    if isinstance(x, Fraction):
+    # exact type first: isinstance(x, Fraction) takes the slow abc path for an FpElement
+    if type(x) is Fraction:
         return QQ.format(x)
     if isinstance(x, FpElement):
         return f"{x.value} mod {x.p}"
+    if isinstance(x, Fraction):
+        return QQ.format(x)
     raise TypeError(f"not a scalar: {x!r}")
 

@@ -39,9 +39,10 @@ checks that H is a 2-cocycle on the frames' own preparation, and the
 weighted-reynolds and d-reynolds entries (on the regular
 representation) return `reynolds.reynolds_checker`; the nijenhuis entry
 returns `nsprelie.nijenhuis_checker`.  The generic candidate and each
-solution then cost one lift of the candidate and one integer
-evaluation; the nijenhuis-element entry returns the element checker,
-whose maps and morphism checker are prepared once per search.
+solution then cost one lift of the candidate and one scatter over the
+prepared nonzero structure constants (`algebra.family_products`, or
+its Nijenhuis form); the nijenhuis-element entry returns the element
+checker, whose maps and morphism checker are prepared once per search.
 """
 
 from __future__ import annotations

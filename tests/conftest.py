@@ -27,7 +27,7 @@ from prelie.algebra import (
 from prelie.cochain import Cochain, coboundary_matrix, cochain_keys
 from prelie.linalg import Matrix
 from prelie.reynolds import ReynoldsData, reynolds_from_invertible_cochain
-from prelie.scalars import QQ, Poly, PrimeField
+from prelie.scalars import QQ, Poly
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

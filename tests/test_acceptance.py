@@ -8,19 +8,15 @@ them inline.
 import random
 import time
 
-import pytest
-
 from conftest import (
     CORPUS,
     abelian,
     g2_algebra,
     g3_algebra,
-    g3_cocycle,
     g3b_algebra,
     random_cochain,
     random_pair,
     random_reynolds_data,
-    unimodular,
     zero_representation,
 )
 from oracles import (
@@ -34,9 +30,7 @@ from oracles import (
 )
 from prelie.algebra import (
     PreLieAlgebra,
-    check_derivation,
     check_prelie,
-    check_representation,
     regular_representation,
 )
 from prelie.brackets import (
@@ -55,7 +49,6 @@ from prelie.deformation import (
 )
 from prelie.linalg import Matrix, add_vec, basis_vec, scale_vec, sub_vec
 from prelie.nsprelie import (
-    NSPreLie,
     check_ns_prelie,
     compatible_ns_from_invertible,
     ns_from_nijenhuis,
@@ -64,7 +57,6 @@ from prelie.nsprelie import (
     subadjacent,
 )
 from prelie.opcohomology import (
-    induced_representation,
     operator_coboundary,
     operator_coboundary_matrix,
 )
@@ -81,7 +73,6 @@ from prelie.reynolds import (
     star_product,
 )
 from prelie.scalars import QQ, PrimeField
-from prelie.search import SearchSpec, exhaustive_search
 
 
 def report(n, ok, text):
@@ -480,7 +471,6 @@ def test_criterion_7_deformation_suite():
 def test_criterion_8_cli_determinism():
     """Byte-identical CLI reruns on the corpus."""
     import io
-    import json
     from contextlib import redirect_stderr, redirect_stdout
 
     from prelie.cli import main

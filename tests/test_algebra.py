@@ -11,7 +11,6 @@ from conftest import (
     combination,
     g2_algebra,
     g3_algebra,
-    g3b_algebra,
     random_algebra,
     random_pair,
     truncated_poly_algebra,

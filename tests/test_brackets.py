@@ -12,8 +12,6 @@ from conftest import (
     as_terms,
     count_calls,
     g2_algebra,
-    g3_algebra,
-    g3_cocycle,
     padded_reynolds_data,
     random_algebra,
     random_cochain,
@@ -61,7 +59,7 @@ from prelie.cochain import Cochain, cochain_keys
 from prelie.errors import InvariantError, ShapeError
 from prelie.linalg import Matrix, add_vec, basis_vec, scale_vec, sub_vec
 from prelie.reynolds import ReynoldsData, check_rcw_reynolds
-from prelie.scalars import INTEGERS, QQ, Poly, PrimeField, field_name
+from prelie.scalars import QQ, Poly, PrimeField, field_name
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from prelie.bundle import (
     nsprelie_from_json,
     nsprelie_to_json,
     parse_bundle,
-    representation_to_json,
 )
 from prelie.cli import build_parser, main
 from prelie.cochain import Cochain

@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st

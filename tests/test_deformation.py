@@ -7,7 +7,6 @@ from conftest import (
     CORPUS,
     abelian,
     g3_algebra,
-    g3_cocycle,
     padded_reynolds_data,
     random_reynolds_data,
     zero_representation,

@@ -8,15 +8,14 @@ from conftest import (
     g2_algebra,
     g3_algebra,
     g3b_algebra,
-    g3_cocycle,
     padded_reynolds_data,
     random_reynolds_data,
     zero_representation,
 )
 from oracles import act_L, act_R, cochain_eval, field_deformed_table, field_induced_table
-from prelie.algebra import check_prelie, regular_representation
+from prelie.algebra import check_prelie
 from prelie.cochain import Cochain
-from prelie.errors import ShapeError, SingularError, UnverifiedNSError, UnverifiedOperatorError
+from prelie.errors import ShapeError, SingularError, UnverifiedOperatorError
 from prelie.linalg import Matrix, basis_vec
 from prelie.nsprelie import (
     NSPreLie,

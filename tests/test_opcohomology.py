@@ -357,14 +357,17 @@ def _corrupt(monkeypatch, where: str) -> None:
                 mul, graph, proj, products, back = prepared(K)
                 if where == "table":  # at e_0 ._K e_1, coordinate 0
                     products = [list(row) for row in products]
-                    w = products[0][1]
-                    products[0][1] = w[:n] + (w[n] + 1,) + w[n + 1:]
+                    w = list(products[0][1])
+                    w[n] += 1
+                    products[0][1] = w
                 else:
                     e0 = basis_vec(INTEGERS, len(graph[0]), 0)
 
-                    def mul(x, y, mul=mul):
-                        out = mul(x, y)
-                        return (out[0] + 1,) + out[1:] if (x, y) == (graph[0], e0) else out
+                    def mul(left, right, mul=mul):  # at gr(0).e_0 of the table gr(u).e_x
+                        out = mul(left, right)
+                        if left is graph and right and right[0] == e0:
+                            out[0][0] = [out[0][0][0] + 1, *out[0][0][1:]]
+                        return out
                 return mul, graph, proj, products, back
             return frame
         return frames

@@ -671,19 +671,73 @@ def test_frame_products_equal_the_dense_field_product(field):
 
 
 def test_a_frame_without_the_rows_of_the_v_block_fails(monkeypatch):
-    # dropping the prepared rows j >= dim g loses L_{Ku} v: the dense product sees it
+    # dropping the constants at j >= dim g from the scatter loses L_{Ku} v:
+    # the dense product sees it
     original = reynolds.graph_frame
     bundles = {field: _frame_cases_for(field, random.Random(2811)) for field in FIELDS}
 
-    def without_v_rows(planes, k, one):
-        n = len(k)
-        return original([[(j, row) for j, row in plane if j < n] for plane in planes], k, one)
+    def without_v_rows(entries, cols, one):
+        n = len(cols[0])
+        return original([(i, j, row) for i, j, row in entries if j < n], cols, one)
 
     monkeypatch.setattr(reynolds, "graph_frame", without_v_rows)
     for field, cases in bundles.items():
         assert sum(_frame_mismatches(*case) for case in cases) > 0
         # so does the generic candidate, whose entries are the search's variables
         assert sum(_frame_mismatches(*case) for case in cases[-3:]) > 0
+
+
+def _kernel_mismatches(field, cases, rng) -> int:
+    """The products of `algebra.family_products` on the prepared rows of g + V that differ
+    from `algebra.tensor_mul` on the dense tensor of the same lifted arrays.
+
+    The families are the lifted graph vectors of K and random int vectors, in
+    different numbers on the two sides; an empty family gives an empty table.
+    """
+    out = 0
+    for g, rep, H, K in cases:
+        (c, L, R, h, _), _ = lift(field, (*_semidirect_arrays(g, rep, H), field.one))
+        dense = oracles.dense_semidirect_tensor(c, rep.dim_v, L, R, h)
+        entries = algebra.nonzero_entries(twisted_rows(g, rep, H)[0])
+        (k, DK), _ = lift(field, (K.data, field.one))
+        n, m = g.dim, rep.dim_v
+        graph = [tuple(row[u] for row in k) + tuple(DK if v == u else 0 for v in range(m))
+                 for u in range(m)]
+        noise = [tuple(rng.choice([0, 0, 1, -2, 3]) for _ in range(n + m)) for _ in range(2)]
+        left, right = graph + noise[:1], noise + graph
+        assert algebra.family_products(entries, [], right) == []
+        assert algebra.family_products(entries, left, []) == [[] for _ in left]
+        table = algebra.family_products(entries, left, right)
+        out += sum(as_terms(table[a][b]) != as_terms(
+            algebra.tensor_mul(scalars.INTEGERS, dense, x, y))
+            for a, x in enumerate(left) for b, y in enumerate(right))
+    return out
+
+
+def _kernel_cases(field) -> list:
+    """`_frame_cases_for` (over Q with D_g > 1, the generic candidate's `Poly` entries
+    last) and K = 0 on the first bundle."""
+    cases = _frame_cases_for(field, random.Random(2811))
+    g, rep, H, _ = cases[0]
+    return cases + [(g, rep, H, Matrix.zero(field, g.dim, rep.dim_v))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_the_family_kernel_equals_the_dense_product(field):
+    cases = _kernel_cases(field)
+    if field == QQ:
+        assert any(_denominator(QQ, _semidirect_arrays(g, rep, H)) != 1
+                   for g, rep, H, _ in cases)
+    assert any(isinstance(x, Poly) for *_, K in cases for row in K.data for x in row)
+    assert _kernel_mismatches(field, cases, random.Random(2812)) == 0
+
+
+def test_a_kernel_that_transposes_i_and_j_fails(monkeypatch):
+    original = algebra.family_products
+    monkeypatch.setattr(algebra, "family_products", lambda entries, left, right: original(
+        [(j, i, row) for i, j, row in entries], left, right))
+    for field in FIELDS:
+        assert _kernel_mismatches(field, _kernel_cases(field), random.Random(2812)) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from conftest import (
     fail_after,
     g2_algebra,
     g3_algebra,
-    g3_cocycle,
     padded_reynolds_data,
     random_algebra,
     random_cochain,
@@ -51,7 +50,6 @@ from prelie.errors import (
     ShapeError,
     SingularError,
     UnverifiedCocycleError,
-    UnverifiedError,
     UnverifiedOperatorError,
 )
 from prelie.bundle import parse_bundle

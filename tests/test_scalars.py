@@ -7,7 +7,6 @@ from oracles import poly_at
 from prelie.errors import FieldMismatchError
 from prelie.scalars import (
     QQ,
-    FpElement,
     Poly,
     PrimeField,
     field_by_name,

@@ -118,7 +118,6 @@ def test_nijenhuis_element_search_rejects_a_second_column():
 
 
 def test_nijenhuis_element_search_matches_enumeration():
-    from conftest import g3_cocycle
     from prelie.deformation import nijenhuis_elements
     from prelie.reynolds import ReynoldsData
 
@@ -571,7 +570,7 @@ def _power_truncation(field, n):
 
 def test_the_order_costs_little_next_to_the_compile(monkeypatch):
     # one scalar in the domain lets a 64-entry shape pass the budget (1^64 = 1);
-    # the order is O((n + terms) log n), the compile far more.  Times are
+    # the order is O(n^2 + terms), the compile far more.  Times are
     # noisy, so the best of three ratios is compared, with a wide margin
     F3 = PrimeField(3)
     spec = SearchSpec("weighted-reynolds", {"algebra": _power_truncation(F3, 8),

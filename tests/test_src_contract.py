@@ -9,6 +9,10 @@ resolves to it (a local variable of the same name does not) or as an
 attribute.  Dunder methods, which the language calls, are exempt.
 Anything else is code only the tests reach, and it belongs in
 `tests/oracles.py`.  Both files are parsed, not imported.
+
+The test files import no name they do not read: each name an import
+binds, at module level or in a function, must be read in the scope that
+imports it.
 """
 
 import ast
@@ -19,6 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "prelie"
+TESTS = ROOT / "tests"
 TRACER = ROOT / "bench" / "tracer.py"
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -151,3 +156,51 @@ def test_the_contract_sees_a_definition_nothing_reads(orphan, tmp_path, monkeypa
     algebra.write_text(source.replace(anchor, definition + anchor))
     monkeypatch.setattr(sys.modules[__name__], "PACKAGE", tmp_path)
     assert unreferenced_definitions() == [("algebra", name)]
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function, those of the functions nested in it left out."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_imports(tree) -> list:
+    """(line, name) of each name an import in ``tree`` binds that its scope never reads."""
+    flagged = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, FUNCTIONS))]:
+        reads = {node.id for node in ast.walk(scope)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in _own_nodes(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                flagged += [(node.lineno, name) for name in
+                            (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                            if name not in reads]
+    return sorted(flagged)
+
+
+def test_no_test_file_imports_a_name_it_never_reads():
+    flagged = {path.name: unread_imports(ast.parse(path.read_text()))
+               for path in sorted(TESTS.glob("*.py"))}
+    assert {name: found for name, found in flagged.items() if found} == {}
+
+
+def test_the_import_contract_sees_an_unread_name():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from json import dumps as dump, loads\n"
+        "\n"
+        "def f():\n"
+        "    import io\n"
+        "    import re\n"
+        "    return os, loads, re\n"
+        "\n"
+        "def g():\n"
+        "    return io\n")
+    # `io` is read, but in another function than the one that imports it
+    assert unread_imports(ast.parse(source)) == [(3, "dump"), (6, "io")]
