@@ -323,16 +323,13 @@ def _lifted(arrays, p: int, D: int, dens: set) -> tuple:
     ``numerator * (D // denominator)`` over Q, each denominator added to ``dens``."""
     out = []
     for x in arrays:
-        kind = type(x)
-        if kind is tuple or kind is list:
-            out.append(_lifted(x, p, D, dens))
-        elif kind is Fraction and not p:
+        if type(x) is Fraction and not p:
             d = x.denominator
             dens.add(d)
             out.append(x.numerator * (D // d))
-        elif kind is FpElement and x.p == p:
+        elif type(x) is FpElement and x.p == p:
             out.append(x.value)
-        elif isinstance(x, (tuple, list)):  # a subclass, such as `algebra._Tensor`
+        elif isinstance(x, (tuple, list)):
             out.append(_lifted(x, p, D, dens))
         elif isinstance(x, Poly):
             out.append(Poly(dict(zip(x.terms, _lifted(tuple(x.terms.values()), p, D, dens)))))
@@ -403,9 +400,6 @@ def field_name(field) -> str:
 
 
 def scalar_to_str(x) -> str:
-    # exact type first: isinstance(x, Fraction) takes the slow abc path for an FpElement
-    if type(x) is Fraction:
-        return QQ.format(x)
     if isinstance(x, FpElement):
         return f"{x.value} mod {x.p}"
     if isinstance(x, Fraction):
