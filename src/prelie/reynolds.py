@@ -21,11 +21,10 @@ the same frame: one per operator, on the integer lift, from
 `operator_frames`, each reading mapped back by its own degree.  A frame's
 product takes two families of vectors to their whole table in one
 scatter over the nonzero structure constants (`algebra.family_products`).
-Where
-H is checked too, dH is read off the same lifted rows as the frames
-(`_require_cocycle`, `cochain.cocycle_report`).  A
-morphism of operators is read off the two twisted semidirect products
-the same way, on their preparations (`morphism_checker`).
+Where H is checked too, dH is read off the same lifted rows as the
+frames (`_require_cocycle`, `cochain.cocycle_report`).  A morphism of
+operators is read off the two twisted semidirect products the same way,
+on their preparations (`morphism_checker`).
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
