@@ -22,9 +22,8 @@ the one kernel at their own basis triples and coordinates.
 
 The morphism identity F(a).F(b) = F(a.b) is written once, in
 `morphism_defects`, on the integer lift, for `check_morphism` and
-`reynolds.morphism_checker` (behind `reynolds.check_rcw_morphism`): the
-tables are lifted by D, the map by D_F, and a residual
-F(a.b) - F(a).F(b) comes back divided by D D_F^2.
+`reynolds.morphism_checker`: the tables are lifted by D, the map by D_F,
+and a residual F(a.b) - F(a).F(b) comes back divided by D D_F^2.
 A `Representation` only holds its action matrices; actions on vectors
 are read off the frames of `reynolds.operator_frames`.
 
@@ -484,17 +483,18 @@ def morphism_defects(source, target, F, one, pairs):
     their spaces and ``one`` its denominator, so each residual, a list of
     ints (or int `scalars.Poly`) on the target basis, is homogeneous: it is
     D D_F^2 times F(a.b) - F(a).F(b), for tensors lifted by D and F by
-    D_F = ``one`` (`SIGNS.md`).  `check_morphism` and
-    `reynolds.morphism_checker` read it.
+    D_F = ``one`` (`SIGNS.md`); ``one`` = 0 leaves -F(a).F(b).  `check_morphism`
+    and `reynolds.morphism_checker` read it.
     """
     dim = len(F)
     cols = [[(t, row[a]) for t, row in enumerate(F) if row[a]] for a in range(len(source))]
     for a, b in pairs:
         out = [0] * dim
-        for k, x in source[a][b]:  # one F(a.b)
-            x = one * x
-            for t, y in cols[k]:
-                out[t] += x * y
+        if one:
+            for k, x in source[a][b]:  # one F(a.b)
+                x = one * x
+                for t, y in cols[k]:
+                    out[t] += x * y
         for i, x in cols[a]:  # F(a).F(b)
             plane = target[i]
             for j, y in cols[b]:

@@ -69,8 +69,7 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   differential of the same generic cochain; each output coordinate is
   then a linear `Poly` whose coefficient on x_c is column c of
   d_K - (-1)^{n-1} d, so the whole identity is read off one evaluation
-  of each side.  The integer lift takes `Poly` entries coefficient by
-  coefficient, both ways.
+  of each side.
 """
 
 from __future__ import annotations

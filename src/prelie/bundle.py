@@ -65,7 +65,7 @@ def _parse_scalar(field, v, path):
     try:
         if isinstance(v, str):
             return field.parse(v)
-        if isinstance(v, int):
+        if isinstance(v, int) and not isinstance(v, bool):  # JSON true is not 1
             return field(v)
     except (ValueError, ZeroDivisionError, FieldMismatchError) as exc:
         raise SchemaError(path, f"bad scalar {v!r}: {exc}") from None

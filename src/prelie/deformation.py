@@ -1,76 +1,68 @@
 """Deformations of cocycle-weighted Reynolds operators.
 
-A deformation K_t = K_0 + K_1 t + ... + K_N t^N is built once, as a
-matrix whose entries are polynomials in one variable t (`scalars.Poly`),
-and the Reynolds identity is evaluated on it by the same checker that
-checks a single operator (`reynolds.reynolds_checker`, on the integer
-lift, t kept as a variable).  The t^k
-coefficient of each residual is the order-k condition: a truncated series
-is checked at every order 0..3N, beyond which all contributions vanish
-identically, and a linear deformation K + t K1 at orders t, t^2, t^3.
-The order-t condition alone says K1 is a 1-cocycle of the operator
-cohomology.
+A deformation K_t = K_0 + K_1 t + ... + K_N t^N is a matrix whose
+entries are polynomials in t (`scalars.Poly`, t the variable of index
+-1), checked by the single-operator checker (`reynolds.reynolds_checker`);
+the t^k coefficient of each residual is the order-k condition.  A
+truncated series is checked at orders 0..3N, beyond which every term
+vanishes, and a linear deformation K + t K1 at t, t^2 and t^3; the
+order-t condition alone says K1 is an operator 1-cocycle.
 
-Equivalences of deformations are mediated by an algebra element x through
-the pair of maps
+An algebra element x gives the maps
 
-    phi_t = id + t (L_x - R_x),   psi_t = id + t (L_x - R_x + H(x, K-)),
-
-whose t-terms P on g and S on V, like Rbar_u x, are linear in x and read
-once per bundle, at the basis of g (`_ElementTerms`).
+    phi_t = id + tP, P = L_x - R_x,    psi_t = id + tS, S = L_x - R_x + H(x, K-).
 
 K + t K1 and K + t K1' are equivalent through x when (phi_t, psi_t) is a
-morphism of Reynolds operators from one to the other.  This is the one
-definition: `reynolds.morphism_checker` from the bundle's (g, rep, H)
-to itself is evaluated once on the polynomial matrices, and every
-condition, of degree at most 2 in t and zero at t = 0, is read off at
-orders t and t^2.  A Nijenhuis element is an x for which (phi_t, psi_t)
-satisfies the four morphism conditions that do not involve the
-operator, together with x . Rbar_u(x) = Rbar_u(x) . x.  The element
-maps, the morphism checker and Z^1 of `rigidity_probe` read one
-preparation of the bundle, so a candidate costs one lift of phi_t and
-psi_t; d_K x = KS - PK is built only where it is read.
-t is the variable of index -1, so the checkers also run on a generic x
-whose entries are the search's variables x_0, x_1, ...  Over a prime
-field the Nijenhuis elements are enumerated by `search.exhaustive_search`,
-which powers the rigidity probe: K is rigid when every operator 1-cocycle
-is the coboundary of a Nijenhuis element.
+morphism of Reynolds operators from one to the other; x is a Nijenhuis
+element when (phi_t, psi_t) satisfies the four morphism conditions
+without the operator and x . Rbar_u(x) = Rbar_u(x) . x.  Each condition
+is c_1 t + c_2 t^2, and both orders are read off two evaluations of the
+integer core of `reynolds.morphism_checker` at the lifted x, with no
+polynomial in t (`_ElementTerms`).  The element maps, the core and Z^1
+of `rigidity_probe` read one preparation of the bundle.  Over a prime
+field `search.exhaustive_search` enumerates the Nijenhuis elements, from
+a generic x whose entries are its variables x_0, x_1, ...; K is rigid
+when every operator 1-cocycle is d_K x = KS - PK of one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Order, Report, _combine, residual_report
+from .algebra import (Order, Report, _combine, family_products, lifted_report, nonzero_entries,
+                      residual_report)
 from .cochain import Cochain, cochain_space_dim, integer_cohomology, twisted_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
 from .linalg import Matrix, _matrix, basis_vec, sparse_mul, sub_vec
 from .opcohomology import _induced_arrays, operator_coboundary
-from .reynolds import ReynoldsData, _frames, morphism_checker, reynolds_checker
+from .reynolds import ReynoldsData, _frames, intertwining, morphism_checker, reynolds_checker
 from .scalars import INTEGERS, Poly, PrimeField, descend, lift
 
 
 class _ElementTerms:
-    """The maps of an algebra element, prepared once per bundle: x -> (P, S, rbar).
+    """The maps of an algebra element, prepared once per bundle, and its conditions.
 
-    P = L_x - R_x on g and S e_u = L_x u - R_x u + H(x, Ku), the t-terms
-    of phi_t and psi_t, and rbar[u] = Rbar_u x (`SIGNS.md`).  All three are
-    linear in x, so they are read once, at the basis of g, off the
-    operator's frame and kept as its ints, at the one scale D_g D_K^2.
-    Each x is lifted and combined with them on the ints (`lifted`), and
-    mapped back once; a generic x never enters the frame.  The frame and
-    the morphism checker of the bundle to itself read the same preparation.
+    P = L_x - R_x, S e_u = L_x u - R_x u + H(x, Ku) (the t-terms of phi_t
+    and psi_t) and rbar[u] = Rbar_u x (`SIGNS.md`) are linear in x: read
+    once, at the basis of g, off the operator's frame, as ints at scale
+    D_g D_K^2.  Each x is lifted and combined with them (`lifted`, scale
+    s = D_x D_g D_K^2), and its conditions run on those ints (`morphism`,
+    `commutes`); only nonzero residuals are mapped back.
     """
 
     def __init__(self, data: ReynoldsData):
         g, rep, n = data.algebra, data.rep, data.algebra.dim
         twisted = twisted_rows(g, rep, data.cocycle)
         self.frame = _frames(g, rep, twisted)(data.operator)
-        self.morphism = morphism_checker((g, twisted), (g, twisted))
+        check = morphism_checker((g, twisted), (g, twisted))
+        self.defects, self.parts = check.defects, check.parts
+        rows, self.Dg = twisted
+        self.product = nonzero_entries([[[(k, c) for k, c in row if k < n] for row in plane[:n]]
+                                        for plane in rows[:n]])  # g's own constants
         mul, graph, p, *_ = self.frame
         DK = self.DK = graph[0][n] if graph else 1
         self.field, self.n, self.K = g.field, n, [gr[:n] for gr in graph]  # K: D_K K e_u
-        self.scale = twisted[1] * DK * DK
+        self.scale = self.Dg * DK * DK
         e = [basis_vec(INTEGERS, n + rep.dim_v, i) for i in range(n)]
         ee, eg = mul(e, e), mul(e, graph)
         ue = mul([(0,) * n + gr[n:] for gr in graph], e)  # (0, e_u).(e_i, 0)
@@ -84,7 +76,7 @@ class _ElementTerms:
         self.basis = [at(i) for i in range(n)]
 
     def lifted(self, x) -> tuple:
-        """(the columns of P, those of (rbar, S), on the ints at x; their scale)."""
+        """((x, D_x), the columns of P and of (rbar, S) at scale s, s), on the ints."""
         field, n, w = self.field, self.n, self.n + len(self.K)
         (xs, Dx), _ = lift(field, (x, field.one))
         acc = [0] * (n * n + (w - n) * w)
@@ -92,24 +84,52 @@ class _ElementTerms:
             if xi:
                 for k, v in entries:
                     acc[k] += xi * v
-        return ([acc[j * n:(j + 1) * n] for j in range(n)],
+        return ((xs, Dx), [acc[j * n:(j + 1) * n] for j in range(n)],
                 [acc[n * n + u * w:n * n + (u + 1) * w] for u in range(w - n)], Dx * self.scale)
 
-    def __call__(self, x) -> tuple:
-        field, n = self.field, self.n
-        P, T, scale = self.lifted(x)
-        down = descend(field, scale)
-        P, T = [down(c) for c in P], [down(c) for c in T]
-        return (Matrix.from_columns(field, P, n),
-                Matrix.from_columns(field, [c[n:] for c in T], len(T)), [c[:n] for c in T])
+    def morphism(self, P, RS, s) -> dict:
+        """The four morphism conditions of (phi_t, psi_t) at x, at orders t and t^2.
+
+        Phi_t = id + tQ, Q = P + S lifted by s, has the defect c_1 t + c_2 t^2
+        (`SIGNS.md`): c_2 is the core at (Q, 0), ``one`` = 0 dropping the
+        linear term, and c_1 the core at (s id + Q, s), t = 1, minus c_2;
+        no division, so over F_2 too.  c_k is reported at
+        ``(Order(k), *where)``, mapped back by D_g s^2.
+        """
+        n, m = self.n, len(RS)
+        Q = [list(r) + [0] * m for r in zip(*P)] + \
+            [[0] * n + list(r) for r in zip(*(c[n:] for c in RS))]
+        c2 = self.defects(Q, 0)
+        for i, row in enumerate(Q):
+            row[i] += s
+        # equal readings leave c_1 zero, which every part drops
+        c1 = self.parts([[a - b for a, b in zip(r, r2)] if r != r2 else ()
+                         for r, r2 in zip(self.defects(Q, s), c2)])
+        back = descend(self.field, self.Dg * s * s)
+        return {name: lifted_report([((FIRST, *w), r) for w, r in c1[name]]
+                                    + [((SECOND, *w), r) for w, r in at2], back)
+                for name, at2 in self.parts(c2).items()}
+
+    def commutes(self, x, RS, s) -> Report:
+        """x . Rbar_u(x) = Rbar_u(x) . x for each u, on the ints: x lifted by D_x, rbar by s."""
+        (xs, Dx), n = x, self.n
+        rbar = [c[:n] for c in RS]
+        (left,), right = family_products(self.product, [xs], rbar), \
+            family_products(self.product, rbar, [xs])
+        return lifted_report(((("rbar-commutes", u), sub_vec(a, b))
+                              for u, (a, (b,)) in enumerate(zip(left, right))),
+                             descend(self.field, self.Dg * Dx * s))
 
     def coboundary(self, x) -> tuple:
         """d_K x = KS - PK on the ints: (its columns, their scale D_K s)."""
-        P, T, scale = self.lifted(x)
+        _, P, RS, scale = self.lifted(x)
         n, K = self.n, self.K
         return ([[sum(Kv[r] * b for Kv, b in zip(K, col[n:]) if b)
                   - sum(Pj[r] * a for Pj, a in zip(P, Ku) if a) for r in range(n)]
-                 for Ku, col in zip(K, T)], self.DK * scale)
+                 for Ku, col in zip(K, RS)], self.DK * scale)
+
+
+FIRST, SECOND = Order(1), Order(2)
 
 
 def _element(g, x) -> tuple:
@@ -145,11 +165,8 @@ def _in_t(matrices) -> Matrix:
 
 
 def _coefficient(x, k: int, zero):
-    """The t^k coefficient of a scalar or a polynomial.
-
-    It is a `Poly` in the remaining variables, or a scalar when none
-    remain; a scalar is a constant polynomial.
-    """
+    """The t^k coefficient of a scalar (a constant) or a polynomial: a `Poly` in
+    the other variables, or a scalar when none remain."""
     if not isinstance(x, Poly):
         return x if k == 0 else zero
     terms = {mono[k:]: c for mono, c in x.terms.items() if mono.count(T) == k}
@@ -252,48 +269,38 @@ def infinitesimal(series: DeformationSeries):
 
 
 # ---------------------------------------------------------------------------
-# equivalences and Nijenhuis elements: one morphism of operators in t
-
-
-def _element_morphism(check, P: Matrix, S: Matrix, operators=(None, None)) -> dict:
-    """The parts of ``check`` (`_ElementTerms`) for (phi_t, psi_t) = (id + tP, id + tS).
-
-    ``operators`` are K + t K1 and K + t K1', or None for the four
-    conditions that do not involve them.  Every condition is a polynomial
-    of degree at most 2 in t that vanishes at t = 0; its t^k coefficient
-    is reported at ``(Order(k), *where)``.  P and S are the t-terms of the
-    element (`_ElementTerms`).
-    """
-    field = P.field
-    report = check(*operators, _in_t((Matrix.identity(field, P.rows), P)),
-                   _in_t((Matrix.identity(field, S.rows), S)))
-    zero = field.zero
-    return {name: residual_report(((Order(k), *where), _order(r, k, zero))
-                                  for k in (1, 2) for where, r in part.violations)
-            for name, part in report.parts.items()}
+# equivalences and Nijenhuis elements: one morphism of operators, at orders t and t^2
 
 
 def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Report:
-    """Are K + t K1 and K + t K1' equivalent through the element x?
+    """Are K + t K1 and K + t K1' equivalent through x, by (phi_t, psi_t)?
 
-    That is, is (phi_t, psi_t) a morphism of Reynolds operators from the
-    first to the second?  One sub-verdict per part of `check_rcw_morphism`.
+    One sub-verdict per part of `check_rcw_morphism`.  phi_t K_t - K'_t psi_t
+    is c_1 t + c_2 t^2: c_2 is its value at (P, K1, K1', S), c_1 its value at
+    (id + P, K + K1, K + K1', id + S) minus c_2.
     """
     terms = _ElementTerms(data)
-    P, S, _ = terms(_element(data.algebra, x))
-    K = data.operator
-    operators = (_in_t((K, _direction(data, K1))), _in_t((K, _direction(data, K1p))))
-    return _combine(_element_morphism(terms.morphism, P, S, operators))
+    field, n, m = data.field, data.algebra.dim, data.rep.dim_v
+    _, P, RS, s = terms.lifted(_element(data.algebra, x))
+    K, K1, K1p = data.operator, _direction(data, K1), _direction(data, K1p)
+    parts = terms.morphism(P, RS, s)
+    down = descend(field, s)
+    P = Matrix.from_columns(field, [down(c) for c in P], n)
+    S = Matrix.from_columns(field, [down(c[n:]) for c in RS], m)
+    c2 = intertwining(P, K1, K1p, S)
+    c1 = map(sub_vec, intertwining(Matrix.identity(field, n) + P, K + K1, K + K1p,
+                                   Matrix.identity(field, m) + S), c2)
+    operator = residual_report([((FIRST, u), c) for u, c in enumerate(c1)]
+                               + [((SECOND, u), c) for u, c in enumerate(c2)])
+    return _combine({"algebra_morphism": parts.pop("algebra_morphism"),
+                     "intertwines_operator": operator, **parts})
 
 
 def nijenhuis_element_checker(data: ReynoldsData):
     """Is x a Nijenhuis element for the operator?  Prepared once per bundle: x -> `Report`.
 
-    Requires x . Rbar_u(x) = Rbar_u(x) . x for every module basis vector,
-    and that (phi_t, psi_t) satisfy the four morphism conditions of
-    `check_rcw_morphism` that do not involve the operator.  The element
-    maps and the morphism checker are prepared here; a check combines the
-    maps at x and lifts phi_t and psi_t once.
+    The parts are ``rbar_condition`` and the four morphism conditions of
+    (phi_t, psi_t) without the operator, all on one lift of x (`_ElementTerms`).
     """
     return _element_checker(data, _ElementTerms(data))
 
@@ -303,13 +310,9 @@ def _element_checker(data: ReynoldsData, terms):
     g = data.algebra
 
     def check(x) -> Report:
-        x = _element(g, x)
-        P, S, rbar = terms(x)
-        parts = {"rbar_condition": residual_report(
-            (("rbar-commutes", u), sub_vec(g.mul(x, r), g.mul(r, x)))
-            for u, r in enumerate(rbar))}
-        parts.update(_element_morphism(terms.morphism, P, S))
-        return _combine(parts)
+        x, P, RS, s = terms.lifted(_element(g, x))
+        return _combine({"rbar_condition": terms.commutes(x, RS, s),
+                         **terms.morphism(P, RS, s)})
 
     return check
 
@@ -320,11 +323,8 @@ def check_nijenhuis_element(data: ReynoldsData, x) -> Report:
 
 
 def nijenhuis_elements(data: ReynoldsData) -> list:
-    """All Nijenhuis elements over a prime field, in lexicographic order.
-
-    The elements are the solutions of an exhaustive search, so the
-    enumeration is bounded by the search budget.
-    """
+    """All Nijenhuis elements over a prime field, in lexicographic order: the
+    solutions of an exhaustive search, within its budget."""
     return _elements({"data": data})
 
 
@@ -355,8 +355,7 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     criterion Z^1 = d_K(Nij) holds exactly when every such coboundary is
     killed by the differential and there are p^dim Z^1 of them; d_K x
     need not be a cocycle for an arbitrary element x, so membership is
-    checked, not assumed.  The verdict is a probe of the sufficient
-    condition only: Z^1 = d_K(Nij) implies rigidity.
+    checked, not assumed.  Z^1 = d_K(Nij) implies rigidity, not conversely.
     """
     field = data.field
     if not isinstance(field, PrimeField):

@@ -454,21 +454,21 @@ def reynolds_from_invertible_cochain(g: PreLieAlgebra, rep: Representation,
 def morphism_checker(source: tuple, target: tuple):
     """Morphisms of operators between two fixed (g, rep, H) triples, prepared once.
 
-    ``source`` and ``target`` are (g, `cochain.twisted_rows` of the
-    triple), over one field.  Returns ``check(K, K', phi, psi)`` ->
-    `Report` for (phi, psi) from (g, V, H, K) to (g', V', H', K'), with
-    one sub-verdict per condition:
+    ``source`` and ``target`` are (g, `cochain.twisted_rows`), over one
+    field.  Returns ``check(K, K', phi, psi)`` -> `Report` for (phi, psi)
+    from (g, V, H, K) to (g', V', H', K'), one part per condition:
 
         phi K = K' psi,   psi L_x = L'_{phi x} psi,   psi R_x = R'_{phi x} psi,
         psi H = H' (phi x phi),
 
-    and phi a pre-Lie algebra morphism.  All but the first say that
-    Phi = phi + psi is a morphism from g + V twisted by H to g' + V'
-    twisted by H' (`semidirect_tensor`).  Both rows are brought to one
-    denominator D_g, the lcm of theirs; each check lifts phi and psi
-    together (D_F) and reads the parts off `algebra.morphism_defects` of
-    Phi, mapped back by D_g D_F^2 (`SIGNS.md`).  With K and K' None the
-    first condition, the one that involves the operators, is left out.
+    and phi a pre-Lie algebra morphism; all but the first say that
+    Phi = phi + psi is a morphism of the twisted semidirect products,
+    whose rows are brought to one denominator D_g.  Its integer core:
+    ``check.defects(Phi, one)``, `algebra.morphism_defects` at every pair
+    for Phi lifted by ``one``, at scale D_g one^2 (`SIGNS.md`), and
+    ``check.parts``, which splits those into the four conditions but the
+    first.  ``check`` lifts phi and psi by one D_F, maps back by D_g D_F^2
+    and, with K and K' None, leaves out the first condition.
     """
     (g, (rows, D)), (g2, (rows2, D2)) = source, target
     field, n, n2, Dg = g.field, g.dim, g2.dim, lcm(D, D2)
@@ -478,6 +478,18 @@ def morphism_checker(source: tuple, target: tuple):
     grid = [(i, j) for i in range(n) for j in range(n)]
     acting = [(i, u) for i in range(n) for u in range(m)]
     pairs = grid + [(i, n + u) for i, u in acting] + [(n + u, i) for i, u in acting]
+    on_g, on_v = slice(n2), slice(n2, None)
+    layout = {"algebra_morphism": (grid, 0, on_g),
+              "intertwines_left_action": (acting, n * n, on_v),
+              "intertwines_right_action": (acting, n * n + n * m, on_v),
+              "intertwines_weight": (grid, 0, on_v)}
+
+    def defects(Phi, one) -> list:
+        return list(morphism_defects(rows, rows2, Phi, one, pairs))
+
+    def parts(out) -> dict:
+        return {name: [(w, r[at]) for w, r in zip(where, out[start:]) if any(r)]
+                for name, (where, start, at) in layout.items()}
 
     def check(K: Matrix | None, K2: Matrix | None, phi: Matrix, psi: Matrix) -> Report:
         if phi.rows != n2 or phi.cols != n:
@@ -487,24 +499,22 @@ def morphism_checker(source: tuple, target: tuple):
         (f, s, DF), _ = lift(field, (phi.data, psi.data, field.one))
         Phi = [row + (0,) * m for row in f] + [(0,) * n + row for row in s]
         back = descend(field, Dg * DF ** 2)
-        out = list(morphism_defects(rows, rows2, Phi, DF, pairs))
-        products, left, right = out[:n * n], out[n * n:n * n + n * m], out[n * n + n * m:]
-
-        def part(where, residuals, at):
-            return lifted_report(((w, r[at]) for w, r in zip(where, residuals)), back)
-
-        parts = {"algebra_morphism": part(grid, products, slice(n2))}
+        reports = {name: lifted_report(at, back) for name, at in parts(defects(Phi, DF)).items()}
         if K is not None:
-            diff = phi * K - K2 * psi
-            parts["intertwines_operator"] = residual_report(
-                ((u,), diff.column(u)) for u in range(m))
-        tail = slice(n2, None)
-        parts.update(intertwines_left_action=part(acting, left, tail),
-                     intertwines_right_action=part(acting, right, tail),
-                     intertwines_weight=part(grid, products, tail))
-        return _combine(parts)
+            reports = {"algebra_morphism": reports.pop("algebra_morphism"),
+                       "intertwines_operator": residual_report(
+                           ((u,), c) for u, c in enumerate(intertwining(phi, K, K2, psi))),
+                       **reports}
+        return _combine(reports)
 
+    check.defects, check.parts = defects, parts
     return check
+
+
+def intertwining(phi: Matrix, K: Matrix, K2: Matrix, psi: Matrix) -> list:
+    """The columns of phi K - K' psi, the defect of the condition on the operators."""
+    diff = phi * K - K2 * psi
+    return [diff.column(u) for u in range(diff.cols)]
 
 
 def check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,

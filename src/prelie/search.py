@@ -2,47 +2,33 @@
 
 Candidates are dense matrices (or vectors) whose free entries range over
 a finite scalar list; solutions come out in lexicographic row-major
-entry order, so results are reproducible.
+entry order.
 
-The predicate's own checker is run once, on the *generic candidate*: free
-entry k is the polynomial variable x_k (`scalars.Poly`) and fixed entries
-keep their scalars.  The checker's arithmetic is polynomial in the
-entries, and every checker reports through `algebra.residual_report`,
-which keeps each residual with a nonzero coordinate; so each nonzero
-residual coordinate is one polynomial equation, and a candidate passes
-the checker exactly when every equation vanishes at its entries.  That
-needs every registered checker to use only +, - and * on the
-candidate's entries and to branch on them only to skip zero terms, which
-the checkers here do.
+The predicate's checker runs once, on the *generic candidate*: free
+entry k is the polynomial variable x_k (`scalars.Poly`) and fixed
+entries keep their scalars.  Every checker uses only +, - and * on the
+entries, branches on them only to skip zero terms and reports through
+`algebra.residual_report`, so each nonzero residual coordinate is one
+polynomial equation, and a candidate passes exactly when every equation
+vanishes at its entries.
 
 The sweep runs on Python ints.  One `scalars.lift` takes the equations'
-coefficients and the domain to ints by a common denominator D (over F_p,
-to residues, with D = 1), and each term is homogenised to its equation's
-top degree T by a factor D^(T - degree); an equation then holds exactly
-when its integer sum is 0 (over F_p, 0 mod p).  The free entries are
-assigned depth first, each running through the domain in order, in the
-fail-first order of `_order`.  An equation is tested at the depth that
-assigns the last of its variables, and when it fails there no completion
-of that prefix can pass, so the whole subtree is skipped.  The solutions
-are mapped back to row-major entries and sorted, and each is re-verified
-through the predicate's checker before it is returned.
-``count_checked`` is the number of candidates the sweep covers, pruned
-or not; ``nodes`` is the number of prefixes (in the sweep's order) it
-evaluated, the empty one included.
+coefficients and the domain to ints by a common denominator D (over
+F_p, to residues, with D = 1), and each term is homogenised to its
+equation's top degree T by a factor D^(T - degree); an equation then
+holds exactly when its integer sum is 0 (over F_p, 0 mod p).  The free
+entries are assigned depth first, in the fail-first order of `_order`.
+An equation is tested at the depth that assigns the last of its
+variables; when it fails there, the whole subtree is skipped.  The
+solutions are mapped back to row-major entries, sorted and each
+re-verified through the checker.  ``count_checked`` is the number of
+candidates the sweep covers, pruned or not; ``nodes`` the number of
+prefixes it evaluated, the empty one included.
 
-The predicate registry maps an id to a function of the bundle sections
-returning the checker (candidate -> `Report`), so new checkers become
-searchable without touching the enumeration code.  A registry entry
-runs once per search and does there all the work on the fixed bundle
-data: the rcw-reynolds entry returns `reynolds.rcw_checker`, which
-checks that H is a 2-cocycle on the frames' own preparation, and the
-weighted-reynolds and d-reynolds entries (on the regular
-representation) return `reynolds.reynolds_checker`; the nijenhuis entry
-returns `nsprelie.nijenhuis_checker`.  The generic candidate and each
-solution then cost one lift of the candidate and one scatter over the
-prepared nonzero structure constants (`algebra.family_products`, or
-its Nijenhuis form); the nijenhuis-element entry returns the element
-checker, whose maps and morphism checker are prepared once per search.
+The registry maps a predicate id to a function of the bundle sections
+that returns the checker after all the work on the fixed data (the
+rcw-reynolds entry checks H there), so the generic candidate and each
+solution cost one lift and the prepared integer kernels.
 """
 
 from __future__ import annotations

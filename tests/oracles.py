@@ -133,6 +133,15 @@ P(y.z) - P(y).z - y.P(z) = -((y.z).x - y.(z.x)) = 0 with P = L_x - R_x.
 Every element it accepts (with the Rbar condition) must still be a
 Nijenhuis element.
 
+`in_t_element_checks` is the route the library decided Nijenhuis
+elements and equivalences with before it read both orders off two
+integer evaluations of `algebra.morphism_defects`: the element maps
+mapped back to the field (`element_maps`), phi_t = id + tP and
+psi_t = id + tS built as matrices polynomial in t (`deformation._in_t`),
+the Matrix-level `reynolds.morphism_checker` run once on them, and the
+t and t^2 coefficient of every residual read off with
+`deformation._order`; the Rbar condition runs on the field scalars.
+
 `left_mult`, `right_mult` and `bracket` are the multiplication matrices
 y -> x.y, y -> y.x and the commutator x.y - y.x of a pre-Lie algebra,
 which the library kept as methods of `PreLieAlgebra` although no
@@ -152,6 +161,7 @@ from math import lcm
 
 from prelie import brackets
 from prelie.algebra import (
+    Order,
     PreLieAlgebra,
     Report,
     Representation,
@@ -172,7 +182,9 @@ from prelie.cochain import (
     coboundary,
     cochain_keys,
     cochain_space_dim,
+    twisted_rows,
 )
+from prelie.deformation import _ElementTerms, _in_t, _order
 from prelie.errors import BudgetExceededError, DimensionMismatchError, ShapeError
 from prelie.linalg import (
     Matrix,
@@ -185,8 +197,8 @@ from prelie.linalg import (
     zero_vec,
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
-from prelie.reynolds import ReynoldsData, _check_operator_shape, derived_tensor
-from prelie.scalars import Poly, PrimeField
+from prelie.reynolds import ReynoldsData, _check_operator_shape, derived_tensor, morphism_checker
+from prelie.scalars import Poly, PrimeField, descend
 from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidates, _compile
 
 
@@ -1256,6 +1268,54 @@ def field_check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
                              cochain_eval(H2, [phi.column(i), phi.column(j)])))
             for i in range(n) for j in range(n)),
     })
+
+
+def element_maps(terms, x) -> tuple:
+    """(P, S, [Rbar_u x]) of the element maps ``terms`` (`deformation._ElementTerms`) at x,
+    mapped back to the field."""
+    field, n = terms.field, terms.n
+    _, P, T, s = terms.lifted(x)
+    down = descend(field, s)
+    P, T = [down(c) for c in P], [down(c) for c in T]
+    return (Matrix.from_columns(field, P, n),
+            Matrix.from_columns(field, [c[n:] for c in T], len(T)), [c[:n] for c in T])
+
+
+def element_morphism_in_t(check, P: Matrix, S: Matrix, operators=(None, None)) -> dict:
+    """The parts of a Matrix-level ``check`` (`reynolds.morphism_checker`) at
+    (phi_t, psi_t) = (id + tP, id + tS), each condition's t^k coefficient at
+    ``(Order(k), *where)`` for k = 1, 2; ``operators`` are K + t K1 and
+    K + t K1' in t, or None for the four conditions without them."""
+    field = P.field
+    report = check(*operators, _in_t((Matrix.identity(field, P.rows), P)),
+                   _in_t((Matrix.identity(field, S.rows), S)))
+    zero = field.zero
+    return {name: residual_report(((Order(k), *where), _order(r, k, zero))
+                                  for k in (1, 2) for where, r in part.violations)
+            for name, part in report.parts.items()}
+
+
+def in_t_element_checks(data: ReynoldsData) -> tuple:
+    """(x -> Nijenhuis-element `Report`, (K1, K1', x) -> equivalence `Report`), in t."""
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    field, terms = g.field, _ElementTerms(data)
+    twisted = (g, twisted_rows(g, rep, H))
+    check = morphism_checker(twisted, twisted)
+
+    def nijenhuis(x) -> Report:
+        x = tuple(field(c) for c in x)
+        P, S, rbar = element_maps(terms, x)
+        parts = {"rbar_condition": residual_report(
+            (("rbar-commutes", u), sub_vec(g.mul(x, r), g.mul(r, x)))
+            for u, r in enumerate(rbar))}
+        parts.update(element_morphism_in_t(check, P, S))
+        return _combine(parts)
+
+    def equivalence(K1: Matrix, K1p: Matrix, x) -> Report:
+        P, S, _ = element_maps(terms, tuple(field(c) for c in x))
+        return _combine(element_morphism_in_t(check, P, S, (_in_t((K, K1)), _in_t((K, K1p)))))
+
+    return nijenhuis, equivalence
 
 
 def left_mult(a: PreLieAlgebra, x) -> Matrix:

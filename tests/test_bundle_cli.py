@@ -592,6 +592,41 @@ def test_cli_search_over_a_huge_count_is_a_budget_error():
                    "message": "13^4096 candidates exceed the budget of 10000000"}
 
 
+def _set_element(doc, value):
+    doc["element"] = [value, "0", "0"]
+
+
+def _set_product(doc, value):
+    doc["algebra"]["product"][0]["c"] = value
+
+
+def _set_entry(doc, value):
+    doc["operatorK"]["entries"][0][0] = value
+
+
+def _set_cochain(doc, value):
+    doc["cocycleH"]["values"][0]["v"][2] = value
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_set_element, "/element/0"),
+    (_set_product, "/algebra/product/0/c"),
+    (_set_entry, "/operatorK/entries/0/0"),
+    (_set_cochain, "/cocycleH/values/0/v/2"),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_cli_boolean_scalar_is_exit_2(edit, path, value):
+    # bool subclasses int, but JSON true and false are not the scalars 1 and 0
+    doc = json.loads((CORPUS / "g3-f2-e11.json").read_text())
+    _set_element(doc, "0")
+    edit(doc, value)
+    code, out, _ = run_cli("check", "nijenhuis-element", json.dumps(doc))
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "SchemaError"
+    assert doc["message"] == f"{path}: scalar must be a string or integer, got bool"
+
+
 def test_cli_cochain_of_degree_above_two_is_exit_2():
     doc = json.loads((CORPUS / "g3.json").read_text())
     doc["cocycleH"]["degree"] = 3

@@ -59,6 +59,7 @@ from oracles import (
     act_L,
     act_R,
     cochain_eval,
+    element_maps,
     field_check_d_reynolds,
     field_check_nijenhuis,
     field_check_rcw_morphism,
@@ -83,13 +84,14 @@ from prelie.bundle import Bundle, parse_bundle
 from prelie.cochain import Cochain, twisted_rows
 from prelie.deformation import (
     DeformationSeries,
-    _element_morphism,
     _ElementTerms,
     _in_t,
     _order,
+    check_equivalence_data,
     check_formal_deformation,
     check_linear_deformation,
     element_coboundary,
+    nijenhuis_element_checker,
 )
 from prelie.errors import InvariantError
 from prelie.linalg import Matrix, add_vec, basis_vec, is_zero_vec, sub_vec
@@ -538,7 +540,7 @@ def test_element_maps_match_the_field_oracle(field):
         terms = _ElementTerms(data)
         generic = tuple(Poly({(k,): field.one}) for k in range(g.dim))
         for x in (tuple(_entry(rng, field) for _ in range(g.dim)), generic):
-            _, S, rbar = terms(x)
+            _, S, rbar = element_maps(terms, x)
             S_oracle, rbar_oracle = _element_oracle(data, x)
             columns = [S.column(u) for u in range(S.cols)]
             assert [as_terms(c) for c in columns] == [as_terms(c) for c in S_oracle]
@@ -556,9 +558,10 @@ def test_element_maps_match_the_field_oracle(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_element_morphism_in_t_matches_the_field_oracle(field):
-    # (phi_t, psi_t) = (id + tP, id + tS) through the prepared morphism
-    # checker, against the hand-written conditions on the same matrices in
-    # t: every condition vanishes at t^0 and t^3, and agrees at t and t^2
+    # (phi_t, psi_t) = (id + tP, id + tS), read at t and t^2 off two
+    # integer evaluations, against the hand-written conditions on the same
+    # matrices in t: every condition vanishes at t^0 and t^3, and agrees
+    # at t and t^2
     rng = random.Random(2701)
     zero, failing, fractional = field.zero, set(), 0
     for _ in range(10):
@@ -566,22 +569,22 @@ def test_element_morphism_in_t_matches_the_field_oracle(field):
         g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
         n, m = g.dim, rep.dim_v
         x = tuple(_entry(rng, field) for _ in range(n))
-        terms = _ElementTerms(data)
-        P, S, _ = terms(x)
+        P, S, _ = element_maps(_ElementTerms(data), x)
         phi, psi = _in_t((Matrix.identity(field, n), P)), _in_t((Matrix.identity(field, m), S))
-        operators = tuple(_in_t((K, _random_matrix(rng, field, n, m))) for _ in range(2))
-        oracle = field_check_rcw_morphism(*(ReynoldsData(g, rep, H, Kt) for Kt in operators),
-                                          phi, psi)
+        K1, K1p = (_random_matrix(rng, field, n, m) for _ in range(2))
+        oracle = field_check_rcw_morphism(*(ReynoldsData(g, rep, H, _in_t((K, D)))
+                                            for D in (K1, K1p)), phi, psi)
         for k in (0, 3):
             assert all(is_zero_vec(_order(r, k, zero)) for _, r in oracle.violations)
         expected = {name: residual_report(((Order(k), *where), _order(r, k, zero))
                                           for k in (1, 2) for where, r in part.violations)
                     for name, part in oracle.parts.items()}
-        check = terms.morphism
-        assert _element_morphism(check, P, S, operators) == expected
+        assert check_equivalence_data(data, K1, K1p, x).parts == expected
         failing.update(name for name, part in expected.items() if not part.ok)
         del expected["intertwines_operator"]
-        assert _element_morphism(check, P, S) == expected
+        parts = dict(nijenhuis_element_checker(data)(x).parts)
+        del parts["rbar_condition"]
+        assert parts == expected
         fractional += field == QQ and any(c.denominator != 1 for c in x)
     assert failing == {"algebra_morphism", "intertwines_operator", "intertwines_left_action",
                        "intertwines_right_action", "intertwines_weight"}
@@ -779,7 +782,7 @@ def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
     # the bundle's build and the element maps prepared once (for rigidity,
     # shared by the search's checker, Z^1 and the image)
     built = count_calls(monkeypatch, reynolds, "graph_frame")
-    candidates = count_calls(monkeypatch, deformation, "_element_morphism")
+    candidates = count_calls(monkeypatch, deformation._ElementTerms, "morphism")
     seen = set()
     for bundle, field in DEFORM_CASES:
         built.clear()
@@ -796,8 +799,8 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
     # once for the element maps, whose one preparation both sides of the
     # morphism checker read (and, for rigidity, Z^1 and the image): a
     # fixed number whatever the number of candidates.  An element
-    # check lifts x, to combine it with the element maps on their ints,
-    # then phi_t and psi_t together, once each, and nothing else
+    # check lifts x once, to combine it with the element maps on their
+    # ints, and reads every condition off those ints: nothing else is lifted
     built = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
     lifts = count_calls(monkeypatch, scalars, "lift")
     per_check = []
@@ -821,8 +824,8 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
         per_check.clear()
         run(("deform", action, "--bundle", f"corpus/{bundle}", "--field", field))
         assert len(built) == arrays
-        # (x, one), then (phi_t, psi_t, one)
-        assert per_check and all(sizes == [2, 3] for sizes in per_check)
+        # (x, one)
+        assert per_check and all(sizes == [2] for sizes in per_check)
         seen.add(len(per_check))
     assert len(seen) == 3
 
@@ -884,13 +887,15 @@ def test_each_command_prepares_the_bundle_triple_once(monkeypatch, command):
 # mixed denominators: the structures at D_g, the cochains at D_c != D_g
 
 
-def _mutant(monkeypatch, module, name: str, term: str, replacement: str) -> None:
-    """``module.name`` recompiled with ``term`` replaced, wherever ``prelie`` binds it."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def _mutant(monkeypatch, module, name: str, term: str, replacement: str, owner=None) -> None:
+    """``name`` of ``owner`` (a class of ``module``, or ``module`` itself) recompiled
+    in ``module`` with ``term`` replaced, wherever ``prelie`` binds it."""
+    owner = owner or module
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(term) == 1
     namespace = dict(vars(module))
     exec(compile(source.replace(term, replacement), module.__file__, "exec"), namespace)
-    _replace_everywhere(monkeypatch, module, name, lambda original: namespace[name])
+    _replace_everywhere(monkeypatch, owner, name, lambda original: namespace[name])
 
 
 def _mixed_cases(rng, field, count: int) -> list:
