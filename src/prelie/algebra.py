@@ -180,6 +180,12 @@ def nonzero_rows(tensor) -> list:
     return [[[(k, x) for k, x in enumerate(row) if x] for row in plane] for plane in tensor]
 
 
+def nonzero_columns(F, dim: int) -> list:
+    """The nonzero entries of each of the ``dim`` columns of a matrix given by its rows,
+    as (row, entry) pairs."""
+    return [[(t, row[a]) for t, row in enumerate(F) if row[a]] for a in range(dim)]
+
+
 def nonzero_entries(rows) -> list:
     """The nonempty rows of `nonzero_rows` as (i, j, row) triples, in (i, j) order."""
     return [(i, j, row) for i, plane in enumerate(rows) for j, row in enumerate(plane) if row]
@@ -474,20 +480,20 @@ def check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
                            for (fb, last), v in zip(dD.keys(), dD.values))
 
 
-def morphism_defects(source, target, F, one, pairs):
+def morphism_defects(source, target, cols, one, pairs):
     """one F(a.b) - F(a).F(b) at each pair (a, b) of source basis indices, on ints.
 
     The one evaluation of a morphism identity in the package.  ``source``
     and ``target`` are the nonzero rows (`nonzero_rows`) of two lifted
-    structure-constant tensors, F the rows of a lifted linear map between
-    their spaces and ``one`` its denominator, so each residual, a list of
+    structure-constant tensors, ``cols`` the `nonzero_columns` of a lifted
+    linear map F between their spaces (entries of a column that name one
+    row twice add) and ``one`` its denominator, so each residual, a list of
     ints (or int `scalars.Poly`) on the target basis, is homogeneous: it is
     D D_F^2 times F(a.b) - F(a).F(b), for tensors lifted by D and F by
     D_F = ``one`` (`SIGNS.md`); ``one`` = 0 leaves -F(a).F(b).  `check_morphism`
     and `reynolds.morphism_checker` read it.
     """
-    dim = len(F)
-    cols = [[(t, row[a]) for t, row in enumerate(F) if row[a]] for a in range(len(source))]
+    dim = len(target)
     for a, b in pairs:
         out = [0] * dim
         if one:
@@ -517,5 +523,6 @@ def check_morphism(a: PreLieAlgebra, b: PreLieAlgebra, f: Matrix) -> Report:
     field = a.field
     (s, t, F, D), _ = lift(field, (a.product, b.product, f.data, field.one))
     pairs = [(i, j) for i in range(a.dim) for j in range(a.dim)]
-    return lifted_report(zip(pairs, morphism_defects(nonzero_rows(s), nonzero_rows(t), F, D,
-                                                     pairs)), descend(field, D ** 3))
+    return lifted_report(zip(pairs, morphism_defects(nonzero_rows(s), nonzero_rows(t),
+                                                     nonzero_columns(F, a.dim), D, pairs)),
+                         descend(field, D ** 3))

@@ -13,13 +13,13 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
               sgn(s) P(x_{s(1)}, ..., x_{s(p)}, Q(x_{s(p+1)}, ..., x_{s(p+q)}, x_{p+q+1}))
 
   with [P, Q] = P <> Q - (-1)^{pq} Q <> P.  A bilinear map pi is pre-Lie
-  exactly when [pi, pi] = 0.  `cochain._unshuffles` gives each s with
-  sgn(s).  This formula is written once, in `_compose`, which adds
-  sign * (outer <> inner) at one canonical key, reading both cochains
-  as sparse values at basis tuples.  Each cochain has a floor: an
-  argument below it, or a coordinate of inner's value below outer's
-  floor, gives no term.  `diamond` runs it at every key of C(X, X) with
-  both floors 0; `mn_bracket` serves the pre-Lie anchor [pi, pi] = 0.
+  exactly when [pi, pi] = 0.  This formula is written once, in
+  `_scatter`, which adds sign * (outer <> inner) to a sparse table in one
+  pass over inner's nonzero entries: each coordinate t of an inner value
+  feeds every outer entry with t in its first block (the (q,1,p-1) sum)
+  or as its last argument (the (p,q) sum), at the sorted merged key; a
+  repeated letter drops the term (`SIGNS.md`).  `diamond` runs it once;
+  `mn_bracket` serves the pre-Lie anchor [pi, pi] = 0.
 
 * Operator cochains P in Hom(wedge^{p-1} V (x) V, g) embed into
   C^p(W, W) for W = g + V as P^: evaluate on the V-components and land
@@ -36,15 +36,13 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   rule (`_bracket`).  The ternary sign is pinned by the anchor identity
   [[K,K,K]](u,v) = 6 K H(Ku, Kv).
 
-* `_derived` evaluates the nested bracket on demand, never on all of
-  C(W, W): level j is [N, P_j^], N the level below, a memo of sparse
-  values at basis keys of W filled only at the keys the level above
-  reads, by two `_compose` calls per key whose floors drop every term
-  that would feed a lifted cochain a g-argument (`SIGNS.md`).  The
-  restriction keeps the g-coordinates of the top level at V-basis keys;
-  a nonzero V-coordinate raises `InvariantError`.  Values are combined
-  with +, - and * only, so the route runs on field scalars, on ints and
-  on `Poly` entries alike.
+* `_derived` builds level j = [N, P_j^], N the level below, as a sparse
+  table of W, by two `_scatter` passes.  The table of P^ holds only
+  V-keys and g-values, so no term feeds a lifted cochain a g-argument.
+  The restriction keeps the g-coordinates of the top level at V-basis
+  keys; a nonzero V-coordinate raises `InvariantError`.  Values are
+  combined with +, - and * only, so the route runs on field scalars, on
+  ints and on `Poly` entries alike.
 
 * The Maurer-Cartan functional is MC(K) = 1/2 [[K,K]] - 1/6 [[K,K,K]];
   its vanishing is equivalent to the Reynolds identity.  The induced
@@ -75,13 +73,11 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .algebra import PreLieAlgebra, Report, Representation, residual_report
 from .cochain import (
     Cochain,
     _sort_with_sign,
-    _unshuffles,
     cochain_keys,
     cochain_space_dim,
     twisted_rows,
@@ -101,13 +97,12 @@ def diamond(P: Cochain, Q: Cochain) -> Cochain:
         raise ShapeError("cochains live on different spaces")
     dim, field = P.dim_source, P.field
     p, q = P.degree - 1, Q.degree - 1
-    outer, inner = partial(_read, _sparse_table(P, 0)), partial(_read, _sparse_table(Q, 0))
+    acc = {}
+    _scatter(acc, 1, _sparse_table(P, 0), _sparse_table(Q, 0), p, q)
     values = []
-    for fb, last in cochain_keys(dim, p + q + 1):
-        acc = {}
-        _compose(acc, 1, outer, inner, p, q, fb, last, 0, 0)
+    for key in cochain_keys(dim, p + q + 1):
         out = [field.zero] * dim
-        for t, x in acc.items():
+        for t, x in acc.get(key, {}).items():
             out[t] = x
         values.append(out)
     return Cochain(field, p + q + 1, dim, dim, values)
@@ -129,69 +124,66 @@ def _cochain_report(c: Cochain) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# the big space W = g + V and the derived brackets, evaluated on demand
+# the big space W = g + V and the derived brackets, one sparse level at a time
 
 
 def _sparse_table(c: Cochain, shift: int) -> dict:
-    """{canonical key, indices shifted by ``shift``: the nonzero (coordinate, value) pairs}."""
-    return {(tuple(i + shift for i in fb), last + shift):
-            tuple((t, x) for t, x in enumerate(v) if x)
-            for (fb, last), v in zip(c.keys(), c.values)}
+    """{canonical key, indices shifted by ``shift``: the nonzero (coordinate, value) pairs},
+    over the keys where c is nonzero."""
+    table = {}
+    for (fb, last), v in zip(c.keys(), c.values):
+        pairs = tuple((t, x) for t, x in enumerate(v) if x)
+        if pairs:
+            table[(tuple(i + shift for i in fb), last + shift)] = pairs
+    return table
 
 
-def _read(table: dict, idxs) -> tuple:
-    """The sparse value of a cochain table at a basis tuple, in any order of its
-    first block: (sign of the sort, pairs), with no pairs on a repeated index."""
-    norm = _sort_with_sign(idxs[:-1])
+def _by_argument(table: dict) -> tuple:
+    """Two indexes of a sparse table by one argument t of a key: over the keys whose
+    first block holds t, {t: [((-1)^(position of t), the other letters, last, pairs)]},
+    and over the keys whose last argument is t, {t: [(first block, pairs)]}."""
+    first, final = {}, {}
+    for (fb, last), pairs in table.items():
+        for i, t in enumerate(fb):
+            first.setdefault(t, []).append((-1 if i % 2 else 1, fb[:i] + fb[i + 1:], last, pairs))
+        final.setdefault(last, []).append((fb, pairs))
+    return first, final
+
+
+def _add(acc: dict, letters: tuple, last: int, pairs, c, sign: int) -> None:
+    """acc[key] += sign * c * pairs, at the canonical key of (letters, last); a repeated
+    letter gives no term."""
+    norm = _sort_with_sign(letters)
     if norm is None:
-        return 1, ()
-    return norm[0], table.get((norm[1], idxs[-1]), ())
-
-
-def _add(acc: dict, pairs, c, sign: int) -> None:
-    """acc += sign * c * pairs, coordinate by coordinate."""
+        return
+    if norm[0] != sign:
+        c = -c
+    row = acc.setdefault((norm[1], last), {})
     for t, x in pairs:
-        term = c * x if sign == 1 else -(c * x)
-        s = acc.get(t)
-        acc[t] = term if s is None else s + term
+        term = c * x
+        s = row.get(t)
+        row[t] = term if s is None else s + term
 
 
-def _compose(acc: dict, sign: int, outer, inner, a: int, b: int, fb: tuple, last: int,
-             floor_outer: int, floor_inner: int) -> None:
-    """acc += sign * (outer <> inner) at the canonical key (fb, last).
+def _scatter(acc: dict, sign: int, outer: dict, inner: dict, a: int, b: int) -> None:
+    """acc += sign * (outer <> inner), both sparse tables, of MN-degrees a and b.
 
-    ``outer`` and ``inner`` read (sort sign, sparse value) at a basis
-    tuple, like `_read`, and have MN-degrees a and b.  An argument below
-    its cochain's floor gives no term; for ``outer`` this includes the
-    coordinate of inner's value that it is fed.  A lifted operator cochain
-    has floor dim g: it vanishes on g, and the floor drops those terms
-    before any value is read.  With both floors 0 this is plain <>.
+    One pass over the nonzero entries of ``inner``: each coordinate t of
+    its value feeds every entry of ``outer`` that has t as an argument
+    (`SIGNS.md`).  t in outer's first block is the (b,1,a-1) sum, t as
+    outer's last argument the (a,b) sum.
     """
-    # outer(inner(b+1 letters), a-1 letters, last)
-    if last >= floor_outer:
-        for s, w in _unshuffles((b, 1, a - 1)):
-            args = tuple(fb[i] for i in w[:b + 1])
-            rest = tuple(fb[i] for i in w[b + 1:]) + (last,)
-            if args[0] < floor_inner or rest[0] < floor_outer:
-                continue
-            s1, iv = inner(args)
-            for t, c in iv:
-                if t >= floor_outer:
-                    s2, ov = outer((t,) + rest)
-                    _add(acc, ov, c, sign * s * s1 * s2)
-    # (-1)^{ab} outer(a letters, inner(b letters, last))
-    if last >= floor_inner:
-        flip = -sign if (a * b) % 2 else sign
-        for s, w in _unshuffles((a, b)):
-            head = tuple(fb[i] for i in w[:a])
-            args = tuple(fb[i] for i in w[a:]) + (last,)
-            if args[0] < floor_inner or head and head[0] < floor_outer:
-                continue
-            s1, iv = inner(args)
-            for t, c in iv:
-                if t >= floor_outer:
-                    s2, ov = outer(head + (t,))
-                    _add(acc, ov, c, flip * s * s1 * s2)
+    first, final = _by_argument(outer)
+    flip = -sign if (a * b) % 2 else sign
+    for (fb, last), pairs in inner.items():
+        letters = fb + (last,)
+        for t, c in pairs:
+            # outer(inner(fb, last), rest, olast), t at its position in outer's block
+            for s, rest, olast, ov in first.get(t, ()):
+                _add(acc, letters + rest, olast, ov, c, sign * s)
+            # (-1)^{ab} outer(ofb, inner(fb, last))
+            for ofb, ov in final.get(t, ()):
+                _add(acc, ofb + fb, last, ov, c, flip)
 
 
 def _derived(structure: dict, dim: int, cochains) -> Cochain:
@@ -200,57 +192,38 @@ def _derived(structure: dict, dim: int, cochains) -> Cochain:
     The operator cochains must share one shape V -> g; ``structure`` is
     the sparse table of a degree-2 cochain on a space of dimension
     ``dim``, which must be W = g + V.  Level j = [N_{j-1}, P_j^] is a
-    memo of sparse values at canonical basis keys of W, filled only at
-    the keys the level above reads (see the module docstring).  The
-    result holds the g-coordinates of the top level at V-basis keys; a
-    nonzero V-coordinate there raises `InvariantError`.
+    sparse table of W, built by two `_scatter` passes (see the module
+    docstring).  The result holds the g-coordinates of the top level at
+    V-basis keys; a nonzero V-coordinate there raises `InvariantError`.
     """
     dim_g, dim_v = cochains[0].dim_target, cochains[0].dim_source
     if any((P.dim_target, P.dim_source) != (dim_g, dim_v) for P in cochains):
         raise ShapeError("operator cochains have different shapes")
     if dim != dim_g + dim_v:
         raise ShapeError("structure does not live on g + V")
-    n = dim_g
-    levels = [dict(structure)]
-    arity = [2]
+    n, N, p = dim_g, structure, 1
     for P in cochains:
-        levels.append({})
-        arity.append(arity[-1] + P.degree - 1)
-
-    def value(j, idxs):
-        """(sign, sparse value) of N_j at a tuple of basis indices of W."""
-        norm = _sort_with_sign(idxs[:-1])
-        if norm is None:
-            return 1, ()
-        key, memo = (norm[1], idxs[-1]), levels[j]
-        if key not in memo:
-            memo[key] = level(j, *key) if j else ()
-        return norm[0], memo[key]
-
-    def level(j, fb, last):
-        """N_j = N <> P^ - (-1)^{pq} P^ <> N at one canonical key, N = N_{j-1}, P = P_j."""
-        N, P = partial(value, j - 1), partial(_read, tables[j - 1])
-        p, q = arity[j - 1] - 1, cochains[j - 1].degree - 1
+        # N_j = N <> P^ - (-1)^{pq} P^ <> N, N = N_{j-1} of MN-degree p
+        lifted, q = _sparse_table(P, n), P.degree - 1
         flip = -1 if (p * q) % 2 else 1
         acc = {}
-        _compose(acc, 1, N, P, p, q, fb, last, 0, n)
-        _compose(acc, -flip, P, N, q, p, fb, last, n, 0)
-        return tuple((t, x) for t, x in acc.items() if x)
-
-    tables = [_sparse_table(P, n) for P in cochains]
-    top, degree = len(cochains), arity[-1]
+        _scatter(acc, 1, N, lifted, p, q)
+        _scatter(acc, -flip, lifted, N, q, p)
+        N = {key: nonzero for key, row in acc.items()
+             if (nonzero := tuple((t, x) for t, x in row.items() if x))}
+        p += q
     field = cochains[0].field
     values = []
-    for fb, last in cochain_keys(dim_v, degree):
+    for fb, last in cochain_keys(dim_v, p + 1):
         out = [field.zero] * dim_g
-        for t, x in value(top, (*(i + n for i in fb), last + n))[1]:
+        for t, x in N.get((tuple(i + n for i in fb), last + n), ()):
             if t >= n:
                 raise InvariantError(
                     "V-part of the restricted derived bracket is nonzero at "
                     f"{fb + (last,)}")
             out[t] = x
         values.append(out)
-    return Cochain(field, degree, dim_v, dim_g, values)
+    return Cochain(field, p + 1, dim_v, dim_g, values)
 
 
 def _bracket(structure: dict, dim: int, cochains) -> Cochain:

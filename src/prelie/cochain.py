@@ -1,4 +1,4 @@
-"""Cochain spaces, unshuffles, the coboundary, and cohomology dimensions.
+"""Cochain spaces, the coboundary, and cohomology dimensions.
 
 A degree-n cochain is a multilinear map on n arguments from a source
 space X to a target space Y, antisymmetric in its first n-1 arguments
@@ -26,11 +26,10 @@ twisted by H (`cocycle_report`, `SIGNS.md`) on `twisted_rows`, the one
 lift of a fixed triple (a, rep, H).
 
 Everything here is graded in a single degree per slot, so the Koszul
-sign of a permutation reduces to its parity; a graded extension would
-have to generalize `_unshuffles`.  There is one parity routine,
-`_sort_with_sign`: it signs the sort of a key to canonical order, and
-`_unshuffles` takes the sign of each unshuffle (a word of subsets) from
-it.
+sign of a permutation reduces to its parity.  There is one parity
+routine, `_sort_with_sign`: it signs the sort of a key to canonical
+order, and the composition product (`brackets._scatter`) takes the sign
+of each merged key from it.
 """
 
 from __future__ import annotations
@@ -61,26 +60,6 @@ from .linalg import (
     zero_vec,
 )
 from .scalars import descend, lift
-
-
-@lru_cache(maxsize=None)
-def _unshuffles(pattern: tuple):
-    """All unshuffles of the pattern as (sign, word) pairs, lexicographic by word.
-
-    A word lists the values at positions 0, 1, ... (0-based), increasing
-    within each block of the pattern; each block is a subset of the
-    values the earlier blocks left, taken with `itertools.combinations`.
-    The sign is the parity of the word, from `_sort_with_sign`.  Any
-    negative block size yields the empty tuple; the compositions in
-    `brackets` rely on that convention for boundary arities.
-    """
-    if any(b < 0 for b in pattern):
-        return ()
-    words = [()]
-    for b in pattern:
-        words = [w + chosen for w in words
-                 for chosen in combinations([x for x in range(sum(pattern)) if x not in w], b)]
-    return tuple((_sort_with_sign(w)[0], w) for w in words)
 
 
 @lru_cache(maxsize=None)

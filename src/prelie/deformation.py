@@ -47,7 +47,10 @@ class _ElementTerms:
     once, at the basis of g, off the operator's frame, as ints at scale
     D_g D_K^2.  Each x is lifted and combined with them (`lifted`, scale
     s = D_x D_g D_K^2), and its conditions run on those ints (`morphism`,
-    `commutes`); only nonzero residuals are mapped back.
+    `commutes`); only nonzero residuals are mapped back.  The lift of each
+    x is kept, since the object lives for one command: a search re-verifies
+    each element it accepts, and `rigidity_probe` reads the same lift again
+    for the element's coboundary.
     """
 
     def __init__(self, data: ReynoldsData):
@@ -74,9 +77,13 @@ class _ElementTerms:
             return [(k, v) for k, v in enumerate(flat) if v]
 
         self.basis = [at(i) for i in range(n)]
+        self.lifts = {}
 
     def lifted(self, x) -> tuple:
-        """((x, D_x), the columns of P and of (rbar, S) at scale s, s), on the ints."""
+        """((x, D_x), the columns of P and of (rbar, S) at scale s, s), on the ints,
+        for a tuple x; computed once per x."""
+        if x in self.lifts:
+            return self.lifts[x]
         field, n, w = self.field, self.n, self.n + len(self.K)
         (xs, Dx), _ = lift(field, (x, field.one))
         acc = [0] * (n * n + (w - n) * w)
@@ -84,8 +91,10 @@ class _ElementTerms:
             if xi:
                 for k, v in entries:
                     acc[k] += xi * v
-        return ((xs, Dx), [acc[j * n:(j + 1) * n] for j in range(n)],
-                [acc[n * n + u * w:n * n + (u + 1) * w] for u in range(w - n)], Dx * self.scale)
+        self.lifts[x] = out = (
+            (xs, Dx), [acc[j * n:(j + 1) * n] for j in range(n)],
+            [acc[n * n + u * w:n * n + (u + 1) * w] for u in range(w - n)], Dx * self.scale)
+        return out
 
     def morphism(self, P, RS, s) -> dict:
         """The four morphism conditions of (phi_t, psi_t) at x, at orders t and t^2.
@@ -93,18 +102,18 @@ class _ElementTerms:
         Phi_t = id + tQ, Q = P + S lifted by s, has the defect c_1 t + c_2 t^2
         (`SIGNS.md`): c_2 is the core at (Q, 0), ``one`` = 0 dropping the
         linear term, and c_1 the core at (s id + Q, s), t = 1, minus c_2;
-        no division, so over F_2 too.  c_k is reported at
+        no division, so over F_2 too.  Both read the nonzero columns of Q,
+        built once: s id + Q adds (a, s) to column a.  c_k is reported at
         ``(Order(k), *where)``, mapped back by D_g s^2.
         """
-        n, m = self.n, len(RS)
-        Q = [list(r) + [0] * m for r in zip(*P)] + \
-            [[0] * n + list(r) for r in zip(*(c[n:] for c in RS))]
+        n = self.n
+        Q = [[(t, a) for t, a in enumerate(col) if a] for col in P] + \
+            [[(t, a) for t, a in enumerate(col[n:], n) if a] for col in RS]
         c2 = self.defects(Q, 0)
-        for i, row in enumerate(Q):
-            row[i] += s
+        shifted = [col + [(a, s)] for a, col in enumerate(Q)]
         # equal readings leave c_1 zero, which every part drops
         c1 = self.parts([[a - b for a, b in zip(r, r2)] if r != r2 else ()
-                         for r, r2 in zip(self.defects(Q, s), c2)])
+                         for r, r2 in zip(self.defects(shifted, s), c2)])
         back = descend(self.field, self.Dg * s * s)
         return {name: lifted_report([((FIRST, *w), r) for w, r in c1[name]]
                                     + [((SECOND, *w), r) for w, r in at2], back)

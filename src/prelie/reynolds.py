@@ -48,6 +48,7 @@ from .algebra import (
     family_products,
     lifted_report,
     morphism_defects,
+    nonzero_columns,
     nonzero_entries,
     regular_representation,
     residual_report,
@@ -464,8 +465,9 @@ def morphism_checker(source: tuple, target: tuple):
     and phi a pre-Lie algebra morphism; all but the first say that
     Phi = phi + psi is a morphism of the twisted semidirect products,
     whose rows are brought to one denominator D_g.  Its integer core:
-    ``check.defects(Phi, one)``, `algebra.morphism_defects` at every pair
-    for Phi lifted by ``one``, at scale D_g one^2 (`SIGNS.md`), and
+    ``check.defects(cols, one)``, `algebra.morphism_defects` at every pair
+    for Phi lifted by ``one`` and given by its `algebra.nonzero_columns`,
+    at scale D_g one^2 (`SIGNS.md`), and
     ``check.parts``, which splits those into the four conditions but the
     first.  ``check`` lifts phi and psi by one D_F, maps back by D_g D_F^2
     and, with K and K' None, leaves out the first condition.
@@ -484,8 +486,8 @@ def morphism_checker(source: tuple, target: tuple):
               "intertwines_right_action": (acting, n * n + n * m, on_v),
               "intertwines_weight": (grid, 0, on_v)}
 
-    def defects(Phi, one) -> list:
-        return list(morphism_defects(rows, rows2, Phi, one, pairs))
+    def defects(cols, one) -> list:
+        return list(morphism_defects(rows, rows2, cols, one, pairs))
 
     def parts(out) -> dict:
         return {name: [(w, r[at]) for w, r in zip(where, out[start:]) if any(r)]
@@ -499,7 +501,8 @@ def morphism_checker(source: tuple, target: tuple):
         (f, s, DF), _ = lift(field, (phi.data, psi.data, field.one))
         Phi = [row + (0,) * m for row in f] + [(0,) * n + row for row in s]
         back = descend(field, Dg * DF ** 2)
-        reports = {name: lifted_report(at, back) for name, at in parts(defects(Phi, DF)).items()}
+        reports = {name: lifted_report(at, back)
+                   for name, at in parts(defects(nonzero_columns(Phi, n + m), DF)).items()}
         if K is not None:
             reports = {"algebra_morphism": reports.pop("algebra_morphism"),
                        "intertwines_operator": residual_report(

@@ -11,6 +11,7 @@ exactly verified instances.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 import sys
 from pathlib import Path
@@ -338,6 +339,37 @@ def fractional_ladder_data(n: int = 5) -> ReynoldsData:
         if h.inverse() is not None:
             return reynolds_from_invertible_cochain(g, regular_representation(g),
                                                     Cochain.from_matrix(h))
+
+
+Q_ENTRIES = ["0", "0", "1", "-1", "1/2", "-2/3", "3/4"]
+
+
+def _entry(rng, field):
+    return field(rng.choice(Q_ENTRIES)) if field == QQ else field(rng.randrange(field.p))
+
+
+def _random_matrix(rng, field, rows, cols):
+    return Matrix(field, [[_entry(rng, field) for _ in range(cols)] for _ in range(rows)])
+
+
+def _fractional_algebra(rng):
+    """A non-abelian algebra over Q on the basis e_i / (i + 2): fractional constants."""
+    a = rng.choice([g3_algebra(QQ), g2_algebra(QQ), g3b_algebra(QQ),
+                    truncated_poly_algebra(QQ)])
+    P = Matrix(QQ, [[Fraction(1, i + 2) if i == j else 0 for j in range(a.dim)]
+                    for i in range(a.dim)])
+    return conjugate_algebra(a, P)
+
+
+def fractional_reynolds_data(rng) -> ReynoldsData:
+    """A verified bundle over Q whose g, H and K all have fractional entries."""
+    g = _fractional_algebra(rng)
+    for _ in range(50):
+        h = _random_matrix(rng, QQ, g.dim, g.dim)
+        if h.inverse() is not None:
+            return reynolds_from_invertible_cochain(g, regular_representation(g),
+                                                    Cochain.from_matrix(h))
+    raise AssertionError("no invertible h drawn")
 
 
 def unitisation(a: PreLieAlgebra) -> PreLieAlgebra:

@@ -95,17 +95,18 @@ the identity d_K f = (-1)^{n-1} d f off one generic evaluation
 the column of the dense operator differential.
 
 `full_space_diamond` is the composition product as the library filled it
-before `brackets._compose`: every key of C(X, X), with P evaluated at
-the vector Q(...) by `cochain_eval`; `full_space_mn_bracket` is the
-bracket on it.  `lift_operator_cochain` and `full_space_derived` are the
-derived-bracket route the library ran before it evaluated the nested
-bracket on demand: every operator cochain lifted to C(W, W),
-W = g + V, the nested `full_space_mn_bracket` filled on every key of W,
-then evaluated on V-basis tuples with the g-coordinates kept.  The
-route shares no code with `_compose`, so a sign error there cannot
-cancel out of a comparison.  `full_space_derived_bracket` and
-`full_space_ternary_bracket` add the signs of `derived_bracket` and
-`ternary_bracket`.
+before it scattered the nonzero entries (`brackets._scatter`): every
+key of C(X, X), a sum over the unshuffles of `unshuffles`, with P
+evaluated at the vector Q(...) by `cochain_eval`;
+`full_space_mn_bracket` is the bracket on it.  `lift_operator_cochain`
+and `full_space_derived` are the derived-bracket route the library ran
+before it built each nesting level sparsely: every operator cochain
+lifted to C(W, W), W = g + V, the nested `full_space_mn_bracket` filled
+on every key of W, then evaluated on V-basis tuples with the
+g-coordinates kept.  The route shares no code with `_scatter`, so a
+sign error there cannot cancel out of a comparison.
+`full_space_derived_bracket` and `full_space_ternary_bracket` add the
+signs of `derived_bracket` and `ternary_bracket`.
 
 `field_mc_residual`, `field_d_K` and `field_twisted_mc_residual` are the
 bracket combinations as the library evaluated them over Q and F_p,
@@ -122,8 +123,8 @@ dense field scalars, which shares no code with `linalg.integer_rank`.
 `integer_rows` lifts sparse field rows to ints row by row (each row
 scaled by the lcm of its own denominators, the lift `Matrix.rref` used
 before it took `scalars.lift`), and `enumerate_unshuffles` the checked enumeration
-of the unshuffles that `cochain._unshuffles` caches, each as an
-`Unshuffle` record with its ``perm`` and ``sign``.
+of the unshuffles that `unshuffles` caches, each as an `Unshuffle`
+record with its ``perm`` and ``sign``.
 
 `literal_element_groups` is the paper's closed form of the Nijenhuis
 element conditions, which the library decided with before it read them
@@ -155,8 +156,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import product
+from functools import lru_cache, partial
+from itertools import combinations, product
 from math import lcm
 
 from prelie import brackets
@@ -178,7 +179,7 @@ from prelie.cochain import (
     Cochain,
     _check_map_to_module,
     _semidirect_arrays,
-    _unshuffles,
+    _sort_with_sign,
     coboundary,
     cochain_keys,
     cochain_space_dim,
@@ -855,7 +856,7 @@ def enumerate_unshuffles(pattern) -> list:
     pattern = tuple(pattern)
     if any(b < 0 for b in pattern):
         raise ValueError(f"negative block size in {pattern}")
-    return [Unshuffle(word, sign) for sign, word in _unshuffles(pattern)]
+    return [Unshuffle(word, sign) for sign, word in unshuffles(pattern)]
 
 
 # ---------------------------------------------------------------------------
@@ -1114,6 +1115,26 @@ def check_prelie_via_bracket(field, tensor) -> Report:
     return brackets._cochain_report(brackets.mn_bracket(pi, pi))
 
 
+@lru_cache(maxsize=None)
+def unshuffles(pattern: tuple):
+    """All unshuffles of the pattern as (sign, word) pairs, lexicographic by word.
+
+    A word lists the values at positions 0, 1, ... (0-based), increasing
+    within each block of the pattern; each block is a subset of the
+    values the earlier blocks left, taken with `itertools.combinations`.
+    The sign is the parity of the word, from `cochain._sort_with_sign`.
+    Any negative block size yields the empty tuple; `full_space_diamond`
+    relies on that convention for boundary arities.
+    """
+    if any(b < 0 for b in pattern):
+        return ()
+    words = [()]
+    for b in pattern:
+        words = [w + chosen for w in words
+                 for chosen in combinations([x for x in range(sum(pattern)) if x not in w], b)]
+    return tuple((_sort_with_sign(w)[0], w) for w in words)
+
+
 def full_space_diamond(P: Cochain, Q: Cochain) -> Cochain:
     """P <> Q filled densely on every key of C(X, X), P evaluated at the vector Q(...)."""
     if P.dim_source != P.dim_target or Q.dim_source != Q.dim_target:
@@ -1127,14 +1148,14 @@ def full_space_diamond(P: Cochain, Q: Cochain) -> Cochain:
     for fb, last in cochain_keys(dim, p + q + 1):
         letters = list(fb)  # the p+q permutable arguments
         acc = zero_vec(field, dim)
-        for sign, word in _unshuffles((q, 1, p - 1)):
+        for sign, word in unshuffles((q, 1, p - 1)):
             inner = Q.eval_basis(tuple(letters[word[i]] for i in range(q + 1)))
             if is_zero_vec(inner):
                 continue
             term = cochain_eval(P, [inner] + [letters[word[i]] for i in range(q + 1, p + q)]
                                 + [last])
             acc = add_vec(acc, term if sign == 1 else neg_vec(term))
-        for sign, word in _unshuffles((p, q)):
+        for sign, word in unshuffles((p, q)):
             inner = Q.eval_basis(tuple(letters[word[i]] for i in range(p, p + q)) + (last,))
             if is_zero_vec(inner):
                 continue

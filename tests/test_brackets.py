@@ -8,9 +8,11 @@ import pytest
 
 from conftest import (
     CORPUS,
+    _random_matrix,
     _replace_everywhere,
     as_terms,
     count_calls,
+    fractional_reynolds_data,
     g2_algebra,
     padded_reynolds_data,
     random_algebra,
@@ -93,8 +95,8 @@ def test_diamond_bilinear_hand_expansion():
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=repr)
 def test_diamond_matches_the_dense_oracle(field):
-    # the kernel `_compose` with both floors 0 is the full-space diamond, by
-    # value, on random and on generic (`Poly`) cochains
+    # the kernel `_scatter` is the full-space diamond, by value, on random and
+    # on generic (`Poly`) cochains
     rng = random.Random(5)
 
     def terms(c: Cochain) -> list:
@@ -305,11 +307,15 @@ def _values(c: Cochain) -> list:
 def _assert_brackets_match_the_full_space_oracle(field, degree, seed):
     """Binary and ternary brackets of K with a random and with the generic degree-n
     cochain (the one `dk_difference` evaluates), against `oracles.full_space_derived`,
-    on `corpus/g3-k-twisted.json` and on a random bundle padded to dim V > dim g."""
+    on `corpus/g3-k-twisted.json`, on a random bundle padded to dim V > dim g and,
+    over Q, on a bundle whose g, H and K are all fractional."""
     rng = random.Random(seed)
     corpus = parse_bundle(str(CORPUS / "g3-k-twisted.json"), field_name(field))
+    bundles = [corpus.reynolds_data(), padded_reynolds_data(rng, field, max_dim=3)]
+    if field == QQ:
+        bundles.append(fractional_reynolds_data(rng))
     nonzero = 0
-    for data in (corpus.reynolds_data(), padded_reynolds_data(rng, field, max_dim=3)):
+    for data in bundles:
         g, rep, H = data.algebra, data.rep, data.cocycle
         mu, hw = untwisted_structure(g, rep), cocycle_structure(g, rep, H)
         K = Cochain.from_matrix(data.operator)
@@ -333,16 +339,19 @@ def test_derived_brackets_match_the_full_space_oracle(field, degree):
     _assert_brackets_match_the_full_space_oracle(field, degree, 60 + degree)
 
 
-# the four signs of [N, P^] = N <> P^ - (-1)^{pq} P^ <> N in `_derived`: one per
-# unshuffle sum of the kernel `_compose`, and one per call of it in a level
+# the five sign sites of [N, P^] = N <> P^ - (-1)^{pq} P^ <> N in `_derived`: the
+# sign of each unshuffle sum of the composition in `_scatter`, the position sign
+# of t in the outer block (`_by_argument`), and the sign of each scatter pass in a
+# level; and the sort sign of the merged key (`_add`), which both sums share
 _SIGN_FLIPS = {
-    "compose-first-sum": ("_compose", "_add(acc, ov, c, sign * s * s1 * s2)",
-                          "_add(acc, ov, c, -(sign * s * s1 * s2))"),
-    "compose-second-sum": ("_compose", "_add(acc, ov, c, flip * s * s1 * s2)",
-                           "_add(acc, ov, c, -(flip * s * s1 * s2))"),
-    "level-N-outside": ("_derived", "_compose(acc, 1, N, P,", "_compose(acc, -1, N, P,"),
-    "level-P-outside": ("_derived", "_compose(acc, -flip, P, N,",
-                        "_compose(acc, flip, P, N,"),
+    "compose-first-sum": ("_scatter", "ov, c, sign * s)", "ov, c, -(sign * s))"),
+    "compose-second-sum": ("_scatter", "ov, c, flip)", "ov, c, -flip)"),
+    "position-of-t": ("_by_argument", "(-1 if i % 2 else 1,", "(1,"),
+    "level-N-outside": ("_derived", "_scatter(acc, 1, N, lifted, p, q)",
+                        "_scatter(acc, -1, N, lifted, p, q)"),
+    "level-P-outside": ("_derived", "_scatter(acc, -flip, lifted, N, q, p)",
+                        "_scatter(acc, flip, lifted, N, q, p)"),
+    "merged-key-sort": ("_add", "if norm[0] != sign:", "if sign != 1:"),
 }
 
 
@@ -359,7 +368,7 @@ def test_a_sign_flip_in_one_unshuffle_sum_fails_the_oracle_comparison(monkeypatc
 
 
 def test_the_full_space_oracle_never_reaches_the_kernel(monkeypatch):
-    # the reference has its own dense composition: with `_compose` gone it
+    # the reference has its own dense composition: with `_scatter` gone it
     # still runs, so a sign error there cannot flip both sides of a comparison
     data = parse_bundle(str(CORPUS / "g3-k-twisted.json")).reynolds_data()
     g, rep = data.algebra, data.rep
@@ -371,7 +380,7 @@ def test_the_full_space_oracle_never_reaches_the_kernel(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the kernel was called")
 
-    monkeypatch.setattr(brackets, "_compose", forbidden)
+    monkeypatch.setattr(brackets, "_scatter", forbidden)
     with pytest.raises(AssertionError, match="the kernel was called"):
         derived_bracket(mu, K, f)
     got = (full_space_derived_bracket(mu, K, f), full_space_ternary_bracket(hw, K, f, f))
@@ -428,17 +437,28 @@ def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
     assert _values(getattr(brackets, combination)(*args)) == _values(expected)
 
 
-@pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
-                                         "dk_difference"])
+# the products each combination adds on `corpus/g3-k-twisted.json`: one per
+# coordinate of an outer value that a nonzero inner coordinate reaches
+PRODUCTS = {"mc_residual": 6, "d_K": 6, "twisted_mc_residual": 14, "dk_difference": 18}
+
+
+@pytest.mark.parametrize("combination", sorted(PRODUCTS))
 def test_combinations_never_read_a_lifted_cochain_at_a_g_argument(monkeypatch, combination):
-    # `_derived` reads the lifted cochains P^ through `_read` (the levels
-    # through their memo); the floor dim g of `_compose` drops every term
-    # that would feed P^ an index of g before the table is read
+    # a level is two passes, N <> P^ then P^ <> N, over the same table of P^;
+    # that table holds only V keys (letters >= dim g = 3) and g-coordinates,
+    # so no product feeds P^ an index of g and no floor is needed
     args = _combination_args(combination)
-    reads = count_calls(monkeypatch, brackets, "_read")
+    passes = count_calls(monkeypatch, brackets, "_scatter")
+    adds = count_calls(monkeypatch, brackets, "_add")
     getattr(brackets, combination)(*args)
-    assert reads
-    assert min(i for _, idxs in reads for i in idxs) >= 3  # dim g
+    lifted = [inner for _, _, _, inner, _, _ in passes[0::2]]
+    assert len(passes) == 2 * len(lifted)
+    assert all(outer is table for (_, _, outer, _, _, _), table in zip(passes[1::2], lifted))
+    assert all(min(fb + (last,)) >= 3 and max(t for t, _ in pairs) < 3
+               for table in lifted for (fb, last), pairs in table.items())
+    products = sum(len(pairs) for _, letters, _, pairs, _, _ in adds
+                   if cochain._sort_with_sign(letters) is not None)
+    assert products == PRODUCTS[combination]
 
 
 @pytest.mark.parametrize("combination", ["mc_residual", "d_K", "twisted_mc_residual",
@@ -492,6 +512,23 @@ def test_mc_agrees_with_direct_checker_rationals(g3_bundle):
         direct = check_rcw_reynolds(a, rep, H, K).ok
         assert mc == direct
         seen[direct] += 1
+    assert seen[True] and seen[False]
+
+
+def test_mc_agrees_with_direct_checker_on_fractional_bundles():
+    # g, H and K all fractional (D_g > 1 on the lift): K and a fractional
+    # perturbation of it get one verdict from both checks, and the residual
+    # is its field evaluation
+    rng = random.Random(33)
+    seen = {True: 0, False: 0}
+    for _ in range(6):
+        data = fractional_reynolds_data(rng)
+        g, rep, H = data.algebra, data.rep, data.cocycle
+        for K in (data.operator, data.operator + _random_matrix(rng, QQ, g.dim, rep.dim_v)):
+            mc = check_maurer_cartan(g, rep, H, K).ok
+            assert mc == check_rcw_reynolds(g, rep, H, K).ok
+            assert mc_residual(g, rep, H, K) == field_mc_residual(g, rep, H, K)
+            seen[mc] += 1
     assert seen[True] and seen[False]
 
 

@@ -27,7 +27,7 @@ from itertools import product
 import pytest
 
 from cli_sweep import run
-from conftest import CORPUS, random_reynolds_data
+from conftest import CORPUS, _random_matrix, fractional_reynolds_data, random_reynolds_data
 from oracles import in_t_element_checks
 from prelie import deformation
 from prelie.bundle import parse_bundle
@@ -35,7 +35,7 @@ from prelie.cochain import _semidirect_arrays
 from prelie.deformation import _ElementTerms, check_equivalence_data, nijenhuis_element_checker
 from prelie.errors import SchemaError
 from prelie.scalars import QQ, FpElement, PrimeField, lift
-from test_prepared_checkers import _mutant, _random_matrix, fractional_reynolds_data
+from test_prepared_checkers import _mutant
 
 Q_X = ["0", "1", "-1", "1/2", "-2/3", "3/5"]
 

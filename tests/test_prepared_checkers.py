@@ -39,10 +39,14 @@ import pytest
 from cli_sweep import _load, _padded, cases, run
 from conftest import (
     CORPUS,
+    _entry,
+    _fractional_algebra,
+    _random_matrix,
     _replace_everywhere,
     as_terms,
     conjugate_algebra,
     count_calls,
+    fractional_reynolds_data,
     g2_algebra,
     g3b_algebra,
     g3_algebra,
@@ -76,7 +80,6 @@ from prelie.algebra import (
     Order,
     PreLieAlgebra,
     Representation,
-    regular_representation,
     residual_report,
 )
 from prelie.brackets import d_K, mc_residual, twisted_mc_residual
@@ -107,48 +110,16 @@ from prelie.reynolds import (
     check_weighted_reynolds,
     induced_product,
     reynolds_checker,
-    reynolds_from_invertible_cochain,
     star_product,
 )
 from prelie.scalars import QQ, FpElement, Poly, PrimeField, descend, field_name, lift
 from prelie.search import SearchSpec, exhaustive_search
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
-Q_ENTRIES = ["0", "0", "1", "-1", "1/2", "-2/3", "3/4"]
-
-
-def _entry(rng, field):
-    return field(rng.choice(Q_ENTRIES)) if field == QQ else field(rng.randrange(field.p))
-
-
-def _random_matrix(rng, field, rows, cols):
-    return Matrix(field, [[_entry(rng, field) for _ in range(cols)] for _ in range(rows)])
-
-
 def _denominator(field, arrays) -> int:
     """The common denominator `scalars.lift` takes for ``arrays`` (1 over F_p)."""
     (*_, D), _ = lift(field, (*arrays, field.one))
     return D
-
-
-def _fractional_algebra(rng):
-    """A non-abelian algebra over Q on the basis e_i / (i + 2): fractional constants."""
-    a = rng.choice([g3_algebra(QQ), g2_algebra(QQ), g3b_algebra(QQ),
-                    truncated_poly_algebra(QQ)])
-    P = Matrix(QQ, [[Fraction(1, i + 2) if i == j else 0 for j in range(a.dim)]
-                    for i in range(a.dim)])
-    return conjugate_algebra(a, P)
-
-
-def fractional_reynolds_data(rng) -> ReynoldsData:
-    """A verified bundle over Q whose g, H and K all have fractional entries."""
-    g = _fractional_algebra(rng)
-    for _ in range(50):
-        h = _random_matrix(rng, QQ, g.dim, g.dim)
-        if h.inverse() is not None:
-            return reynolds_from_invertible_cochain(g, regular_representation(g),
-                                                    Cochain.from_matrix(h))
-    raise AssertionError("no invertible h drawn")
 
 
 def _bundles(rng, field, count):

@@ -19,19 +19,21 @@ import random
 
 import pytest
 
-from conftest import CORPUS, count_calls, random_pair, random_two_cocycle
+from conftest import (
+    CORPUS,
+    _entry,
+    _random_matrix,
+    count_calls,
+    fractional_reynolds_data,
+    random_pair,
+    random_two_cocycle,
+)
 from oracles import (
     coboundary_check_two_cocycle,
     dense_semidirect_tensor,
     full_representation_report,
 )
-from test_prepared_checkers import (
-    _denominator,
-    _entry,
-    _random_matrix,
-    assert_same_report,
-    fractional_reynolds_data,
-)
+from test_prepared_checkers import _denominator, assert_same_report
 from prelie import cochain, scalars
 from prelie.algebra import (
     _as_tensor,
