@@ -49,8 +49,8 @@ from .errors import (
     ShapeError,
     UnverifiedError,
 )
-from .linalg import Matrix, add_vec, basis_vec, is_zero_vec, neg_vec, sub_vec
-from .scalars import INTEGERS, descend, lift, scalar_to_str
+from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, sub_vec
+from .scalars import descend, lift, scalar_to_str
 
 
 @dataclass
@@ -122,26 +122,6 @@ def _as_tensor(field, tensor):
     return _Tensor(out)
 
 
-def tensor_mul(field, tensor, x, y) -> tuple:
-    """Bilinear extension of the structure constants to coordinates."""
-    n = len(tensor)
-    out = [field.zero] * n
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(n):
-            yj = y[j]
-            if not yj:
-                continue
-            c = xi * yj
-            row = tensor[i][j]
-            for k in range(n):
-                if row[k]:
-                    out[k] = out[k] + c * row[k]
-    return tuple(out)
-
-
 def semidirect_rows(product, dim_v, L, R, H=None) -> list:
     """The nonzero rows (`nonzero_rows`) of the twisted product on g + V:
 
@@ -189,6 +169,11 @@ def nonzero_columns(F, dim: int) -> list:
 def nonzero_entries(rows) -> list:
     """The nonempty rows of `nonzero_rows` as (i, j, row) triples, in (i, j) order."""
     return [(i, j, row) for i, plane in enumerate(rows) for j, row in enumerate(plane) if row]
+
+
+def int_basis(count: int, dim: int) -> list:
+    """The first ``count`` unit vectors of Z^dim, as tuples of ints."""
+    return [(0,) * i + (1,) + (0,) * (dim - i - 1) for i in range(count)]
 
 
 def family_products(entries, left, right) -> list:
@@ -278,6 +263,19 @@ def minus_defects(rows, triples, start: int):
     return lambda a, b, c: [-x for x in defects[a, b, c]] if a < b else defects[b, a, c]
 
 
+def _unit_report(field, product, unit) -> Report:
+    """u.e_i - e_i and e_i.u - e_i at each basis index i, on the product and u lifted
+    together (D): D^2 times their field values, mapped back by D^2 (over F_p, mod p)."""
+    (t, u, D), _ = lift(field, (product, unit, field.one))
+    n, s, entries = len(t), D * D, nonzero_entries(nonzero_rows(t))
+    e = int_basis(n, n)
+    (left,), right = family_products(entries, [u], e), family_products(entries, e, [u])
+    return lifted_report(
+        (((side, i), [x - s if k == i else x for k, x in enumerate(w)])
+         for i in range(n) for side, w in (("left", left[i]), ("right", right[i][0]))),
+        descend(field, s))
+
+
 class PreLieAlgebra:
     """A finite-dimensional pre-Lie algebra given by structure constants."""
 
@@ -297,12 +295,8 @@ class PreLieAlgebra:
             unit = tuple(field(x) for x in unit)
             if len(unit) != len(product):
                 raise ShapeError("unit vector has wrong length")
-            if check:
-                for i in range(len(product)):
-                    e = basis_vec(field, len(product), i)
-                    if tensor_mul(field, product, unit, e) != e or \
-                            tensor_mul(field, product, e, unit) != e:
-                        raise UnverifiedError("declared unit is not a two-sided unit")
+            if check and not _unit_report(field, product, unit).ok:
+                raise UnverifiedError("declared unit is not a two-sided unit")
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "labels", tuple(labels) if labels else None)
 
@@ -326,15 +320,6 @@ class PreLieAlgebra:
 
     def __hash__(self):
         return hash((self.dim, self.product))
-
-    def mul(self, x, y) -> tuple:
-        return tensor_mul(self.field, self.product, x, y)
-
-    def mul_basis(self, i: int, j: int) -> tuple:
-        return self.product[i][j]
-
-    def basis(self, i: int) -> tuple:
-        return basis_vec(self.field, self.dim, i)
 
     def require_unit(self) -> tuple:
         if self.unit is None:
@@ -361,18 +346,18 @@ def subadjacent_lie(a: PreLieAlgebra):
 def check_jacobi(field, bracket_tensor) -> Report:
     """Antisymmetry and Jacobi identity for a raw bracket tensor."""
     (t,), down = lift(field, (_as_tensor(field, bracket_tensor),))
-    r = range(len(t))
-    basis = [basis_vec(INTEGERS, len(t), i) for i in r]
+    n, r = len(t), range(len(t))
+    # outer[i][j n + k] = [e_i, [e_j, e_k]], all in one scatter
+    outer = family_products(nonzero_entries(nonzero_rows(t)), int_basis(n, n),
+                            [t[j][k] for j in r for k in r])
 
-    def br(x, y):
-        return tensor_mul(INTEGERS, t, x, y)
-
-    def jacobiator(x, y, z):
-        return add_vec(add_vec(br(x, br(y, z)), br(y, br(z, x))), br(z, br(x, y)))
+    def jacobiator(i, j, k):
+        return [a + b + c for a, b, c in
+                zip(outer[i][j * n + k], outer[j][k * n + i], outer[k][i * n + j])]
 
     antisym = lifted_report(((("antisym", i, j), add_vec(t[i][j], t[j][i]))
                              for i in r for j in r), lambda x: down(x, 1))
-    jacobi = lifted_report(((("jacobi", i, j, k), jacobiator(basis[i], basis[j], basis[k]))
+    jacobi = lifted_report(((("jacobi", i, j, k), jacobiator(i, j, k))
                             for i in r for j in r for k in r), lambda x: down(x, 2))
     return Report(antisym.ok and jacobi.ok, antisym.violations + jacobi.violations)
 

@@ -32,8 +32,8 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
       [[P, Q, R]]   = -          [[[H, P^], Q^], R^]
 
   restricted back to V-inputs.  Both brackets take that structure as
-  their first argument and share one fold (`_derived`) and one sign
-  rule (`_bracket`).  The ternary sign is pinned by the anchor identity
+  their first argument and share one fold and sign rule (`_derived`).
+  The ternary sign is pinned by the anchor identity
   [[K,K,K]](u,v) = 6 K H(Ku, Kv).
 
 * `_derived` builds level j = [N, P_j^], N the level below, as a sparse
@@ -57,9 +57,9 @@ Conventions (see SIGNS.md at the repository root for the full ledger):
   term is divided exactly by the denominator of its coefficient (2 or
   6), which works because the bracket values are themselves even (resp.
   divisible by 6) integer polynomials of the input entries; a remainder
-  raises `InvariantError`.  A term is mapped back by D_g D_c^2 (binary)
-  or D_g D_c^3 (ternary), or reduced mod p, so no division by 2 or 6 is
-  ever taken in F_2 or F_3.
+  raises `InvariantError`.  A binary term is scaled by D_c to the
+  ternary terms' D_g D_c^3, and the int sum is mapped back once, by
+  D_g D_c^3 or mod p, so no division by 2 or 6 is taken in F_2 or F_3.
 
 * d_K is linear in f, so it is evaluated once, on the generic cochain
   whose coordinates are the variables x_c, not once per basis cochain.
@@ -86,7 +86,7 @@ from .errors import InvariantError, ShapeError
 from .linalg import Matrix
 from .reynolds import ReynoldsData, _frames, _require_cocycle
 from .opcohomology import _frame_coboundary
-from .scalars import INTEGERS, Poly, descend, lift
+from .scalars import Poly, descend, lift
 
 
 def diamond(P: Cochain, Q: Cochain) -> Cochain:
@@ -95,17 +95,11 @@ def diamond(P: Cochain, Q: Cochain) -> Cochain:
         raise ShapeError("diamond is defined on cochains from a space to itself")
     if P.dim_source != Q.dim_source:
         raise ShapeError("cochains live on different spaces")
-    dim, field = P.dim_source, P.field
     p, q = P.degree - 1, Q.degree - 1
     acc = {}
-    _scatter(acc, 1, _sparse_table(P, 0), _sparse_table(Q, 0), p, q)
-    values = []
-    for key in cochain_keys(dim, p + q + 1):
-        out = [field.zero] * dim
-        for t, x in acc.get(key, {}).items():
-            out[t] = x
-        values.append(out)
-    return Cochain(field, p + q + 1, dim, dim, values)
+    _scatter(acc, 1, _sparse_table(P.keys(), P.values, 0), _sparse_table(Q.keys(), Q.values, 0),
+             p, q)
+    return _as_cochain(P, p + q + 1, {key: row.items() for key, row in acc.items()})
 
 
 def mn_bracket(P: Cochain, Q: Cochain) -> Cochain:
@@ -127,15 +121,25 @@ def _cochain_report(c: Cochain) -> Report:
 # the big space W = g + V and the derived brackets, one sparse level at a time
 
 
-def _sparse_table(c: Cochain, shift: int) -> dict:
+def _sparse_table(keys, values, shift: int) -> dict:
     """{canonical key, indices shifted by ``shift``: the nonzero (coordinate, value) pairs},
-    over the keys where c is nonzero."""
+    over the ``keys`` whose vector in ``values`` is nonzero."""
     table = {}
-    for (fb, last), v in zip(c.keys(), c.values):
-        pairs = tuple((t, x) for t, x in enumerate(v) if x)
-        if pairs:
+    for (fb, last), v in zip(keys, values):
+        if pairs := tuple((t, x) for t, x in enumerate(v) if x):
             table[(tuple(i + shift for i in fb), last + shift)] = pairs
     return table
+
+
+def _as_cochain(P: Cochain, degree: int, table: dict) -> Cochain:
+    """The cochain of P's field and shape holding a sparse table {key: (coordinate, value)}."""
+    values = []
+    for key in cochain_keys(P.dim_source, degree):
+        out = [P.field.zero] * P.dim_target
+        for t, x in table.get(key, ()):
+            out[t] = x
+        values.append(out)
+    return Cochain(P.field, degree, P.dim_source, P.dim_target, values)
 
 
 def _by_argument(table: dict) -> tuple:
@@ -186,15 +190,16 @@ def _scatter(acc: dict, sign: int, outer: dict, inner: dict, a: int, b: int) -> 
                 _add(acc, ofb + fb, last, ov, c, flip)
 
 
-def _derived(structure: dict, dim: int, cochains) -> Cochain:
-    """[[...[structure, P_1^], ...], P_k^] restricted to operator cochains.
+def _derived(structure: dict, dim: int, cochains, values) -> tuple:
+    """[[...[structure, P_1^], ...], P_k^] restricted to operator cochains: (table, degree, sign).
 
-    The operator cochains must share one shape V -> g; ``structure`` is
-    the sparse table of a degree-2 cochain on a space of dimension
-    ``dim``, which must be W = g + V.  Level j = [N_{j-1}, P_j^] is a
-    sparse table of W, built by two `_scatter` passes (see the module
-    docstring).  The result holds the g-coordinates of the top level at
-    V-basis keys; a nonzero V-coordinate there raises `InvariantError`.
+    The operator cochains must share one shape V -> g, ``values`` their
+    values (field scalars or lifted); ``structure`` is the sparse table of
+    a degree-2 cochain on a space of dimension ``dim``, which must be
+    W = g + V.  Level j = [N_{j-1}, P_j^] is a sparse table of W, built by
+    two `_scatter` passes (see the module docstring).  The table holds the
+    g-coordinates of the top level at V-basis keys; a nonzero V-coordinate
+    there raises `InvariantError`.  The sign is the bracket's.
     """
     dim_g, dim_v = cochains[0].dim_target, cochains[0].dim_source
     if any((P.dim_target, P.dim_source) != (dim_g, dim_v) for P in cochains):
@@ -202,9 +207,9 @@ def _derived(structure: dict, dim: int, cochains) -> Cochain:
     if dim != dim_g + dim_v:
         raise ShapeError("structure does not live on g + V")
     n, N, p = dim_g, structure, 1
-    for P in cochains:
+    for P, v in zip(cochains, values):
         # N_j = N <> P^ - (-1)^{pq} P^ <> N, N = N_{j-1} of MN-degree p
-        lifted, q = _sparse_table(P, n), P.degree - 1
+        lifted, q = _sparse_table(P.keys(), v, n), P.degree - 1
         flip = -1 if (p * q) % 2 else 1
         acc = {}
         _scatter(acc, 1, N, lifted, p, q)
@@ -212,24 +217,22 @@ def _derived(structure: dict, dim: int, cochains) -> Cochain:
         N = {key: nonzero for key, row in acc.items()
              if (nonzero := tuple((t, x) for t, x in row.items() if x))}
         p += q
-    field = cochains[0].field
-    values = []
+    top = {}
     for fb, last in cochain_keys(dim_v, p + 1):
-        out = [field.zero] * dim_g
-        for t, x in N.get((tuple(i + n for i in fb), last + n), ()):
-            if t >= n:
+        if pairs := N.get((tuple(i + n for i in fb), last + n)):
+            if any(t >= n for t, _ in pairs):
                 raise InvariantError(
-                    "V-part of the restricted derived bracket is nonzero at "
-                    f"{fb + (last,)}")
-            out[t] = x
-        values.append(out)
-    return Cochain(field, p + 1, dim_v, dim_g, values)
+                    f"V-part of the restricted derived bracket is nonzero at {fb + (last,)}")
+            top[fb, last] = pairs
+    return top, p + 1, -1 if len(cochains) == 3 or (cochains[0].degree - 1) % 2 else 1
 
 
-def _bracket(structure: dict, dim: int, cochains) -> Cochain:
+def _bracket(structure: Cochain, cochains) -> Cochain:
     """`_derived` of two (`derived_bracket`) or three (`ternary_bracket`) cochains, signed."""
-    out = _derived(structure, dim, cochains)
-    return -out if len(cochains) == 3 or (cochains[0].degree - 1) % 2 else out
+    top, degree, sign = _derived(_sparse_table(structure.keys(), structure.values, 0),
+                                 structure.dim_source, cochains, [P.values for P in cochains])
+    return _as_cochain(cochains[0], degree,
+                       {key: [(t, sign * x) for t, x in pairs] for key, pairs in top.items()})
 
 
 def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
@@ -241,7 +244,7 @@ def derived_bracket(mu: Cochain, P: Cochain, Q: Cochain) -> Cochain:
         [[K, K']](u, v) = Ku.K'v + K'u.Kv - K(L_{K'u}v + R_{K'v}u)
                                           - K'(L_{Ku}v + R_{Kv}u).
     """
-    return _bracket(_sparse_table(mu, 0), mu.dim_source, (P, Q))
+    return _bracket(mu, (P, Q))
 
 
 def ternary_bracket(hw: Cochain, P: Cochain, Q: Cochain, R: Cochain) -> Cochain:
@@ -250,7 +253,7 @@ def ternary_bracket(hw: Cochain, P: Cochain, Q: Cochain, R: Cochain) -> Cochain:
     ``hw`` is the lift of H to W.  Fully symmetric in degree-1
     arguments; the sign makes [[K, K, K]](u, v) = 6 K H(Ku, Kv).
     """
-    return _bracket(_sparse_table(hw, 0), hw.dim_source, (P, Q, R))
+    return _bracket(hw, (P, Q, R))
 
 
 # ---------------------------------------------------------------------------
@@ -283,25 +286,27 @@ def _combination(g: PreLieAlgebra, twisted: tuple, cochains: list, terms: list) 
 
     Each term is (Fraction coefficient, indices into ``cochains``): two
     indices name a binary bracket, three a ternary one.  Each runs on the
-    rows of ``twisted`` (`cochain.twisted_rows`, D_g) and the cochains
-    lifted together (D_c), is divided exactly by its coefficient's
-    denominator and mapped back by D_g D_c^2 or D_g D_c^3 (module docstring).
+    rows of ``twisted`` (`cochain.twisted_rows`, D_g) and the values of the
+    cochains lifted together (D_c), is divided exactly by its coefficient's
+    denominator and brought to the common scale D_g D_c^3; the sum is
+    mapped back once (module docstring).
     """
     field, (rows, Dg) = g.field, twisted
     structures = _structure_tables(rows, g.dim)
     (*lifted, Dc), _ = lift(field, (*(c.values for c in cochains), field.one))
-    cochains = [Cochain(INTEGERS, c.degree, c.dim_source, c.dim_target, v)
-                for c, v in zip(cochains, lifted)]
-    acc = None
+    acc = {}
     for coeff, idxs in terms:
-        args = [cochains[i] for i in idxs]
-        c = _bracket(structures[len(args)], len(rows), args)
-        a, b = coeff.numerator, coeff.denominator
-        down = descend(field, Dg * Dc ** len(args))
-        term = Cochain(field, c.degree, c.dim_source, c.dim_target,
-                       [down([_divide_exactly(x, b) * a for x in v]) for v in c.values])
-        acc = term if acc is None else acc + term
-    return acc
+        top, degree, sign = _derived(structures[len(idxs)], len(rows),
+                                     [cochains[i] for i in idxs], [lifted[i] for i in idxs])
+        b = coeff.denominator
+        a = sign * coeff.numerator * (Dc if len(idxs) == 2 else 1)  # at D_g D_c^3
+        for key, pairs in top.items():
+            row = acc.setdefault(key, {})
+            for t, x in pairs:
+                row[t] = row.get(t, 0) + _divide_exactly(x, b) * a
+    down = descend(field, Dg * Dc ** 3)
+    return _as_cochain(cochains[0], degree,
+                       {key: zip(row, down(tuple(row.values()))) for key, row in acc.items()})
 
 
 _MC = [(Fraction(1, 2), (0, 0)), (Fraction(-1, 6), (0, 0, 0))]

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (Order, Report, _combine, family_products, lifted_report, nonzero_entries,
-                      residual_report)
+from .algebra import (Order, Report, _combine, family_products, int_basis, lifted_report,
+                      nonzero_entries, residual_report)
 from .cochain import Cochain, cochain_space_dim, integer_cohomology, twisted_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
-from .linalg import Matrix, _matrix, basis_vec, sparse_mul, sub_vec
+from .linalg import Matrix, _matrix, sparse_mul, sub_vec
 from .opcohomology import _induced_arrays, operator_coboundary
 from .reynolds import ReynoldsData, _frames, intertwining, morphism_checker, reynolds_checker
-from .scalars import INTEGERS, Poly, PrimeField, descend, lift
+from .scalars import Poly, PrimeField, descend, lift
 
 
 class _ElementTerms:
@@ -66,7 +66,7 @@ class _ElementTerms:
         DK = self.DK = graph[0][n] if graph else 1
         self.field, self.n, self.K = g.field, n, [gr[:n] for gr in graph]  # K: D_K K e_u
         self.scale = self.Dg * DK * DK
-        e = [basis_vec(INTEGERS, n + rep.dim_v, i) for i in range(n)]
+        e = int_basis(n, n + rep.dim_v)
         ee, eg = mul(e, e), mul(e, graph)
         ue = mul([(0,) * n + gr[n:] for gr in graph], e)  # (0, e_u).(e_i, 0)
 

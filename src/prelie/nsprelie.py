@@ -35,6 +35,8 @@ from .algebra import (
     Representation,
     _as_tensor,
     _combine,
+    family_products,
+    int_basis,
     lifted_report,
     nonzero_entries,
     nonzero_rows,
@@ -50,8 +52,8 @@ from .errors import (
     UnverifiedOperatorError,
     reverified,
 )
-from .linalg import Matrix, add_vec, neg_vec
-from .reynolds import ReynoldsData, derived_tensor, operator_frames
+from .linalg import Matrix, add_vec
+from .reynolds import ReynoldsData, operator_frames
 from .scalars import descend, lift
 
 
@@ -121,12 +123,8 @@ class NSPreLie:
                 and self.trl == other.trl and self.circ == other.circ)
 
     def star_tensor(self):
-        n = self.dim
-        return tuple(
-            tuple(add_vec(add_vec(self.tri[i][j], self.trl[i][j]), self.circ[i][j])
-                  for j in range(n))
-            for i in range(n)
-        )
+        return tuple(tuple(add_vec(add_vec(a, b), c) for a, b, c in zip(*planes))
+                     for planes in zip(self.tri, self.trl, self.circ))
 
 
 def subadjacent(ns: NSPreLie) -> PreLieAlgebra:
@@ -204,12 +202,8 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
     report, table = _nijenhuis_frame(g)(N)
     if not report.ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
-    n = g.dim
     deformed = reverified(PreLieAlgebra, g.field, table())
-    total = tuple(
-        tuple(add_vec(g.product[i][j], deformed.product[i][j]) for j in range(n))
-        for i in range(n)
-    )
+    total = [[add_vec(a, b) for a, b in zip(*p)] for p in zip(g.product, deformed.product)]
     reverified(PreLieAlgebra, g.field, total)  # compatibility of the pair
     return deformed
 
@@ -217,17 +211,21 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
 def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     """x|>y = N(x).y, x<|y = x.N(y), x o y = -N(x.y).
 
-    The subadjacent product of the result is the deformed product of the
-    Nijenhuis operator: its three summands are the three tables, so the
-    equality holds by construction and is a test, not a runtime check.
+    g and N are lifted together (D); |> and <| are two scatters of
+    `algebra.family_products`, o is -N(e_i.e_j) on the lifted constants,
+    and all three come back by D^2.  The subadjacent product of the result
+    is the deformed product of N: its three summands are the three tables,
+    so the equality holds by construction and is a test, not a runtime check.
     """
     if not nijenhuis_checker(g)(N).ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
-    e = [g.basis(i) for i in range(g.dim)]
-    tri = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(Nx, e[j]))
-    trl = derived_tensor(N, lambda i, j, Nx, Ny: g.mul(e[i], Ny))
-    circ = derived_tensor(N, lambda i, j, Nx, Ny: neg_vec(N.apply(g.mul_basis(i, j))))
-    return reverified(NSPreLie, g.field, tri, trl, circ)
+    field, n = g.field, g.dim
+    (c, k, D), _ = lift(field, (g.product, N.data, field.one))
+    entries, e, cols = nonzero_entries(nonzero_rows(c)), int_basis(n, n), list(zip(*k))
+    circ = [[[-sum(a * x for a, x in zip(row, w)) for row in k] for w in plane] for plane in c]
+    back = descend(field, D * D)  # all three have degree 2 on the lift
+    return reverified(NSPreLie, field, *([[back(w) for w in row] for row in table] for table in (
+        family_products(entries, cols, e), family_products(entries, e, cols), circ)))
 
 
 def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
@@ -289,9 +287,11 @@ def compatible_ns_from_invertible(data: ReynoldsData) -> NSPreLie:
     kinv = K.inverse()
     if kinv is None:
         raise SingularError("operator is not invertible")
-    tri = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.L[i].apply(inv_j)))
-    trl = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(rep.R[j].apply(inv_i)))
-    circ = derived_tensor(kinv, lambda i, j, inv_i, inv_j: K.apply(H.eval_basis((i, j))))
+    r = range(kinv.cols)
+    cols = [kinv.column(i) for i in r]
+    tri = [[K.apply(rep.L[i].apply(cols[j])) for j in r] for i in r]
+    trl = [[K.apply(rep.R[j].apply(cols[i])) for j in r] for i in r]
+    circ = [[K.apply(H.eval_basis((i, j))) for j in r] for i in r]
     ns = reverified(NSPreLie, g.field, tri, trl, circ)
     if ns.star_tensor() != g.product:
         raise InvariantError("transported NS-structure is not compatible with the product")

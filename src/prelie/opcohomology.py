@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass
 
-from .algebra import PreLieAlgebra, Representation, prelie_report, representation_report
+from .algebra import (PreLieAlgebra, Representation, int_basis, prelie_report,
+                      representation_report)
 from .cochain import (
     Cochain,
     CohomologyReport,
@@ -33,9 +34,9 @@ from .cochain import (
     integer_cohomology,
 )
 from .errors import InvariantError, ShapeError
-from .linalg import Matrix, basis_vec
+from .linalg import Matrix
 from .reynolds import ReynoldsData, operator_frames
-from .scalars import INTEGERS, lift
+from .scalars import lift
 
 
 def _induced_arrays(n: int, frame) -> tuple:
@@ -45,7 +46,7 @@ def _induced_arrays(n: int, frame) -> tuple:
     by D_g^2 D_K^4.
     """
     mul, graph, proj, products, back = frame
-    e = [basis_vec(INTEGERS, n + len(graph), x) for x in range(n)]
+    e = int_basis(n, n + len(graph))
     table = [[w[n:] for w in row] for row in products]
     Lbar = [list(zip(*map(proj, row))) for row in mul(graph, e)]  # gr(u).e_x
     right = mul(e, graph)  # e_x.gr(u)

@@ -94,16 +94,6 @@ def _require_cocycle(g: PreLieAlgebra, rep: Representation, H: Cochain) -> tuple
     return twisted
 
 
-def derived_tensor(K: Matrix, mul) -> tuple:
-    """The table of e_i o e_j on the source basis of K, as ``mul(i, j, K e_i, K e_j)``.
-
-    Each column of K is read once.
-    """
-    cols = [K.column(i) for i in range(K.cols)]
-    return tuple(tuple(mul(i, j, Ki, Kj) for j, Kj in enumerate(cols))
-                 for i, Ki in enumerate(cols))
-
-
 def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
     """`algebra.semidirect_tensor` of g acting on V through rep, twisted by H."""
     product, L, R, table = _semidirect_arrays(g, rep, H)

@@ -16,13 +16,10 @@ over F_p each becomes its residue and D = 1.  An identity homogeneous of
 degree k in the batch then evaluates on the ints to D^k times its field
 value (over F_p, to an integer congruent to it), so the package's
 checkers, coboundary rows, derived brackets and elimination run on the
-lifted ints and map each result back.  `lift` is the package's one way
-from field scalars into the integers.  `INTEGERS`, a bare evaluation
-ring with identity coercion, is the ring of the field-generic kernels
-that take one (`algebra.tensor_mul`, `cochain.Cochain` and
-`linalg.basis_vec`); no algebra, representation or matrix is built
-over it.  It has no name, parser or printer, so bundles and the command
-line never see it.
+lifted ints and map each result back (`descend`).  `lift` is the
+package's one way from field scalars into the integers; the ints stay
+in raw arrays, never in an algebra, representation, matrix or cochain,
+and bundles and the command line never see them.
 
 `Poly` is a polynomial with coefficients in one of these fields.  It
 mixes with scalars under +, - and *, and both fields pass it through
@@ -297,25 +294,6 @@ class PrimeField:
 
 
 QQ = RationalField()
-
-
-class _Integers:
-    """Python ints as scalars: the ring that lifted identities evaluate in.
-
-    Coercion is the identity; there is no division, parser or printer.
-    """
-
-    zero = 0
-    one = 1
-
-    def __call__(self, v):
-        return v
-
-    def __repr__(self):
-        return "Z"
-
-
-INTEGERS = _Integers()
 
 
 def _lifted(arrays, p: int, D: int, dens: set) -> tuple:

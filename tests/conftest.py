@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import dense_kernel
+from oracles import dense_kernel, mul
 from prelie.algebra import (
     PreLieAlgebra,
     Report,
@@ -179,7 +179,7 @@ def conjugate_algebra(a: PreLieAlgebra, P: Matrix) -> PreLieAlgebra:
     for i in range(a.dim):
         plane = []
         for j in range(a.dim):
-            plane.append(inv.apply(a.mul(P.column(i), P.column(j))))
+            plane.append(inv.apply(mul(a, P.column(i), P.column(j))))
         tensor.append(plane)
     unit = inv.apply(a.unit) if a.unit is not None else None
     return PreLieAlgebra(a.field, tensor, unit=unit, check=True)

@@ -143,6 +143,15 @@ the Matrix-level `reynolds.morphism_checker` run once on them, and the
 t and t^2 coefficient of every residual read off with
 `deformation._order`; the Rbar condition runs on the field scalars.
 
+`tensor_mul` is the bilinear extension of structure constants to
+coordinate vectors, one dense pass per product, and `mul` and `basis`
+read it and the unit vectors off an algebra: the field-level product
+the library kept on `PreLieAlgebra` (and ran on a bare ring of ints)
+before `algebra.family_products` became its only product of vectors.
+`field_is_unit` is the unit check of `PreLieAlgebra` on that product.
+`derived_tensor` tabulates e_i o e_j off the columns of a map, as the
+library built the NS-pre-Lie tables before it read them off that kernel.
+
 `left_mult`, `right_mult` and `bracket` are the multiplication matrices
 y -> x.y, y -> y.x and the commutator x.y - y.x of a pre-Lie algebra,
 which the library kept as methods of `PreLieAlgebra` although no
@@ -173,7 +182,6 @@ from prelie.algebra import (
     prelie_defects,
     regular_representation,
     residual_report,
-    tensor_mul,
 )
 from prelie.cochain import (
     Cochain,
@@ -198,9 +206,53 @@ from prelie.linalg import (
     zero_vec,
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
-from prelie.reynolds import ReynoldsData, _check_operator_shape, derived_tensor, morphism_checker
+from prelie.reynolds import ReynoldsData, _check_operator_shape, morphism_checker
 from prelie.scalars import Poly, PrimeField, descend
 from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidates, _compile
+
+
+def tensor_mul(field, tensor, x, y) -> tuple:
+    """Bilinear extension of the structure constants to coordinates."""
+    n = len(tensor)
+    out = [field.zero] * n
+    for i in range(n):
+        xi = x[i]
+        if not xi:
+            continue
+        for j in range(n):
+            yj = y[j]
+            if not yj:
+                continue
+            c = xi * yj
+            row = tensor[i][j]
+            for k in range(n):
+                if row[k]:
+                    out[k] = out[k] + c * row[k]
+    return tuple(out)
+
+
+def mul(a: PreLieAlgebra, x, y) -> tuple:
+    """The product x.y of two coordinate vectors of a."""
+    return tensor_mul(a.field, a.product, x, y)
+
+
+def basis(a: PreLieAlgebra, i: int) -> tuple:
+    """The basis vector e_i of a."""
+    return basis_vec(a.field, a.dim, i)
+
+
+def field_is_unit(a: PreLieAlgebra, unit) -> bool:
+    """u.e_i = e_i = e_i.u at every basis vector: the unit check of `PreLieAlgebra`
+    on field scalars."""
+    return all(mul(a, unit, e) == e == mul(a, e, unit)
+               for e in (basis(a, i) for i in range(a.dim)))
+
+
+def derived_tensor(K: Matrix, op) -> tuple:
+    """The table of e_i o e_j on the source basis of K, as ``op(i, j, K e_i, K e_j)``."""
+    cols = [K.column(i) for i in range(K.cols)]
+    return tuple(tuple(op(i, j, Ki, Kj) for j, Kj in enumerate(cols))
+                 for i, Ki in enumerate(cols))
 
 
 def _act(mats, x, u) -> tuple:
@@ -246,9 +298,9 @@ def field_deformed_table(g: PreLieAlgebra, N: Matrix) -> tuple:
     """x ._N y = Nx.y + x.Ny - N(x.y) on basis indices, on field scalars."""
     if N.rows != g.dim or N.cols != g.dim:
         raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {g.dim}")
-    e = [g.basis(i) for i in range(g.dim)]
+    e = [basis(g, i) for i in range(g.dim)]
     return derived_tensor(N, lambda i, j, Nx, Ny: sub_vec(
-        add_vec(g.mul(Nx, e[j]), g.mul(e[i], Ny)), N.apply(g.mul_basis(i, j))))
+        add_vec(mul(g, Nx, e[j]), mul(g, e[i], Ny)), N.apply(g.product[i][j])))
 
 
 def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
@@ -300,7 +352,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             sgn = 1 if i % 2 == 0 else -1
             omitted = head[:i] + head[i + 1:]
             fv = f.eval_basis(tuple(omitted) + (last,))
-            term = g.mul(kcol(head[i]), fv)
+            term = mul(g, kcol(head[i]), fv)
             term = sub_vec(term, K.apply(act_R(rep, fv, ev(head[i]))))
             term = sub_vec(term, K.apply(cochain_eval(H, [kcol(head[i]), fv])))
             out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
@@ -314,7 +366,7 @@ def explicit_coboundary(data: ReynoldsData, f: Cochain, *,
             sgn = 1 if i % 2 == 0 else -1
             omitted = head[:i] + head[i + 1:]
             fv = f.eval_basis(tuple(omitted) + (head[i],))
-            term = g.mul(fv, kcol(last))
+            term = mul(g, fv, kcol(last))
             term = sub_vec(term, K.apply(act_L(rep, fv, ev(last))))
             term = sub_vec(term, K.apply(cochain_eval(H, [fv, kcol(last)])))
             out = add_vec(out, term) if sgn == 1 else sub_vec(out, term)
@@ -432,20 +484,20 @@ def coboundary_at(a: PreLieAlgebra, rep: Representation, f: Cochain, args) -> tu
         sign = 1 if i % 2 == 0 else -1
         omitted = head[:i] + head[i + 1:]
         fv = f.eval_basis(tuple(omitted) + (last,))
-        term = act_L(rep, a.basis(head[i]), fv)
+        term = act_L(rep, basis(a, head[i]), fv)
         out = add_vec(out, term if sign == 1 else neg_vec(term))
 
         fv2 = f.eval_basis(tuple(omitted) + (head[i],))
-        term = act_R(rep, a.basis(last), fv2)
+        term = act_R(rep, basis(a, last), fv2)
         out = add_vec(out, term if sign == 1 else neg_vec(term))
 
-        prod = a.mul_basis(head[i], last)
+        prod = a.product[head[i]][last]
         term = cochain_eval(f, list(omitted) + [prod])
         out = sub_vec(out, term) if sign == 1 else add_vec(out, term)
     for i in range(n):
         for j in range(i + 1, n):
             sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
-            br = bracket(a, a.basis(head[i]), a.basis(head[j]))
+            br = bracket(a, basis(a, head[i]), basis(a, head[j]))
             rest = [head[k] for k in range(n) if k not in (i, j)]
             term = cochain_eval(f, [br] + rest + [last])
             out = add_vec(out, term) if sign == 1 else sub_vec(out, term)
@@ -481,10 +533,10 @@ def field_induced_representation(data: ReynoldsData) -> Representation:
         eu = basis_vec(field, m, u)
         lcols, rcols = [], []
         for x in range(n):
-            ex = g.basis(x)
-            lv = sub_vec(g.mul(Ku, ex), K.apply(act_R(rep, ex, eu)))
+            ex = basis(g, x)
+            lv = sub_vec(mul(g, Ku, ex), K.apply(act_R(rep, ex, eu)))
             lcols.append(sub_vec(lv, K.apply(cochain_eval(H, [Ku, ex]))))
-            rv = sub_vec(g.mul(ex, Ku), K.apply(act_L(rep, ex, eu)))
+            rv = sub_vec(mul(g, ex, Ku), K.apply(act_L(rep, ex, eu)))
             rcols.append(sub_vec(rv, K.apply(cochain_eval(H, [ex, Ku]))))
         Lbar.append(Matrix.from_columns(field, lcols, n))
         Rbar.append(Matrix.from_columns(field, rcols, n))
@@ -554,9 +606,9 @@ def star_table(g: PreLieAlgebra, K: Matrix, weight) -> tuple:
     """The star product x*y = x.K(y) + K(x).y + weight K(x).K(y) on basis indices."""
     if K.rows != g.dim or K.cols != g.dim:
         raise ShapeError(f"operator is {K.rows}x{K.cols}, expected {g.dim}x{g.dim}")
-    lam, e = g.field(weight), [g.basis(i) for i in range(g.dim)]
+    lam, e = g.field(weight), [basis(g, i) for i in range(g.dim)]
     return derived_tensor(K, lambda i, j, Kx, Ky: add_vec(
-        add_vec(g.mul(e[i], Ky), g.mul(Kx, e[j])), scale_vec(lam, g.mul(Kx, Ky))))
+        add_vec(mul(g, e[i], Ky), mul(g, Kx, e[j])), scale_vec(lam, mul(g, Kx, Ky))))
 
 
 def field_check_weighted_reynolds(g: PreLieAlgebra, K: Matrix, weight) -> Report:
@@ -570,9 +622,9 @@ def field_check_d_reynolds(g: PreLieAlgebra, D: Matrix, K: Matrix) -> Report:
     if D.rows != g.dim or D.cols != g.dim or K.rows != g.dim or K.cols != g.dim:
         raise ShapeError("operator shapes must match the algebra dimension")
     d1 = D.apply(unit)
-    e = [g.basis(i) for i in range(g.dim)]
+    e = [basis(g, i) for i in range(g.dim)]
     return operator_identity(g, K, derived_tensor(K, lambda i, j, Kx, Ky: sub_vec(
-        add_vec(g.mul(Kx, e[j]), g.mul(e[i], Ky)), g.mul(g.mul(Kx, d1), Ky))))
+        add_vec(mul(g, Kx, e[j]), mul(g, e[i], Ky)), mul(g, mul(g, Kx, d1), Ky))))
 
 
 def field_reynolds_report(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -885,9 +937,9 @@ def field_check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:
     if d.rows != a.dim or d.cols != a.dim:
         raise ShapeError(f"derivation candidate is {d.rows}x{d.cols}, algebra dim {a.dim}")
     return residual_report(
-        ((i, j), sub_vec(d.apply(a.mul_basis(i, j)),
-                         add_vec(a.mul(d.column(i), a.basis(j)),
-                                 a.mul(a.basis(i), d.column(j)))))
+        ((i, j), sub_vec(d.apply(a.product[i][j]),
+                         add_vec(mul(a, d.column(i), basis(a, j)),
+                                 mul(a, basis(a, i), d.column(j)))))
         for i in range(a.dim) for j in range(a.dim))
 
 
@@ -920,9 +972,9 @@ def field_check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Repo
         return out
 
     def defects(i, j):
-        l_ij = combo(L, algebra.mul_basis(i, j))
-        l_ji = combo(L, algebra.mul_basis(j, i))
-        r_ij = combo(R, algebra.mul_basis(i, j))
+        l_ij = combo(L, algebra.product[i][j])
+        l_ji = combo(L, algebra.product[j][i])
+        r_ij = combo(R, algebra.product[i][j])
         d1 = (L[i] * L[j] - l_ij) - (L[j] * L[i] - l_ji)
         d2 = (L[i] * R[j] - R[j] * L[i]) - (r_ij - R[j] * R[i])
         for u in range(dim_v):
@@ -1051,19 +1103,19 @@ def literal_element_groups(data: ReynoldsData, x) -> dict:
                                for p in pairs_at(a, b))
 
     def alg_map(y, z):
-        ey, ez = g.basis(y), g.basis(z)
-        yield ("comm-product", y, z), g.mul(bracket(g, x, ey), bracket(g, x, ez))
-        yield ("product-by-x", y, z), g.mul(g.mul_basis(y, z), x)
+        ey, ez = basis(g, y), basis(g, z)
+        yield ("comm-product", y, z), mul(g, bracket(g, x, ey), bracket(g, x, ez))
+        yield ("product-by-x", y, z), mul(g, g.product[y][z], x)
 
     def action(side, act, y, u):
-        ey, eu = g.basis(y), vbasis(u)
+        ey, eu = basis(g, y), vbasis(u)
         yield ((f"{side}-cocycle", y, u),
                sub_vec(cochain_eval(H, [x, K.apply(act(ey, eu))]),
                        act(ey, cochain_eval(H, [x, K.column(u)]))))
         yield (f"{side}-second", y, u), act(bracket(g, x, ey), psi1_basis[u])
 
     def weight(y, z):
-        ey, ez = g.basis(y), g.basis(z)
+        ey, ez = basis(g, y), basis(g, z)
         hyz = H.eval_basis((y, z))
         lhs = add_vec(sub_vec(act_L(rep, x, hyz), act_R(rep, x, hyz)),
                       cochain_eval(H, [x, K.apply(hyz)]))
@@ -1105,7 +1157,7 @@ def basis_dk_columns(data: ReynoldsData, n: int) -> list:
 
 def product_cochain(a: PreLieAlgebra) -> Cochain:
     """The multiplication of an algebra as a degree-2 cochain on itself."""
-    values = [a.mul_basis(fb[0], last) for fb, last in cochain_keys(a.dim, 2)]
+    values = [a.product[fb[0]][last] for fb, last in cochain_keys(a.dim, 2)]
     return Cochain(a.field, 2, a.dim, a.dim, values)
 
 
@@ -1272,14 +1324,14 @@ def field_check_rcw_morphism(data: ReynoldsData, data2: ReynoldsData,
 
     def action_defects(act):
         return residual_report(
-            ((i, u), sub_vec(psi.apply(act(rep, g.basis(i), e[u])),
+            ((i, u), sub_vec(psi.apply(act(rep, basis(g, i), e[u])),
                              act(rep2, phi.column(i), psi.column(u))))
             for i in range(n) for u in range(m))
 
     return _combine({
         "algebra_morphism": residual_report(
-            ((i, j), sub_vec(phi.apply(g.mul_basis(i, j)),
-                             g2.mul(phi.column(i), phi.column(j))))
+            ((i, j), sub_vec(phi.apply(g.product[i][j]),
+                             mul(g2, phi.column(i), phi.column(j))))
             for i in range(n) for j in range(n)),
         "intertwines_operator": residual_report(((u,), diff.column(u)) for u in range(m)),
         "intertwines_left_action": action_defects(act_L),
@@ -1327,7 +1379,7 @@ def in_t_element_checks(data: ReynoldsData) -> tuple:
         x = tuple(field(c) for c in x)
         P, S, rbar = element_maps(terms, x)
         parts = {"rbar_condition": residual_report(
-            (("rbar-commutes", u), sub_vec(g.mul(x, r), g.mul(r, x)))
+            (("rbar-commutes", u), sub_vec(mul(g, x, r), mul(g, r, x)))
             for u, r in enumerate(rbar))}
         parts.update(element_morphism_in_t(check, P, S))
         return _combine(parts)
@@ -1341,17 +1393,17 @@ def in_t_element_checks(data: ReynoldsData) -> tuple:
 
 def left_mult(a: PreLieAlgebra, x) -> Matrix:
     """Matrix of y -> x.y for a coordinate vector x."""
-    return Matrix.from_columns(a.field, [a.mul(x, a.basis(j)) for j in range(a.dim)], a.dim)
+    return Matrix.from_columns(a.field, [mul(a, x, basis(a, j)) for j in range(a.dim)], a.dim)
 
 
 def right_mult(a: PreLieAlgebra, x) -> Matrix:
     """Matrix of y -> y.x for a coordinate vector x."""
-    return Matrix.from_columns(a.field, [a.mul(a.basis(j), x) for j in range(a.dim)], a.dim)
+    return Matrix.from_columns(a.field, [mul(a, basis(a, j), x) for j in range(a.dim)], a.dim)
 
 
 def bracket(a: PreLieAlgebra, x, y) -> tuple:
     """The commutator x.y - y.x."""
-    return sub_vec(a.mul(x, y), a.mul(y, x))
+    return sub_vec(mul(a, x, y), mul(a, y, x))
 
 
 def heap_order(equations, n_free: int) -> list:

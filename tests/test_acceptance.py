@@ -25,6 +25,7 @@ from oracles import (
     cochain_eval,
     cocycle_structure,
     dense_kernel,
+    mul,
     untwisted_structure,
     verify_polynomial_system,
 )
@@ -240,7 +241,7 @@ def test_criterion_4_bracket_anchor_identities():
                 Ku, Kv = K.column(u), K.column(v)
                 inner = add_vec(act_L(rep, Ku, ev), act_R(rep, Kv, eu))
                 if b.eval_basis((u, v)) != scale_vec(
-                        QQ(2), sub_vec(a.mul(Ku, Kv), K.apply(inner))):
+                        QQ(2), sub_vec(mul(a, Ku, Kv), K.apply(inner))):
                     closed_failures += 1
                 if t.eval_basis((u, v)) != scale_vec(
                         QQ(6), K.apply(cochain_eval(H, [Ku, Kv]))):

@@ -37,6 +37,7 @@ from oracles import (
     generic_cochain,
     cocycle_structure,
     lift_operator_cochain,
+    mul,
     product_cochain,
     tensor_cochain,
     untwisted_structure,
@@ -168,7 +169,7 @@ def test_binary_bracket_reproduces_closed_form(g3_bundle):
                 Ku, Kv = K.column(u), K.column(v)
                 inner = add_vec(act_L(rep, Ku, basis_vec(QQ, 3, v)),
                                 act_R(rep, Kv, basis_vec(QQ, 3, u)))
-                expected = scale_vec(QQ(2), sub_vec(a.mul(Ku, Kv), K.apply(inner)))
+                expected = scale_vec(QQ(2), sub_vec(mul(a, Ku, Kv), K.apply(inner)))
                 assert b.eval_basis((u, v)) == expected
 
 
@@ -183,8 +184,8 @@ def test_binary_bracket_polarized_form(g3_bundle):
     for u in range(3):
         for v in range(3):
             eu, ev = basis_vec(QQ, 3, u), basis_vec(QQ, 3, v)
-            expected = add_vec(a.mul(K.column(u), K2.column(v)),
-                               a.mul(K2.column(u), K.column(v)))
+            expected = add_vec(mul(a, K.column(u), K2.column(v)),
+                               mul(a, K2.column(u), K.column(v)))
             expected = sub_vec(expected, K.apply(
                 add_vec(act_L(rep, K2.column(u), ev), act_R(rep, K2.column(v), eu))))
             expected = sub_vec(expected, K2.apply(
@@ -437,6 +438,25 @@ def test_combinations_do_not_fill_the_full_space(monkeypatch, combination):
     assert _values(getattr(brackets, combination)(*args)) == _values(expected)
 
 
+# the cochains a call builds on `corpus/g3-k-rowzero.json`: the combination's one
+# sum, mapped back once, besides the cochains of K (and K'); dk_difference also
+# builds the generic f, its operator differential and the difference of the two
+COCHAINS = {"check_maurer_cartan": 2, "dk_difference": 5, "twisted_mc_residual": 3}
+
+
+@pytest.mark.parametrize("name", sorted(COCHAINS))
+def test_each_combination_maps_its_sum_back_once(monkeypatch, name):
+    data = parse_bundle(str(CORPUS / "g3-k-rowzero.json")).reynolds_data()
+    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    call = {"check_maurer_cartan": lambda: check_maurer_cartan(g, rep, H, K),
+            "dk_difference": lambda: dk_difference(data, 1),
+            "twisted_mc_residual": lambda: twisted_mc_residual(data, K)}[name]
+    built = count_calls(monkeypatch, Cochain, "__init__")
+    sums = count_calls(monkeypatch, brackets, "_as_cochain")
+    call()
+    assert (len(built), len(sums)) == (COCHAINS[name], 1)
+
+
 # the products each combination adds on `corpus/g3-k-twisted.json`: one per
 # coordinate of an outer value that a nonzero inner coordinate reaches
 PRODUCTS = {"mc_residual": 6, "d_K": 6, "twisted_mc_residual": 14, "dk_difference": 18}
@@ -663,21 +683,23 @@ def test_combinations_on_the_integer_lift_match_direct_field_evaluation(field):
     assert scaled if field == QQ else not scaled  # over Q the lift's D exceeds 1
 
 
-def _off_by_one(bracket):
-    """`brackets._bracket` with one added to every coordinate of a ternary bracket."""
-    def patched(structure, dim, cochains):
-        c = bracket(structure, dim, cochains)
+def _off_by_one(derived):
+    """`brackets._derived` with one added to every coordinate of a ternary bracket,
+    before the term is divided by its denominator."""
+    def patched(structure, dim, cochains, values):
+        top, degree, sign = derived(structure, dim, cochains, values)
         if len(cochains) < 3:
-            return c
-        return Cochain(c.field, c.degree, c.dim_source, c.dim_target,
-                       [[x + 1 for x in v] for v in c.values])
+            return top, degree, sign
+        P = cochains[0]
+        return {key: [(t, dict(top.get(key, ())).get(t, 0) + 1) for t in range(P.dim_target)]
+                for key in cochain_keys(P.dim_source, degree)}, degree, sign
     return patched
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)], ids=repr)
 def test_a_term_its_denominator_does_not_divide_is_an_invariant_error(monkeypatch, field):
     data = parse_bundle(str(CORPUS / "g3-k-rowzero.json"), field_name(field)).reynolds_data()
-    monkeypatch.setattr(brackets, "_bracket", _off_by_one(brackets._bracket))
+    monkeypatch.setattr(brackets, "_derived", _off_by_one(brackets._derived))
     with pytest.raises(InvariantError, match="not divisible by 6"):
         mc_residual(data.algebra, data.rep, data.cocycle, data.operator)
     with pytest.raises(InvariantError, match="not divisible by 2"):
@@ -692,7 +714,7 @@ def test_cli_a_term_its_denominator_does_not_divide_exits_4(monkeypatch, capsys,
     doc["operatorKprime"] = doc["operatorK"]
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setattr(brackets, "_bracket", _off_by_one(brackets._bracket))
+    monkeypatch.setattr(brackets, "_derived", _off_by_one(brackets._derived))
     words = command.split()
     at = 2 if words[0] == "check" else 1
     code = main(words[:at] + [str(path)] + words[at:])

@@ -17,6 +17,7 @@ from conftest import (
 from oracles import (
     act_L,
     act_R,
+    basis,
     bracket,
     coboundary_at,
     cochain_eval,
@@ -285,14 +286,14 @@ def _closed_form_two_cocycle_violations(a, rep, H):
     for x in range(a.dim):
         for y in range(a.dim):
             for z in range(a.dim):
-                ex, ey, ez = a.basis(x), a.basis(y), a.basis(z)
+                ex, ey, ez = basis(a, x), basis(a, y), basis(a, z)
                 terms = [
                     act_L(rep, ex, H.eval_basis((y, z))),
                     neg_vec(act_L(rep, ey, H.eval_basis((x, z)))),
                     act_R(rep, ez, H.eval_basis((y, x))),
                     neg_vec(act_R(rep, ez, H.eval_basis((x, y)))),
-                    neg_vec(cochain_eval(H, [y, a.mul_basis(x, z)])),
-                    cochain_eval(H, [x, a.mul_basis(y, z)]),
+                    neg_vec(cochain_eval(H, [y, a.product[x][z]])),
+                    cochain_eval(H, [x, a.product[y][z]]),
                     neg_vec(cochain_eval(H, [bracket(a, ex, ey), z])),
                 ]
                 total = terms[0]

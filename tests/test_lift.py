@@ -8,7 +8,9 @@ Both must return the same `Report`: verdict, violation order, residual
 values and scalar types, and the parts.
 """
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from conftest import (
     g3b_algebra,
     random_algebra,
     random_reynolds_data,
+    unital_algebras,
 )
 from oracles import (
     field_check_derivation,
@@ -28,8 +31,9 @@ from oracles import (
     field_check_ns_prelie,
     field_check_prelie,
     field_check_representation,
+    field_is_unit,
 )
-from prelie import linalg, scalars
+from prelie import algebra, linalg, scalars
 from prelie.algebra import (
     PreLieAlgebra,
     Representation,
@@ -44,11 +48,11 @@ from prelie.brackets import d_K, dk_difference, mc_residual, twisted_mc_residual
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain, check_two_cocycle, coboundary, cohomology
 from prelie.deformation import rigidity_probe
-from prelie.errors import SchemaError
+from prelie.errors import SchemaError, UnverifiedError
 from prelie.linalg import Matrix
 from prelie.nsprelie import check_ns_prelie, ns_from_reynolds
 from prelie.opcohomology import induced_representation, operator_cohomology
-from prelie.scalars import INTEGERS, QQ, FpElement, Poly, PrimeField, field_by_name, lift
+from prelie.scalars import QQ, FpElement, Poly, PrimeField, field_by_name, lift
 
 FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
 FRACTIONS = ["1/2", "-1/3", "3/4", "-5/6", "7/2"]
@@ -271,11 +275,11 @@ def test_the_integer_ring_has_no_name(name):
         field_by_name(name)
     with pytest.raises(SchemaError):
         parse_bundle({"field": name, "algebra": {"dim": 1, "product": []}})
-    assert INTEGERS(7) == 7 and (INTEGERS.zero, INTEGERS.one) == (0, 1)
 
 
 def _record_fields(monkeypatch) -> list:
-    """The field of every `PreLieAlgebra`, `Representation` and `Matrix` built from now on."""
+    """The field of every `PreLieAlgebra`, `Representation`, `Matrix` and `Cochain` built
+    from now on."""
     fields = []
 
     def recording(original, field_of):
@@ -284,7 +288,7 @@ def _record_fields(monkeypatch) -> list:
             return original(*args, **kwargs)
         return build
 
-    for cls in (PreLieAlgebra, Matrix):
+    for cls in (PreLieAlgebra, Matrix, Cochain):
         monkeypatch.setattr(cls, "__init__", recording(cls.__init__, lambda _, field, *__: field))
     monkeypatch.setattr(Representation, "__init__", recording(
         Representation.__init__, lambda _, algebra, *__: algebra.field))
@@ -294,8 +298,8 @@ def _record_fields(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ["q", "f3"])
 def test_no_algebra_representation_or_matrix_is_built_over_the_integers(monkeypatch, name):
-    # the integer lift is held in raw arrays and in Cochains, never in these
-    # objects; the induced representation is built on the field, so the
+    # the integer lift is held in raw arrays, never in these objects, cochains
+    # included; the induced representation is built on the field, so the
     # recorder sees at least one object on every field
     bundle = parse_bundle(str(CORPUS / "g3-k-twisted.json"), name)
     data, K2 = bundle.reynolds_data(), bundle.matrix("operatorKprime")
@@ -312,7 +316,7 @@ def test_no_algebra_representation_or_matrix_is_built_over_the_integers(monkeypa
     d_K(data, Cochain.from_matrix(K2))
     twisted_mc_residual(data, K2)
     dk_difference(data, 2)
-    assert fields and INTEGERS not in fields
+    assert fields
     assert all(field == data.field for field in fields)
 
 
@@ -330,3 +334,78 @@ def test_a_verified_input_maps_no_residual_back(monkeypatch, g3_data):
     bad[0][1][2] += 1
     assert not check_prelie(QQ, bad).ok
     assert mapped
+
+
+# ---------------------------------------------------------------------------
+# the declared unit, checked on the lift
+
+
+def _one_sided(field, side: str) -> PreLieAlgebra:
+    """dim 2, associative: e_0.e_0 = e_0 and e_0.e_1 = e_1 (e_0 a left unit only)
+    or e_1.e_0 = e_1 (a right unit only)."""
+    return PreLieAlgebra.build(field, 2, {(0, 0, 0): 1, (0, 1, 1) if side == "left"
+                                          else (1, 0, 1): 1})
+
+
+def _unit_case(field, choose) -> tuple:
+    """(tensor, candidate unit, base): a unital or one-sided algebra conjugated by an
+    invertible upper triangular P (over Q with fractional entries, so D > 1), its unit
+    or one-sided unit carried along, perturbed or not; ``choose`` picks from a list."""
+    bases = [(a, a.unit, "unit") for a in unital_algebras(field)]
+    bases += [(_one_sided(field, side), (1, 0), side) for side in ("left", "right")]
+    a, unit, base = choose(bases)
+    entries = Q_ENTRIES if field == QQ else FP_ENTRIES
+    nonzero = [x for x in entries if field(x)]
+    P = Matrix(field, [[field(choose(nonzero if i == j else entries)) if i <= j else 0
+                        for j in range(a.dim)] for i in range(a.dim)])
+    u = P.inverse().apply(tuple(field(x) for x in unit))
+    if choose([False, True]):
+        u = tuple(x + field(choose(entries)) for x in u)
+    return conjugate_algebra(PreLieAlgebra(field, a.product), P).product, u, base
+
+
+def _accepts(field, tensor, u) -> bool:
+    try:
+        PreLieAlgebra(field, tensor, unit=u)
+    except UnverifiedError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3), PrimeField(5)], ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_unit_check_on_the_lift_matches_the_field_product(field, data):
+    tensor, u, _ = _unit_case(field, lambda items: data.draw(st.sampled_from(items)))
+    assert _accepts(field, tensor, u) == field_is_unit(PreLieAlgebra(field, tensor), u)
+
+
+# each mutant of `algebra._unit_report` accepts or rejects where the field product does not
+_UNIT_MUTANTS = {
+    "raw-ints-not-reduced-mod-p": ("descend(field, s))", "tuple)"),
+    "left-side-only": ('(("left", left[i]), ("right", right[i][0]))', '(("left", left[i]),)'),
+}
+
+
+def _unit_cases() -> list:
+    rng = random.Random(3501)
+    return [(field, *_unit_case(field, rng.choice)) for field in FIELDS for _ in range(25)]
+
+
+def test_the_unit_cases_cover_fractions_one_sided_units_and_both_verdicts():
+    cases = _unit_cases()
+    verdicts = {(base, field_is_unit(PreLieAlgebra(field, t), u)) for field, t, u, base in cases}
+    assert verdicts >= {("unit", True), ("unit", False), ("left", False), ("right", False)}
+    assert any(lift(QQ, (t, u, QQ.one))[0][-1] > 1 for field, t, u, _ in cases if field == QQ)
+
+
+@pytest.mark.parametrize("case", sorted(_UNIT_MUTANTS))
+def test_a_unit_check_mutant_disagrees_with_the_field_product(monkeypatch, case):
+    term, replacement = _UNIT_MUTANTS[case]
+    source = textwrap.dedent(inspect.getsource(algebra._unit_report))
+    assert source.count(term) == 1
+    namespace = dict(vars(algebra))
+    exec(compile(source.replace(term, replacement), algebra.__file__, "exec"), namespace)
+    monkeypatch.setattr(algebra, "_unit_report", namespace["_unit_report"])
+    assert any(_accepts(field, t, u) != field_is_unit(PreLieAlgebra(field, t), u)
+               for field, t, u, _ in _unit_cases())

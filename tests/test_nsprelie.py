@@ -107,8 +107,8 @@ def test_subadjacent_paper_two_dim_table():
     ns = ns_from_nijenhuis(a, Matrix(QQ, [[1, 1], [0, 1]]))
     sub = subadjacent(ns)
     # e2*e1 = -e1 - e1 + e1 = -e1;  e2*e2 = e2 + (-e1+e2) + (-e1-e2) = -2e1 + e2
-    assert sub.mul_basis(1, 0) == (QQ(-1), QQ(0))
-    assert sub.mul_basis(1, 1) == (QQ(-2), QQ(1))
+    assert sub.product[1][0] == (QQ(-1), QQ(0))
+    assert sub.product[1][1] == (QQ(-2), QQ(1))
     assert check_prelie(QQ, sub.product).ok
 
 

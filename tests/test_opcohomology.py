@@ -25,12 +25,13 @@ from prelie.algebra import (
     PreLieAlgebra,
     check_prelie,
     check_representation,
+    int_basis,
     regular_representation,
 )
 from prelie.cochain import Cochain, cochain_space_dim, cohomology
 from prelie.deformation import check_nijenhuis_element, rigidity_probe
 from prelie.errors import InvariantError
-from prelie.linalg import Matrix, basis_vec
+from prelie.linalg import Matrix
 from prelie.opcohomology import (
     induced_representation,
     operator_coboundary,
@@ -43,7 +44,7 @@ from prelie.reynolds import (
     induced_product,
     reynolds_from_invertible_cochain,
 )
-from prelie.scalars import INTEGERS, QQ, Poly, PrimeField
+from prelie.scalars import QQ, Poly, PrimeField
 
 
 def test_induced_rep_zero_data(g3_bundle):
@@ -361,7 +362,7 @@ def _corrupt(monkeypatch, where: str) -> None:
                     w[n] += 1
                     products[0][1] = w
                 else:
-                    e0 = basis_vec(INTEGERS, len(graph[0]), 0)
+                    e0 = int_basis(1, len(graph[0]))[0]
 
                     def mul(left, right, mul=mul):  # at gr(0).e_0 of the table gr(u).e_x
                         out = mul(left, right)

@@ -6,7 +6,10 @@ exported by `prelie/__init__.py`, or be named in `TRACED` of
 `bench/tracer.py` (which wraps it by name).  A reference is a read: a
 method is read as an attribute, any other definition as a name that
 resolves to it (a local variable of the same name does not) or as an
-attribute.  Dunder methods, which the language calls, are exempt.
+attribute.  A read ``self.NAME`` in a class that defines or assigns NAME
+itself counts only for that class, so a same-named attribute of one
+class cannot keep another class's method alive.  Dunder methods, which
+the language calls, are exempt.
 Anything else is code only the tests reach, and it belongs in
 `tests/oracles.py`.  Both files are parsed, not imported.
 
@@ -60,34 +63,52 @@ def _bound(scope) -> set:
     return names - declared
 
 
+def _members(cls) -> set:
+    """The names a class defines in its body or assigns as ``self.NAME`` in its methods."""
+    names = {node.name for node in cls.body if isinstance(node, DEFINITIONS)}
+    names |= {target.id for node in cls.body if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Name)}
+    return names | {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store) and _on_self(node)}
+
+
+def _on_self(node) -> bool:
+    return isinstance(node.value, ast.Name) and node.value.id == "self"
+
+
 def _scan(tree):
     """The definitions in ``tree`` and its reads, each under a key.
 
-    A method's key is ("attr", name), which every attribute read of that
-    name carries; a name read takes the key (scope, name) of the innermost
-    function scope around it that binds the name, else (None, name), the
-    key of a module-level definition, which an attribute read (`module.f`)
-    also reaches.  Each read also carries the ids of the definitions it
-    lies in.
+    A method's keys are ("attr", name), which every attribute read of that
+    name carries, and ((class id), name), which only a ``self.name`` read
+    inside a class that has the member name carries; a name read takes the
+    key (scope, name) of the innermost function scope around it that binds
+    the name, else (None, name), the key of a module-level definition,
+    which an attribute read (`module.f`) also reaches.  Each read also
+    carries the ids of the definitions it lies in.
     """
     definitions, reads = [], []
 
-    def visit(node, scopes, inside, in_class):
+    def visit(node, scopes, inside, cls, in_class):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             owner = next((scope for scope, bound in reversed(scopes) if node.id in bound), None)
             reads.append(((owner, node.id), inside))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.append((("attr", node.attr), inside))
+            own = cls and _on_self(node) and node.attr in cls[1]
+            reads.append((((cls[0],) if own else "attr", node.attr), inside))
         if isinstance(node, DEFINITIONS):
             key = ("attr" if in_class else scopes[-1][0] if scopes else None, node.name)
-            definitions.append((node, key))
+            keys = {key, ((cls[0],), node.name)} if in_class else {key}
+            definitions.append((node, keys))
             inside = inside | {id(node)}
+        if isinstance(node, ast.ClassDef):
+            cls = (id(node), _members(node))
         if isinstance(node, FUNCTIONS + COMPREHENSIONS):
             scopes = scopes + [(id(node), _bound(node))]
         for child in ast.iter_child_nodes(node):
-            visit(child, scopes, inside, isinstance(node, ast.ClassDef))
+            visit(child, scopes, inside, cls, isinstance(node, ast.ClassDef))
 
-    visit(tree, [], frozenset(), False)
+    visit(tree, [], frozenset(), None, False)
     return definitions, reads
 
 
@@ -114,11 +135,12 @@ def unreferenced_definitions() -> list:
     kept = _exported() | _traced()
     flagged = []
     for module, (definitions, _) in scans.items():
-        for node, key in definitions:
+        for node, keys in definitions:
             name = node.name
             if name.startswith("__") and name.endswith("__") or name in kept:
                 continue
-            keys = {key, ("attr", name)} if key[0] is None else {key}
+            if (None, name) in keys:
+                keys = keys | {("attr", name)}
             if not any(read in keys and id(node) not in inside for read, inside in reads):
                 flagged.append((module, name))
     return flagged
@@ -141,6 +163,11 @@ ORPHANS = {
     "function-named-like-a-local": ("def subadjacent_lie(a: PreLieAlgebra):",
                                     "def bracket(x, y):\n    return x\n\n\n",
                                     "bracket"),
+    # a method named like the attribute that `deformation._ElementTerms` assigns and
+    # reads as `self.basis`: those reads are its own
+    "method-named-like-another-class-attribute": (
+        "    def require_unit(self) -> tuple:",
+        "    def basis(self, i):\n        return i\n\n", "basis"),
 }
 
 
