@@ -263,10 +263,9 @@ def minus_defects(rows, triples, start: int):
     return lambda a, b, c: [-x for x in defects[a, b, c]] if a < b else defects[b, a, c]
 
 
-def _unit_report(field, product, unit) -> Report:
-    """u.e_i - e_i and e_i.u - e_i at each basis index i, on the product and u lifted
+def _unit_report(field, t, u, D) -> Report:
+    """u.e_i - e_i and e_i.u - e_i at each basis index i, on the product t and u lifted
     together (D): D^2 times their field values, mapped back by D^2 (over F_p, mod p)."""
-    (t, u, D), _ = lift(field, (product, unit, field.one))
     n, s, entries = len(t), D * D, nonzero_entries(nonzero_rows(t))
     e = int_basis(n, n)
     (left,), right = family_products(entries, [u], e), family_products(entries, e, [u])
@@ -283,8 +282,15 @@ class PreLieAlgebra:
 
     def __init__(self, field, product, unit=None, labels=None, *, check: bool = True):
         product = _as_tensor(field, product)
+        if unit is not None:
+            unit = tuple(field(x) for x in unit)
         if check:
-            report = check_prelie(field, product)
+            # one lift of (product, unit) serves both checks
+            if unit is None:
+                report = check_prelie(field, product)
+            else:
+                (t, u, D), down = lift(field, (product, unit, field.one))
+                report = prelie_report(t, lambda r: down(r, 2))
             if not report.ok:
                 raise UnverifiedError(
                     "structure constants fail the pre-Lie identity:\n" + report.describe())
@@ -292,10 +298,9 @@ class PreLieAlgebra:
         object.__setattr__(self, "dim", len(product))
         object.__setattr__(self, "product", product)
         if unit is not None:
-            unit = tuple(field(x) for x in unit)
             if len(unit) != len(product):
                 raise ShapeError("unit vector has wrong length")
-            if check and not _unit_report(field, product, unit).ok:
+            if check and not _unit_report(field, t, u, D).ok:
                 raise UnverifiedError("declared unit is not a two-sided unit")
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "labels", tuple(labels) if labels else None)

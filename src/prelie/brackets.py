@@ -303,7 +303,7 @@ def _combination(g: PreLieAlgebra, twisted: tuple, cochains: list, terms: list) 
         for key, pairs in top.items():
             row = acc.setdefault(key, {})
             for t, x in pairs:
-                row[t] = row.get(t, 0) + _divide_exactly(x, b) * a
+                row[t] = row.get(t, 0) + (x if b == 1 else _divide_exactly(x, b)) * a
     down = descend(field, Dg * Dc ** 3)
     return _as_cochain(cochains[0], degree,
                        {key: zip(row, down(tuple(row.values()))) for key, row in acc.items()})

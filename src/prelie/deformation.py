@@ -45,12 +45,9 @@ class _ElementTerms:
     P = L_x - R_x, S e_u = L_x u - R_x u + H(x, Ku) (the t-terms of phi_t
     and psi_t) and rbar[u] = Rbar_u x (`SIGNS.md`) are linear in x: read
     once, at the basis of g, off the operator's frame, as ints at scale
-    D_g D_K^2.  Each x is lifted and combined with them (`lifted`, scale
+    D_g D_K^2.  Each x is lifted and combined with them (`combined`, scale
     s = D_x D_g D_K^2), and its conditions run on those ints (`morphism`,
-    `commutes`); only nonzero residuals are mapped back.  The lift of each
-    x is kept, since the object lives for one command: a search re-verifies
-    each element it accepts, and `rigidity_probe` reads the same lift again
-    for the element's coboundary.
+    `commutes`); only nonzero residuals are mapped back.
     """
 
     def __init__(self, data: ReynoldsData):
@@ -77,24 +74,22 @@ class _ElementTerms:
             return [(k, v) for k, v in enumerate(flat) if v]
 
         self.basis = [at(i) for i in range(n)]
-        self.lifts = {}
 
-    def lifted(self, x) -> tuple:
-        """((x, D_x), the columns of P and of (rbar, S) at scale s, s), on the ints,
-        for a tuple x; computed once per x."""
-        if x in self.lifts:
-            return self.lifts[x]
-        field, n, w = self.field, self.n, self.n + len(self.K)
-        (xs, Dx), _ = lift(field, (x, field.one))
+    def combined(self, xs, Dx) -> tuple:
+        """(the columns of P and of (rbar, S), s) for x lifted by D_x to xs."""
+        n, w = self.n, self.n + len(self.K)
         acc = [0] * (n * n + (w - n) * w)
         for xi, entries in zip(xs, self.basis):
             if xi:
                 for k, v in entries:
                     acc[k] += xi * v
-        self.lifts[x] = out = (
-            (xs, Dx), [acc[j * n:(j + 1) * n] for j in range(n)],
-            [acc[n * n + u * w:n * n + (u + 1) * w] for u in range(w - n)], Dx * self.scale)
-        return out
+        return ([acc[j * n:(j + 1) * n] for j in range(n)],
+                [acc[n * n + u * w:n * n + (u + 1) * w] for u in range(w - n)], Dx * self.scale)
+
+    def lifted(self, x) -> tuple:
+        """((x, D_x), *`combined`) for a tuple x, lifted once."""
+        (xs, Dx), _ = lift(self.field, (x, self.field.one))
+        return ((xs, Dx), *self.combined(xs, Dx))
 
     def morphism(self, P, RS, s) -> dict:
         """The four morphism conditions of (phi_t, psi_t) at x, at orders t and t^2.
@@ -103,8 +98,8 @@ class _ElementTerms:
         (`SIGNS.md`): c_2 is the core at (Q, 0), ``one`` = 0 dropping the
         linear term, and c_1 the core at (s id + Q, s), t = 1, minus c_2;
         no division, so over F_2 too.  Both read the nonzero columns of Q,
-        built once: s id + Q adds (a, s) to column a.  c_k is reported at
-        ``(Order(k), *where)``, mapped back by D_g s^2.
+        built once: s id + Q adds (a, s) to column a.  c_k is at
+        ``(Order(k), *where)``, its ints at scale D_g s^2.
         """
         n = self.n
         Q = [[(t, a) for t, a in enumerate(col) if a] for col in P] + \
@@ -114,20 +109,18 @@ class _ElementTerms:
         # equal readings leave c_1 zero, which every part drops
         c1 = self.parts([[a - b for a, b in zip(r, r2)] if r != r2 else ()
                          for r, r2 in zip(self.defects(shifted, s), c2)])
-        back = descend(self.field, self.Dg * s * s)
-        return {name: lifted_report([((FIRST, *w), r) for w, r in c1[name]]
-                                    + [((SECOND, *w), r) for w, r in at2], back)
+        return {name: ([((FIRST, *w), r) for w, r in c1[name]]
+                       + [((SECOND, *w), r) for w, r in at2], self.Dg * s * s)
                 for name, at2 in self.parts(c2).items()}
 
-    def commutes(self, x, RS, s) -> Report:
-        """x . Rbar_u(x) = Rbar_u(x) . x for each u, on the ints: x lifted by D_x, rbar by s."""
+    def commutes(self, x, RS, s) -> tuple:
+        """x . Rbar_u(x) - Rbar_u(x) . x for each u, on the ints: x lifted by D_x, rbar by s."""
         (xs, Dx), n = x, self.n
         rbar = [c[:n] for c in RS]
         (left,), right = family_products(self.product, [xs], rbar), \
             family_products(self.product, rbar, [xs])
-        return lifted_report(((("rbar-commutes", u), sub_vec(a, b))
-                              for u, (a, (b,)) in enumerate(zip(left, right))),
-                             descend(self.field, self.Dg * Dx * s))
+        return ([(("rbar-commutes", u), sub_vec(a, b))
+                 for u, (a, (b,)) in enumerate(zip(left, right))], self.Dg * Dx * s)
 
     def coboundary(self, x) -> tuple:
         """d_K x = KS - PK on the ints: (its columns, their scale D_K s)."""
@@ -139,6 +132,12 @@ class _ElementTerms:
 
 
 FIRST, SECOND = Order(1), Order(2)
+
+
+def _reports(field, parts: dict) -> dict:
+    """name -> `Report` of each (int residuals, their scale) in ``parts``."""
+    return {name: lifted_report(pairs, descend(field, scale))
+            for name, (pairs, scale) in parts.items()}
 
 
 def _element(g, x) -> tuple:
@@ -292,7 +291,7 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     field, n, m = data.field, data.algebra.dim, data.rep.dim_v
     _, P, RS, s = terms.lifted(_element(data.algebra, x))
     K, K1, K1p = data.operator, _direction(data, K1), _direction(data, K1p)
-    parts = terms.morphism(P, RS, s)
+    parts = _reports(field, terms.morphism(P, RS, s))
     down = descend(field, s)
     P = Matrix.from_columns(field, [down(c) for c in P], n)
     S = Matrix.from_columns(field, [down(c[n:]) for c in RS], m)
@@ -315,14 +314,20 @@ def nijenhuis_element_checker(data: ReynoldsData):
 
 
 def _element_checker(data: ReynoldsData, terms):
-    """`nijenhuis_element_checker` on the element maps (`_ElementTerms`)."""
-    g = data.algebra
+    """`nijenhuis_element_checker` on the element maps (`_ElementTerms`); its integer
+    core ``check.core(xs, one)`` gives every residual at x lifted by ``one`` to xs."""
+
+    def conditions(x, P, RS, s) -> dict:
+        return {"rbar_condition": terms.commutes(x, RS, s), **terms.morphism(P, RS, s)}
 
     def check(x) -> Report:
-        x, P, RS, s = terms.lifted(_element(g, x))
-        return _combine({"rbar_condition": terms.commutes(x, RS, s),
-                         **terms.morphism(P, RS, s)})
+        return _combine(_reports(data.field, conditions(*terms.lifted(_element(data.algebra, x)))))
 
+    def core(xs, one) -> list:
+        parts = conditions((xs, one), *terms.combined(xs, one))
+        return [pair for pairs, _ in parts.values() for pair in pairs]
+
+    check.core = core
     return check
 
 

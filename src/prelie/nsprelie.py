@@ -143,15 +143,14 @@ def _nijenhuis_frame(g: PreLieAlgebra):
     its field value and Ne_i.Ne_j - N(e_i ._N e_j) D_g D_N^2 times
     (`SIGNS.md`): the `Report` of the second and ``table()`` of the
     first, mapped back; `scalars.Poly` entries coefficient by coefficient.
+    Its integer core ``evaluate.core(k, one)`` gives the residuals at N
+    lifted to rows k, whatever the scale ``one``.
     """
     field, n = g.field, g.dim
     (c, Dg), _ = lift(field, (g.product, field.one))
     entries = nonzero_entries(nonzero_rows(c))
 
-    def evaluate(N: Matrix):
-        if N.rows != n or N.cols != n:
-            raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {n}")
-        (k, DN), _ = lift(field, (N.data, field.one))
+    def scatter(k) -> tuple:
         at = [[(i, x) for i, x in enumerate(row) if x] for row in k]  # Ne_i has x at a
         cols = [[(s, row[t]) for s, row in enumerate(k) if row[t]] for t in range(n)]  # N e_t
         deformed, out = {}, {}  # the pairs that a constant reaches
@@ -173,19 +172,33 @@ def _nijenhuis_frame(g: PreLieAlgebra):
             add(deformed, (a, b), -1, [(s, z * y) for t, z in row for s, y in cols[t]])
         for key, d in deformed.items():  # e_i ._N e_j times D_g D_N
             add(out, key, -1, [(s, z * y) for t, z in enumerate(d) if z for s, y in cols[t]])
+        return deformed, sorted(out.items())
+
+    def evaluate(N: Matrix):
+        if N.rows != n or N.cols != n:
+            raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {n}")
+        (k, DN), _ = lift(field, (N.data, field.one))
+        deformed, residuals = scatter(k)
         zero = (0,) * n
         back = descend(field, Dg * DN ** 2)  # Ne_i.Ne_j - N(e_i ._N e_j) times D_g D_N^2
-        return (lifted_report(((key, out[key]) for key in sorted(out)), back),
+        return (lifted_report(residuals, back),
                 lambda: [[descend(field, Dg * DN)(deformed.get((i, j), zero)) for j in range(n)]
                          for i in range(n)])
 
+    evaluate.core = lambda k, one: scatter(k)[1]
     return evaluate
 
 
 def nijenhuis_checker(g: PreLieAlgebra):
-    """The Nijenhuis identity Nx.Ny = N(x ._N y) on g, prepared once: N -> `Report`."""
+    """The Nijenhuis identity Nx.Ny = N(x ._N y) on g, prepared once: N -> `Report`,
+    with the core of `_nijenhuis_frame`."""
     evaluate = _nijenhuis_frame(g)
-    return lambda N: evaluate(N)[0]
+
+    def check(N: Matrix) -> Report:
+        return evaluate(N)[0]
+
+    check.core = evaluate.core
+    return check
 
 
 def check_nijenhuis(g: PreLieAlgebra, N: Matrix) -> Report:

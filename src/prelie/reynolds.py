@@ -13,18 +13,18 @@ coboundary weight weight * mu or -(x.D(1)).y (`weighted_pair`,
 `d_reynolds_pair`; `SIGNS.md`).
 
 The identity is read off the twisted semidirect product g + V through
-the graph {(Ku, u)} of K (`graph_frame`): its residual at (u, v) is
-p(gr(u).gr(v)).  The induced product u ._K v (the star product, for a
-scalar weight), the graph closure of `check_graph_subalgebra`, Lbar,
-Rbar, the NS-pre-Lie tables and the maps of `deformation` are read off
-the same frame: one per operator, on the integer lift, from
-`operator_frames`, each reading mapped back by its own degree.  A frame's
-product takes two families of vectors to their whole table in one
-scatter over the nonzero structure constants (`algebra.family_products`).
-Where H is checked too, dH is read off the same lifted rows as the
-frames (`_require_cocycle`, `cochain.cocycle_report`).  A morphism of
-operators is read off the two twisted semidirect products the same way,
-on their preparations (`morphism_checker`).
+the graph {(Ku, u)} of K: its residual at (u, v) is p(gr(u).gr(v)),
+scattered on the integer lift into the pairs that K reaches
+(`reynolds_residuals`).  The induced product u ._K v (the star product,
+for a scalar weight), the graph closure of `check_graph_subalgebra`,
+Lbar, Rbar, the NS-pre-Lie tables and the maps of `deformation` are read
+off the frame of K (`graph_frame`, `operator_frames`), each mapped back
+by its own degree; a frame's product takes two families of vectors to
+their table in one scatter (`algebra.family_products`).  Where H is
+checked too, dH is read off the same lifted rows as the frames
+(`_require_cocycle`, `cochain.cocycle_report`).  A morphism of operators
+is read off the two twisted semidirect products the same way, on their
+preparations (`morphism_checker`).
 
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 
 from .algebra import (
@@ -100,6 +101,23 @@ def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
     return raw_semidirect_tensor(product, rep.dim_v, L, R, table)
 
 
+def _project(k, one, pairs) -> list:
+    """p(a, b) = one a - K b, K the rows k lifted by ``one``, at the (coordinate, value)
+    pairs of a vector of g + V."""
+    n = len(k)
+    out = [0] * n
+    for t, z in pairs:
+        if z:
+            if t < n:
+                out[t] += one * z
+            else:
+                t -= n
+                for s, row in enumerate(k):
+                    if row[t]:
+                        out[s] -= z * row[t]
+    return out
+
+
 def graph_frame(entries, cols, one):
     """The semidirect product on g + V read through the graph of K, on the integer lift.
 
@@ -110,20 +128,42 @@ def graph_frame(entries, cols, one):
     the graph.  The product maps two families of vectors to their table
     (`algebra.family_products`); `SIGNS.md` lists what is read off it.
     """
-    n, m = len(cols[0]) if cols else 0, len(cols)
+    m, k = len(cols), list(zip(*cols))
     zeros = (0,) * m
     graph = [col + zeros[:u] + (one,) + zeros[u + 1:] for u, col in enumerate(cols)]
+    return ((lambda left, right: family_products(entries, left, right)), graph,
+            lambda w: tuple(_project(k, one, enumerate(w))))
 
-    def project(w):
-        out = [one * a if a else a for a in w[:n]]
-        for y, col in zip(w[n:], cols):
-            if y:
-                for i, a in enumerate(col):
-                    if a:
-                        out[i] = out[i] - y * a
-        return tuple(out)
 
-    return (lambda left, right: family_products(entries, left, right)), graph, project
+def reynolds_residuals(entries, k, one) -> list:
+    """((u, v), p(gr(u).gr(v))) in (u, v) order: the one evaluation of the Reynolds identity.
+
+    ``entries`` as in `graph_frame`, ``k`` the rows of K lifted by
+    ``one``.  At each (a, b, row) it adds gr(u)_a gr(v)_b p(row) into
+    every pair (u, v) with both factors nonzero (`SIGNS.md`); an unreached
+    pair has residual 0 and is left out.
+    """
+    at = [[(u, x) for u, x in enumerate(row) if x] for row in k]  # gr(u) at a < n
+    at += [[(u, one)] for u in range(len(k[0]) if k else 0)]  # at n + u
+    out = {}
+    for a, b, row in entries:
+        xs, ys = at[a], at[b]
+        if xs and ys:
+            projected = [(s, z) for s, z in enumerate(_project(k, one, row)) if z]
+            for u, x in xs:
+                for v, y in ys:
+                    w = out.get((u, v))
+                    if w is None:
+                        w = out[u, v] = [0] * len(k)
+                    c = x * y
+                    for s, z in projected:
+                        w[s] += c * z
+    return sorted(out.items())
+
+
+def _reynolds_report(entries, k, one, back) -> Report:
+    """The Reynolds `Report`: `reynolds_residuals`, of degree 3, mapped back by ``back``."""
+    return lifted_report(reynolds_residuals(entries, k, one), back)
 
 
 def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
@@ -140,28 +180,29 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
 
 
 def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
-    """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`."""
+    """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`, and
+    ``frames.check``, `reynolds_checker` on it, with the integer core ``check.core(k, one)``
+    of `reynolds_residuals`."""
     field, (rows, Dg), m = g.field, twisted, rep.dim_v
     entries = nonzero_entries(rows)
 
-    def frame(K: Matrix):
+    def lifted(K: Matrix) -> tuple:  # K's rows lifted alone, D_K and ``back``
         _check_operator_shape(g, rep, K)
         (k, DK), _ = lift(field, (K.data, field.one))
+        return k, DK, lambda degree, d=1, e=1: descend(field, e * Dg ** d * DK ** degree)
+
+    def check(K: Matrix) -> Report:
+        k, DK, back = lifted(K)
+        return _reynolds_report(entries, k, DK, back(3))
+
+    def frame(K: Matrix):
+        k, DK, back = lifted(K)
         mul, graph, p = graph_frame(entries, list(zip(*k)) if k else [()] * m, DK)  # k = (): n = 0
-        return (mul, graph, p, mul(graph, graph),
-                lambda degree, d=1, e=1: descend(field, e * Dg ** d * DK ** degree))
+        return mul, graph, p, mul(graph, graph), back
 
+    check.core = partial(reynolds_residuals, entries)
+    frame.check = check
     return frame
-
-
-def _reynolds_report(frame) -> Report:
-    """The Reynolds residuals p(gr(u).gr(v)) of a frame: degree 3."""
-    _, _, p, products, back = frame
-    down = back(3)
-    # a zero product has a zero residual, which the report drops anyway
-    residuals = (((u, v), p(w)) for u, row in enumerate(products)
-                 for v, w in enumerate(row) if any(w))
-    return lifted_report(residuals, down)
 
 
 def _induced_table(n: int, frame) -> list:
@@ -173,14 +214,12 @@ def _induced_table(n: int, frame) -> list:
 
 def reynolds_checker(g: PreLieAlgebra, rep: Representation, H: Cochain):
     """The Reynolds identity for an already verified H, prepared once: K -> `Report`."""
-    frames = operator_frames(g, rep, H)
-    return lambda K: _reynolds_report(frames(K))
+    return operator_frames(g, rep, H).check
 
 
 def rcw_checker(g: PreLieAlgebra, rep: Representation, H: Cochain):
     """`reynolds_checker` once H is verified, on the one preparation of both: K -> `Report`."""
-    frames = _frames(g, rep, _require_cocycle(g, rep, H))
-    return lambda K: _reynolds_report(frames(K))
+    return _frames(g, rep, _require_cocycle(g, rep, H)).check
 
 
 def check_rcw_reynolds(g: PreLieAlgebra, rep: Representation, H: Cochain,
@@ -268,10 +307,10 @@ def star_product(g: PreLieAlgebra, K: Matrix, weight) -> PreLieAlgebra:
     pre-Lie and K stays a weighted Reynolds operator for the new product;
     these two facts are re-verified here.
     """
-    frame = operator_frames(g, *weighted_pair(g, weight))(K)
-    if not _reynolds_report(frame).ok:
+    frames = operator_frames(g, *weighted_pair(g, weight))
+    if not frames.check(K).ok:
         raise UnverifiedOperatorError("operator fails the weighted Reynolds identity")
-    star = reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frame))
+    star = reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frames(K)))
     if not check_weighted_reynolds(star, K, weight).ok:
         raise InvariantError("K is not a weighted Reynolds operator on the new product")
     return star
@@ -327,10 +366,10 @@ def check_graph_subalgebra(g: PreLieAlgebra, rep: Representation, H: Cochain,
     tests).  Off the graph w itself is the residual.
     """
     _check_operator_shape(g, rep, K)
-    frame = _frames(g, rep, _require_cocycle(g, rep, H))(K)
-    *_, products, back = frame
+    frames = _frames(g, rep, _require_cocycle(g, rep, H))
+    *_, products, back = frames(K)
     return residual_report(((u, v), back(2)(products[u][v]))
-                           for (u, v), _ in _reynolds_report(frame).violations)
+                           for (u, v), _ in frames.check(K).violations)
 
 
 def induced_product(data: ReynoldsData) -> PreLieAlgebra:
@@ -410,11 +449,11 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
     if inv is None:
         raise NotAdmissibleError("id + B K is singular; B is not admissible")
     gauged = K * inv
-    before, after = map(operator_frames(g, rep, H), (K, gauged))  # H verified with the bundle
-    if not _reynolds_report(after).ok:
+    frames = operator_frames(g, rep, H)  # H verified with the bundle
+    if not frames.check(gauged).ok:
         raise InvariantError("gauged operator fails the Reynolds identity")
-    source, target = (reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frame))
-                      for frame in (before, after))
+    source, target = (reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frames(M)))
+                      for M in (K, gauged))
     if not check_morphism(source, target, bundle).ok:
         raise InvariantError("id + B K is not an isomorphism of induced products")
     return gauged

@@ -13,22 +13,24 @@ polynomial equation, and a candidate passes exactly when every equation
 vanishes at its entries.
 
 The sweep runs on Python ints.  One `scalars.lift` takes the equations'
-coefficients and the domain to ints by a common denominator D (over
-F_p, to residues, with D = 1), and each term is homogenised to its
-equation's top degree T by a factor D^(T - degree); an equation then
-holds exactly when its integer sum is 0 (over F_p, 0 mod p).  The free
-entries are assigned depth first, in the fail-first order of `_order`.
-An equation is tested at the depth that assigns the last of its
-variables; when it fails there, the whole subtree is skipped.  The
-solutions are mapped back to row-major entries, sorted and each
-re-verified through the checker.  ``count_checked`` is the number of
-candidates the sweep covers, pruned or not; ``nodes`` the number of
-prefixes it evaluated, the empty one included.
+coefficients, the domain and the fixed entries to ints by a common
+denominator D (over F_p, to residues, with D = 1), and each term is
+homogenised to its equation's top degree T by a factor D^(T - degree);
+an equation then holds exactly when its integer sum is 0 (over F_p, 0
+mod p).  The free entries are assigned depth first, in the fail-first
+order of `_order`.  An equation is tested at the depth that assigns the
+last of its variables; when it fails there, the whole subtree is
+skipped.  The solutions are mapped back to row-major entries and
+sorted; each is re-verified on those ints by the checker's integer core
+(``check.core(k, D)``, k its rows at scale D), every residual coordinate
+0 (mod p), and only then built as a matrix.  ``count_checked`` is the
+number of candidates the sweep covers, pruned or not; ``nodes`` the
+number of prefixes it evaluated, the empty one included.
 
 The registry maps a predicate id to a function of the bundle sections
 that returns the checker after all the work on the fixed data (the
-rcw-reynolds entry checks H there), so the generic candidate and each
-solution cost one lift and the prepared integer kernels.
+rcw-reynolds entry checks H there), so the generic candidate costs one
+lift and the prepared integer kernels, and each solution no lift.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .deformation import _ElementTerms, _element_checker
 from .errors import BudgetExceededError, InvariantError, ShapeError
-from .linalg import Matrix, _matrix
+from .linalg import _matrix
 from .nsprelie import nijenhuis_checker
 from .reynolds import (
     _require_square,
@@ -81,24 +83,17 @@ class SearchSpec:
         return len(self.domain) ** self.free_count()
 
 
-def _candidates(spec: SearchSpec, field):
-    """values -> the candidate whose free entries, in row-major order, are ``values``.
-
-    The fixed entries are coerced once; ``values`` are placed as given.
-    """
-    rows, cols = spec.shape
-    template = [[None] * cols for _ in range(rows)]
-    for (i, j), v in spec.fixed.items():
-        template[i][j] = field(v)
+def _placer(spec: SearchSpec, template):
+    """values -> ``template`` with the free entries, row-major, set to ``values``."""
     free = spec.free_positions()
 
-    def candidate(values) -> Matrix:
-        entries = [row[:] for row in template]
+    def place(values) -> tuple:
+        entries = [list(row) for row in template]
         for (i, j), v in zip(free, values):
             entries[i][j] = v
-        return _matrix(field, tuple(map(tuple, entries)), cols)
+        return tuple(map(tuple, entries))
 
-    return candidate
+    return place
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +116,13 @@ def _nijenhuis_predicate(bundle):
 
 def _d_reynolds_predicate(bundle):
     g = bundle["algebra"]
-    check = reynolds_checker(g, *d_reynolds_pair(g, bundle["operatorD"]))
-    return lambda K: check(_require_square(g, K))
+    reynolds = reynolds_checker(g, *d_reynolds_pair(g, bundle["operatorD"]))
+
+    def check(K):
+        return reynolds(_require_square(g, K))
+
+    check.core = reynolds.core
+    return check
 
 
 def _nijenhuis_element_predicate(bundle):
@@ -134,6 +134,7 @@ def _nijenhuis_element_predicate(bundle):
             raise ShapeError(f"an element is one column, not {x.cols}")
         return element(x.column(0))
 
+    check.core = lambda k, one: element.core([row[0] for row in k], one)
     return check
 
 
@@ -148,21 +149,22 @@ PREDICATES = {
 
 def _compile(spec: SearchSpec, field):
     """The checker of ``spec``, its equations in the free entries and the
-    candidate builder.
+    candidates' template: the fixed entries coerced, 0 elsewhere.
 
     The checker runs once on the generic candidate; its nonzero residual
     coordinates are the equations.  A residual that is a nonzero scalar
     becomes a constant polynomial, which no candidate satisfies.
     """
     check = PREDICATES[spec.predicate](spec.bundle)
-    one = field.one
-    candidate = _candidates(spec, field)
-    generic = candidate([Poly({(k,): one}) for k in range(spec.free_count())])
+    rows, cols = spec.shape
+    template = [[field(spec.fixed.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
+    generic = _placer(spec, template)([Poly({(k,): field.one}) for k in range(spec.free_count())])
     residuals = (x if isinstance(x, Poly) else Poly({(): x})
-                 for _, residual in check(generic).violations for x in residual if x)
+                 for _, residual in check(_matrix(field, generic, cols)).violations
+                 for x in residual if x)
     # one equation per distinct polynomial, in the order the checker found them
     equations = list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
-    return check, equations, candidate
+    return check, equations, template
 
 
 def _order(equations, n_free: int) -> list:
@@ -194,23 +196,23 @@ def _order(equations, n_free: int) -> list:
     return order
 
 
-def _lower(equations, domain, field, position):
+def _lower(equations, domain, template, field, position):
     """The equations as integer terms, grouped by the depth that completes them.
 
-    Returns ``levels`` and the lifted domain.  x_v is the sweep's
-    variable ``position[v]``; ``levels[k]`` holds the equations whose
-    last variable is at position k - 1 (``levels[0]`` the constant ones),
-    each as a tuple of (integer coefficient, positions) terms homogenised
-    to the equation's top degree, as the module docstring describes.
+    Returns ``levels``, D, the lifted domain and template.  x_v is the
+    sweep's variable ``position[v]``; ``levels[k]`` holds the equations
+    whose last variable is at position k - 1 (``levels[0]`` the constant
+    ones), each as a tuple of (integer coefficient, positions) terms
+    homogenised to the equation's top degree (module docstring).
     """
-    (D, values, lifted), _ = lift(field, (field.one, domain, equations))
+    (D, values, ints, lifted), _ = lift(field, (field.one, domain, template, equations))
     levels = [[] for _ in range(len(position) + 1)]
     for eq in lifted:
         top = max(map(len, eq.terms))
         terms = tuple((c * D ** (top - len(mono)), tuple(position[v] for v in mono))
                       for mono, c in eq.terms.items())
         levels[max((k + 1 for _, at in terms for k in at), default=0)].append(terms)
-    return levels, values
+    return levels, D, values, ints
 
 
 def _sweep(levels, values, p):
@@ -300,16 +302,18 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
         # d^k, not its digits: the count can run to thousands of them
         raise BudgetExceededError(f"{len(domain)}^{spec.free_count()} candidates "
                                   f"exceed the budget of {spec.budget}")
-    check, equations, candidate = _compile(spec, field)
+    check, equations, template = _compile(spec, field)
     order = _order(equations, spec.free_count())
     position = sorted(range(len(order)), key=order.__getitem__)  # order[position[v]] = v
-    levels, values = _lower(equations, domain, field, position)
-    found, nodes = _sweep(levels, values, field.char)
+    levels, D, values, ints = _lower(equations, domain, template, field, position)
+    p = field.char
+    found, nodes = _sweep(levels, values, p)
+    on_ints, on_field = _placer(spec, ints), _placer(spec, template)
     solutions = []
     for choice in sorted(tuple(choice[k] for k in position) for choice in found):
-        K = candidate([domain[j] for j in choice])
-        if not check(K).ok:
+        if any(x % p if p else x
+               for _, r in check.core(on_ints([values[j] for j in choice]), D) for x in r):
             raise InvariantError(
                 "the compiled equations accepted a candidate the checker rejects")
-        solutions.append(K)
+        solutions.append(_matrix(field, on_field([domain[j] for j in choice]), cols))
     return SearchResult(tuple(solutions), total, len(solutions), nodes)

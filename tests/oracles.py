@@ -208,7 +208,7 @@ from prelie.linalg import (
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, _check_operator_shape, morphism_checker
 from prelie.scalars import Poly, PrimeField, descend
-from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _candidates, _compile
+from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _compile, _placer
 
 
 def tensor_mul(field, tensor, x, y) -> tuple:
@@ -655,7 +655,9 @@ def field_checker(spec: SearchSpec):
 
 def candidate(spec: SearchSpec, values, field) -> Matrix:
     """The candidate whose free entries, in row-major order, are ``values``."""
-    return _candidates(spec, field)(values)
+    rows, cols = spec.shape
+    template = [[field(spec.fixed.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
+    return Matrix(field, _placer(spec, template)(values))
 
 
 def poly_at(poly: Poly, values, zero):

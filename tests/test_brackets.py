@@ -795,3 +795,13 @@ def test_derived_bracket_graded_leibniz():
             corr = br(Q, br(P, R))
             rhs = (rhs - corr) if (p * q) % 2 == 1 else (rhs + corr)
             assert lhs == rhs
+
+
+def test_a_term_whose_denominator_is_one_is_not_divided(monkeypatch):
+    # a term with an integer coefficient skips the exact division; the
+    # 1/2 and -1/6 of the Maurer-Cartan terms keep it
+    divisions = count_calls(monkeypatch, brackets, "_divide_exactly")
+    data = parse_bundle(str(CORPUS / "g3-k-deform.json")).reynolds_data()
+    mc_residual(data.algebra, data.rep, data.cocycle, data.operator)
+    dk_difference(data, 1)
+    assert {b for _, b in divisions} == {2, 6}

@@ -418,23 +418,26 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
 
 
 @pytest.mark.parametrize("argv, name, counts", [
-    # every frame on the integer lift: the input's identity (the bundle's
-    # build), then in gauge_transform one preparation of (g, rep, H) and one
-    # frame per operator, K for its table and K_B for its identity and table
+    # every reading on the integer lift: the input's identity (the bundle's
+    # build, one scatter and no frame), then in gauge_transform one
+    # preparation of (g, rep, H) and one frame per operator, K for its
+    # table and K_B for its identity (a scatter) and table
     (("construct", "gauge"), "g3-gauge-shift.json",
-     {"_frames": 2, "graph_frame": 3, "check_morphism": 1}),
+     {"_frames": 2, "graph_frame": 2, "reynolds_residuals": 2, "check_morphism": 1}),
     # N verified once, then the two tables that multiply vectors (|> and <|) in
     # two scatters; o = -N(e_i.e_j) reads the lifted constants as they are
     (("construct", "ns-from-nijenhuis"), "nijenhuis3.json",
      {"nijenhuis_checker": 1, "family_products": 2}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"induced_product": 0}),
     (("construct", "induced"), "g3-k-rowzero.json", {"check_morphism": 0}),
-    # one frame for K's identity and the star table, one for K on the star product
-    (("construct", "star"), "weighted-star.json", {"check_morphism": 0, "graph_frame": 2}),
+    # one frame for K's identity and the star table; K's identity on the
+    # star product is one more scatter, with no frame
+    (("construct", "star"), "weighted-star.json",
+     {"check_morphism": 0, "graph_frame": 1, "reynolds_residuals": 2}),
     (("check", "mc"), "g3-k-rowzero.json", {"cocycle_report": 1}),
     (("mc-check",), "g3-k-rowzero.json", {"cocycle_report": 1}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json",
-     {"graph_frame": 2}),
+     {"graph_frame": 1, "reynolds_residuals": 1}),
     # the algebra's product once in `PreLieAlgebra` (its `check_prelie` reads
     # the coerced tensor as it is), then each of the three NS tensors once
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"_as_tensor": 4}),
@@ -442,6 +445,7 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
         "mc-check", "ns-from-reynolds-tables", "ns-from-reynolds-coercions"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
     modules = {"family_products": algebra, "graph_frame": reynolds, "check_morphism": algebra,
+               "reynolds_residuals": reynolds,
                "induced_product": reynolds, "cocycle_report": cochain,
                "_frames": reynolds, "nijenhuis_checker": nsprelie,
                "_as_tensor": algebra}

@@ -409,3 +409,20 @@ def test_a_unit_check_mutant_disagrees_with_the_field_product(monkeypatch, case)
     monkeypatch.setattr(algebra, "_unit_report", namespace["_unit_report"])
     assert any(_accepts(field, t, u) != field_is_unit(PreLieAlgebra(field, t), u)
                for field, t, u, _ in _unit_cases())
+
+
+def test_a_unital_algebra_lifts_its_product_once(monkeypatch):
+    # the product and the unit are lifted together and both checks read
+    # that lift: `check d-reynolds` on the unital bundle lifts (g, unit, 1),
+    # the rows of the regular representation with D(1)'s weight, and K
+    from cli_sweep import run
+
+    lifts = count_calls(monkeypatch, scalars, "lift")
+    assert run(("check", "d-reynolds", "corpus/unital-d-reynolds.json"))[0] == 0
+    assert [len(args[1]) for args in lifts] == [3, 5, 2]
+    # a unit that fails is still rejected on that lift, with the same message
+    tensor, u, _ = next(case for case in (_unit_case(QQ, random.Random(s).choice)
+                                          for s in range(50))
+                        if not field_is_unit(PreLieAlgebra(QQ, case[0]), case[1]))
+    with pytest.raises(UnverifiedError, match="not a two-sided unit"):
+        PreLieAlgebra(QQ, tensor, unit=u)

@@ -731,36 +731,43 @@ def _frame_cases() -> list:
 
 
 def test_graph_frame_runs_only_on_the_integers(monkeypatch):
-    calls = count_calls(monkeypatch, reynolds, "graph_frame")
+    # and so does the Reynolds scatter, which alone sees the search's
+    # generic candidate: its entries are the variables
+    frames = count_calls(monkeypatch, reynolds, "graph_frame")
+    scatters = count_calls(monkeypatch, reynolds, "reynolds_residuals")
     for argv in _frame_cases():
         run(argv)
-    assert len(calls) > 100
+    assert len(frames) > 10 and len(scatters) > 100
 
     def lifted(x):
         return type(x) is int or (isinstance(x, Poly)
                                   and all(type(c) is int for c in x.terms.values()))
 
-    assert all(type(one) is int and all(lifted(x) for row in k for x in row)
-               for _, k, one in calls)
-    assert any(isinstance(x, Poly) for _, k, _ in calls for row in k for x in row)
+    assert all(type(one) is int and all(lifted(x) for col in cols for x in col)
+               for _, cols, one in frames + scatters)
+    assert any(isinstance(x, Poly) for _, cols, _ in scatters for col in cols for x in col)
 
 
 DEFORM_CASES = (("dim1-abelian-f2.json", "f2"), ("g3-f2-e11.json", "f2"),
                 ("g3-f2-e11.json", "f3"))
 
 
-@pytest.mark.parametrize("action, frames", [("rigidity", 2), ("nijenhuis", 2)])
-def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, frames):
-    # the bundle's build and the element maps prepared once (for rigidity,
-    # shared by the search's checker, Z^1 and the image)
+@pytest.mark.parametrize("action, readings", [("rigidity", 2), ("nijenhuis", 2)])
+def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, readings):
+    # K is lifted and read twice: by the bundle's build, whose Reynolds
+    # identity is one scatter and no frame, and by the one frame of the
+    # element maps (for rigidity, shared by the search's core, Z^1 and the
+    # image), whatever the number of candidates
+    lifts = count_calls(monkeypatch, scalars, "lift")
     built = count_calls(monkeypatch, reynolds, "graph_frame")
     candidates = count_calls(monkeypatch, deformation._ElementTerms, "morphism")
     seen = set()
     for bundle, field in DEFORM_CASES:
-        built.clear()
-        candidates.clear()
+        for calls in (lifts, built, candidates):
+            calls.clear()
         run(("deform", action, "--bundle", f"corpus/{bundle}", "--field", field))
-        assert len(built) == frames
+        K = parse_bundle(f"corpus/{bundle}", field).matrix("operatorK").data
+        assert (sum(args[1][0] == K for args in lifts), len(built)) == (readings, 1)
         seen.add(len(candidates))
     assert len(seen) == 3
 
@@ -770,12 +777,13 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
     # the twisted semidirect arrays are built for the bundle's build and
     # once for the element maps, whose one preparation both sides of the
     # morphism checker read (and, for rigidity, Z^1 and the image): a
-    # fixed number whatever the number of candidates.  An element
-    # check lifts x once, to combine it with the element maps on their
-    # ints, and reads every condition off those ints: nothing else is lifted
+    # fixed number whatever the number of candidates.  The element check
+    # runs once, on the search's generic x, and lifts x once, to combine
+    # it with the element maps on their ints; the core re-verifies each
+    # element found on the sweep's own ints and lifts nothing
     built = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
     lifts = count_calls(monkeypatch, scalars, "lift")
-    per_check = []
+    per_check, per_core = [], []
 
     def make(original):
         def prepared(data, terms):
@@ -786,6 +794,14 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
                 report = check(x)
                 per_check.append([len(args[1]) for args in lifts[before:]])
                 return report
+
+            def core(xs, one):
+                before = len(lifts)
+                residuals = check.core(xs, one)
+                per_core.append(len(lifts) - before)
+                return residuals
+
+            counted.core = core
             return counted
         return prepared
 
@@ -794,11 +810,13 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
     for bundle, field in DEFORM_CASES:
         built.clear()
         per_check.clear()
+        per_core.clear()
         run(("deform", action, "--bundle", f"corpus/{bundle}", "--field", field))
         assert len(built) == arrays
         # (x, one)
-        assert per_check and all(sizes == [2] for sizes in per_check)
-        seen.add(len(per_check))
+        assert per_check == [[2]]
+        assert per_core and not any(per_core)
+        seen.add(len(per_core))
     assert len(seen) == 3
 
 
@@ -807,12 +825,13 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
 
 
 PREPARED_ONCE = {  # command: (lifts holding the bundle's H table, frames)
+    # the build checks the Reynolds identity by its scatter, with no frame
     ("check", "mc"): (1, 0),
     ("mc-check",): (1, 0),
-    ("dk-consistency",): (2, 2),
-    ("deform", "nijenhuis"): (2, 2),
-    ("deform", "rigidity"): (2, 2),
-    ("check", "nijenhuis-element"): (2, 2),
+    ("dk-consistency",): (2, 1),
+    ("deform", "nijenhuis"): (2, 1),
+    ("deform", "rigidity"): (2, 1),
+    ("check", "nijenhuis-element"): (2, 1),
 }
 
 

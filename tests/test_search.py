@@ -15,10 +15,11 @@ from conftest import (
     g3b_algebra,
     zero_representation,
 )
+import oracles
 from oracles import dense_sweep, heap_order, verify_polynomial_system
 from prelie import algebra, reynolds, scalars
 from prelie import search as search_module
-from prelie.algebra import PreLieAlgebra, Report, regular_representation
+from prelie.algebra import PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
 from prelie.cochain import Cochain, coboundary
 from prelie.deformation import check_nijenhuis_element
@@ -267,9 +268,10 @@ def test_brute_force_cases_are_not_trivial():
         assert mixed >= 8
 
 
-def count_checks(monkeypatch, predicate: str) -> list:
-    """Record every candidate that the prepared checker of ``predicate`` is called on."""
-    calls = []
+def count_checks(monkeypatch, predicate: str) -> tuple:
+    """Record every candidate that the prepared checker of ``predicate`` is called on,
+    and every (k, one) that its integer core is called on."""
+    calls, cores = [], []
     prepare = search_module.PREDICATES[predicate]
 
     def counting_prepare(bundle):
@@ -279,32 +281,48 @@ def count_checks(monkeypatch, predicate: str) -> list:
             calls.append(K)
             return check(K)
 
+        def core(k, one):
+            cores.append((k, one))
+            return check.core(k, one)
+
+        counting.core = core
         return counting
 
     monkeypatch.setitem(search_module.PREDICATES, predicate, counting_prepare)
-    return calls
+    return calls, cores
+
+
+def _residues(K) -> tuple:
+    """The rows of a matrix over F_p as residues: its lift, with D = 1."""
+    return tuple(tuple(x.value for x in row) for row in K.data)
+
+
+def _checked_once_then_by_the_core(calls, cores, result):
+    # the checker runs on the generic candidate alone; each solution is
+    # re-verified by the core, on its residues, in the order of the solutions
+    assert len(calls) == 1
+    assert any(isinstance(x, scalars.Poly) for row in calls[0].data for x in row)
+    assert [(_residues(K), 1) for K in result.solutions] == cores
 
 
 def test_rcw_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
-    calls = count_checks(monkeypatch, "rcw-reynolds")
+    calls, cores = count_checks(monkeypatch, "rcw-reynolds")
     F2, bundle = f2_g3_bundle()
     spec = SearchSpec("rcw-reynolds", bundle, (3, 3), tuple(F2.elements()),
                       fixed={(0, 0): F2(0)})
     result = exhaustive_search(spec, F2)
     assert (result.count_checked, result.count_solutions) == (256, 34)
-    assert len(calls) == 1 + result.count_solutions
-    assert list(result.solutions) == calls[1:]
+    _checked_once_then_by_the_core(calls, cores, result)
 
 
 def test_nijenhuis_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
-    calls = count_checks(monkeypatch, "nijenhuis")
+    calls, cores = count_checks(monkeypatch, "nijenhuis")
     F2 = PrimeField(2)
     g = parse_bundle(str(CORPUS / "g3.json"), "f2").algebra()
     spec = SearchSpec("nijenhuis", {"algebra": g}, (3, 3), tuple(F2.elements()))
     result = exhaustive_search(spec, F2)
     assert (result.count_checked, result.count_solutions) == (512, 48)
-    assert len(calls) == 1 + result.count_solutions
-    assert list(result.solutions) == calls[1:]
+    _checked_once_then_by_the_core(calls, cores, result)
 
 
 def _f2_sections(predicate: str) -> dict:
@@ -324,13 +342,12 @@ def _f2_sections(predicate: str) -> dict:
     ("weighted-reynolds", 80), ("d-reynolds", 16)])
 def test_classical_searches_run_the_checker_once_plus_once_per_solution(
         monkeypatch, predicate, solutions):
-    calls = count_checks(monkeypatch, predicate)
+    calls, cores = count_checks(monkeypatch, predicate)
     F2 = PrimeField(2)
     spec = SearchSpec(predicate, _f2_sections(predicate), (3, 3), tuple(F2.elements()))
     result = exhaustive_search(spec, F2)
     assert (result.count_checked, result.count_solutions) == (512, solutions)
-    assert len(calls) == 1 + result.count_solutions
-    assert list(result.solutions) == calls[1:]
+    _checked_once_then_by_the_core(calls, cores, result)
 
 
 PREPARED = ["rcw-reynolds", "weighted-reynolds", "d-reynolds", "nijenhuis"]
@@ -340,53 +357,116 @@ PREPARED = ["rcw-reynolds", "weighted-reynolds", "d-reynolds", "nijenhuis"]
 def test_search_prepares_the_fixed_data_once(monkeypatch, predicate):
     # the fixed data are lifted, and their tensor rows built, once per
     # search (the twisted semidirect rows, or the algebra's for nijenhuis);
-    # each candidate the checker sees costs one lift of its own
+    # the generic candidate costs one lift of its own, the solutions none:
+    # the core reads them off the sweep's own lift
     F2 = PrimeField(2)
     sections = _f2_sections(predicate)
-    checks = count_checks(monkeypatch, predicate)
+    checks, cores = count_checks(monkeypatch, predicate)
     lifts = count_calls(monkeypatch, scalars, "lift")
     rows = count_calls(monkeypatch, algebra, "nonzero_rows")
     twisted = count_calls(monkeypatch, algebra, "semidirect_rows")
     arrays = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
     per_search = set()
     for fixed in ({}, {(0, 0): F2(0)}, {(2, 2): F2(1), (0, 0): F2(0)}):
-        for calls in (checks, lifts, rows, twisted, arrays):
+        for calls in (checks, cores, lifts, rows, twisted, arrays):
             calls.clear()
         spec = SearchSpec(predicate, sections, (3, 3), tuple(F2.elements()), fixed=fixed)
         result = exhaustive_search(spec, F2)
-        assert len(checks) == 1 + result.count_solutions
-        assert sum(any(args[1][0] is K.data for K in checks) for args in lifts) == len(checks)
+        assert (len(checks), len(cores)) == (1, result.count_solutions)
+        assert sum(args[1][0] is checks[0].data for args in lifts) == 1
         assert (len(rows), len(twisted)) == ((1, 0) if predicate == "nijenhuis" else (0, 1))
         assert len(arrays) == (predicate != "nijenhuis")
-        per_search.add((len(lifts) - len(checks), result.count_solutions))
-    # the lifts beside the candidates' do not grow with the solutions
-    assert len({extra for extra, _ in per_search}) == 1
+        per_search.add((len(lifts), result.count_solutions))
+    # the lifts do not grow with the solutions
+    assert len({count for count, _ in per_search}) == 1
     assert len({found for _, found in per_search}) == 3
+
+
+def _all_predicates_f2() -> list:
+    """One F_2 case of `_predicate_cases` per predicate that has a non-solution."""
+    F2, cases = PrimeField(2), {}
+    for predicate, bundle, shape, fixed, _ in _predicate_cases(PrimeField(2)):
+        spec = SearchSpec(predicate, bundle, shape, tuple(F2.elements()), fixed=fixed)
+        if predicate not in cases and exhaustive_search(spec, F2).count_solutions < spec.count():
+            cases[predicate] = spec
+    assert sorted(cases) == sorted(search_module.PREDICATES)
+    return list(cases.values())
 
 
 @pytest.mark.parametrize("predicate", PREPARED)
 @pytest.mark.parametrize("k", [1, 5])
 def test_a_checker_that_rejects_a_solution_is_an_invariant_error(monkeypatch, predicate, k):
     # the compiled equations accept the k-th solution, its re-verification
-    # rejects it: the two routes disagree, which is a fault in the package
+    # by the checker's integer core rejects it: the two routes disagree,
+    # which is a fault in the package
     prepare = search_module.PREDICATES[predicate]
 
     def rejecting_prepare(bundle):
         check = prepare(bundle)
-        calls = []
+        original, calls = check.core, []
 
-        def rejecting(K):
-            calls.append(K)
-            report = check(K)
-            return Report(False, [((0, 0), (K.field.one,))]) if len(calls) == 1 + k else report
+        def core(ints, one):
+            calls.append(ints)
+            residuals = original(ints, one)
+            return [((0, 0), (1,))] if len(calls) == k else residuals
 
-        return rejecting
+        check.core = core
+        return check
 
     monkeypatch.setitem(search_module.PREDICATES, predicate, rejecting_prepare)
     F2 = PrimeField(2)
     spec = SearchSpec(predicate, _f2_sections(predicate), (3, 3), tuple(F2.elements()))
     with pytest.raises(InvariantError, match="the checker rejects"):
         exhaustive_search(spec, F2)
+
+
+def test_a_sweep_that_accepts_a_non_solution_is_an_invariant_error(monkeypatch):
+    # every predicate's core rejects a candidate that the sweep wrongly adds
+    original = search_module._sweep
+
+    def one_more(levels, values, p):
+        found, nodes = original(levels, values, p)
+        extra = next(c for c in itertools.product(range(len(values)), repeat=len(levels) - 1)
+                     if c not in found)
+        return found + [extra], nodes
+
+    specs = _all_predicates_f2()
+    monkeypatch.setattr(search_module, "_sweep", one_more)
+    message = "the compiled equations accepted a candidate the checker rejects"
+    for spec in specs:
+        with pytest.raises(InvariantError, match=message):
+            exhaustive_search(spec, PrimeField(2))
+
+
+def _fractional_fixed(fixed) -> dict:
+    """The fixed entries moved off the integers: v -> v + 1/3."""
+    return {pos: QQ(v) + QQ("1/3") for pos, v in fixed.items()}
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ], ids=repr)
+def test_each_core_gives_the_checker_verdict_on_every_candidate(field):
+    # the candidates of each case are lifted together, with one D, as the
+    # sweep lifts its domain and fixed entries; over Q the domain has 1/2
+    # and the fixed entries thirds, so D = 6
+    domain = (QQ(0), QQ("1/2"), QQ(-1)) if field == QQ else tuple(field.elements())
+    verdicts, predicates = set(), set()
+    for predicate, bundle, shape, fixed, _ in _predicate_cases(field):
+        if field == QQ:
+            fixed = _fractional_fixed(fixed)
+        spec = SearchSpec(predicate, bundle, shape, domain, fixed=fixed)
+        check = search_module.PREDICATES[predicate](bundle)
+        candidates = [oracles.candidate(spec, values, field)
+                      for values in itertools.product(domain, repeat=spec.free_count())]
+        (D, ints), _ = scalars.lift(field, (field.one, [K.data for K in candidates]))
+        assert D == ((6 if fixed else 2) if field == QQ else 1)
+        p = field.char
+        for K, k in zip(candidates, ints):
+            ok = check(K).ok
+            assert ok == (not any(x % p if p else x for _, r in check.core(k, D) for x in r))
+            verdicts.add(ok)
+        predicates.add(predicate)
+    assert verdicts == {True, False}
+    assert predicates == set(search_module.PREDICATES)
 
 
 def test_rcw_search_checks_the_cocycle_once(monkeypatch):
