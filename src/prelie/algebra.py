@@ -13,12 +13,15 @@ The constructors of `PreLieAlgebra` and `Representation` verify by
 default, so any instance passed around the package has survived its
 axioms.
 
-The pre-Lie identity is written once, in `prelie_defects`.  A
-representation (V; L, R) is exactly an action that makes the semidirect
-product g + V of `semidirect_tensor` pre-Lie, and an NS-pre-Lie structure
-is one on a twisted semidirect product (`nsprelie.check_ns_prelie`), so
-`check_prelie`, `check_representation` and `check_ns_prelie` each read
-the one kernel at their own basis triples and coordinates.
+The pre-Lie identity is written once, in `prelie_defects`, in
+commutator form [a,b].c - a.(b.c) + b.(a.c).  A checker passes at once
+when every defect of its one pass is 0, else reads its violations off
+them.  A representation (V; L, R) is exactly an action that makes the
+semidirect product g + V of `semidirect_tensor` pre-Lie, and an
+NS-pre-Lie structure is one on a twisted semidirect product
+(`nsprelie.check_ns_prelie`), so `check_prelie`, `check_representation`
+and `check_ns_prelie` each read the one kernel at their own basis
+triples and coordinates.
 
 The morphism identity F(a).F(b) = F(a.b) is written once, in
 `morphism_defects`, on the integer lift, for `check_morphism` and
@@ -213,26 +216,35 @@ def family_products(entries, left, right) -> list:
 
 
 def prelie_defects(rows, triples, start):
-    """(a.b).c - a.(b.c) - (b.a).c + b.(a.c) at each basis triple (a, b, c).
+    """[a,b].c - a.(b.c) + b.(a.c) at each basis triple (a, b, c).
 
-    The one evaluation of the pre-Lie identity in the package.  ``rows``
-    are the `nonzero_rows` of a tensor of ints (lifted constants); each
-    residual is yielded as a list of ints, its coordinates ``start``
-    onwards, homogeneous of degree 2 in the constants.  A triple costs
-    the products of the rows it touches.
+    The one evaluation of the pre-Lie identity, (a.b).c - a.(b.c) -
+    (b.a).c + b.(a.c) in commutator form.  ``rows`` are the `nonzero_rows`
+    of a tensor of ints; each residual is yielded as a list of ints, its
+    coordinates ``start`` onwards, homogeneous of degree 2 in the
+    constants.  The row of [a,b] is built once per pair and read for every c.
     """
     dim = len(rows)
     tails = [[[(k - start, x) for k, x in row if k >= start] for row in plane]
              for plane in rows]
+    brackets = {}
     for a, b, c in triples:
+        ab = brackets.get((a, b))
+        if ab is None:
+            w = dict(rows[a][b])
+            for k, x in rows[b][a]:
+                w[k] = w.get(k, 0) - x
+            ab = brackets[a, b] = [(k, x) for k, x in w.items() if x]
         out = [0] * (dim - start)
-        for sign, p, q in ((1, a, b), (-1, b, a)):
-            for k, x in rows[p][q]:  # (p.q).c
-                for t, y in tails[k][c]:
-                    out[t] += sign * x * y
-            for k, x in rows[q][c]:  # p.(q.c)
-                for t, y in tails[p][k]:
-                    out[t] -= sign * x * y
+        for k, x in ab:  # [a,b].c
+            for t, y in tails[k][c]:
+                out[t] += x * y
+        for k, x in rows[b][c]:  # a.(b.c)
+            for t, y in tails[a][k]:
+                out[t] -= x * y
+        for k, x in rows[a][c]:  # b.(a.c)
+            for t, y in tails[b][k]:
+                out[t] += x * y
         yield out
 
 
@@ -253,13 +265,18 @@ def prelie_report(t, back) -> Report:
     n = len(t)
     # symmetric in (i, j); i == j is trivial
     triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
-    return lifted_report(zip(triples, prelie_defects(nonzero_rows(t), triples, 0)), back)
+    defects = list(prelie_defects(nonzero_rows(t), triples, 0))
+    return lifted_report(zip(triples, defects), back) if any(map(any, defects)) else Report(True)
 
 
 def minus_defects(rows, triples, start: int):
     """(a, b, c) -> minus the pre-Lie defect there, off one `prelie_defects` pass over
-    ``triples``, a < b: (b, a, c) reads the negative, the defect being antisymmetric."""
-    defects = dict(zip(triples, prelie_defects(rows, triples, start)))
+    ``triples``, a < b: (b, a, c) reads the negative, the defect being antisymmetric.
+    None if every defect vanishes."""
+    defects = list(prelie_defects(rows, triples, start))
+    if not any(map(any, defects)):
+        return None
+    defects = dict(zip(triples, defects))
     return lambda a, b, c: [-x for x in defects[a, b, c]] if a < b else defects[b, a, c]
 
 
@@ -400,7 +417,7 @@ def representation_report(c, dim_v: int, L, R, back) -> Report:
     left = [(i, j, n + u) for i in r for j in r[i + 1:] for u in vs]
     mixed = [(i, n + u, j) for i in r for j in r for u in vs]
     minus = minus_defects(semidirect_rows(c, dim_v, L, R), left + mixed, n)
-    return lifted_report(
+    return Report(True) if minus is None else lifted_report(
         (((name, i, j, u), minus(i, j, n + u) if name == "left" else minus(i, n + u, j))
          for i in r for j in r for u in vs
          for name in ("left", "mixed") if name == "mixed" or i != j), back)

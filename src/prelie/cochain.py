@@ -333,8 +333,9 @@ def cocycle_report(a: PreLieAlgebra, twisted: tuple) -> Report:
     minus the V-part of the pre-Lie defect there, read at x < y (`algebra.minus_defects`)."""
     (rows, D), r = twisted, range(a.dim)
     dH = minus_defects(rows, [(x, y, z) for x in r for y in r[x + 1:] for z in r], a.dim)
-    return lifted_report((((x, y, z), dH(x, y, z)) for x in r for y in r if x != y for z in r),
-                         descend(a.field, D ** 2))
+    return Report(True) if dH is None else lifted_report(
+        (((x, y, z), dH(x, y, z)) for x in r for y in r if x != y for z in r),
+        descend(a.field, D ** 2))
 
 
 def check_two_cocycle(a: PreLieAlgebra, rep: Representation, H: Cochain) -> Report:

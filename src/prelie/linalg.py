@@ -277,6 +277,8 @@ def _clear(row: dict, pivot: dict, c: int, p: int) -> dict:
     a, b = pivot[c], row[c]
     g = gcd(a, b)
     a, b = a // g, b // g
+    if a == -1:  # -(a row - b pivot), unscaled
+        a, b = 1, -b
     out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
     for j, v in pivot.items():
         s = out.get(j, 0) - b * v

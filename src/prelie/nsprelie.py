@@ -86,10 +86,13 @@ def _ns_report(field, tri, trl, circ) -> Report:
     axioms = {"A1": (1, [(i, j, n + k) for i, j, k in triples]),
               "A2": (-1, [(i, n + j, k) for i, j, k in triples]),
               "A3": (1, triples)}
-    defects = prelie_defects(semidirect_rows(star, n, L, R, circ),
-                             [t for _, shifted in axioms.values() for t in shifted], n)
+    defects = list(prelie_defects(semidirect_rows(star, n, L, R, circ),
+                                  [t for _, shifted in axioms.values() for t in shifted], n))
+    if not any(map(any, defects)):
+        return _combine({name: Report(True) for name in axioms})
     # each axiom takes the next n^3 defects: zip stops at the end of
     # `triples` before it draws from `defects`
+    defects = iter(defects)
     return _combine({
         name: lifted_report(zip(triples, defects), lambda d, sign=sign: down(
             [sign * x for x in d], 2))

@@ -77,7 +77,7 @@ from .errors import (
     reverified,
 )
 from .linalg import Matrix, basis_vec, neg_vec, scale_vec
-from .scalars import descend, lift, scalar_to_str
+from .scalars import descend, lift
 
 
 def _check_operator_shape(g: PreLieAlgebra, rep: Representation, K: Matrix):
@@ -182,7 +182,8 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
 def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
     """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`, and
     ``frames.check``, `reynolds_checker` on it, with the integer core ``check.core(k, one)``
-    of `reynolds_residuals`."""
+    of `reynolds_residuals`.  ``frames.checked(K)``: (``check(K)``, a thunk of K's
+    frame) on one lift."""
     field, (rows, Dg), m = g.field, twisted, rep.dim_v
     entries = nonzero_entries(rows)
 
@@ -191,17 +192,22 @@ def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
         (k, DK), _ = lift(field, (K.data, field.one))
         return k, DK, lambda degree, d=1, e=1: descend(field, e * Dg ** d * DK ** degree)
 
-    def check(K: Matrix) -> Report:
-        k, DK, back = lifted(K)
-        return _reynolds_report(entries, k, DK, back(3))
-
-    def frame(K: Matrix):
-        k, DK, back = lifted(K)
+    def framed(k, DK, back):
         mul, graph, p = graph_frame(entries, list(zip(*k)) if k else [()] * m, DK)  # k = (): n = 0
         return mul, graph, p, mul(graph, graph), back
 
+    def checked(K: Matrix) -> tuple:
+        k, DK, back = lifted(K)
+        return _reynolds_report(entries, k, DK, back(3)), lambda: framed(k, DK, back)
+
+    def check(K: Matrix) -> Report:
+        return checked(K)[0]
+
+    def frame(K: Matrix):
+        return framed(*lifted(K))
+
     check.core = partial(reynolds_residuals, entries)
-    frame.check = check
+    frame.check, frame.checked = check, checked
     return frame
 
 
@@ -255,9 +261,9 @@ class ReynoldsData:
         rows = [row for plane in self.algebra.product for row in plane]
         rows += [row for M in (*self.rep.L, *self.rep.R) for row in M.data]
         rows += [*self.cocycle.values, *self.operator.data]
-        parts = [str(self.algebra.field), str(self.algebra.dim), str(self.rep.dim_v)]
-        parts += [scalar_to_str(x) for row in rows for x in row]
-        return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+        parts = [self.algebra.field, self.algebra.dim, self.rep.dim_v]
+        parts += [x for row in rows for x in row]
+        return hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()[:16]
 
 
 def _on_regular(g: PreLieAlgebra, weight) -> tuple:
@@ -307,10 +313,10 @@ def star_product(g: PreLieAlgebra, K: Matrix, weight) -> PreLieAlgebra:
     pre-Lie and K stays a weighted Reynolds operator for the new product;
     these two facts are re-verified here.
     """
-    frames = operator_frames(g, *weighted_pair(g, weight))
-    if not frames.check(K).ok:
+    report, frame = operator_frames(g, *weighted_pair(g, weight)).checked(K)
+    if not report.ok:
         raise UnverifiedOperatorError("operator fails the weighted Reynolds identity")
-    star = reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frames(K)))
+    star = reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frame()))
     if not check_weighted_reynolds(star, K, weight).ok:
         raise InvariantError("K is not a weighted Reynolds operator on the new product")
     return star
@@ -366,10 +372,11 @@ def check_graph_subalgebra(g: PreLieAlgebra, rep: Representation, H: Cochain,
     tests).  Off the graph w itself is the residual.
     """
     _check_operator_shape(g, rep, K)
-    frames = _frames(g, rep, _require_cocycle(g, rep, H))
-    *_, products, back = frames(K)
-    return residual_report(((u, v), back(2)(products[u][v]))
-                           for (u, v), _ in frames.check(K).violations)
+    report, frame = _frames(g, rep, _require_cocycle(g, rep, H)).checked(K)
+    if report.ok:
+        return report
+    *_, products, back = frame()
+    return residual_report(((u, v), back(2)(products[u][v])) for (u, v), _ in report.violations)
 
 
 def induced_product(data: ReynoldsData) -> PreLieAlgebra:
@@ -450,10 +457,11 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
         raise NotAdmissibleError("id + B K is singular; B is not admissible")
     gauged = K * inv
     frames = operator_frames(g, rep, H)  # H verified with the bundle
-    if not frames.check(gauged).ok:
+    report, frame = frames.checked(gauged)
+    if not report.ok:
         raise InvariantError("gauged operator fails the Reynolds identity")
-    source, target = (reverified(PreLieAlgebra, g.field, _induced_table(g.dim, frames(M)))
-                      for M in (K, gauged))
+    source, target = (reverified(PreLieAlgebra, g.field, _induced_table(g.dim, f))
+                      for f in (frames(K), frame()))
     if not check_morphism(source, target, bundle).ok:
         raise InvariantError("id + B K is not an isomorphism of induced products")
     return gauged

@@ -220,11 +220,6 @@ class RationalField:
     def parse(self, s: str) -> Fraction:
         return Fraction(s.strip())
 
-    def format(self, x: Fraction) -> str:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-
     def elements(self):
         from .errors import InfiniteFieldError
 
@@ -381,6 +376,6 @@ def scalar_to_str(x) -> str:
     if isinstance(x, FpElement):
         return f"{x.value} mod {x.p}"
     if isinstance(x, Fraction):
-        return QQ.format(x)
+        return str(x)
     raise TypeError(f"not a scalar: {x!r}")
 

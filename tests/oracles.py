@@ -89,6 +89,11 @@ formulas evaluated directly on the field scalars.  `field_check_derivation`
 is the derivation identity written out the same way, as the library had
 it before it read the identity as dD = 0 in the regular representation.
 
+`four_term_prelie_defects` is the pre-Lie kernel as the library wrote it
+before it read the identity in commutator form: (a.b).c - a.(b.c) -
+(b.a).c + b.(a.c), four products per triple, no commutator row shared
+between triples (`algebra.prelie_defects`).
+
 `basis_dk_columns` is the loop that `dk-consistency` ran before it read
 the identity d_K f = (-1)^{n-1} d f off one generic evaluation
 (`brackets.dk_difference`): d_K on every basis cochain, compared with
@@ -932,6 +937,23 @@ def field_check_prelie(field, tensor) -> Report:
         ((i, j, k), sub_vec(associator(basis[i], basis[j], basis[k]),
                             associator(basis[j], basis[i], basis[k])))
         for i in range(n) for j in range(i + 1, n) for k in range(n))
+
+
+def four_term_prelie_defects(rows, triples, start):
+    """(a.b).c - a.(b.c) - (b.a).c + b.(a.c) at each triple, as `algebra.prelie_defects`."""
+    dim = len(rows)
+    tails = [[[(k - start, x) for k, x in row if k >= start] for row in plane]
+             for plane in rows]
+    for a, b, c in triples:
+        out = [0] * (dim - start)
+        for sign, p, q in ((1, a, b), (-1, b, a)):
+            for k, x in rows[p][q]:  # (p.q).c
+                for t, y in tails[k][c]:
+                    out[t] += sign * x * y
+            for k, x in rows[q][c]:  # p.(q.c)
+                for t, y in tails[p][k]:
+                    out[t] -= sign * x * y
+        yield out
 
 
 def field_check_derivation(a: PreLieAlgebra, d: Matrix) -> Report:

@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import random
+import textwrap
 
 import pytest
 
@@ -16,7 +19,7 @@ from conftest import (
     truncated_poly_algebra,
     zero_representation,
 )
-from oracles import act_L, act_R, left_mult, right_mult
+from oracles import act_L, act_R, four_term_prelie_defects, left_mult, right_mult
 from prelie.algebra import (
     PreLieAlgebra,
     check_derivation,
@@ -28,6 +31,7 @@ from prelie.algebra import (
     subadjacent_lie,
 )
 from prelie.bundle import parse_bundle
+from prelie.cochain import Cochain, check_two_cocycle
 from prelie.errors import InvariantError, NoUnitError, ShapeError, UnverifiedError
 from prelie.linalg import Matrix, add_vec
 from prelie.scalars import QQ, Poly, PrimeField
@@ -210,23 +214,103 @@ def test_left_right_mult_matrices():
     assert right_mult(a, x).apply((0, 1)) == (QQ(0), QQ(1))
 
 
-def test_each_axiom_checker_makes_one_prelie_defects_pass(monkeypatch):
+def _broken(tensor, where=(0, 1, 2)):
+    """A copy of a cubical table with 1 added at ``where``."""
+    out = [[list(row) for row in plane] for plane in tensor]
+    i, j, k = where
+    out[i][j][k] += 1
+    return out
+
+
+def _axiom_checks():
+    """(name, check, start, verdict): each axiom checker on an input that passes and on
+    one that fails, with the first coordinate its `prelie_defects` pass keeps."""
     a = g3_algebra()
     rep = regular_representation(a)
     ns = parse_bundle(str(CORPUS / "ns3.json")).nsprelie()
-    kernel = algebra.prelie_defects
+    L = [Matrix(QQ, M) for M in _broken([M.data for M in rep.L], (1, 2, 1))]
+    H = Cochain(QQ, 2, 3, 3, [[QQ(int(i == 3 and k == 2)) for k in range(3)]
+                              for i in range(9)])  # H(e_2, e_1) = e_3
+    return [
+        ("prelie", lambda: check_prelie(QQ, a.product), 0, True),
+        ("broken-tensor", lambda: check_prelie(QQ, _broken(a.product)), 0, False),
+        ("representation", lambda: check_representation(a, 3, rep.L, rep.R), 3, True),
+        ("broken-representation", lambda: check_representation(a, 3, L, rep.R), 3, False),
+        ("cocycle", lambda: check_two_cocycle(a, rep, Cochain.zero(QQ, 2, 3, 3)), 3, True),
+        ("non-cocycle", lambda: check_two_cocycle(a, rep, H), 3, False),
+        ("ns", lambda: nsprelie.check_ns_prelie(QQ, ns.tri, ns.trl, ns.circ), ns.dim, True),
+        ("broken-ns", lambda: nsprelie.check_ns_prelie(QQ, _broken(ns.tri), ns.trl, ns.circ),
+         ns.dim, False),
+    ]
+
+
+def test_each_axiom_checker_makes_one_prelie_defects_pass(monkeypatch):
+    # one kernel pass whether the check passes or fails, and the same report
+    # as the four-term kernel gives
     starts = []
 
-    def counted(tensor, triples, start):
-        starts.append(start)
-        return kernel(tensor, triples, start)
+    def counted(kernel):
+        def run(rows, triples, start):
+            starts.append(start)
+            return kernel(rows, triples, start)
+        return run
 
-    for module in (algebra, nsprelie):
-        monkeypatch.setattr(module, "prelie_defects", counted, raising=False)
-    checks = [(lambda: check_prelie(QQ, a.product), 0),
-              (lambda: check_representation(a, 3, rep.L, rep.R), 3),
-              (lambda: nsprelie.check_ns_prelie(QQ, ns.tri, ns.trl, ns.circ), ns.dim)]
-    for check, start in checks:
-        starts.clear()
-        assert check().ok
-        assert starts == [start]
+    for name, check, start, verdict in _axiom_checks():
+        reports = []
+        for kernel in (algebra.prelie_defects, four_term_prelie_defects):
+            for module in (algebra, nsprelie):
+                monkeypatch.setattr(module, "prelie_defects", counted(kernel), raising=False)
+            starts.clear()
+            reports.append(check())
+            assert starts == [start], name
+        monkeypatch.undo()
+        report, oracle = reports
+        assert report.ok is verdict, name
+        assert report == oracle and report.parts == oracle.parts, name
+
+
+def _random_rows(rng: random.Random, dim: int) -> list:
+    """`nonzero_rows` of a random int tensor, half of its entries 0."""
+    return algebra.nonzero_rows([[[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(dim)]
+                                  for _ in range(dim)] for _ in range(dim)])
+
+
+def _kernel_cases() -> list:
+    rng = random.Random(3701)
+    cases = []
+    for dim in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            rows = _random_rows(rng, dim)
+            triples = list(itertools.product(range(dim), repeat=3))
+            rng.shuffle(triples)  # a pair's commutator row is read out of order too
+            cases += [(rows, triples, start) for start in range(dim + 1)]
+    return cases
+
+
+def _kernel_mismatches(kernel) -> int:
+    return sum(list(kernel(rows, triples, start))
+               != list(four_term_prelie_defects(rows, triples, start))
+               for rows, triples, start in _kernel_cases())
+
+
+def test_the_commutator_kernel_matches_the_four_term_oracle():
+    # every start and all triples, a = b and a > b included
+    assert _kernel_mismatches(algebra.prelie_defects) == 0
+    assert any(any(map(any, four_term_prelie_defects(*case))) for case in _kernel_cases())
+
+
+# each mutant of the kernel must disagree with the four-term oracle
+_KERNEL_MUTANTS = {
+    "drop-b-times-a-times-c": ("for k, x in rows[a][c]:  # b.(a.c)", "for k, x in ():"),
+    "a-times-b-for-the-commutator": ("for k, x in rows[b][a]:", "for k, x in ():"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_MUTANTS))
+def test_a_kernel_mutant_disagrees_with_the_four_term_oracle(case):
+    term, replacement = _KERNEL_MUTANTS[case]
+    source = textwrap.dedent(inspect.getsource(algebra.prelie_defects))
+    assert source.count(term) == 1
+    namespace = dict(vars(algebra))
+    exec(compile(source.replace(term, replacement), algebra.__file__, "exec"), namespace)
+    assert _kernel_mismatches(namespace["prelie_defects"]) > 0

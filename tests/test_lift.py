@@ -426,3 +426,29 @@ def test_a_unital_algebra_lifts_its_product_once(monkeypatch):
                         if not field_is_unit(PreLieAlgebra(QQ, case[0]), case[1]))
     with pytest.raises(UnverifiedError, match="not a two-sided unit"):
         PreLieAlgebra(QQ, tensor, unit=u)
+
+
+@pytest.mark.parametrize("command, lifts", [
+    (("construct", "star", "corpus/weighted-star.json"), 6),
+    (("construct", "gauge", "corpus/g3-gauge-shift.json"), 11),
+], ids=["star", "gauge"])
+def test_a_construction_lifts_each_operator_once_for_its_check_and_frame(monkeypatch, command,
+                                                                        lifts):
+    # the Reynolds check of K and the frame read off K share one lift of K
+    from cli_sweep import run
+
+    calls = count_calls(monkeypatch, scalars, "lift")
+    assert run(command)[0] == 0
+    assert len(calls) == lifts
+
+
+def test_a_graph_that_is_a_subalgebra_builds_no_products(monkeypatch, g3_data):
+    from prelie import reynolds
+
+    g, rep, H, K = g3_data.algebra, g3_data.rep, g3_data.cocycle, g3_data.operator
+    products = count_calls(monkeypatch, algebra, "family_products")
+    assert reynolds.check_graph_subalgebra(g, rep, H, K).ok
+    assert products == []
+    bad = Matrix(QQ, [[x + 1 for x in row] for row in K.data])
+    report = reynolds.check_graph_subalgebra(g, rep, H, bad)
+    assert not report.ok and len(products) == 1
