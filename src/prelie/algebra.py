@@ -52,7 +52,7 @@ from .errors import (
     ShapeError,
     UnverifiedError,
 )
-from .linalg import Matrix, add_vec, is_zero_vec, neg_vec, sub_vec
+from .linalg import Matrix, _matrix, add_vec, is_zero_vec, neg_vec, sub_vec
 from .scalars import descend, lift, scalar_to_str
 
 
@@ -104,9 +104,19 @@ def _combine(parts: dict) -> Report:
 
 
 class _Tensor(tuple):
-    """A tensor `_as_tensor` coerced."""
+    """A tensor coerced into ``field`` by `_as_tensor`, or by `bundle._parse_scalar`, the
+    one coercion on a bundle file's path."""
 
-    __slots__ = ()
+    def __new__(cls, planes, field):
+        self = super().__new__(cls, (tuple(map(tuple, plane)) for plane in planes))
+        self.field = field
+        return self
+
+
+def _coerced(field, tensor):
+    """``tensor`` if a `_Tensor` of ``field``, else `_as_tensor` of it."""
+    same = type(tensor) is _Tensor and tensor.field == field
+    return tensor if same else _as_tensor(field, tensor)
 
 
 def _as_tensor(field, tensor):
@@ -120,9 +130,9 @@ def _as_tensor(field, tensor):
         for j, row in enumerate(plane):
             if len(row) != n:
                 raise ShapeError(f"tensor not cubical at ({i},{j})")
-            rows.append(tuple(field(x) for x in row))
-        out.append(tuple(rows))
-    return _Tensor(out)
+            rows.append([field(x) for x in row])
+        out.append(rows)
+    return _Tensor(out, field)
 
 
 def semidirect_rows(product, dim_v, L, R, H=None) -> list:
@@ -143,10 +153,11 @@ def semidirect_rows(product, dim_v, L, R, H=None) -> list:
 
     rows = [[nonzero(enumerate(product[i][j])) + (nonzero(enumerate(H[i][j]), n) if H else [])
              for j in range(n)]
-            + [nonzero(((k, row[u]) for k, row in enumerate(L[i])), n) for u in range(m)]
+            + [nonzero(enumerate(col), n) for col in zip(*L[i])]
             for i in range(n)]
-    return rows + [[nonzero(((k, row[u]) for k, row in enumerate(R[i])), n) for i in range(n)]
-                   + [[]] * m for u in range(m)]
+    right = [list(zip(*M)) for M in R]  # the columns of each R_i
+    return rows + [[nonzero(enumerate(col[u]), n) for col in right] + [[]] * m
+                   for u in range(m)]
 
 
 def semidirect_tensor(product, dim_v, L, R, H=None) -> list:
@@ -254,9 +265,7 @@ def check_prelie(field, tensor) -> Report:
     Passes iff (ei.ej).ek - ei.(ej.ek) = (ej.ei).ek - ej.(ei.ek) for every
     (i, j, k); failures carry the residual vector of the difference.
     """
-    if type(tensor) is not _Tensor:
-        tensor = _as_tensor(field, tensor)
-    (t,), down = lift(field, (tensor,))
+    (t,), down = lift(field, (_coerced(field, tensor),))
     return prelie_report(t, lambda r: down(r, 2))
 
 
@@ -298,7 +307,7 @@ class PreLieAlgebra:
     __slots__ = ("field", "dim", "product", "unit", "labels")
 
     def __init__(self, field, product, unit=None, labels=None, *, check: bool = True):
-        product = _as_tensor(field, product)
+        product = _coerced(field, product)
         if unit is not None:
             unit = tuple(field(x) for x in unit)
         if check:
@@ -466,8 +475,8 @@ def action_arrays(a: PreLieAlgebra, rep: Representation) -> tuple:
 def regular_representation(a: PreLieAlgebra) -> Representation:
     """The algebra acting on itself, off the table: L_i e_j = e_i.e_j, R_i e_j = e_j.e_i."""
     c, n = a.product, a.dim
-    L = [Matrix(a.field, list(zip(*c[i])), n) for i in range(n)]
-    R = [Matrix(a.field, list(zip(*(c[j][i] for j in range(n)))), n) for i in range(n)]
+    L = [_matrix(a.field, tuple(zip(*c[i])), n) for i in range(n)]
+    R = [_matrix(a.field, tuple(zip(*(c[j][i] for j in range(n)))), n) for i in range(n)]
     return Representation(a, n, L, R, check=False)
 
 

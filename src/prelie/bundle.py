@@ -22,7 +22,9 @@ Sections (all optional; a command demands the ones it uses):
 Indices in files are 1-based; everything in memory is 0-based.  Scalars
 are JSON strings ("3", "-1/2", "2 mod 3"); plain integers are accepted
 and coerced through the declared field, so fixtures can be stored
-field-generically and re-read under any --field.
+field-generically and re-read under any --field.  `_parse_scalar` is the
+one coercion of a file's scalars: `algebra._Tensor` and `linalg._matrix`
+keep its values as they are.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .algebra import PreLieAlgebra, Representation, regular_representation
+from .algebra import PreLieAlgebra, Representation, _Tensor, regular_representation
 from .cochain import Cochain
 from .errors import FieldMismatchError, IoError, SchemaError, UnverifiedError
-from .linalg import Matrix
+from .linalg import Matrix, _matrix
 from .nsprelie import NSPreLie
 from .reynolds import ReynoldsData
 from .scalars import field_by_name, field_name, scalar_to_str
@@ -72,12 +74,16 @@ def _parse_scalar(field, v, path):
     raise SchemaError(path, f"scalar must be a string or integer, got {type(v).__name__}")
 
 
+def _scalars(field, values, path) -> tuple:
+    return tuple(_parse_scalar(field, v, f"{path}/{t}") for t, v in enumerate(values))
+
+
 # ---------------------------------------------------------------------------
 # per-object (de)serializers
 
 
-def algebra_tensor_from_json(field, obj, path="/algebra") -> list:
-    """The structure-constant tensor of an algebra section, unverified."""
+def algebra_tensor_from_json(field, obj, path="/algebra") -> _Tensor:
+    """The structure-constant tensor of an algebra section, coerced, unverified."""
     dim = _dim(obj, "dim", path)
     z = field.zero
     tensor = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
@@ -89,7 +95,7 @@ def algebra_tensor_from_json(field, obj, path="/algebra") -> list:
         if not all(0 <= t < dim for t in (i, j, k)):
             raise SchemaError(ipath, "index out of range")
         tensor[i][j][k] = _parse_scalar(field, _want(item, "c", None, ipath), f"{ipath}/c")
-    return tensor
+    return _Tensor(tensor, field)
 
 
 def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
@@ -100,8 +106,7 @@ def algebra_from_json(field, obj, path="/algebra") -> PreLieAlgebra:
         raw = obj["unit"]
         if not isinstance(raw, list) or len(raw) != dim:
             raise SchemaError(f"{path}/unit", f"expected a list of {dim} scalars")
-        unit = tuple(_parse_scalar(field, v, f"{path}/unit/{t}")
-                     for t, v in enumerate(raw))
+        unit = _scalars(field, raw, f"{path}/unit")
     labels = obj.get("labels")
     if labels is not None and not (isinstance(labels, list) and len(labels) == dim
                                    and all(isinstance(s, str) for s in labels)):
@@ -134,9 +139,8 @@ def matrix_from_json(field, obj, path="/matrix") -> Matrix:
     for r, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{path}/entries/{r}", f"expected {cols} entries")
-        data.append([_parse_scalar(field, v, f"{path}/entries/{r}/{c}")
-                     for c, v in enumerate(row)])
-    return Matrix(field, data)
+        data.append(_scalars(field, row, f"{path}/entries/{r}"))
+    return _matrix(field, tuple(data), cols)
 
 
 def matrix_to_json(m: Matrix) -> dict:
@@ -168,8 +172,7 @@ def cochain_from_json(field, obj, path="/cochain") -> Cochain:
         vec = _want(item, "v", list, ipath)
         if len(vec) != m:
             raise SchemaError(f"{ipath}/v", f"expected {m} coordinates")
-        entries[(fb, last)] = tuple(_parse_scalar(field, v, f"{ipath}/v/{t}")
-                                    for t, v in enumerate(vec))
+        entries[(fb, last)] = _scalars(field, vec, f"{ipath}/v")
     return Cochain.from_entries(field, degree, d, m, entries)
 
 
@@ -201,10 +204,8 @@ def representation_from_json(field, obj, algebra: PreLieAlgebra,
             if not isinstance(rows, list) or len(rows) != dim_v \
                     or any(not isinstance(r, list) or len(r) != dim_v for r in rows):
                 raise SchemaError(f"{path}/{side}/{t}", f"expected a {dim_v}x{dim_v} matrix")
-            out.append(Matrix(field, [
-                [_parse_scalar(field, v, f"{path}/{side}/{t}/{r}/{c}")
-                 for c, v in enumerate(row)]
-                for r, row in enumerate(rows)]))
+            out.append(_matrix(field, tuple(_scalars(field, row, f"{path}/{side}/{t}/{r}")
+                                            for r, row in enumerate(rows)), dim_v))
         return out
 
     try:
@@ -244,7 +245,7 @@ def _ns_tensor_from_json(field, obj, dim, path):
             if not 0 <= k < dim:
                 raise SchemaError(f"{path}/{key}/{kk}", "index out of range")
             tensor[i][j][k] = _parse_scalar(field, c, f"{path}/{key}/{kk}")
-    return tensor
+    return _Tensor(tensor, field)
 
 
 def ns_tensors_from_json(field, obj, path="/nsprelie") -> list:
@@ -346,8 +347,7 @@ class Bundle:
         g = self.algebra()
         if not isinstance(raw, list) or len(raw) != g.dim:
             raise SchemaError("/element", f"expected {g.dim} coordinates")
-        return tuple(_parse_scalar(self.field, v, f"/element/{i}")
-                     for i, v in enumerate(raw))
+        return _scalars(self.field, raw, "/element")
 
     def weight(self):
         return _parse_scalar(self.field, self.section("weight"), "/weight")

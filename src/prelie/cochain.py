@@ -133,9 +133,8 @@ class Cochain:
             fb = tuple(fb)
             if (fb, last) not in vals:
                 raise ShapeError(f"key {(fb, last)} is not canonical")
-            vals[(fb, last)] = tuple(field(x) for x in v)
-        return cls(field, degree, dim_source, dim_target,
-                   [vals[k] for k in cochain_keys(dim_source, degree)])
+            vals[(fb, last)] = v
+        return cls(field, degree, dim_source, dim_target, list(vals.values()))
 
     @classmethod
     def from_matrix(cls, m: Matrix):

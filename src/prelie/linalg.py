@@ -4,8 +4,9 @@ Matrices are immutable, stored dense and row-major, and every entry lives
 in one field.  Their arithmetic does work only on nonzero entries: a
 product multiplies only pairs of nonzero entries, and a sum, difference
 or scaling passes a zero operand through untouched.  Results of matrix
-arithmetic are built from entries that are already field elements; only
-`Matrix(field, data)` coerces and shape-checks data from outside.
+arithmetic are built from entries that are already field elements, as is
+a bundle's matrix, whose one coercion is `bundle._parse_scalar`; only
+`Matrix(field, data)` coerces and shape-checks other data from outside.
 
 Coboundary matrices are mostly zeros, so they also have a sparse form: a
 matrix given as a list of rows, each a dict {column: nonzero scalar}.

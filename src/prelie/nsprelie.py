@@ -15,7 +15,7 @@ L_x = x|>. and R_x = .<|x, twisted by o, is a pre-Lie semidirect
 product, and `check_ns_prelie` reads them off the one pre-Lie kernel
 `algebra.prelie_defects` (the signs are in SIGNS.md).
 
-The Nijenhuis identity and the deformed product are read off one
+The Nijenhuis identity and the tables of N are read off one
 evaluation of N on the integer lift (`_nijenhuis_frame`).
 
 The three sources of NS-structures implemented here: Nijenhuis operators on a
@@ -33,7 +33,7 @@ from .algebra import (
     PreLieAlgebra,
     Report,
     Representation,
-    _as_tensor,
+    _coerced,
     _combine,
     family_products,
     int_basis,
@@ -68,11 +68,11 @@ def check_ns_prelie(field, tri, trl, circ) -> Report:
     `prelie_defects` pass.  The three tensors are lifted to ints together
     (`scalars.lift`); each axiom is homogeneous of degree 2 in them.
     """
-    return _ns_report(field, *(_as_tensor(field, t) for t in (tri, trl, circ)))
+    return _ns_report(field, *(_coerced(field, t) for t in (tri, trl, circ)))
 
 
 def _ns_report(field, tri, trl, circ) -> Report:
-    """`check_ns_prelie` on three tensors already coerced by `algebra._as_tensor`."""
+    """`check_ns_prelie` on three tensors already coerced (`algebra._coerced`)."""
     n = len(tri)
     if len(trl) != n or len(circ) != n:
         raise ShapeError("the three tensors must share one dimension")
@@ -105,7 +105,7 @@ class NSPreLie:
     __slots__ = ("field", "dim", "tri", "trl", "circ")
 
     def __init__(self, field, tri, trl, circ):
-        tri, trl, circ = (_as_tensor(field, t) for t in (tri, trl, circ))
+        tri, trl, circ = (_coerced(field, t) for t in (tri, trl, circ))
         report = _ns_report(field, tri, trl, circ)
         if not report.ok:
             raise UnverifiedNSError(
@@ -136,7 +136,7 @@ def subadjacent(ns: NSPreLie) -> PreLieAlgebra:
 
 
 def _nijenhuis_frame(g: PreLieAlgebra):
-    """The Nijenhuis identity on the integer lift, prepared once: N -> (report, table).
+    """The Nijenhuis identity on the integer lift, prepared once: N -> (report, table, ns).
 
     The structure constants are lifted once (denominator D_g), each N
     alone (D_N).  One scatter over the nonzero constants e_a.e_b, as in
@@ -146,12 +146,13 @@ def _nijenhuis_frame(g: PreLieAlgebra):
     its field value and Ne_i.Ne_j - N(e_i ._N e_j) D_g D_N^2 times
     (`SIGNS.md`): the `Report` of the second and ``table()`` of the
     first, mapped back; `scalars.Poly` entries coefficient by coefficient.
+    ``ns()`` reads the tables of `ns_from_nijenhuis` off the same lift.
     Its integer core ``evaluate.core(k, one)`` gives the residuals at N
     lifted to rows k, whatever the scale ``one``.
     """
     field, n = g.field, g.dim
     (c, Dg), _ = lift(field, (g.product, field.one))
-    entries = nonzero_entries(nonzero_rows(c))
+    entries, e = nonzero_entries(nonzero_rows(c)), int_basis(n, n)
 
     def scatter(k) -> tuple:
         at = [[(i, x) for i, x in enumerate(row) if x] for row in k]  # Ne_i has x at a
@@ -177,16 +178,22 @@ def _nijenhuis_frame(g: PreLieAlgebra):
             add(out, key, -1, [(s, z * y) for t, z in enumerate(d) if z for s, y in cols[t]])
         return deformed, sorted(out.items())
 
+    def ns(k, back) -> list:  # |>, <| and o, D_g D_N times their field values
+        cols = list(zip(*k))  # N e_i
+        circ = [[[-sum(a * x for a, x in zip(row, w)) for row in k] for w in plane] for plane in c]
+        return [[[back(w) for w in row] for row in table] for table in (
+            family_products(entries, cols, e), family_products(entries, e, cols), circ)]
+
     def evaluate(N: Matrix):
         if N.rows != n or N.cols != n:
             raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {n}")
         (k, DN), _ = lift(field, (N.data, field.one))
         deformed, residuals = scatter(k)
-        zero = (0,) * n
+        zero, one = (0,) * n, descend(field, Dg * DN)
         back = descend(field, Dg * DN ** 2)  # Ne_i.Ne_j - N(e_i ._N e_j) times D_g D_N^2
         return (lifted_report(residuals, back),
-                lambda: [[descend(field, Dg * DN)(deformed.get((i, j), zero)) for j in range(n)]
-                         for i in range(n)])
+                lambda: [[one(deformed.get((i, j), zero)) for j in range(n)] for i in range(n)],
+                lambda: ns(k, one))
 
     evaluate.core = lambda k, one: scatter(k)[1]
     return evaluate
@@ -215,7 +222,7 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
     The result is pre-Lie and compatible with the original product: the
     sum of the two products is pre-Lie as well (both re-verified).
     """
-    report, table = _nijenhuis_frame(g)(N)
+    report, table, _ = _nijenhuis_frame(g)(N)
     if not report.ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
     deformed = reverified(PreLieAlgebra, g.field, table())
@@ -227,21 +234,17 @@ def deformed_product(g: PreLieAlgebra, N: Matrix) -> PreLieAlgebra:
 def ns_from_nijenhuis(g: PreLieAlgebra, N: Matrix) -> NSPreLie:
     """x|>y = N(x).y, x<|y = x.N(y), x o y = -N(x.y).
 
-    g and N are lifted together (D); |> and <| are two scatters of
-    `algebra.family_products`, o is -N(e_i.e_j) on the lifted constants,
-    and all three come back by D^2.  The subadjacent product of the result
-    is the deformed product of N: its three summands are the three tables,
-    so the equality holds by construction and is a test, not a runtime check.
+    On the lift that verifies N (`_nijenhuis_frame`), |> and <| are two
+    scatters of `algebra.family_products`, o is -N(e_i.e_j) on the lifted
+    constants, and all three come back by D_g D_N.  The subadjacent product
+    of the result is the deformed product of N: its three summands are the
+    three tables, so the equality holds by construction and is a test, not a
+    runtime check.
     """
-    if not nijenhuis_checker(g)(N).ok:
+    report, _, tables = _nijenhuis_frame(g)(N)
+    if not report.ok:
         raise UnverifiedOperatorError("operator fails the Nijenhuis identity")
-    field, n = g.field, g.dim
-    (c, k, D), _ = lift(field, (g.product, N.data, field.one))
-    entries, e, cols = nonzero_entries(nonzero_rows(c)), int_basis(n, n), list(zip(*k))
-    circ = [[[-sum(a * x for a, x in zip(row, w)) for row in k] for w in plane] for plane in c]
-    back = descend(field, D * D)  # all three have degree 2 on the lift
-    return reverified(NSPreLie, field, *([[back(w) for w in row] for row in table] for table in (
-        family_products(entries, cols, e), family_products(entries, e, cols), circ)))
+    return reverified(NSPreLie, g.field, *tables())
 
 
 def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:

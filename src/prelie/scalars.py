@@ -218,7 +218,13 @@ class RationalField:
     one = Fraction(1)
 
     def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
+        """"n", "-n" and "n/d" in ASCII digits by `int`, any other string by `Fraction`."""
+        s = s.strip()
+        num, slash, den = s.partition("/")
+        if (num.isdigit() or num[:1] == "-" and num[1:].isdigit()) and num.isascii() and (
+                not slash or den.isdigit() and den.isascii()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        return Fraction(s)
 
     def elements(self):
         from .errors import InfiniteFieldError
@@ -273,7 +279,7 @@ class PrimeField:
                 raise FieldMismatchError(f"scalar is mod {p}, field is F_{self.p}")
             return FpElement(int(r), self.p)
         # field-generic fixtures store plain integers or fractions
-        return self(Fraction(s))
+        return self(QQ.parse(s))
 
     def elements(self):
         return [FpElement(i, self.p) for i in range(self.p)]
@@ -292,19 +298,22 @@ QQ = RationalField()
 
 
 def _lifted(arrays, p: int, D: int, dens: set) -> tuple:
-    """``arrays`` as nested tuples of ints, in one walk: residues over F_p (``p`` > 0),
-    ``numerator * (D // denominator)`` over Q, each denominator added to ``dens``."""
+    """``arrays`` as nested tuples of ints: residues over F_p (``p`` > 0), numerator *
+    (D // denominator) over Q, denominators but 1 added to ``dens`` (at D = 1 the
+    numerator alone: the lift if ``dens`` stays empty)."""
     out = []
     for x in arrays:
-        if type(x) is Fraction and not p:
-            d = x.denominator
-            dens.add(d)
-            out.append(x.numerator * (D // d))
-        elif type(x) is FpElement and x.p == p:
+        t = type(x)
+        if t is Fraction and not p:
+            n, d = x.as_integer_ratio()
+            if d != 1:
+                dens.add(d)
+            out.append(n if D == 1 else n * (D // d))
+        elif t is FpElement and x.p == p:
             out.append(x.value)
         elif isinstance(x, (tuple, list)):
             out.append(_lifted(x, p, D, dens))
-        elif isinstance(x, Poly):
+        elif t is Poly:
             out.append(Poly(dict(zip(x.terms, _lifted(tuple(x.terms.values()), p, D, dens)))))
         else:
             raise TypeError(f"cannot lift {x!r} from {'F_%d' % p if p else 'Q'}")

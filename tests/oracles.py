@@ -163,6 +163,13 @@ which the library kept as methods of `PreLieAlgebra` although no
 command used them.  `heap_order` is the fail-first variable order of
 `search._order` kept by a heap with lazy entries, as the library had it
 before it picked each variable by a plain minimum.
+
+`two_walk_lift` is `scalars.lift` as the library had it before its walk
+read each rational once (`as_integer_ratio`, no product at D = 1): one
+walk at D = 1 that collects every denominator, 1 included, and a second
+at their lcm when that is not 1.  `fraction_parse` is `field.parse` as
+the library had it before it read "n", "-n" and "n/d" with `int`: every
+string through `Fraction(s.strip())`, over F_p mapped into the field.
 """
 
 from __future__ import annotations
@@ -212,7 +219,7 @@ from prelie.linalg import (
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, _check_operator_shape, morphism_checker
-from prelie.scalars import Poly, PrimeField, descend
+from prelie.scalars import FpElement, Poly, PrimeField, descend
 from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _compile, _placer
 
 
@@ -1457,3 +1464,37 @@ def heap_order(equations, n_free: int) -> list:
                 completes[w] += 1
                 heapq.heappush(heap, (-completes[w], -len(occurs[w]), w))
     return order
+
+
+def _two_walk(arrays, p: int, D: int, dens: set) -> tuple:
+    out = []
+    for x in arrays:
+        if type(x) is Fraction and not p:
+            d = x.denominator
+            dens.add(d)
+            out.append(x.numerator * (D // d))
+        elif type(x) is FpElement and x.p == p:
+            out.append(x.value)
+        elif isinstance(x, (tuple, list)):
+            out.append(_two_walk(x, p, D, dens))
+        elif isinstance(x, Poly):
+            out.append(Poly(dict(zip(x.terms, _two_walk(tuple(x.terms.values()), p, D, dens)))))
+        else:
+            raise TypeError(f"cannot lift {x!r} from {'F_%d' % p if p else 'Q'}")
+    return tuple(out)
+
+
+def two_walk_lift(field, arrays) -> tuple:
+    """(the lifted ``arrays``, D): the reference for `scalars.lift`."""
+    p, dens = field.char, set()
+    lifted = _two_walk(arrays, p, 1, dens)
+    D = lcm(*dens)
+    if D != 1:
+        lifted = _two_walk(arrays, p, D, dens)
+    return lifted, D
+
+
+def fraction_parse(field, s: str):
+    """The scalar of a string without a modulus: the reference for ``field.parse``."""
+    value = Fraction(s.strip())
+    return field(value) if field.char else value

@@ -314,3 +314,37 @@ def test_a_kernel_mutant_disagrees_with_the_four_term_oracle(case):
     namespace = dict(vars(algebra))
     exec(compile(source.replace(term, replacement), algebra.__file__, "exec"), namespace)
     assert _kernel_mismatches(namespace["prelie_defects"]) > 0
+
+
+def _outcome(build, *args):
+    """What ``build(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return build(*args)
+    except (TypeError, ZeroDivisionError, UnverifiedError) as exc:
+        return type(exc), str(exc)
+
+
+def _q_tensors() -> list:
+    """Coerced Q tensors with denominators 2 and 3: verified products and raw tensors."""
+    rng = random.Random(3811)
+    halved = [[[x / 2 for x in row] for row in plane] for plane in g2_algebra().product]
+    tensors = [PreLieAlgebra(QQ, halved).product, random_algebra(rng).product]
+    entries = [0, 0, 0, 1, -1, QQ("1/2"), QQ("-2/3")]
+    for n in (1, 2, 3):
+        for _ in range(4):
+            tensors.append(algebra._as_tensor(QQ, [[[rng.choice(entries) for _ in range(n)]
+                                                    for _ in range(n)] for _ in range(n)]))
+    return tensors
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_coerced_tensor_of_another_field_is_read_like_its_lists(p):
+    # a tensor coerced over Q is coerced again into F_p, as the same scalars
+    # given as lists are; only a tensor of the same field passes as it is
+    field = PrimeField(p)
+    for t in _q_tensors():
+        lists = [[list(row) for row in plane] for plane in t]
+        for build in (check_prelie, PreLieAlgebra,
+                      lambda f, x: nsprelie.check_ns_prelie(f, x, x, x)):
+            assert _outcome(build, field, t) == _outcome(build, field, lists)
+        assert algebra._coerced(QQ, t) is t

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import cli_sweep
 from conftest import CORPUS, count_calls, fail_after
-from oracles import basis_dk_columns
+from oracles import basis_dk_columns, fraction_parse
 from prelie import algebra, brackets, cochain, nsprelie, opcohomology, reynolds, search
 from prelie.algebra import Report
 from prelie.bundle import (
@@ -28,7 +28,7 @@ from prelie.cli import build_parser, main
 from prelie.cochain import Cochain
 from prelie.errors import FieldMismatchError, InvariantError, SchemaError
 from prelie.linalg import Matrix
-from prelie.scalars import QQ, PrimeField, scalar_to_str
+from prelie.scalars import QQ, PrimeField, RationalField, scalar_to_str
 
 
 def run_cli(*args):
@@ -97,6 +97,35 @@ def test_bad_scalar_reported_with_path():
     with pytest.raises(SchemaError) as err:
         parse_bundle(doc).algebra()
     assert "/algebra/product/0/c" in str(err.value)
+
+
+@pytest.mark.parametrize("scalar, message", [
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+    ("1/0", "Fraction(1, 0)"),
+    ("-4/0", "Fraction(-4, 0)"),
+    ("1/", "Invalid literal for Fraction: '1/'"),
+    ("9" * 5000, None),
+], ids=["letters", "zero-denominator", "negative-zero-denominator", "no-denominator",
+        "over-the-int-limit"])
+def test_cli_bad_scalar_is_exit_2_with_the_bytes_of_its_fraction_error(scalar, message):
+    if message is None:  # the interpreter's own message for its digit limit
+        with pytest.raises(ValueError) as exc:
+            fraction_parse(QQ, scalar)
+        message = str(exc.value)
+    doc = json.loads((CORPUS / "g3-k-rowzero.json").read_text())
+    doc["operatorK"]["entries"][0][0] = scalar
+    code, out, _ = run_cli("check", "reynolds", json.dumps(doc))
+    assert code == 2
+    assert out == json.dumps({"error": "SchemaError", "message":
+                              f"/operatorK/entries/0/0: bad scalar {scalar!r}: {message}"}) + "\n"
+
+
+def test_a_bundle_coerces_each_scalar_once(monkeypatch):
+    # each of the file's 13 scalars is parsed once and kept as it is; the only
+    # coercions left are the 27 coordinates of H, in `Cochain.__init__`
+    calls = {name: count_calls(monkeypatch, RationalField, name) for name in ("parse", "__call__")}
+    parse_bundle(str(CORPUS / "g3-k-rowzero.json")).reynolds_data()
+    assert {name: len(c) for name, c in calls.items()} == {"parse": 13, "__call__": 27}
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +377,14 @@ def test_cli_construct_gauge_and_shift_verify_the_input_once(monkeypatch, what, 
 
 
 def test_cli_construct_ns_from_nijenhuis_checks_the_operator_once(monkeypatch):
-    # one prepared checker verifies the operator; the three tables need no
-    # deformed table beside them
+    # one prepared frame verifies the operator and reads the three tables off
+    # its lift, with no separate checker and no deformed table beside them
     calls = {name: count_calls(monkeypatch, nsprelie, name)
              for name in ("nijenhuis_checker", "_nijenhuis_frame")}
     code, _, _ = run_cli("construct", "ns-from-nijenhuis", str(CORPUS / "nijenhuis3.json"))
     assert code == 0
     assert {name: len(c) for name, c in calls.items()} == \
-        {"nijenhuis_checker": 1, "_nijenhuis_frame": 1}
+        {"nijenhuis_checker": 0, "_nijenhuis_frame": 1}
 
 
 # (command, checker the output goes through, calls of it that verify the inputs)
@@ -427,7 +456,7 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
     # N verified once, then the two tables that multiply vectors (|> and <|) in
     # two scatters; o = -N(e_i.e_j) reads the lifted constants as they are
     (("construct", "ns-from-nijenhuis"), "nijenhuis3.json",
-     {"nijenhuis_checker": 1, "family_products": 2}),
+     {"_nijenhuis_frame": 1, "family_products": 2}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"induced_product": 0}),
     (("construct", "induced"), "g3-k-rowzero.json", {"check_morphism": 0}),
     # one frame for K's identity and the star table; K's identity on the
@@ -438,16 +467,16 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
     (("mc-check",), "g3-k-rowzero.json", {"cocycle_report": 1}),
     (("construct", "ns-from-reynolds"), "g3-k-rowzero.json",
      {"graph_frame": 1, "reynolds_residuals": 1}),
-    # the algebra's product once in `PreLieAlgebra` (its `check_prelie` reads
-    # the coerced tensor as it is), then each of the three NS tensors once
-    (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"_as_tensor": 4}),
+    # the bundle's product is coerced by its scalars' parse alone (`PreLieAlgebra`
+    # and its `check_prelie` read it as it is), then each of the three NS tensors once
+    (("construct", "ns-from-reynolds"), "g3-k-rowzero.json", {"_as_tensor": 3}),
 ], ids=["gauge", "ns-from-nijenhuis", "ns-from-reynolds", "induced", "star", "check-mc",
         "mc-check", "ns-from-reynolds-tables", "ns-from-reynolds-coercions"])
 def test_cli_each_table_and_identity_is_verified_once(monkeypatch, argv, name, counts):
     modules = {"family_products": algebra, "graph_frame": reynolds, "check_morphism": algebra,
                "reynolds_residuals": reynolds,
                "induced_product": reynolds, "cocycle_report": cochain,
-               "_frames": reynolds, "nijenhuis_checker": nsprelie,
+               "_frames": reynolds, "_nijenhuis_frame": nsprelie,
                "_as_tensor": algebra}
     calls = {fn: count_calls(monkeypatch, modules[fn], fn) for fn in counts}
     code, _, _ = run_cli(*argv, str(CORPUS / name))

@@ -431,7 +431,10 @@ def test_a_unital_algebra_lifts_its_product_once(monkeypatch):
 @pytest.mark.parametrize("command, lifts", [
     (("construct", "star", "corpus/weighted-star.json"), 6),
     (("construct", "gauge", "corpus/g3-gauge-shift.json"), 11),
-], ids=["star", "gauge"])
+    # g for its check, g and N in the Nijenhuis frame, whose lift the three
+    # tables read, and the three tables for their re-verification
+    (("construct", "ns-from-nijenhuis", "corpus/nijenhuis3.json"), 4),
+], ids=["star", "gauge", "ns-from-nijenhuis"])
 def test_a_construction_lifts_each_operator_once_for_its_check_and_frame(monkeypatch, command,
                                                                         lifts):
     # the Reynolds check of K and the frame read off K share one lift of K

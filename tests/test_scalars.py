@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import poly_at
+from oracles import fraction_parse, poly_at, two_walk_lift
 from prelie.errors import FieldMismatchError
 from prelie.scalars import (
     QQ,
+    FpElement,
     Poly,
     PrimeField,
     field_by_name,
     field_name,
     is_prime,
+    lift,
     scalar_to_str,
 )
 
@@ -175,3 +177,83 @@ def test_poly_evaluation_is_a_ring_map(cp, cq, point):
                     zip(cp, (F7.one, values[0], values[1], values[0] * values[1]))),
                    F7.zero)
     assert at(p) == expected
+
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(5)]
+PARSED = ["0", "-0", "007", "+3", " 5 ", "1/2", "-4/6", "3/6", "2/6", "1/0", "-0/0", "1/-2",
+          "--1", "1.5", "1e3", "1_000", "\u0663", "\u00b2", "", "-", "1/", "abc",
+          "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000]
+
+
+@pytest.mark.parametrize("s", PARSED, ids=lambda s: repr(s) if len(s) < 9 else f"{len(s)}-chars")
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_parse_agrees_with_fraction(field, s):
+    # the same value, or the same exception with the same message (a bundle
+    # prints it), whether the string took the int route or Fraction's
+    try:
+        want = fraction_parse(field, s)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)) as got:
+            field.parse(s)
+        assert str(got.value) == str(exc)
+    else:
+        got = field.parse(s)
+        assert type(got) is type(want) and got == want
+
+
+def _plain(x):
+    """Nested tuples with each `Poly` as its sorted terms, so arrays compare by value."""
+    if isinstance(x, Poly):
+        return "poly", sorted(x.terms.items())
+    return tuple(map(_plain, x)) if isinstance(x, tuple) else x
+
+
+def _nests(field, integral: bool):
+    if field.char:
+        scalar = st.integers(0, field.p - 1).map(lambda r: FpElement(r, field.p))
+    else:
+        scalar = st.builds(Fraction, st.integers(-9, 9),
+                           st.just(1) if integral else st.integers(1, 12))
+    monomial = st.lists(st.integers(0, 2), max_size=2).map(lambda m: tuple(sorted(m)))
+    poly = st.dictionaries(monomial, scalar.filter(bool), max_size=3).map(Poly)
+    nest = st.recursive(st.one_of(scalar, poly), lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple)), max_leaves=24)
+    return st.lists(nest, max_size=4)
+
+
+@pytest.mark.parametrize("field, integral", [(QQ, True), (QQ, False)]
+                         + [(F, False) for F in FIELDS[1:]], ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lift_matches_the_two_walk_lift(field, integral, data):
+    arrays = data.draw(_nests(field, integral))
+    lifted, down = lift(field, arrays)
+    want, D = two_walk_lift(field, arrays)
+    assert _plain(lifted) == _plain(want)
+    assert D == 1 or not (integral or field.char)
+    r = data.draw(st.lists(st.integers(-30, 30), min_size=1, max_size=4))
+    r.append(Poly({(): r[0], (1,): 7}))
+
+    def back(x, k):
+        return FpElement(x, field.p) if field.char else Fraction(x, D ** k)
+
+    for k in range(4):
+        got = down(r, k)
+        expected = tuple(x.map(lambda c: back(c, k)) if isinstance(x, Poly) else back(x, k)
+                         for x in r)
+        assert _plain(got) == _plain(expected)
+        assert [type(x) for x in got] == [type(x) for x in expected]
+
+
+@pytest.mark.parametrize("field, bad", [
+    (QQ, 1), (QQ, True), (QQ, 0.5), (QQ, FpElement(1, 3)),
+    (PrimeField(3), 1), (PrimeField(3), False), (PrimeField(3), 1.0),
+    (PrimeField(3), Fraction(1, 2)), (PrimeField(3), Fraction(1)), (PrimeField(3), FpElement(1, 5)),
+], ids=repr)
+def test_lift_rejects_a_scalar_of_another_kind(field, bad):
+    for arrays in ([bad], ((field.one,), [field.zero, [bad]]), [Poly({(): bad})]):
+        with pytest.raises(TypeError) as got:
+            lift(field, arrays)
+        with pytest.raises(TypeError) as want:
+            two_walk_lift(field, arrays)
+        assert str(got.value) == str(want.value)
