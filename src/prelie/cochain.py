@@ -7,20 +7,15 @@ a strictly increasing (n-1)-tuple of basis indices plus a free last
 index, in lexicographic order.  Degree-1 cochains are plain linear maps;
 degree-2 cochains are arbitrary bilinear maps.
 
-The coboundary has one kernel, `_coboundary_rows`: the sparse rows of
-its matrix, assembled block by block.  Each term of the formula reads f
-at one canonical key, so for each degree-(n+1) key it adds an m x m
-block (an action matrix, or a structure constant times the identity) at
-the columns of the degree-n key it reads, with the sign of the sort
-that makes that key canonical.  The kernel reads raw arrays, the
-structure constants and the rows of the action matrices
+The coboundary has one kernel, `_coboundary_columns`: the sparse
+columns of its matrix, assembled block by block from raw arrays
 (`algebra.action_arrays`), so it runs on field scalars and on ints
-alike.  `integer_cohomology` checks d o d = 0 and takes the exact
-ranks on integer rows, from arrays lifted by one `scalars.lift`
-(`cohomology`) or read off an operator's frame (`opcohomology`).
-`coboundary` applies the integer rows to the coordinates of f, lifted
-with the arrays, and maps each value back (`_apply_coboundary`, shared
-with `opcohomology`); `coboundary_matrix` runs the kernel on the field
+alike.  `integer_cohomology` takes the exact ranks bottom-up on integer
+columns, from arrays lifted by one `scalars.lift` (`cohomology`) or read
+off an operator's frame (`opcohomology`), and checks d o d = 0 at every
+level it builds.  `coboundary` applies the columns to f's lifted
+coordinates and maps each value back (`_apply_coboundary`, shared with
+`opcohomology`); `coboundary_matrix` runs the kernel on the field
 arrays.  `check_two_cocycle` reads dH off the pre-Lie defect of g + V
 twisted by H (`cocycle_report`, `SIGNS.md`) on `twisted_rows`, the one
 lift of a fixed triple (a, rep, H).
@@ -50,6 +45,7 @@ from .algebra import (
 from .errors import InvariantError, ShapeError
 from .linalg import (
     Matrix,
+    _echelon,
     add_vec,
     integer_rank,
     is_zero_vec,
@@ -212,26 +208,9 @@ def cochain_space_dim(dim_source: int, dim_target: int, degree: int) -> int:
     return len(cochain_keys(dim_source, degree)) * dim_target
 
 
-def _add_block(acc, entries, base: int, negate: bool):
-    """Add the (t, s, x) entries of one m x m block, or their negatives, at column ``base``."""
-    for t, s, x in entries:
-        row = acc[t]
-        j = base + s
-        row[j] = row.get(j, 0) + (-x if negate else x)
-
-
-def _add_diagonal(acc, x, base: int):
-    """Add x times the m x m identity at column ``base``."""
-    for t, row in enumerate(acc):
-        j = base + t
-        row[j] = row.get(j, 0) + x
-
-
-def _coboundary_rows(c, L, R, m: int, degree: int) -> list:
-    """Sparse rows of the coboundary matrix, one {column: coefficient} each.
-
-    ``c``, ``L`` and ``R`` are `algebra.action_arrays` of an algebra and
-    a module of dimension m.
+def _coboundary_columns(c, L, R, m: int, degree: int, p: int = 0) -> list:
+    """Sparse columns {row: coefficient} of the coboundary matrix on
+    `algebra.action_arrays` (module dim m), mod ``p`` if p > 0.
 
     For f of degree n and x_1 < ... < x_n, x_{n+1} basis indices,
 
@@ -246,29 +225,40 @@ def _coboundary_rows(c, L, R, m: int, degree: int) -> list:
     R_{x_{n+1}} at the column block of the degree-n key they read, and
     the product and bracket terms add c_k times the identity at the block
     of the key that holds basis index k, with the sign that sorts that
-    key (`_sort_with_sign`; a repeated index gives no term).  The rows
-    use only +, - and * on the arrays' scalars, so they run on field
-    scalars and on their integer lift alike.
+    key (`_sort_with_sign`; a repeated index gives no term).  Zero sums
+    are dropped.
     """
     n = len(c)
     index = _key_index(n, degree)
+    cols = [{} for _ in range(len(index) * m)]
+
+    def put(entries, a, base, row):  # a times the block of (t, s, x) entries
+        for t, s, x in entries:
+            col, i = cols[base + s], row + t
+            v = col.get(i, 0) + a * x
+            if p:
+                v %= p
+            if v:
+                col[i] = v
+            else:
+                col.pop(i, None)
 
     def nonzero(M):
         return [(t, s, x) for t, row in enumerate(M) for s, x in enumerate(row) if x]
 
     L = [nonzero(M) for M in L]
     R = [nonzero(M) for M in R]
-    rows = []
-    for fb, last in cochain_keys(n, degree + 1):
-        acc = [{} for _ in range(m)]
+    eye = [(t, t, 1) for t in range(m)]
+    for q, (fb, last) in enumerate(cochain_keys(n, degree + 1)):
+        row = q * m
         for i, x in enumerate(fb):
-            odd = i % 2 == 1  # slot i + 1 carries the sign (-1)^{(i+1)+1}, -1 for odd i
+            sign = -1 if i % 2 else 1  # slot i + 1 carries the sign (-1)^{(i+1)+1}
             rest = fb[:i] + fb[i + 1:]
-            _add_block(acc, L[x], index[(rest, last)] * m, odd)
-            _add_block(acc, R[last], index[(rest, x)] * m, odd)
+            put(L[x], sign, index[(rest, last)] * m, row)
+            put(R[last], sign, index[(rest, x)] * m, row)
             for k, ck in enumerate(c[x][last]):
                 if ck:
-                    _add_diagonal(acc, ck if odd else -ck, index[(rest, k)] * m)
+                    put(eye, -sign * ck, index[(rest, k)] * m, row)
         for i in range(degree):
             for j in range(i + 1, degree):
                 x, y = fb[i], fb[j]
@@ -278,22 +268,20 @@ def _coboundary_rows(c, L, R, m: int, degree: int) -> list:
                     norm = _sort_with_sign((k,) + rest) if bk else None
                     if norm is not None:
                         sign, key = norm
-                        if (i + j) % 2:
-                            sign = -sign
-                        _add_diagonal(acc, bk if sign == 1 else -bk, index[(key, last)] * m)
-        rows.extend({j: v for j, v in row.items() if v} for row in acc)
-    return rows
+                        put(eye, -sign * bk if (i + j) % 2 else sign * bk,
+                            index[(key, last)] * m, row)
+    return cols
 
 
 def _apply_coboundary(c, L, R, m: int, f: Cochain, values, back) -> Cochain:
-    """d f: the rows of `_coboundary_rows` on lifted `algebra.action_arrays` (module
-    dim m) applied to f's lifted ``values``, each value mapped to f's field by ``back``."""
-    coords = [x for v in values for x in v]
-    out = [sum((a * coords[j] for j, a in row.items() if coords[j]), 0)
-           for row in _coboundary_rows(c, L, R, m, f.degree)]
+    """d f = sum_j f_j col_j (`_coboundary_columns`) on lifted arrays (module
+    dim m) and f's lifted ``values``, each value mapped back by ``back``."""
+    coords = {j: x for j, x in enumerate(x for v in values for x in v) if x}
+    (out,) = sparse_mul([coords], _coboundary_columns(c, L, R, m, f.degree))
     n, degree = len(c), f.degree + 1
     return Cochain(f.field, degree, n, m,
-                   [back(out[p * m:(p + 1) * m]) for p in range(len(cochain_keys(n, degree)))])
+                   [back([out.get(i, 0) for i in range(q * m, (q + 1) * m)])
+                    for q in range(len(cochain_keys(n, degree)))])
 
 
 def coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cochain:
@@ -353,10 +341,10 @@ def coboundary_matrix(a: PreLieAlgebra, rep: Representation, degree: int) -> Mat
     Columns follow the degree-n basis (key-major, then target coordinate),
     rows the degree-(n+1) basis, both in canonical lexicographic order.
     """
-    cols = cochain_space_dim(a.dim, rep.dim_v, degree)
-    zero = a.field.zero
-    rows = _coboundary_rows(*action_arrays(a, rep), rep.dim_v, degree)
-    return Matrix(a.field, [[row.get(j, zero) for j in range(cols)] for row in rows], cols=cols)
+    zero, rows = a.field.zero, cochain_space_dim(a.dim, rep.dim_v, degree + 1)
+    cols = _coboundary_columns(*action_arrays(a, rep), rep.dim_v, degree)
+    return Matrix(a.field, [[col.get(i, zero) for col in cols] for i in range(rows)],
+                  cols=len(cols))
 
 
 @dataclass(frozen=True)
@@ -379,23 +367,34 @@ def cohomology(a: PreLieAlgebra, rep: Representation, degree: int) -> Cohomology
 
 
 def integer_cohomology(c, L, R, m: int, p: int, degree: int) -> tuple:
-    """(`CohomologyReport` at ``degree``, the sparse rows of d there).
+    """(`CohomologyReport` at ``degree``, the sparse columns of d there), on
+    `algebra.action_arrays` (module dim m) as ints: over Q (p = 0) at one
+    scale, over F_p congruent to the field values.
 
-    ``c``, ``L`` and ``R`` are `algebra.action_arrays` (module dim m) as
-    ints: over Q (p = 0) at one scale, which scales the rows, not their
-    ranks; over F_p congruent to the field values, rows reduced mod p.
-    d o d = 0 is verified on the rows the ranks are taken of.
+    Level k of a tower up to ``degree`` raises `InvariantError` unless d_k
+    kills the basis of B^k handed up from below, and ranks only the
+    columns of d_k off that basis's leading coordinates; `_echelon` hands
+    up its own and its pivots' input columns (`SIGNS.md`, "Cohomology
+    bottom-up", also for where the tower starts and a wide level).
     """
-    def rows(k):
-        out = _coboundary_rows(c, L, R, m, k)
-        return [{j: r for j, v in row.items() if (r := v % p)} for row in out] if p else out
+    def dim(k):
+        return cochain_space_dim(len(c), m, k)
 
-    d_n = rows(degree)
-    dim_b = 0
-    if degree > 1:
-        d_prev = rows(degree - 1)
-        if any(sparse_mul(d_n, d_prev, p)):
-            raise InvariantError("coboundary does not square to zero")
-        dim_b = integer_rank(d_prev, p)
-    dim_z = cochain_space_dim(len(c), m, degree) - integer_rank(d_n, p)
-    return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b), d_n
+    k0 = degree - (degree > 1)
+    while k0 > 1 and dim(k0 - 1) <= dim(k0):
+        k0 -= 1
+    basis, leads, dim_b = [], (), 0
+    for k in range(k0, degree + 1):
+        cols = _coboundary_columns(c, L, R, m, k, p)
+        if any(sparse_mul(basis, cols, p)):
+            raise InvariantError(f"coboundary does not square to zero at degree {k}")
+        # last key first: ties in `_echelon` go to the later key
+        kept = [col for s, col in enumerate(cols) if col and s not in leads][::-1]
+        if k == degree:
+            dim_z = dim(k) - integer_rank(kept, p)
+        elif len(kept) > dim(k + 1):
+            basis, leads, dim_b = kept, (), integer_rank(kept, p)
+        else:
+            echelon = _echelon(kept, p)
+            basis, leads, dim_b = [kept[i] for i, _ in echelon.values()], echelon, len(echelon)
+    return CohomologyReport(degree, dim_z, dim_b, dim_z - dim_b), cols

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .algebra import (Order, Report, _combine, family_products, int_basis, lifted_report,
                       nonzero_entries, residual_report)
-from .cochain import Cochain, cochain_space_dim, integer_cohomology, twisted_rows
+from .cochain import Cochain, integer_cohomology, twisted_rows
 from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
 from .linalg import Matrix, _matrix, sparse_mul, sub_vec
 from .opcohomology import _induced_arrays, operator_coboundary
@@ -378,13 +378,11 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     terms = _ElementTerms(data)  # for Z^1, the search and d_K
     table, Lbar, Rbar, _ = _induced_arrays(n, terms.frame)
     report, d1 = integer_cohomology(table, Lbar, Rbar, n, p, 1)
-    cols = cochain_space_dim(data.rep.dim_v, n, 1)
     cocycle_count = p ** report.dim_z
     nij = _elements({"data": data, "terms": terms})
     # over F_p every scale is 1
     image = {tuple(c % p for column in terms.coboundary(x)[0] for c in column) for x in nij}
-    # the image vectors as the columns of one sparse matrix, all killed by d1 or not
-    columns = [{i: vec[j] for i, vec in enumerate(image) if vec[j]} for j in range(cols)]
-    closed = not any(sparse_mul(d1, columns, p))
+    # d1 on each image vector: all killed or not
+    closed = not any(sparse_mul([dict(enumerate(vec)) for vec in image], d1, p))
     return RigidityReport(cocycle_count, len(nij), len(image),
                           closed and len(image) == cocycle_count)

@@ -28,10 +28,11 @@ rank nor the reduced row echelon form: the pivot rule changes the work,
 not the answer.  `Matrix.rref` reduces the echelon rows further on the
 same integers (back-substitution) and divides by the pivots only at the
 end.  The reduced row echelon form is unique, so it and the inverse
-read off it do not depend on the pivot order.  Ranks of sparse rows are
-read off `_echelon` run on the shorter side (`integer_rank`): with more
-nonzero rows than nonzero columns, on the transpose (rank A = rank A^T).
-The inverse is the only linear system the package solves.
+read off it do not depend on the pivot order.  `_echelon` names the
+input row of each pivot, a basis of the row space.  Ranks are read off
+it on the shorter side (`integer_rank`): with more nonzero rows than
+nonzero columns, on the transpose (rank A = rank A^T).  The inverse is
+the only linear system the package solves.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ class Matrix:
         pivots = sorted(echelon)
         reduced = {}
         for c in reversed(pivots):
-            row = echelon[c]
+            row = echelon[c][1]
             for c2 in sorted(j for j in row if j in reduced):
                 row = _clear(row, reduced[c2], c2, p)
             reduced[c] = row
@@ -295,13 +296,14 @@ def _clear(row: dict, pivot: dict, c: int, p: int) -> dict:
 
 
 def _echelon(rows, p: int) -> dict:
-    """An echelon form of integer rows: {leading column: row}, one per pivot.
+    """An echelon form of integer rows: {leading column: (input index, row)}, one per pivot.
 
     Forward elimination over the leading columns in increasing order.  The
     pivot of a column is the shortest row starting there, ties going to
     the lower row index, and it clears that column from the other rows
-    starting there; over F_p it is made monic first.  The input rows are
-    not changed.
+    starting there; over F_p it is made monic first.  A pivot is never
+    changed, so the input rows it names span the row space (`SIGNS.md`);
+    the input rows are not changed.
     """
     by_lead = {}   # leading column -> (length, row index, row) of the rows starting there
     for i, row in enumerate(rows):
@@ -317,7 +319,7 @@ def _echelon(rows, p: int) -> dict:
         if p and pivot[c] != 1:
             inv = pow(pivot[c], -1, p)
             pivot = {j: v * inv % p for j, v in pivot.items()}
-        echelon[c] = pivot
+        echelon[c] = first, pivot
         for _, i, row in bucket:
             if i == first:
                 continue

@@ -16,7 +16,12 @@ compiles from the Reynolds checker with a hand-derived polynomial system.
 `coboundary_at` is the coboundary formula evaluated term by term at one
 tuple of basis indices, on the cochain's own scalars, and
 `field_coboundary` the coboundary the library computed with it before
-it assembled block rows on integers (`cochain._coboundary_rows`).
+it assembled block rows on integers.  `block_rows` is that assembly,
+the sparse rows of the coboundary matrix, and `rows_cohomology` the
+route `cochain.integer_cohomology` took on them before it ran
+bottom-up on columns: d_{k-1} and d_k ranked in full by
+`linalg.integer_rank`, and d o d = 0 checked on the whole product
+d_k d_{k-1} (`linalg.sparse_mul`).
 `generic_cochain` is the cochain whose coordinates are the variables of
 `scalars.Poly`, on which any linear expression in f yields its matrix
 rows.  `field_induced_representation` is the induced representation of
@@ -206,14 +211,21 @@ from prelie.cochain import (
     twisted_rows,
 )
 from prelie.deformation import _ElementTerms, _in_t, _order
-from prelie.errors import BudgetExceededError, DimensionMismatchError, ShapeError
+from prelie.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InvariantError,
+    ShapeError,
+)
 from prelie.linalg import (
     Matrix,
     add_vec,
     basis_vec,
+    integer_rank,
     is_zero_vec,
     neg_vec,
     scale_vec,
+    sparse_mul,
     sub_vec,
     zero_vec,
 )
@@ -522,6 +534,70 @@ def field_coboundary(a: PreLieAlgebra, rep: Representation, f: Cochain) -> Cocha
     return Cochain(a.field, degree, a.dim, rep.dim_v,
                    [coboundary_at(a, rep, f, fb + (last,))
                     for fb, last in cochain_keys(a.dim, degree)])
+
+
+def block_rows(c, L, R, m: int, degree: int) -> list:
+    """Sparse rows {column: coefficient} of the coboundary matrix on
+    `algebra.action_arrays` (module dim m), one m x m block per term and key."""
+    n = len(c)
+    index = {key: pos for pos, key in enumerate(cochain_keys(n, degree))}
+
+    def nonzero(M):
+        return [(t, s, x) for t, row in enumerate(M) for s, x in enumerate(row) if x]
+
+    def add_block(acc, entries, base, negate):
+        for t, s, x in entries:
+            acc[t][base + s] = acc[t].get(base + s, 0) + (-x if negate else x)
+
+    def add_diagonal(acc, x, base):
+        for t, row in enumerate(acc):
+            row[base + t] = row.get(base + t, 0) + x
+
+    L = [nonzero(M) for M in L]
+    R = [nonzero(M) for M in R]
+    rows = []
+    for fb, last in cochain_keys(n, degree + 1):
+        acc = [{} for _ in range(m)]
+        for i, x in enumerate(fb):
+            odd = i % 2 == 1
+            rest = fb[:i] + fb[i + 1:]
+            add_block(acc, L[x], index[(rest, last)] * m, odd)
+            add_block(acc, R[last], index[(rest, x)] * m, odd)
+            for k, ck in enumerate(c[x][last]):
+                if ck:
+                    add_diagonal(acc, ck if odd else -ck, index[(rest, k)] * m)
+        for i in range(degree):
+            for j in range(i + 1, degree):
+                x, y = fb[i], fb[j]
+                rest = fb[:i] + fb[i + 1:j] + fb[j + 1:]
+                for k, (cxy, cyx) in enumerate(zip(c[x][y], c[y][x])):
+                    bk = cxy - cyx
+                    norm = _sort_with_sign((k,) + rest) if bk else None
+                    if norm is not None:
+                        sign, key = norm
+                        if (i + j) % 2:
+                            sign = -sign
+                        add_diagonal(acc, bk if sign == 1 else -bk, index[(key, last)] * m)
+        rows.extend({j: v for j, v in row.items() if v} for row in acc)
+    return rows
+
+
+def rows_cohomology(c, L, R, m: int, p: int, degree: int) -> tuple:
+    """(dim Z, dim B, dim H) at ``degree`` on integer `block_rows`, mod p if p > 0:
+    both maps ranked in full, d o d = 0 checked on their whole product."""
+    def rows(k):
+        out = block_rows(c, L, R, m, k)
+        return [{j: r for j, v in row.items() if (r := v % p)} for row in out] if p else out
+
+    d_n = rows(degree)
+    dim_b = 0
+    if degree > 1:
+        d_prev = rows(degree - 1)
+        if any(sparse_mul(d_n, d_prev, p)):
+            raise InvariantError("coboundary does not square to zero")
+        dim_b = integer_rank(d_prev, p)
+    dim_z = cochain_space_dim(len(c), m, degree) - integer_rank(d_n, p)
+    return dim_z, dim_b, dim_z - dim_b
 
 
 def generic_cochain(field, degree: int, dim_source: int, dim_target: int) -> Cochain:

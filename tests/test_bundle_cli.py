@@ -223,13 +223,22 @@ def test_cli_budget_is_exit_3():
 
 
 def test_cli_failed_squaring_invariant_is_exit_4(monkeypatch):
-    monkeypatch.setattr(cochain, "sparse_mul", lambda *args: [{0: 1}])
+    # L_{e_3} e_3 = e_2 gains e_3 after the bundle is verified, so (g; L, R) is
+    # no longer a representation: d_2 does not kill the coboundaries of level 1
+    actions = cochain.action_arrays
+
+    def perturbed(a, rep):
+        c, L, R = actions(a, rep)
+        L3 = L[2]
+        return c, L[:2] + [L3[:2] + (L3[2][:2] + (a.field.one,),)], R
+
+    monkeypatch.setattr(cochain, "action_arrays", perturbed)
     code, out, err = run_cli("cohomology", "--of", "algebra", "--degree", "2",
                              str(CORPUS / "g3.json"))
+    message = "coboundary does not square to zero at degree 2"
     assert code == 4
-    assert json.loads(out) == {"error": "InvariantError",
-                               "message": "coboundary does not square to zero"}
-    assert err == "internal invariant failed: coboundary does not square to zero\n"
+    assert json.loads(out) == {"error": "InvariantError", "message": message}
+    assert err == f"internal invariant failed: {message}\n"
 
 
 def test_cli_failed_construction_reverification_is_exit_4(monkeypatch):
