@@ -142,9 +142,9 @@ def semidirect_rows(product, dim_v, L, R, H=None) -> list:
 
     ``product`` is the n*n*n tensor of g, ``dim_v`` is dim V, ``L`` and
     ``R`` are the n action matrices on V as lists of rows, and ``H`` is
-    the n*n table of the vectors H(e_i, e_j), or None for H = 0.  The
-    entries are read straight off these arrays, field scalars or lifted
-    ints, without a dense tensor.
+    the n*n table of the vectors H(e_i, e_j), or None (or empty) for H = 0.
+    The entries are read straight off these arrays, field scalars or
+    lifted ints, without a dense tensor.
     """
     n, m = len(product), dim_v
 

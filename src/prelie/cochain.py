@@ -302,10 +302,11 @@ def _check_map_to_module(name: str, a: PreLieAlgebra, rep: Representation, c: Co
 
 
 def _semidirect_arrays(a: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
-    """What `algebra.semidirect_tensor` reads: the product, the rows of L and R, the H table."""
+    """What `algebra.semidirect_tensor` reads: the product, the rows of L and R, the H table
+    (() for H = None)."""
     n = a.dim
     return (*action_arrays(a, rep),
-            None if H is None else [H.values[i * n:(i + 1) * n] for i in range(n)])
+            () if H is None else [H.values[i * n:(i + 1) * n] for i in range(n)])
 
 
 def twisted_rows(a: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:

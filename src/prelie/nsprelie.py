@@ -184,9 +184,12 @@ def _nijenhuis_frame(g: PreLieAlgebra):
         return [[[back(w) for w in row] for row in table] for table in (
             family_products(entries, cols, e), family_products(entries, e, cols), circ)]
 
-    def evaluate(N: Matrix):
+    def require_shape(N: Matrix):
         if N.rows != n or N.cols != n:
             raise ShapeError(f"operator is {N.rows}x{N.cols}, algebra dim {n}")
+
+    def evaluate(N: Matrix):
+        require_shape(N)
         (k, DN), _ = lift(field, (N.data, field.one))
         deformed, residuals = scatter(k)
         zero, one = (0,) * n, descend(field, Dg * DN)
@@ -195,19 +198,19 @@ def _nijenhuis_frame(g: PreLieAlgebra):
                 lambda: [[one(deformed.get((i, j), zero)) for j in range(n)] for i in range(n)],
                 lambda: ns(k, one))
 
-    evaluate.core = lambda k, one: scatter(k)[1]
+    evaluate.core, evaluate.require_shape = (lambda k, one: scatter(k)[1]), require_shape
     return evaluate
 
 
 def nijenhuis_checker(g: PreLieAlgebra):
     """The Nijenhuis identity Nx.Ny = N(x ._N y) on g, prepared once: N -> `Report`,
-    with the core of `_nijenhuis_frame`."""
+    with the core and ``require_shape`` of `_nijenhuis_frame`."""
     evaluate = _nijenhuis_frame(g)
 
     def check(N: Matrix) -> Report:
         return evaluate(N)[0]
 
-    check.core = evaluate.core
+    check.core, check.require_shape = evaluate.core, evaluate.require_shape
     return check
 
 

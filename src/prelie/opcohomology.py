@@ -22,7 +22,7 @@ the ranks and the differential are taken on them; only
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from .algebra import (PreLieAlgebra, Representation, int_basis, prelie_report,
                       representation_report)
@@ -108,5 +108,5 @@ def operator_cohomology(data: ReynoldsData, degree: int) -> OperatorCohomologyRe
     complex, so H^1 equals Z^1.
     """
     table, Lbar, Rbar, _ = _induced_arrays(data.algebra.dim, _frame(data))
-    base, _ = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, data.field.char, degree)
-    return OperatorCohomologyReport(*astuple(base), data.fingerprint())
+    r, _ = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, data.field.char, degree)
+    return OperatorCohomologyReport(r.degree, r.dim_z, r.dim_b, r.dim_h, data.fingerprint())

@@ -182,8 +182,8 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
 def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
     """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`, and
     ``frames.check``, `reynolds_checker` on it, with the integer core ``check.core(k, one)``
-    of `reynolds_residuals`.  ``frames.checked(K)``: (``check(K)``, a thunk of K's
-    frame) on one lift."""
+    of `reynolds_residuals` and ``check.require_shape(K)``.  ``frames.checked(K)``:
+    (``check(K)``, a thunk of K's frame) on one lift."""
     field, (rows, Dg), m = g.field, twisted, rep.dim_v
     entries = nonzero_entries(rows)
 
@@ -206,7 +206,8 @@ def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
     def frame(K: Matrix):
         return framed(*lifted(K))
 
-    check.core = partial(reynolds_residuals, entries)
+    check.core, check.require_shape = partial(reynolds_residuals, entries), \
+        partial(_check_operator_shape, g, rep)
     frame.check, frame.checked = check, checked
     return frame
 

@@ -4,40 +4,36 @@ Candidates are dense matrices (or vectors) whose free entries range over
 a finite scalar list; solutions come out in lexicographic row-major
 entry order.
 
-The predicate's checker runs once, on the *generic candidate*: free
-entry k is the polynomial variable x_k (`scalars.Poly`) and fixed
-entries keep their scalars.  Every checker uses only +, - and * on the
-entries, branches on them only to skip zero terms and reports through
-`algebra.residual_report`, so each nonzero residual coordinate is one
-polynomial equation, and a candidate passes exactly when every equation
-vanishes at its entries.
-
-The sweep runs on Python ints.  One `scalars.lift` takes the equations'
-coefficients, the domain and the fixed entries to ints by a common
-denominator D (over F_p, to residues, with D = 1), and each term is
-homogenised to its equation's top degree T by a factor D^(T - degree);
-an equation then holds exactly when its integer sum is 0 (over F_p, 0
-mod p).  The free entries are assigned depth first, in the fail-first
-order of `_order`.  An equation is tested at the depth that assigns the
-last of its variables; when it fails there, the whole subtree is
-skipped.  The solutions are mapped back to row-major entries and
-sorted; each is re-verified on those ints by the checker's integer core
-(``check.core(k, D)``, k its rows at scale D), every residual coordinate
-0 (mod p), and only then built as a matrix.  ``count_checked`` is the
-number of candidates the sweep covers, pruned or not; ``nodes`` the
-number of prefixes it evaluated, the empty one included.
+A search runs on Python ints.  One `scalars.lift` takes 1, the domain
+and the fixed entries to ints by a common denominator D (over F_p, to
+residues, with D = 1).  The predicate's integer core
+``check.core(k, one)``, the residuals at the candidate whose rows lifted
+by ``one`` are k, runs once, at one = D, on the *generic candidate*:
+free entry k is the variable x_k (`scalars.Poly`), an entry lifted by D.
+The core uses only +, - and * on the entries, skips zero terms and is
+homogeneous in (k, one) (`SIGNS.md`), so each nonzero residual
+coordinate, reduced mod p over F_p, is one equation, which a candidate
+satisfies exactly when it is 0 (mod p) at its lifted entries.  The free
+entries are assigned depth first, in the fail-first order of `_order`;
+an equation is tested at the depth that assigns the last of its
+variables, and when it fails there the whole subtree is skipped.  Each
+solution is re-verified by the core on its ints (``check.core(k, D)``)
+and only then built as a matrix.  ``count_checked`` is the number of
+candidates the sweep covers, pruned or not; ``nodes`` the number of
+prefixes it evaluated, the empty one included.
 
 The registry maps a predicate id to a function of the bundle sections
 that returns the checker after all the work on the fixed data (the
-rcw-reynolds entry checks H there), so the generic candidate costs one
-lift and the prepared integer kernels, and each solution no lift.
+rcw-reynolds entry checks H there).  The core does not check shapes:
+``check.require_shape(K)`` does, before the compile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
-from .deformation import _ElementTerms, _element_checker
+from .deformation import _ElementTerms, _element, _element_checker
 from .errors import BudgetExceededError, InvariantError, ShapeError
 from .linalg import _matrix
 from .nsprelie import nijenhuis_checker
@@ -83,19 +79,6 @@ class SearchSpec:
         return len(self.domain) ** self.free_count()
 
 
-def _placer(spec: SearchSpec, template):
-    """values -> ``template`` with the free entries, row-major, set to ``values``."""
-    free = spec.free_positions()
-
-    def place(values) -> tuple:
-        entries = [list(row) for row in template]
-        for (i, j), v in zip(free, values):
-            entries[i][j] = v
-        return tuple(map(tuple, entries))
-
-    return place
-
-
 # ---------------------------------------------------------------------------
 # predicate registry: bundle sections -> checker of one candidate
 
@@ -121,7 +104,7 @@ def _d_reynolds_predicate(bundle):
     def check(K):
         return reynolds(_require_square(g, K))
 
-    check.core = reynolds.core
+    check.core, check.require_shape = reynolds.core, partial(_require_square, g)
     return check
 
 
@@ -129,12 +112,16 @@ def _nijenhuis_element_predicate(bundle):
     data = bundle["data"]  # with the element maps, when `deformation._elements` has them
     element = _element_checker(data, bundle.get("terms") or _ElementTerms(data))
 
-    def check(x):
+    def column(x) -> tuple:
         if x.cols != 1:
             raise ShapeError(f"an element is one column, not {x.cols}")
-        return element(x.column(0))
+        return x.column(0)
+
+    def check(x):
+        return element(column(x))
 
     check.core = lambda k, one: element.core([row[0] for row in k], one)
+    check.require_shape = lambda x: _element(data.algebra, column(x))  # and its length
     return check
 
 
@@ -147,24 +134,36 @@ PREDICATES = {
 }
 
 
-def _compile(spec: SearchSpec, field):
-    """The checker of ``spec``, its equations in the free entries and the
-    candidates' template: the fixed entries coerced, 0 elsewhere.
+def _rows(flat, cols: int) -> tuple:
+    """``flat``, row-major, cut into rows of ``cols`` entries."""
+    return tuple(zip(*[iter(flat)] * cols))
 
-    The checker runs once on the generic candidate; its nonzero residual
-    coordinates are the equations.  A residual that is a nonzero scalar
-    becomes a constant polynomial, which no candidate satisfies.
+
+def _compile(spec: SearchSpec, field) -> tuple:
+    """The checker of ``spec``, its equations in the free entries, D, the lifted
+    domain and the candidates' row-major template, lifted and on field scalars
+    (the fixed entries coerced, 0 elsewhere).  A nonzero constant residual is a
+    constant equation, which no candidate satisfies.
     """
     check = PREDICATES[spec.predicate](spec.bundle)
     rows, cols = spec.shape
-    template = [[field(spec.fixed.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
-    generic = _placer(spec, template)([Poly({(k,): field.one}) for k in range(spec.free_count())])
-    residuals = (x if isinstance(x, Poly) else Poly({(): x})
-                 for _, residual in check(_matrix(field, generic, cols)).violations
-                 for x in residual if x)
-    # one equation per distinct polynomial, in the order the checker found them
-    equations = list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
-    return check, equations, template
+    template = [field(spec.fixed.get((i, j), 0)) for i in range(rows) for j in range(cols)]
+    check.require_shape(_matrix(field, _rows(template, cols), cols))
+    (D, values, ints), _ = lift(field, (field.one, [field(v) for v in spec.domain], template))
+    generic = list(ints)
+    for k, (i, j) in enumerate(spec.free_positions()):
+        generic[i * cols + j] = Poly({(k,): 1})
+    p = field.char
+    equations = {}  # one per distinct polynomial, in the order the core found them
+    for _, residual in check.core(_rows(generic, cols), D):
+        for x in residual:
+            if x:
+                eq = x if isinstance(x, Poly) else Poly({(): x})
+                if p:
+                    eq = eq.map(lambda c: c % p)
+                if eq:
+                    equations.setdefault(frozenset(eq.terms.items()), eq)
+    return check, list(equations.values()), D, values, ints, template
 
 
 def _order(equations, n_free: int) -> list:
@@ -196,23 +195,19 @@ def _order(equations, n_free: int) -> list:
     return order
 
 
-def _lower(equations, domain, template, field, position):
-    """The equations as integer terms, grouped by the depth that completes them.
+def _lower(equations, position) -> list:
+    """The equations as tuples of (coefficient, positions) terms, grouped by the depth
+    that completes them.
 
-    Returns ``levels``, D, the lifted domain and template.  x_v is the
-    sweep's variable ``position[v]``; ``levels[k]`` holds the equations
-    whose last variable is at position k - 1 (``levels[0]`` the constant
-    ones), each as a tuple of (integer coefficient, positions) terms
-    homogenised to the equation's top degree (module docstring).
+    x_v is the sweep's variable ``position[v]``; ``levels[k]`` holds the
+    equations whose last variable is at position k - 1 (``levels[0]`` the
+    constant ones).
     """
-    (D, values, ints, lifted), _ = lift(field, (field.one, domain, template, equations))
     levels = [[] for _ in range(len(position) + 1)]
-    for eq in lifted:
-        top = max(map(len, eq.terms))
-        terms = tuple((c * D ** (top - len(mono)), tuple(position[v] for v in mono))
-                      for mono, c in eq.terms.items())
+    for eq in equations:
+        terms = tuple((c, tuple(position[v] for v in mono)) for mono, c in eq.terms.items())
         levels[max((k + 1 for _, at in terms for k in at), default=0)].append(terms)
-    return levels, D, values, ints
+    return levels
 
 
 def _sweep(levels, values, p):
@@ -302,18 +297,19 @@ def exhaustive_search(spec: SearchSpec, field) -> SearchResult:
         # d^k, not its digits: the count can run to thousands of them
         raise BudgetExceededError(f"{len(domain)}^{spec.free_count()} candidates "
                                   f"exceed the budget of {spec.budget}")
-    check, equations, template = _compile(spec, field)
+    check, equations, D, values, ints, template = _compile(spec, field)
     order = _order(equations, spec.free_count())
     position = sorted(range(len(order)), key=order.__getitem__)  # order[position[v]] = v
-    levels, D, values, ints = _lower(equations, domain, template, field, position)
     p = field.char
-    found, nodes = _sweep(levels, values, p)
-    on_ints, on_field = _placer(spec, ints), _placer(spec, template)
+    found, nodes = _sweep(_lower(equations, position), values, p)
+    free = [i * cols + j for i, j in spec.free_positions()]
     solutions = []
     for choice in sorted(tuple(choice[k] for k in position) for choice in found):
-        if any(x % p if p else x
-               for _, r in check.core(on_ints([values[j] for j in choice]), D) for x in r):
+        k, K = list(ints), list(template)
+        for at, j in zip(free, choice):
+            k[at], K[at] = values[j], domain[j]
+        if any(x % p if p else x for _, r in check.core(_rows(k, cols), D) for x in r):
             raise InvariantError(
                 "the compiled equations accepted a candidate the checker rejects")
-        solutions.append(_matrix(field, on_field([domain[j] for j in choice]), cols))
+        solutions.append(_matrix(field, _rows(K, cols), cols))
     return SearchResult(tuple(solutions), total, len(solutions), nodes)

@@ -10,8 +10,9 @@ readings match the generic path, so a wrong expansion is localized to the
 term group that caused it.
 
 `verify_polynomial_system` sweeps every 3x3 operator over F_p on the
-worked 3-dimensional bundle and compares the equations that the search
-compiles from the Reynolds checker with a hand-derived polynomial system.
+worked 3-dimensional bundle and compares the equations that
+`field_equations` compiles from the Reynolds checker with a
+hand-derived polynomial system.
 
 `coboundary_at` is the coboundary formula evaluated term by term at one
 tuple of basis indices, on the cochain's own scalars, and
@@ -46,9 +47,15 @@ references for every table the library reads off the integer lift.
 condition written out by hand on those actions, as the library had it
 before it read four of them off one morphism of semidirect products.
 
+`field_equations` is the search's compile as the library ran it before
+it compiled on the predicate's integer core: the field checker run on
+the generic candidate (free entry k the `Poly` x_k over the field),
+its nonzero residual coordinates as equations on field scalars, and
+their lift with the domain and the fixed entries, each term homogenised
+to its equation's top degree T by a factor D^(T - degree).
 `dense_sweep` is the sweep `search.exhaustive_search` ran before it
 pruned prefixes on integers: every candidate of `itertools.product`,
-the compiled equations evaluated on the field scalars (`vanish`), and
+the field equations evaluated on the field scalars (`vanish`), and
 each candidate decided again by `field_checker`, which must agree.
 
 `operator_identity` evaluates K e_i . K e_j - K(table[i][j]) on all
@@ -218,6 +225,7 @@ from prelie.errors import (
     ShapeError,
 )
 from prelie.linalg import (
+    _matrix,
     Matrix,
     add_vec,
     basis_vec,
@@ -231,8 +239,8 @@ from prelie.linalg import (
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, _check_operator_shape, morphism_checker
-from prelie.scalars import FpElement, Poly, PrimeField, descend
-from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec, _compile, _placer
+from prelie.scalars import FpElement, Poly, PrimeField, descend, lift
+from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec
 
 
 def tensor_mul(field, tensor, x, y) -> tuple:
@@ -741,11 +749,47 @@ def field_checker(spec: SearchSpec):
     return PREDICATES[spec.predicate](b)
 
 
+def _placed(spec: SearchSpec, field, values) -> tuple:
+    """The rows of the candidate whose free entries, in row-major order, are
+    ``values``; the fixed entries coerced into ``field``."""
+    rows, cols = spec.shape
+    entries = [[field(spec.fixed.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
+    for (i, j), v in zip(spec.free_positions(), values):
+        entries[i][j] = v
+    return tuple(map(tuple, entries))
+
+
 def candidate(spec: SearchSpec, values, field) -> Matrix:
     """The candidate whose free entries, in row-major order, are ``values``."""
-    rows, cols = spec.shape
-    template = [[field(spec.fixed.get((i, j), 0)) for j in range(cols)] for i in range(rows)]
-    return Matrix(field, _placer(spec, template)(values))
+    return Matrix(field, _placed(spec, field, values))
+
+
+def field_equations(spec: SearchSpec, field) -> tuple:
+    """The search's equations compiled on field scalars (see the module docstring).
+
+    Returns (the equations over ``field``, their lift homogenised, the
+    lifted domain): one equation per distinct nonzero residual coordinate
+    of the checker at the generic candidate, in the order it found them,
+    a nonzero scalar as a constant polynomial.  The lift is by the common
+    denominator D of 1, the domain, the fixed entries and the coefficients
+    (1 over F_p), and a homogenised equation is 0 (mod p) at the lifted
+    entries of a candidate exactly when the field equation vanishes at it.
+    """
+    check = PREDICATES[spec.predicate](spec.bundle)
+    generic = _placed(spec, field, [Poly({(k,): field.one}) for k in range(spec.free_count())])
+    residuals = (x if isinstance(x, Poly) else Poly({(): x})
+                 for _, residual in check(_matrix(field, generic, spec.shape[1])).violations
+                 for x in residual if x)
+    equations = list({frozenset(eq.terms.items()): eq for eq in residuals}.values())
+    template = _placed(spec, field, ())
+    (D, values, _, lifted), _ = lift(field, (field.one, [field(v) for v in spec.domain],
+                                             template, equations))
+    homogenised = []
+    for eq in lifted:
+        top = max(map(len, eq.terms))
+        homogenised.append(Poly({mono: c * D ** (top - len(mono))
+                                 for mono, c in eq.terms.items()}))
+    return equations, homogenised, values
 
 
 def poly_at(poly: Poly, values, zero):
@@ -765,10 +809,10 @@ def vanish(equations, values, zero) -> bool:
 def dense_sweep(spec: SearchSpec, field) -> list:
     """The solutions of ``spec`` from every candidate, in `product` order.
 
-    Each candidate is decided by the compiled equations on field scalars
-    and by `field_checker`; the two must agree.
+    Each candidate is decided by `field_equations` on field scalars and
+    by `field_checker`; the two must agree.
     """
-    _, equations, _ = _compile(spec, field)
+    equations = field_equations(spec, field)[0]
     check = field_checker(spec)
     zero = field.zero
     solutions = []
@@ -810,7 +854,7 @@ def verify_polynomial_system(field: PrimeField,
     total = spec.count()
     if total > budget:
         raise BudgetExceededError(f"{total} candidates exceed the budget of {budget}")
-    _, equations, _ = _compile(spec, field)
+    equations = field_equations(spec, field)[0]
     p, zero = field.p, field.zero
     mismatches = []
     solutions = 0

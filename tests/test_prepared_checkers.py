@@ -778,9 +778,9 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
     # once for the element maps, whose one preparation both sides of the
     # morphism checker read (and, for rigidity, Z^1 and the image): a
     # fixed number whatever the number of candidates.  The element check
-    # runs once, on the search's generic x, and lifts x once, to combine
-    # it with the element maps on their ints; the core re-verifies each
-    # element found on the sweep's own ints and lifts nothing
+    # on field scalars never runs: the core compiles the search on the
+    # generic x and re-verifies each element found, all on the sweep's
+    # own ints, and lifts nothing
     built = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
     lifts = count_calls(monkeypatch, scalars, "lift")
     per_check, per_core = [], []
@@ -813,9 +813,8 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
         per_core.clear()
         run(("deform", action, "--bundle", f"corpus/{bundle}", "--field", field))
         assert len(built) == arrays
-        # (x, one)
-        assert per_check == [[2]]
-        assert per_core and not any(per_core)
+        assert per_check == []
+        assert len(per_core) > 1 and not any(per_core)
         seen.add(len(per_core))
     assert len(seen) == 3
 

@@ -285,7 +285,7 @@ def count_checks(monkeypatch, predicate: str) -> tuple:
             cores.append((k, one))
             return check.core(k, one)
 
-        counting.core = core
+        counting.core, counting.require_shape = core, check.require_shape
         return counting
 
     monkeypatch.setitem(search_module.PREDICATES, predicate, counting_prepare)
@@ -298,11 +298,13 @@ def _residues(K) -> tuple:
 
 
 def _checked_once_then_by_the_core(calls, cores, result):
-    # the checker runs on the generic candidate alone; each solution is
-    # re-verified by the core, on its residues, in the order of the solutions
-    assert len(calls) == 1
-    assert any(isinstance(x, scalars.Poly) for row in calls[0].data for x in row)
-    assert [(_residues(K), 1) for K in result.solutions] == cores
+    # the field checker never runs; the core runs once on the generic
+    # candidate, then re-verifies each solution on its residues, in the
+    # order of the solutions
+    assert calls == []
+    (generic, one), *per_solution = cores
+    assert one == 1 and any(isinstance(x, scalars.Poly) for row in generic for x in row)
+    assert [(_residues(K), 1) for K in result.solutions] == per_solution
 
 
 def test_rcw_search_runs_the_checker_once_plus_once_per_solution(monkeypatch):
@@ -353,12 +355,19 @@ def test_classical_searches_run_the_checker_once_plus_once_per_solution(
 PREPARED = ["rcw-reynolds", "weighted-reynolds", "d-reynolds", "nijenhuis"]
 
 
+def _holds_a_poly(x) -> bool:
+    if isinstance(x, (tuple, list)):
+        return any(map(_holds_a_poly, x))
+    return isinstance(x, scalars.Poly)
+
+
 @pytest.mark.parametrize("predicate", PREPARED)
 def test_search_prepares_the_fixed_data_once(monkeypatch, predicate):
     # the fixed data are lifted, and their tensor rows built, once per
     # search (the twisted semidirect rows, or the algebra's for nijenhuis);
-    # the generic candidate costs one lift of its own, the solutions none:
-    # the core reads them off the sweep's own lift
+    # beyond that preparation a search makes one lift, of 1, the domain and
+    # the fixed entries: the generic candidate, the equations and the
+    # solutions are read off that lift and lift nothing
     F2 = PrimeField(2)
     sections = _f2_sections(predicate)
     checks, cores = count_checks(monkeypatch, predicate)
@@ -366,20 +375,26 @@ def test_search_prepares_the_fixed_data_once(monkeypatch, predicate):
     rows = count_calls(monkeypatch, algebra, "nonzero_rows")
     twisted = count_calls(monkeypatch, algebra, "semidirect_rows")
     arrays = count_calls(monkeypatch, reynolds, "_semidirect_arrays")
-    per_search = set()
+    search_module.PREDICATES[predicate](sections)
+    preparation = len(lifts)
+    assert preparation >= 1
+    domain = tuple(F2.elements())
+    found = set()
     for fixed in ({}, {(0, 0): F2(0)}, {(2, 2): F2(1), (0, 0): F2(0)}):
         for calls in (checks, cores, lifts, rows, twisted, arrays):
             calls.clear()
-        spec = SearchSpec(predicate, sections, (3, 3), tuple(F2.elements()), fixed=fixed)
+        spec = SearchSpec(predicate, sections, (3, 3), domain, fixed=fixed)
         result = exhaustive_search(spec, F2)
-        assert (len(checks), len(cores)) == (1, result.count_solutions)
-        assert sum(args[1][0] is checks[0].data for args in lifts) == 1
+        assert (len(checks), len(cores)) == (0, 1 + result.count_solutions)
+        assert len(lifts) == preparation + 1
+        template = [fixed.get((i, j), F2(0)) for i in range(3) for j in range(3)]
+        assert lifts[-1][1] == (F2.one, list(domain), template)
+        assert not any(_holds_a_poly(args) for args in lifts)
         assert (len(rows), len(twisted)) == ((1, 0) if predicate == "nijenhuis" else (0, 1))
         assert len(arrays) == (predicate != "nijenhuis")
-        per_search.add((len(lifts), result.count_solutions))
+        found.add(result.count_solutions)
     # the lifts do not grow with the solutions
-    assert len({count for count, _ in per_search}) == 1
-    assert len({found for _, found in per_search}) == 3
+    assert len(found) == 3
 
 
 def _all_predicates_f2() -> list:
@@ -398,7 +413,8 @@ def _all_predicates_f2() -> list:
 def test_a_checker_that_rejects_a_solution_is_an_invariant_error(monkeypatch, predicate, k):
     # the compiled equations accept the k-th solution, its re-verification
     # by the checker's integer core rejects it: the two routes disagree,
-    # which is a fault in the package
+    # which is a fault in the package.  The core's first call is the
+    # compile, on the generic candidate
     prepare = search_module.PREDICATES[predicate]
 
     def rejecting_prepare(bundle):
@@ -408,7 +424,7 @@ def test_a_checker_that_rejects_a_solution_is_an_invariant_error(monkeypatch, pr
         def core(ints, one):
             calls.append(ints)
             residuals = original(ints, one)
-            return [((0, 0), (1,))] if len(calls) == k else residuals
+            return [((0, 0), (1,))] if len(calls) == 1 + k else residuals
 
         check.core = core
         return check
@@ -540,7 +556,8 @@ def test_pruned_sweep_equals_dense_sweep(p, case):
 
 
 def test_pruned_sweep_equals_dense_sweep_over_q_with_a_fractional_domain():
-    # the equations mix degrees, so a fractional domain exercises the homogenisation
+    # the equations mix degrees, so a fractional domain exercises the powers of
+    # D that the core at one = D puts on the terms of lower degree
     domain = (QQ(0), QQ("1/2"), QQ(-1))
     fractional = 0
     for predicate, bundle, shape, fixed, _ in _predicate_cases(QQ):
@@ -550,6 +567,75 @@ def test_pruned_sweep_equals_dense_sweep_over_q_with_a_fractional_domain():
         fractional += sum(any(x.denominator == 2 for row in K.data for x in row)
                           for K in solutions)
     assert fractional > 0
+
+
+# ---------------------------------------------------------------------------
+# the compile on the integer core against the compile on field scalars
+
+
+def _field_route(spec, field) -> tuple:
+    """(solutions, nodes) of `oracles.field_equations` swept by the search's own
+    order, lowering and sweep."""
+    _, equations, values = oracles.field_equations(spec, field)
+    order = search_module._order(equations, spec.free_count())
+    position = sorted(range(len(order)), key=order.__getitem__)
+    found, nodes = search_module._sweep(search_module._lower(equations, position), values,
+                                        field.char)
+    domain = [field(v) for v in spec.domain]
+    return ([oracles.candidate(spec, [domain[j] for j in choice], field)
+             for choice in sorted(tuple(c[k] for k in position) for c in found)], nodes)
+
+
+def _route_specs():
+    """(field, spec) for every case over F_2, F_3 and F_5 on the whole field, and over
+    Q on the domain 0, 1/2, -1 with the fixed entries as they are and moved off the
+    integers (D = 2 and D = 6)."""
+    for p in (2, 3, 5):
+        F = PrimeField(p)
+        for predicate, bundle, shape, fixed, _ in _predicate_cases(F):
+            yield F, SearchSpec(predicate, bundle, shape, tuple(F.elements()), fixed=fixed)
+    domain = (QQ(0), QQ("1/2"), QQ(-1))
+    for predicate, bundle, shape, fixed, _ in _predicate_cases(QQ):
+        for moved in ((fixed, _fractional_fixed(fixed)) if fixed else (fixed,)):
+            yield QQ, SearchSpec(predicate, bundle, shape, domain, fixed=moved)
+
+
+def test_the_core_compile_gives_the_field_compile_solutions_and_nodes():
+    specs = list(_route_specs())
+    assert len(specs) == 3 * 10 + 10 + 5
+    mixed = set()  # the fields with a case that keeps some candidates and rejects others
+    for field, spec in specs:
+        result = exhaustive_search(spec, field)
+        assert (list(result.solutions), result.nodes) == _field_route(spec, field)
+        if field.char:
+            # over F_p, D = 1: the same equations, in the same order
+            assert [eq.terms for eq in search_module._compile(spec, field)[1]] == \
+                [eq.terms for eq in oracles.field_equations(spec, field)[1]]
+        if 0 < result.count_solutions < spec.count():
+            mixed.add(field.char)
+    assert mixed == {0, 2, 3, 5}
+    # the core reads only the entries it is given: an element of two columns
+    # fails both routes alike, before any equation is compiled
+    field, spec = specs[8]
+    spec = SearchSpec(spec.predicate, spec.bundle, (3, 2), spec.domain)
+    for route in (exhaustive_search, oracles.field_equations):
+        with pytest.raises(ShapeError, match="^an element is one column, not 2$"):
+            route(spec, field)
+
+
+@pytest.mark.parametrize("case, shape", [
+    (8, (3, 2)), (8, (2, 1)), (0, (3, 3)), (2, (3, 2)), (4, (2, 3)), (6, (3, 3))])
+def test_both_compiles_reject_a_wrong_shape_alike(case, shape):
+    # the core reads only the entries it is given: a wrong shape is
+    # rejected before the compile, with the field checker's message
+    F2 = PrimeField(2)
+    predicate, bundle, *_ = _predicate_cases(F2)[case]
+    spec = SearchSpec(predicate, bundle, shape, tuple(F2.elements()))
+    with pytest.raises(ShapeError) as core_route:
+        exhaustive_search(spec, F2)
+    with pytest.raises(ShapeError) as field_route:
+        oracles.field_equations(spec, F2)
+    assert str(core_route.value) == str(field_route.value)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -612,7 +698,7 @@ def test_the_order_is_a_permutation_of_the_free_variables(p, case):
     F = PrimeField(p)
     predicate, bundle, shape, fixed, _ = _predicate_cases(F)[case]
     spec = SearchSpec(predicate, bundle, shape, tuple(F.elements()), fixed=fixed)
-    _, equations, _ = search_module._compile(spec, F)
+    _, equations, *_ = search_module._compile(spec, F)
     assert sorted(search_module._order(equations, spec.free_count())) == \
         list(range(spec.free_count()))
 

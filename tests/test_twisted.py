@@ -138,6 +138,20 @@ def test_semidirect_rows_are_the_nonzero_rows_of_the_dense_product(field):
                 _as_tensor(field, dense)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_twisted_rows_with_no_weight_are_the_untwisted_rows(field):
+    # H = None: (g, rep) lifted alone, by their own denominator, and no twist
+    rng = random.Random(2904)
+    fractional = 0
+    for g, rep, _ in _weights(rng, field, 4):
+        product, L, R, _ = _semidirect_arrays(g, rep, None)
+        (c, Ll, Rl, D), _ = lift(field, (product, L, R, field.one))
+        assert cochain.twisted_rows(g, rep, None) == \
+            (semidirect_rows(c, rep.dim_v, Ll, Rl, None), D)
+        fractional += D != 1
+    assert fractional >= 2 if field == QQ else fractional == 0
+
+
 def test_check_two_cocycle_reads_no_coboundary(monkeypatch):
     # one pass of the cocycle kernel per check, no coboundary, no cochain evaluation
     bundle = parse_bundle(str(CORPUS / "g3-k-rowzero.json"))
