@@ -23,6 +23,7 @@ from .brackets import (
     d_K,
     derived_bracket,
     diamond,
+    dk_difference,
     mn_bracket,
     ternary_bracket,
 )
@@ -41,7 +42,6 @@ from .deformation import (
     check_linear_deformation,
     check_nijenhuis_element,
     element_coboundary,
-    infinitesimal,
     nijenhuis_elements,
     rigidity_probe,
 )

@@ -36,8 +36,9 @@ and `nsprelie.check_ns_prelie` lift the constants they read with one
 on the ints and map only nonzero residuals back (`lifted_report`): of
 degree 2 in the constants (antisymmetry 1), a residual r is r / D^2
 (r / D) over Q and r mod p over F_p.  `prelie_report` and
-`representation_report` start from arrays already lifted, as
-`opcohomology` reads them off an operator's frame.
+`representation_report` start from arrays already lifted; `pair_reports`
+gives both off one pass, as `opcohomology` reads them off an operator's
+frame.
 """
 
 from __future__ import annotations
@@ -160,13 +161,15 @@ def semidirect_rows(product, dim_v, L, R, H=None) -> list:
                    for u in range(m)]
 
 
-def semidirect_tensor(product, dim_v, L, R, H=None) -> list:
-    """The structure constants of `semidirect_rows` (raw, unchecked), zero entries the int 0.
+def semidirect_tensor(product, dim_v, L, R, H=None, zero=0) -> list:
+    """The structure constants of `semidirect_rows` (raw, unchecked), absent entries ``zero``.
 
-    `PreLieAlgebra` and `Cochain` coerce them to the field.
+    With the field's zero every entry is a field scalar already, which
+    `PreLieAlgebra` keeps as it is; the default, the int 0, is coerced there.
     """
     rows = semidirect_rows(product, dim_v, L, R, H)
-    return [[[dict(row).get(k, 0) for k in range(len(rows))] for row in plane] for plane in rows]
+    return [[[dict(row).get(k, zero) for k in range(len(rows))] for row in plane]
+            for plane in rows]
 
 
 def nonzero_rows(tensor) -> list:
@@ -236,8 +239,8 @@ def prelie_defects(rows, triples, start):
     constants.  The row of [a,b] is built once per pair and read for every c.
     """
     dim = len(rows)
-    tails = [[[(k - start, x) for k, x in row if k >= start] for row in plane]
-             for plane in rows]
+    tails = rows if not start else [[[(k - start, x) for k, x in row if k >= start]
+                                     for row in plane] for plane in rows]
     brackets = {}
     for a, b, c in triples:
         ab = brackets.get((a, b))
@@ -269,12 +272,21 @@ def check_prelie(field, tensor) -> Report:
     return prelie_report(t, lambda r: down(r, 2))
 
 
+def _prelie_triples(n: int) -> list:
+    """The triples (i, j, k), i < j, at which the pre-Lie identity is read: it is
+    symmetric in (i, j), and i == j is trivial."""
+    r = range(n)
+    return [(i, j, k) for i in r for j in r[i + 1:] for k in r]
+
+
 def prelie_report(t, back) -> Report:
     """`check_prelie` on lifted constants, ``back`` mapping residuals to the field."""
-    n = len(t)
-    # symmetric in (i, j); i == j is trivial
-    triples = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
-    defects = list(prelie_defects(nonzero_rows(t), triples, 0))
+    triples = _prelie_triples(len(t))
+    return _prelie_violations(triples, list(prelie_defects(nonzero_rows(t), triples, 0)), back)
+
+
+def _prelie_violations(triples, defects, back) -> Report:
+    """The `prelie_report` of the ``defects`` at ``triples``."""
     return lifted_report(zip(triples, defects), back) if any(map(any, defects)) else Report(True)
 
 
@@ -282,7 +294,11 @@ def minus_defects(rows, triples, start: int):
     """(a, b, c) -> minus the pre-Lie defect there, off one `prelie_defects` pass over
     ``triples``, a < b: (b, a, c) reads the negative, the defect being antisymmetric.
     None if every defect vanishes."""
-    defects = list(prelie_defects(rows, triples, start))
+    return _minus(triples, list(prelie_defects(rows, triples, start)))
+
+
+def _minus(triples, defects):
+    """`minus_defects` on the ``defects`` at ``triples``."""
     if not any(map(any, defects)):
         return None
     defects = dict(zip(triples, defects))
@@ -417,19 +433,51 @@ def check_representation(algebra: PreLieAlgebra, dim_v: int, L, R) -> Report:
     return representation_report(c, dim_v, L, R, lambda r: down(r, 2))
 
 
+def _action_triples(n: int, dim_v: int) -> list:
+    """The triples of g + V (dim g = n) at which `representation_report` reads the
+    defect: the left ones (x, y, u), x < y, then the mixed ones (x, u, y)."""
+    r, vs = range(n), range(dim_v)
+    return ([(i, j, n + u) for i in r for j in r[i + 1:] for u in vs]
+            + [(i, n + u, j) for i in r for j in r for u in vs])
+
+
 def representation_report(c, dim_v: int, L, R, back) -> Report:
     """`check_representation` on lifted arrays, ``back`` as in `prelie_report`.
 
     The left identity is antisymmetric in (x, y) (`SIGNS.md`): it is read at x < y only.
     """
-    n, r, vs = len(c), range(len(c)), range(dim_v)
-    left = [(i, j, n + u) for i in r for j in r[i + 1:] for u in vs]
-    mixed = [(i, n + u, j) for i in r for j in r for u in vs]
-    minus = minus_defects(semidirect_rows(c, dim_v, L, R), left + mixed, n)
+    n = len(c)
+    triples = _action_triples(n, dim_v)
+    defects = list(prelie_defects(semidirect_rows(c, dim_v, L, R), triples, n))
+    return _action_violations(n, dim_v, triples, defects, back)
+
+
+def _action_violations(n: int, dim_v: int, triples, defects, back) -> Report:
+    """The `representation_report` of the V-parts ``defects`` at `_action_triples`."""
+    minus, r, vs = _minus(triples, defects), range(n), range(dim_v)
     return Report(True) if minus is None else lifted_report(
         (((name, i, j, u), minus(i, j, n + u) if name == "left" else minus(i, n + u, j))
          for i in r for j in r for u in vs
          for name in ("left", "mixed") if name == "mixed" or i != j), back)
+
+
+def pair_reports(c, dim_v: int, L, R, back) -> tuple:
+    """(`prelie_report` of c, `representation_report` of (L, R)), off one `prelie_defects`
+    pass over the rows of the semidirect product c + V.
+
+    The pass reads the triples of c (`_prelie_triples`), then the left
+    and the mixed ones (`_action_triples`); a triple of c has its defect
+    on c, an action triple on V.  When every defect vanishes no report
+    is built.
+    """
+    n = len(c)
+    own, actions = _prelie_triples(n), _action_triples(n, dim_v)
+    defects = list(prelie_defects(semidirect_rows(c, dim_v, L, R), own + actions, 0))
+    if not any(map(any, defects)):
+        return Report(True), Report(True)
+    split = len(own)
+    return (_prelie_violations(own, [d[:n] for d in defects[:split]], back),
+            _action_violations(n, dim_v, actions, [d[n:] for d in defects[split:]], back))
 
 
 class Representation:

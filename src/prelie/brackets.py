@@ -84,7 +84,7 @@ from .cochain import (
 )
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix
-from .reynolds import ReynoldsData, _frames, _require_cocycle
+from .reynolds import ReynoldsData, _prepared, _require_cocycle
 from .opcohomology import _frame_coboundary
 from .scalars import Poly, descend, lift
 
@@ -359,6 +359,11 @@ def dk_difference(data: ReynoldsData, degree: int) -> Cochain:
     two differentials; the identity holds exactly when every coordinate
     is zero.  Both sides read one preparation of (g, rep, H).
     """
+    return _dk_difference(data, _prepared(data), degree)
+
+
+def _dk_difference(data: ReynoldsData, frames, degree: int) -> Cochain:
+    """`dk_difference` on the frames of the bundle's (g, rep, H)."""
     g, rep = data.algebra, data.rep
     # the coordinate (key p, target t) of f is the variable x_c, c = p * m + t,
     # so column c is the basis cochain at that coordinate
@@ -366,9 +371,8 @@ def dk_difference(data: ReynoldsData, degree: int) -> Cochain:
     n_keys = cochain_space_dim(rep.dim_v, 1, degree)  # rejects degree < 1
     f = Cochain(g.field, degree, rep.dim_v, m,
                 [[Poly({(p * m + t,): one}) for t in range(m)] for p in range(n_keys)])
-    twisted = twisted_rows(g, rep, data.cocycle)
-    d = _frame_coboundary(m, _frames(g, rep, twisted)(data.operator), f)
-    return _d_K(data, twisted, f) - (d if degree % 2 else -d)
+    d = _frame_coboundary(m, frames(data.operator), f)
+    return _d_K(data, frames.twisted, f) - (d if degree % 2 else -d)
 
 
 def twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
@@ -377,12 +381,17 @@ def twisted_mc_residual(data: ReynoldsData, K2: Matrix) -> Cochain:
     Vanishes iff K + K' satisfies the Reynolds identity; this is the
     Maurer-Cartan equation of the structure twisted by K.
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    return _twisted_mc_residual(data, twisted_rows(data.algebra, data.rep, data.cocycle), K2)
+
+
+def _twisted_mc_residual(data: ReynoldsData, twisted: tuple, K2: Matrix) -> Cochain:
+    """`twisted_mc_residual` on the preparation of the bundle's (g, rep, H)."""
+    g, rep, K = data.algebra, data.rep, data.operator
     if K2.rows != g.dim or K2.cols != rep.dim_v:
         raise ShapeError("operator has the wrong shape")
     # cochains: 0 = K, 1 = K'
     return _combination(
-        g, twisted_rows(g, rep, H), [Cochain.from_matrix(K), Cochain.from_matrix(K2)],
+        g, twisted, [Cochain.from_matrix(K), Cochain.from_matrix(K2)],
         [(Fraction(1), (0, 1)), (Fraction(-1, 2), (0, 0, 1)),
          (Fraction(1, 2), (1, 1)), (Fraction(-1, 2), (0, 1, 1)),
          (Fraction(-1, 6), (1, 1, 1))])

@@ -38,7 +38,7 @@ from .cochain import Cochain
 from .errors import FieldMismatchError, IoError, SchemaError, UnverifiedError
 from .linalg import Matrix, _matrix
 from .nsprelie import NSPreLie
-from .reynolds import ReynoldsData
+from .reynolds import ReynoldsData, _verified
 from .scalars import field_by_name, field_name, scalar_to_str
 
 
@@ -335,6 +335,12 @@ class Bundle:
     def reynolds_data(self) -> ReynoldsData:
         return ReynoldsData.build(self.algebra(), self.representation(),
                                   self.cocycle(), self.operator())
+
+    def prepared(self) -> tuple:
+        """(`reynolds_data`, the frames it was verified on: `reynolds._verified`), for a
+        command that hands the frames to every kernel it runs on the bundle."""
+        return _verified(self.algebra(), self.representation(), self.cocycle(),
+                         self.operator())
 
     def named_cochain(self, name: str) -> Cochain:
         section = self.raw.get("cochains", {})

@@ -87,11 +87,12 @@ def _emit(doc, ok):
 # check subcommands
 
 
-def _series_check(data, coefficients) -> tuple:
-    """The formal-deformation check of a series: (its order keys, `Report`)."""
+def _series_check(data, frames, coefficients) -> tuple:
+    """The formal-deformation check of a series on the bundle's frames: (its order keys,
+    `Report`)."""
     series = deformation.DeformationSeries(data, tuple(coefficients))
     return ({"order": series.order, "checked_orders": [0, 3 * series.order]},
-            deformation.check_formal_deformation(series))
+            deformation._check_formal_deformation(series, frames))
 
 
 def _cmd_check(args) -> int:
@@ -136,17 +137,19 @@ def _cmd_check(args) -> int:
         report = brackets.check_maurer_cartan(bundle.algebra(), bundle.representation(),
                                               bundle.cocycle(), bundle.operator())
     elif what == "twisted-mc":
-        data = bundle.reynolds_data()
-        report = brackets.check_twisted_mc(data, bundle.matrix("operatorKprime"))
+        data, frames = bundle.prepared()
+        report = brackets._cochain_report(brackets._twisted_mc_residual(
+            data, frames.twisted, bundle.matrix("operatorKprime")))
     elif what == "linear-deform":
-        data = bundle.reynolds_data()
-        report = deformation.check_linear_deformation(data, bundle.matrix("operatorK1"))
+        report = deformation._check_linear_deformation(*bundle.prepared(),
+                                                       bundle.matrix("operatorK1"))
     elif what == "formal-deform":
-        orders, report = _series_check(bundle.reynolds_data(), bundle.series())
+        orders, report = _series_check(*bundle.prepared(), bundle.series())
         doc.update(orders)
     elif what == "nijenhuis-element":
-        data = bundle.reynolds_data()
-        report = deformation.check_nijenhuis_element(data, bundle.element())
+        data, frames = bundle.prepared()
+        check = deformation._element_checker(data, deformation._ElementTerms(data, frames))
+        report = check(bundle.element())
     else:  # pragma: no cover - argparse restricts choices
         raise SchemaError("/", f"unknown checker {what}")
 
@@ -188,7 +191,7 @@ def _cmd_cohomology(args) -> int:
     if of == "algebra":
         report = cohomology(bundle.algebra(), bundle.representation(), degree)
     else:
-        report = opcohomology.operator_cohomology(bundle.reynolds_data(), degree)
+        report = opcohomology._operator_cohomology(*bundle.prepared(), degree)
     doc = {"command": "cohomology", "of": of, "degree": degree,
            "dimZ": report.dim_z, "dimB": report.dim_b, "dimH": report.dim_h}
     if of == "operator":
@@ -209,13 +212,13 @@ def _cmd_construct(args) -> int:
         doc["result"] = algebra_to_json(
             reynolds.semidirect(bundle.algebra(), bundle.representation(), bundle.cocycle()))
     elif what == "induced":
-        doc["result"] = algebra_to_json(reynolds.induced_product(bundle.reynolds_data()))
+        doc["result"] = algebra_to_json(reynolds._induced_product(*bundle.prepared()))
     elif what == "star":
         doc["result"] = algebra_to_json(
             reynolds.star_product(bundle.algebra(), bundle.matrix("operatorK"),
                                   bundle.weight()))
     elif what == "gauge":
-        gauged = reynolds.gauge_transform(bundle.reynolds_data(), bundle.named_cochain("B"))
+        gauged = reynolds._gauge_transform(*bundle.prepared(), bundle.named_cochain("B"))
         doc["result"] = matrix_to_json(gauged)
     elif what == "shift":
         shifted = reynolds.shift_operator(bundle.reynolds_data(), bundle.named_cochain("h"))
@@ -224,7 +227,7 @@ def _cmd_construct(args) -> int:
         ns = nsprelie.ns_from_nijenhuis(bundle.algebra(), bundle.matrix("operatorN"))
         doc["result"] = nsprelie_to_json(ns)
     elif what == "ns-from-reynolds":
-        doc["result"] = nsprelie_to_json(nsprelie.ns_from_reynolds(bundle.reynolds_data()))
+        doc["result"] = nsprelie_to_json(nsprelie._ns_from_reynolds(*bundle.prepared()))
     elif what == "reynolds-from-ns":
         data = nsprelie.reynolds_from_ns(bundle.nsprelie())
         doc["result"] = reynolds_data_to_json(data)
@@ -340,7 +343,8 @@ def _cmd_search(args) -> int:
         spec_bundle = {"algebra": bundle.algebra(),
                        "operatorD": bundle.matrix("operatorD")}
     elif args.predicate == "nijenhuis-element":
-        spec_bundle = {"data": bundle.reynolds_data()}
+        data, frames = bundle.prepared()
+        spec_bundle = {"data": data, "frames": frames}
     else:
         raise SchemaError("/predicate", f"unknown predicate {args.predicate!r}")
 
@@ -370,7 +374,7 @@ def _cmd_deform(args) -> int:
                 raise SchemaError(f"/{flag}", f"--{flag} belongs to deform check, "
                                               f"not deform {args.action}")
     bundle = parse_bundle(args.bundle, args.field)
-    data = bundle.reynolds_data()
+    data, frames = bundle.prepared()
     if args.action == "check":
         if args.series is not None:
             series_doc = parse_bundle(args.series, field_name(bundle.field))
@@ -384,17 +388,17 @@ def _cmd_deform(args) -> int:
                 raise SchemaError("/order", f"order must be <= the series' order "
                                             f"{len(coefficients) - 1}, got {args.order}")
             coefficients = coefficients[:args.order + 1]
-        orders, report = _series_check(data, coefficients)
+        orders, report = _series_check(data, frames, coefficients)
         doc = {"command": "deform check", **orders, **_report_json(report)}
         return _emit(doc, report.ok)
     if args.action == "nijenhuis":
-        elements = deformation.nijenhuis_elements(data)
+        elements = deformation._elements({"data": data, "frames": frames})
         doc = {"command": "deform nijenhuis",
                "count": len(elements),
                "elements": [[scalar_to_str(c) for c in x] for x in elements]}
         return _emit(doc, True)
     if args.action == "rigidity":
-        report = deformation.rigidity_probe(data)
+        report = deformation._rigidity_probe(data, frames)
         doc = {"command": "deform rigidity",
                "cocycles": report.cocycle_count,
                "nijenhuis_elements": report.nijenhuis_count,
@@ -411,7 +415,7 @@ def _cmd_deform(args) -> int:
 def _cmd_dk_consistency(args) -> int:
     degree = _degree(args.degree)
     bundle = parse_bundle(args.bundle, args.field)
-    diff = brackets.dk_difference(bundle.reynolds_data(), degree)
+    diff = brackets._dk_difference(*bundle.prepared(), degree)
     # coordinate r of the difference holds d_K f - (-1)^{n-1} d f at row r as a
     # linear form; its coefficient on x_c is the entry of column c
     coords = (x for v in diff.values for x in v)

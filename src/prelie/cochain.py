@@ -310,7 +310,12 @@ def _semidirect_arrays(a: PreLieAlgebra, rep: Representation, H: Cochain | None)
 
 
 def twisted_rows(a: PreLieAlgebra, rep: Representation, H: Cochain | None) -> tuple:
-    """g + V twisted by H on one `scalars.lift`: (`algebra.semidirect_rows`, denominator D)."""
+    """g + V twisted by H on one `scalars.lift`: (`algebra.semidirect_rows`, denominator D).
+
+    The one preparation of a fixed triple: a command runs it once per
+    distinct (a, rep, H), since the build of a bundle hands its own to
+    every kernel the command runs (`reynolds._verified`).
+    """
     field = a.field
     (c, L, R, h, D), _ = lift(field, (*_semidirect_arrays(a, rep, H), field.one))
     return semidirect_rows(c, rep.dim_v, L, R, h), D

@@ -19,10 +19,13 @@ without the operator and x . Rbar_u(x) = Rbar_u(x) . x.  Each condition
 is c_1 t + c_2 t^2, and both orders are read off two evaluations of the
 integer core of `reynolds.morphism_checker` at the lifted x, with no
 polynomial in t (`_ElementTerms`).  The element maps, the core and Z^1
-of `rigidity_probe` read one preparation of the bundle.  Over a prime
-field `search.exhaustive_search` enumerates the Nijenhuis elements, from
-a generic x whose entries are its variables x_0, x_1, ...; K is rigid
-when every operator 1-cocycle is d_K x = KS - PK of one of them.
+of `rigidity_probe` read one preparation of the bundle: the frames that
+its build verified it on, when a command hands them over
+(`reynolds._verified`), else one per call (`reynolds._prepared`), as do
+the checks in t.  Over a prime field `search.exhaustive_search`
+enumerates the Nijenhuis elements, from a generic x whose entries are
+its variables x_0, x_1, ...; K is rigid when every operator 1-cocycle is
+d_K x = KS - PK of one of them.
 """
 
 from __future__ import annotations
@@ -31,16 +34,17 @@ from dataclasses import dataclass
 
 from .algebra import (Order, Report, _combine, family_products, int_basis, lifted_report,
                       nonzero_entries, residual_report)
-from .cochain import Cochain, integer_cohomology, twisted_rows
-from .errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
+from .cochain import Cochain, integer_cohomology
+from .errors import InfiniteFieldError, ShapeError
 from .linalg import Matrix, _matrix, sparse_mul, sub_vec
 from .opcohomology import _induced_arrays, operator_coboundary
-from .reynolds import ReynoldsData, _frames, intertwining, morphism_checker, reynolds_checker
+from .reynolds import ReynoldsData, _prepared, intertwining, morphism_checker
 from .scalars import Poly, PrimeField, descend, lift
 
 
 class _ElementTerms:
-    """The maps of an algebra element, prepared once per bundle, and its conditions.
+    """The maps of an algebra element, read once per bundle off the frames of its
+    (g, rep, H), and its conditions.
 
     P = L_x - R_x, S e_u = L_x u - R_x u + H(x, Ku) (the t-terms of phi_t
     and psi_t) and rbar[u] = Rbar_u x (`SIGNS.md`) are linear in x: read
@@ -50,10 +54,9 @@ class _ElementTerms:
     `commutes`); only nonzero residuals are mapped back.
     """
 
-    def __init__(self, data: ReynoldsData):
-        g, rep, n = data.algebra, data.rep, data.algebra.dim
-        twisted = twisted_rows(g, rep, data.cocycle)
-        self.frame = _frames(g, rep, twisted)(data.operator)
+    def __init__(self, data: ReynoldsData, frames):
+        g, rep, n, twisted = data.algebra, data.rep, data.algebra.dim, frames.twisted
+        self.frame = frames(data.operator)
         check = morphism_checker((g, twisted), (g, twisted))
         self.defects, self.parts = check.defects, check.parts
         rows, self.Dg = twisted
@@ -188,10 +191,10 @@ def _order(vec, k: int, zero) -> tuple:
     return tuple(_coefficient(x, k, zero) for x in vec)
 
 
-def _reynolds_in_t(data: ReynoldsData, coefficients) -> list:
-    """The nonzero Reynolds residuals of K_t = sum K_i t^i at V-basis pairs (u, v)."""
-    return reynolds_checker(data.algebra, data.rep, data.cocycle)(
-        _in_t(coefficients)).violations
+def _reynolds_in_t(frames, coefficients) -> list:
+    """The nonzero Reynolds residuals of K_t = sum K_i t^i at V-basis pairs (u, v), on the
+    frames of the bundle's (g, rep, H)."""
+    return frames.check(_in_t(coefficients)).violations
 
 
 def element_coboundary(data: ReynoldsData, x) -> Matrix:
@@ -201,7 +204,7 @@ def element_coboundary(data: ReynoldsData, x) -> Matrix:
 
     For equivalent linear deformations, K1 - K1' is exactly this map.
     """
-    columns, scale = _ElementTerms(data).coboundary(_element(data.algebra, x))
+    columns, scale = _ElementTerms(data, _prepared(data)).coboundary(_element(data.algebra, x))
     return Matrix.from_columns(data.field, list(map(descend(data.field, scale), columns)),
                                data.algebra.dim)
 
@@ -213,7 +216,12 @@ def check_linear_deformation(data: ReynoldsData, K1: Matrix) -> Report:
     the 1-cocycle condition.  Its agreement with `is_cocycle`, the
     coboundary route, is a test, not a runtime check.
     """
-    table = _reynolds_in_t(data, (data.operator, _direction(data, K1)))
+    return _check_linear_deformation(data, _prepared(data), K1)
+
+
+def _check_linear_deformation(data: ReynoldsData, frames, K1: Matrix) -> Report:
+    """`check_linear_deformation` on the frames of the bundle's (g, rep, H)."""
+    table = _reynolds_in_t(frames, (data.operator, _direction(data, K1)))
     zero = data.field.zero
     return _combine({f"order_t{k}": residual_report((where, _order(r, k, zero))
                                                     for where, r in table)
@@ -255,25 +263,16 @@ def check_formal_deformation(series: DeformationSeries) -> Report:
     identically, so orders 0..3N decide the whole polynomial identity;
     the checked range is recorded in ``parts``.
     """
-    table = _reynolds_in_t(series.base, series.coefficients)
+    return _check_formal_deformation(series, _prepared(series.base))
+
+
+def _check_formal_deformation(series: DeformationSeries, frames) -> Report:
+    """`check_formal_deformation` on the frames of the base bundle's (g, rep, H)."""
+    table = _reynolds_in_t(frames, series.coefficients)
     zero = series.base.field.zero
     return _combine({f"order_{k}": residual_report(((Order(k), *where), _order(r, k, zero))
                                                    for where, r in table)
                      for k in range(3 * series.order + 1)})
-
-
-def infinitesimal(series: DeformationSeries):
-    """First coefficient of a verified series, with its cocycle verdict."""
-    report = check_formal_deformation(series)
-    if not report.ok:
-        raise UnverifiedSeriesError("series fails its coefficient identities")
-    data = series.base
-    if series.order == 0:
-        K1 = Matrix.zero(data.field, data.algebra.dim, data.rep.dim_v)
-    else:
-        K1 = series.coefficients[1]
-    verdict = Report(is_cocycle(data, K1), [])
-    return K1, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,7 @@ def check_equivalence_data(data: ReynoldsData, K1: Matrix, K1p: Matrix, x) -> Re
     is c_1 t + c_2 t^2: c_2 is its value at (P, K1, K1', S), c_1 its value at
     (id + P, K + K1, K + K1', id + S) minus c_2.
     """
-    terms = _ElementTerms(data)
+    terms = _ElementTerms(data, _prepared(data))
     field, n, m = data.field, data.algebra.dim, data.rep.dim_v
     _, P, RS, s = terms.lifted(_element(data.algebra, x))
     K, K1, K1p = data.operator, _direction(data, K1), _direction(data, K1p)
@@ -310,7 +309,7 @@ def nijenhuis_element_checker(data: ReynoldsData):
     The parts are ``rbar_condition`` and the four morphism conditions of
     (phi_t, psi_t) without the operator, all on one lift of x (`_ElementTerms`).
     """
-    return _element_checker(data, _ElementTerms(data))
+    return _element_checker(data, _ElementTerms(data, _prepared(data)))
 
 
 def _element_checker(data: ReynoldsData, terms):
@@ -343,7 +342,8 @@ def nijenhuis_elements(data: ReynoldsData) -> list:
 
 
 def _elements(sections) -> list:
-    """`nijenhuis_elements` of ``sections["data"]``, on ``sections["terms"]`` if given."""
+    """`nijenhuis_elements` of ``sections["data"]``, on ``sections["terms"]`` or
+    ``sections["frames"]`` if given (`search` builds the element maps after its budget check)."""
     from .search import SearchSpec, exhaustive_search  # search imports this module
 
     data = sections["data"]
@@ -371,11 +371,16 @@ def rigidity_probe(data: ReynoldsData) -> RigidityReport:
     need not be a cocycle for an arbitrary element x, so membership is
     checked, not assumed.  Z^1 = d_K(Nij) implies rigidity, not conversely.
     """
+    return _rigidity_probe(data, _prepared(data))
+
+
+def _rigidity_probe(data: ReynoldsData, frames) -> RigidityReport:
+    """`rigidity_probe` on the frames of the bundle's (g, rep, H)."""
     field = data.field
     if not isinstance(field, PrimeField):
         raise InfiniteFieldError("the rigidity probe needs a finite field")
     p, n = field.p, data.algebra.dim
-    terms = _ElementTerms(data)  # for Z^1, the search and d_K
+    terms = _ElementTerms(data, frames)  # for Z^1, the search and d_K
     table, Lbar, Rbar, _ = _induced_arrays(n, terms.frame)
     report, d1 = integer_cohomology(table, Lbar, Rbar, n, p, 1)
     cocycle_count = p ** report.dim_z

@@ -37,10 +37,6 @@ class UnverifiedOperatorError(UnverifiedError):
     """The supplied linear map fails its operator identity."""
 
 
-class UnverifiedSeriesError(UnverifiedError):
-    """The supplied deformation series fails its coefficient identities."""
-
-
 class UnverifiedNSError(UnverifiedError):
     """The supplied triple of products is not an NS-pre-Lie structure."""
 

@@ -53,7 +53,7 @@ from .errors import (
     reverified,
 )
 from .linalg import Matrix, add_vec
-from .reynolds import ReynoldsData, operator_frames
+from .reynolds import ReynoldsData, _prepared
 from .scalars import descend, lift
 
 
@@ -260,9 +260,13 @@ def ns_from_reynolds(data: ReynoldsData) -> NSPreLie:
     so the subadjacent product is the induced one by construction; that
     is a test, not a runtime check.  All three have degree 2 on the lift.
     """
+    return _ns_from_reynolds(data, _prepared(data))
+
+
+def _ns_from_reynolds(data: ReynoldsData, frames) -> NSPreLie:
+    """`ns_from_reynolds` on the frames of the bundle's (g, rep, H)."""
     n = data.algebra.dim
-    mul, graph, _, _, back = operator_frames(data.algebra, data.rep, data.cocycle)(
-        data.operator)
+    mul, graph, _, _, back = frames(data.operator)
     down = back(2)
     point = [gr[:n] + (0,) * len(graph) for gr in graph]  # (Ku, 0)
     unit = [(0,) * n + gr[n:] for gr in graph]  # (0, e_u)

@@ -15,17 +15,19 @@ because the induced pair is a representation.
 (`reynolds.operator_frames`): with gr(u) = (Ku, u) and p(a, b) = a - Kb
 in the twisted semidirect product g + V, u ._K v is the V-part of
 gr(u).gr(v), Lbar_u x = p(gr(u).x) and Rbar_u x = p(x.gr(u)), all ints
-at scale D_g D_K^2 (`SIGNS.md`).  Both identities are re-verified, and
-the ranks and the differential are taken on them; only
-`induced_representation` maps them to the field.
+at scale D_g D_K^2 (`SIGNS.md`).  Both identities are re-verified in one
+pass, as the pre-Lie identity of V + g with the product of (V, ._K)
+acting by (Lbar, Rbar) (`algebra.pair_reports`), and the ranks and the
+differential are taken on them; only `induced_representation` maps them
+to the field.  A command hands `_operator_cohomology` the frames that
+the bundle's build verified it on (`reynolds._verified`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (PreLieAlgebra, Representation, int_basis, prelie_report,
-                      representation_report)
+from .algebra import PreLieAlgebra, Representation, int_basis, pair_reports
 from .cochain import (
     Cochain,
     CohomologyReport,
@@ -35,15 +37,16 @@ from .cochain import (
 )
 from .errors import InvariantError, ShapeError
 from .linalg import Matrix
-from .reynolds import ReynoldsData, operator_frames
+from .reynolds import ReynoldsData, _prepared
 from .scalars import lift
 
 
 def _induced_arrays(n: int, frame) -> tuple:
     """(u ._K v table, rows of each Lbar_u and Rbar_u, the frame's ``back``), re-verified.
 
-    n = dim g.  A residual has degree 2 in the arrays: it is mapped back
-    by D_g^2 D_K^4.
+    n = dim g.  One `algebra.pair_reports` pass checks both identities;
+    the pre-Lie one is named first when both fail.  A residual has
+    degree 2 in the arrays: it is mapped back by D_g^2 D_K^4.
     """
     mul, graph, proj, products, back = frame
     e = int_basis(n, n + len(graph))
@@ -51,19 +54,17 @@ def _induced_arrays(n: int, frame) -> tuple:
     Lbar = [list(zip(*map(proj, row))) for row in mul(graph, e)]  # gr(u).e_x
     right = mul(e, graph)  # e_x.gr(u)
     Rbar = [list(zip(*[proj(row[u]) for row in right])) for u in range(len(graph))]
-    down = back(4, 2)
-    for failed, report in (("structure constants fail the pre-Lie identity",
-                            prelie_report(table, down)),
-                           ("actions fail the representation identities",
-                            representation_report(table, n, Lbar, Rbar, down))):
+    for failed, report in zip(("structure constants fail the pre-Lie identity",
+                               "actions fail the representation identities"),
+                              pair_reports(table, n, Lbar, Rbar, back(4, 2))):
         if not report.ok:
             raise InvariantError(f"{failed}:\n" + report.describe())
     return table, Lbar, Rbar, back
 
 
 def _frame(data: ReynoldsData):
-    """The frame of the bundle's operator (`reynolds.operator_frames`)."""
-    return operator_frames(data.algebra, data.rep, data.cocycle)(data.operator)
+    """The frame of the bundle's operator, prepared for one call (`reynolds._prepared`)."""
+    return _prepared(data)(data.operator)
 
 
 def induced_representation(data: ReynoldsData) -> Representation:
@@ -107,6 +108,11 @@ def operator_cohomology(data: ReynoldsData, degree: int) -> OperatorCohomologyRe
     Degree-1 coboundaries are 0 by the same convention as the algebra
     complex, so H^1 equals Z^1.
     """
-    table, Lbar, Rbar, _ = _induced_arrays(data.algebra.dim, _frame(data))
+    return _operator_cohomology(data, _prepared(data), degree)
+
+
+def _operator_cohomology(data: ReynoldsData, frames, degree: int) -> OperatorCohomologyReport:
+    """`operator_cohomology` on the frames of the bundle's (g, rep, H)."""
+    table, Lbar, Rbar, _ = _induced_arrays(data.algebra.dim, frames(data.operator))
     r, _ = integer_cohomology(table, Lbar, Rbar, data.algebra.dim, data.field.char, degree)
     return OperatorCohomologyReport(r.degree, r.dim_z, r.dim_b, r.dim_h, data.fingerprint())

@@ -26,6 +26,13 @@ checked too, dH is read off the same lifted rows as the frames
 is read off the two twisted semidirect products the same way, on their
 preparations (`morphism_checker`).
 
+`ReynoldsData.build` verifies H and then K on one preparation
+(`_verified`).  A command hands that preparation explicitly to every
+kernel it runs on the bundle (`_induced_product`, `_gauge_transform` and
+their kin in `opcohomology`, `nsprelie`, `deformation` and `brackets`), so
+it lifts (g, rep, H) once; the public functions taking a bundle prepare
+it once per call (`_prepared`).  Nothing is stored on `ReynoldsData`.
+
 Checkers accept raw maps; constructors demand verified inputs and
 re-verify the theorem they add, once, on the table they built (through
 `errors.reverified`), so each construction doubles as a runtime
@@ -96,9 +103,10 @@ def _require_cocycle(g: PreLieAlgebra, rep: Representation, H: Cochain) -> tuple
 
 
 def semidirect_tensor(g: PreLieAlgebra, rep: Representation, H: Cochain | None):
-    """`algebra.semidirect_tensor` of g acting on V through rep, twisted by H."""
+    """`algebra.semidirect_tensor` of g acting on V through rep, twisted by H, zero-filled
+    with the field's zero."""
     product, L, R, table = _semidirect_arrays(g, rep, H)
-    return raw_semidirect_tensor(product, rep.dim_v, L, R, table)
+    return raw_semidirect_tensor(product, rep.dim_v, L, R, table, g.field.zero)
 
 
 def _project(k, one, pairs) -> list:
@@ -180,10 +188,10 @@ def operator_frames(g: PreLieAlgebra, rep: Representation, H: Cochain):
 
 
 def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
-    """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`, and
-    ``frames.check``, `reynolds_checker` on it, with the integer core ``check.core(k, one)``
-    of `reynolds_residuals` and ``check.require_shape(K)``.  ``frames.checked(K)``:
-    (``check(K)``, a thunk of K's frame) on one lift."""
+    """`operator_frames` on a preparation (rows, D_g) of `cochain.twisted_rows`, kept as
+    ``frames.twisted``, and ``frames.check``, `reynolds_checker` on it, with the integer
+    core ``check.core(k, one)`` of `reynolds_residuals` and ``check.require_shape(K)``.
+    ``frames.checked(K)``: (``check(K)``, a thunk of K's frame) on one lift."""
     field, (rows, Dg), m = g.field, twisted, rep.dim_v
     entries = nonzero_entries(rows)
 
@@ -208,7 +216,7 @@ def _frames(g: PreLieAlgebra, rep: Representation, twisted: tuple):
 
     check.core, check.require_shape = partial(reynolds_residuals, entries), \
         partial(_check_operator_shape, g, rep)
-    frame.check, frame.checked = check, checked
+    frame.check, frame.checked, frame.twisted = check, checked, twisted
     return frame
 
 
@@ -247,11 +255,9 @@ class ReynoldsData:
     @classmethod
     def build(cls, algebra: PreLieAlgebra, rep: Representation, cocycle: Cochain,
               operator: Matrix) -> "ReynoldsData":
-        report = check_rcw_reynolds(algebra, rep, cocycle, operator)
-        if not report.ok:
-            raise UnverifiedOperatorError(
-                "operator fails the Reynolds identity:\n" + report.describe())
-        return cls(algebra, rep, cocycle, operator)
+        """The bundle, once H and then K are verified on one preparation (`_verified`,
+        which also returns that preparation for the kernels of a command)."""
+        return _verified(algebra, rep, cocycle, operator)[0]
 
     @property
     def field(self):
@@ -265,6 +271,26 @@ class ReynoldsData:
         parts = [self.algebra.field, self.algebra.dim, self.rep.dim_v]
         parts += [x for row in rows for x in row]
         return hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()[:16]
+
+
+def _verified(g: PreLieAlgebra, rep: Representation, H: Cochain, K: Matrix) -> tuple:
+    """(`ReynoldsData.build` of the four, the frames H and K were verified on).
+
+    The frames (`_frames`, with the rows of g + V as ``frames.twisted``)
+    are the one preparation of (g, rep, H) that a command hands to each
+    kernel it runs on the bundle.
+    """
+    frames = _frames(g, rep, _require_cocycle(g, rep, H))
+    report = frames.check(K)
+    if not report.ok:
+        raise UnverifiedOperatorError("operator fails the Reynolds identity:\n" + report.describe())
+    return ReynoldsData(g, rep, H, K), frames
+
+
+def _prepared(data: ReynoldsData):
+    """The frames of a bundle trusted as verified (`operator_frames`), prepared for one
+    library call."""
+    return operator_frames(data.algebra, data.rep, data.cocycle)
 
 
 def _on_regular(g: PreLieAlgebra, weight) -> tuple:
@@ -387,7 +413,12 @@ def induced_product(data: ReynoldsData) -> PreLieAlgebra:
 
     K is a morphism to g by the verified Reynolds identity on this table.
     """
-    frame = operator_frames(data.algebra, data.rep, data.cocycle)(data.operator)
+    return _induced_product(data, _prepared(data))
+
+
+def _induced_product(data: ReynoldsData, frames) -> PreLieAlgebra:
+    """`induced_product` on the frames of the bundle's (g, rep, H)."""
+    frame = frames(data.operator)
     return reverified(PreLieAlgebra, data.field, _induced_table(data.algebra.dim, frame))
 
 
@@ -447,7 +478,12 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
     an isomorphism between the pre-Lie products induced on V by K and by
     K_B (both re-verified).
     """
-    g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
+    return _gauge_transform(data, _prepared(data), B)
+
+
+def _gauge_transform(data: ReynoldsData, frames, B: Cochain) -> Matrix:
+    """`gauge_transform` on the frames of the bundle's (g, rep, H)."""
+    g, rep, K = data.algebra, data.rep, data.operator
     _check_map_to_module("gauge", g, rep, B, 1)
     if not coboundary(g, rep, B).is_zero():
         raise NotCocycleError("gauge map is not a 1-cocycle")
@@ -457,7 +493,6 @@ def gauge_transform(data: ReynoldsData, B: Cochain) -> Matrix:
     if inv is None:
         raise NotAdmissibleError("id + B K is singular; B is not admissible")
     gauged = K * inv
-    frames = operator_frames(g, rep, H)  # H verified with the bundle
     report, frame = frames.checked(gauged)
     if not report.ok:
         raise InvariantError("gauged operator fails the Reynolds identity")

@@ -38,6 +38,7 @@ from .errors import BudgetExceededError, InvariantError, ShapeError
 from .linalg import _matrix
 from .nsprelie import nijenhuis_checker
 from .reynolds import (
+    _prepared,
     _require_square,
     d_reynolds_pair,
     rcw_checker,
@@ -109,8 +110,11 @@ def _d_reynolds_predicate(bundle):
 
 
 def _nijenhuis_element_predicate(bundle):
-    data = bundle["data"]  # with the element maps, when `deformation._elements` has them
-    element = _element_checker(data, bundle.get("terms") or _ElementTerms(data))
+    # the element maps, when `rigidity_probe` has them, else read off the frames of the
+    # bundle's (g, rep, H) a command hands over, else off one preparation here
+    data = bundle["data"]
+    element = _element_checker(data, bundle.get("terms") or _ElementTerms(
+        data, bundle.get("frames") or _prepared(data)))
 
     def column(x) -> tuple:
         if x.cols != 1:

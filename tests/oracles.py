@@ -79,6 +79,15 @@ library ran before its integer engine: Gauss-Jordan on the dense field
 scalars, and sparse forward elimination on them.  `dense_kernel`,
 `dense_solve` and `dense_inverse` read their answers off `dense_rref`.
 
+`infinitesimal` is the first coefficient of a verified deformation
+series with its cocycle verdict, which the library exported while no
+command read it; it raises `UnverifiedSeriesError` on a series that
+fails its coefficient identities.  `two_pass_induced_check` is the
+re-verification of an operator's induced pair as
+`opcohomology._induced_arrays` ran it before it read both identities off
+one pass: `algebra.prelie_report` of the induced table, then
+`algebra.representation_report` of (Lbar, Rbar), each its own pass.
+
 `dense_semidirect_tensor` is the twisted semidirect product on g + V
 written out densely, as the library built it before it read the
 nonzero rows straight off the arrays (`algebra.semidirect_rows`).  On
@@ -201,10 +210,13 @@ from prelie.algebra import (
     Representation,
     _as_tensor,
     _combine,
+    int_basis,
     lifted_report,
     nonzero_rows,
     prelie_defects,
+    prelie_report,
     regular_representation,
+    representation_report,
     residual_report,
 )
 from prelie.cochain import (
@@ -217,12 +229,20 @@ from prelie.cochain import (
     cochain_space_dim,
     twisted_rows,
 )
-from prelie.deformation import _ElementTerms, _in_t, _order
+from prelie.deformation import (
+    DeformationSeries,
+    _ElementTerms,
+    _in_t,
+    _order,
+    check_formal_deformation,
+    is_cocycle,
+)
 from prelie.errors import (
     BudgetExceededError,
     DimensionMismatchError,
     InvariantError,
     ShapeError,
+    UnverifiedError,
 )
 from prelie.linalg import (
     _matrix,
@@ -238,7 +258,12 @@ from prelie.linalg import (
     zero_vec,
 )
 from prelie.opcohomology import operator_coboundary, operator_coboundary_matrix
-from prelie.reynolds import ReynoldsData, _check_operator_shape, morphism_checker
+from prelie.reynolds import (
+    ReynoldsData,
+    _check_operator_shape,
+    morphism_checker,
+    operator_frames,
+)
 from prelie.scalars import FpElement, Poly, PrimeField, descend, lift
 from prelie.search import DEFAULT_BUDGET, PREDICATES, SearchSpec
 
@@ -1522,7 +1547,7 @@ def element_morphism_in_t(check, P: Matrix, S: Matrix, operators=(None, None)) -
 def in_t_element_checks(data: ReynoldsData) -> tuple:
     """(x -> Nijenhuis-element `Report`, (K1, K1', x) -> equivalence `Report`), in t."""
     g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
-    field, terms = g.field, _ElementTerms(data)
+    field, terms = g.field, _ElementTerms(data, operator_frames(g, rep, H))
     twisted = (g, twisted_rows(g, rep, H))
     check = morphism_checker(twisted, twisted)
 
@@ -1618,3 +1643,40 @@ def fraction_parse(field, s: str):
     """The scalar of a string without a modulus: the reference for ``field.parse``."""
     value = Fraction(s.strip())
     return field(value) if field.char else value
+
+
+class UnverifiedSeriesError(UnverifiedError):
+    """The supplied deformation series fails its coefficient identities."""
+
+
+def infinitesimal(series: DeformationSeries):
+    """First coefficient of a verified series, with its cocycle verdict."""
+    report = check_formal_deformation(series)
+    if not report.ok:
+        raise UnverifiedSeriesError("series fails its coefficient identities")
+    data = series.base
+    if series.order == 0:
+        K1 = Matrix.zero(data.field, data.algebra.dim, data.rep.dim_v)
+    else:
+        K1 = series.coefficients[1]
+    verdict = Report(is_cocycle(data, K1), [])
+    return K1, verdict
+
+
+def two_pass_induced_check(n: int, frame):
+    """The `InvariantError` text of the re-verification of the induced pair read off
+    ``frame`` (n = dim g), two passes, pre-Lie first; None when both identities hold."""
+    mul, graph, proj, products, back = frame
+    e = int_basis(n, n + len(graph))
+    table = [[w[n:] for w in row] for row in products]
+    Lbar = [list(zip(*map(proj, row))) for row in mul(graph, e)]
+    right = mul(e, graph)
+    Rbar = [list(zip(*[proj(row[u]) for row in right])) for u in range(len(graph))]
+    down = back(4, 2)
+    for failed, report in (("structure constants fail the pre-Lie identity",
+                            prelie_report(table, down)),
+                           ("actions fail the representation identities",
+                            representation_report(table, n, Lbar, Rbar, down))):
+        if not report.ok:
+            return f"{failed}:\n" + report.describe()
+    return None

@@ -418,11 +418,7 @@ REVERIFIED_OUTPUTS = {
     "reynolds-from-ns-rep": (("construct", "reynolds-from-ns", "ns2.json"),
                              algebra, "check_representation", 0),
     "reynolds-from-ns-operator": (("construct", "reynolds-from-ns", "ns2.json"),
-                                  reynolds, "check_rcw_reynolds", 0),
-    "operator-cohomology-algebra": (("cohomology", "--of", "operator", "--degree", "1",
-                                     "g3-k-e11.json"), algebra, "prelie_report", 1),
-    "operator-cohomology-rep": (("cohomology", "--of", "operator", "--degree", "1",
-                                 "g3-k-e11.json"), algebra, "representation_report", 0),
+                                  reynolds, "_reynolds_report", 0),
 }
 
 
@@ -456,12 +452,12 @@ def test_cli_maurer_cartan_requires_a_two_cocycle(argv):
 
 
 @pytest.mark.parametrize("argv, name, counts", [
-    # every reading on the integer lift: the input's identity (the bundle's
-    # build, one scatter and no frame), then in gauge_transform one
-    # preparation of (g, rep, H) and one frame per operator, K for its
-    # table and K_B for its identity (a scatter) and table
+    # every reading on the integer lift: the input's identity on the one
+    # preparation of (g, rep, H) (the bundle's build, one scatter and no
+    # frame), then in gauge_transform one frame per operator on it, K for
+    # its table and K_B for its identity (a scatter) and table
     (("construct", "gauge"), "g3-gauge-shift.json",
-     {"_frames": 2, "graph_frame": 2, "reynolds_residuals": 2, "check_morphism": 1}),
+     {"_frames": 1, "graph_frame": 2, "reynolds_residuals": 2, "check_morphism": 1}),
     # N verified once, then the two tables that multiply vectors (|> and <|) in
     # two scatters; o = -N(e_i.e_j) reads the lifted constants as they are
     (("construct", "ns-from-nijenhuis"), "nijenhuis3.json",
@@ -1085,10 +1081,7 @@ def test_cli_empty_field_is_a_schema_error(args, value):
 @pytest.mark.parametrize("flag, value", [("--series", "nonexistent.json"), ("--order", "-7")])
 def test_cli_deform_flags_of_check_are_rejected_on_other_actions(monkeypatch, action,
                                                                  flag, value):
-    built = []
-    build = reynolds.ReynoldsData.build.__func__
-    monkeypatch.setattr(reynolds.ReynoldsData, "build",
-                        classmethod(lambda cls, *a: built.append(a) or build(cls, *a)))
+    built = count_calls(monkeypatch, reynolds, "_verified")  # the bundle's build
     argv = ("deform", action, "--bundle", str(CORPUS / "g3-f2-e11.json"))
     code, out, _ = run_cli(*argv, flag, value)
     assert code == 2

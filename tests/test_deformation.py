@@ -11,7 +11,17 @@ from conftest import (
     random_reynolds_data,
     zero_representation,
 )
-from oracles import act_L, act_R, cochain_eval, dense_kernel, left_mult, right_mult, mul
+from oracles import (
+    UnverifiedSeriesError,
+    act_L,
+    act_R,
+    cochain_eval,
+    dense_kernel,
+    infinitesimal,
+    left_mult,
+    mul,
+    right_mult,
+)
 from prelie import deformation
 from prelie.algebra import Order, PreLieAlgebra, regular_representation
 from prelie.bundle import parse_bundle
@@ -23,12 +33,11 @@ from prelie.deformation import (
     check_linear_deformation,
     check_nijenhuis_element,
     element_coboundary,
-    infinitesimal,
     is_cocycle,
     nijenhuis_elements,
     rigidity_probe,
 )
-from prelie.errors import InfiniteFieldError, ShapeError, UnverifiedSeriesError
+from prelie.errors import InfiniteFieldError, ShapeError
 from prelie.linalg import Matrix, sub_vec
 from prelie.opcohomology import operator_coboundary_matrix
 from prelie.reynolds import ReynoldsData, reynolds_from_invertible_cochain

@@ -430,7 +430,7 @@ def test_a_unital_algebra_lifts_its_product_once(monkeypatch):
 
 @pytest.mark.parametrize("command, lifts", [
     (("construct", "star", "corpus/weighted-star.json"), 6),
-    (("construct", "gauge", "corpus/g3-gauge-shift.json"), 11),
+    (("construct", "gauge", "corpus/g3-gauge-shift.json"), 10),
     # g for its check, g and N in the Nijenhuis frame, whose lift the three
     # tables read, and the three tables for their re-verification
     (("construct", "ns-from-nijenhuis", "corpus/nijenhuis3.json"), 4),

@@ -1,4 +1,7 @@
+import io
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from math import lcm
 
 import pytest
@@ -19,15 +22,17 @@ from oracles import (
     compare_explicit_paths,
     explicit_coboundary,
     field_induced_representation,
+    two_pass_induced_check,
 )
-from prelie import opcohomology, reynolds, scalars
+from prelie import reynolds, scalars
 from prelie.algebra import (
     PreLieAlgebra,
     check_prelie,
     check_representation,
-    int_basis,
     regular_representation,
 )
+from prelie.bundle import reynolds_data_to_json
+from prelie.cli import main
 from prelie.cochain import Cochain, cochain_space_dim, cohomology
 from prelie.deformation import check_nijenhuis_element, rigidity_probe
 from prelie.errors import InvariantError
@@ -347,33 +352,29 @@ def test_fractional_ladder_rung_has_the_ladder_dimensions():
     assert back(0)((1,)) != (QQ(1),)  # 1 / D_g
 
 
-def _corrupt(monkeypatch, where: str) -> None:
-    """Add 1 to one int of every frame's induced table, or of Lbar_0 e_0 (coordinate 0)."""
+def _corrupt(monkeypatch, *parts) -> None:
+    """Add 1 to one int of each of the ``parts`` of every frame's products: "table" at
+    the first V-coordinate of gr(0).gr(m - 1) (the induced table at e_0 ._K e_(m-1)),
+    "lbar" at coordinate 0 of gr(0).e_0 (Lbar_0 e_0), "rbar" at coordinate 0 of
+    e_0.gr(0) (Rbar_0 e_0)."""
     def make(original):
-        def frames(g, rep, twisted):
-            prepared = original(g, rep, twisted)
-            n = g.dim
+        def graph_frame(entries, cols, one):
+            mul, graph, p = original(entries, cols, one)
+            n = len(graph[0]) - len(graph) if graph else 0
 
-            def frame(K):
-                mul, graph, proj, products, back = prepared(K)
-                if where == "table":  # at e_0 ._K e_1, coordinate 0
-                    products = [list(row) for row in products]
-                    w = list(products[0][1])
-                    w[n] += 1
-                    products[0][1] = w
+            def corrupted(left, right):
+                out = mul(left, right)
+                if left is graph and right is graph:
+                    part, (a, b, t) = "table", (0, len(graph) - 1, n)
                 else:
-                    e0 = int_basis(1, len(graph[0]))[0]
+                    part, (a, b, t) = ("lbar" if left is graph else "rbar"), (0, 0, 0)
+                if part in parts:
+                    out[a][b][t] += 1
+                return out
+            return corrupted, graph, p
+        return graph_frame
 
-                    def mul(left, right, mul=mul):  # at gr(0).e_0 of the table gr(u).e_x
-                        out = mul(left, right)
-                        if left is graph and right and right[0] == e0:
-                            out[0][0] = [out[0][0][0] + 1, *out[0][0][1:]]
-                        return out
-                return mul, graph, proj, products, back
-            return frame
-        return frames
-
-    _replace_everywhere(monkeypatch, reynolds, "_frames", make)
+    _replace_everywhere(monkeypatch, reynolds, "graph_frame", make)
 
 
 def _failing_bundles():
@@ -404,7 +405,7 @@ def test_a_failed_reverification_maps_its_residuals_back_by_the_squared_scale(mo
     data = fractional_ladder_data()
     _corrupt(monkeypatch, "table")
     g = data.algebra
-    *_, products, back = opcohomology.operator_frames(g, data.rep, data.cocycle)(data.operator)
+    *_, products, back = reynolds.operator_frames(g, data.rep, data.cocycle)(data.operator)
     table = [[back(2)(w[g.dim:]) for w in row] for row in products]
     expected = check_prelie(QQ, table)
     assert not expected.ok
@@ -412,3 +413,47 @@ def test_a_failed_reverification_maps_its_residuals_back_by_the_squared_scale(mo
         operator_cohomology(data, 1)
     assert str(raised.value) == \
         "structure constants fail the pre-Lie identity:\n" + expected.describe()
+
+
+PAIR_FAILURES = {  # corrupted parts: the identity named first
+    "table": ({"table"}, "structure constants fail the pre-Lie identity"),
+    "lbar": ({"lbar"}, "actions fail the representation identities"),
+    "rbar": ({"rbar"}, "actions fail the representation identities"),
+    "both": ({"table", "lbar", "rbar"}, "structure constants fail the pre-Lie identity"),
+}
+
+
+@pytest.mark.parametrize("case", PAIR_FAILURES)
+def test_a_failed_induced_pair_check_reads_as_the_two_pass_check(monkeypatch, case):
+    # the one-pass check of the induced pre-Lie and representation
+    # identities raises the text of the two passes it replaced, byte for
+    # byte: the pre-Lie failure first, each report with its violations in
+    # the same order and mapped back by the same scale
+    parts, identity = PAIR_FAILURES[case]
+    _corrupt(monkeypatch, *parts)
+    for _, data in _failing_bundles():
+        frame = reynolds.operator_frames(data.algebra, data.rep, data.cocycle)(data.operator)
+        want = two_pass_induced_check(data.algebra.dim, frame)
+        assert want is not None and want.startswith(identity + ":\n")
+        for call in (lambda: operator_cohomology(data, 1), lambda: induced_representation(data)):
+            with pytest.raises(InvariantError) as raised:
+                call()
+            assert str(raised.value) == want
+
+
+@pytest.mark.parametrize("case", PAIR_FAILURES)
+def test_a_failed_induced_pair_check_is_exit_4(monkeypatch, case):
+    # the command reads the frames of the bundle's build and reports the
+    # same text: exit 4, the message on stdout and its first line on stderr
+    parts, identity = PAIR_FAILURES[case]
+    _corrupt(monkeypatch, *parts)
+    for _, data in _failing_bundles():
+        frame = reynolds.operator_frames(data.algebra, data.rep, data.cocycle)(data.operator)
+        want = two_pass_induced_check(data.algebra.dim, frame)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["cohomology", "--operator", json.dumps(reynolds_data_to_json(data)),
+                         "--degree", "1"])
+        assert code == 4
+        assert json.loads(out.getvalue()) == {"error": "InvariantError", "message": want}
+        assert err.getvalue() == f"internal invariant failed: {identity}:\n"

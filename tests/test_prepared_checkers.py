@@ -19,8 +19,11 @@ checker's ints.  Each is compared here with the hand-expanded field
 oracle on the same fractional data, and mapping the induced table back
 by D_K^2 alone is shown to fail.
 
-Each command lifts (g, rep, H) a pinned number of times (the bundle's
-build, then one `cochain.twisted_rows` that every later kernel reads).
+Each command prepares each distinct (g, rep, H) it reads once: the
+bundle's build verifies H and K on one `cochain.twisted_rows` and hands
+it, with the frames built on it, to every kernel the command runs, so
+the pinned counts are one preparation per triple (two only where a
+command reads a second triple, as `construct star` and `shift` do).
 The derived brackets read their structures off that preparation (D_g)
 and lift only the cochains (D_c), and `check_rcw_morphism` brings two
 bundles' rows to the lcm of their D_g: both are compared with the field
@@ -76,7 +79,7 @@ from oracles import (
     star_table,
 )
 import prelie
-from prelie import algebra, brackets, deformation, reynolds, scalars
+from prelie import algebra, brackets, cochain, deformation, reynolds, scalars
 from prelie.algebra import (
     Order,
     PreLieAlgebra,
@@ -509,7 +512,7 @@ def test_element_maps_match_the_field_oracle(field):
     split = 0
     for data in _bundles(rng, field, 9):
         g, K = data.algebra, data.operator
-        terms = _ElementTerms(data)
+        terms = _ElementTerms(data, reynolds.operator_frames(g, data.rep, data.cocycle))
         generic = tuple(Poly({(k,): field.one}) for k in range(g.dim))
         for x in (tuple(_entry(rng, field) for _ in range(g.dim)), generic):
             _, S, rbar = element_maps(terms, x)
@@ -541,7 +544,7 @@ def test_element_morphism_in_t_matches_the_field_oracle(field):
         g, rep, H, K = data.algebra, data.rep, data.cocycle, data.operator
         n, m = g.dim, rep.dim_v
         x = tuple(_entry(rng, field) for _ in range(n))
-        P, S, _ = element_maps(_ElementTerms(data), x)
+        P, S, _ = element_maps(_ElementTerms(data, reynolds.operator_frames(g, rep, H)), x)
         phi, psi = _in_t((Matrix.identity(field, n), P)), _in_t((Matrix.identity(field, m), S))
         K1, K1p = (_random_matrix(rng, field, n, m) for _ in range(2))
         oracle = field_check_rcw_morphism(*(ReynoldsData(g, rep, H, _in_t((K, D)))
@@ -772,12 +775,12 @@ def test_deform_builds_a_fixed_number_of_frames(monkeypatch, action, readings):
     assert len(seen) == 3
 
 
-@pytest.mark.parametrize("action, arrays", [("rigidity", 2), ("nijenhuis", 2)])
+@pytest.mark.parametrize("action, arrays", [("rigidity", 1), ("nijenhuis", 1)])
 def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
-    # the twisted semidirect arrays are built for the bundle's build and
-    # once for the element maps, whose one preparation both sides of the
-    # morphism checker read (and, for rigidity, Z^1 and the image): a
-    # fixed number whatever the number of candidates.  The element check
+    # the twisted semidirect arrays are built once, for the bundle's build,
+    # whose preparation the element maps and both sides of the morphism
+    # checker read (and, for rigidity, Z^1 and the image): a fixed number
+    # whatever the number of candidates.  The element check
     # on field scalars never runs: the core compiles the search on the
     # generic x and re-verifies each element found, all on the sweep's
     # own ints, and lifts nothing
@@ -823,15 +826,37 @@ def test_deform_prepares_the_morphism_check_once(monkeypatch, action, arrays):
 # one preparation of (g, rep, H) per command
 
 
-PREPARED_ONCE = {  # command: (lifts holding the bundle's H table, frames)
-    # the build checks the Reynolds identity by its scatter, with no frame
-    ("check", "mc"): (1, 0),
-    ("mc-check",): (1, 0),
-    ("dk-consistency",): (2, 1),
-    ("deform", "nijenhuis"): (2, 1),
-    ("deform", "rigidity"): (2, 1),
-    ("check", "nijenhuis-element"): (2, 1),
+PREPARED_ONCE = {  # command: (preparations, lifts holding the bundle's H table, frames)
+    # the build checks the Reynolds identity by its scatter, with no frame,
+    # and hands its preparation to the command: the checks in t and the
+    # twisted MC residual read its rows or its checker, with no frame
+    ("check", "mc"): (1, 1, 0),
+    ("mc-check",): (1, 1, 0),
+    ("check", "twisted-mc"): (1, 1, 0),
+    ("check", "linear-deform"): (1, 1, 0),
+    ("check", "formal-deform"): (1, 1, 0),
+    ("check", "nijenhuis-element"): (1, 1, 1),
+    ("cohomology", "--of", "operator"): (1, 1, 1),
+    ("construct", "induced"): (1, 1, 1),
+    ("construct", "ns-from-reynolds"): (1, 1, 1),
+    ("construct", "gauge"): (1, 1, 2),  # a frame for K and one for K_B
+    ("construct", "compatible-ns"): (1, 1, 0),
+    ("deform", "check"): (1, 1, 0),
+    ("deform", "nijenhuis"): (1, 1, 1),
+    ("deform", "rigidity"): (1, 1, 1),
+    ("dk-consistency",): (1, 1, 1),
+    ("search", "--predicate", "nijenhuis-element"): (1, 1, 1),
+    # two distinct triples: the weight and the star product's weight,
+    # neither read from the bundle's H; H and the shifted weight H + dh
+    ("construct", "star"): (2, 0, 1),
+    ("construct", "shift"): (2, 1, 0),
 }
+
+
+def _runs(command, argv) -> bool:
+    """Does ``argv`` hold the words of ``command`` in order?"""
+    words = iter(argv)
+    return all(word in words for word in command)
 
 
 def _holds(node, ids) -> bool:
@@ -842,11 +867,11 @@ def _holds(node, ids) -> bool:
 
 @pytest.mark.parametrize("command", sorted(PREPARED_ONCE), ids=" ".join)
 def test_each_command_prepares_the_bundle_triple_once(monkeypatch, command):
-    # each corpus run of the command under the bundle's own field: the
-    # `scalars.lift` calls whose arrays hold the vectors of the bundle's H
-    # (the build's and the command's preparation, `cochain.twisted_rows`)
-    # and the frames built; a run that rejects its input (exit 2) stops
-    # before the command's work
+    # each corpus run of the command under the bundle's own field (a search
+    # under each field it is run with): the preparations of a triple
+    # (`cochain.twisted_rows`), the `scalars.lift` calls whose arrays hold
+    # the vectors of the bundle's H and the frames built; a run that
+    # rejects its input (exit 2) stops before the command's work
     cocycles = []
 
     def make(original):
@@ -856,18 +881,19 @@ def test_each_command_prepares_the_bundle_triple_once(monkeypatch, command):
         return cocycle
 
     _replace_everywhere(monkeypatch, Bundle, "cocycle", make)
+    prepared = count_calls(monkeypatch, cochain, "twisted_rows")
     lifts = count_calls(monkeypatch, scalars, "lift")
     frames = count_calls(monkeypatch, reynolds, "graph_frame")
     completed = 0
     for argv in cases():
-        if argv[:len(command)] != command or "--field" in argv:
+        if not _runs(command, argv) or "--field" in argv and command[0] != "search":
             continue
-        for calls in (cocycles, lifts, frames):
+        for calls in (cocycles, prepared, lifts, frames):
             calls.clear()
         if run(argv)[0] == 2:
             continue
         ids = {id(v) for H in cocycles for v in H.values}
-        assert (sum(_holds(args[1], ids) for args in lifts), len(frames)) == \
+        assert (len(prepared), sum(_holds(args[1], ids) for args in lifts), len(frames)) == \
             PREPARED_ONCE[command], argv
         completed += 1
     assert completed
